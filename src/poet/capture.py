@@ -250,8 +250,11 @@ def frame_stream_stats(stream: Iterable[StreamItem]) -> CaptureStats:
         if first is None:
             first = (item.ts_sec, item.ts_nsec)
         last = (item.ts_sec, item.ts_nsec)
+    return CaptureStats(frames=frames, bytes=total, span_seconds=span_seconds(first, last, frames))
+
+
+def span_seconds(first: tuple[int, int] | None, last: tuple[int, int] | None, frames: int) -> float:
+    """Seconds from the first to the last frame; 0.0 with fewer than two frames."""
     if frames <= 1 or first is None or last is None:
-        span = 0.0
-    else:
-        span = (last[0] - first[0]) + (last[1] - first[1]) / 1_000_000_000
-    return CaptureStats(frames=frames, bytes=total, span_seconds=span)
+        return 0.0
+    return (last[0] - first[0]) + (last[1] - first[1]) / 1_000_000_000

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 import uuid
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .capture import RawFrame
@@ -131,7 +132,7 @@ class MalformedFrame(Exception):
 
 
 def mac_to_str(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
+    return mac.hex(":")
 
 
 def str_to_mac(text: str) -> bytes:
@@ -287,7 +288,6 @@ class CmFrame:
     direction: str  # "request" | "response"
     operation: str  # Connect | Write | Read | DControl | CControl | Release
     ar_uuid: uuid.UUID | None
-    session_params: bytes
     iocr_blocks: tuple[IocrBlock, ...] = ()
     expected_submodules: tuple[ExpectedSubmodule, ...] = ()
     initiator_mac: bytes | None = None
@@ -305,7 +305,6 @@ class PnioCyclicFrame:
     cycle_counter: int
     data_status: int
     transfer_status: int
-    iops_summary: str = "unknown"  # "GOOD" | "BAD" | "unknown"
 
 
 @dataclass(frozen=True)
@@ -316,27 +315,23 @@ class OtherBody:
 
 Body = LldpFrame | ArpPacket | DcpFrame | CmFrame | PnioCyclicFrame | OtherBody
 
+# The protocol tag of each body type; dissect stamps it on every ParsedFrame.
+_PROTOCOL_TAGS: dict[type, str] = {
+    LldpFrame: "lldp",
+    ArpPacket: "arp",
+    DcpFrame: "pn-dcp",
+    CmFrame: "pn-cm",
+    PnioCyclicFrame: "pnio",
+    OtherBody: "other",
+}
+
 
 @dataclass(frozen=True)
 class ParsedFrame:
     envelope: EthernetEnvelope
     body: Body
     raw_ref: int  # capture_index of the source frame
-
-    @property
-    def protocol(self) -> str:
-        body = self.body
-        if isinstance(body, LldpFrame):
-            return "lldp"
-        if isinstance(body, ArpPacket):
-            return "arp"
-        if isinstance(body, DcpFrame):
-            return "pn-dcp"
-        if isinstance(body, CmFrame):
-            return "pn-cm"
-        if isinstance(body, PnioCyclicFrame):
-            return "pnio"
-        return "other"
+    protocol: str  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
 
 
 @dataclass(frozen=True)
@@ -349,8 +344,6 @@ class IoDataSpec:
     offset: int
     length: int
     iops_length: int = 1
-    format: str = "raw"
-    endianness: str = "big"
 
 
 class InconsistentConnect(Exception):
@@ -406,7 +399,7 @@ def dissect(raw: RawFrame) -> ParsedFrame:
         body = _parse_ipv4(payload)
     else:
         body = OtherBody(ethertype)
-    return ParsedFrame(envelope, body, raw.capture_index)
+    return ParsedFrame(envelope, body, raw.capture_index, _PROTOCOL_TAGS[type(body)])
 
 
 # --- LLDP ------------------------------------------------------------------
@@ -601,7 +594,7 @@ def _parse_pnio_cyclic(data: bytes, frame_id: int) -> PnioCyclicFrame:
     )
 
 
-def summarize_iops(frame: PnioCyclicFrame, specs: list[IoDataSpec]) -> str:
+def summarize_iops(frame: PnioCyclicFrame, specs: Sequence[IoDataSpec]) -> str:
     """GOOD iff every provider-status byte located via the specs is GOOD."""
     if not specs:
         return "unknown"
@@ -802,7 +795,6 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
         direction=direction,
         operation=operation,
         ar_uuid=ar_uuid,
-        session_params=raw,
         iocr_blocks=tuple(iocrs),
         expected_submodules=tuple(submodules),
         initiator_mac=initiator_mac,

@@ -9,8 +9,8 @@ move the machine into an error state, so tracking continues afterwards.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class UnknownEvent(Exception):
@@ -61,18 +61,30 @@ class FsmDefinition:
     # optional state -> operation label mapping, opaque to the engine
     state_operations: tuple[tuple[str, str], ...] = ()
 
-    @property
+    # Lookup tables compiled once per definition. Duplicate keys keep the
+    # first listed entry, so only the first of duplicate edges ever fires.
+
+    @cached_property
+    def transitions(self) -> dict[tuple[str, str], str]:
+        return {(e.from_state, e.event): e.to_state for e in reversed(self.edges)}
+
+    @cached_property
+    def wildcards(self) -> dict[str, str]:
+        return {w.event: w.to_state for w in reversed(self.wildcard_edges)}
+
+    @cached_property
     def alphabet(self) -> frozenset[str]:
         events = {e.event for e in self.edges}
         events.update(w.event for w in self.wildcard_edges)
         events.update(self.reject_only_events)
         return frozenset(events)
 
+    @cached_property
+    def operations(self) -> dict[str, str]:
+        return dict(reversed(self.state_operations))
+
     def operation_for(self, state: str) -> str | None:
-        for name, label in self.state_operations:
-            if name == state:
-                return label
-        return None
+        return self.operations.get(state)
 
     def export(self) -> dict:
         return {
@@ -131,20 +143,15 @@ class FsmInstance:
         self.instance_key = instance_key
         self.current_state = definition.initial_state
         self.log: list[TransitionRecord] = []
-        self._edges: dict[tuple[str, str], str] = {}
-        for edge in definition.edges:
-            self._edges.setdefault((edge.from_state, edge.event), edge.to_state)
-        self._wildcards: dict[str, str] = {}
-        for wild in definition.wildcard_edges:
-            self._wildcards.setdefault(wild.event, wild.to_state)
 
     def fire(self, event: str, cause: FrameRef, timestamp: tuple[int, int]) -> TransitionRecord:
         """Apply one event; returns the appended record (accepted or rejected)."""
-        if event not in self.definition.alphabet:
-            raise UnknownEvent(f"{self.definition.name}: event {event!r} not in alphabet")
-        target = self._edges.get((self.current_state, event))
+        definition = self.definition
+        if event not in definition.alphabet:
+            raise UnknownEvent(f"{definition.name}: event {event!r} not in alphabet")
+        target = definition.transitions.get((self.current_state, event))
         if target is None:
-            target = self._wildcards.get(event)
+            target = definition.wildcards.get(event)
         if target is None:
             record = TransitionRecord(timestamp, event, self.current_state, None, "rejected", cause)
         else:
@@ -155,9 +162,6 @@ class FsmInstance:
 
     def export_log(self) -> list[dict]:
         return [record.to_json() for record in self.log]
-
-    def export_log_lines(self) -> str:
-        return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in self.log)
 
 
 def fold_log(definition: FsmDefinition, log: list[TransitionRecord]) -> str:

@@ -11,15 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .dissect import (
-    ArpPacket,
-    CmFrame,
-    DcpFrame,
-    LldpFrame,
-    ParsedFrame,
-    PnioCyclicFrame,
-    mac_to_str,
-)
+from .dissect import DcpFrame, ParsedFrame, mac_to_str
 from .fsm import FrameRef
 
 Timestamp = tuple[int, int]
@@ -134,11 +126,12 @@ class AssetInventory:
         """Fold one frame into the inventory; returns the (possibly empty) delta."""
         changes: list[InventoryChange] = []
         body = parsed.body
+        protocol = parsed.protocol
         src = mac_to_str(parsed.envelope.src_mac)
         dst = mac_to_str(parsed.envelope.dst_mac)
-        cause = FrameRef(parsed.raw_ref, parsed.protocol, "inventory update")
+        cause = FrameRef(parsed.raw_ref, protocol, "inventory update")
 
-        if isinstance(body, LldpFrame):
+        if protocol == "lldp":
             mac = mac_to_str(body.chassis_mac) if body.chassis_mac else src
             record = self._record(mac, ts)
             self._set(record, "name_of_station", body.station_name, cause, changes)
@@ -153,12 +146,12 @@ class AssetInventory:
                     )
                     changes.append(InventoryChange(mac, "port_macs", None, port, False, cause))
             record.last_seen = ts
-        elif isinstance(body, ArpPacket):
+        elif protocol == "arp":
             record = self._record(mac_to_str(body.sender_mac), ts)
             if body.sender_ip != "0.0.0.0":
                 self._set(record, "ip_address", body.sender_ip, cause, changes)
             record.last_seen = ts
-        elif isinstance(body, DcpFrame):
+        elif protocol == "pn-dcp":
             record = self._record(src, ts)
             record.last_seen = ts
             if body.service_type == "ResponseSuccess" and body.service_id == "Identify":
@@ -169,7 +162,7 @@ class AssetInventory:
                 self._apply_dcp_blocks(target, body, cause, changes)
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
-        elif isinstance(body, CmFrame):
+        elif protocol == "pn-cm":
             record = self._record(src, ts)
             record.last_seen = ts
             if body.operation == "Connect" and body.direction == "request":
@@ -177,7 +170,7 @@ class AssetInventory:
                 target.last_seen = ts
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
-        elif isinstance(body, PnioCyclicFrame):
+        elif protocol == "pnio":
             record = self._record(src, ts)
             record.last_seen = ts
         else:

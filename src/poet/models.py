@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
+from functools import cache
 
 from .dissect import (
     ArpPacket,
@@ -24,6 +25,7 @@ from .dissect import (
     PnioCyclicFrame,
     extract_io_specs,
     mac_to_str,
+    summarize_iops,
 )
 from .fsm import Edge, FrameRef, FsmDefinition, WildcardEdge
 
@@ -128,8 +130,9 @@ _DEVICE_EVENT_TARGETS: tuple[tuple[str, str], ...] = (
 )
 
 
+@cache
 def device_fsm_table() -> FsmDefinition:
-    """The PROFINET device operation machine (15 states)."""
+    """The PROFINET device operation machine (15 states), shared by every device."""
     states = frozenset(name for name, _ in DEVICE_STATE_OPERATIONS)
     edges = [
         Edge("Active", NAME_RESOLUTION_REQUESTED, "NameResolution"),
@@ -167,6 +170,7 @@ def device_fsm_table() -> FsmDefinition:
     )
 
 
+@cache
 def connection_fsm_table() -> FsmDefinition:
     """The PROFINET connection machine (7 states), created on a Connect request."""
     states = frozenset(name for name, _ in CONNECTION_STATE_OPERATIONS)
@@ -197,6 +201,7 @@ def connection_fsm_table() -> FsmDefinition:
     )
 
 
+@cache
 def system_fsm_table() -> FsmDefinition:
     """The whole-system machine (4 states)."""
     states = frozenset(name for name, _ in SYSTEM_STATE_OPERATIONS)
@@ -238,9 +243,7 @@ class ProtocolEvent:
     scope: str  # "device" | "connection" | "system"
     cause: FrameRef
     subject_mac: bytes | None = None
-    peer_mac: bytes | None = None
     connection_key: str | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,6 @@ class ConnectionRegistration:
     """Registry payload extracted from one Connect request."""
 
     key: str
-    initiator_mac: bytes
     responder_mac: bytes
     ar_uuid: uuid.UUID
     # frame_id -> (direction, specs for that CR)
@@ -306,10 +308,10 @@ class TrackContext:
         raise NotImplementedError
 
 
-def _system_traffic_event(ctx: TrackContext, cause: FrameRef, detail: str) -> list[ProtocolEvent]:
+def _system_traffic_event(ctx: TrackContext, cause: FrameRef) -> list[ProtocolEvent]:
     # The wake-up event only matters until startup begins.
     if ctx.system_state in ("Inactive", "PoweredOn"):
-        return [ProtocolEvent(PN_TRAFFIC_DETECTED, "system", cause, detail=detail)]
+        return [ProtocolEvent(PN_TRAFFIC_DETECTED, "system", cause)]
     return []
 
 
@@ -319,18 +321,8 @@ def derive_events(parsed: ParsedFrame, ctx: TrackContext) -> DerivedEvents:
     Pure given the context snapshot: all mutation (deferral queues, the
     connection registry) is returned for the tracker to apply.
     """
-    body = parsed.body
-    if isinstance(body, LldpFrame):
-        return _derive_lldp(parsed, body, ctx)
-    if isinstance(body, ArpPacket):
-        return _derive_arp(parsed, body)
-    if isinstance(body, DcpFrame):
-        return _derive_dcp(parsed, body, ctx)
-    if isinstance(body, CmFrame):
-        return _derive_cm(parsed, body, ctx)
-    if isinstance(body, PnioCyclicFrame):
-        return _derive_pnio(parsed, body, ctx)
-    return DerivedEvents()
+    derive = _DERIVERS.get(parsed.protocol)
+    return derive(parsed, parsed.body, ctx) if derive else DerivedEvents()
 
 
 def _cause(parsed: ParsedFrame, summary: str) -> FrameRef:
@@ -342,26 +334,16 @@ def _derive_lldp(parsed: ParsedFrame, body: LldpFrame, ctx: TrackContext) -> Der
     name = body.station_name or mac_to_str(subject)
     cause = _cause(parsed, f"lldp advertisement from {name}")
     out = DerivedEvents()
-    out.events.append(
-        ProtocolEvent(DETECT_NEIGHBOURS, "device", cause, subject_mac=subject, detail=name)
-    )
-    out.events.extend(_system_traffic_event(ctx, cause, f"lldp from {name}"))
+    out.events.append(ProtocolEvent(DETECT_NEIGHBOURS, "device", cause, subject_mac=subject))
+    out.events.extend(_system_traffic_event(ctx, cause))
     return out
 
 
-def _derive_arp(parsed: ParsedFrame, body: ArpPacket) -> DerivedEvents:
+def _derive_arp(parsed: ParsedFrame, body: ArpPacket, ctx: TrackContext) -> DerivedEvents:
     out = DerivedEvents()
     if body.is_gratuitous:
         cause = _cause(parsed, f"gratuitous arp for {body.sender_ip}")
-        out.events.append(
-            ProtocolEvent(
-                DUPLICATION_CHECK,
-                "device",
-                cause,
-                subject_mac=body.sender_mac,
-                detail=body.sender_ip,
-            )
-        )
+        out.events.append(ProtocolEvent(DUPLICATION_CHECK, "device", cause, subject_mac=body.sender_mac))
     return out
 
 
@@ -377,20 +359,13 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
             subject = ctx.lookup_name(name)
             if subject is not None:
                 out.events.append(
-                    ProtocolEvent(
-                        NAME_RESOLUTION_REQUESTED,
-                        "device",
-                        cause,
-                        subject_mac=subject,
-                        peer_mac=src,
-                        detail=name,
-                    )
+                    ProtocolEvent(NAME_RESOLUTION_REQUESTED, "device", cause, subject_mac=subject)
                 )
             else:
                 out.new_deferral = DeferredEvent(
                     name, NAME_RESOLUTION_REQUESTED, cause, parsed.raw_ref
                 )
-        out.events.extend(_system_traffic_event(ctx, cause, f"dcp identify for {name!r}"))
+        out.events.extend(_system_traffic_event(ctx, cause))
         return out
 
     if body.service_id == "Identify" and body.service_type == "ResponseSuccess":
@@ -402,17 +377,9 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
             for deferred in ctx.deferred_for_name(name):
                 out.consumed_deferrals.append(deferred)
                 out.events.append(
-                    ProtocolEvent(
-                        deferred.event_name,
-                        "device",
-                        deferred.cause,
-                        subject_mac=src,
-                        detail=deferred.name,
-                    )
+                    ProtocolEvent(deferred.event_name, "device", deferred.cause, subject_mac=src)
                 )
-        out.events.append(
-            ProtocolEvent(NAME_RESOLVED, "device", cause, subject_mac=src, detail=name or "")
-        )
+        out.events.append(ProtocolEvent(NAME_RESOLVED, "device", cause, subject_mac=src))
         return out
 
     if body.service_id == "Set" and body.service_type == "Request":
@@ -421,28 +388,12 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
                 ip, _, _ = block.ip_parameter
                 cause = _cause(parsed, f"dcp set ip-parameter {ip}")
                 out.events.append(
-                    ProtocolEvent(
-                        IP_ASSIGNMENT_REQUESTED,
-                        "device",
-                        cause,
-                        subject_mac=dst,
-                        peer_mac=src,
-                        detail=ip,
-                    )
+                    ProtocolEvent(IP_ASSIGNMENT_REQUESTED, "device", cause, subject_mac=dst)
                 )
             elif block.is_name_of_station:
                 new_name = block.name_of_station or ""
                 cause = _cause(parsed, f"dcp set name-of-station {new_name!r}")
-                out.events.append(
-                    ProtocolEvent(
-                        NAME_SET_REQUESTED,
-                        "device",
-                        cause,
-                        subject_mac=dst,
-                        peer_mac=src,
-                        detail=new_name,
-                    )
-                )
+                out.events.append(ProtocolEvent(NAME_SET_REQUESTED, "device", cause, subject_mac=dst))
         return out
 
     if body.service_id == "Set" and body.service_type == "ResponseSuccess":
@@ -450,9 +401,7 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
             target = block.control_response_target
             if target == (1, 2):  # IPParameter acknowledged
                 cause = _cause(parsed, "dcp set response (ip parameter)")
-                out.events.append(
-                    ProtocolEvent(IP_ASSIGNED, "device", cause, subject_mac=src, peer_mac=dst)
-                )
+                out.events.append(ProtocolEvent(IP_ASSIGNED, "device", cause, subject_mac=src))
         return out
 
     return out
@@ -480,20 +429,12 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
         assert body.ar_uuid is not None
         out.registration = ConnectionRegistration(
             key=key,
-            initiator_mac=src,
             responder_mac=dst,
             ar_uuid=body.ar_uuid,
             frame_id_bindings=tuple(bindings),
         )
         out.events.append(
-            ProtocolEvent(
-                CONNECT_REQUESTED,
-                "device",
-                cause,
-                subject_mac=dst,
-                peer_mac=src,
-                connection_key=key,
-            )
+            ProtocolEvent(CONNECT_REQUESTED, "device", cause, subject_mac=dst, connection_key=key)
         )
         out.events.append(
             ProtocolEvent(CONNECT_REQUESTED, "system", cause, connection_key=key)
@@ -562,8 +503,6 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
 
 
 def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) -> DerivedEvents:
-    from .dissect import summarize_iops
-
     out = DerivedEvents()
     binding = ctx.connection_for_frame_id(body.frame_id)
     if binding is None:
@@ -576,7 +515,7 @@ def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) 
         )
         return out
     conn, direction, specs = binding
-    if summarize_iops(body, list(specs)) != "GOOD":
+    if summarize_iops(body, specs) != "GOOD":
         return out
     cause = _cause(parsed, f"pnio cyclic 0x{body.frame_id:04x} {direction} iops good")
     out.events.append(
@@ -599,3 +538,12 @@ def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) 
         )
     )
     return out
+
+
+_DERIVERS = {
+    "lldp": _derive_lldp,
+    "arp": _derive_arp,
+    "pn-dcp": _derive_dcp,
+    "pn-cm": _derive_cm,
+    "pnio": _derive_pnio,
+}

@@ -48,6 +48,7 @@ from .dissect import (
     RPC_PTYPE_RESPONSE,
     UUID_IO_CONTROLLER,
     UUID_IO_DEVICE,
+    mac_to_str,
     str_to_ip,
     str_to_mac,
 )
@@ -156,6 +157,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
+        try:
+            return cls._from_json(doc)
+        except KeyError as exc:
+            raise ScenarioError(f"scenario spec is missing key {exc.args[0]!r}") from None
+
+    @classmethod
+    def _from_json(cls, doc: dict) -> "ScenarioSpec":
         def node(entry: dict) -> NodeSpec:
             subs = tuple(
                 SubmoduleSpec(s[0], s[1], s[2], s[3]) if isinstance(s, list) else SubmoduleSpec(**s)
@@ -1042,7 +1050,7 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
     def subject_of(plan: FramePlan) -> str | None:
         for planned in plan.events:
             if planned.scope == "device" and planned.subject_mac is not None:
-                return ":".join(f"{b:02x}" for b in planned.subject_mac)
+                return mac_to_str(planned.subject_mac)
             if planned.scope == "connection" and planned.connection_key:
                 return planned.connection_key
             if planned.scope == "system":

@@ -15,8 +15,8 @@ import uuid
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
-from .capture import CaptureError, RawFrame, StreamItem
-from .dissect import LldpFrame, MalformedFrame, IoDataSpec, ParsedFrame, dissect, mac_to_str
+from .capture import CaptureError, RawFrame, StreamItem, span_seconds
+from .dissect import MalformedFrame, IoDataSpec, ParsedFrame, dissect, mac_to_str
 from .fsm import FrameRef, FsmInstance, TransitionRecord
 from .inventory import AssetInventory
 from .models import (
@@ -36,6 +36,8 @@ Timestamp = tuple[int, int]
 
 SEVERITY_ANOMALY = "anomaly"
 SEVERITY_DIAGNOSTIC = "diagnostic"
+
+DEFERRED_WINDOW = 10000  # frames an identify-by-name may stay unresolved
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,12 @@ class AnomalyAlert:
 @dataclass
 class TrackerConfig:
     system_name: str = "poet-system"
-    deferred_window: int = 10000  # frames an identify-by-name may stay unresolved
     alert_sink: TextIO | None = None
 
 
 @dataclass
 class ConnectionInfo:
     key: str
-    initiator_mac: bytes
     responder_mac: bytes
     instance: FsmInstance
 
@@ -103,67 +103,66 @@ class FsmFleet:
     """
 
     def __init__(self, system_name: str, on_alert: Callable[[AnomalyAlert], None]):
-        self.system_name = system_name
         self.on_alert = on_alert
         self.system = FsmInstance(system_fsm_table(), system_name)
         self.devices: dict[str, FsmInstance] = {}
         self.connections: dict[str, FsmInstance] = {}
-        self._device_table = device_fsm_table()
-        self._connection_table = connection_fsm_table()
         self._all_established_fired = False
 
     def ensure_device(self, mac: bytes) -> FsmInstance:
         key = mac_to_str(mac)
         instance = self.devices.get(key)
         if instance is None:
-            instance = FsmInstance(self._device_table, key)
-            self.devices[key] = instance
+            instance = self.devices[key] = FsmInstance(device_fsm_table(), key)
         return instance
 
     def ensure_connection(self, key: str) -> FsmInstance:
         instance = self.connections.get(key)
         if instance is None:
-            instance = FsmInstance(self._connection_table, key)
-            self.connections[key] = instance
+            instance = self.connections[key] = FsmInstance(connection_fsm_table(), key)
         return instance
 
-    def _instance_for(self, event: ProtocolEvent) -> tuple[FsmInstance, str, str]:
-        if event.scope == "system":
-            return self.system, "system", self.system_name
-        if event.scope == "device":
-            assert event.subject_mac is not None
-            instance = self.ensure_device(event.subject_mac)
-            return instance, "device", instance.instance_key
-        assert event.connection_key is not None
-        instance = self.ensure_connection(event.connection_key)
-        return instance, "connection", event.connection_key
+    def state_of(self, kind: str, key: str) -> str:
+        """An instance's current state; its machine's initial state if it does not exist yet."""
+        if kind == "system":
+            return self.system.current_state
+        if kind == "device":
+            instance, definition = self.devices.get(key), device_fsm_table()
+        else:
+            instance, definition = self.connections.get(key), connection_fsm_table()
+        return instance.current_state if instance else definition.initial_state
 
-    def _reject_alert(
-        self, kind: str, key: str, record: TransitionRecord
-    ) -> AnomalyAlert:
-        table = {
-            "system": self.system.definition,
-            "device": self._device_table,
-            "connection": self._connection_table,
-        }[kind]
-        operation = table.operation_for(record.from_state) or record.from_state
-        return AnomalyAlert(
-            timestamp=record.timestamp,
-            instance_kind=kind,
-            instance_key=key,
-            state_at_event=record.from_state,
-            offending_event=record.event,
-            cause=record.cause,
-            explanation=f"{record.event} not permitted during {operation} operation",
-            severity=SEVERITY_ANOMALY,
-        )
+    def _fire(self, instance: FsmInstance, event: str, cause: FrameRef, ts: Timestamp) -> TransitionRecord:
+        """Fire one event; a rejection becomes an anomaly alert."""
+        record = instance.fire(event, cause, ts)
+        if record.verdict == "rejected":
+            definition = instance.definition
+            operation = definition.operation_for(record.from_state) or record.from_state
+            self.on_alert(
+                AnomalyAlert(
+                    timestamp=record.timestamp,
+                    instance_kind=definition.name,
+                    instance_key=instance.instance_key,
+                    state_at_event=record.from_state,
+                    offending_event=record.event,
+                    cause=record.cause,
+                    explanation=f"{record.event} not permitted during {operation} operation",
+                    severity=SEVERITY_ANOMALY,
+                )
+            )
+        return record
 
     def fire(self, event: ProtocolEvent, ts: Timestamp) -> TransitionRecord:
-        instance, kind, key = self._instance_for(event)
-        record = instance.fire(event.event_name, event.cause, ts)
-        if record.verdict == "rejected":
-            self.on_alert(self._reject_alert(kind, key, record))
-        if kind == "connection" and record.verdict == "accepted":
+        if event.scope == "system":
+            instance = self.system
+        elif event.scope == "device":
+            assert event.subject_mac is not None
+            instance = self.ensure_device(event.subject_mac)
+        else:
+            assert event.connection_key is not None
+            instance = self.ensure_connection(event.connection_key)
+        record = self._fire(instance, event.event_name, event.cause, ts)
+        if event.scope == "connection" and record.verdict == "accepted":
             self._evaluate_all_established(event.cause, ts)
         return record
 
@@ -176,9 +175,7 @@ class FsmFleet:
             if instance.current_state not in CONNECTION_ESTABLISHED_STATES:
                 return
         self._all_established_fired = True
-        record = self.system.fire(ALL_CONNECTIONS_ESTABLISHED, cause, ts)
-        if record.verdict == "rejected":
-            self.on_alert(self._reject_alert("system", self.system_name, record))
+        self._fire(self.system, ALL_CONNECTIONS_ESTABLISHED, cause, ts)
 
     def transition_count(self) -> int:
         count = len(self.system.log)
@@ -268,19 +265,12 @@ class Tracker(TrackContext):
         cause: FrameRef,
         explanation: str,
     ) -> None:
-        state = {
-            "system": self.fleet.system.current_state,
-            "device": self.fleet.devices[key].current_state if key in self.fleet.devices else "Active",
-            "connection": self.fleet.connections[key].current_state
-            if key in self.fleet.connections
-            else "ConnectionCreation",
-        }[kind]
         self._on_alert(
             AnomalyAlert(
                 timestamp=ts,
                 instance_kind=kind,
                 instance_key=key,
-                state_at_event=state,
+                state_at_event=self.fleet.state_of(kind, key),
                 offending_event=offending_event,
                 cause=cause,
                 explanation=explanation,
@@ -291,7 +281,7 @@ class Tracker(TrackContext):
     def _register_connection(self, reg: ConnectionRegistration, ts: Timestamp, cause: FrameRef) -> None:
         created = reg.key not in self.fleet.connections
         instance = self.fleet.ensure_connection(reg.key)
-        info = ConnectionInfo(reg.key, reg.initiator_mac, reg.responder_mac, instance)
+        info = ConnectionInfo(reg.key, reg.responder_mac, instance)
         self._ar_registry[reg.ar_uuid] = info
         for frame_id, direction, specs in reg.frame_id_bindings:
             self._frame_id_registry[frame_id] = (info, direction, specs)
@@ -324,7 +314,7 @@ class Tracker(TrackContext):
                 FrameRef(raw.capture_index, exc.protocol, exc.reason),
                 f"malformed {exc.protocol} frame at byte {exc.offset}: {exc.reason}",
             )
-            self._expire_deferred(raw.capture_index, ts)
+            self._expire_deferred(ts, raw.capture_index)
             return
 
         for change in self.inventory.update_from_frame(parsed, ts):
@@ -366,7 +356,7 @@ class Tracker(TrackContext):
         for event in derived.events:
             self.fleet.fire(event, ts)
 
-        self._expire_deferred(raw.capture_index, ts)
+        self._expire_deferred(ts, raw.capture_index)
 
     def _ensure_source_instance(self, parsed: ParsedFrame) -> None:
         # A device machine exists for every MAC speaking a PROFINET-family
@@ -374,15 +364,13 @@ class Tracker(TrackContext):
         if parsed.protocol in ("pn-dcp", "pn-cm", "pnio"):
             self.fleet.ensure_device(parsed.envelope.src_mac)
         elif parsed.protocol == "lldp":
-            body = parsed.body
-            assert isinstance(body, LldpFrame)
-            self.fleet.ensure_device(body.chassis_mac or parsed.envelope.src_mac)
+            self.fleet.ensure_device(parsed.body.chassis_mac or parsed.envelope.src_mac)
 
-    def _expire_deferred(self, current_index: int, ts: Timestamp) -> None:
-        window = self.config.deferred_window
+    def _expire_deferred(self, ts: Timestamp, current_index: int | None = None) -> None:
+        """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index."""
         still_pending: list[DeferredEvent] = []
         for deferred in self.deferred:
-            if current_index - deferred.created_at_index > window:
+            if current_index is None or current_index - deferred.created_at_index > DEFERRED_WINDOW:
                 self._diagnostic(
                     ts,
                     "system",
@@ -397,23 +385,13 @@ class Tracker(TrackContext):
 
     def finish(self) -> None:
         """Flush unresolved deferrals as diagnostics at end of capture."""
-        ts = self._last_ts or (0, 0)
-        for deferred in self.deferred:
-            self._diagnostic(
-                ts,
-                "system",
-                self.config.system_name,
-                "deferred_identify_expired",
-                deferred.cause,
-                f"identify request for {deferred.name!r} never answered",
-            )
-        self.deferred = []
+        self._expire_deferred(self._last_ts or (0, 0))
 
     def process(self, stream: Iterable[StreamItem]) -> TrackerReport:
         for item in stream:
             if isinstance(item, CaptureError):
                 self._diagnostic(
-                    (0, 0),
+                    self._last_ts or (0, 0),
                     "system",
                     self.config.system_name,
                     "capture_error",
@@ -430,45 +408,20 @@ class Tracker(TrackContext):
     def snapshot_states(self) -> dict:
         """Every instance's current state with its operation label."""
         fleet = self.fleet
-        system_def = fleet.system.definition
-        device_def = fleet._device_table
-        conn_def = fleet._connection_table
         return {
-            "system": {
-                "key": fleet.system_name,
-                "state": fleet.system.current_state,
-                "operation": system_def.operation_for(fleet.system.current_state),
-            },
-            "devices": [
-                {
-                    "mac": mac,
-                    "state": fleet.devices[mac].current_state,
-                    "operation": device_def.operation_for(fleet.devices[mac].current_state),
-                }
-                for mac in sorted(fleet.devices)
-            ],
+            "system": _state_entry("key", fleet.system),
+            "devices": [_state_entry("mac", fleet.devices[mac]) for mac in sorted(fleet.devices)],
             "connections": [
-                {
-                    "key": key,
-                    "state": fleet.connections[key].current_state,
-                    "operation": conn_def.operation_for(fleet.connections[key].current_state),
-                }
-                for key in sorted(fleet.connections)
+                _state_entry("key", fleet.connections[key]) for key in sorted(fleet.connections)
             ],
         }
 
     def report(self) -> TrackerReport:
-        if self._first_ts is None or self._last_ts is None or self._frames <= 1:
-            span = 0.0
-        else:
-            span = (self._last_ts[0] - self._first_ts[0]) + (
-                self._last_ts[1] - self._first_ts[1]
-            ) / 1_000_000_000
         summary = {
             "system_name": self.config.system_name,
             "frames": self._frames,
             "bytes": self._bytes,
-            "span_seconds": span,
+            "span_seconds": span_seconds(self._first_ts, self._last_ts, self._frames),
             "transitions": self.fleet.transition_count(),
             "anomalies": sum(1 for a in self.alerts if a.severity == SEVERITY_ANOMALY),
             "diagnostics": sum(1 for a in self.alerts if a.severity == SEVERITY_DIAGNOSTIC),
@@ -487,6 +440,15 @@ class Tracker(TrackContext):
             alerts=list(self.alerts),
             logs=logs,
         )
+
+
+def _state_entry(key_field: str, instance: FsmInstance) -> dict:
+    state = instance.current_state
+    return {
+        key_field: instance.instance_key,
+        "state": state,
+        "operation": instance.definition.operation_for(state),
+    }
 
 
 def process_capture(stream: Iterable[StreamItem], config: TrackerConfig | None = None) -> TrackerReport:

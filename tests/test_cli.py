@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+import poet.cli
 from poet.cli import main
 from poet.inventory import AssetInventory
 from poet.synth import builtin_scenario, synthesize
@@ -78,6 +81,24 @@ def test_synth_invalid_spec_exit_one(tmp_path, capsys):
     code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_synth_spec_missing_key_exit_one_names_key(tmp_path, capsys):
+    spec_path = tmp_path / "empty.json"
+    spec_path.write_text("{}")
+    code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "missing key 'controller'" in capsys.readouterr().err
+
+
+def test_key_error_in_handler_propagates(tmp_path, monkeypatch):
+    # A KeyError inside a command is a bug, not an operational error.
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(poet.cli, "cmd_fsm_export", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["fsm-export", "device", "--out", str(tmp_path / "device.json")])
 
 
 def test_synth_then_analyze_matches_manifest(tmp_path, capsys):

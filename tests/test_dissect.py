@@ -271,7 +271,6 @@ def test_pnio_round_trip():
     assert body.frame_id == 0x8002
     assert body.cycle_counter == 96
     assert body.data[: len(c_sdu)] == c_sdu  # padding beyond the real C-SDU
-    assert body.iops_summary == "unknown"
 
 
 # --- IO spec layout ------------------------------------------------------------

@@ -132,15 +132,27 @@ def test_validator_dangling():
     assert any(d.kind == "dangling" and d.state == "Ghost" for d in diags)
 
 
+def test_duplicate_edges_first_listed_wins():
+    definition = FsmDefinition(
+        name="dup",
+        states=frozenset({"A", "B", "C"}),
+        initial_state="A",
+        edges=(Edge("A", "go", "B"), Edge("A", "go", "C")),
+        wildcard_edges=(WildcardEdge("reset", "B"), WildcardEdge("reset", "C")),
+    )
+    inst = FsmInstance(definition, "x")
+    assert inst.fire("go", CAUSE, TS).to_state == "B"
+    assert inst.fire("reset", CAUSE, TS).to_state == "B"
+
+
 def test_log_export_jsonl_round_trip():
     import json
 
     inst = FsmInstance(simple_def(), "x")
     inst.fire("go", CAUSE, (1, 500))
     inst.fire("forbidden", CAUSE, (2, 0))
-    lines = inst.export_log_lines().strip().split("\n")
-    assert len(lines) == 2
-    decoded = [json.loads(line) for line in lines]
+    decoded = json.loads(json.dumps(inst.export_log()))
+    assert len(decoded) == 2
     assert decoded[0]["verdict"] == "accepted"
     assert decoded[1]["verdict"] == "rejected"
     assert decoded[1]["to_state"] is None

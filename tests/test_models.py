@@ -311,7 +311,7 @@ def test_derive_set_name_ufo_targets_bound_device():
     assert [(e.event_name, e.scope, e.subject_mac) for e in derived.events] == [
         (NAME_SET_REQUESTED, "device", DEV)
     ]
-    assert derived.events[0].detail == "ufo"
+    assert derived.events[0].cause.summary == "dcp set name-of-station 'ufo'"
     assert derived.events[0].cause.capture_index == 9
 
 

@@ -335,8 +335,11 @@ def test_capture_error_becomes_diagnostic(tmp_path):
     path = tmp_path / "trunc.pcap"
     path.write_bytes(result.pcap_bytes[:-3])
     report = process_capture(open_capture(path))
-    assert any(a.offending_event == "capture_error" for a in report.diagnostics)
+    [error] = [a for a in report.diagnostics if a.offending_event == "capture_error"]
     assert report.anomalies == []
+    # Stamped with the last frame read before the break, not (0, 0).
+    assert error.cause.capture_index == len(result.frames) - 1
+    assert error.timestamp == result.frames[-2].ts != (0, 0)
 
 
 def test_unanswered_identify_expires_as_diagnostic(tmp_path):
