@@ -15,7 +15,7 @@ import sys
 from .capture import CaptureFormatError, open_capture
 from .models import connection_fsm_table, device_fsm_table, system_fsm_table
 from .synth import BUILTIN_SCENARIOS, ScenarioError, ScenarioSpec, builtin_scenario, synthesize
-from .tracker import Tracker, TrackerConfig
+from .tracker import DEFAULT_SYSTEM_NAME, Tracker, TrackerConfig
 
 log = logging.getLogger("poet")
 
@@ -39,12 +39,12 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("capture")
     analyze.add_argument("--report", help="write the full report JSON here")
     analyze.add_argument("--alerts", help="write alert JSON-lines here instead of stdout")
-    analyze.add_argument("--system-name", default="poet-system")
+    analyze.add_argument("--system-name", default=DEFAULT_SYSTEM_NAME)
 
     report = sub.add_parser("report", help="analyze a capture and emit the report JSON")
     report.add_argument("capture")
     report.add_argument("--out", help="write the report here instead of stdout")
-    report.add_argument("--system-name", default="poet-system")
+    report.add_argument("--system-name", default=DEFAULT_SYSTEM_NAME)
 
     synth = sub.add_parser("synth", help="synthesize a scenario capture + manifest")
     source = synth.add_mutually_exclusive_group(required=True)
@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     inventory = sub.add_parser("inventory", help="extract the asset inventory from a capture")
     inventory.add_argument("capture")
     inventory.add_argument("--out", help="write inventory JSON here instead of stdout")
-    inventory.add_argument("--system-name", default="poet-system")
 
     export = sub.add_parser("fsm-export", help="export a state machine definition")
     export.add_argument("kind", choices=["device", "connection", "system"])
@@ -116,7 +115,7 @@ def cmd_synth(args) -> int:
 
 def cmd_inventory(args) -> int:
     stream = open_capture(args.capture)
-    tracker = Tracker(TrackerConfig(system_name=args.system_name))
+    tracker = Tracker()
     tracker.process(stream)
     _write_text(args.out, tracker.inventory.export_json())
     return EXIT_OK

@@ -334,6 +334,11 @@ class ParsedFrame:
     protocol: str  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
 
 
+def lldp_subject(parsed: ParsedFrame) -> bytes:
+    """The MAC an LLDP frame speaks for: its chassis MAC, else its source MAC."""
+    return parsed.body.chassis_mac or parsed.envelope.src_mac
+
+
 @dataclass(frozen=True)
 class IoDataSpec:
     """Location of one submodule's cyclic process data within a CR's C-SDU."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .dissect import DcpFrame, ParsedFrame, mac_to_str
+from .dissect import DcpFrame, ParsedFrame, lldp_subject, mac_to_str
 from .fsm import FrameRef
 
 Timestamp = tuple[int, int]
@@ -83,6 +83,7 @@ class AssetInventory:
 
     def __init__(self) -> None:
         self.records: dict[str, AssetRecord] = {}
+        self.holders: dict[str, set[str]] = {}  # name_of_station -> interface MACs
 
     def __len__(self) -> int:
         return len(self.records)
@@ -92,10 +93,8 @@ class AssetInventory:
         return self.records.get(key)
 
     def find_mac_by_name(self, name: str) -> bytes | None:
-        for key in sorted(self.records):
-            if self.records[key].name_of_station == name:
-                return bytes.fromhex(key.replace(":", ""))
-        return None
+        holders = self.holders.get(name)
+        return bytes.fromhex(min(holders).replace(":", "")) if holders else None
 
     def _record(self, mac: str, ts: Timestamp) -> AssetRecord:
         record = self.records.get(mac)
@@ -117,6 +116,12 @@ class AssetInventory:
             return
         conflict = old not in (None, "unknown")
         setattr(record, fieldname, value)
+        if fieldname == "name_of_station":
+            if old is not None:
+                self.holders[old].discard(record.interface_mac)
+                if not self.holders[old]:
+                    del self.holders[old]
+            self.holders.setdefault(value, set()).add(record.interface_mac)
         prior = record.provenance.get(fieldname)
         flagged = conflict or (prior.conflict if prior else False)
         record.provenance[fieldname] = Provenance(cause.protocol, cause.capture_index, flagged)
@@ -132,7 +137,7 @@ class AssetInventory:
         cause = FrameRef(parsed.raw_ref, protocol, "inventory update")
 
         if protocol == "lldp":
-            mac = mac_to_str(body.chassis_mac) if body.chassis_mac else src
+            mac = mac_to_str(lldp_subject(parsed))
             record = self._record(mac, ts)
             self._set(record, "name_of_station", body.station_name, cause, changes)
             self._set(record, "ip_address", body.management_address, cause, changes)
@@ -233,4 +238,6 @@ class AssetInventory:
                     prov["protocol"], prov["capture_index"], prov.get("conflict", False)
                 )
             inv.records[record.interface_mac] = record
+            if record.name_of_station is not None:
+                inv.holders.setdefault(record.name_of_station, set()).add(record.interface_mac)
         return inv

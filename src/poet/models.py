@@ -24,6 +24,7 @@ from .dissect import (
     ParsedFrame,
     PnioCyclicFrame,
     extract_io_specs,
+    lldp_subject,
     mac_to_str,
     summarize_iops,
 )
@@ -261,9 +262,7 @@ class DeferredEvent:
     """Identify request held until its station name binds to a MAC."""
 
     name: str
-    event_name: str
     cause: FrameRef
-    created_at_index: int
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,7 @@ def _cause(parsed: ParsedFrame, summary: str) -> FrameRef:
 
 
 def _derive_lldp(parsed: ParsedFrame, body: LldpFrame, ctx: TrackContext) -> DerivedEvents:
-    subject = body.chassis_mac or parsed.envelope.src_mac
+    subject = lldp_subject(parsed)
     name = body.station_name or mac_to_str(subject)
     cause = _cause(parsed, f"lldp advertisement from {name}")
     out = DerivedEvents()
@@ -362,9 +361,7 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
                     ProtocolEvent(NAME_RESOLUTION_REQUESTED, "device", cause, subject_mac=subject)
                 )
             else:
-                out.new_deferral = DeferredEvent(
-                    name, NAME_RESOLUTION_REQUESTED, cause, parsed.raw_ref
-                )
+                out.new_deferral = DeferredEvent(name, cause)
         out.events.extend(_system_traffic_event(ctx, cause))
         return out
 
@@ -372,13 +369,12 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
         name = body.name_of_station
         cause = _cause(parsed, f"dcp identify response from {name!r}")
         if name:
-            # The response binds name -> MAC; release any held identify events
-            # against this device before its own name_resolved.
-            for deferred in ctx.deferred_for_name(name):
-                out.consumed_deferrals.append(deferred)
-                out.events.append(
-                    ProtocolEvent(deferred.event_name, "device", deferred.cause, subject_mac=src)
-                )
+            # The response binds name -> MAC: release the requests held for it first.
+            out.consumed_deferrals = ctx.deferred_for_name(name)
+            out.events.extend(
+                ProtocolEvent(NAME_RESOLUTION_REQUESTED, "device", held.cause, subject_mac=src)
+                for held in out.consumed_deferrals
+            )
         out.events.append(ProtocolEvent(NAME_RESOLVED, "device", cause, subject_mac=src))
         return out
 

@@ -76,12 +76,12 @@ from .models import (
     ProtocolEvent,
     connection_key,
 )
+from .tracker import DEFAULT_SYSTEM_NAME, FsmFleet
 
 LLDP_MULTICAST = str_to_mac("01:80:c2:00:00:0e")
 DCP_MULTICAST = str_to_mac("01:0e:cf:00:00:00")
 BROADCAST = b"\xff" * 6
 ATTACKER_MAC = "02:66:6e:00:00:99"
-DEFAULT_SYSTEM_NAME = "poet-system"
 MIN_FRAME = 60  # Ethernet minimum without FCS
 PNIO_MIN_CSDU = 40
 
@@ -139,6 +139,17 @@ class ScenarioSpec:
 
     def validate(self) -> None:
         nodes = [self.controller, *self.devices]
+        for node in nodes:
+            if not _parses(str_to_mac, node.mac):
+                raise ScenarioError(f"bad MAC {node.mac!r} in scenario")
+            if not _parses(str_to_ip, node.ip):
+                raise ScenarioError(f"bad IP {node.ip!r} in scenario")
+            if not isinstance(node.name, str) or not node.name:
+                raise ScenarioError(f"bad station name {node.name!r} in scenario")
+            for sub in node.submodules:
+                numbers_ok = all(isinstance(v, int) for v in (sub.slot, sub.subslot, sub.length))
+                if not numbers_ok or sub.direction not in ("input", "output"):
+                    raise ScenarioError(f"bad submodule {sub} of {node.name!r}")
         macs = [n.mac for n in nodes]
         names = [n.name for n in nodes]
         ips = [n.ip for n in nodes]
@@ -149,6 +160,11 @@ class ScenarioSpec:
         if len(set(ips)) != len(ips):
             raise ScenarioError("duplicate IP in scenario")
         for injection in self.injections:
+            texts = (injection.target, injection.new_name, injection.protocol)
+            if not isinstance(injection.after_index, int) or any(
+                t is not None and not isinstance(t, str) for t in texts
+            ):
+                raise ScenarioError(f"bad injection {injection}")
             if injection.attack not in ("rename", "rogue_connect", "malformed"):
                 raise ScenarioError(f"unknown attack {injection.attack!r}")
             if injection.attack in ("rename", "rogue_connect"):
@@ -158,50 +174,86 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
         try:
-            return cls._from_json(doc)
+            return cls._from_json(_object(doc, "scenario spec"))
         except KeyError as exc:
             raise ScenarioError(f"scenario spec is missing key {exc.args[0]!r}") from None
 
     @classmethod
     def _from_json(cls, doc: dict) -> "ScenarioSpec":
-        def node(entry: dict) -> NodeSpec:
-            subs = tuple(
-                SubmoduleSpec(s[0], s[1], s[2], s[3]) if isinstance(s, list) else SubmoduleSpec(**s)
-                for s in entry.get("submodules", [])
-            )
+        def submodule(entry) -> SubmoduleSpec:
+            if isinstance(entry, list) and len(entry) == 4:
+                return SubmoduleSpec(*entry)
+            if isinstance(entry, list):
+                raise ScenarioError(f"submodule {entry!r} is not [slot, subslot, direction, length]")
+            entry = _object(entry, "submodule")
+            return SubmoduleSpec(entry["slot"], entry["subslot"], entry["direction"], entry["length"])
+
+        def node(entry, what: str) -> NodeSpec:
+            entry = _object(entry, what)
+            subs = tuple(submodule(s) for s in _array(entry, "submodules"))
             return NodeSpec(entry["mac"], entry["name"], entry["ip"], subs)
 
-        injections = tuple(
-            Injection(
-                after_index=i["after_index"],
-                attack=i["attack"],
-                target=i.get("target"),
-                new_name=i.get("new_name"),
-                protocol=i.get("protocol"),
+        def injection(entry) -> Injection:
+            entry = _object(entry, "injection")
+            return Injection(
+                after_index=entry["after_index"],
+                attack=entry["attack"],
+                target=entry.get("target"),
+                new_name=entry.get("new_name"),
+                protocol=entry.get("protocol"),
             )
-            for i in doc.get("injections", [])
-        )
+
         kwargs = {}
-        for key in (
-            "gap_seconds",
-            "initial_lldp",
-            "lldp_refresh_every",
-            "cyclic_rounds",
-            "writes_per_device",
-            "acyclic_exchange",
-            "ports_per_device",
-            "seed",
-            "start_time",
-            "system_name",
-        ):
+        for key, kind in _SPEC_SCALARS.items():
             if key in doc:
+                if not isinstance(doc[key], kind):
+                    raise ScenarioError(f"scenario spec {key} {doc[key]!r} has the wrong type")
                 kwargs[key] = doc[key]
         return cls(
-            controller=node(doc["controller"]),
-            devices=tuple(node(d) for d in doc.get("devices", [])),
-            injections=injections,
+            controller=node(doc["controller"], "controller"),
+            devices=tuple(node(d, "device") for d in _array(doc, "devices")),
+            injections=tuple(injection(i) for i in _array(doc, "injections")),
             **kwargs,
         )
+
+
+# Optional top-level spec keys and the JSON types they accept.
+_SPEC_SCALARS: dict[str, type | tuple[type, ...]] = {
+    "gap_seconds": (int, float),
+    "initial_lldp": bool,
+    "lldp_refresh_every": int,
+    "cyclic_rounds": int,
+    "writes_per_device": int,
+    "acyclic_exchange": bool,
+    "ports_per_device": int,
+    "seed": int,
+    "start_time": int,
+    "system_name": str,
+}
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def _array(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(f"{key} must be a JSON array, not {value!r}")
+    return value
+
+
+def _parses(parse, text) -> bool:
+    """Whether text is a string that parse (str_to_mac or str_to_ip) accepts."""
+    if not isinstance(text, str):
+        return False
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
 
 
 # --- Frame plans ---------------------------------------------------------------
@@ -1004,9 +1056,6 @@ def malformed_frame(protocol: str) -> bytes:
 
 
 def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
-    # Imported here: tracker depends on models, not on synth.
-    from .tracker import FsmFleet
-
     anomalies: list[dict] = []
 
     def collect(alert) -> None:

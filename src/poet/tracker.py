@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import uuid
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
@@ -38,6 +39,7 @@ SEVERITY_ANOMALY = "anomaly"
 SEVERITY_DIAGNOSTIC = "diagnostic"
 
 DEFERRED_WINDOW = 10000  # frames an identify-by-name may stay unresolved
+DEFAULT_SYSTEM_NAME = "poet-system"
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class AnomalyAlert:
 
 @dataclass
 class TrackerConfig:
-    system_name: str = "poet-system"
+    system_name: str = DEFAULT_SYSTEM_NAME
     alert_sink: TextIO | None = None
 
 
@@ -223,7 +225,7 @@ class Tracker(TrackContext):
         self.inventory = AssetInventory()
         self._ar_registry: dict[uuid.UUID, ConnectionInfo] = {}
         self._frame_id_registry: dict[int, tuple[ConnectionInfo, str, tuple[IoDataSpec, ...]]] = {}
-        self.deferred: list[DeferredEvent] = []
+        self.deferred: deque[DeferredEvent] = deque()  # capture order: expiry pops the front
         self._frames = 0
         self._bytes = 0
         self._first_ts: Timestamp | None = None
@@ -347,9 +349,8 @@ class Tracker(TrackContext):
             key = mac_to_str(diag.subject_mac) if diag.subject_mac else self.config.system_name
             kind = "device" if diag.subject_mac else "system"
             self._diagnostic(ts, kind, key, diag.kind.replace("-", "_"), diag.cause, diag.detail)
-        if derived.consumed_deferrals:
-            consumed = set(id(d) for d in derived.consumed_deferrals)
-            self.deferred = [d for d in self.deferred if id(d) not in consumed]
+        for deferred in derived.consumed_deferrals:
+            self.deferred.remove(deferred)
         if derived.new_deferral is not None:
             self.deferred.append(derived.new_deferral)
 
@@ -359,29 +360,25 @@ class Tracker(TrackContext):
         self._expire_deferred(ts, raw.capture_index)
 
     def _ensure_source_instance(self, parsed: ParsedFrame) -> None:
-        # A device machine exists for every MAC speaking a PROFINET-family
-        # protocol, even if no event ever targets it (e.g. a quiet attacker).
+        # A device machine exists for every MAC speaking a PROFINET-family protocol, even if
+        # no event ever targets it (e.g. a quiet attacker). LLDP needs no case here: its
+        # detect_neighbours event always targets the frame's subject.
         if parsed.protocol in ("pn-dcp", "pn-cm", "pnio"):
             self.fleet.ensure_device(parsed.envelope.src_mac)
-        elif parsed.protocol == "lldp":
-            self.fleet.ensure_device(parsed.body.chassis_mac or parsed.envelope.src_mac)
 
     def _expire_deferred(self, ts: Timestamp, current_index: int | None = None) -> None:
         """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index."""
-        still_pending: list[DeferredEvent] = []
-        for deferred in self.deferred:
-            if current_index is None or current_index - deferred.created_at_index > DEFERRED_WINDOW:
-                self._diagnostic(
-                    ts,
-                    "system",
-                    self.config.system_name,
-                    "deferred_identify_expired",
-                    deferred.cause,
-                    f"identify request for {deferred.name!r} never answered",
-                )
-            else:
-                still_pending.append(deferred)
-        self.deferred = still_pending
+        horizon = float("inf") if current_index is None else current_index - DEFERRED_WINDOW
+        while self.deferred and self.deferred[0].cause.capture_index < horizon:
+            deferred = self.deferred.popleft()
+            self._diagnostic(
+                ts,
+                "system",
+                self.config.system_name,
+                "deferred_identify_expired",
+                deferred.cause,
+                f"identify request for {deferred.name!r} never answered",
+            )
 
     def finish(self) -> None:
         """Flush unresolved deferrals as diagnostics at end of capture."""

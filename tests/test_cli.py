@@ -68,19 +68,26 @@ def test_synth_builtin_writes_pair(tmp_path):
     assert manifest["expected"]["anomalies"]
 
 
-def test_synth_invalid_spec_exit_one(tmp_path, capsys):
+_PLC = {"mac": "02:00:00:00:01:00", "name": "plc-1", "ip": "1.2.3.4"}
+_IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"controller": _PLC, "devices": [{**_IO, "mac": _PLC["mac"]}]},
+        {"controller": "plc"},
+        {"controller": _PLC, "devices": [{**_IO, "submodules": [{"slot": 1}]}]},
+        {"controller": {**_PLC, "mac": "zz"}},
+    ],
+    ids=["duplicate-mac", "controller-not-object", "submodule-missing-keys", "bad-controller-mac"],
+)
+def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec):
     spec_path = tmp_path / "bad.json"
-    spec_path.write_text(
-        json.dumps(
-            {
-                "controller": {"mac": "02:00:00:00:01:00", "name": "plc-1", "ip": "1.2.3.4"},
-                "devices": [{"mac": "02:00:00:00:01:00", "name": "dup-mac", "ip": "1.2.3.5"}],
-            }
-        )
-    )
+    spec_path.write_text(json.dumps(spec))
     code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert "poet: error:" in capsys.readouterr().err
 
 
 def test_synth_spec_missing_key_exit_one_names_key(tmp_path, capsys):

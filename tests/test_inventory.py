@@ -141,3 +141,25 @@ def test_monotone_knowledge_same_value_is_silent():
     record = inv.get(DEV)
     assert record.provenance["name_of_station"].capture_index == 0  # first evidence stands
     assert record.last_seen == (200, 0)
+
+
+def test_name_lookup_lowest_mac_wins_and_follows_renames():
+    low, high = str_to_mac("02:00:00:00:03:00"), str_to_mac("02:00:00:00:04:00")
+    inv = AssetInventory()
+    # The higher MAC claims the name first; the lower one still wins the tie.
+    inv.update_from_frame(parse(encode_lldp(high, PORT1, 20, "twin"), 0), TS)
+    inv.update_from_frame(parse(encode_lldp(low, PORT2, 20, "twin"), 1), TS)
+    names = ("twin", "ufo", "nobody")
+    assert inv.find_mac_by_name("twin") == low
+    assert [AssetInventory.load(inv.export()).find_mac_by_name(n) for n in names] == [
+        inv.find_mac_by_name(n) for n in names
+    ]
+    inv.update_from_frame(parse(dcp_set_name_request(CTRL, low, 2, "ufo"), 2), TS)
+    assert inv.find_mac_by_name("twin") == high
+    assert inv.find_mac_by_name("ufo") == low
+    assert inv.find_mac_by_name("nobody") is None
+    assert [AssetInventory.load(inv.export()).find_mac_by_name(n) for n in names] == [
+        high,
+        low,
+        None,
+    ]

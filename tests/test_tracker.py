@@ -4,14 +4,26 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import sys
+from collections import Counter
+from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
-from poet.capture import open_capture
+import poet
+from poet.capture import RawFrame, open_capture
+from poet.dissect import str_to_mac
 from poet.fsm import fold_log
 from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
 from poet.synth import (
+    BUILTIN_SCENARIOS,
     SynthResult,
+    builtin_scenario,
+    dcp_identify_request,
+    dcp_identify_response,
+    encode_lldp,
+    fuzz_corpus,
     normal_startup_spec,
     rename_attack_spec,
     rogue_connect_spec,
@@ -353,3 +365,131 @@ def test_unanswered_identify_expires_as_diagnostic(tmp_path):
     report = process_capture(open_capture(path))
     assert any(a.offending_event == "deferred_identify_expired" for a in report.diagnostics)
     assert report.anomalies == []
+
+
+def test_expired_identifies_report_in_creation_order():
+    """Requests that outlive the window expire oldest first, stamped by the frame that ages them out."""
+    ctrl, dev = str_to_mac("02:00:00:00:01:00"), str_to_mac("02:00:00:00:02:00")
+    tracker = Tracker(TrackerConfig())
+
+    def feed(index, ts, data):
+        tracker.process_frame(RawFrame(ts[0], ts[1], data, index, "test"))
+
+    def expired():
+        return [
+            (a.cause.capture_index, a.timestamp)
+            for a in tracker.alerts
+            if a.offending_event == "deferred_identify_expired"
+        ]
+
+    feed(0, (100, 0), dcp_identify_request(ctrl, 1, "ghost-a"))
+    feed(1, (100, 1), dcp_identify_request(ctrl, 2, "io-device"))
+    feed(2, (100, 2), dcp_identify_request(ctrl, 3, "ghost-b"))
+    feed(3, (100, 3), dcp_identify_response(dev, ctrl, 2, "io-device"))
+    assert expired() == []
+    feed(10_003, (200, 5), dcp_identify_request(ctrl, 4, "ghost-c"))
+    assert expired() == [(0, (200, 5)), (2, (200, 5))]
+    feed(10_004, (200, 6), dcp_identify_request(ctrl, 5, "ghost-d"))
+    tracker.finish()
+    assert expired() == [(0, (200, 5)), (2, (200, 5)), (10_003, (200, 6)), (10_004, (200, 6))]
+    assert not any("io-device" in a.explanation for a in tracker.alerts)
+    # the answered request was released to the device that answered
+    assert [r.event for r in tracker.fleet.devices["02:00:00:00:02:00"].log] == [
+        "name_resolution_requested",
+        "name_resolved",
+    ]
+
+
+def _identify_flood(n: int) -> list[RawFrame]:
+    """n LLDP stations, then n Identify requests for their names and n for unknown names."""
+    datas = []
+    for i in range(n):
+        chassis = bytes([0x02, 0, 0, 0]) + i.to_bytes(2, "big")
+        port = bytes([0x06, 0, 0, 0]) + i.to_bytes(2, "big")
+        datas.append(encode_lldp(chassis, port, 20, f"st-{i:05d}"))
+    requester = str_to_mac("02:66:6e:00:00:99")
+    for i in range(n):
+        datas.append(dcp_identify_request(requester, 2 * i + 1, f"st-{i:05d}"))
+        datas.append(dcp_identify_request(requester, 2 * i + 2, f"ghost-{i:05d}"))
+    return [RawFrame(100 + i // 1000, i % 1000, data, i, "flood") for i, data in enumerate(datas)]
+
+
+def _poet_line_events(frames: list[RawFrame]) -> int:
+    """Line events executed in poet's own modules while one tracker processes frames."""
+    package = os.path.dirname(poet.__file__)
+    count = 0
+
+    def in_poet(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return in_poet
+
+    def on_call(frame, event, arg):
+        return in_poet if frame.f_code.co_filename.startswith(package) else None
+
+    tracker = Tracker(TrackerConfig())
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        tracker.process(frames)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_identify_flood_cost_grows_linearly():
+    """Per-frame work must not grow with pending requests or inventory records."""
+    small = _poet_line_events(_identify_flood(100))
+    large = _poet_line_events(_identify_flood(400))
+    # 4x the frames: linear work gives about 4x the line events, quadratic work about 16x.
+    assert large < 5 * small, (small, large)
+
+
+@cache
+def _builtin_frames(name: str) -> tuple[bytes, ...]:
+    return tuple(plan.data for plan in synthesize(builtin_scenario(name)).frames)
+
+
+@cache
+def _fuzz_frames() -> tuple[bytes, ...]:
+    return tuple(fuzz_corpus(seed=11, count=200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=st.sampled_from(sorted(BUILTIN_SCENARIOS)),
+    start=st.integers(0, 200),
+    length=st.integers(0, 200),
+    inserts=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 199)), max_size=20),
+    picks=st.lists(st.integers(0, 10_000), max_size=20),
+)
+def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, inserts, picks):
+    """Builtin-scenario slices with fuzz frames and out-of-order scenario frames mixed in."""
+    pool = _builtin_frames(scenario)
+    start %= len(pool)
+    datas = list(pool[start : start + length])
+    for position, fuzz_index in inserts:
+        datas.insert(min(position, len(datas)), _fuzz_frames()[fuzz_index])
+    for pick in picks:
+        datas.insert(pick % (len(datas) + 1), pool[pick % len(pool)])
+    frames = [RawFrame(100 + i, 0, data, i, "mixed") for i, data in enumerate(datas)]
+
+    tracker = Tracker(TrackerConfig())
+    report = tracker.process(frames)  # never raises
+
+    fleet = tracker.fleet
+    instances = [fleet.system, *fleet.devices.values(), *fleet.connections.values()]
+    for instance in instances:
+        assert fold_log(instance.definition, instance.log) == instance.current_state
+    rejected = Counter(
+        (i.definition.name, i.instance_key, r.cause.capture_index, r.event, r.from_state)
+        for i in instances
+        for r in i.log
+        if r.verdict == "rejected"
+    )
+    alerted = Counter(
+        (a.instance_kind, a.instance_key, a.cause.capture_index, a.offending_event, a.state_at_event)
+        for a in report.anomalies
+    )
+    assert alerted == rejected
