@@ -1,4 +1,5 @@
-"""Golden outputs: the exact bytes of the report and the alert stream per builtin scenario.
+"""Golden outputs: the exact bytes of the report and the alert stream per builtin scenario,
+of the generator's capture and manifest, and of each exported FSM definition.
 
 Determinism (C5) only compares two runs of the same code. These digests pin
 the output format itself, so a change to any serialized field fails here.
@@ -7,12 +8,15 @@ A deliberate format change updates the digests and says so in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from poet.capture import open_capture
+from poet.cli import main
 from poet.synth import BUILTIN_SCENARIOS, synthesize
 from poet.tracker import Tracker, TrackerConfig
 
@@ -50,13 +54,52 @@ GOLDEN = {
     ),
 }
 
+# scenario -> (sha256 of the synthesized pcap bytes, sha256 of the sorted-key manifest JSON)
+GOLDEN_SYNTH = {
+    "malformed-dcp": (
+        "67afa8454bb6a76082479d83f40f6642c2365af948cbfedc4cfdb062ba103edc",
+        "2673c88c462094db087c4bb12657b0d268338e9de243144f1945f403bf9ab30b",
+    ),
+    "normal-startup": (
+        "917286e21f70508c5c217c13e18efd1f5b43461c61842e2910e9bd6417b2042b",
+        "6eb65305133d702493c6659624d5980c76e88846580c52cfa266fc07264687d0",
+    ),
+    "normal-startup-1": (
+        "b30984c24ba7cf7bd2c0d071d2366df7697e43eb359a6ec59dcc86b7372598ac",
+        "da2c5bc8c8485a0626d71a04aa13a2ea89cc25c758a56d12ea28e5351e3011be",
+    ),
+    "normal-startup-5": (
+        "d3894042c2367cbe115e87db4bae2bd926d888b2a37234953db6c82e4e05d307",
+        "abdaface736dbad21007b2c38d0f1ca861ed8de048dbf59b37e5ecaf638c7240",
+    ),
+    "normal-startup-lldp": (
+        "714a58a632f2cf9112f031279a9a230725e45a962e52a7bcfd20fe51f822d319",
+        "c91fb8f1b345c0913f6902c1cd274b9d91b02336dd5053984c2974d870f9f8f0",
+    ),
+    "rename-attack": (
+        "7784d76e4acb990b2b0a9cf391c883129a4f234d2da04072b40f39074b384137",
+        "48311564b78f295548033a27845eca8beb1d5b27ff7ef22c7040ecb183ecdb88",
+    ),
+    "rogue-connect": (
+        "0bdc9c720b852a7e8a754fcde6341a3aa6c328b5d985a4215de785dd79cb3def",
+        "f3ec866a1a95eb4e29fb803ba5e888e2653e1358c7cea6d89d2223afd64fa40f",
+    ),
+}
+
+# FSM kind -> sha256 of `poet fsm-export KIND` on stdout
+GOLDEN_FSM_EXPORT = {
+    "device": "005c216fbe725e0b1dda18df790329d16789521a3d5e5e52fab99d8321bdc530",
+    "connection": "9d09860cd211a89bb5b6c82e6d88a7d3921d1ff4c46f70073432b8a90a6cb902",
+    "system": "de79c79af305414dcdf0b60dc9c90bf6ae85c9fd77a54d395dc3564bde1bb6b2",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_golden_covers_every_builtin():
-    assert set(GOLDEN) == set(BUILTIN_SCENARIOS)
+    assert set(GOLDEN) == set(GOLDEN_SYNTH) == set(BUILTIN_SCENARIOS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -66,3 +109,19 @@ def test_golden_report_and_alerts(name, tmp_path):
     sink = io.StringIO()
     report = Tracker(TrackerConfig(alert_sink=sink)).process(open_capture(path))
     assert (_sha256(report.dumps()), _sha256(sink.getvalue())) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYNTH))
+def test_golden_synth_pcap_and_manifest(name):
+    result = synthesize(BUILTIN_SCENARIOS[name]())
+    pcap_digest = hashlib.sha256(result.pcap_bytes).hexdigest()
+    manifest_digest = _sha256(json.dumps(result.manifest, sort_keys=True))
+    assert (pcap_digest, manifest_digest) == GOLDEN_SYNTH[name]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_FSM_EXPORT))
+def test_golden_fsm_export(kind):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fsm-export", kind]) == 0
+    assert _sha256(out.getvalue()) == GOLDEN_FSM_EXPORT[kind]
