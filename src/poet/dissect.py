@@ -8,7 +8,8 @@ violates its own structure raises MalformedFrame; dissection never raises
 anything else for inputs of at least 14 bytes.
 
 All PROFINET application fields are big-endian. The DCE/RPC connectionless
-header honours its drep byte.
+header honours its drep byte. Every MAC address is decoded here, once, to the
+lowercase "aa:bb:cc:dd:ee:ff" text that the rest of poet keys on.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def str_to_ip(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class EthernetEnvelope:
-    dst_mac: bytes
-    src_mac: bytes
+    dst_mac: str
+    src_mac: str
     ethertype: int  # post-VLAN ethertype
     vlan_tag: tuple[int, int] | None  # (pcp, vid)
     payload: bytes
@@ -174,22 +175,22 @@ class LldpFrame:
     violations: tuple[str, ...] = ()
 
     @property
-    def chassis_mac(self) -> bytes | None:
+    def chassis_mac(self) -> str | None:
         subtype, value = self.chassis_id
-        return value if subtype == LLDP_SUBTYPE_MAC and len(value) == 6 else None
+        return mac_to_str(value) if subtype == LLDP_SUBTYPE_MAC and len(value) == 6 else None
 
     @property
-    def port_mac(self) -> bytes | None:
+    def port_mac(self) -> str | None:
         subtype, value = self.port_id
-        return value if subtype == LLDP_PORT_SUBTYPE_MAC and len(value) == 6 else None
+        return mac_to_str(value) if subtype == LLDP_PORT_SUBTYPE_MAC and len(value) == 6 else None
 
 
 @dataclass(frozen=True)
 class ArpPacket:
     operation: str  # "request" | "reply"
-    sender_mac: bytes
+    sender_mac: str
     sender_ip: str
-    target_mac: bytes
+    target_mac: str
     target_ip: str
 
     @property
@@ -290,7 +291,7 @@ class CmFrame:
     ar_uuid: uuid.UUID | None
     iocr_blocks: tuple[IocrBlock, ...] = ()
     expected_submodules: tuple[ExpectedSubmodule, ...] = ()
-    initiator_mac: bytes | None = None
+    initiator_mac: str | None = None
     station_name: str | None = None
     slot: int | None = None  # read/write record addressing
     subslot: int | None = None
@@ -334,7 +335,7 @@ class ParsedFrame:
     protocol: str  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
 
 
-def lldp_subject(parsed: ParsedFrame) -> bytes:
+def lldp_subject(parsed: ParsedFrame) -> str:
     """The MAC an LLDP frame speaks for: its chassis MAC, else its source MAC."""
     return parsed.body.chassis_mac or parsed.envelope.src_mac
 
@@ -370,8 +371,8 @@ def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> byt
 def parse_envelope(frame: bytes) -> EthernetEnvelope:
     if len(frame) < 14:
         raise MalformedFrame("ethernet", 0, "frame shorter than 14 bytes")
-    dst = frame[0:6]
-    src = frame[6:12]
+    dst = mac_to_str(frame[0:6])
+    src = mac_to_str(frame[6:12])
     ethertype = struct.unpack(">H", frame[12:14])[0]
     vlan = None
     offset = 14
@@ -490,9 +491,9 @@ def _parse_arp(data: bytes) -> ArpPacket | OtherBody:
         raise MalformedFrame("arp", 6, f"bad ARP operation {oper}")
     return ArpPacket(
         operation="request" if oper == 1 else "reply",
-        sender_mac=raw[8:14],
+        sender_mac=mac_to_str(raw[8:14]),
         sender_ip=ip_to_str(raw[14:18]),
-        target_mac=raw[18:24],
+        target_mac=mac_to_str(raw[18:24]),
         target_ip=ip_to_str(raw[24:28]),
     )
 
@@ -705,7 +706,7 @@ def _iter_blocks(raw: bytes, base: int):
 
 def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFrame:
     ar_uuid: uuid.UUID | None = None
-    initiator_mac: bytes | None = None
+    initiator_mac: str | None = None
     station_name: str | None = None
     iocrs: list[IocrBlock] = []
     submodules: list[ExpectedSubmodule] = []
@@ -721,7 +722,7 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
             if len(content) < 26:
                 raise MalformedFrame("pn-cm", at, "AR block too short")
             ar_uuid = uuid.UUID(bytes=content[2:18])
-            initiator_mac = content[20:26]
+            initiator_mac = mac_to_str(content[20:26])
             if block_type == BLOCK_AR_REQ:
                 if len(content) < 52:
                     raise MalformedFrame("pn-cm", at, "AR request block too short")

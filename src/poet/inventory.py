@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .dissect import DcpFrame, ParsedFrame, lldp_subject, mac_to_str
+from .dissect import DCP_OPTION_DEVICE, DCP_SUBOPTION_DEVICE_ID, DcpFrame, ParsedFrame, lldp_subject
 from .fsm import FrameRef
 
 Timestamp = tuple[int, int]
@@ -88,13 +88,12 @@ class AssetInventory:
     def __len__(self) -> int:
         return len(self.records)
 
-    def get(self, mac: bytes | str) -> AssetRecord | None:
-        key = mac if isinstance(mac, str) else mac_to_str(mac)
-        return self.records.get(key)
+    def get(self, mac: str) -> AssetRecord | None:
+        return self.records.get(mac)
 
-    def find_mac_by_name(self, name: str) -> bytes | None:
+    def find_mac_by_name(self, name: str) -> str | None:
         holders = self.holders.get(name)
-        return bytes.fromhex(min(holders).replace(":", "")) if holders else None
+        return min(holders) if holders else None
 
     def _record(self, mac: str, ts: Timestamp) -> AssetRecord:
         record = self.records.get(mac)
@@ -132,27 +131,25 @@ class AssetInventory:
         changes: list[InventoryChange] = []
         body = parsed.body
         protocol = parsed.protocol
-        src = mac_to_str(parsed.envelope.src_mac)
-        dst = mac_to_str(parsed.envelope.dst_mac)
+        src = parsed.envelope.src_mac
+        dst = parsed.envelope.dst_mac
         cause = FrameRef(parsed.raw_ref, protocol, "inventory update")
 
         if protocol == "lldp":
-            mac = mac_to_str(lldp_subject(parsed))
+            mac = lldp_subject(parsed)
             record = self._record(mac, ts)
             self._set(record, "name_of_station", body.station_name, cause, changes)
             self._set(record, "ip_address", body.management_address, cause, changes)
-            port_mac = body.port_mac
-            if port_mac is not None:
-                port = mac_to_str(port_mac)
-                if port not in record.port_macs:
-                    record.port_macs.add(port)
-                    record.provenance.setdefault(
-                        "port_macs", Provenance(cause.protocol, cause.capture_index)
-                    )
-                    changes.append(InventoryChange(mac, "port_macs", None, port, False, cause))
+            port = body.port_mac
+            if port is not None and port not in record.port_macs:
+                record.port_macs.add(port)
+                record.provenance.setdefault(
+                    "port_macs", Provenance(cause.protocol, cause.capture_index)
+                )
+                changes.append(InventoryChange(mac, "port_macs", None, port, False, cause))
             record.last_seen = ts
         elif protocol == "arp":
-            record = self._record(mac_to_str(body.sender_mac), ts)
+            record = self._record(body.sender_mac, ts)
             if body.sender_ip != "0.0.0.0":
                 self._set(record, "ip_address", body.sender_ip, cause, changes)
             record.last_seen = ts
@@ -201,7 +198,11 @@ class AssetInventory:
                     self._set(record, "ip_address", ip, cause, changes)
                     self._set(record, "subnet", subnet, cause, changes)
                     self._set(record, "gateway", gateway, cause, changes)
-            elif block.option == 2 and block.suboption == 3 and len(block.payload) >= 4:
+            elif (
+                block.option == DCP_OPTION_DEVICE
+                and block.suboption == DCP_SUBOPTION_DEVICE_ID
+                and len(block.payload) >= 4
+            ):
                 vendor, device = (
                     int.from_bytes(block.payload[0:2], "big"),
                     int.from_bytes(block.payload[2:4], "big"),

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .dissect import (
+    DCP_OPTION_IP,
+    DCP_SUBOPTION_IP_PARAMETER,
     ArpPacket,
     CmFrame,
     DcpFrame,
@@ -25,7 +27,6 @@ from .dissect import (
     PnioCyclicFrame,
     extract_io_specs,
     lldp_subject,
-    mac_to_str,
     summarize_iops,
 )
 from .fsm import Edge, FrameRef, FsmDefinition, WildcardEdge
@@ -98,6 +99,10 @@ SYSTEM_STATE_OPERATIONS: tuple[tuple[str, str], ...] = (
     ("AssetConfigurationAndSystemStartup", OP_CONNECTION_ESTABLISHMENT),
     ("DataExchange", OP_DATA_EXCHANGE),
 )
+
+# System states in which PROFINET traffic is still a wake-up signal: the
+# tracker and synth's manifest replay emit pn_traffic_detected only in these.
+WAKE_UP_STATES = frozenset({"Inactive", "PoweredOn"})
 
 # Connection states counting as "established or beyond" for the system-level
 # all_connections_established evaluation.
@@ -231,9 +236,9 @@ def system_fsm_table() -> FsmDefinition:
     )
 
 
-def connection_key(initiator_mac: bytes, responder_mac: bytes) -> str:
-    """Connection identity: lowercase-hex initiator and responder MACs."""
-    return f"{initiator_mac.hex()}-{responder_mac.hex()}"
+def connection_key(initiator_mac: str, responder_mac: str) -> str:
+    """Connection identity: initiator and responder MACs as bare lowercase hex."""
+    return f"{initiator_mac.replace(':', '')}-{responder_mac.replace(':', '')}"
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,7 @@ class ProtocolEvent:
     event_name: str
     scope: str  # "device" | "connection" | "system"
     cause: FrameRef
-    subject_mac: bytes | None = None
+    subject_mac: str | None = None
     connection_key: str | None = None
 
 
@@ -254,7 +259,7 @@ class TrackDiagnostic:
     kind: str
     detail: str
     cause: FrameRef
-    subject_mac: bytes | None = None
+    subject_mac: str | None = None
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,7 @@ class ConnectionRegistration:
     """Registry payload extracted from one Connect request."""
 
     key: str
-    responder_mac: bytes
+    responder_mac: str
     ar_uuid: uuid.UUID
     # frame_id -> (direction, specs for that CR)
     frame_id_bindings: tuple[tuple[int, str, tuple[IoDataSpec, ...]], ...]
@@ -290,7 +295,7 @@ class DerivedEvents:
 class TrackContext:
     """Read-only view derive_events needs; the tracker implements it."""
 
-    def lookup_name(self, name: str) -> bytes | None:
+    def lookup_name(self, name: str) -> str | None:
         raise NotImplementedError
 
     def connection_for_ar(self, ar_uuid: uuid.UUID):
@@ -308,8 +313,7 @@ class TrackContext:
 
 
 def _system_traffic_event(ctx: TrackContext, cause: FrameRef) -> list[ProtocolEvent]:
-    # The wake-up event only matters until startup begins.
-    if ctx.system_state in ("Inactive", "PoweredOn"):
+    if ctx.system_state in WAKE_UP_STATES:
         return [ProtocolEvent(PN_TRAFFIC_DETECTED, "system", cause)]
     return []
 
@@ -330,7 +334,7 @@ def _cause(parsed: ParsedFrame, summary: str) -> FrameRef:
 
 def _derive_lldp(parsed: ParsedFrame, body: LldpFrame, ctx: TrackContext) -> DerivedEvents:
     subject = lldp_subject(parsed)
-    name = body.station_name or mac_to_str(subject)
+    name = body.station_name or subject
     cause = _cause(parsed, f"lldp advertisement from {name}")
     out = DerivedEvents()
     out.events.append(ProtocolEvent(DETECT_NEIGHBOURS, "device", cause, subject_mac=subject))
@@ -395,7 +399,7 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
     if body.service_id == "Set" and body.service_type == "ResponseSuccess":
         for block in body.blocks:
             target = block.control_response_target
-            if target == (1, 2):  # IPParameter acknowledged
+            if target == (DCP_OPTION_IP, DCP_SUBOPTION_IP_PARAMETER):
                 cause = _cause(parsed, "dcp set response (ip parameter)")
                 out.events.append(ProtocolEvent(IP_ASSIGNED, "device", cause, subject_mac=src))
         return out
@@ -410,7 +414,7 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
 
     if body.operation == "Connect" and body.direction == "request":
         key = connection_key(src, dst)
-        cause = _cause(parsed, f"pn-cm connect request to {mac_to_str(dst)}")
+        cause = _cause(parsed, f"pn-cm connect request to {dst}")
         bindings: list[tuple[int, str, tuple[IoDataSpec, ...]]] = []
         try:
             specs = extract_io_specs(body)
@@ -419,7 +423,7 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
                 bindings.append((iocr.frame_id, iocr.cr_type, cr_specs))
         except InconsistentConnect as exc:
             out.diagnostics.append(
-                TrackDiagnostic("inconsistent-connect", str(exc), cause, subject_mac=dst)
+                TrackDiagnostic("inconsistent_connect", str(exc), cause, subject_mac=dst)
             )
             bindings = [(iocr.frame_id, iocr.cr_type, ()) for iocr in body.iocr_blocks]
         assert body.ar_uuid is not None
@@ -446,7 +450,7 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
     if body.ar_uuid is None:
         out.diagnostics.append(
             TrackDiagnostic(
-                "orphan-frame",
+                "orphan_frame",
                 f"pn-cm {body.operation.lower()} {body.direction} without AR reference",
                 _cause(parsed, f"pn-cm {body.operation.lower()} {body.direction}"),
             )
@@ -457,7 +461,7 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
     if conn is None:
         out.diagnostics.append(
             TrackDiagnostic(
-                "orphan-frame",
+                "orphan_frame",
                 f"pn-cm {body.operation.lower()} {body.direction} for unknown AR {body.ar_uuid}",
                 _cause(parsed, f"pn-cm {body.operation.lower()} {body.direction}"),
             )
@@ -504,7 +508,7 @@ def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) 
     if binding is None:
         out.diagnostics.append(
             TrackDiagnostic(
-                "orphan-frame",
+                "orphan_frame",
                 f"pnio cyclic frame id 0x{body.frame_id:04x} has no registered connection",
                 _cause(parsed, f"pnio cyclic 0x{body.frame_id:04x}"),
             )

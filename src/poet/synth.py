@@ -35,6 +35,10 @@ from .dissect import (
     DCP_FRAME_ID_GETSET,
     DCP_FRAME_ID_IDENTIFY_REQ,
     DCP_FRAME_ID_IDENTIFY_RES,
+    DCP_OPTION_DEVICE,
+    DCP_OPTION_IP,
+    DCP_SUBOPTION_IP_PARAMETER,
+    DCP_SUBOPTION_NAME_OF_STATION,
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     ETHERTYPE_LLDP,
@@ -73,6 +77,7 @@ from .models import (
     OUTPUT_PROCESS_DATA_SENT,
     PARAMETRIZATION_WRITE,
     PN_TRAFFIC_DETECTED,
+    WAKE_UP_STATES,
     ProtocolEvent,
     connection_key,
 )
@@ -263,9 +268,8 @@ def _parses(parse, text) -> bool:
 class PlannedEvent:
     event_name: str
     scope: str
-    subject_mac: bytes | None = None
+    subject_mac: str | None = None
     connection_key: str | None = None
-    gated: bool = False  # emit only while the system is Inactive/PoweredOn
 
 
 @dataclass
@@ -608,20 +612,19 @@ class _Builder:
         self.frames: list[FramePlan] = []
         self.xid = 0x1000
         self.rpc_seq = 0
-        controller = spec.controller
-        self.ctrl_mac = str_to_mac(controller.mac)
+        self.ctrl_mac = str_to_mac(spec.controller.mac)
         self.device_macs = {d.name: str_to_mac(d.mac) for d in spec.devices}
         self.ar_uuids = {d.name: _ar_uuid(spec.seed, i) for i, d in enumerate(spec.devices)}
+        ctrl = mac_to_str(self.ctrl_mac)
         self.conn_keys = {
-            d.name: connection_key(self.ctrl_mac, self.device_macs[d.name]) for d in spec.devices
+            name: connection_key(ctrl, mac_to_str(mac)) for name, mac in self.device_macs.items()
         }
         self.frame_ids = {
             d.name: (0x8001 + 2 * i, 0x8002 + 2 * i) for i, d in enumerate(spec.devices)
         }
 
-    def add(self, data: bytes, label: str, events: list[PlannedEvent] | None = None,
-            new_connections: list[str] | None = None) -> FramePlan:
-        plan = FramePlan(data, label, events or [], new_connections or [])
+    def add(self, data: bytes, label: str, events: list[PlannedEvent] = ()) -> FramePlan:
+        plan = FramePlan(data, label, list(events))
         self.frames.append(plan)
         return plan
 
@@ -633,32 +636,24 @@ class _Builder:
         self.rpc_seq += 1
         return self.rpc_seq
 
+    def _device(self, device: NodeSpec) -> tuple[bytes, str, uuid.UUID]:
+        """The device's MAC, its connection key and its AR UUID."""
+        name = device.name
+        return self.device_macs[name], self.conn_keys[name], self.ar_uuids[name]
+
     # Phases ---------------------------------------------------------------
 
     def lldp_burst(self, with_ips: bool) -> None:
         spec = self.spec
-        nodes = [spec.controller, *spec.devices]
-        for node_index, node in enumerate(nodes):
+        for node_index, node in enumerate([spec.controller, *spec.devices]):
             interface = str_to_mac(node.mac)
+            ip = node.ip if (node_index == 0 or with_ips) else None
             ports = _port_macs(node_index, node, spec.ports_per_device)
-            is_controller = node_index == 0
-            ip = node.ip if (is_controller or with_ips) else None
             for port_index, port in enumerate(ports, start=1):
-                frame = encode_lldp(
-                    chassis_mac=interface,
-                    port_mac=port,
-                    ttl=20,
-                    station_name=node.name,
-                    port_descriptions=(f"port-{port_index:03d}",),
-                    management_ip=ip,
-                )
                 self.add(
-                    frame,
+                    encode_lldp(interface, port, 20, node.name, (f"port-{port_index:03d}",), ip),
                     f"lldp {node.name} port {port_index}",
-                    [
-                        PlannedEvent(DETECT_NEIGHBOURS, "device", subject_mac=interface),
-                        PlannedEvent(PN_TRAFFIC_DETECTED, "system", gated=True),
-                    ],
+                    [_device_event(DETECT_NEIGHBOURS, interface), _WAKE_UP],
                 )
 
     def address_resolution(self, device: NodeSpec) -> None:
@@ -666,277 +661,165 @@ class _Builder:
         ctrl = self.ctrl_mac
         dev = self.device_macs[device.name]
         xid = self.next_xid()
-        identify_events = [PlannedEvent(PN_TRAFFIC_DETECTED, "system", gated=True)]
-        response_events = [PlannedEvent(NAME_RESOLVED, "device", subject_mac=dev)]
-        if spec.initial_lldp:
-            identify_events.insert(
-                0, PlannedEvent(NAME_RESOLUTION_REQUESTED, "device", subject_mac=dev)
-            )
-        else:
-            # Name unbound until the response: the identify event is deferred
-            # and replays just before name_resolved.
-            response_events.insert(
-                0, PlannedEvent(NAME_RESOLUTION_REQUESTED, "device", subject_mac=dev)
-            )
+        # With no LLDP the name is unbound until the response: the identify
+        # event is held and replays just before name_resolved.
+        requested = [_device_event(NAME_RESOLUTION_REQUESTED, dev)]
         self.add(
             dcp_identify_request(ctrl, xid, device.name),
             f"dcp identify request {device.name}",
-            identify_events,
+            (requested if spec.initial_lldp else []) + [_WAKE_UP],
         )
         self.add(
             dcp_identify_response(dev, ctrl, xid, device.name),
             f"dcp identify response {device.name}",
-            response_events,
+            ([] if spec.initial_lldp else requested) + [_device_event(NAME_RESOLVED, dev)],
         )
         self.add(
             encode_arp(ctrl, BROADCAST, 1, ctrl, spec.controller.ip, b"\x00" * 6, device.ip),
             f"arp probe {device.ip}",
-            [],
         )
         xid = self.next_xid()
         self.add(
             dcp_set_ip_request(ctrl, dev, xid, device.ip, "255.255.255.0", "0.0.0.0"),
             f"dcp set ip {device.name}",
-            [PlannedEvent(IP_ASSIGNMENT_REQUESTED, "device", subject_mac=dev)],
+            [_device_event(IP_ASSIGNMENT_REQUESTED, dev)],
         )
         self.add(
-            dcp_set_response(dev, ctrl, xid, 1, 2),
+            dcp_set_response(dev, ctrl, xid, DCP_OPTION_IP, DCP_SUBOPTION_IP_PARAMETER),
             f"dcp set ip response {device.name}",
-            [PlannedEvent(IP_ASSIGNED, "device", subject_mac=dev)],
+            [_device_event(IP_ASSIGNED, dev)],
         )
         self.add(
             encode_arp(dev, BROADCAST, 1, dev, device.ip, b"\x00" * 6, device.ip),
             f"gratuitous arp {device.name}",
-            [PlannedEvent(DUPLICATION_CHECK, "device", subject_mac=dev)],
-        )
-
-    def connect(self, device: NodeSpec) -> None:
-        spec = self.spec
-        dev = self.device_macs[device.name]
-        key = self.conn_keys[device.name]
-        ar = self.ar_uuids[device.name]
-        input_fid, output_fid = self.frame_ids[device.name]
-        blocks = ar_block_request(ar, self.ctrl_mac, spec.controller.name)
-        if device.submodules:
-            blocks += iocr_block_request(
-                1, 1, cr_data_length("input", device.submodules), input_fid
-            )
-            blocks += iocr_block_request(
-                2, 2, cr_data_length("output", device.submodules), output_fid
-            )
-            blocks += expected_submodules_block(device.submodules)
-        frame = encode_cm(
-            self.ctrl_mac,
-            dev,
-            spec.controller.ip,
-            device.ip,
-            RPC_PTYPE_REQUEST,
-            RPC_OPNUM_CONNECT,
-            _activity_uuid(spec.seed, self.next_seq()),
-            self.rpc_seq,
-            blocks,
-        )
-        self.add(
-            frame,
-            f"pn-cm connect request {device.name}",
-            [
-                PlannedEvent(CONNECT_REQUESTED, "device", subject_mac=dev, connection_key=key),
-                PlannedEvent(CONNECT_REQUESTED, "system", connection_key=key),
-            ],
-            new_connections=[key],
-        )
-        response = ar_block_response(ar, dev)
-        if device.submodules:
-            response += iocr_block_response(1, 1, input_fid)
-            response += iocr_block_response(2, 2, output_fid)
-        self.add(
-            encode_cm(
-                dev,
-                self.ctrl_mac,
-                device.ip,
-                spec.controller.ip,
-                RPC_PTYPE_RESPONSE,
-                RPC_OPNUM_CONNECT,
-                _activity_uuid(spec.seed, self.next_seq()),
-                self.rpc_seq,
-                response,
-            ),
-            f"pn-cm connect response {device.name}",
-            [],
+            [_device_event(DUPLICATION_CHECK, dev)],
         )
 
     def _cm_pair(
         self,
         device: NodeSpec,
         opnum: int,
-        req_block: bytes,
-        res_block: bytes,
         label: str,
-        req_events: list[PlannedEvent],
-        res_events: list[PlannedEvent],
+        request: bytes,
+        response: bytes,
+        request_events: list[PlannedEvent],
+        response_events: list[PlannedEvent] = (),
         request_from_device: bool = False,
-    ) -> None:
+    ) -> FramePlan:
+        """One PN-CM request and its response; returns the request's plan."""
         spec = self.spec
-        dev = self.device_macs[device.name]
-        req_src, req_dst = (dev, self.ctrl_mac) if request_from_device else (self.ctrl_mac, dev)
-        req_src_ip, req_dst_ip = (
-            (device.ip, spec.controller.ip) if request_from_device else (spec.controller.ip, device.ip)
-        )
+        caller = (self.ctrl_mac, spec.controller.ip)
+        callee = (self.device_macs[device.name], device.ip)
+        if request_from_device:
+            caller, callee = callee, caller
         interface = UUID_IO_CONTROLLER if request_from_device else UUID_IO_DEVICE
-        self.add(
-            encode_cm(
-                req_src,
-                req_dst,
-                req_src_ip,
-                req_dst_ip,
-                RPC_PTYPE_REQUEST,
-                opnum,
-                _activity_uuid(spec.seed, self.next_seq()),
-                self.rpc_seq,
-                req_block,
-                interface=interface,
-            ),
-            f"pn-cm {label} request {device.name}",
-            req_events,
+        plans = []
+        for ptype, direction, (src, src_ip), (dst, dst_ip), blocks, events in (
+            (RPC_PTYPE_REQUEST, "request", caller, callee, request, request_events),
+            (RPC_PTYPE_RESPONSE, "response", callee, caller, response, response_events),
+        ):
+            activity = _activity_uuid(spec.seed, self.next_seq())
+            frame = encode_cm(
+                src, dst, src_ip, dst_ip, ptype, opnum, activity, self.rpc_seq, blocks, interface
+            )
+            plans.append(self.add(frame, f"pn-cm {label} {direction} {device.name}", events))
+        return plans[0]
+
+    def connect(self, device: NodeSpec) -> None:
+        dev, key, ar = self._device(device)
+        input_fid, output_fid = self.frame_ids[device.name]
+        response = ar_block_response(ar, dev)
+        if device.submodules:
+            response += iocr_block_response(1, 1, input_fid) + iocr_block_response(2, 2, output_fid)
+        request = _connect_blocks(
+            ar, self.ctrl_mac, self.spec.controller.name, device.submodules, (input_fid, output_fid)
         )
-        self.add(
-            encode_cm(
-                req_dst,
-                req_src,
-                req_dst_ip,
-                req_src_ip,
-                RPC_PTYPE_RESPONSE,
-                opnum,
-                _activity_uuid(spec.seed, self.next_seq()),
-                self.rpc_seq,
-                res_block,
-                interface=interface,
-            ),
-            f"pn-cm {label} response {device.name}",
-            res_events,
+        events = _pair(CONNECT_REQUESTED, dev, key, "system")
+        plan = self._cm_pair(device, RPC_OPNUM_CONNECT, "connect", request, response, events)
+        plan.new_connections.append(key)
+
+    def _record_pair(
+        self,
+        device: NodeSpec,
+        opnum: int,
+        label: str,
+        seq: int,
+        index: int,
+        data: tuple[bytes, bytes],
+        request_events: list[PlannedEvent],
+        response_events: list[PlannedEvent] = (),
+    ) -> None:
+        """A read or write record request and its response, on the device's first submodule."""
+        _, _, ar = self._device(device)
+        sub = device.submodules[0] if device.submodules else SubmoduleSpec(1, 1, "input", 0)
+        block_types = (
+            (BLOCK_READ_REQ, BLOCK_READ_RES)
+            if opnum == RPC_OPNUM_READ
+            else (BLOCK_WRITE_REQ, BLOCK_WRITE_RES)
         )
+        request, response = (
+            record_block(block_type, ar, seq, sub.slot, sub.subslot, index, payload)
+            for block_type, payload in zip(block_types, data)
+        )
+        self._cm_pair(device, opnum, label, request, response, request_events, response_events)
 
     def parametrization_write(self, device: NodeSpec, ordinal: int) -> None:
-        dev = self.device_macs[device.name]
-        key = self.conn_keys[device.name]
-        ar = self.ar_uuids[device.name]
-        sub = device.submodules[0] if device.submodules else SubmoduleSpec(1, 1, "input", 0)
-        data = bytes([ordinal]) * 4
-        self._cm_pair(
-            device,
-            RPC_OPNUM_WRITE,
-            record_block(BLOCK_WRITE_REQ, ar, ordinal, sub.slot, sub.subslot, 0x8000 + ordinal, data),
-            record_block(BLOCK_WRITE_RES, ar, ordinal, sub.slot, sub.subslot, 0x8000 + ordinal, b""),
-            "write",
-            [
-                PlannedEvent(PARAMETRIZATION_WRITE, "device", subject_mac=dev, connection_key=key),
-                PlannedEvent(PARAMETRIZATION_WRITE, "connection", subject_mac=dev, connection_key=key),
-            ],
-            [],
-        )
+        dev, key, _ = self._device(device)
+        data = (bytes([ordinal]) * 4, b"")
+        events = _pair(PARAMETRIZATION_WRITE, dev, key)
+        self._record_pair(device, RPC_OPNUM_WRITE, "write", ordinal, 0x8000 + ordinal, data, events)
 
     def dcontrol(self, device: NodeSpec) -> None:
-        dev = self.device_macs[device.name]
-        key = self.conn_keys[device.name]
-        ar = self.ar_uuids[device.name]
+        dev, key, ar = self._device(device)
         self._cm_pair(
             device,
             RPC_OPNUM_CONTROL,
+            "dcontrol",
             control_block(BLOCK_DCONTROL_REQ, ar, 0x0001),
             control_block(BLOCK_DCONTROL_RES, ar, 0x0008),
-            "dcontrol",
-            [
-                PlannedEvent(END_OF_PARAMETRIZATION, "device", subject_mac=dev, connection_key=key),
-                PlannedEvent(END_OF_PARAMETRIZATION, "connection", subject_mac=dev, connection_key=key),
-            ],
-            [],
+            _pair(END_OF_PARAMETRIZATION, dev, key),
         )
 
     def ccontrol(self, device: NodeSpec) -> None:
-        dev = self.device_macs[device.name]
-        key = self.conn_keys[device.name]
-        ar = self.ar_uuids[device.name]
+        dev, key, ar = self._device(device)
         self._cm_pair(
             device,
             RPC_OPNUM_CONTROL,
+            "ccontrol",
             control_block(BLOCK_CCONTROL_REQ, ar, 0x0002),
             control_block(BLOCK_CCONTROL_RES, ar, 0x0008),
-            "ccontrol",
-            [
-                PlannedEvent(APPLICATION_READY, "device", subject_mac=dev, connection_key=key),
-                PlannedEvent(APPLICATION_READY, "connection", subject_mac=dev, connection_key=key),
-            ],
-            [PlannedEvent(CONNECTION_CONFIRMED, "device", subject_mac=dev, connection_key=key)],
+            _pair(APPLICATION_READY, dev, key),
+            [_device_event(CONNECTION_CONFIRMED, dev, key)],
             request_from_device=True,
         )
 
     def cyclic_round(self, round_index: int) -> None:
-        spec = self.spec
-        for conn_index, device in enumerate(spec.devices):
+        cycle = (round_index * 32) & 0xFFFF
+        for conn_index, device in enumerate(self.spec.devices):
             if not device.submodules:
                 continue
-            dev = self.device_macs[device.name]
-            key = self.conn_keys[device.name]
+            dev, key, _ = self._device(device)
             input_fid, output_fid = self.frame_ids[device.name]
-            cycle = (round_index * 32) & 0xFFFF
-            out_sdu = cyclic_c_sdu(conn_index, round_index, "output", device.submodules)
-            self.add(
-                encode_pnio(self.ctrl_mac, dev, output_fid, out_sdu, cycle),
-                f"pnio output {device.name} round {round_index}",
-                [
-                    PlannedEvent(CYCLIC_DATA_GOOD, "device", subject_mac=dev, connection_key=key),
-                    PlannedEvent(
-                        OUTPUT_PROCESS_DATA_SENT, "connection", subject_mac=dev, connection_key=key
-                    ),
-                ],
-            )
-            in_sdu = cyclic_c_sdu(conn_index, round_index, "input", device.submodules)
-            self.add(
-                encode_pnio(dev, self.ctrl_mac, input_fid, in_sdu, cycle),
-                f"pnio input {device.name} round {round_index}",
-                [
-                    PlannedEvent(CYCLIC_DATA_GOOD, "device", subject_mac=dev, connection_key=key),
-                    PlannedEvent(
-                        INPUT_PROCESS_DATA_SENT, "connection", subject_mac=dev, connection_key=key
-                    ),
-                ],
-            )
+            for direction, src, dst, fid, data_event in (
+                ("output", self.ctrl_mac, dev, output_fid, OUTPUT_PROCESS_DATA_SENT),
+                ("input", dev, self.ctrl_mac, input_fid, INPUT_PROCESS_DATA_SENT),
+            ):
+                c_sdu = cyclic_c_sdu(conn_index, round_index, direction, device.submodules)
+                self.add(
+                    encode_pnio(src, dst, fid, c_sdu, cycle),
+                    f"pnio {direction} {device.name} round {round_index}",
+                    [
+                        _device_event(CYCLIC_DATA_GOOD, dev, key),
+                        PlannedEvent(data_event, "connection", mac_to_str(dev), key),
+                    ],
+                )
 
     def acyclic_exchange(self, device: NodeSpec) -> None:
-        dev = self.device_macs[device.name]
-        key = self.conn_keys[device.name]
-        ar = self.ar_uuids[device.name]
-        sub = device.submodules[0] if device.submodules else SubmoduleSpec(1, 1, "input", 0)
-        self._cm_pair(
-            device,
-            RPC_OPNUM_READ,
-            record_block(BLOCK_READ_REQ, ar, 0x40, sub.slot, sub.subslot, 0xAFF0, b""),
-            record_block(BLOCK_READ_RES, ar, 0x40, sub.slot, sub.subslot, 0xAFF0, b"\x11\x22"),
-            "read",
-            [
-                PlannedEvent(ACYCLIC_READ, "device", subject_mac=dev, connection_key=key),
-                PlannedEvent(ACYCLIC_READ, "connection", subject_mac=dev, connection_key=key),
-            ],
-            [
-                PlannedEvent(ACYCLIC_DONE, "device", subject_mac=dev, connection_key=key),
-                PlannedEvent(ACYCLIC_DONE, "connection", subject_mac=dev, connection_key=key),
-            ],
-        )
-        self._cm_pair(
-            device,
-            RPC_OPNUM_WRITE,
-            record_block(BLOCK_WRITE_REQ, ar, 0x41, sub.slot, sub.subslot, 0xB000, b"\x7f"),
-            record_block(BLOCK_WRITE_RES, ar, 0x41, sub.slot, sub.subslot, 0xB000, b""),
-            "acyclic write",
-            [
-                PlannedEvent(ACYCLIC_WRITE, "device", subject_mac=dev, connection_key=key),
-                PlannedEvent(ACYCLIC_WRITE, "connection", subject_mac=dev, connection_key=key),
-            ],
-            [
-                PlannedEvent(ACYCLIC_DONE, "device", subject_mac=dev, connection_key=key),
-                PlannedEvent(ACYCLIC_DONE, "connection", subject_mac=dev, connection_key=key),
-            ],
-        )
+        dev, key, _ = self._device(device)
+        done = _pair(ACYCLIC_DONE, dev, key)
+        read, write = _pair(ACYCLIC_READ, dev, key), _pair(ACYCLIC_WRITE, dev, key)
+        self._record_pair(device, RPC_OPNUM_READ, "read", 0x40, 0xAFF0, (b"", b"\x11\x22"), read, done)
+        self._record_pair(device, RPC_OPNUM_WRITE, "acyclic write", 0x41, 0xB000, (b"\x7f", b""), write, done)
 
     def build_benign(self) -> list[FramePlan]:
         spec = self.spec
@@ -972,61 +855,69 @@ class _Builder:
     def attack_frames(self, injection: Injection) -> list[FramePlan]:
         spec = self.spec
         attacker = str_to_mac(ATTACKER_MAC)
-        plans: list[FramePlan] = []
+        if injection.attack == "malformed":
+            return [FramePlan(malformed_frame(injection.protocol or "pn-dcp"), "attack malformed")]
+        device = next(d for d in spec.devices if d.name == injection.target)
+        dev = self.device_macs[device.name]
         if injection.attack == "rename":
             # The attack is the runtime DCP Set of the station name; the
             # attacker already knows the target MAC from sniffing.
-            device = next(d for d in spec.devices if d.name == injection.target)
-            dev = self.device_macs[device.name]
             new_name = injection.new_name or "ufo"
             xid = 0xA001
-            plans.append(
+            return [
                 FramePlan(
                     dcp_set_name_request(attacker, dev, xid, new_name),
                     f"attack rename set {new_name!r}",
-                    [PlannedEvent(NAME_SET_REQUESTED, "device", subject_mac=dev)],
-                )
-            )
-            plans.append(
+                    [_device_event(NAME_SET_REQUESTED, dev)],
+                ),
                 FramePlan(
-                    dcp_set_response(dev, attacker, xid, 2, 2),
-                    "attack rename set response",
-                    [],
-                )
-            )
-        elif injection.attack == "rogue_connect":
-            device = next(d for d in spec.devices if d.name == injection.target)
-            dev = self.device_macs[device.name]
-            key = connection_key(attacker, dev)
-            ar = _ar_uuid(spec.seed, 0x7FFF)
-            blocks = ar_block_request(ar, attacker, "intruder")
-            blocks += iocr_block_request(1, 1, cr_data_length("input", (SubmoduleSpec(1, 1, "input", 1),)), 0x9001)
-            blocks += iocr_block_request(2, 2, cr_data_length("output", (SubmoduleSpec(1, 1, "input", 1),)), 0x9002)
-            blocks += expected_submodules_block((SubmoduleSpec(1, 1, "input", 1),))
-            plans.append(
-                FramePlan(
-                    encode_cm(
-                        attacker,
-                        dev,
-                        "192.168.0.250",
-                        device.ip,
-                        RPC_PTYPE_REQUEST,
-                        RPC_OPNUM_CONNECT,
-                        _activity_uuid(spec.seed, 0x7FFF),
-                        0x7FFF,
-                        blocks,
+                    dcp_set_response(
+                        dev, attacker, xid, DCP_OPTION_DEVICE, DCP_SUBOPTION_NAME_OF_STATION
                     ),
-                    f"attack rogue connect {device.name}",
-                    [
-                        PlannedEvent(CONNECT_REQUESTED, "device", subject_mac=dev, connection_key=key),
-                        PlannedEvent(CONNECT_REQUESTED, "system", connection_key=key),
-                    ],
-                    new_connections=[key],
-                )
-            )
-        elif injection.attack == "malformed":
-            plans.append(FramePlan(malformed_frame(injection.protocol or "pn-dcp"), "attack malformed", []))
-        return plans
+                    "attack rename set response",
+                ),
+            ]
+        key = connection_key(ATTACKER_MAC, mac_to_str(dev))
+        submodules = (SubmoduleSpec(1, 1, "input", 1),)
+        blocks = _connect_blocks(
+            _ar_uuid(spec.seed, 0x7FFF), attacker, "intruder", submodules, (0x9001, 0x9002)
+        )
+        activity = _activity_uuid(spec.seed, 0x7FFF)
+        frame = encode_cm(
+            attacker, dev, "192.168.0.250", device.ip, RPC_PTYPE_REQUEST, RPC_OPNUM_CONNECT,
+            activity, 0x7FFF, blocks,
+        )
+        events = _pair(CONNECT_REQUESTED, dev, key, "system")
+        return [FramePlan(frame, f"attack rogue connect {device.name}", events, [key])]
+
+
+# The system's wake-up event; the replay drops it once startup has begun.
+_WAKE_UP = PlannedEvent(PN_TRAFFIC_DETECTED, "system")
+
+
+def _device_event(event: str, mac: bytes, key: str | None = None) -> PlannedEvent:
+    return PlannedEvent(event, "device", mac_to_str(mac), key)
+
+
+def _pair(event: str, mac: bytes, key: str, scope: str = "connection") -> list[PlannedEvent]:
+    """The same event for the device and for its connection (or for the system)."""
+    return [_device_event(event, mac, key), PlannedEvent(event, scope, mac_to_str(mac), key)]
+
+
+def _connect_blocks(
+    ar: uuid.UUID,
+    initiator_mac: bytes,
+    initiator_name: str,
+    submodules: tuple[SubmoduleSpec, ...],
+    frame_ids: tuple[int, int],
+) -> bytes:
+    """A Connect request's blocks; the IO CRs and expected submodules only with submodules."""
+    blocks = ar_block_request(ar, initiator_mac, initiator_name)
+    if submodules:
+        blocks += iocr_block_request(1, 1, cr_data_length("input", submodules), frame_ids[0])
+        blocks += iocr_block_request(2, 2, cr_data_length("output", submodules), frame_ids[1])
+        blocks += expected_submodules_block(submodules)
+    return blocks
 
 
 def malformed_frame(protocol: str) -> bytes:
@@ -1076,7 +967,8 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
         for key in plan.new_connections:
             fleet.ensure_connection(key)
         for planned in plan.events:
-            if planned.gated and fleet.system.current_state not in ("Inactive", "PoweredOn"):
+            wake_up = planned.event_name == PN_TRAFFIC_DETECTED
+            if wake_up and fleet.system.current_state not in WAKE_UP_STATES:
                 continue
             cause = FrameRef(plan.index, "synth", plan.label)
             fleet.fire(
@@ -1099,7 +991,7 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
     def subject_of(plan: FramePlan) -> str | None:
         for planned in plan.events:
             if planned.scope == "device" and planned.subject_mac is not None:
-                return mac_to_str(planned.subject_mac)
+                return planned.subject_mac
             if planned.scope == "connection" and planned.connection_key:
                 return planned.connection_key
             if planned.scope == "system":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem, span_seconds
-from .dissect import MalformedFrame, IoDataSpec, ParsedFrame, dissect, mac_to_str
+from .dissect import MalformedFrame, IoDataSpec, ParsedFrame, dissect
 from .fsm import FrameRef, FsmInstance, TransitionRecord
 from .inventory import AssetInventory
 from .models import (
@@ -89,7 +89,7 @@ class TrackerConfig:
 @dataclass
 class ConnectionInfo:
     key: str
-    responder_mac: bytes
+    responder_mac: str
     instance: FsmInstance
 
     @property
@@ -111,11 +111,10 @@ class FsmFleet:
         self.connections: dict[str, FsmInstance] = {}
         self._all_established_fired = False
 
-    def ensure_device(self, mac: bytes) -> FsmInstance:
-        key = mac_to_str(mac)
-        instance = self.devices.get(key)
+    def ensure_device(self, mac: str) -> FsmInstance:
+        instance = self.devices.get(mac)
         if instance is None:
-            instance = self.devices[key] = FsmInstance(device_fsm_table(), key)
+            instance = self.devices[mac] = FsmInstance(device_fsm_table(), mac)
         return instance
 
     def ensure_connection(self, key: str) -> FsmInstance:
@@ -233,7 +232,7 @@ class Tracker(TrackContext):
 
     # TrackContext -----------------------------------------------------------
 
-    def lookup_name(self, name: str) -> bytes | None:
+    def lookup_name(self, name: str) -> str | None:
         return self.inventory.find_mac_by_name(name)
 
     def connection_for_ar(self, ar_uuid: uuid.UUID) -> ConnectionInfo | None:
@@ -346,9 +345,9 @@ class Tracker(TrackContext):
             cause = FrameRef(raw.capture_index, parsed.protocol, "connect request")
             self._register_connection(derived.registration, ts, cause)
         for diag in derived.diagnostics:
-            key = mac_to_str(diag.subject_mac) if diag.subject_mac else self.config.system_name
+            key = diag.subject_mac or self.config.system_name
             kind = "device" if diag.subject_mac else "system"
-            self._diagnostic(ts, kind, key, diag.kind.replace("-", "_"), diag.cause, diag.detail)
+            self._diagnostic(ts, kind, key, diag.kind, diag.cause, diag.detail)
         for deferred in derived.consumed_deferrals:
             self.deferred.remove(deferred)
         if derived.new_deferral is not None:

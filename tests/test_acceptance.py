@@ -23,7 +23,6 @@ from poet.dissect import (
     dissect,
     extract_io_specs,
     extract_process_data,
-    str_to_mac,
 )
 from poet.capture import RawFrame
 from poet.fsm import fold_log, reachable_states, validate_definition
@@ -138,7 +137,7 @@ def test_c3_clean_run_completeness(tmp_path, devices, refresh):
     for conn in report.final_states["connections"]:
         assert conn["state"] in ("InputDataExchange", "OutputDataExchange")
     for node in (result.spec.controller, *result.spec.devices):
-        record = tracker.inventory.get(str_to_mac(node.mac))
+        record = tracker.inventory.get(node.mac)
         assert record is not None
         assert record.name_of_station == node.name
         assert record.ip_address == node.ip

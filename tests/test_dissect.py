@@ -64,8 +64,8 @@ def test_lldp_station_name_lift_motor():
     parsed = dissect(raw(frame))
     assert isinstance(parsed.body, LldpFrame)
     assert parsed.body.station_name == "Lift-Motor"
-    assert parsed.body.chassis_mac == DEV
-    assert parsed.body.port_mac == PORT
+    assert parsed.body.chassis_mac == "02:00:00:00:02:00"
+    assert parsed.body.port_mac == "02:70:01:01:02:00"
     assert parsed.body.ttl_seconds == 20
     assert parsed.body.port_descriptions == ("port-001",)
     assert parsed.body.management_address == "192.168.0.11"
@@ -128,7 +128,11 @@ def test_lldp_round_trip_parameters():
     frame = encode_lldp(DEV, PORT, 30, "turntable-motor", ("port-001", "port-002"), "10.0.0.5")
     body = dissect(raw(frame)).body
     assert isinstance(body, LldpFrame)
-    assert (body.chassis_mac, body.port_mac, body.ttl_seconds) == (DEV, PORT, 30)
+    assert (body.chassis_mac, body.port_mac, body.ttl_seconds) == (
+        "02:00:00:00:02:00",
+        "02:70:01:01:02:00",
+        30,
+    )
     assert body.station_name == "turntable-motor"
     assert body.port_descriptions == ("port-001", "port-002")
     assert body.management_address == "10.0.0.5"
@@ -139,7 +143,7 @@ def test_arp_round_trip_and_gratuitous_flag():
     body = dissect(raw(frame)).body
     assert isinstance(body, ArpPacket)
     assert body.operation == "request"
-    assert body.sender_mac == CTRL
+    assert body.sender_mac == "02:00:00:00:01:00"
     assert (body.sender_ip, body.target_ip) == ("192.168.0.1", "192.168.0.11")
     assert not body.is_gratuitous
 
@@ -222,7 +226,7 @@ def test_cm_connect_round_trip():
     assert isinstance(body, CmFrame)
     assert (body.direction, body.operation) == ("request", "Connect")
     assert body.ar_uuid == uuid.uuid5(uuid.NAMESPACE_OID, "test-ar")
-    assert body.initiator_mac == CTRL
+    assert body.initiator_mac == "02:00:00:00:01:00"
     assert body.station_name == "plc-1"
     assert [(c.cr_type, c.frame_id, c.data_length) for c in body.iocr_blocks] == [
         ("input", 0x8001, 4),  # 2 data + 1 iops + 1 iocs(output submodule)

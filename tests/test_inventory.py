@@ -35,7 +35,7 @@ def test_lldp_burst_builds_lift_motor_record():
         frame = encode_lldp(DEV, port, 20, "Lift-Motor", (f"port-{i + 1:03d}",))
         changes = inv.update_from_frame(parse(frame, i), TS)
         assert changes  # fresh fields populated
-    record = inv.get(DEV)
+    record = inv.get("02:00:00:00:02:00")
     assert record is not None
     assert record.name_of_station == "Lift-Motor"
     assert record.port_count == 2
@@ -55,19 +55,19 @@ def test_other_frame_refreshes_last_seen_of_known_asset():
     # LLDP records key on the chassis MAC; an Other frame from that MAC counts
     frame = ethernet(DEV, CTRL, 0x86DD, b"\x00" * 40)
     inv.update_from_frame(parse(frame), (200, 5))
-    assert inv.get(CTRL).last_seen == (200, 5)
+    assert inv.get("02:00:00:00:01:00").last_seen == (200, 5)
 
 
 def test_rename_set_flags_conflict():
     inv = AssetInventory()
     inv.update_from_frame(parse(dcp_identify_response(DEV, CTRL, 1, "turntable-motor")), TS)
-    assert inv.get(DEV).name_of_station == "turntable-motor"
+    assert inv.get("02:00:00:00:02:00").name_of_station == "turntable-motor"
     changes = inv.update_from_frame(parse(dcp_set_name_request(CTRL, DEV, 2, "ufo"), index=1), TS)
     conflict = [c for c in changes if c.fieldname == "name_of_station"]
     assert len(conflict) == 1
     assert conflict[0].conflict
     assert (conflict[0].old, conflict[0].new) == ("turntable-motor", "ufo")
-    record = inv.get(DEV)
+    record = inv.get("02:00:00:00:02:00")
     assert record.name_of_station == "ufo"
     assert record.provenance["name_of_station"].conflict
 
@@ -76,7 +76,7 @@ def test_arp_contributes_sender_ip():
     inv = AssetInventory()
     frame = encode_arp(CTRL, b"\xff" * 6, 1, CTRL, "192.168.0.1", b"\x00" * 6, "192.168.0.11")
     inv.update_from_frame(parse(frame), TS)
-    assert inv.get(CTRL).ip_address == "192.168.0.1"
+    assert inv.get("02:00:00:00:01:00").ip_address == "192.168.0.1"
 
 
 def test_full_startup_populates_all_assets(tmp_path):
@@ -88,13 +88,13 @@ def test_full_startup_populates_all_assets(tmp_path):
     inv = tracker.inventory
     spec = result.spec
     for node in (spec.controller, *spec.devices):
-        record = inv.get(str_to_mac(node.mac))
+        record = inv.get(node.mac)
         assert record is not None, node.name
         assert record.name_of_station == node.name
         assert record.ip_address == node.ip
-    assert inv.get(str_to_mac(spec.controller.mac)).role == "controller"
+    assert inv.get(spec.controller.mac).role == "controller"
     for device in spec.devices:
-        assert inv.get(str_to_mac(device.mac)).role == "device"
+        assert inv.get(device.mac).role == "device"
 
 
 def test_export_sorted_and_deterministic():
@@ -138,23 +138,23 @@ def test_monotone_knowledge_same_value_is_silent():
     inv.update_from_frame(parse(frame, 0), TS)
     changes = inv.update_from_frame(parse(frame, 1), (200, 0))
     assert changes == []  # same values: no delta, no conflict
-    record = inv.get(DEV)
+    record = inv.get("02:00:00:00:02:00")
     assert record.provenance["name_of_station"].capture_index == 0  # first evidence stands
     assert record.last_seen == (200, 0)
 
 
 def test_name_lookup_lowest_mac_wins_and_follows_renames():
-    low, high = str_to_mac("02:00:00:00:03:00"), str_to_mac("02:00:00:00:04:00")
+    low, high = "02:00:00:00:03:00", "02:00:00:00:04:00"
     inv = AssetInventory()
     # The higher MAC claims the name first; the lower one still wins the tie.
-    inv.update_from_frame(parse(encode_lldp(high, PORT1, 20, "twin"), 0), TS)
-    inv.update_from_frame(parse(encode_lldp(low, PORT2, 20, "twin"), 1), TS)
+    inv.update_from_frame(parse(encode_lldp(str_to_mac(high), PORT1, 20, "twin"), 0), TS)
+    inv.update_from_frame(parse(encode_lldp(str_to_mac(low), PORT2, 20, "twin"), 1), TS)
     names = ("twin", "ufo", "nobody")
     assert inv.find_mac_by_name("twin") == low
     assert [AssetInventory.load(inv.export()).find_mac_by_name(n) for n in names] == [
         inv.find_mac_by_name(n) for n in names
     ]
-    inv.update_from_frame(parse(dcp_set_name_request(CTRL, low, 2, "ufo"), 2), TS)
+    inv.update_from_frame(parse(dcp_set_name_request(CTRL, str_to_mac(low), 2, "ufo"), 2), TS)
     assert inv.find_mac_by_name("twin") == high
     assert inv.find_mac_by_name("ufo") == low
     assert inv.find_mac_by_name("nobody") is None

@@ -50,8 +50,10 @@ from poet.synth import (
 )
 from poet.dissect import BLOCK_WRITE_REQ, BLOCK_WRITE_RES
 
-CTRL = str_to_mac("02:00:00:00:01:00")
-DEV = str_to_mac("02:00:00:00:02:00")
+CTRL_MAC = "02:00:00:00:01:00"
+DEV_MAC = "02:00:00:00:02:00"
+CTRL = str_to_mac(CTRL_MAC)
+DEV = str_to_mac(DEV_MAC)
 PORT = str_to_mac("02:70:01:01:02:00")
 AR = uuid.uuid5(uuid.NAMESPACE_OID, "models-ar")
 CAUSE = FrameRef(0, "test", "unit")
@@ -71,7 +73,7 @@ class FakeConnection:
 
 class FakeContext(TrackContext):
     def __init__(self):
-        self.names: dict[str, bytes] = {}
+        self.names: dict[str, str] = {}
         self.ars: dict[uuid.UUID, FakeConnection] = {}
         self.frame_ids: dict[int, tuple] = {}
         self.deferred: list[DeferredEvent] = []
@@ -309,7 +311,7 @@ def test_derive_set_name_ufo_targets_bound_device():
     parsed = dissect(raw(dcp_set_name_request(CTRL, DEV, 5, "ufo"), index=9))
     derived = derive_events(parsed, ctx)
     assert [(e.event_name, e.scope, e.subject_mac) for e in derived.events] == [
-        (NAME_SET_REQUESTED, "device", DEV)
+        (NAME_SET_REQUESTED, "device", DEV_MAC)
     ]
     assert derived.events[0].cause.summary == "dcp set name-of-station 'ufo'"
     assert derived.events[0].cause.capture_index == 9
@@ -323,7 +325,7 @@ def test_derive_first_lldp_wakes_system():
         (DETECT_NEIGHBOURS, "device"),
         (PN_TRAFFIC_DETECTED, "system"),
     ]
-    assert derived.events[0].subject_mac == DEV  # chassis MAC, not the port MAC
+    assert derived.events[0].subject_mac == DEV_MAC  # chassis MAC, not the port MAC
 
 
 def test_derive_lldp_gated_after_startup():
@@ -336,19 +338,19 @@ def test_derive_lldp_gated_after_startup():
 
 def test_derive_pnio_good_output():
     ctx = FakeContext()
-    key = connection_key(CTRL, DEV)
+    key = connection_key(CTRL_MAC, DEV_MAC)
     subs = (SubmoduleSpec(1, 1, "input", 2), SubmoduleSpec(2, 1, "output", 3))
     from poet.dissect import IoDataSpec
 
     specs = (IoDataSpec("output", 2, 1, 0, 3),)
-    ctx.frame_ids[0x8002] = (FakeConnection(key, DEV, True), "output", specs)
+    ctx.frame_ids[0x8002] = (FakeConnection(key, DEV_MAC, True), "output", specs)
     frame = encode_pnio(CTRL, DEV, 0x8002, cyclic_c_sdu(0, 0, "output", subs), 0)
     derived = derive_events(dissect(raw(frame)), ctx)
     assert [(e.event_name, e.scope) for e in derived.events] == [
         (CYCLIC_DATA_GOOD, "device"),
         (OUTPUT_PROCESS_DATA_SENT, "connection"),
     ]
-    assert derived.events[0].subject_mac == DEV
+    assert derived.events[0].subject_mac == DEV_MAC
 
 
 def test_derive_pnio_orphan_frame_id():
@@ -357,12 +359,12 @@ def test_derive_pnio_orphan_frame_id():
     frame = encode_pnio(DEV, CTRL, 0x8001, cyclic_c_sdu(0, 0, "input", subs), 0)
     derived = derive_events(dissect(raw(frame)), ctx)
     assert derived.events == []
-    assert [d.kind for d in derived.diagnostics] == ["orphan-frame"]
+    assert [d.kind for d in derived.diagnostics] == ["orphan_frame"]
 
 
 def test_derive_identify_known_name_immediate():
     ctx = FakeContext()
-    ctx.names["lift-motor"] = DEV
+    ctx.names["lift-motor"] = DEV_MAC
     parsed = dissect(raw(dcp_identify_request(CTRL, 3, "lift-motor")))
     derived = derive_events(parsed, ctx)
     assert [(e.event_name, e.scope) for e in derived.events] == [
@@ -384,37 +386,37 @@ def test_derive_identify_unknown_name_defers_then_replays():
     response = dissect(raw(dcp_identify_response(DEV, CTRL, 3, "lift-motor"), index=5))
     replayed = derive_events(response, ctx)
     assert [(e.event_name, e.subject_mac) for e in replayed.events] == [
-        (NAME_RESOLUTION_REQUESTED, DEV),
-        (NAME_RESOLVED, DEV),
+        (NAME_RESOLUTION_REQUESTED, DEV_MAC),
+        (NAME_RESOLVED, DEV_MAC),
     ]
     assert replayed.consumed_deferrals == [derived.new_deferral]
 
 
 def test_derive_write_disambiguation_by_connection_state():
-    key = connection_key(CTRL, DEV)
+    key = connection_key(CTRL_MAC, DEV_MAC)
     block = record_block(BLOCK_WRITE_REQ, AR, 1, 1, 1, 0x8000, b"\x00")
     frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 3, uuid.uuid4(), 2, block)
 
     ctx = FakeContext()
-    ctx.ars[AR] = FakeConnection(key, DEV, established=False)
+    ctx.ars[AR] = FakeConnection(key, DEV_MAC, established=False)
     pre = derive_events(dissect(raw(frame)), ctx)
     assert [e.event_name for e in pre.events] == [PARAMETRIZATION_WRITE, PARAMETRIZATION_WRITE]
 
-    ctx.ars[AR] = FakeConnection(key, DEV, established=True)
+    ctx.ars[AR] = FakeConnection(key, DEV_MAC, established=True)
     post = derive_events(dissect(raw(frame)), ctx)
     assert [e.event_name for e in post.events] == [ACYCLIC_WRITE, ACYCLIC_WRITE]
 
 
 def test_derive_write_response_silent_before_establishment():
-    key = connection_key(CTRL, DEV)
+    key = connection_key(CTRL_MAC, DEV_MAC)
     block = record_block(BLOCK_WRITE_RES, AR, 1, 1, 1, 0x8000, b"")
     frame = encode_cm(DEV, CTRL, "192.168.0.11", "192.168.0.1", 2, 3, uuid.uuid4(), 2, block)
 
     ctx = FakeContext()
-    ctx.ars[AR] = FakeConnection(key, DEV, established=False)
+    ctx.ars[AR] = FakeConnection(key, DEV_MAC, established=False)
     assert derive_events(dissect(raw(frame)), ctx).events == []
 
-    ctx.ars[AR] = FakeConnection(key, DEV, established=True)
+    ctx.ars[AR] = FakeConnection(key, DEV_MAC, established=True)
     assert [e.event_name for e in derive_events(dissect(raw(frame)), ctx).events] == [
         ACYCLIC_DONE,
         ACYCLIC_DONE,
@@ -427,8 +429,8 @@ def test_derive_orphan_write_without_connect():
     frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 3, uuid.uuid4(), 2, block)
     derived = derive_events(dissect(raw(frame)), ctx)
     assert derived.events == []
-    assert [d.kind for d in derived.diagnostics] == ["orphan-frame"]
+    assert [d.kind for d in derived.diagnostics] == ["orphan_frame"]
 
 
 def test_connection_key_format():
-    assert connection_key(CTRL, DEV) == "020000000100-020000000200"
+    assert connection_key(CTRL_MAC, DEV_MAC) == "020000000100-020000000200"
