@@ -26,6 +26,12 @@ PCAPNG_EPB = 0x00000006
 PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
 
 MIN_ETHERNET_FRAME = 14
+# libpcap's largest snapshot length. A longer declared record or block is
+# rejected before it is read, so a hostile length field cannot make the
+# reader allocate it.
+MAX_SNAPLEN = 262_144
+# pcapng block framing (type and two lengths) plus the packet block's fixed fields.
+PCAPNG_MAX_BLOCK = MAX_SNAPLEN + 12 + 20
 
 
 class CaptureFormatError(Exception):
@@ -114,6 +120,10 @@ def _iter_pcap(f, label: str, endian: str, nanosecond: bool) -> Iterator[StreamI
                     yield CaptureError(label, offset, index, "truncated record header")
                     return
                 ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(endian + "IIII", header)
+                if incl_len > MAX_SNAPLEN:
+                    reason = f"record length {incl_len} exceeds {MAX_SNAPLEN}"
+                    yield CaptureError(label, offset, index, reason)
+                    return
                 body = f.read(incl_len)
                 if len(body) < incl_len:
                     yield CaptureError(label, offset, index, "truncated record body")
@@ -185,7 +195,7 @@ def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
                         yield CaptureError(label, offset, index, "bad section byte-order magic")
                         return
                     total_len = struct.unpack(endian + "I", head[4:8])[0]
-                    if total_len < 28 or total_len % 4:
+                    if total_len < 28 or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
                         yield CaptureError(label, offset, index, "bad section block length")
                         return
                     body = f.read(total_len - 12)
@@ -195,7 +205,7 @@ def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
                     tsresol = []
                     continue
                 total_len = struct.unpack(endian + "I", head[4:8])[0]
-                if total_len < 12 or total_len % 4:
+                if total_len < 12 or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
                     yield CaptureError(label, offset, index, f"bad block length {total_len}")
                     return
                 body = f.read(total_len - 8)

@@ -9,6 +9,7 @@ value is flagged as a conflict instead of being silently rewritten.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .dissect import DCP_OPTION_DEVICE, DCP_SUBOPTION_DEVICE_ID, DcpFrame, ParsedFrame, lldp_subject
@@ -83,7 +84,8 @@ class AssetInventory:
 
     def __init__(self) -> None:
         self.records: dict[str, AssetRecord] = {}
-        self.holders: dict[str, set[str]] = {}  # name_of_station -> interface MACs
+        # name_of_station -> the interface MACs holding it, sorted
+        self.holders: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -92,8 +94,9 @@ class AssetInventory:
         return self.records.get(mac)
 
     def find_mac_by_name(self, name: str) -> str | None:
+        """The lowest interface MAC holding the station name, if any."""
         holders = self.holders.get(name)
-        return min(holders) if holders else None
+        return holders[0] if holders else None
 
     def _record(self, mac: str, ts: Timestamp) -> AssetRecord:
         record = self.records.get(mac)
@@ -117,10 +120,11 @@ class AssetInventory:
         setattr(record, fieldname, value)
         if fieldname == "name_of_station":
             if old is not None:
-                self.holders[old].discard(record.interface_mac)
-                if not self.holders[old]:
+                holders = self.holders[old]
+                del holders[bisect_left(holders, record.interface_mac)]
+                if not holders:
                     del self.holders[old]
-            self.holders.setdefault(value, set()).add(record.interface_mac)
+            insort(self.holders.setdefault(value, []), record.interface_mac)
         prior = record.provenance.get(fieldname)
         flagged = conflict or (prior.conflict if prior else False)
         record.provenance[fieldname] = Provenance(cause.protocol, cause.capture_index, flagged)
@@ -240,5 +244,5 @@ class AssetInventory:
                 )
             inv.records[record.interface_mac] = record
             if record.name_of_station is not None:
-                inv.holders.setdefault(record.name_of_station, set()).add(record.interface_mac)
+                insort(inv.holders.setdefault(record.name_of_station, []), record.interface_mac)
         return inv

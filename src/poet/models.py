@@ -262,9 +262,13 @@ class TrackDiagnostic:
     subject_mac: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeferredEvent:
-    """Identify request held until its station name binds to a MAC."""
+    """Identify request held until its station name binds to a MAC.
+
+    Compared by identity: each held request is its own entry, even if two
+    carry the same name and cause.
+    """
 
     name: str
     cause: FrameRef

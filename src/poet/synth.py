@@ -16,6 +16,7 @@ import json
 import random
 import struct
 import uuid
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .dissect import (
@@ -152,10 +153,19 @@ class ScenarioSpec:
             if not isinstance(node.name, str) or not node.name:
                 raise ScenarioError(f"bad station name {node.name!r} in scenario")
             for sub in node.submodules:
-                numbers_ok = all(isinstance(v, int) for v in (sub.slot, sub.subslot, sub.length))
+                numbers_ok = all(
+                    isinstance(v, int) and 0 <= v <= 0xFFFF for v in (sub.slot, sub.subslot, sub.length)
+                )
                 if not numbers_ok or sub.direction not in ("input", "output"):
                     raise ScenarioError(f"bad submodule {sub} of {node.name!r}")
-        macs = [n.mac for n in nodes]
+            for direction in ("input", "output"):
+                if cr_data_length(direction, node.submodules) > 0xFFFF:
+                    raise ScenarioError(f"{direction} data of {node.name!r} exceeds 65535 bytes")
+        for key, (low, high) in _SPEC_RANGES.items():
+            value = getattr(self, key)
+            if not low <= value <= high:
+                raise ScenarioError(f"scenario spec {key} {value!r} is outside {low}..{high}")
+        macs = [str_to_mac(n.mac) for n in nodes]
         names = [n.name for n in nodes]
         ips = [n.ip for n in nodes]
         if len(set(macs)) != len(macs):
@@ -170,6 +180,8 @@ class ScenarioSpec:
                 t is not None and not isinstance(t, str) for t in texts
             ):
                 raise ScenarioError(f"bad injection {injection}")
+            if injection.after_index < 0:
+                raise ScenarioError(f"injection after_index {injection.after_index} is negative")
             if injection.attack not in ("rename", "rogue_connect", "malformed"):
                 raise ScenarioError(f"unknown attack {injection.attack!r}")
             if injection.attack in ("rename", "rogue_connect"):
@@ -234,6 +246,15 @@ _SPEC_SCALARS: dict[str, type | tuple[type, ...]] = {
     "seed": int,
     "start_time": int,
     "system_name": str,
+}
+
+
+# Numeric spec fields and the inclusive ranges their encoders can write.
+_SPEC_RANGES: dict[str, tuple[float, float]] = {
+    "ports_per_device": (0, 0xFF),  # a port number is one byte of the port MAC
+    "writes_per_device": (0, 0xFF),  # a write's ordinal is one byte of its record data
+    "start_time": (0, 0xFFFFFFFF),  # pcap timestamps are 32-bit seconds
+    "gap_seconds": (0, 0xFFFFFFFF),
 }
 
 
@@ -623,7 +644,7 @@ class _Builder:
             d.name: (0x8001 + 2 * i, 0x8002 + 2 * i) for i, d in enumerate(spec.devices)
         }
 
-    def add(self, data: bytes, label: str, events: list[PlannedEvent] = ()) -> FramePlan:
+    def add(self, data: bytes, label: str, events: Sequence[PlannedEvent] = ()) -> FramePlan:
         plan = FramePlan(data, label, list(events))
         self.frames.append(plan)
         return plan
@@ -702,8 +723,8 @@ class _Builder:
         label: str,
         request: bytes,
         response: bytes,
-        request_events: list[PlannedEvent],
-        response_events: list[PlannedEvent] = (),
+        request_events: Sequence[PlannedEvent],
+        response_events: Sequence[PlannedEvent] = (),
         request_from_device: bool = False,
     ) -> FramePlan:
         """One PN-CM request and its response; returns the request's plan."""
@@ -746,8 +767,8 @@ class _Builder:
         seq: int,
         index: int,
         data: tuple[bytes, bytes],
-        request_events: list[PlannedEvent],
-        response_events: list[PlannedEvent] = (),
+        request_events: Sequence[PlannedEvent],
+        response_events: Sequence[PlannedEvent] = (),
     ) -> None:
         """A read or write record request and its response, on the device's first submodule."""
         _, _, ar = self._device(device)
@@ -1031,6 +1052,8 @@ def synthesize(spec: ScenarioSpec) -> SynthResult:
         plan.index = index
         total_us = spec.start_time * 1_000_000 + index * gap_us
         plan.ts = (total_us // 1_000_000, (total_us % 1_000_000) * 1000)
+    if frames and frames[-1].ts[0] > 0xFFFFFFFF:
+        raise ScenarioError(f"frame times run past the pcap limit of {0xFFFFFFFF} s")
 
     manifest = _replay_manifest(spec, frames)
     pcap = write_pcap_bytes([(plan.ts, plan.data) for plan in frames])

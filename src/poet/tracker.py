@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import uuid
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
@@ -224,7 +224,10 @@ class Tracker(TrackContext):
         self.inventory = AssetInventory()
         self._ar_registry: dict[uuid.UUID, ConnectionInfo] = {}
         self._frame_id_registry: dict[int, tuple[ConnectionInfo, str, tuple[IoDataSpec, ...]]] = {}
-        self.deferred: deque[DeferredEvent] = deque()  # capture order: expiry pops the front
+        # Pending identify requests in capture order (expiry takes them from the
+        # front), and the same requests by name (an answer releases them all).
+        self.deferred: OrderedDict[DeferredEvent, None] = OrderedDict()
+        self._deferred_by_name: dict[str, deque[DeferredEvent]] = {}
         self._frames = 0
         self._bytes = 0
         self._first_ts: Timestamp | None = None
@@ -242,7 +245,7 @@ class Tracker(TrackContext):
         return self._frame_id_registry.get(frame_id)
 
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
-        return [d for d in self.deferred if d.name == name]
+        return list(self._deferred_by_name.get(name, ()))
 
     @property
     def system_state(self) -> str:
@@ -348,10 +351,13 @@ class Tracker(TrackContext):
             key = diag.subject_mac or self.config.system_name
             kind = "device" if diag.subject_mac else "system"
             self._diagnostic(ts, kind, key, diag.kind, diag.cause, diag.detail)
-        for deferred in derived.consumed_deferrals:
-            self.deferred.remove(deferred)
-        if derived.new_deferral is not None:
-            self.deferred.append(derived.new_deferral)
+        for held in derived.consumed_deferrals:
+            del self.deferred[held]
+            self._deferred_by_name.pop(held.name, None)
+        held = derived.new_deferral
+        if held is not None:
+            self.deferred[held] = None
+            self._deferred_by_name.setdefault(held.name, deque()).append(held)
 
         for event in derived.events:
             self.fleet.fire(event, ts)
@@ -368,8 +374,12 @@ class Tracker(TrackContext):
     def _expire_deferred(self, ts: Timestamp, current_index: int | None = None) -> None:
         """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index."""
         horizon = float("inf") if current_index is None else current_index - DEFERRED_WINDOW
-        while self.deferred and self.deferred[0].cause.capture_index < horizon:
-            deferred = self.deferred.popleft()
+        while self.deferred and next(iter(self.deferred)).cause.capture_index < horizon:
+            deferred, _ = self.deferred.popitem(last=False)
+            same_name = self._deferred_by_name[deferred.name]
+            same_name.popleft()  # the oldest request for its name
+            if not same_name:
+                del self._deferred_by_name[deferred.name]
             self._diagnostic(
                 ts,
                 "system",

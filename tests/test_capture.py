@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import poet
 from poet.capture import (
     CaptureError,
     CaptureFormatError,
@@ -190,3 +194,38 @@ def test_stats_skips_diagnostics(tmp_path):
     path.write_bytes(data[:-1])
     stats = frame_stream_stats(open_capture(path))
     assert stats.frames == 1
+
+
+# Runs in a child whose address space is capped at 1.5 GiB, so a reader that
+# allocates a declared 4 GiB length up front fails with MemoryError.
+_CAPPED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+from poet.capture import open_capture
+from poet.tracker import Tracker
+report = Tracker().process(open_capture(sys.argv[1]))
+for alert in report.alerts:
+    print(alert.offending_event, alert.cause.summary)
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, length_at, reason",
+    [
+        ("pcap", 24 + 8, "record length 4294967280 exceeds 262144"),  # the record's incl_len
+        ("pcapng", 28 + 20 + 4, "bad block length 4294967280"),  # the packet block's length
+    ],
+)
+def test_huge_declared_length_is_one_capture_error(tmp_path, fmt, length_at, reason):
+    write = write_pcap_bytes if fmt == "pcap" else write_pcapng_bytes
+    data = bytearray(write([((1_700_000_000, 0), FRAME[:60])]))
+    data[length_at : length_at + 4] = struct.pack("<I", 0xFFFFFFF0)
+    path = tmp_path / f"huge.{fmt}"
+    path.write_bytes(bytes(data))
+    src = os.path.dirname(os.path.dirname(poet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, str(path)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [f"capture_error {reason}"]

@@ -76,11 +76,32 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
     "spec",
     [
         {"controller": _PLC, "devices": [{**_IO, "mac": _PLC["mac"]}]},
+        {"controller": _PLC, "devices": [{**_IO, "mac": _PLC["mac"].replace(":", "-")}]},
         {"controller": "plc"},
         {"controller": _PLC, "devices": [{**_IO, "submodules": [{"slot": 1}]}]},
         {"controller": {**_PLC, "mac": "zz"}},
+        {"controller": _PLC, "devices": [_IO], "ports_per_device": 300},
+        {"controller": _PLC, "devices": [_IO], "writes_per_device": 300},
+        {"controller": _PLC, "devices": [_IO], "start_time": -5},
+        {"controller": _PLC, "devices": [{**_IO, "submodules": [[1, 1, "input", 70000]]}]},
+        {
+            "controller": _PLC,
+            "devices": [_IO],
+            "injections": [{"after_index": -3, "attack": "malformed"}],
+        },
     ],
-    ids=["duplicate-mac", "controller-not-object", "submodule-missing-keys", "bad-controller-mac"],
+    ids=[
+        "duplicate-mac",
+        "duplicate-mac-other-spelling",
+        "controller-not-object",
+        "submodule-missing-keys",
+        "bad-controller-mac",
+        "ports-per-device-300",
+        "writes-per-device-300",
+        "start-time-negative",
+        "submodule-length-70000",
+        "after-index-negative",
+    ],
 )
 def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec):
     spec_path = tmp_path / "bad.json"

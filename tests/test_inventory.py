@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import timeit
 
 from poet.capture import RawFrame, open_capture
 from poet.dissect import dissect, str_to_mac
@@ -163,3 +164,19 @@ def test_name_lookup_lowest_mac_wins_and_follows_renames():
         low,
         None,
     ]
+
+
+def test_name_lookup_cost_does_not_grow_with_holders():
+    """A station name shared by many MACs resolves without a pass over its holders."""
+
+    def seconds_for_1000_lookups(holders: int) -> float:
+        macs = [f"02:00:00:{i >> 16:02x}:{(i >> 8) & 0xFF:02x}:{i & 0xFF:02x}" for i in range(holders)]
+        inv = AssetInventory.load(
+            {"assets": [{"interface_mac": mac, "name_of_station": "twin"} for mac in macs]}
+        )
+        assert inv.find_mac_by_name("twin") == macs[0]
+        return min(timeit.repeat(lambda: inv.find_mac_by_name("twin"), number=1000, repeat=9))
+
+    small, large = seconds_for_1000_lookups(1_000), seconds_for_1000_lookups(16_000)
+    # 16x the holders: a pass over them takes about 16x as long.
+    assert large < 4 * small, (small, large)

@@ -446,6 +446,24 @@ def test_identify_flood_cost_grows_linearly():
     assert large < 5 * small, (small, large)
 
 
+def _named_response_flood(n: int) -> list[RawFrame]:
+    """n Identify requests nobody answers yet, then n named responses: every other one answers."""
+    requester = str_to_mac("02:66:6e:00:00:99")
+    datas = [dcp_identify_request(requester, i + 1, f"ghost-{i:05d}") for i in range(n)]
+    for i in range(n):
+        station = bytes([0x02, 0, 0, 0]) + i.to_bytes(2, "big")
+        name = f"ghost-{i:05d}" if i % 2 else f"st-{i:05d}"
+        datas.append(dcp_identify_response(station, requester, i + 1, name))
+    return [RawFrame(100 + i // 1000, i % 1000, data, i, "flood") for i, data in enumerate(datas)]
+
+
+def test_named_response_flood_cost_grows_linearly():
+    """A named response must not scan the pending requests, whether or not it answers one."""
+    small = _poet_line_events(_named_response_flood(100))
+    large = _poet_line_events(_named_response_flood(400))
+    assert large < 5 * small, (small, large)
+
+
 @cache
 def _builtin_frames(name: str) -> tuple[bytes, ...]:
     return tuple(plan.data for plan in synthesize(builtin_scenario(name)).frames)
