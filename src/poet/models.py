@@ -247,9 +247,8 @@ class ProtocolEvent:
 
     event_name: str
     scope: str  # "device" | "connection" | "system"
+    key: str | None  # the device MAC, the connection key, or None for the system
     cause: FrameRef
-    subject_mac: str | None = None
-    connection_key: str | None = None
 
 
 @dataclass(frozen=True)
@@ -318,7 +317,7 @@ class TrackContext:
 
 def _system_traffic_event(ctx: TrackContext, cause: FrameRef) -> list[ProtocolEvent]:
     if ctx.system_state in WAKE_UP_STATES:
-        return [ProtocolEvent(PN_TRAFFIC_DETECTED, "system", cause)]
+        return [ProtocolEvent(PN_TRAFFIC_DETECTED, "system", None, cause)]
     return []
 
 
@@ -341,7 +340,7 @@ def _derive_lldp(parsed: ParsedFrame, body: LldpFrame, ctx: TrackContext) -> Der
     name = body.station_name or subject
     cause = _cause(parsed, f"lldp advertisement from {name}")
     out = DerivedEvents()
-    out.events.append(ProtocolEvent(DETECT_NEIGHBOURS, "device", cause, subject_mac=subject))
+    out.events.append(ProtocolEvent(DETECT_NEIGHBOURS, "device", subject, cause))
     out.events.extend(_system_traffic_event(ctx, cause))
     return out
 
@@ -350,7 +349,7 @@ def _derive_arp(parsed: ParsedFrame, body: ArpPacket, ctx: TrackContext) -> Deri
     out = DerivedEvents()
     if body.is_gratuitous:
         cause = _cause(parsed, f"gratuitous arp for {body.sender_ip}")
-        out.events.append(ProtocolEvent(DUPLICATION_CHECK, "device", cause, subject_mac=body.sender_mac))
+        out.events.append(ProtocolEvent(DUPLICATION_CHECK, "device", body.sender_mac, cause))
     return out
 
 
@@ -365,9 +364,7 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
         if name:
             subject = ctx.lookup_name(name)
             if subject is not None:
-                out.events.append(
-                    ProtocolEvent(NAME_RESOLUTION_REQUESTED, "device", cause, subject_mac=subject)
-                )
+                out.events.append(ProtocolEvent(NAME_RESOLUTION_REQUESTED, "device", subject, cause))
             else:
                 out.new_deferral = DeferredEvent(name, cause)
         out.events.extend(_system_traffic_event(ctx, cause))
@@ -380,10 +377,10 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
             # The response binds name -> MAC: release the requests held for it first.
             out.consumed_deferrals = ctx.deferred_for_name(name)
             out.events.extend(
-                ProtocolEvent(NAME_RESOLUTION_REQUESTED, "device", held.cause, subject_mac=src)
+                ProtocolEvent(NAME_RESOLUTION_REQUESTED, "device", src, held.cause)
                 for held in out.consumed_deferrals
             )
-        out.events.append(ProtocolEvent(NAME_RESOLVED, "device", cause, subject_mac=src))
+        out.events.append(ProtocolEvent(NAME_RESOLVED, "device", src, cause))
         return out
 
     if body.service_id == "Set" and body.service_type == "Request":
@@ -391,13 +388,11 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
             if block.is_ip_parameter and block.ip_parameter:
                 ip, _, _ = block.ip_parameter
                 cause = _cause(parsed, f"dcp set ip-parameter {ip}")
-                out.events.append(
-                    ProtocolEvent(IP_ASSIGNMENT_REQUESTED, "device", cause, subject_mac=dst)
-                )
+                out.events.append(ProtocolEvent(IP_ASSIGNMENT_REQUESTED, "device", dst, cause))
             elif block.is_name_of_station:
                 new_name = block.name_of_station or ""
                 cause = _cause(parsed, f"dcp set name-of-station {new_name!r}")
-                out.events.append(ProtocolEvent(NAME_SET_REQUESTED, "device", cause, subject_mac=dst))
+                out.events.append(ProtocolEvent(NAME_SET_REQUESTED, "device", dst, cause))
         return out
 
     if body.service_id == "Set" and body.service_type == "ResponseSuccess":
@@ -405,7 +400,7 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
             target = block.control_response_target
             if target == (DCP_OPTION_IP, DCP_SUBOPTION_IP_PARAMETER):
                 cause = _cause(parsed, "dcp set response (ip parameter)")
-                out.events.append(ProtocolEvent(IP_ASSIGNED, "device", cause, subject_mac=src))
+                out.events.append(ProtocolEvent(IP_ASSIGNED, "device", src, cause))
         return out
 
     return out
@@ -437,12 +432,8 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
             ar_uuid=body.ar_uuid,
             frame_id_bindings=tuple(bindings),
         )
-        out.events.append(
-            ProtocolEvent(CONNECT_REQUESTED, "device", cause, subject_mac=dst, connection_key=key)
-        )
-        out.events.append(
-            ProtocolEvent(CONNECT_REQUESTED, "system", cause, connection_key=key)
-        )
+        out.events.append(ProtocolEvent(CONNECT_REQUESTED, "device", dst, cause))
+        out.events.append(ProtocolEvent(CONNECT_REQUESTED, "system", None, cause))
         return out
 
     if body.operation == "Connect":
@@ -479,12 +470,8 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
     cause = _cause(parsed, f"pn-cm {op.lower()} {body.direction}")
 
     def both(event_name: str) -> None:
-        out.events.append(
-            ProtocolEvent(event_name, "device", cause, subject_mac=device, connection_key=key)
-        )
-        out.events.append(
-            ProtocolEvent(event_name, "connection", cause, subject_mac=device, connection_key=key)
-        )
+        out.events.append(ProtocolEvent(event_name, "device", device, cause))
+        out.events.append(ProtocolEvent(event_name, "connection", key, cause))
 
     if op == "Write" and body.direction == "request":
         both(ACYCLIC_WRITE if established else PARAMETRIZATION_WRITE)
@@ -498,11 +485,7 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
     elif op == "CControl" and body.direction == "request":
         both(APPLICATION_READY)
     elif op == "CControl" and body.direction == "response":
-        out.events.append(
-            ProtocolEvent(
-                CONNECTION_CONFIRMED, "device", cause, subject_mac=device, connection_key=key
-            )
-        )
+        out.events.append(ProtocolEvent(CONNECTION_CONFIRMED, "device", device, cause))
     return out
 
 
@@ -522,25 +505,9 @@ def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) 
     if summarize_iops(body, specs) != "GOOD":
         return out
     cause = _cause(parsed, f"pnio cyclic 0x{body.frame_id:04x} {direction} iops good")
-    out.events.append(
-        ProtocolEvent(
-            CYCLIC_DATA_GOOD,
-            "device",
-            cause,
-            subject_mac=conn.responder_mac,
-            connection_key=conn.key,
-        )
-    )
     data_event = INPUT_PROCESS_DATA_SENT if direction == "input" else OUTPUT_PROCESS_DATA_SENT
-    out.events.append(
-        ProtocolEvent(
-            data_event,
-            "connection",
-            cause,
-            subject_mac=conn.responder_mac,
-            connection_key=conn.key,
-        )
-    )
+    out.events.append(ProtocolEvent(CYCLIC_DATA_GOOD, "device", conn.responder_mac, cause))
+    out.events.append(ProtocolEvent(data_event, "connection", conn.key, cause))
     return out
 
 

@@ -289,8 +289,7 @@ def _parses(parse, text) -> bool:
 class PlannedEvent:
     event_name: str
     scope: str
-    subject_mac: str | None = None
-    connection_key: str | None = None
+    key: str | None = None  # as in ProtocolEvent: device MAC, connection key, None for the system
 
 
 @dataclass
@@ -755,7 +754,7 @@ class _Builder:
         request = _connect_blocks(
             ar, self.ctrl_mac, self.spec.controller.name, device.submodules, (input_fid, output_fid)
         )
-        events = _pair(CONNECT_REQUESTED, dev, key, "system")
+        events = _pair(CONNECT_REQUESTED, dev)
         plan = self._cm_pair(device, RPC_OPNUM_CONNECT, "connect", request, response, events)
         plan.new_connections.append(key)
 
@@ -810,7 +809,7 @@ class _Builder:
             control_block(BLOCK_CCONTROL_REQ, ar, 0x0002),
             control_block(BLOCK_CCONTROL_RES, ar, 0x0008),
             _pair(APPLICATION_READY, dev, key),
-            [_device_event(CONNECTION_CONFIRMED, dev, key)],
+            [_device_event(CONNECTION_CONFIRMED, dev)],
             request_from_device=True,
         )
 
@@ -830,8 +829,8 @@ class _Builder:
                     encode_pnio(src, dst, fid, c_sdu, cycle),
                     f"pnio {direction} {device.name} round {round_index}",
                     [
-                        _device_event(CYCLIC_DATA_GOOD, dev, key),
-                        PlannedEvent(data_event, "connection", mac_to_str(dev), key),
+                        _device_event(CYCLIC_DATA_GOOD, dev),
+                        PlannedEvent(data_event, "connection", key),
                     ],
                 )
 
@@ -908,7 +907,7 @@ class _Builder:
             attacker, dev, "192.168.0.250", device.ip, RPC_PTYPE_REQUEST, RPC_OPNUM_CONNECT,
             activity, 0x7FFF, blocks,
         )
-        events = _pair(CONNECT_REQUESTED, dev, key, "system")
+        events = _pair(CONNECT_REQUESTED, dev)
         return [FramePlan(frame, f"attack rogue connect {device.name}", events, [key])]
 
 
@@ -916,13 +915,13 @@ class _Builder:
 _WAKE_UP = PlannedEvent(PN_TRAFFIC_DETECTED, "system")
 
 
-def _device_event(event: str, mac: bytes, key: str | None = None) -> PlannedEvent:
-    return PlannedEvent(event, "device", mac_to_str(mac), key)
+def _device_event(event: str, mac: bytes) -> PlannedEvent:
+    return PlannedEvent(event, "device", mac_to_str(mac))
 
 
-def _pair(event: str, mac: bytes, key: str, scope: str = "connection") -> list[PlannedEvent]:
-    """The same event for the device and for its connection (or for the system)."""
-    return [_device_event(event, mac, key), PlannedEvent(event, scope, mac_to_str(mac), key)]
+def _pair(event: str, mac: bytes, key: str | None = None) -> list[PlannedEvent]:
+    """The same event for the device and for its connection, or for the system without a key."""
+    return [_device_event(event, mac), PlannedEvent(event, "connection" if key else "system", key)]
 
 
 def _connect_blocks(
@@ -986,22 +985,13 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
     for plan in frames:
         ts = plan.ts
         for key in plan.new_connections:
-            fleet.ensure_connection(key)
+            fleet.ensure("connection", key)
         for planned in plan.events:
             wake_up = planned.event_name == PN_TRAFFIC_DETECTED
             if wake_up and fleet.system.current_state not in WAKE_UP_STATES:
                 continue
             cause = FrameRef(plan.index, "synth", plan.label)
-            fleet.fire(
-                ProtocolEvent(
-                    planned.event_name,
-                    planned.scope,
-                    cause,
-                    subject_mac=planned.subject_mac,
-                    connection_key=planned.connection_key,
-                ),
-                ts,
-            )
+            fleet.fire(ProtocolEvent(planned.event_name, planned.scope, planned.key, cause), ts)
 
     final_states = {
         "system": fleet.system.current_state,
@@ -1009,23 +999,13 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
         "connections": {key: inst.current_state for key, inst in sorted(fleet.connections.items())},
     }
 
-    def subject_of(plan: FramePlan) -> str | None:
-        for planned in plan.events:
-            if planned.scope == "device" and planned.subject_mac is not None:
-                return planned.subject_mac
-            if planned.scope == "connection" and planned.connection_key:
-                return planned.connection_key
-            if planned.scope == "system":
-                return spec.system_name
-        return None
-
     return {
         "system_name": spec.system_name,
         "frames": [
             {
                 "index": plan.index,
                 "event": plan.events[0].event_name if plan.events else None,
-                "subject": subject_of(plan),
+                "subject": (plan.events[0].key or spec.system_name) if plan.events else None,
             }
             for plan in frames
         ],

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem, span_seconds
 from .dissect import MalformedFrame, IoDataSpec, ParsedFrame, dissect
-from .fsm import FrameRef, FsmInstance, TransitionRecord
+from .fsm import FrameRef, FsmDefinition, FsmInstance, TransitionRecord
 from .inventory import AssetInventory
 from .models import (
     ALL_CONNECTIONS_ESTABLISHED,
@@ -109,28 +109,29 @@ class FsmFleet:
         self.system = FsmInstance(system_fsm_table(), system_name)
         self.devices: dict[str, FsmInstance] = {}
         self.connections: dict[str, FsmInstance] = {}
+        # Each keyed scope's live instances and the machine they run.
+        self._scopes: dict[str, tuple[dict[str, FsmInstance], FsmDefinition]] = {
+            "device": (self.devices, device_fsm_table()),
+            "connection": (self.connections, connection_fsm_table()),
+        }
         self._all_established_fired = False
 
-    def ensure_device(self, mac: str) -> FsmInstance:
-        instance = self.devices.get(mac)
+    def ensure(self, scope: str, key: str | None) -> FsmInstance:
+        """The instance at (scope, key), created on first use; the system ignores its key."""
+        if scope == "system":
+            return self.system
+        instances, definition = self._scopes[scope]
+        instance = instances.get(key)
         if instance is None:
-            instance = self.devices[mac] = FsmInstance(device_fsm_table(), mac)
+            instance = instances[key] = FsmInstance(definition, key)
         return instance
 
-    def ensure_connection(self, key: str) -> FsmInstance:
-        instance = self.connections.get(key)
-        if instance is None:
-            instance = self.connections[key] = FsmInstance(connection_fsm_table(), key)
-        return instance
-
-    def state_of(self, kind: str, key: str) -> str:
+    def state_of(self, scope: str, key: str) -> str:
         """An instance's current state; its machine's initial state if it does not exist yet."""
-        if kind == "system":
+        if scope == "system":
             return self.system.current_state
-        if kind == "device":
-            instance, definition = self.devices.get(key), device_fsm_table()
-        else:
-            instance, definition = self.connections.get(key), connection_fsm_table()
+        instances, definition = self._scopes[scope]
+        instance = instances.get(key)
         return instance.current_state if instance else definition.initial_state
 
     def _fire(self, instance: FsmInstance, event: str, cause: FrameRef, ts: Timestamp) -> TransitionRecord:
@@ -154,15 +155,7 @@ class FsmFleet:
         return record
 
     def fire(self, event: ProtocolEvent, ts: Timestamp) -> TransitionRecord:
-        if event.scope == "system":
-            instance = self.system
-        elif event.scope == "device":
-            assert event.subject_mac is not None
-            instance = self.ensure_device(event.subject_mac)
-        else:
-            assert event.connection_key is not None
-            instance = self.ensure_connection(event.connection_key)
-        record = self._fire(instance, event.event_name, event.cause, ts)
+        record = self._fire(self.ensure(event.scope, event.key), event.event_name, event.cause, ts)
         if event.scope == "connection" and record.verdict == "accepted":
             self._evaluate_all_established(event.cause, ts)
         return record
@@ -284,7 +277,7 @@ class Tracker(TrackContext):
 
     def _register_connection(self, reg: ConnectionRegistration, ts: Timestamp, cause: FrameRef) -> None:
         created = reg.key not in self.fleet.connections
-        instance = self.fleet.ensure_connection(reg.key)
+        instance = self.fleet.ensure("connection", reg.key)
         info = ConnectionInfo(reg.key, reg.responder_mac, instance)
         self._ar_registry[reg.ar_uuid] = info
         for frame_id, direction, specs in reg.frame_id_bindings:
@@ -369,7 +362,7 @@ class Tracker(TrackContext):
         # no event ever targets it (e.g. a quiet attacker). LLDP needs no case here: its
         # detect_neighbours event always targets the frame's subject.
         if parsed.protocol in ("pn-dcp", "pn-cm", "pnio"):
-            self.fleet.ensure_device(parsed.envelope.src_mac)
+            self.fleet.ensure("device", parsed.envelope.src_mac)
 
     def _expire_deferred(self, ts: Timestamp, current_index: int | None = None) -> None:
         """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index."""

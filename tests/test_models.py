@@ -310,7 +310,7 @@ def test_derive_set_name_ufo_targets_bound_device():
     ctx = FakeContext()
     parsed = dissect(raw(dcp_set_name_request(CTRL, DEV, 5, "ufo"), index=9))
     derived = derive_events(parsed, ctx)
-    assert [(e.event_name, e.scope, e.subject_mac) for e in derived.events] == [
+    assert [(e.event_name, e.scope, e.key) for e in derived.events] == [
         (NAME_SET_REQUESTED, "device", DEV_MAC)
     ]
     assert derived.events[0].cause.summary == "dcp set name-of-station 'ufo'"
@@ -325,7 +325,7 @@ def test_derive_first_lldp_wakes_system():
         (DETECT_NEIGHBOURS, "device"),
         (PN_TRAFFIC_DETECTED, "system"),
     ]
-    assert derived.events[0].subject_mac == DEV_MAC  # chassis MAC, not the port MAC
+    assert derived.events[0].key == DEV_MAC  # chassis MAC, not the port MAC
 
 
 def test_derive_lldp_gated_after_startup():
@@ -350,7 +350,7 @@ def test_derive_pnio_good_output():
         (CYCLIC_DATA_GOOD, "device"),
         (OUTPUT_PROCESS_DATA_SENT, "connection"),
     ]
-    assert derived.events[0].subject_mac == DEV_MAC
+    assert derived.events[0].key == DEV_MAC
 
 
 def test_derive_pnio_orphan_frame_id():
@@ -385,7 +385,7 @@ def test_derive_identify_unknown_name_defers_then_replays():
     ctx.deferred.append(derived.new_deferral)
     response = dissect(raw(dcp_identify_response(DEV, CTRL, 3, "lift-motor"), index=5))
     replayed = derive_events(response, ctx)
-    assert [(e.event_name, e.subject_mac) for e in replayed.events] == [
+    assert [(e.event_name, e.key) for e in replayed.events] == [
         (NAME_RESOLUTION_REQUESTED, DEV_MAC),
         (NAME_RESOLVED, DEV_MAC),
     ]
