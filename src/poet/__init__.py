@@ -6,7 +6,7 @@ and anomaly alerts for protocol events that violate valid operation
 transitions.
 """
 
-from .capture import CaptureError, CaptureStats, RawFrame, frame_stream_stats, open_capture
+from .capture import CaptureError, RawFrame, open_capture
 from .dissect import (
     IoDataSpec,
     MalformedFrame,
@@ -34,7 +34,6 @@ __all__ = [
     "AssetInventory",
     "AssetRecord",
     "CaptureError",
-    "CaptureStats",
     "FsmDefinition",
     "FsmInstance",
     "IoDataSpec",
@@ -54,7 +53,6 @@ __all__ = [
     "dissect",
     "extract_io_specs",
     "extract_process_data",
-    "frame_stream_stats",
     "fuzz_corpus",
     "open_capture",
     "process_capture",

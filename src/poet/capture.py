@@ -3,7 +3,9 @@
 Streams are plain generators. A stream item is either a RawFrame or, when the
 file breaks mid-record, a single CaptureError diagnostic followed by end of
 stream. Frames are yielded strictly in record order; timestamps come from the
-capture records and are never reordered.
+capture records and are never reordered. Only the Ethernet link type is read:
+a pcap of another link type is refused when opened, and a pcapng packet on a
+non-Ethernet or undeclared interface is one CaptureError.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 # pcap global header: magic(4) vmaj(2) vmin(2) thiszone(4) sigfigs(4) snaplen(4) network(4)
 PCAP_MAGIC_US_LE = 0xA1B2C3D4
@@ -25,6 +27,7 @@ PCAPNG_IDB = 0x00000001
 PCAPNG_EPB = 0x00000006
 PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
 
+LINKTYPE_ETHERNET = 1
 MIN_ETHERNET_FRAME = 14
 # libpcap's largest snapshot length. A longer declared record or block is
 # rejected before it is read, so a hostile length field cannot make the
@@ -48,10 +51,6 @@ class RawFrame:
     capture_index: int
     source_id: str
 
-    @property
-    def timestamp(self) -> float:
-        return self.ts_sec + self.ts_nsec / 1_000_000_000
-
 
 @dataclass(frozen=True)
 class CaptureError:
@@ -66,19 +65,13 @@ class CaptureError:
 StreamItem = Union[RawFrame, CaptureError]
 
 
-@dataclass(frozen=True)
-class CaptureStats:
-    frames: int
-    bytes: int
-    span_seconds: float
-
-
 def open_capture(path: str | os.PathLike, source_id: str | None = None) -> Iterator[StreamItem]:
     """Open a pcap or pcapng file and return its frame stream.
 
-    The container header is validated eagerly; an unknown magic number raises
-    CaptureFormatError and an unreadable path raises OSError. Truncation later
-    in the file yields one CaptureError item and ends the stream.
+    The container header is validated eagerly; an unknown magic number or a
+    pcap link type other than Ethernet raises CaptureFormatError and an
+    unreadable path raises OSError. Truncation later in the file yields one
+    CaptureError item and ends the stream.
     """
     label = source_id if source_id is not None else str(path)
     f = open(path, "rb")
@@ -104,6 +97,9 @@ def _iter_pcap(f, label: str, endian: str, nanosecond: bool) -> Iterator[StreamI
         rest = f.read(20)
         if len(rest) < 20:
             raise CaptureFormatError(f"{label}: truncated pcap global header")
+        link_type = struct.unpack(endian + "I", rest[16:20])[0] & 0xFFFF
+        if link_type != LINKTYPE_ETHERNET:
+            raise CaptureFormatError(f"{label}: pcap link type {link_type} is not Ethernet")
     except BaseException:
         f.close()
         raise
@@ -169,7 +165,7 @@ def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
     def gen() -> Iterator[StreamItem]:
         index = 0
         endian = "<"
-        tsresol: list[int] = []
+        interfaces: list[tuple[int, int]] = []  # (link type, timestamp divisor) per IDB
         f.seek(0)
         try:
             while True:
@@ -202,7 +198,7 @@ def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
                     if len(body) < total_len - 12:
                         yield CaptureError(label, offset, index, "truncated section block")
                         return
-                    tsresol = []
+                    interfaces = []
                     continue
                 total_len = struct.unpack(endian + "I", head[4:8])[0]
                 if total_len < 12 or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
@@ -217,8 +213,9 @@ def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
                     if len(content) < 8:
                         yield CaptureError(label, offset, index, "short interface block")
                         return
+                    link_type = struct.unpack(endian + "H", content[:2])[0]
                     opts = _pcapng_options(content[8:], endian)
-                    tsresol.append(_tsresol_divisor(opts.get(9, b"\x06")))
+                    interfaces.append((link_type, _tsresol_divisor(opts.get(9, b"\x06"))))
                 elif block_type == PCAPNG_EPB:
                     if len(content) < 20:
                         yield CaptureError(label, offset, index, "short packet block")
@@ -230,13 +227,17 @@ def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
                     if len(data) < cap_len:
                         yield CaptureError(label, offset, index, "truncated packet data")
                         return
-                    divisor = tsresol[iface] if iface < len(tsresol) else 1_000_000
-                    ticks = (ts_high << 32) | ts_low
-                    ts_sec, frac = divmod(ticks, divisor)
-                    ts_nsec = frac * 1_000_000_000 // divisor
-                    if cap_len < MIN_ETHERNET_FRAME:
+                    if iface >= len(interfaces):
+                        yield CaptureError(label, offset, index, f"packet on undeclared interface {iface}")
+                    elif interfaces[iface][0] != LINKTYPE_ETHERNET:
+                        reason = f"interface {iface} link type {interfaces[iface][0]} is not Ethernet"
+                        yield CaptureError(label, offset, index, reason)
+                    elif cap_len < MIN_ETHERNET_FRAME:
                         yield CaptureError(label, offset, index, f"runt frame ({cap_len} bytes)")
                     else:
+                        divisor = interfaces[iface][1]
+                        ts_sec, frac = divmod((ts_high << 32) | ts_low, divisor)
+                        ts_nsec = frac * 1_000_000_000 // divisor
                         yield RawFrame(ts_sec, ts_nsec, data, index, label)
                     index += 1
                 # Every other block type is skipped silently.
@@ -245,26 +246,3 @@ def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
 
     return gen()
 
-
-def frame_stream_stats(stream: Iterable[StreamItem]) -> CaptureStats:
-    """Consume a stream and count its frames; diagnostics are skipped."""
-    frames = 0
-    total = 0
-    first: tuple[int, int] | None = None
-    last: tuple[int, int] | None = None
-    for item in stream:
-        if not isinstance(item, RawFrame):
-            continue
-        frames += 1
-        total += len(item.frame_bytes)
-        if first is None:
-            first = (item.ts_sec, item.ts_nsec)
-        last = (item.ts_sec, item.ts_nsec)
-    return CaptureStats(frames=frames, bytes=total, span_seconds=span_seconds(first, last, frames))
-
-
-def span_seconds(first: tuple[int, int] | None, last: tuple[int, int] | None, frames: int) -> float:
-    """Seconds from the first to the last frame; 0.0 with fewer than two frames."""
-    if frames <= 1 or first is None or last is None:
-        return 0.0
-    return (last[0] - first[0]) + (last[1] - first[1]) / 1_000_000_000

@@ -90,6 +90,8 @@ BROADCAST = b"\xff" * 6
 ATTACKER_MAC = "02:66:6e:00:00:99"
 MIN_FRAME = 60  # Ethernet minimum without FCS
 PNIO_MIN_CSDU = 40
+LLDP_MAX_TLV_VALUE = 0x1FF  # an LLDP TLV's length field is 9 bits
+MAX_IPV4_DATAGRAM = 0xFFFF
 
 GOOD = 0x80
 DATA_STATUS_RUN = 0x35
@@ -150,8 +152,12 @@ class ScenarioSpec:
                 raise ScenarioError(f"bad MAC {node.mac!r} in scenario")
             if not _parses(str_to_ip, node.ip):
                 raise ScenarioError(f"bad IP {node.ip!r} in scenario")
-            if not isinstance(node.name, str) or not node.name:
+            if not isinstance(node.name, str) or not node.name or not _parses(str.encode, node.name):
                 raise ScenarioError(f"bad station name {node.name!r} in scenario")
+            if len(node.name.encode()) > LLDP_MAX_TLV_VALUE:
+                raise ScenarioError(
+                    f"station name {node.name[:32]!r}... is longer than {LLDP_MAX_TLV_VALUE} bytes"
+                )
             for sub in node.submodules:
                 numbers_ok = all(
                     isinstance(v, int) and 0 <= v <= 0xFFFF for v in (sub.slot, sub.subslot, sub.length)
@@ -161,6 +167,14 @@ class ScenarioSpec:
             for direction in ("input", "output"):
                 if cr_data_length(direction, node.submodules) > 0xFFFF:
                     raise ScenarioError(f"{direction} data of {node.name!r} exceeds 65535 bytes")
+        ctrl, ar = self.controller, uuid.UUID(int=0)
+        for device in self.devices:
+            # Encode each Connect request once: a block or datagram that is too long raises.
+            try:
+                blocks = _connect_blocks(ar, str_to_mac(ctrl.mac), ctrl.name, device.submodules, (0, 0))
+                encode_cm(b"", b"", ctrl.ip, device.ip, RPC_PTYPE_REQUEST, RPC_OPNUM_CONNECT, ar, 0, blocks)
+            except ValueError as exc:
+                raise ScenarioError(f"connect request of {device.name!r}: {exc}") from None
         for key, (low, high) in _SPEC_RANGES.items():
             value = getattr(self, key)
             if not low <= value <= high:
@@ -272,7 +286,7 @@ def _array(doc: dict, key: str) -> list:
 
 
 def _parses(parse, text) -> bool:
-    """Whether text is a string that parse (str_to_mac or str_to_ip) accepts."""
+    """Whether text is a string that parse (str_to_mac, str_to_ip or str.encode) accepts."""
     if not isinstance(text, str):
         return False
     try:
@@ -331,6 +345,8 @@ def ethernet(dst: bytes, src: bytes, ethertype: int, payload: bytes, pad_to: int
 
 
 def _lldp_tlv(tlv_type: int, value: bytes) -> bytes:
+    if len(value) > LLDP_MAX_TLV_VALUE:
+        raise ValueError(f"lldp tlv {tlv_type} value of {len(value)} bytes exceeds {LLDP_MAX_TLV_VALUE}")
     return struct.pack(">H", (tlv_type << 9) | len(value)) + value
 
 
@@ -438,6 +454,8 @@ def _ipv4_checksum(header: bytes) -> int:
 
 
 def _cm_block(block_type: int, content: bytes) -> bytes:
+    if len(content) + 2 > 0xFFFF:
+        raise ValueError(f"pn-cm block 0x{block_type:04x} of {len(content) + 2} bytes exceeds 65535")
     return struct.pack(">HH", block_type, len(content) + 2) + b"\x01\x00" + content
 
 
@@ -471,6 +489,8 @@ def encode_cm(
     rpc += struct.pack("<IIIHHHHHBB", 0, 1, seq, opnum, 0xFFFF, 0xFFFF, len(args), 0, 0, 0)
     udp = struct.pack(">HHHH", PNIO_CM_UDP_PORT, PNIO_CM_UDP_PORT, 8 + len(rpc) + len(args), 0)
     total_len = 20 + 8 + len(rpc) + len(args)
+    if total_len > MAX_IPV4_DATAGRAM:
+        raise ValueError(f"pn-cm datagram of {total_len} bytes exceeds one IPv4 datagram")
     ip_header = struct.pack(
         ">BBHHHBBH4s4s",
         0x45,
@@ -1072,7 +1092,7 @@ def fuzz_corpus(seed: int, count: int) -> list[bytes]:
     if count <= 0:
         raise ValueError("count must be positive")
     rng = random.Random(seed)
-    pool = [plan.data for plan in synthesize(_fuzz_base_spec()).frames]
+    pool = [plan.data for plan in synthesize(normal_startup_spec(1, cyclic_rounds=2)).frames]
     corpus: list[bytes] = []
     for _ in range(count):
         kind = rng.randrange(3)
@@ -1088,21 +1108,6 @@ def fuzz_corpus(seed: int, count: int) -> list[bytes]:
                 frame[bit // 8] ^= 1 << (bit % 8)
             corpus.append(bytes(frame))
     return corpus
-
-
-def _fuzz_base_spec() -> ScenarioSpec:
-    return ScenarioSpec(
-        controller=NodeSpec("02:00:00:00:01:00", "plc-1", "192.168.0.1"),
-        devices=(
-            NodeSpec(
-                "02:00:00:00:02:00",
-                "lift-motor",
-                "192.168.0.11",
-                (SubmoduleSpec(1, 1, "input", 2), SubmoduleSpec(2, 1, "output", 3)),
-            ),
-        ),
-        cyclic_rounds=2,
-    )
 
 
 # --- Builtin scenarios ------------------------------------------------------------

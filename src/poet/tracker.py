@@ -16,7 +16,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
-from .capture import CaptureError, RawFrame, StreamItem, span_seconds
+from .capture import CaptureError, RawFrame, StreamItem
 from .dissect import MalformedFrame, IoDataSpec, ParsedFrame, dissect
 from .fsm import FrameRef, FsmDefinition, FsmInstance, TransitionRecord
 from .inventory import AssetInventory
@@ -448,6 +448,13 @@ def _state_entry(key_field: str, instance: FsmInstance) -> dict:
         "state": state,
         "operation": instance.definition.operation_for(state),
     }
+
+
+def span_seconds(first: Timestamp | None, last: Timestamp | None, frames: int) -> float:
+    """Seconds from the first to the last frame; 0.0 with fewer than two frames."""
+    if frames <= 1 or first is None or last is None:
+        return 0.0
+    return (last[0] - first[0]) + (last[1] - first[1]) / 1_000_000_000
 
 
 def process_capture(stream: Iterable[StreamItem], config: TrackerConfig | None = None) -> TrackerReport:

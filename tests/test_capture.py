@@ -14,10 +14,10 @@ from poet.capture import (
     CaptureError,
     CaptureFormatError,
     RawFrame,
-    frame_stream_stats,
     open_capture,
 )
 from poet.synth import write_pcap_bytes, write_pcapng_bytes
+from poet.tracker import process_capture
 
 FRAME = bytes(range(64))  # arbitrary 64-byte frame
 
@@ -167,14 +167,14 @@ def test_order_preserved_for_non_monotonic_timestamps(tmp_path):
 
 
 def test_stats_empty_stream():
-    stats = frame_stream_stats([])
-    assert (stats.frames, stats.bytes, stats.span_seconds) == (0, 0, 0.0)
+    summary = process_capture([]).summary
+    assert (summary["frames"], summary["bytes"], summary["span_seconds"]) == (0, 0, 0.0)
 
 
 def test_stats_single_frame():
     frame = RawFrame(5, 0, b"\x00" * 60, 0, "x")
-    stats = frame_stream_stats([frame])
-    assert (stats.frames, stats.bytes, stats.span_seconds) == (1, 60, 0.0)
+    summary = process_capture([frame]).summary
+    assert (summary["frames"], summary["bytes"], summary["span_seconds"]) == (1, 60, 0.0)
 
 
 def test_stats_span_three_frames(tmp_path):
@@ -182,18 +182,46 @@ def test_stats_span_three_frames(tmp_path):
     frames = [((100, 0), FRAME), ((100, 500_000_000), FRAME), ((102, 0), FRAME)]
     path = tmp_path / "span.pcap"
     path.write_bytes(write_pcap_bytes(frames))
-    stats = frame_stream_stats(open_capture(path))
-    assert stats.frames == 3
-    assert stats.bytes == 3 * len(FRAME)
-    assert stats.span_seconds == 2.0
+    items = list(open_capture(path))
+    assert [((i.ts_sec, i.ts_nsec), i.frame_bytes) for i in items] == frames
+    assert process_capture(items).summary["span_seconds"] == 2.0
 
 
 def test_stats_skips_diagnostics(tmp_path):
     data = write_pcap_bytes(_frames(2))
     path = tmp_path / "cut2.pcap"
     path.write_bytes(data[:-1])
-    stats = frame_stream_stats(open_capture(path))
-    assert stats.frames == 1
+    assert [type(i) for i in open_capture(path)] == [RawFrame, CaptureError]
+
+
+def test_pcap_non_ethernet_link_type_refused(tmp_path):
+    path = tmp_path / "cooked.pcap"
+    record = struct.pack("<IIII", 1, 0, len(FRAME), len(FRAME)) + FRAME
+    path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 113) + record)
+    with pytest.raises(CaptureFormatError, match="link type 113"):
+        open_capture(path)
+    # The upper 16 bits of the network field carry FCS information, not the link type.
+    path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 0x1 | 0x10000000) + record)
+    assert [i.frame_bytes for i in open_capture(path)] == [FRAME]
+
+
+def test_pcapng_packet_on_non_ethernet_interface_is_one_error(tmp_path):
+    def block(block_type: int, content: bytes) -> bytes:
+        total = 12 + len(content)
+        return struct.pack("<II", block_type, total) + content + struct.pack("<I", total)
+
+    data = block(0x0A0D0D0A, struct.pack("<IHHq", 0x1A2B3C4D, 1, 0, -1))
+    data += block(0x00000001, struct.pack("<HHI", 113, 0, 65535))  # interface 0: Linux cooked
+    data += block(0x00000001, struct.pack("<HHI", 1, 0, 65535))  # interface 1: Ethernet
+    for iface in (0, 1, 2):  # no block declares interface 2
+        data += block(0x00000006, struct.pack("<IIIII", iface, 0, 0, len(FRAME), len(FRAME)) + FRAME)
+    path = tmp_path / "mixed-link.pcapng"
+    path.write_bytes(data)
+    items = list(open_capture(path))
+    assert [type(i) for i in items] == [CaptureError, RawFrame, CaptureError]
+    assert [i.capture_index for i in items] == [0, 1, 2]
+    assert items[0].reason == "interface 0 link type 113 is not Ethernet"
+    assert items[2].reason == "packet on undeclared interface 2"
 
 
 # Runs in a child whose address space is capped at 1.5 GiB, so a reader that

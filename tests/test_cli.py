@@ -89,6 +89,12 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
             "devices": [_IO],
             "injections": [{"after_index": -3, "attack": "malformed"}],
         },
+        {"controller": _PLC, "devices": [{**_IO, "name": "n" * 600}]},
+        {"controller": _PLC, "devices": [{**_IO, "name": "io\ud800"}]},
+        {
+            "controller": _PLC,
+            "devices": [{**_IO, "submodules": [[1, i, "input", 1] for i in range(7000)]}],
+        },
     ],
     ids=[
         "duplicate-mac",
@@ -101,6 +107,9 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
         "start-time-negative",
         "submodule-length-70000",
         "after-index-negative",
+        "station-name-600",
+        "station-name-lone-surrogate",
+        "submodules-7000",
     ],
 )
 def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec):

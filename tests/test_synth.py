@@ -214,6 +214,12 @@ def test_fuzz_corpus_count_positive():
         fuzz_corpus(1, 0)
 
 
+def test_lldp_tlv_too_long_raises():
+    dev = str_to_mac("02:00:00:00:02:00")
+    with pytest.raises(ValueError, match="exceeds 511"):
+        encode_lldp(dev, dev, 20, "n" * 512)
+
+
 def test_bitflipped_ttl_zero_lldp_not_silent():
     dev = str_to_mac("02:00:00:00:02:00")
     port = str_to_mac("02:70:01:01:02:00")

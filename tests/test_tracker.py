@@ -20,10 +20,12 @@ from poet.synth import (
     BUILTIN_SCENARIOS,
     SynthResult,
     builtin_scenario,
+    cr_data_length,
     dcp_identify_request,
     dcp_identify_response,
     encode_lldp,
     fuzz_corpus,
+    iocr_block_request,
     normal_startup_spec,
     rename_attack_spec,
     rogue_connect_spec,
@@ -511,3 +513,50 @@ def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, in
         for a in report.anomalies
     )
     assert alerted == rejected
+
+
+def _logged_events(report, group: str, key: str) -> set[str]:
+    return {record["event"] for record in report.logs[group][key]}
+
+
+def test_inconsistent_connect_is_one_device_diagnostic(tmp_path):
+    """A Connect whose IOCR data length contradicts its submodules binds its CRs without specs."""
+    result = synthesize(normal_startup_spec(1))
+    device = result.spec.devices[0]
+    length = cr_data_length("input", device.submodules)
+    declared = iocr_block_request(1, 1, length, 0x8001)
+    (connect,) = [plan for plan in result.frames if plan.label.startswith("pn-cm connect request")]
+    assert connect.data.count(declared) == 1
+    contradicting = connect.data.replace(declared, iocr_block_request(1, 1, length + 1, 0x8001))
+    frames = [
+        RawFrame(*plan.ts, contradicting if plan is connect else plan.data, plan.index, "t")
+        for plan in result.frames
+    ]
+    key = next(iter(result.manifest["expected"]["final_states"]["connections"]))
+
+    intact = process_capture(RawFrame(*p.ts, p.data, p.index, "t") for p in result.frames)
+    assert "cyclic_data_good" in _logged_events(intact, "devices", device.mac)
+    report = process_capture(frames)
+    (diag,) = report.diagnostics
+    assert (diag.offending_event, diag.instance_kind, diag.instance_key) == (
+        "inconsistent_connect",
+        "device",
+        device.mac,
+    )
+    assert diag.cause.capture_index == connect.index
+    assert "cyclic_data_good" not in _logged_events(report, "devices", device.mac)
+    connection_events = _logged_events(report, "connections", key)
+    assert not connection_events & {"input_process_data_sent", "output_process_data_sent"}
+
+
+def test_lldp_ttl_zero_is_one_system_diagnostic():
+    frame = encode_lldp(str_to_mac("02:00:00:00:02:00"), str_to_mac("02:70:01:01:02:00"), 0, "lift-motor")
+    report = process_capture([RawFrame(1, 0, frame, 0, "t")])
+    (diag,) = report.diagnostics
+    assert (diag.offending_event, diag.instance_kind, diag.instance_key) == (
+        "protocol_rule_violation",
+        "system",
+        "poet-system",
+    )
+    assert (diag.cause.protocol, diag.cause.summary) == ("lldp", "ttl-zero")
+    assert report.anomalies == []
