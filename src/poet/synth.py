@@ -54,6 +54,7 @@ from .dissect import (
     UUID_IO_CONTROLLER,
     UUID_IO_DEVICE,
     mac_to_str,
+    name_of_station_violations,
     str_to_ip,
     str_to_mac,
 )
@@ -152,12 +153,11 @@ class ScenarioSpec:
                 raise ScenarioError(f"bad MAC {node.mac!r} in scenario")
             if not _parses(str_to_ip, node.ip):
                 raise ScenarioError(f"bad IP {node.ip!r} in scenario")
-            if not isinstance(node.name, str) or not node.name or not _parses(str.encode, node.name):
+            if not isinstance(node.name, str):
                 raise ScenarioError(f"bad station name {node.name!r} in scenario")
-            if len(node.name.encode()) > LLDP_MAX_TLV_VALUE:
-                raise ScenarioError(
-                    f"station name {node.name[:32]!r}... is longer than {LLDP_MAX_TLV_VALUE} bytes"
-                )
+            violations = name_of_station_violations(node.name)
+            if violations:
+                raise ScenarioError(f"station name {node.name[:64]!r} breaks {', '.join(violations)}")
             for sub in node.submodules:
                 numbers_ok = all(
                     isinstance(v, int) and 0 <= v <= 0xFFFF for v in (sub.slot, sub.subslot, sub.length)
@@ -201,6 +201,11 @@ class ScenarioSpec:
             if injection.attack in ("rename", "rogue_connect"):
                 if injection.target not in [d.name for d in self.devices]:
                     raise ScenarioError(f"injection target {injection.target!r} not a device")
+            if injection.attack == "rename":
+                try:
+                    dcp_set_name_request(b"", b"", 0, injection.new_name or "")
+                except ValueError as exc:
+                    raise ScenarioError(f"rename of {injection.target!r}: {exc}") from None
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
@@ -286,7 +291,7 @@ def _array(doc: dict, key: str) -> list:
 
 
 def _parses(parse, text) -> bool:
-    """Whether text is a string that parse (str_to_mac, str_to_ip or str.encode) accepts."""
+    """Whether text is a string that parse (str_to_mac or str_to_ip) accepts."""
     if not isinstance(text, str):
         return False
     try:
@@ -391,6 +396,8 @@ def encode_arp(
 
 def _dcp_block(option: int, suboption: int, qualifier: int | None, payload: bytes) -> bytes:
     body = (struct.pack(">H", qualifier) if qualifier is not None else b"") + payload
+    if len(body) > 0xFFFF:
+        raise ValueError(f"dcp block body of {len(body)} bytes exceeds 65535")
     block = bytes([option, suboption]) + struct.pack(">H", len(body)) + body
     if len(body) % 2:
         block += b"\x00"
@@ -406,6 +413,8 @@ def encode_dcp(
     xid: int,
     blocks: bytes,
 ) -> bytes:
+    if len(blocks) > 0xFFFF:
+        raise ValueError(f"dcp data of {len(blocks)} bytes exceeds 65535")
     payload = struct.pack(">HBBIHH", frame_id, service_id, service_type, xid, 0, len(blocks))
     return ethernet(dst, src, ETHERTYPE_PROFINET, payload + blocks)
 

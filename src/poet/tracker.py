@@ -14,7 +14,9 @@ import json
 import uuid
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Any, Callable, Iterable, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem
 from .dissect import MalformedFrame, IoDataSpec, ParsedFrame, dissect
@@ -196,7 +198,21 @@ class TrackerReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        """The report as JSON with sorted keys and a two-space indent, plus a newline.
+
+        The bytes are those of `json.dumps(self.to_json(), sort_keys=True, indent=2)`,
+        but each alert and log record is one %-template fill into a flat chunk
+        list joined once, since the indenting encoder is pure Python.
+        """
+        templates: dict = {}
+        out = ['{\n  "alerts": ']
+        _write_records(out, templates, [a.to_json() for a in self.alerts], "  ", _alert_leaves)
+        for name in ("final_states", "inventory"):
+            out.append(f',\n  "{name}": ' + _dumps_small(getattr(self, name), "  "))
+        out.append(',\n  "logs": ')
+        _write_logs(out, templates, self.logs, "  ")
+        out.append(',\n  "summary": ' + _dumps_small(self.summary, "  ") + "\n}\n")
+        return "".join(out)
 
     @property
     def anomalies(self) -> list[AnomalyAlert]:
@@ -439,6 +455,109 @@ class Tracker(TrackContext):
             alerts=list(self.alerts),
             logs=logs,
         )
+
+
+def _dumps_small(doc: Any, pad: str) -> str:
+    """`doc` as sorted-key, two-space indented JSON starting at indent `pad`.
+
+    A JSON string never holds a raw newline, so every newline starts a line.
+    """
+    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+def _layout(doc: Any, pad: str) -> str:
+    """`doc` laid out as `json.dumps(sort_keys=True, indent=2)` lays it out at indent `pad`.
+
+    Every leaf is a %s slot, in sorted-key order.
+    """
+    if isinstance(doc, (dict, list)) and doc:
+        inner = pad + "  "
+        if isinstance(doc, dict):
+            items = [
+                _encode_str(key).replace("%", "%%") + ": " + _layout(value, inner)
+                for key, value in sorted(doc.items())
+            ]
+            opening, closing = "{", "}"
+        else:
+            items = [_layout(value, inner) for value in doc]
+            opening, closing = "[", "]"
+        return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
+    return "%s"
+
+
+def _write_records(
+    out: list[str], templates: dict, records: list[dict], pad: str, leaves: Callable[[dict], tuple]
+) -> None:
+    """Append a JSON list of same-layout records at indent `pad`.
+
+    `leaves` gives a record's encoded leaves in sorted-key order, the order of
+    the %s slots in the template laid out from the first record. The template
+    is built once per layout and depth.
+    """
+    if not records:
+        out.append("[]")
+        return
+    template = templates.get((leaves, pad))
+    if template is None:
+        inner = pad + "  "
+        template = templates[(leaves, pad)] = ",\n" + inner + _layout(records[0], inner)
+    out.append("[" + template[1:] % leaves(records[0]))  # the first record has no comma
+    out += map(template.__mod__, map(leaves, islice(records, 1, None)))
+    out.append("\n" + pad + "]")
+
+
+def _write_logs(out: list[str], templates: dict, logs: dict, pad: str) -> None:
+    """Append `logs`, a dict of transition record lists or of such dicts, at indent `pad`."""
+    if not logs:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    separator = "{\n" + inner
+    for key, value in sorted(logs.items()):
+        out.append(separator + _encode_str(key) + ": ")
+        if isinstance(value, dict):
+            _write_logs(out, templates, value, inner)
+        else:
+            _write_records(out, templates, value, inner, _transition_leaves)
+        separator = ",\n" + inner
+    out.append("\n" + pad + "}")
+
+
+def _transition_leaves(record: dict) -> tuple:
+    # A transition record's leaves in sorted-key order; see TransitionRecord.to_json.
+    cause = record["cause"]
+    timestamp = record["timestamp"]
+    to_state = record["to_state"]
+    return (
+        cause["capture_index"],
+        _encode_str(cause["protocol"]),
+        _encode_str(cause["summary"]),
+        _encode_str(record["event"]),
+        _encode_str(record["from_state"]),
+        timestamp[0],
+        timestamp[1],
+        "null" if to_state is None else _encode_str(to_state),
+        _encode_str(record["verdict"]),
+    )
+
+
+def _alert_leaves(alert: dict) -> tuple:
+    # An alert's leaves in sorted-key order; see AnomalyAlert.to_json.
+    cause = alert["cause"]
+    timestamp = alert["timestamp"]
+    return (
+        cause["capture_index"],
+        _encode_str(cause["protocol"]),
+        _encode_str(cause["summary"]),
+        _encode_str(alert["explanation"]),
+        _encode_str(alert["instance_key"]),
+        _encode_str(alert["instance_kind"]),
+        _encode_str(alert["offending_event"]),
+        _encode_str(alert["severity"]),
+        _encode_str(alert["state_at_event"]),
+        timestamp[0],
+        timestamp[1],
+    )
 
 
 def _state_entry(key_field: str, instance: FsmInstance) -> dict:

@@ -95,6 +95,14 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
             "controller": _PLC,
             "devices": [{**_IO, "submodules": [[1, i, "input", 1] for i in range(7000)]}],
         },
+        {"controller": {**_PLC, "name": "Lift_Motor"}, "devices": [_IO]},
+        {"controller": _PLC, "devices": [{**_IO, "name": "a" * 241}]},
+        {"controller": _PLC, "devices": [{**_IO, "name": "-lift"}]},
+        {
+            "controller": _PLC,
+            "devices": [_IO],
+            "injections": [{"after_index": 0, "attack": "rename", "target": "io", "new_name": "n" * 70000}],
+        },
     ],
     ids=[
         "duplicate-mac",
@@ -110,6 +118,10 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
         "station-name-600",
         "station-name-lone-surrogate",
         "submodules-7000",
+        "station-name-Lift_Motor",
+        "station-name-241",
+        "station-name--lift",
+        "rename-new-name-70000",
     ],
 )
 def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec):

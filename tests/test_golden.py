@@ -108,7 +108,9 @@ def test_golden_report_and_alerts(name, tmp_path):
     path.write_bytes(synthesize(BUILTIN_SCENARIOS[name]()).pcap_bytes)
     sink = io.StringIO()
     report = Tracker(TrackerConfig(alert_sink=sink)).process(open_capture(path))
-    assert (_sha256(report.dumps()), _sha256(sink.getvalue())) == GOLDEN[name]
+    text = report.dumps()
+    assert text == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    assert (_sha256(text), _sha256(sink.getvalue())) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SYNTH))

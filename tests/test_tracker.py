@@ -6,6 +6,7 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import poet
 from poet.capture import RawFrame, open_capture
 from poet.dissect import str_to_mac
-from poet.fsm import fold_log
+from poet.fsm import FrameRef, FsmInstance, fold_log
 from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
 from poet.synth import (
     BUILTIN_SCENARIOS,
@@ -32,7 +33,7 @@ from poet.synth import (
     synthesize,
     write_pcap_bytes,
 )
-from poet.tracker import AnomalyAlert, Tracker, TrackerConfig, process_capture
+from poet.tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport, process_capture
 
 
 def run(result: SynthResult, tmp_path, name="cap", config: TrackerConfig | None = None):
@@ -513,6 +514,48 @@ def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, in
         for a in report.anomalies
     )
     assert alerted == rejected
+    assert report.dumps() == _oracle_dumps(report)
+
+
+def _oracle_dumps(report: TrackerReport) -> str:
+    """The report through the stdlib's indenting encoder, which dumps() must match byte for byte."""
+    return json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_matches_json_on_hostile_strings():
+    hostile = 'caf\u00e9 "q" back\\slash \x00\x1f\x7f tab\t nl\n \ud800 % %s \u2603'
+    cause = FrameRef(7, hostile, hostile)
+    device = FsmInstance(device_fsm_table(), hostile)
+    device.fire("name_set_requested", cause, (1, 2))  # rejected in the initial state: to_state null
+    device.fire("detect_neighbours", cause, (3, 4))
+    assert [r.verdict for r in device.log] == ["rejected", "accepted"]
+    alert = AnomalyAlert((5, 6), "device", hostile, hostile, hostile, cause, hostile, "anomaly")
+    report = TrackerReport(
+        summary={"system_name": hostile, hostile: 1.5, "frames": 0},
+        final_states={"system": {"key": hostile}, "devices": [], "connections": []},
+        inventory={hostile: {hostile: [hostile, None, 3]}},
+        alerts=[alert, alert],
+        logs={
+            "system": [],
+            "devices": {hostile: device.export_log(), "\u00e9": [], "": device.export_log()},
+            "connections": {},
+        },
+    )
+    assert report.dumps() == _oracle_dumps(report)
+    empty = TrackerReport({}, {}, {}, [], {"system": [], "devices": {}, "connections": {}})
+    assert empty.dumps() == _oracle_dumps(empty)
+
+
+def test_dumps_peak_memory_is_bounded_by_its_output(tmp_path):
+    """Building the text holds about one copy of it besides the result, not millions of pieces."""
+    _, report = run(synthesize(normal_startup_spec(2, cyclic_rounds=500)), tmp_path)
+    tracemalloc.start()
+    try:
+        text = report.dumps()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
 
 
 def _logged_events(report, group: str, key: str) -> set[str]:
