@@ -13,6 +13,7 @@ anchored independently by the dissector round-trip tests.
 from __future__ import annotations
 
 import json
+import math
 import random
 import struct
 import uuid
@@ -99,7 +100,7 @@ DATA_STATUS_RUN = 0x35
 
 
 class ScenarioError(ValueError):
-    """Scenario specification is invalid (duplicate identities, bad refs)."""
+    """Scenario specification is invalid: it breaks a rule, or a value does not fit its field."""
 
 
 # --- Scenario specification ---------------------------------------------------
@@ -159,26 +160,16 @@ class ScenarioSpec:
             if violations:
                 raise ScenarioError(f"station name {node.name[:64]!r} breaks {', '.join(violations)}")
             for sub in node.submodules:
-                numbers_ok = all(
-                    isinstance(v, int) and 0 <= v <= 0xFFFF for v in (sub.slot, sub.subslot, sub.length)
-                )
+                numbers_ok = all(isinstance(v, int) for v in (sub.slot, sub.subslot, sub.length))
                 if not numbers_ok or sub.direction not in ("input", "output"):
                     raise ScenarioError(f"bad submodule {sub} of {node.name!r}")
-            for direction in ("input", "output"):
-                if cr_data_length(direction, node.submodules) > 0xFFFF:
-                    raise ScenarioError(f"{direction} data of {node.name!r} exceeds 65535 bytes")
-        ctrl, ar = self.controller, uuid.UUID(int=0)
-        for device in self.devices:
-            # Encode each Connect request once: a block or datagram that is too long raises.
-            try:
-                blocks = _connect_blocks(ar, str_to_mac(ctrl.mac), ctrl.name, device.submodules, (0, 0))
-                encode_cm(b"", b"", ctrl.ip, device.ip, RPC_PTYPE_REQUEST, RPC_OPNUM_CONNECT, ar, 0, blocks)
-            except ValueError as exc:
-                raise ScenarioError(f"connect request of {device.name!r}: {exc}") from None
-        for key, (low, high) in _SPEC_RANGES.items():
+        for key in ("ports_per_device", "writes_per_device", "gap_seconds"):
             value = getattr(self, key)
-            if not low <= value <= high:
-                raise ScenarioError(f"scenario spec {key} {value!r} is outside {low}..{high}")
+            if not 0 <= value < math.inf:
+                raise ScenarioError(f"scenario spec {key} {value!r} is not a finite number >= 0")
+        if self.acyclic_exchange and self.devices and not self.writes_per_device:
+            # Without a parametrization write no connection is established to read from.
+            raise ScenarioError("acyclic_exchange needs writes_per_device >= 1")
         macs = [str_to_mac(n.mac) for n in nodes]
         names = [n.name for n in nodes]
         ips = [n.ip for n in nodes]
@@ -201,11 +192,6 @@ class ScenarioSpec:
             if injection.attack in ("rename", "rogue_connect"):
                 if injection.target not in [d.name for d in self.devices]:
                     raise ScenarioError(f"injection target {injection.target!r} not a device")
-            if injection.attack == "rename":
-                try:
-                    dcp_set_name_request(b"", b"", 0, injection.new_name or "")
-                except ValueError as exc:
-                    raise ScenarioError(f"rename of {injection.target!r}: {exc}") from None
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
@@ -268,15 +254,6 @@ _SPEC_SCALARS: dict[str, type | tuple[type, ...]] = {
 }
 
 
-# Numeric spec fields and the inclusive ranges their encoders can write.
-_SPEC_RANGES: dict[str, tuple[float, float]] = {
-    "ports_per_device": (0, 0xFF),  # a port number is one byte of the port MAC
-    "writes_per_device": (0, 0xFF),  # a write's ordinal is one byte of its record data
-    "start_time": (0, 0xFFFFFFFF),  # pcap timestamps are 32-bit seconds
-    "gap_seconds": (0, 0xFFFFFFFF),
-}
-
-
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a JSON object, not {value!r}")
@@ -316,7 +293,8 @@ class FramePlan:
     data: bytes
     label: str
     events: list[PlannedEvent] = field(default_factory=list)
-    new_connections: list[str] = field(default_factory=list)
+    # (scope, key) of each instance the frame creates without an event, as the tracker does
+    new_instances: list[tuple[str, str]] = field(default_factory=list)
     index: int = -1
     ts: tuple[int, int] = (0, 0)
 
@@ -713,11 +691,12 @@ class _Builder:
         # With no LLDP the name is unbound until the response: the identify
         # event is held and replays just before name_resolved.
         requested = [_device_event(NAME_RESOLUTION_REQUESTED, dev)]
-        self.add(
+        plan = self.add(
             dcp_identify_request(ctrl, xid, device.name),
             f"dcp identify request {device.name}",
             (requested if spec.initial_lldp else []) + [_WAKE_UP],
         )
+        plan.new_instances.append(("device", mac_to_str(ctrl)))
         self.add(
             dcp_identify_response(dev, ctrl, xid, device.name),
             f"dcp identify response {device.name}",
@@ -785,7 +764,7 @@ class _Builder:
         )
         events = _pair(CONNECT_REQUESTED, dev)
         plan = self._cm_pair(device, RPC_OPNUM_CONNECT, "connect", request, response, events)
-        plan.new_connections.append(key)
+        plan.new_instances.append(("connection", key))
 
     def _record_pair(
         self,
@@ -880,7 +859,8 @@ class _Builder:
             self.lldp_burst(with_ips=True)
         for device in spec.devices:
             self.connect(device)
-        for ordinal in range(1, spec.writes_per_device + 1):
+        # Only an encoded write bounds writes_per_device: without devices, count to nothing.
+        for ordinal in range(1, spec.writes_per_device + 1 if spec.devices else 1):
             for device in spec.devices:
                 self.parametrization_write(device, ordinal)
         for device in spec.devices:
@@ -918,6 +898,7 @@ class _Builder:
                     dcp_set_name_request(attacker, dev, xid, new_name),
                     f"attack rename set {new_name!r}",
                     [_device_event(NAME_SET_REQUESTED, dev)],
+                    [("device", ATTACKER_MAC)],
                 ),
                 FramePlan(
                     dcp_set_response(
@@ -937,7 +918,8 @@ class _Builder:
             activity, 0x7FFF, blocks,
         )
         events = _pair(CONNECT_REQUESTED, dev)
-        return [FramePlan(frame, f"attack rogue connect {device.name}", events, [key])]
+        created = [("device", ATTACKER_MAC), ("connection", key)]
+        return [FramePlan(frame, f"attack rogue connect {device.name}", events, created)]
 
 
 # The system's wake-up event; the replay drops it once startup has begun.
@@ -987,9 +969,11 @@ def malformed_frame(protocol: str) -> bytes:
         )
         udp = struct.pack(">HHHH", PNIO_CM_UDP_PORT, PNIO_CM_UDP_PORT, 12, 0)
         return ethernet(BROADCAST, src, ETHERTYPE_IPV4, ip_header + udp + b"\x04\x00\x00\x00")
-    # default: DCP whose declared data length exceeds the frame
-    payload = struct.pack(">HBBIHH", DCP_FRAME_ID_GETSET, 4, 0, 0xDEAD, 0, 500) + b"\x00\x04"
-    return ethernet(BROADCAST, src, ETHERTYPE_PROFINET, payload)
+    if protocol == "pn-dcp":
+        # declared data length exceeds the frame
+        payload = struct.pack(">HBBIHH", DCP_FRAME_ID_GETSET, 4, 0, 0xDEAD, 0, 500) + b"\x00\x04"
+        return ethernet(BROADCAST, src, ETHERTYPE_PROFINET, payload)
+    raise ValueError(f"unknown malformed protocol {protocol!r}")
 
 
 # --- Manifest replay ------------------------------------------------------------
@@ -1013,8 +997,8 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
     fleet = FsmFleet(spec.system_name, collect)
     for plan in frames:
         ts = plan.ts
-        for key in plan.new_connections:
-            fleet.ensure("connection", key)
+        for scope, key in plan.new_instances:
+            fleet.ensure(scope, key)
         for planned in plan.events:
             wake_up = planned.event_name == PN_TRAFFIC_DETECTED
             if wake_up and fleet.system.current_state not in WAKE_UP_STATES:
@@ -1048,24 +1032,24 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
 def synthesize(spec: ScenarioSpec) -> SynthResult:
     """Generate the capture and its ground-truth manifest for one scenario."""
     builder = _Builder(spec)
-    frames = builder.build_benign()
-    for injection in sorted(spec.injections, key=lambda i: i.after_index, reverse=True):
-        if injection.after_index >= len(frames):
-            frames.extend(builder.attack_frames(injection))
-        else:
-            at = injection.after_index + 1
-            frames[at:at] = builder.attack_frames(injection)
-
-    gap_us = round(spec.gap_seconds * 1_000_000)
-    for index, plan in enumerate(frames):
-        plan.index = index
-        total_us = spec.start_time * 1_000_000 + index * gap_us
-        plan.ts = (total_us // 1_000_000, (total_us % 1_000_000) * 1000)
-    if frames and frames[-1].ts[0] > 0xFFFFFFFF:
-        raise ScenarioError(f"frame times run past the pcap limit of {0xFFFFFFFF} s")
-
+    # Each encoder bounds the fields it writes, and the pcap writer the frame times.
+    try:
+        frames = builder.build_benign()
+        for injection in sorted(spec.injections, key=lambda i: i.after_index, reverse=True):
+            if injection.after_index >= len(frames):
+                frames.extend(builder.attack_frames(injection))
+            else:
+                at = injection.after_index + 1
+                frames[at:at] = builder.attack_frames(injection)
+        gap_us = round(spec.gap_seconds * 1_000_000)
+        for index, plan in enumerate(frames):
+            plan.index = index
+            total_us = spec.start_time * 1_000_000 + index * gap_us
+            plan.ts = (total_us // 1_000_000, (total_us % 1_000_000) * 1000)
+        pcap = write_pcap_bytes([(plan.ts, plan.data) for plan in frames])
+    except (ValueError, OverflowError, struct.error) as exc:
+        raise ScenarioError(f"scenario cannot be encoded: {exc}") from exc
     manifest = _replay_manifest(spec, frames)
-    pcap = write_pcap_bytes([(plan.ts, plan.data) for plan in frames])
     return SynthResult(spec=spec, frames=frames, manifest=manifest, pcap_bytes=pcap)
 
 

@@ -103,6 +103,15 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
             "devices": [_IO],
             "injections": [{"after_index": 0, "attack": "rename", "target": "io", "new_name": "n" * 70000}],
         },
+        {"controller": _PLC, "devices": [_IO], "gap_seconds": float("inf")},
+        {"controller": _PLC, "devices": [_IO], "gap_seconds": float("nan")},
+        {"controller": _PLC, "devices": [_IO], "gap_seconds": -0.5},
+        {"controller": _PLC, "devices": [_IO], "acyclic_exchange": True, "writes_per_device": 0},
+        {
+            "controller": _PLC,
+            "devices": [_IO],
+            "injections": [{"after_index": 0, "attack": "malformed", "protocol": "bogus"}],
+        },
     ],
     ids=[
         "duplicate-mac",
@@ -122,6 +131,11 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
         "station-name-241",
         "station-name--lift",
         "rename-new-name-70000",
+        "gap-seconds-infinity",
+        "gap-seconds-nan",
+        "gap-seconds-negative",
+        "acyclic-exchange-without-writes",
+        "malformed-protocol-bogus",
     ],
 )
 def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec):

@@ -78,11 +78,11 @@ GOLDEN_SYNTH = {
     ),
     "rename-attack": (
         "7784d76e4acb990b2b0a9cf391c883129a4f234d2da04072b40f39074b384137",
-        "48311564b78f295548033a27845eca8beb1d5b27ff7ef22c7040ecb183ecdb88",
+        "79904adebcbef4f7a46990a895757018636d54573463fbe27899cdddc689648a",
     ),
     "rogue-connect": (
         "0bdc9c720b852a7e8a754fcde6341a3aa6c328b5d985a4215de785dd79cb3def",
-        "f3ec866a1a95eb4e29fb803ba5e888e2653e1358c7cea6d89d2223afd64fa40f",
+        "6715cd6e5299fe2ce6c4b4bd507d58843900867821288f8bf1b64c4b04dbbf05",
     ),
 }
 

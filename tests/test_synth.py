@@ -6,10 +6,12 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poet.capture import RawFrame, open_capture
 from poet.dissect import LldpFrame, MalformedFrame, dissect
 from poet.synth import (
+    BUILTIN_SCENARIOS,
     Injection,
     NodeSpec,
     ScenarioError,
@@ -25,7 +27,7 @@ from poet.synth import (
     str_to_mac,
     synthesize,
 )
-from poet.tracker import process_capture
+from poet.tracker import Tracker, TrackerConfig, process_capture
 
 
 def test_duplicate_mac_rejected():
@@ -321,3 +323,111 @@ def test_rogue_connect_manifest():
     assert ("device", "connect_requested", "DataExchange") in kinds
     finals = result.manifest["expected"]["final_states"]["connections"]
     assert sum(1 for state in finals.values() if state == "ConnectionCreation") == 1
+
+
+def _tracker_expected(result, tmp_path) -> dict:
+    """What the tracker reports on the synthesized capture, in the manifest's `expected` shape."""
+    path = tmp_path / "scenario.pcap"
+    path.write_bytes(result.pcap_bytes)
+    report = Tracker(TrackerConfig(system_name=result.spec.system_name)).process(open_capture(path))
+    states = report.final_states
+    return {
+        "anomalies": [
+            {
+                "frame_index": a.cause.capture_index,
+                "instance_kind": a.instance_kind,
+                "instance_key": a.instance_key,
+                "offending_event": a.offending_event,
+                "state_at_event": a.state_at_event,
+            }
+            for a in report.anomalies
+        ],
+        "final_states": {
+            "system": states["system"]["state"],
+            "devices": {d["mac"]: d["state"] for d in states["devices"]},
+            "connections": {c["key"]: c["state"] for c in states["connections"]},
+        },
+    }
+
+
+_DIFFERENTIAL_SPECS = {
+    **BUILTIN_SCENARIOS,
+    "no-initial-lldp": lambda: normal_startup_spec(2, initial_lldp=False),
+    "acyclic-exchange": lambda: normal_startup_spec(1, acyclic_exchange=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_SPECS))
+def test_manifest_predicts_tracker(name, tmp_path):
+    """Differential test with synth as the oracle: anomalies and every final state agree."""
+    result = synthesize(_DIFFERENTIAL_SPECS[name]())
+    assert _tracker_expected(result, tmp_path) == result.manifest["expected"]
+
+
+# Numbers of every range, inside and outside what the encoders can write.
+_INT = st.one_of(
+    st.integers(-2, 300),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0xFFFF, 0x10000, 0xFFFFFFFF, 2**32]),
+)
+_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.5, 4e9, 1e303]))
+_WRONG_TYPE = st.one_of(st.none(), st.text(max_size=3), st.just([1]), _FLOAT)
+
+# Optional top-level spec keys and values of their JSON type.
+_SCALARS = {
+    "gap_seconds": st.one_of(_INT, _FLOAT),
+    "ports_per_device": _INT,
+    "writes_per_device": _INT,
+    "start_time": _INT,
+    "lldp_refresh_every": _INT,
+    "seed": _INT,
+    "initial_lldp": st.booleans(),
+    "acyclic_exchange": st.booleans(),
+}
+
+
+@st.composite
+def _spec_documents(draw) -> dict:
+    """Spec documents with hostile numbers and, in half of them, wrong JSON types."""
+    wrong_types = draw(st.booleans())
+
+    def value(right):
+        return draw(st.one_of(right, _WRONG_TYPE) if wrong_types else right)
+
+    def submodule():
+        direction = st.sampled_from(["input", "output", "bogus"])
+        return [value(_INT), value(_INT), value(direction), value(_INT)]
+
+    device = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
+    device["submodules"] = [submodule() for _ in range(draw(st.integers(0, 3)))]
+    doc = {
+        "controller": {"mac": "02:00:00:00:01:00", "name": "plc-1", "ip": "1.2.3.4"},
+        "devices": draw(st.sampled_from([[], [device]])),
+        "cyclic_rounds": draw(st.integers(-1, 2)),  # cheap examples: few cyclic frames
+    }
+    for key, right in _SCALARS.items():
+        if draw(st.booleans()):
+            doc[key] = value(right)
+    doc["injections"] = []
+    for _ in range(draw(st.integers(0, 2))):
+        injection = {
+            "after_index": value(_INT),
+            "attack": draw(st.sampled_from(["rename", "rogue_connect", "malformed", "bogus"])),
+            "target": value(st.sampled_from(["io", "nobody"])),
+        }
+        new_names = st.sampled_from(["ufo", "n" * 70_000, "io\ud800", "UFO"])
+        protocols = st.sampled_from(["lldp", "arp", "pnio", "pn-cm", "pn-dcp", "bogus"])
+        for key, right in (("new_name", new_names), ("protocol", protocols)):
+            if draw(st.booleans()):
+                injection[key] = value(right)
+        doc["injections"].append(injection)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_spec_documents())
+def test_hostile_spec_either_synthesizes_or_raises_scenario_error(doc):
+    try:
+        synthesize(ScenarioSpec.from_json(doc))
+    except ScenarioError:
+        pass
