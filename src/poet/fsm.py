@@ -1,23 +1,32 @@
-"""Deterministic finite-state-machine runtime with an append-only transition log.
+"""Deterministic finite-state-machine runtime with a bounded transition log.
 
 Definitions are immutable tables of named states and edges. Firing an event
 either follows the single applicable edge (a specific edge shadows a wildcard
-for the same event) or appends a rejection record and leaves the state
-untouched. Rejections are the anomaly signal consumed downstream; they never
-move the machine into an error state, so tracking continues afterwards.
+for the same event) or records a rejection and leaves the state untouched.
+Rejections are the anomaly signal consumed downstream; they never move the
+machine into an error state, so tracking continues afterwards.
+
+An instance keeps every rejected record, the last LOG_WINDOW records, and per
+edge it has followed a count with the edge's first and last record. Its memory
+therefore grows with the rejections and the distinct edges, not with the
+accepted traffic.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+
+
+LOG_WINDOW = 64  # most recent records, accepted or rejected, that each instance keeps
 
 
 class UnknownEvent(Exception):
     """Event name outside the definition's alphabet (a programming error)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRef:
     """Provenance of the frame that caused a transition or alert."""
 
@@ -108,7 +117,7 @@ class FsmDefinition:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionRecord:
     timestamp: tuple[int, int]  # (sec, nsec)
     event: str
@@ -142,26 +151,67 @@ class FsmInstance:
         self.definition = definition
         self.instance_key = instance_key
         self.current_state = definition.initial_state
-        self.log: list[TransitionRecord] = []
+        self.transitions = 0  # events fired, accepted or rejected
+        self.window: deque[TransitionRecord] = deque(maxlen=LOG_WINDOW)
+        self.rejected: list[TransitionRecord] = []
+        # (from_state, event) -> [count, first record, last record], in order of
+        # first firing; the definition is deterministic, so the key fixes the target.
+        self.edges: dict[tuple[str, str], list] = {}
 
     def fire(self, event: str, cause: FrameRef, timestamp: tuple[int, int]) -> TransitionRecord:
-        """Apply one event; returns the appended record (accepted or rejected)."""
+        """Apply one event; returns its record (accepted or rejected)."""
         definition = self.definition
         if event not in definition.alphabet:
             raise UnknownEvent(f"{definition.name}: event {event!r} not in alphabet")
-        target = definition.transitions.get((self.current_state, event))
+        edge = (self.current_state, event)
+        target = definition.transitions.get(edge)
         if target is None:
             target = definition.wildcards.get(event)
+        self.transitions += 1
         if target is None:
             record = TransitionRecord(timestamp, event, self.current_state, None, "rejected", cause)
+            self.rejected.append(record)
         else:
             record = TransitionRecord(timestamp, event, self.current_state, target, "accepted", cause)
             self.current_state = target
-        self.log.append(record)
+            tally = self.edges.get(edge)
+            if tally is None:
+                self.edges[edge] = [1, record, record]
+            else:
+                tally[0] += 1
+                tally[2] = record
+        self.window.append(record)
         return record
 
-    def export_log(self) -> list[dict]:
-        return [record.to_json() for record in self.log]
+    def records(self) -> list[TransitionRecord]:
+        """Every rejected record plus the window, in fire order.
+
+        This is the whole log while at most LOG_WINDOW events have fired.
+        """
+        in_window = sum(record.verdict == "rejected" for record in self.window)
+        return self.rejected[: len(self.rejected) - in_window] + list(self.window)
+
+    # Both exports take `encoded`, id(record) -> the record's JSON, so that a record
+    # in the log and among the edges, or first and last of one edge, is one dict.
+
+    def export_log(self, encoded: dict[int, dict] | None = None) -> list[dict]:
+        encoded = {} if encoded is None else encoded
+        return [_encoded(record, encoded) for record in self.records()]
+
+    def export_edges(self, encoded: dict[int, dict] | None = None) -> list[dict]:
+        """Each followed edge's count, first and last record, in order of first firing."""
+        encoded = {} if encoded is None else encoded
+        return [
+            {"count": count, "first": _encoded(first, encoded), "last": _encoded(last, encoded)}
+            for count, first, last in self.edges.values()
+        ]
+
+
+def _encoded(record: TransitionRecord, encoded: dict[int, dict]) -> dict:
+    doc = encoded.get(id(record))
+    if doc is None:
+        doc = encoded[id(record)] = record.to_json()
+    return doc
 
 
 def fold_log(definition: FsmDefinition, log: list[TransitionRecord]) -> str:

@@ -17,6 +17,9 @@ from .fsm import FrameRef
 
 Timestamp = tuple[int, int]
 
+# The protocols whose frames can name, address or cast an asset; only these record changes.
+_DESCRIBING_PROTOCOLS = frozenset({"lldp", "arp", "pn-dcp", "pn-cm"})
+
 
 @dataclass
 class Provenance:
@@ -133,12 +136,18 @@ class AssetInventory:
     def update_from_frame(self, parsed: ParsedFrame, ts: Timestamp) -> list[InventoryChange]:
         """Fold one frame into the inventory; returns the (possibly empty) delta."""
         changes: list[InventoryChange] = []
-        body = parsed.body
         protocol = parsed.protocol
         src = parsed.envelope.src_mac
+        if protocol not in _DESCRIBING_PROTOCOLS:
+            # A PNIO sender becomes an asset; other traffic refreshes known assets only.
+            record = self._record(src, ts) if protocol == "pnio" else self.records.get(src)
+            if record is not None:
+                record.last_seen = ts
+            return changes
+
+        body = parsed.body
         dst = parsed.envelope.dst_mac
         cause = FrameRef(parsed.raw_ref, protocol, "inventory update")
-
         if protocol == "lldp":
             mac = lldp_subject(parsed)
             record = self._record(mac, ts)
@@ -168,7 +177,7 @@ class AssetInventory:
                 self._apply_dcp_blocks(target, body, cause, changes)
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
-        elif protocol == "pn-cm":
+        else:  # pn-cm
             record = self._record(src, ts)
             record.last_seen = ts
             if body.operation == "Connect" and body.direction == "request":
@@ -176,14 +185,6 @@ class AssetInventory:
                 target.last_seen = ts
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
-        elif protocol == "pnio":
-            record = self._record(src, ts)
-            record.last_seen = ts
-        else:
-            # Other traffic refreshes liveness only for known assets.
-            record = self.records.get(src)
-            if record is not None:
-                record.last_seen = ts
         return changes
 
     def _apply_dcp_blocks(

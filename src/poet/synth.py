@@ -94,6 +94,7 @@ MIN_FRAME = 60  # Ethernet minimum without FCS
 PNIO_MIN_CSDU = 40
 LLDP_MAX_TLV_VALUE = 0x1FF  # an LLDP TLV's length field is 9 bits
 MAX_IPV4_DATAGRAM = 0xFFFF
+MAX_CYCLIC_ROUNDS = 100_000  # nothing encodes the round count, so only this bounds a capture's length
 
 GOOD = 0x80
 DATA_STATUS_RUN = 0x35
@@ -167,6 +168,11 @@ class ScenarioSpec:
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ScenarioError(f"scenario spec {key} {value!r} is not a finite number >= 0")
+        rounds = self.cyclic_rounds
+        if not isinstance(rounds, int) or not 0 <= rounds <= MAX_CYCLIC_ROUNDS:
+            raise ScenarioError(
+                f"scenario spec cyclic_rounds {rounds!r} is not an integer in 0..{MAX_CYCLIC_ROUNDS}"
+            )
         if self.acyclic_exchange and self.devices and not self.writes_per_device:
             # Without a parametrization write no connection is established to read from.
             raise ScenarioError("acyclic_exchange needs writes_per_device >= 1")

@@ -44,7 +44,7 @@ DEFERRED_WINDOW = 10000  # frames an identify-by-name may stay unresolved
 DEFAULT_SYSTEM_NAME = "poet-system"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnomalyAlert:
     timestamp: Timestamp
     instance_kind: str  # "device" | "connection" | "system"
@@ -174,10 +174,18 @@ class FsmFleet:
         self._fire(self.system, ALL_CONNECTIONS_ESTABLISHED, cause, ts)
 
     def transition_count(self) -> int:
-        count = len(self.system.log)
-        count += sum(len(i.log) for i in self.devices.values())
-        count += sum(len(i.log) for i in self.connections.values())
+        count = self.system.transitions
+        count += sum(i.transitions for i in self.devices.values())
+        count += sum(i.transitions for i in self.connections.values())
         return count
+
+    def per_instance(self, export: Callable[[FsmInstance], list]) -> dict:
+        """`export` of every instance, nested as system, devices by MAC and connections by key."""
+        return {
+            "system": export(self.system),
+            "devices": {mac: export(inst) for mac, inst in sorted(self.devices.items())},
+            "connections": {key: export(inst) for key, inst in sorted(self.connections.items())},
+        }
 
 
 @dataclass
@@ -186,7 +194,8 @@ class TrackerReport:
     final_states: dict
     inventory: dict
     alerts: list[AnomalyAlert]
-    logs: dict
+    logs: dict  # per instance: every rejected record plus the last LOG_WINDOW, in fire order
+    edges: dict  # per instance: each followed edge's count, first and last record
 
     def to_json(self) -> dict:
         return {
@@ -195,22 +204,25 @@ class TrackerReport:
             "inventory": self.inventory,
             "alerts": [a.to_json() for a in self.alerts],
             "logs": self.logs,
+            "edges": self.edges,
         }
 
     def dumps(self) -> str:
         """The report as JSON with sorted keys and a two-space indent, plus a newline.
 
         The bytes are those of `json.dumps(self.to_json(), sort_keys=True, indent=2)`,
-        but each alert and log record is one %-template fill into a flat chunk
-        list joined once, since the indenting encoder is pure Python.
+        but each alert, log record and edge is one %-template fill into a flat
+        chunk list joined once, since the indenting encoder is pure Python.
         """
         templates: dict = {}
         out = ['{\n  "alerts": ']
         _write_records(out, templates, [a.to_json() for a in self.alerts], "  ", _alert_leaves)
+        out.append(',\n  "edges": ')
+        _write_nested(out, templates, self.edges, "  ", _edge_leaves)
         for name in ("final_states", "inventory"):
             out.append(f',\n  "{name}": ' + _dumps_small(getattr(self, name), "  "))
         out.append(',\n  "logs": ')
-        _write_logs(out, templates, self.logs, "  ")
+        _write_nested(out, templates, self.logs, "  ", _transition_leaves)
         out.append(',\n  "summary": ' + _dumps_small(self.summary, "  ") + "\n}\n")
         return "".join(out)
 
@@ -441,19 +453,14 @@ class Tracker(TrackContext):
             "anomalies": sum(1 for a in self.alerts if a.severity == SEVERITY_ANOMALY),
             "diagnostics": sum(1 for a in self.alerts if a.severity == SEVERITY_DIAGNOSTIC),
         }
-        logs = {
-            "system": self.fleet.system.export_log(),
-            "devices": {mac: inst.export_log() for mac, inst in sorted(self.fleet.devices.items())},
-            "connections": {
-                key: inst.export_log() for key, inst in sorted(self.fleet.connections.items())
-            },
-        }
+        encoded: dict[int, dict] = {}  # see FsmInstance.export_log
         return TrackerReport(
             summary=summary,
             final_states=self.snapshot_states(),
             inventory=self.inventory.export(),
             alerts=list(self.alerts),
-            logs=logs,
+            logs=self.fleet.per_instance(lambda instance: instance.export_log(encoded)),
+            edges=self.fleet.per_instance(lambda instance: instance.export_edges(encoded)),
         )
 
 
@@ -506,19 +513,21 @@ def _write_records(
     out.append("\n" + pad + "]")
 
 
-def _write_logs(out: list[str], templates: dict, logs: dict, pad: str) -> None:
-    """Append `logs`, a dict of transition record lists or of such dicts, at indent `pad`."""
-    if not logs:
+def _write_nested(
+    out: list[str], templates: dict, doc: dict, pad: str, leaves: Callable[[dict], tuple]
+) -> None:
+    """Append `doc`, a dict of same-layout record lists or of such dicts, at indent `pad`."""
+    if not doc:
         out.append("{}")
         return
     inner = pad + "  "
     separator = "{\n" + inner
-    for key, value in sorted(logs.items()):
+    for key, value in sorted(doc.items()):
         out.append(separator + _encode_str(key) + ": ")
         if isinstance(value, dict):
-            _write_logs(out, templates, value, inner)
+            _write_nested(out, templates, value, inner, leaves)
         else:
-            _write_records(out, templates, value, inner, _transition_leaves)
+            _write_records(out, templates, value, inner, leaves)
         separator = ",\n" + inner
     out.append("\n" + pad + "}")
 
@@ -539,6 +548,11 @@ def _transition_leaves(record: dict) -> tuple:
         "null" if to_state is None else _encode_str(to_state),
         _encode_str(record["verdict"]),
     )
+
+
+def _edge_leaves(edge: dict) -> tuple:
+    # An edge entry's leaves in sorted-key order; see FsmInstance.export_edges.
+    return (edge["count"], *_transition_leaves(edge["first"]), *_transition_leaves(edge["last"]))
 
 
 def _alert_leaves(alert: dict) -> tuple:

@@ -177,11 +177,11 @@ def test_c5_determinism(tmp_path):
     report_b = tracker_b.process(open_capture(path))
     assert report_a.dumps() == report_b.dumps()
 
-    assert fold_log(system_fsm_table(), tracker_a.fleet.system.log) == tracker_a.fleet.system.current_state
+    assert fold_log(system_fsm_table(), tracker_a.fleet.system.records()) == tracker_a.fleet.system.current_state
     for inst in tracker_a.fleet.devices.values():
-        assert fold_log(device_fsm_table(), inst.log) == inst.current_state
+        assert fold_log(device_fsm_table(), inst.records()) == inst.current_state
     for inst in tracker_a.fleet.connections.values():
-        assert fold_log(connection_fsm_table(), inst.log) == inst.current_state
+        assert fold_log(connection_fsm_table(), inst.records()) == inst.current_state
     _announce("C5 determinism")
 
 

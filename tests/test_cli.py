@@ -112,6 +112,10 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
             "devices": [_IO],
             "injections": [{"after_index": 0, "attack": "malformed", "protocol": "bogus"}],
         },
+        {"controller": _PLC, "devices": [_IO], "cyclic_rounds": -1},
+        {"controller": _PLC, "devices": [], "cyclic_rounds": 1_000_000_000_000},
+        {"controller": _PLC, "devices": [_IO], "cyclic_rounds": 100_001},
+        {"controller": _PLC, "devices": [_IO], "cyclic_rounds": 2.5},
     ],
     ids=[
         "duplicate-mac",
@@ -136,6 +140,10 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
         "gap-seconds-negative",
         "acyclic-exchange-without-writes",
         "malformed-protocol-bogus",
+        "cyclic-rounds-negative",
+        "cyclic-rounds-10e12-no-devices",
+        "cyclic-rounds-100001",
+        "cyclic-rounds-2.5",
     ],
 )
 def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from poet.fsm import (
+    LOG_WINDOW,
     DefinitionDiagnostic,
     Edge,
     FrameRef,
@@ -159,6 +160,34 @@ def test_log_export_jsonl_round_trip():
     assert decoded[0]["cause"]["protocol"] == "test"
 
 
+def test_log_keeps_rejections_window_and_edge_counts():
+    inst = FsmInstance(simple_def(), "x")
+    inst.fire("forbidden", FrameRef(0, "test", "early"), (0, 0))
+    inst.fire("go", CAUSE, (1, 0))
+    inst.fire("go", CAUSE, (2, 0))
+    for second in range(3, 3 + 2 * LOG_WINDOW):
+        inst.fire("loop", CAUSE, (second, 0))
+    inst.fire("forbidden", FrameRef(0, "test", "late"), (999, 0))
+
+    assert inst.transitions == 4 + 2 * LOG_WINDOW
+    records = inst.records()
+    # the early rejection outlives the window; the late one is in it, once
+    assert [r.cause.summary for r in records if r.verdict == "rejected"] == ["early", "late"]
+    assert records[1:] == list(inst.window)
+    assert len(inst.window) == LOG_WINDOW
+    assert [r.timestamp[0] for r in records] == [0, *range(3 + LOG_WINDOW + 1, 3 + 2 * LOG_WINDOW), 999]
+    assert inst.export_log() == [r.to_json() for r in records]
+
+    edges = inst.export_edges()
+    assert [(e["first"]["from_state"], e["first"]["event"], e["count"]) for e in edges] == [
+        ("A", "go", 1),
+        ("B", "go", 1),
+        ("C", "loop", 2 * LOG_WINDOW),
+    ]
+    assert edges[2]["first"]["timestamp"] == [3, 0]
+    assert edges[2]["last"]["timestamp"] == [2 + 2 * LOG_WINDOW, 0]
+
+
 # --- Property tests ------------------------------------------------------------
 
 
@@ -213,7 +242,27 @@ def test_log_folding_reproduces_state(case):
     inst = FsmInstance(definition, "p")
     for event in sequence:
         inst.fire(event, CAUSE, TS)
-    assert fold_log(definition, inst.log) == inst.current_state
+    assert fold_log(definition, inst.records()) == inst.current_state
+
+
+@given(definitions_and_events(), st.integers(1, 5))
+def test_window_and_counters_account_for_every_event(case, repeat):
+    """However long the run, the window chains to the current state and the counters add up."""
+    definition, sequence = case
+    if not definition.alphabet:
+        return
+    inst = FsmInstance(definition, "p")
+    every = [inst.fire(e, CAUSE, TS) for e in sequence * repeat * 4]
+    assert list(inst.window) == every[-LOG_WINDOW:]
+    assert inst.rejected == [r for r in every if r.verdict == "rejected"]
+    assert inst.records() == [r for r in every[:-LOG_WINDOW] if r.verdict == "rejected"] + every[-LOG_WINDOW:]
+    tallies = {}
+    for r in every:
+        if r.verdict == "accepted":
+            tallies.setdefault((r.from_state, r.event), []).append(r)
+    assert inst.edges == {key: [len(rs), rs[0], rs[-1]] for key, rs in tallies.items()}
+    assert list(inst.edges) == list(tallies)  # in order of first firing
+    assert inst.transitions == len(every)
 
 
 @given(definitions_and_events())

@@ -12,6 +12,7 @@ from poet.capture import RawFrame, open_capture
 from poet.dissect import LldpFrame, MalformedFrame, dissect
 from poet.synth import (
     BUILTIN_SCENARIOS,
+    MAX_CYCLIC_ROUNDS,
     Injection,
     NodeSpec,
     ScenarioError,
@@ -45,6 +46,14 @@ def test_duplicate_name_and_ip_rejected():
         ScenarioSpec(base, (NodeSpec("02:00:00:00:02:00", "plc-1", "192.168.0.2"),)).validate()
     with pytest.raises(ScenarioError):
         ScenarioSpec(base, (NodeSpec("02:00:00:00:02:00", "dev", "192.168.0.1"),)).validate()
+
+
+def test_cyclic_rounds_bounded():
+    base = normal_startup_spec(1)
+    replace(base, cyclic_rounds=MAX_CYCLIC_ROUNDS).validate()
+    for rounds in (-1, MAX_CYCLIC_ROUNDS + 1, 2.5, "8"):
+        with pytest.raises(ScenarioError):
+            replace(base, cyclic_rounds=rounds).validate()
 
 
 def test_unknown_injection_target_rejected():

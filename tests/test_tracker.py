@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import poet
 from poet.capture import RawFrame, open_capture
 from poet.dissect import str_to_mac
-from poet.fsm import FrameRef, FsmInstance, fold_log
+from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, fold_log
 from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
 from poet.synth import (
     BUILTIN_SCENARIOS,
@@ -290,13 +290,13 @@ def test_determinism_bit_identical_reports(tmp_path):
 def test_log_folding_matches_final_states(tmp_path):
     result = synthesize(rename_attack_spec())
     tracker, report = run(result, tmp_path)
-    assert fold_log(system_fsm_table(), tracker.fleet.system.log) == tracker.fleet.system.current_state
+    assert fold_log(system_fsm_table(), tracker.fleet.system.records()) == tracker.fleet.system.current_state
     device_table = device_fsm_table()
     for inst in tracker.fleet.devices.values():
-        assert fold_log(device_table, inst.log) == inst.current_state
+        assert fold_log(device_table, inst.records()) == inst.current_state
     connection_table = connection_fsm_table()
     for inst in tracker.fleet.connections.values():
-        assert fold_log(connection_table, inst.log) == inst.current_state
+        assert fold_log(connection_table, inst.records()) == inst.current_state
 
 
 def test_connection_lifecycle_counts(tmp_path):
@@ -397,7 +397,7 @@ def test_expired_identifies_report_in_creation_order():
     assert expired() == [(0, (200, 5)), (2, (200, 5)), (10_003, (200, 6)), (10_004, (200, 6))]
     assert not any("io-device" in a.explanation for a in tracker.alerts)
     # the answered request was released to the device that answered
-    assert [r.event for r in tracker.fleet.devices["02:00:00:00:02:00"].log] == [
+    assert [r.event for r in tracker.fleet.devices["02:00:00:00:02:00"].records()] == [
         "name_resolution_requested",
         "name_resolved",
     ]
@@ -502,12 +502,11 @@ def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, in
     fleet = tracker.fleet
     instances = [fleet.system, *fleet.devices.values(), *fleet.connections.values()]
     for instance in instances:
-        assert fold_log(instance.definition, instance.log) == instance.current_state
+        _assert_log_consistent(instance)
     rejected = Counter(
         (i.definition.name, i.instance_key, r.cause.capture_index, r.event, r.from_state)
         for i in instances
-        for r in i.log
-        if r.verdict == "rejected"
+        for r in i.rejected
     )
     alerted = Counter(
         (a.instance_kind, a.instance_key, a.cause.capture_index, a.offending_event, a.state_at_event)
@@ -515,6 +514,61 @@ def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, in
     )
     assert alerted == rejected
     assert report.dumps() == _oracle_dumps(report)
+
+
+def _assert_log_consistent(instance: FsmInstance) -> None:
+    """The kept records chain to the current state, and the counters account for every event."""
+    if instance.transitions <= LOG_WINDOW:
+        assert fold_log(instance.definition, instance.records()) == instance.current_state
+    window = list(instance.window)
+    state = window[0].from_state if window else instance.definition.initial_state
+    for record in window:
+        assert record.from_state == state
+        if record.verdict == "accepted":
+            state = record.to_state
+    assert state == instance.current_state
+    assert len(window) == min(instance.transitions, LOG_WINDOW)
+    for (from_state, event), (_, first, last) in instance.edges.items():
+        assert (first.from_state, first.event, first.to_state) == (from_state, event, last.to_state)
+        assert (last.from_state, last.event) == (from_state, event)
+    accepted = sum(count for count, _, _ in instance.edges.values())
+    assert accepted + len(instance.rejected) == instance.transitions
+
+
+def test_log_keeps_a_window_past_log_window_events(tmp_path):
+    """Cyclic traffic past LOG_WINDOW events: the logs keep the last LOG_WINDOW, the edges count all."""
+    tracker, report = run(synthesize(normal_startup_spec(1, cyclic_rounds=200)), tmp_path)
+    fleet = tracker.fleet
+    instances = [fleet.system, *fleet.devices.values(), *fleet.connections.values()]
+    for instance in instances:
+        _assert_log_consistent(instance)
+    assert sum(i.transitions for i in instances) == report.summary["transitions"]
+
+    [(key, connection)] = fleet.connections.items()
+    assert connection.transitions > 2 * LOG_WINDOW
+    log = report.logs["connections"][key]
+    assert log == [record.to_json() for record in connection.window]
+    assert len(log) == LOG_WINDOW
+    edges = report.edges["connections"][key]
+    assert sum(edge["count"] for edge in edges) == connection.transitions
+    assert edges[0]["first"]["from_state"] == connection.definition.initial_state
+    assert log[-1] in [edge["last"] for edge in edges]
+
+
+def test_tracker_memory_does_not_grow_with_cyclic_rounds():
+    """The tracker's peak traced memory at 4,000 cyclic rounds is that of 1,000, plus a constant."""
+
+    def peak(rounds: int) -> int:
+        plans = synthesize(normal_startup_spec(1, cyclic_rounds=rounds)).frames
+        frames = [RawFrame(p.ts[0], p.ts[1], p.data, p.index, "mem") for p in plans]
+        tracemalloc.start()
+        try:
+            Tracker(TrackerConfig()).process(frames)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= peak(1000) + 64 * 1024
 
 
 def _oracle_dumps(report: TrackerReport) -> str:
@@ -528,7 +582,8 @@ def test_dumps_matches_json_on_hostile_strings():
     device = FsmInstance(device_fsm_table(), hostile)
     device.fire("name_set_requested", cause, (1, 2))  # rejected in the initial state: to_state null
     device.fire("detect_neighbours", cause, (3, 4))
-    assert [r.verdict for r in device.log] == ["rejected", "accepted"]
+    device.fire("detect_neighbours", cause, (5, 6))
+    assert [r.verdict for r in device.records()] == ["rejected", "accepted", "accepted"]
     alert = AnomalyAlert((5, 6), "device", hostile, hostile, hostile, cause, hostile, "anomaly")
     report = TrackerReport(
         summary={"system_name": hostile, hostile: 1.5, "frames": 0},
@@ -540,9 +595,15 @@ def test_dumps_matches_json_on_hostile_strings():
             "devices": {hostile: device.export_log(), "\u00e9": [], "": device.export_log()},
             "connections": {},
         },
+        edges={
+            "system": device.export_edges(),
+            "devices": {hostile: device.export_edges(), "\u00e9": []},
+            "connections": {},
+        },
     )
     assert report.dumps() == _oracle_dumps(report)
-    empty = TrackerReport({}, {}, {}, [], {"system": [], "devices": {}, "connections": {}})
+    nobody = {"system": [], "devices": {}, "connections": {}}
+    empty = TrackerReport({}, {}, {}, [], nobody, nobody)
     assert empty.dumps() == _oracle_dumps(empty)
 
 
