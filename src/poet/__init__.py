@@ -24,8 +24,7 @@ from .models import (
     device_fsm_table,
     system_fsm_table,
 )
-from .synth import ScenarioSpec, builtin_scenario, fuzz_corpus, synthesize
-from .tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport, process_capture
+from .tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport
 
 __version__ = "0.1.0"
 
@@ -41,22 +40,17 @@ __all__ = [
     "ParsedFrame",
     "ProtocolEvent",
     "RawFrame",
-    "ScenarioSpec",
     "Tracker",
     "TrackerConfig",
     "TrackerReport",
     "TransitionRecord",
-    "builtin_scenario",
     "connection_fsm_table",
     "derive_events",
     "device_fsm_table",
     "dissect",
     "extract_io_specs",
     "extract_process_data",
-    "fuzz_corpus",
     "open_capture",
-    "process_capture",
-    "synthesize",
     "system_fsm_table",
     "validate_definition",
 ]

@@ -49,14 +49,12 @@ class RawFrame:
     ts_nsec: int
     frame_bytes: bytes
     capture_index: int
-    source_id: str
 
 
 @dataclass(frozen=True)
 class CaptureError:
     """Diagnostic for a broken or rejected capture record."""
 
-    source_id: str
     byte_offset: int
     capture_index: int
     reason: str
@@ -65,7 +63,7 @@ class CaptureError:
 StreamItem = Union[RawFrame, CaptureError]
 
 
-def open_capture(path: str | os.PathLike, source_id: str | None = None) -> Iterator[StreamItem]:
+def open_capture(path: str | os.PathLike) -> Iterator[StreamItem]:
     """Open a pcap or pcapng file and return its frame stream.
 
     The container header is validated eagerly; an unknown magic number or a
@@ -73,33 +71,32 @@ def open_capture(path: str | os.PathLike, source_id: str | None = None) -> Itera
     unreadable path raises OSError. Truncation later in the file yields one
     CaptureError item and ends the stream.
     """
-    label = source_id if source_id is not None else str(path)
     f = open(path, "rb")
     try:
         head = f.read(4)
         if len(head) < 4:
-            raise CaptureFormatError(f"{label}: file too short for a capture header")
+            raise CaptureFormatError(f"{path}: file too short for a capture header")
         magic_le = struct.unpack("<I", head)[0]
         if magic_le == PCAPNG_SHB:
-            return _iter_pcapng(f, label)
+            return _iter_pcapng(f)
         if magic_le in (PCAP_MAGIC_US_LE, PCAP_MAGIC_NS_LE):
-            return _iter_pcap(f, label, "<", magic_le == PCAP_MAGIC_NS_LE)
+            return _iter_pcap(f, path, "<", magic_le == PCAP_MAGIC_NS_LE)
         if magic_le in (PCAP_MAGIC_US_BE, PCAP_MAGIC_NS_BE):
-            return _iter_pcap(f, label, ">", magic_le == PCAP_MAGIC_NS_BE)
-        raise CaptureFormatError(f"{label}: unknown capture magic 0x{magic_le:08X}")
+            return _iter_pcap(f, path, ">", magic_le == PCAP_MAGIC_NS_BE)
+        raise CaptureFormatError(f"{path}: unknown capture magic 0x{magic_le:08X}")
     except BaseException:
         f.close()
         raise
 
 
-def _iter_pcap(f, label: str, endian: str, nanosecond: bool) -> Iterator[StreamItem]:
+def _iter_pcap(f, path: str | os.PathLike, endian: str, nanosecond: bool) -> Iterator[StreamItem]:
     try:
         rest = f.read(20)
         if len(rest) < 20:
-            raise CaptureFormatError(f"{label}: truncated pcap global header")
+            raise CaptureFormatError(f"{path}: truncated pcap global header")
         link_type = struct.unpack(endian + "I", rest[16:20])[0] & 0xFFFF
         if link_type != LINKTYPE_ETHERNET:
-            raise CaptureFormatError(f"{label}: pcap link type {link_type} is not Ethernet")
+            raise CaptureFormatError(f"{path}: pcap link type {link_type} is not Ethernet")
     except BaseException:
         f.close()
         raise
@@ -113,22 +110,22 @@ def _iter_pcap(f, label: str, endian: str, nanosecond: bool) -> Iterator[StreamI
                 if not header:
                     return
                 if len(header) < 16:
-                    yield CaptureError(label, offset, index, "truncated record header")
+                    yield CaptureError(offset, index, "truncated record header")
                     return
                 ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(endian + "IIII", header)
                 if incl_len > MAX_SNAPLEN:
                     reason = f"record length {incl_len} exceeds {MAX_SNAPLEN}"
-                    yield CaptureError(label, offset, index, reason)
+                    yield CaptureError(offset, index, reason)
                     return
                 body = f.read(incl_len)
                 if len(body) < incl_len:
-                    yield CaptureError(label, offset, index, "truncated record body")
+                    yield CaptureError(offset, index, "truncated record body")
                     return
                 ts_nsec = ts_frac if nanosecond else ts_frac * 1000
                 if incl_len < MIN_ETHERNET_FRAME:
-                    yield CaptureError(label, offset, index, f"runt frame ({incl_len} bytes)")
+                    yield CaptureError(offset, index, f"runt frame ({incl_len} bytes)")
                 else:
-                    yield RawFrame(ts_sec, ts_nsec, body, index, label)
+                    yield RawFrame(ts_sec, ts_nsec, body, index)
                 index += 1
         finally:
             f.close()
@@ -161,7 +158,7 @@ def _tsresol_divisor(raw: bytes) -> int:
     return 10**v
 
 
-def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
+def _iter_pcapng(f) -> Iterator[StreamItem]:
     def gen() -> Iterator[StreamItem]:
         index = 0
         endian = "<"
@@ -174,71 +171,71 @@ def _iter_pcapng(f, label: str) -> Iterator[StreamItem]:
                 if not head:
                     return
                 if len(head) < 8:
-                    yield CaptureError(label, offset, index, "truncated block header")
+                    yield CaptureError(offset, index, "truncated block header")
                     return
                 block_type = struct.unpack(endian + "I", head[0:4])[0]
                 if block_type == PCAPNG_SHB:
                     # Byte order can change per section; magic sits after the length field.
                     magic_raw = f.read(4)
                     if len(magic_raw) < 4:
-                        yield CaptureError(label, offset, index, "truncated section header")
+                        yield CaptureError(offset, index, "truncated section header")
                         return
                     if struct.unpack("<I", magic_raw)[0] == PCAPNG_BYTE_ORDER_MAGIC:
                         endian = "<"
                     elif struct.unpack(">I", magic_raw)[0] == PCAPNG_BYTE_ORDER_MAGIC:
                         endian = ">"
                     else:
-                        yield CaptureError(label, offset, index, "bad section byte-order magic")
+                        yield CaptureError(offset, index, "bad section byte-order magic")
                         return
                     total_len = struct.unpack(endian + "I", head[4:8])[0]
                     if total_len < 28 or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
-                        yield CaptureError(label, offset, index, "bad section block length")
+                        yield CaptureError(offset, index, "bad section block length")
                         return
                     body = f.read(total_len - 12)
                     if len(body) < total_len - 12:
-                        yield CaptureError(label, offset, index, "truncated section block")
+                        yield CaptureError(offset, index, "truncated section block")
                         return
                     interfaces = []
                     continue
                 total_len = struct.unpack(endian + "I", head[4:8])[0]
                 if total_len < 12 or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
-                    yield CaptureError(label, offset, index, f"bad block length {total_len}")
+                    yield CaptureError(offset, index, f"bad block length {total_len}")
                     return
                 body = f.read(total_len - 8)
                 if len(body) < total_len - 8:
-                    yield CaptureError(label, offset, index, "truncated block")
+                    yield CaptureError(offset, index, "truncated block")
                     return
                 content = body[:-4]
                 if block_type == PCAPNG_IDB:
                     if len(content) < 8:
-                        yield CaptureError(label, offset, index, "short interface block")
+                        yield CaptureError(offset, index, "short interface block")
                         return
                     link_type = struct.unpack(endian + "H", content[:2])[0]
                     opts = _pcapng_options(content[8:], endian)
                     interfaces.append((link_type, _tsresol_divisor(opts.get(9, b"\x06"))))
                 elif block_type == PCAPNG_EPB:
                     if len(content) < 20:
-                        yield CaptureError(label, offset, index, "short packet block")
+                        yield CaptureError(offset, index, "short packet block")
                         return
                     iface, ts_high, ts_low, cap_len, _orig = struct.unpack(
                         endian + "IIIII", content[:20]
                     )
                     data = content[20 : 20 + cap_len]
                     if len(data) < cap_len:
-                        yield CaptureError(label, offset, index, "truncated packet data")
+                        yield CaptureError(offset, index, "truncated packet data")
                         return
                     if iface >= len(interfaces):
-                        yield CaptureError(label, offset, index, f"packet on undeclared interface {iface}")
+                        yield CaptureError(offset, index, f"packet on undeclared interface {iface}")
                     elif interfaces[iface][0] != LINKTYPE_ETHERNET:
                         reason = f"interface {iface} link type {interfaces[iface][0]} is not Ethernet"
-                        yield CaptureError(label, offset, index, reason)
+                        yield CaptureError(offset, index, reason)
                     elif cap_len < MIN_ETHERNET_FRAME:
-                        yield CaptureError(label, offset, index, f"runt frame ({cap_len} bytes)")
+                        yield CaptureError(offset, index, f"runt frame ({cap_len} bytes)")
                     else:
                         divisor = interfaces[iface][1]
                         ts_sec, frac = divmod((ts_high << 32) | ts_low, divisor)
                         ts_nsec = frac * 1_000_000_000 // divisor
-                        yield RawFrame(ts_sec, ts_nsec, data, index, label)
+                        yield RawFrame(ts_sec, ts_nsec, data, index)
                     index += 1
                 # Every other block type is skipped silently.
         finally:

@@ -874,17 +874,16 @@ def extract_io_specs(connect: CmFrame) -> list[IoDataSpec]:
             sub_dir, data_length, iops_len, _iocs_len = sub.data_description
             if sub_dir != direction:
                 continue
-            if data_length > 0:
-                specs.append(
-                    IoDataSpec(
-                        direction=direction,
-                        slot=sub.slot,
-                        subslot=sub.subslot,
-                        offset=offset,
-                        length=data_length,
-                        iops_length=iops_len,
-                    )
+            specs.append(
+                IoDataSpec(
+                    direction=direction,
+                    slot=sub.slot,
+                    subslot=sub.subslot,
+                    offset=offset,
+                    length=data_length,
+                    iops_length=iops_len,
                 )
+            )
             offset += data_length + iops_len
         opposite = "output" if direction == "input" else "input"
         iocs_total = sum(

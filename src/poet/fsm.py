@@ -191,27 +191,20 @@ class FsmInstance:
         in_window = sum(record.verdict == "rejected" for record in self.window)
         return self.rejected[: len(self.rejected) - in_window] + list(self.window)
 
-    # Both exports take `encoded`, id(record) -> the record's JSON, so that a record
-    # in the log and among the edges, or first and last of one edge, is one dict.
+    def export_log(self) -> list[dict]:
+        return [record.to_json() for record in self.records()]
 
-    def export_log(self, encoded: dict[int, dict] | None = None) -> list[dict]:
-        encoded = {} if encoded is None else encoded
-        return [_encoded(record, encoded) for record in self.records()]
+    def export_edges(self) -> list[dict]:
+        """Each followed edge's count, first and last record, in order of first firing.
 
-    def export_edges(self, encoded: dict[int, dict] | None = None) -> list[dict]:
-        """Each followed edge's count, first and last record, in order of first firing."""
-        encoded = {} if encoded is None else encoded
+        Empty while the log is whole, since the log then holds every edge's records.
+        """
+        if self.transitions <= LOG_WINDOW:
+            return []
         return [
-            {"count": count, "first": _encoded(first, encoded), "last": _encoded(last, encoded)}
+            {"count": count, "first": first.to_json(), "last": last.to_json()}
             for count, first, last in self.edges.values()
         ]
-
-
-def _encoded(record: TransitionRecord, encoded: dict[int, dict]) -> dict:
-    doc = encoded.get(id(record))
-    if doc is None:
-        doc = encoded[id(record)] = record.to_json()
-    return doc
 
 
 def fold_log(definition: FsmDefinition, log: list[TransitionRecord]) -> str:

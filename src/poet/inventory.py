@@ -221,29 +221,3 @@ class AssetInventory:
 
     def export_json(self) -> str:
         return json.dumps(self.export(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def load(cls, document: dict) -> "AssetInventory":
-        inv = cls()
-        for asset in document.get("assets", []):
-            record = AssetRecord(
-                interface_mac=asset["interface_mac"],
-                name_of_station=asset.get("name_of_station"),
-                port_macs=set(asset.get("port_macs", [])),
-                ip_address=asset.get("ip_address"),
-                subnet=asset.get("subnet"),
-                gateway=asset.get("gateway"),
-                vendor_id=asset.get("vendor_id"),
-                device_id=asset.get("device_id"),
-                role=asset.get("role", "unknown"),
-                first_seen=tuple(asset.get("first_seen", (0, 0))),  # type: ignore[arg-type]
-                last_seen=tuple(asset.get("last_seen", (0, 0))),  # type: ignore[arg-type]
-            )
-            for name, prov in asset.get("provenance", {}).items():
-                record.provenance[name] = Provenance(
-                    prov["protocol"], prov["capture_index"], prov.get("conflict", False)
-                )
-            inv.records[record.interface_mac] = record
-            if record.name_of_station is not None:
-                insort(inv.holders.setdefault(record.name_of_station, []), record.interface_mac)
-        return inv

@@ -839,13 +839,16 @@ class _Builder:
                 ("input", dev, self.ctrl_mac, input_fid, INPUT_PROCESS_DATA_SENT),
             ):
                 c_sdu = cyclic_c_sdu(conn_index, round_index, direction, device.submodules)
+                # A CR with no submodule of its own direction carries only IOCS: no IOPS, no event.
+                events = (
+                    [_device_event(CYCLIC_DATA_GOOD, dev), PlannedEvent(data_event, "connection", key)]
+                    if any(sub.direction == direction for sub in device.submodules)
+                    else []
+                )
                 self.add(
                     encode_pnio(src, dst, fid, c_sdu, cycle),
                     f"pnio {direction} {device.name} round {round_index}",
-                    [
-                        _device_event(CYCLIC_DATA_GOOD, dev),
-                        PlannedEvent(data_event, "connection", key),
-                    ],
+                    events,
                 )
 
     def acyclic_exchange(self, device: NodeSpec) -> None:

@@ -67,20 +67,6 @@ class AnomalyAlert:
             "severity": self.severity,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "AnomalyAlert":
-        cause = doc["cause"]
-        return cls(
-            timestamp=(doc["timestamp"][0], doc["timestamp"][1]),
-            instance_kind=doc["instance_kind"],
-            instance_key=doc["instance_key"],
-            state_at_event=doc["state_at_event"],
-            offending_event=doc["offending_event"],
-            cause=FrameRef(cause["capture_index"], cause["protocol"], cause["summary"]),
-            explanation=doc["explanation"],
-            severity=doc["severity"],
-        )
-
 
 @dataclass
 class TrackerConfig:
@@ -453,14 +439,13 @@ class Tracker(TrackContext):
             "anomalies": sum(1 for a in self.alerts if a.severity == SEVERITY_ANOMALY),
             "diagnostics": sum(1 for a in self.alerts if a.severity == SEVERITY_DIAGNOSTIC),
         }
-        encoded: dict[int, dict] = {}  # see FsmInstance.export_log
         return TrackerReport(
             summary=summary,
             final_states=self.snapshot_states(),
             inventory=self.inventory.export(),
             alerts=list(self.alerts),
-            logs=self.fleet.per_instance(lambda instance: instance.export_log(encoded)),
-            edges=self.fleet.per_instance(lambda instance: instance.export_edges(encoded)),
+            logs=self.fleet.per_instance(FsmInstance.export_log),
+            edges=self.fleet.per_instance(FsmInstance.export_edges),
         )
 
 
@@ -589,7 +574,3 @@ def span_seconds(first: Timestamp | None, last: Timestamp | None, frames: int) -
         return 0.0
     return (last[0] - first[0]) + (last[1] - first[1]) / 1_000_000_000
 
-
-def process_capture(stream: Iterable[StreamItem], config: TrackerConfig | None = None) -> TrackerReport:
-    """Run the whole pipeline over one frame stream."""
-    return Tracker(config).process(stream)

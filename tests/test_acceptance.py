@@ -39,7 +39,7 @@ from poet.synth import (
     synthesize,
     write_pcap_bytes,
 )
-from poet.tracker import Tracker, TrackerConfig, process_capture
+from poet.tracker import Tracker, TrackerConfig
 
 
 def _announce(criterion: str, detail: str = "") -> None:
@@ -190,7 +190,7 @@ def test_c6_dissector_totality_and_duality():
     outcomes = {"parsed": 0, "malformed": 0}
     for data in corpus:
         try:
-            parsed = dissect(RawFrame(0, 0, data, 0, "fuzz"))
+            parsed = dissect(RawFrame(0, 0, data, 0))
             assert isinstance(parsed, ParsedFrame)
             outcomes["parsed"] += 1
         except MalformedFrame:
@@ -211,7 +211,7 @@ def test_c6_dissector_totality_and_duality():
     }
     families_seen = set()
     for plan in result.frames:
-        parsed = dissect(RawFrame(*plan.ts, plan.data, plan.index, "synth"))
+        parsed = dissect(RawFrame(*plan.ts, plan.data, plan.index))
         label = plan.label.split()[0]
         expected = family_of[label]
         assert isinstance(parsed.body, expected), plan.label
@@ -303,7 +303,7 @@ def test_c8_out_of_order_write(tmp_path):
     tampered = frames[:connect_at] + [(write_plan.ts, write_plan.data)] + frames[connect_at:]
     path = tmp_path / "c8.pcap"
     path.write_bytes(write_pcap_bytes(tampered))
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
 
     orphans = [a for a in report.diagnostics if a.offending_event == "orphan_frame"]
     assert len(orphans) == 1

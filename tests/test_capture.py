@@ -16,10 +16,19 @@ from poet.capture import (
     RawFrame,
     open_capture,
 )
-from poet.synth import write_pcap_bytes, write_pcapng_bytes
-from poet.tracker import process_capture
+from poet.synth import normal_startup_spec, synthesize, write_pcap_bytes, write_pcapng_bytes
+from poet.tracker import Tracker
 
 FRAME = bytes(range(64))  # arbitrary 64-byte frame
+
+
+def _pcapng_block(block_type: int, content: bytes, endian: str = "<") -> bytes:
+    total = 12 + len(content)
+    return struct.pack(endian + "II", block_type, total) + content + struct.pack(endian + "I", total)
+
+
+_SHB = _pcapng_block(0x0A0D0D0A, struct.pack("<IHHq", 0x1A2B3C4D, 1, 0, -1))
+_IDB = _pcapng_block(0x00000001, struct.pack("<HHI", 1, 0, 65535))  # an Ethernet interface
 
 
 def _frames(n: int, gap: float = 0.5) -> list[tuple[tuple[int, int], bytes]]:
@@ -138,18 +147,14 @@ def test_pcapng_skips_unknown_blocks(tmp_path):
 
 
 def test_pcapng_big_endian_nanosecond_section(tmp_path):
-    def block(block_type: int, content: bytes) -> bytes:
-        total = 12 + len(content)
-        return struct.pack(">II", block_type, total) + content + struct.pack(">I", total)
-
-    data = block(0x0A0D0D0A, struct.pack(">IHHq", 0x1A2B3C4D, 1, 0, -1))
+    data = _pcapng_block(0x0A0D0D0A, struct.pack(">IHHq", 0x1A2B3C4D, 1, 0, -1), ">")
     # IDB with if_tsresol option = 9 (nanoseconds)
     idb_opts = struct.pack(">HH", 9, 1) + b"\x09\x00\x00\x00" + struct.pack(">HH", 0, 0)
-    data += block(0x00000001, struct.pack(">HHI", 1, 0, 65535) + idb_opts)
+    data += _pcapng_block(0x00000001, struct.pack(">HHI", 1, 0, 65535) + idb_opts, ">")
     ticks = 7 * 1_000_000_000 + 123_456_789
     pad = (-len(FRAME)) % 4
     epb = struct.pack(">IIIII", 0, ticks >> 32, ticks & 0xFFFFFFFF, len(FRAME), len(FRAME))
-    data += block(0x00000006, epb + FRAME + b"\x00" * pad)
+    data += _pcapng_block(0x00000006, epb + FRAME + b"\x00" * pad, ">")
     path = tmp_path / "bens.pcapng"
     path.write_bytes(data)
     (item,) = list(open_capture(path))
@@ -167,13 +172,13 @@ def test_order_preserved_for_non_monotonic_timestamps(tmp_path):
 
 
 def test_stats_empty_stream():
-    summary = process_capture([]).summary
+    summary = Tracker().process([]).summary
     assert (summary["frames"], summary["bytes"], summary["span_seconds"]) == (0, 0, 0.0)
 
 
 def test_stats_single_frame():
-    frame = RawFrame(5, 0, b"\x00" * 60, 0, "x")
-    summary = process_capture([frame]).summary
+    frame = RawFrame(5, 0, b"\x00" * 60, 0)
+    summary = Tracker().process([frame]).summary
     assert (summary["frames"], summary["bytes"], summary["span_seconds"]) == (1, 60, 0.0)
 
 
@@ -184,7 +189,7 @@ def test_stats_span_three_frames(tmp_path):
     path.write_bytes(write_pcap_bytes(frames))
     items = list(open_capture(path))
     assert [((i.ts_sec, i.ts_nsec), i.frame_bytes) for i in items] == frames
-    assert process_capture(items).summary["span_seconds"] == 2.0
+    assert Tracker().process(items).summary["span_seconds"] == 2.0
 
 
 def test_stats_skips_diagnostics(tmp_path):
@@ -206,15 +211,10 @@ def test_pcap_non_ethernet_link_type_refused(tmp_path):
 
 
 def test_pcapng_packet_on_non_ethernet_interface_is_one_error(tmp_path):
-    def block(block_type: int, content: bytes) -> bytes:
-        total = 12 + len(content)
-        return struct.pack("<II", block_type, total) + content + struct.pack("<I", total)
-
-    data = block(0x0A0D0D0A, struct.pack("<IHHq", 0x1A2B3C4D, 1, 0, -1))
-    data += block(0x00000001, struct.pack("<HHI", 113, 0, 65535))  # interface 0: Linux cooked
-    data += block(0x00000001, struct.pack("<HHI", 1, 0, 65535))  # interface 1: Ethernet
+    data = _SHB + _pcapng_block(0x00000001, struct.pack("<HHI", 113, 0, 65535))  # interface 0: Linux cooked
+    data += _IDB  # interface 1: Ethernet
     for iface in (0, 1, 2):  # no block declares interface 2
-        data += block(0x00000006, struct.pack("<IIIII", iface, 0, 0, len(FRAME), len(FRAME)) + FRAME)
+        data += _pcapng_block(0x00000006, struct.pack("<IIIII", iface, 0, 0, len(FRAME), len(FRAME)) + FRAME)
     path = tmp_path / "mixed-link.pcapng"
     path.write_bytes(data)
     items = list(open_capture(path))
@@ -257,3 +257,69 @@ def test_huge_declared_length_is_one_capture_error(tmp_path, fmt, length_at, rea
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [f"capture_error {reason}"]
+
+
+# What cutting a capture at every byte reaches: (refusals when opening, errors in the stream).
+_CUT_REFUSALS = {
+    "pcap": (
+        {"file too short for a capture header", "truncated pcap global header"},
+        {"truncated record header", "truncated record body"},
+    ),
+    "pcapng": (
+        {"file too short for a capture header"},
+        {"truncated block header", "truncated section header", "truncated section block", "truncated block"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_CUT_REFUSALS))
+def test_every_prefix_is_refused_or_yields_frames_then_one_error(tmp_path, fmt):
+    """Cut a synthesized capture at every byte: the stream stays a prefix of the frames, plus one error."""
+    frames = [(plan.ts, plan.data) for plan in synthesize(normal_startup_spec(1)).frames[:3]]
+    data = (write_pcap_bytes if fmt == "pcap" else write_pcapng_bytes)(frames)
+    path = tmp_path / f"cut.{fmt}"
+    refusals, reasons = set(), set()
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        try:
+            stream = open_capture(path)
+        except CaptureFormatError as exc:
+            refusals.add(str(exc).removeprefix(f"{path}: "))
+            continue
+        items = list(stream)
+        read = [item for item in items if isinstance(item, RawFrame)]
+        assert items[: len(read)] == read, cut
+        assert [((f.ts_sec, f.ts_nsec), f.frame_bytes) for f in read] == frames[: len(read)], cut
+        rest = items[len(read) :]
+        assert len(rest) <= 1 and all(isinstance(error, CaptureError) for error in rest), cut
+        reasons.update(error.reason for error in rest)
+        Tracker().process(items)
+    assert (refusals, reasons) == _CUT_REFUSALS[fmt]
+
+
+def _section_block(content: bytes) -> bytes:
+    return _pcapng_block(0x0A0D0D0A, content)
+
+
+def _packet_block(cap_len: int, data: bytes) -> bytes:
+    return _pcapng_block(0x00000006, struct.pack("<IIIII", 0, 0, 0, cap_len, cap_len) + data)
+
+
+@pytest.mark.parametrize(
+    "before, block, reason",
+    [
+        (b"", _section_block(struct.pack("<IHHq", 0xDEADBEEF, 1, 0, -1)), "bad section byte-order magic"),
+        (b"", _section_block(struct.pack("<IHHI", 0x1A2B3C4D, 1, 0, 0)), "bad section block length"),  # < 28
+        (_SHB, _section_block(struct.pack("<IHHqH", 0x1A2B3C4D, 1, 0, -1, 0)), "bad section block length"),  # % 4
+        (_SHB, _pcapng_block(0x00000001, struct.pack("<HH", 1, 0)), "short interface block"),
+        (_SHB + _IDB, _pcapng_block(0x00000006, bytes(16)), "short packet block"),
+        (_SHB + _IDB, _packet_block(len(FRAME), FRAME[:60]), "truncated packet data"),
+        (_SHB + _IDB, _packet_block(4, FRAME[:4]), "runt frame (4 bytes)"),
+    ],
+)
+def test_pcapng_malformed_block_is_one_capture_error(tmp_path, before, block, reason):
+    path = tmp_path / "bad.pcapng"
+    path.write_bytes(before + block)
+    (item,) = list(open_capture(path))
+    assert isinstance(item, CaptureError)
+    assert (item.byte_offset, item.capture_index, item.reason) == (len(before), 0, reason)

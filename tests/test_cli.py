@@ -8,9 +8,7 @@ import pytest
 
 import poet.cli
 from poet.cli import main
-from poet.inventory import AssetInventory
 from poet.synth import builtin_scenario, synthesize
-from poet.tracker import AnomalyAlert
 
 
 def _write_builtin(tmp_path, name: str) -> str:
@@ -36,8 +34,7 @@ def test_analyze_rename_attack_exit_two_one_line(tmp_path, capsys):
         line for line in lines if json.loads(line)["severity"] == "anomaly"
     ]
     assert len(anomaly_lines) == 1
-    alert = AnomalyAlert.from_json(json.loads(anomaly_lines[0]))
-    assert alert.offending_event == "name_set_requested"
+    assert json.loads(anomaly_lines[0])["offending_event"] == "name_set_requested"
 
 
 def test_analyze_missing_file_exit_one(tmp_path, capsys):
@@ -219,9 +216,8 @@ def test_inventory_command(tmp_path, capsys):
     out = tmp_path / "inv.json"
     assert main(["inventory", prefix + ".pcap", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    loaded = AssetInventory.load(doc)
-    assert len(loaded) >= 3
-    names = {r.name_of_station for r in loaded.records.values()}
+    assert len(doc["assets"]) >= 3
+    names = {asset["name_of_station"] for asset in doc["assets"]}
     assert {"plc-1", "lift-motor", "turntable-motor"} <= names
 
 

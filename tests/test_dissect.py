@@ -56,7 +56,7 @@ PORT = str_to_mac("02:70:01:01:02:00")
 
 
 def raw(data: bytes, index: int = 0) -> RawFrame:
-    return RawFrame(0, 0, data, index, "test")
+    return RawFrame(0, 0, data, index)
 
 
 def test_lldp_station_name_lift_motor():
@@ -286,8 +286,7 @@ def _layout_oracle(submodules, direction):
     position = 0
     for sub in submodules:
         if sub.direction == direction:
-            if sub.length:
-                offsets.append(position)
+            offsets.append(position)
             position += sub.length + 1
     return offsets
 

@@ -24,41 +24,41 @@ NO_ALERTS = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 # scenario -> (sha256 of report.dumps(), sha256 of the report without its "edges"
 # section, sha256 of the streamed alert lines). Every builtin instance fires at
-# most LOG_WINDOW events, so its "logs" are whole and the report without "edges"
-# keeps the bytes it had before the log was bounded.
+# most LOG_WINDOW events, so its "logs" are whole, its "edges" are empty, and the
+# report without "edges" keeps the bytes it had before the log was bounded.
 GOLDEN = {
     "malformed-dcp": (
-        "e3d2e4da621d27a3a658204752a4500a7ce1eb10880dcd74dc8ef65a367454d3",
+        "0f97918dee682c3bd2d16fb83f80ed794c498f8e5e750700f29826b4ead5d103",
         "cea7a0aafa43e52e8294c567d88c121178b219b918e03c25e78d3e7ee674c7a6",
         "670aa529c3fd095e887fa0152729835551dc76ca5a946a13669207f069ec0073",
     ),
     "normal-startup": (
-        "a8989b39457956a839f8ac57825473228719c2f6b3d191bf4ef9ecc49912d258",
+        "944c453eadb55fab55cfe9827da485c3344b1eb61e8ebbc2848f734619b7a9ac",
         "44e07050e94b1f6573b8d2fbb738a0d2b808ad4e2c4a2900efc3fc5ed58b4a2c",
         NO_ALERTS,
     ),
     "normal-startup-1": (
-        "27999cbbe1aba79e20105b424540f3edbf40ee5355da1ba68315c6455d043282",
+        "60602a679965f42b951823649202c7b12e1024066f186646da774979cbc9cfa9",
         "9d9f7875397776e97bfaf04d8d94e27716252fdd8cbadc37f3643d212312a84c",
         NO_ALERTS,
     ),
     "normal-startup-5": (
-        "f7ab86dba350d4c83e58a5f9eafdcda3a5af2e4d035c5c21c4f4adc565ce9725",
+        "5d72a63403b1c7f897b03dffeb3a9ffc27631b1e620aa8139d54b37921867f52",
         "582394a8194d403e89250dcd971586fef9c46d3579c49b03c3ac75a0597e7b06",
         NO_ALERTS,
     ),
     "normal-startup-lldp": (
-        "329f31fbcd1dd485f6541d32497c225434c6b5e833464c49ce304d0c96712357",
+        "30cdc2a49df4d828eb0e5aa6c55b9b34a9604d7846b4dd074deea8b51a65fb53",
         "3d3863235aa16d2584c1d1a5b322d55c0c38c1df419045dd19ff23dc855b587d",
         NO_ALERTS,
     ),
     "rename-attack": (
-        "b2109db337e1afe62fe88839f560f18c530d95f29e76a9211eb4e0fa4db829ed",
+        "c95e86c9dc799decb4c2280e052f9b29a589c2dfac4fe9e5c7e3c1b21f0addcb",
         "6fbede313e331933e35d0025346582456e29aa2d25754ca47273ef915073db74",
         "53daff80012e2280fe083859b983ca7623f9db883e4f14cc8a9f3854bee470d0",
     ),
     "rogue-connect": (
-        "c3f73e9473bac22de52c747bbd650d43866089e1b5fbe11bda813339665c1a56",
+        "ccd824a900b81859d645b99d91022a64f7b0a1642080187e9329af91678f54a9",
         "f62c6e8c9db5827a327c1dff9d42dc577aa063518c91973370412a17451c070c",
         "032714f66778a119fa201819b4127024f9a65327ae6c3a054c65fa11d73d266e",
     ),

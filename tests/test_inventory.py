@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import timeit
 
 from poet.capture import RawFrame, open_capture
@@ -27,7 +26,7 @@ TS = (100, 0)
 
 
 def parse(data: bytes, index: int = 0):
-    return dissect(RawFrame(100, 0, data, index, "test"))
+    return dissect(RawFrame(100, 0, data, index))
 
 
 def test_lldp_burst_builds_lift_motor_record():
@@ -124,15 +123,6 @@ def test_export_one_record_with_full_provenance():
         assert asset["provenance"][fieldname]["capture_index"] == 3
 
 
-def test_export_import_export_byte_identical():
-    inv = AssetInventory()
-    inv.update_from_frame(parse(encode_lldp(DEV, PORT1, 20, "lift-motor")), TS)
-    inv.update_from_frame(parse(dcp_identify_response(DEV, CTRL, 1, "lift-motor", ip="192.168.0.11"), 1), TS)
-    first = inv.export_json()
-    second = AssetInventory.load(json.loads(first)).export_json()
-    assert first == second
-
-
 def test_monotone_knowledge_same_value_is_silent():
     inv = AssetInventory()
     frame = encode_lldp(DEV, PORT1, 20, "lift-motor")
@@ -150,20 +140,11 @@ def test_name_lookup_lowest_mac_wins_and_follows_renames():
     # The higher MAC claims the name first; the lower one still wins the tie.
     inv.update_from_frame(parse(encode_lldp(str_to_mac(high), PORT1, 20, "twin"), 0), TS)
     inv.update_from_frame(parse(encode_lldp(str_to_mac(low), PORT2, 20, "twin"), 1), TS)
-    names = ("twin", "ufo", "nobody")
     assert inv.find_mac_by_name("twin") == low
-    assert [AssetInventory.load(inv.export()).find_mac_by_name(n) for n in names] == [
-        inv.find_mac_by_name(n) for n in names
-    ]
     inv.update_from_frame(parse(dcp_set_name_request(CTRL, str_to_mac(low), 2, "ufo"), 2), TS)
     assert inv.find_mac_by_name("twin") == high
     assert inv.find_mac_by_name("ufo") == low
     assert inv.find_mac_by_name("nobody") is None
-    assert [AssetInventory.load(inv.export()).find_mac_by_name(n) for n in names] == [
-        high,
-        low,
-        None,
-    ]
 
 
 def test_name_lookup_cost_does_not_grow_with_holders():
@@ -171,9 +152,9 @@ def test_name_lookup_cost_does_not_grow_with_holders():
 
     def seconds_for_1000_lookups(holders: int) -> float:
         macs = [f"02:00:00:{i >> 16:02x}:{(i >> 8) & 0xFF:02x}:{i & 0xFF:02x}" for i in range(holders)]
-        inv = AssetInventory.load(
-            {"assets": [{"interface_mac": mac, "name_of_station": "twin"} for mac in macs]}
-        )
+        inv = AssetInventory()
+        for index, mac in enumerate(macs):
+            inv.update_from_frame(parse(encode_lldp(str_to_mac(mac), PORT1, 20, "twin"), index), TS)
         assert inv.find_mac_by_name("twin") == macs[0]
         return min(timeit.repeat(lambda: inv.find_mac_by_name("twin"), number=1000, repeat=9))
 

@@ -48,7 +48,7 @@ from poet.synth import (
     encode_pnio,
     record_block,
 )
-from poet.dissect import BLOCK_WRITE_REQ, BLOCK_WRITE_RES
+from poet.dissect import BLOCK_WRITE_REQ, BLOCK_WRITE_RES, RPC_OPNUM_READ
 
 CTRL_MAC = "02:00:00:00:01:00"
 DEV_MAC = "02:00:00:00:02:00"
@@ -60,7 +60,7 @@ CAUSE = FrameRef(0, "test", "unit")
 
 
 def raw(data: bytes, index: int = 0) -> RawFrame:
-    return RawFrame(0, 0, data, index, "test")
+    return RawFrame(0, 0, data, index)
 
 
 class FakeConnection:
@@ -430,6 +430,16 @@ def test_derive_orphan_write_without_connect():
     derived = derive_events(dissect(raw(frame)), ctx)
     assert derived.events == []
     assert [d.kind for d in derived.diagnostics] == ["orphan_frame"]
+
+
+def test_derive_orphan_cm_frame_without_ar_reference():
+    # A Read response whose arguments hold no block names no AR.
+    frame = encode_cm(DEV, CTRL, "192.168.0.11", "192.168.0.1", 2, RPC_OPNUM_READ, uuid.uuid4(), 2, b"")
+    derived = derive_events(dissect(raw(frame)), FakeContext())
+    assert derived.events == []
+    assert [(d.kind, d.detail) for d in derived.diagnostics] == [
+        ("orphan_frame", "pn-cm read response without AR reference")
+    ]
 
 
 def test_connection_key_format():

@@ -1,0 +1,36 @@
+"""The runtime's import graph: `import poet` loads poet's own modules and the stdlib, no generator."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import poet
+
+# Only the modules that `import poet` itself adds count, not those a site hook loaded first.
+_PROBE = """
+import json, sys
+before = set(sys.modules)
+import poet
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_poet_loads_only_the_runtime_and_the_stdlib():
+    src = os.path.dirname(os.path.dirname(poet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    added = json.loads(run.stdout)
+    assert "poet.tracker" in added
+    assert "poet.synth" not in added
+    outside = [
+        name
+        for name in added
+        if name.partition(".")[0] != "poet" and name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []

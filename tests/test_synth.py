@@ -28,7 +28,7 @@ from poet.synth import (
     str_to_mac,
     synthesize,
 )
-from poet.tracker import Tracker, TrackerConfig, process_capture
+from poet.tracker import Tracker, TrackerConfig
 
 
 def test_duplicate_mac_rejected():
@@ -184,7 +184,7 @@ def test_no_lldp_scenario_clean(tmp_path):
     assert result.manifest["expected"]["anomalies"] == []
     path = tmp_path / "nolldp.pcap"
     path.write_bytes(result.pcap_bytes)
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     assert report.anomalies == []
     assert report.final_states["system"]["state"] == "DataExchange"
     states = {d["mac"]: d["state"] for d in report.final_states["devices"]}
@@ -197,7 +197,7 @@ def test_acyclic_exchange_scenario_clean(tmp_path):
     assert result.manifest["expected"]["anomalies"] == []
     path = tmp_path / "acyclic.pcap"
     path.write_bytes(result.pcap_bytes)
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     assert report.anomalies == []
     # acyclic states were actually visited
     log = report.logs["devices"][result.spec.devices[0].mac]
@@ -210,7 +210,7 @@ def test_malformed_scenario_diagnostic_not_anomaly(tmp_path):
     assert result.manifest["expected"]["anomalies"] == []
     path = tmp_path / "malformed.pcap"
     path.write_bytes(result.pcap_bytes)
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     assert report.anomalies == []
     assert any(a.offending_event == "malformed_frame" for a in report.diagnostics)
 
@@ -239,7 +239,7 @@ def test_bitflipped_ttl_zero_lldp_not_silent():
     ttl_at = 14 + 9 + 9 + 2
     frame[ttl_at : ttl_at + 2] = b"\x00\x00"
     try:
-        parsed = dissect(RawFrame(0, 0, bytes(frame), 0, "t"))
+        parsed = dissect(RawFrame(0, 0, bytes(frame), 0))
         assert isinstance(parsed.body, LldpFrame)
         assert "ttl-zero" in parsed.body.violations
     except MalformedFrame:
@@ -271,7 +271,7 @@ def test_unsorted_slot_layout_extracts_correctly(tmp_path):
     result = synthesize(spec)
     path = tmp_path / "mixed.pcap"
     path.write_bytes(result.pcap_bytes)
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     assert report.anomalies == []
 
     specs_by_direction = {"input": [], "output": []}
@@ -306,19 +306,24 @@ def test_unsorted_slot_layout_extracts_correctly(tmp_path):
             assert data == expected, (direction, entry.slot, entry.subslot)
 
 
-def test_input_only_device_clean(tmp_path):
+def _one_device_spec(*submodules: tuple) -> ScenarioSpec:
     device = NodeSpec(
-        "02:00:00:00:02:00", "probe", "192.168.0.21", (SubmoduleSpec(1, 1, "input", 2),)
+        "02:00:00:00:02:00", "probe", "192.168.0.21", tuple(SubmoduleSpec(*s) for s in submodules)
     )
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         controller=NodeSpec("02:00:00:00:01:00", "plc-1", "192.168.0.1"),
         devices=(device,),
         cyclic_rounds=3,
     )
+
+
+def test_input_only_device_clean(tmp_path):
+    spec = _one_device_spec((1, 1, "input", 2))
+    device = spec.devices[0]
     result = synthesize(spec)
     path = tmp_path / "inonly.pcap"
     path.write_bytes(result.pcap_bytes)
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     assert report.anomalies == []
     states = {d["mac"]: d["state"] for d in report.final_states["devices"]}
     assert states[device.mac] == "DataExchange"
@@ -363,6 +368,11 @@ _DIFFERENTIAL_SPECS = {
     **BUILTIN_SCENARIOS,
     "no-initial-lldp": lambda: normal_startup_spec(2, initial_lldp=False),
     "acyclic-exchange": lambda: normal_startup_spec(1, acyclic_exchange=True),
+    # CRs with no data-bearing submodule: the zero-length one still has its IOPS
+    # byte, and a CR with no submodule of its own direction carries only IOCS.
+    "zero-length-input": lambda: _one_device_spec((1, 1, "input", 0)),
+    "output-only": lambda: _one_device_spec((1, 1, "output", 2)),
+    "zero-length-output": lambda: _one_device_spec((1, 1, "input", 2), (2, 1, "output", 0)),
 }
 
 

@@ -33,7 +33,7 @@ from poet.synth import (
     synthesize,
     write_pcap_bytes,
 )
-from poet.tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport, process_capture
+from poet.tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport
 
 
 def run(result: SynthResult, tmp_path, name="cap", config: TrackerConfig | None = None):
@@ -47,7 +47,7 @@ def run(result: SynthResult, tmp_path, name="cap", config: TrackerConfig | None 
 def test_empty_capture(tmp_path):
     path = tmp_path / "empty.pcap"
     path.write_bytes(write_pcap_bytes([]))
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     assert report.final_states["system"]["state"] == "Inactive"
     assert report.final_states["devices"] == []
     assert report.alerts == []
@@ -105,7 +105,7 @@ def test_rename_with_identify_probe(tmp_path):
     frames.append((last_ts, dcp_set_name_request(attacker, dev, 0xA1, "ufo")))
     path = tmp_path / "probe.pcap"
     path.write_bytes(write_pcap_bytes(frames))
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     hits = [a for a in report.anomalies if a.instance_key == device.mac]
     assert len(hits) >= 1
     assert any(
@@ -151,7 +151,7 @@ def test_orphan_write_before_connect_no_state_corruption(tmp_path):
     tampered = frames[:connect_at] + [(write_plan.ts, write_plan.data)] + frames[connect_at:]
     path = tmp_path / "orphan.pcap"
     path.write_bytes(write_pcap_bytes(tampered))
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
 
     orphans = [a for a in report.diagnostics if a.offending_event == "orphan_frame"]
     assert len(orphans) == 1
@@ -194,8 +194,7 @@ def test_alert_stream_json_round_trip(tmp_path):
     report = tracker.process(open_capture(path))
     lines = [line for line in sink.getvalue().splitlines() if line]
     assert len(lines) == len(report.alerts)
-    parsed = [AnomalyAlert.from_json(json.loads(line)) for line in lines]
-    assert parsed == report.alerts
+    assert [json.loads(line) for line in lines] == [alert.to_json() for alert in report.alerts]
 
 
 def test_alerts_stream_as_they_occur(tmp_path):
@@ -272,7 +271,7 @@ def test_arbitrary_benign_lldp_interleaving_stays_clean(inserts):
         f.write(pcap)
         path = f.name
     try:
-        report = process_capture(open_capture(path))
+        report = Tracker().process(open_capture(path))
     finally:
         os.unlink(path)
     assert report.anomalies == []
@@ -349,7 +348,7 @@ def test_capture_error_becomes_diagnostic(tmp_path):
     result = synthesize(normal_startup_spec(1))
     path = tmp_path / "trunc.pcap"
     path.write_bytes(result.pcap_bytes[:-3])
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     [error] = [a for a in report.diagnostics if a.offending_event == "capture_error"]
     assert report.anomalies == []
     # Stamped with the last frame read before the break, not (0, 0).
@@ -365,7 +364,7 @@ def test_unanswered_identify_expires_as_diagnostic(tmp_path):
     frames = [((100, 0), dcp_identify_request(ctrl, 1, "ghost-device"))]
     path = tmp_path / "ghost.pcap"
     path.write_bytes(write_pcap_bytes(frames))
-    report = process_capture(open_capture(path))
+    report = Tracker().process(open_capture(path))
     assert any(a.offending_event == "deferred_identify_expired" for a in report.diagnostics)
     assert report.anomalies == []
 
@@ -376,7 +375,7 @@ def test_expired_identifies_report_in_creation_order():
     tracker = Tracker(TrackerConfig())
 
     def feed(index, ts, data):
-        tracker.process_frame(RawFrame(ts[0], ts[1], data, index, "test"))
+        tracker.process_frame(RawFrame(ts[0], ts[1], data, index))
 
     def expired():
         return [
@@ -414,7 +413,7 @@ def _identify_flood(n: int) -> list[RawFrame]:
     for i in range(n):
         datas.append(dcp_identify_request(requester, 2 * i + 1, f"st-{i:05d}"))
         datas.append(dcp_identify_request(requester, 2 * i + 2, f"ghost-{i:05d}"))
-    return [RawFrame(100 + i // 1000, i % 1000, data, i, "flood") for i, data in enumerate(datas)]
+    return [RawFrame(100 + i // 1000, i % 1000, data, i) for i, data in enumerate(datas)]
 
 
 def _poet_line_events(frames: list[RawFrame]) -> int:
@@ -457,7 +456,7 @@ def _named_response_flood(n: int) -> list[RawFrame]:
         station = bytes([0x02, 0, 0, 0]) + i.to_bytes(2, "big")
         name = f"ghost-{i:05d}" if i % 2 else f"st-{i:05d}"
         datas.append(dcp_identify_response(station, requester, i + 1, name))
-    return [RawFrame(100 + i // 1000, i % 1000, data, i, "flood") for i, data in enumerate(datas)]
+    return [RawFrame(100 + i // 1000, i % 1000, data, i) for i, data in enumerate(datas)]
 
 
 def test_named_response_flood_cost_grows_linearly():
@@ -494,7 +493,7 @@ def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, in
         datas.insert(min(position, len(datas)), _fuzz_frames()[fuzz_index])
     for pick in picks:
         datas.insert(pick % (len(datas) + 1), pool[pick % len(pool)])
-    frames = [RawFrame(100 + i, 0, data, i, "mixed") for i, data in enumerate(datas)]
+    frames = [RawFrame(100 + i, 0, data, i) for i, data in enumerate(datas)]
 
     tracker = Tracker(TrackerConfig())
     report = tracker.process(frames)  # never raises
@@ -560,7 +559,7 @@ def test_tracker_memory_does_not_grow_with_cyclic_rounds():
 
     def peak(rounds: int) -> int:
         plans = synthesize(normal_startup_spec(1, cyclic_rounds=rounds)).frames
-        frames = [RawFrame(p.ts[0], p.ts[1], p.data, p.index, "mem") for p in plans]
+        frames = [RawFrame(p.ts[0], p.ts[1], p.data, p.index) for p in plans]
         tracemalloc.start()
         try:
             Tracker(TrackerConfig()).process(frames)
@@ -581,9 +580,11 @@ def test_dumps_matches_json_on_hostile_strings():
     cause = FrameRef(7, hostile, hostile)
     device = FsmInstance(device_fsm_table(), hostile)
     device.fire("name_set_requested", cause, (1, 2))  # rejected in the initial state: to_state null
-    device.fire("detect_neighbours", cause, (3, 4))
-    device.fire("detect_neighbours", cause, (5, 6))
-    assert [r.verdict for r in device.records()] == ["rejected", "accepted", "accepted"]
+    # Past LOG_WINDOW events the edges are exported too, so hostile strings reach them.
+    for second in range(LOG_WINDOW):
+        device.fire("detect_neighbours", cause, (3 + second, 4))
+    assert [r.verdict for r in device.records()[:2]] == ["rejected", "accepted"]
+    assert len(device.export_edges()) == 2
     alert = AnomalyAlert((5, 6), "device", hostile, hostile, hostile, cause, hostile, "anomaly")
     report = TrackerReport(
         summary={"system_name": hostile, hostile: 1.5, "frames": 0},
@@ -633,14 +634,14 @@ def test_inconsistent_connect_is_one_device_diagnostic(tmp_path):
     assert connect.data.count(declared) == 1
     contradicting = connect.data.replace(declared, iocr_block_request(1, 1, length + 1, 0x8001))
     frames = [
-        RawFrame(*plan.ts, contradicting if plan is connect else plan.data, plan.index, "t")
+        RawFrame(*plan.ts, contradicting if plan is connect else plan.data, plan.index)
         for plan in result.frames
     ]
     key = next(iter(result.manifest["expected"]["final_states"]["connections"]))
 
-    intact = process_capture(RawFrame(*p.ts, p.data, p.index, "t") for p in result.frames)
+    intact = Tracker().process(RawFrame(*p.ts, p.data, p.index) for p in result.frames)
     assert "cyclic_data_good" in _logged_events(intact, "devices", device.mac)
-    report = process_capture(frames)
+    report = Tracker().process(frames)
     (diag,) = report.diagnostics
     assert (diag.offending_event, diag.instance_kind, diag.instance_key) == (
         "inconsistent_connect",
@@ -655,7 +656,7 @@ def test_inconsistent_connect_is_one_device_diagnostic(tmp_path):
 
 def test_lldp_ttl_zero_is_one_system_diagnostic():
     frame = encode_lldp(str_to_mac("02:00:00:00:02:00"), str_to_mac("02:70:01:01:02:00"), 0, "lift-motor")
-    report = process_capture([RawFrame(1, 0, frame, 0, "t")])
+    report = Tracker().process([RawFrame(1, 0, frame, 0)])
     (diag,) = report.diagnostics
     assert (diag.offending_event, diag.instance_kind, diag.instance_key) == (
         "protocol_rule_violation",
