@@ -13,7 +13,6 @@ from .dissect import (
     ParsedFrame,
     dissect,
     extract_io_specs,
-    extract_process_data,
 )
 from .fsm import FsmDefinition, FsmInstance, TransitionRecord, validate_definition
 from .inventory import AssetInventory, AssetRecord
@@ -49,7 +48,6 @@ __all__ = [
     "device_fsm_table",
     "dissect",
     "extract_io_specs",
-    "extract_process_data",
     "open_capture",
     "system_fsm_table",
     "validate_definition",

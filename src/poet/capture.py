@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -41,7 +42,7 @@ class CaptureFormatError(Exception):
     """File is not a readable pcap/pcapng container (unknown magic, short header)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RawFrame:
     """One captured Ethernet frame with its record timestamp."""
 
@@ -78,15 +79,20 @@ def open_capture(path: str | os.PathLike) -> Iterator[StreamItem]:
             raise CaptureFormatError(f"{path}: file too short for a capture header")
         magic_le = struct.unpack("<I", head)[0]
         if magic_le == PCAPNG_SHB:
-            return _iter_pcapng(f)
-        if magic_le in (PCAP_MAGIC_US_LE, PCAP_MAGIC_NS_LE):
-            return _iter_pcap(f, path, "<", magic_le == PCAP_MAGIC_NS_LE)
-        if magic_le in (PCAP_MAGIC_US_BE, PCAP_MAGIC_NS_BE):
-            return _iter_pcap(f, path, ">", magic_le == PCAP_MAGIC_NS_BE)
-        raise CaptureFormatError(f"{path}: unknown capture magic 0x{magic_le:08X}")
+            stream = _iter_pcapng(f)
+        elif magic_le in (PCAP_MAGIC_US_LE, PCAP_MAGIC_NS_LE):
+            stream = _iter_pcap(f, path, "<", magic_le == PCAP_MAGIC_NS_LE)
+        elif magic_le in (PCAP_MAGIC_US_BE, PCAP_MAGIC_NS_BE):
+            stream = _iter_pcap(f, path, ">", magic_le == PCAP_MAGIC_NS_BE)
+        else:
+            raise CaptureFormatError(f"{path}: unknown capture magic 0x{magic_le:08X}")
     except BaseException:
         f.close()
         raise
+    # The generator closes the file when it ends or is closed; a stream that is
+    # dropped before its first item never runs that block.
+    weakref.finalize(stream, f.close)
+    return stream
 
 
 def _iter_pcap(f, path: str | os.PathLike, endian: str, nanosecond: bool) -> Iterator[StreamItem]:

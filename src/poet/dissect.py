@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 import uuid
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .capture import RawFrame
@@ -154,7 +153,7 @@ def str_to_ip(text: str) -> bytes:
     return bytes(int(p) for p in parts)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EthernetEnvelope:
     dst_mac: str
     src_mac: str
@@ -163,7 +162,7 @@ class EthernetEnvelope:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LldpFrame:
     chassis_id: tuple[int, bytes]  # (subtype, value)
     port_id: tuple[int, bytes]
@@ -185,7 +184,7 @@ class LldpFrame:
         return mac_to_str(value) if subtype == LLDP_PORT_SUBTYPE_MAC and len(value) == 6 else None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArpPacket:
     operation: str  # "request" | "reply"
     sender_mac: str
@@ -198,7 +197,7 @@ class ArpPacket:
         return self.sender_ip == self.target_ip
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DcpBlock:
     option: int
     suboption: int
@@ -241,7 +240,7 @@ class DcpBlock:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DcpFrame:
     frame_id: int
     service_id: str  # "Identify" | "Get" | "Set" | "Hello"
@@ -262,7 +261,7 @@ class DcpFrame:
         return block.name_of_station if block else None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IocrBlock:
     cr_type: str  # "input" | "output"
     reference: int
@@ -274,7 +273,7 @@ class IocrBlock:
     data_hold_factor: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExpectedSubmodule:
     slot: int
     subslot: int
@@ -284,7 +283,7 @@ class ExpectedSubmodule:
     data_description: tuple[str, int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CmFrame:
     direction: str  # "request" | "response"
     operation: str  # Connect | Write | Read | DControl | CControl | Release
@@ -299,7 +298,7 @@ class CmFrame:
     record_data: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PnioCyclicFrame:
     frame_id: int
     data: bytes
@@ -308,7 +307,7 @@ class PnioCyclicFrame:
     transfer_status: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OtherBody:
     ethertype: int
     tag: str | None = None
@@ -327,7 +326,7 @@ _PROTOCOL_TAGS: dict[type, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParsedFrame:
     envelope: EthernetEnvelope
     body: Body
@@ -354,12 +353,6 @@ class IoDataSpec:
 
 class InconsistentConnect(Exception):
     """Connect frame's declared CR data length contradicts its submodule layout."""
-
-
-class SpecOutOfRange(Exception):
-    def __init__(self, spec: IoDataSpec):
-        super().__init__(f"spec {spec.slot}/{spec.subslot} [{spec.offset}:+{spec.length}] outside data")
-        self.spec = spec
 
 
 def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> bytes:
@@ -592,27 +585,7 @@ def _parse_pnio_cyclic(data: bytes, frame_id: int) -> PnioCyclicFrame:
     if len(data) < 7:  # frame id + >=1 data byte + 4 trailer bytes
         raise MalformedFrame("pnio", 2, "cyclic frame too short for C-SDU")
     cycle_counter, data_status, transfer_status = struct.unpack(">HBB", data[-4:])
-    return PnioCyclicFrame(
-        frame_id=frame_id,
-        data=data[2:-4],
-        cycle_counter=cycle_counter,
-        data_status=data_status,
-        transfer_status=transfer_status,
-    )
-
-
-def summarize_iops(frame: PnioCyclicFrame, specs: Sequence[IoDataSpec]) -> str:
-    """GOOD iff every provider-status byte located via the specs is GOOD."""
-    if not specs:
-        return "unknown"
-    for spec in specs:
-        status_at = spec.offset + spec.length
-        end = status_at + spec.iops_length
-        if end > len(frame.data):
-            return "BAD"
-        if any(not (b & IOXS_GOOD) for b in frame.data[status_at:end]):
-            return "BAD"
-    return "GOOD"
+    return PnioCyclicFrame(frame_id, data[2:-4], cycle_counter, data_status, transfer_status)
 
 
 # --- IPv4 / UDP / DCE-RPC / PN-CM -------------------------------------------
@@ -901,14 +874,3 @@ def extract_io_specs(connect: CmFrame) -> list[IoDataSpec]:
             )
     return specs
 
-
-def extract_process_data(
-    frame: PnioCyclicFrame, specs: list[IoDataSpec]
-) -> list[tuple[IoDataSpec, bytes]]:
-    """Slice process bytes out of a cyclic frame, one entry per spec."""
-    out = []
-    for spec in specs:
-        if spec.offset + spec.length > len(frame.data):
-            raise SpecOutOfRange(spec)
-        out.append((spec, frame.data[spec.offset : spec.offset + spec.length]))
-    return out

@@ -26,7 +26,7 @@ class UnknownEvent(Exception):
     """Event name outside the definition's alphabet (a programming error)."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FrameRef:
     """Provenance of the frame that caused a transition or alert."""
 
@@ -117,7 +117,7 @@ class FsmDefinition:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TransitionRecord:
     timestamp: tuple[int, int]  # (sec, nsec)
     event: str

@@ -17,17 +17,18 @@ from functools import cache
 from .dissect import (
     DCP_OPTION_IP,
     DCP_SUBOPTION_IP_PARAMETER,
+    IOXS_GOOD,
     ArpPacket,
     CmFrame,
     DcpFrame,
     InconsistentConnect,
+    IocrBlock,
     IoDataSpec,
     LldpFrame,
     ParsedFrame,
     PnioCyclicFrame,
     extract_io_specs,
     lldp_subject,
-    summarize_iops,
 )
 from .fsm import Edge, FrameRef, FsmDefinition, WildcardEdge
 
@@ -241,7 +242,7 @@ def connection_key(initiator_mac: str, responder_mac: str) -> str:
     return f"{initiator_mac.replace(':', '')}-{responder_mac.replace(':', '')}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProtocolEvent:
     """One normalized semantic event derived from a dissected frame."""
 
@@ -274,14 +275,56 @@ class DeferredEvent:
 
 
 @dataclass(frozen=True)
+class CyclicBinding:
+    """One cyclic frame id, compiled once from the Connect request of its CR.
+
+    A frame of this id is good data iff its C-SDU reaches `c_sdu_length` bytes
+    and every byte at `iops_offsets` has the GOOD bit. `iops_offsets` is None
+    when the CR has no submodule of its direction, or the Connect's layout is
+    inconsistent: such a frame drives no event.
+    """
+
+    frame_id: int
+    responder_mac: str
+    key: str  # the connection key
+    data_event: str  # input_process_data_sent | output_process_data_sent
+    iops_offsets: tuple[int, ...] | None
+    c_sdu_length: int
+    summary: str  # the cause summary of every good frame
+
+
+def compile_binding(
+    iocr: IocrBlock, specs: list[IoDataSpec] | None, key: str, responder_mac: str
+) -> CyclicBinding:
+    """The binding of one IOCR, given its Connect's specs (None if inconsistent)."""
+    direction = iocr.cr_type
+    own = [s for s in specs or () if s.direction == direction]
+    offsets: tuple[int, ...] | None = None
+    if own:
+        offsets = tuple(
+            at
+            for s in own
+            for at in range(s.offset + s.length, s.offset + s.length + s.iops_length)
+        )
+    return CyclicBinding(
+        frame_id=iocr.frame_id,
+        responder_mac=responder_mac,
+        key=key,
+        data_event=INPUT_PROCESS_DATA_SENT if direction == "input" else OUTPUT_PROCESS_DATA_SENT,
+        iops_offsets=offsets,
+        c_sdu_length=max((s.offset + s.length + s.iops_length for s in own), default=0),
+        summary=f"pnio cyclic 0x{iocr.frame_id:04x} {direction} iops good",
+    )
+
+
+@dataclass(frozen=True)
 class ConnectionRegistration:
     """Registry payload extracted from one Connect request."""
 
     key: str
     responder_mac: str
     ar_uuid: uuid.UUID
-    # frame_id -> (direction, specs for that CR)
-    frame_id_bindings: tuple[tuple[int, str, tuple[IoDataSpec, ...]], ...]
+    frame_id_bindings: tuple[CyclicBinding, ...]  # one per IOCR
 
 
 @dataclass
@@ -304,7 +347,7 @@ class TrackContext:
     def connection_for_ar(self, ar_uuid: uuid.UUID):
         raise NotImplementedError
 
-    def connection_for_frame_id(self, frame_id: int):
+    def binding_for_frame_id(self, frame_id: int) -> CyclicBinding | None:
         raise NotImplementedError
 
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
@@ -414,23 +457,21 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
     if body.operation == "Connect" and body.direction == "request":
         key = connection_key(src, dst)
         cause = _cause(parsed, f"pn-cm connect request to {dst}")
-        bindings: list[tuple[int, str, tuple[IoDataSpec, ...]]] = []
+        specs: list[IoDataSpec] | None = None
         try:
             specs = extract_io_specs(body)
-            for iocr in body.iocr_blocks:
-                cr_specs = tuple(s for s in specs if s.direction == iocr.cr_type)
-                bindings.append((iocr.frame_id, iocr.cr_type, cr_specs))
         except InconsistentConnect as exc:
             out.diagnostics.append(
                 TrackDiagnostic("inconsistent_connect", str(exc), cause, subject_mac=dst)
             )
-            bindings = [(iocr.frame_id, iocr.cr_type, ()) for iocr in body.iocr_blocks]
         assert body.ar_uuid is not None
         out.registration = ConnectionRegistration(
             key=key,
             responder_mac=dst,
             ar_uuid=body.ar_uuid,
-            frame_id_bindings=tuple(bindings),
+            frame_id_bindings=tuple(
+                compile_binding(iocr, specs, key, dst) for iocr in body.iocr_blocks
+            ),
         )
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "device", dst, cause))
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "system", None, cause))
@@ -490,9 +531,9 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
 
 
 def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) -> DerivedEvents:
-    out = DerivedEvents()
-    binding = ctx.connection_for_frame_id(body.frame_id)
+    binding = ctx.binding_for_frame_id(body.frame_id)
     if binding is None:
+        out = DerivedEvents()
         out.diagnostics.append(
             TrackDiagnostic(
                 "orphan_frame",
@@ -501,14 +542,20 @@ def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) 
             )
         )
         return out
-    conn, direction, specs = binding
-    if summarize_iops(body, specs) != "GOOD":
-        return out
-    cause = _cause(parsed, f"pnio cyclic 0x{body.frame_id:04x} {direction} iops good")
-    data_event = INPUT_PROCESS_DATA_SENT if direction == "input" else OUTPUT_PROCESS_DATA_SENT
-    out.events.append(ProtocolEvent(CYCLIC_DATA_GOOD, "device", conn.responder_mac, cause))
-    out.events.append(ProtocolEvent(data_event, "connection", conn.key, cause))
-    return out
+    data = body.data
+    offsets = binding.iops_offsets
+    if offsets is None or len(data) < binding.c_sdu_length:
+        return DerivedEvents()
+    for at in offsets:
+        if not data[at] & IOXS_GOOD:
+            return DerivedEvents()
+    cause = FrameRef(parsed.raw_ref, "pnio", binding.summary)
+    return DerivedEvents(
+        [
+            ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, cause),
+            ProtocolEvent(binding.data_event, "connection", binding.key, cause),
+        ]
+    )
 
 
 _DERIVERS = {

@@ -19,13 +19,14 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, Iterable, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem
-from .dissect import MalformedFrame, IoDataSpec, ParsedFrame, dissect
+from .dissect import MalformedFrame, ParsedFrame, dissect
 from .fsm import FrameRef, FsmDefinition, FsmInstance, TransitionRecord
 from .inventory import AssetInventory
 from .models import (
     ALL_CONNECTIONS_ESTABLISHED,
     CONNECTION_ESTABLISHED_STATES,
     ConnectionRegistration,
+    CyclicBinding,
     DeferredEvent,
     ProtocolEvent,
     TrackContext,
@@ -230,7 +231,7 @@ class Tracker(TrackContext):
         self.fleet = FsmFleet(self.config.system_name, self._on_alert)
         self.inventory = AssetInventory()
         self._ar_registry: dict[uuid.UUID, ConnectionInfo] = {}
-        self._frame_id_registry: dict[int, tuple[ConnectionInfo, str, tuple[IoDataSpec, ...]]] = {}
+        self._frame_id_registry: dict[int, CyclicBinding] = {}
         # Pending identify requests in capture order (expiry takes them from the
         # front), and the same requests by name (an answer releases them all).
         self.deferred: OrderedDict[DeferredEvent, None] = OrderedDict()
@@ -248,7 +249,7 @@ class Tracker(TrackContext):
     def connection_for_ar(self, ar_uuid: uuid.UUID) -> ConnectionInfo | None:
         return self._ar_registry.get(ar_uuid)
 
-    def connection_for_frame_id(self, frame_id: int):
+    def binding_for_frame_id(self, frame_id: int) -> CyclicBinding | None:
         return self._frame_id_registry.get(frame_id)
 
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
@@ -294,8 +295,8 @@ class Tracker(TrackContext):
         instance = self.fleet.ensure("connection", reg.key)
         info = ConnectionInfo(reg.key, reg.responder_mac, instance)
         self._ar_registry[reg.ar_uuid] = info
-        for frame_id, direction, specs in reg.frame_id_bindings:
-            self._frame_id_registry[frame_id] = (info, direction, specs)
+        for binding in reg.frame_id_bindings:
+            self._frame_id_registry[binding.frame_id] = binding
         if created and self.fleet.system.current_state == "DataExchange":
             self._diagnostic(
                 ts,

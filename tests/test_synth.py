@@ -248,7 +248,7 @@ def test_bitflipped_ttl_zero_lldp_not_silent():
 
 def test_unsorted_slot_layout_extracts_correctly(tmp_path):
     """Wire order (slots first-seen) governs offsets even for odd declarations."""
-    from poet.dissect import CmFrame, PnioCyclicFrame, extract_io_specs, extract_process_data
+    from poet.dissect import CmFrame, PnioCyclicFrame, extract_io_specs
     from poet.capture import RawFrame
     from poet.synth import layout_order, process_byte
 
@@ -297,9 +297,8 @@ def test_unsorted_slot_layout_extracts_correctly(tmp_path):
         direction = frame_direction[frame.frame_id]
         round_index = rounds[direction]
         rounds[direction] += 1
-        for ordinal, (entry, data) in enumerate(
-            extract_process_data(frame, specs_by_direction[direction])
-        ):
+        for ordinal, entry in enumerate(specs_by_direction[direction]):
+            data = frame.data[entry.offset : entry.offset + entry.length]
             expected = bytes(
                 process_byte(0, round_index, direction, ordinal, i) for i in range(entry.length)
             )
