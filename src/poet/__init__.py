@@ -7,13 +7,7 @@ transitions.
 """
 
 from .capture import CaptureError, RawFrame, open_capture
-from .dissect import (
-    IoDataSpec,
-    MalformedFrame,
-    ParsedFrame,
-    dissect,
-    extract_io_specs,
-)
+from .dissect import MalformedFrame, ParsedFrame, dissect
 from .fsm import FsmDefinition, FsmInstance, TransitionRecord, validate_definition
 from .inventory import AssetInventory, AssetRecord
 from .models import (
@@ -34,7 +28,6 @@ __all__ = [
     "CaptureError",
     "FsmDefinition",
     "FsmInstance",
-    "IoDataSpec",
     "MalformedFrame",
     "ParsedFrame",
     "ProtocolEvent",
@@ -47,7 +40,6 @@ __all__ = [
     "derive_events",
     "device_fsm_table",
     "dissect",
-    "extract_io_specs",
     "open_capture",
     "system_fsm_table",
     "validate_definition",

@@ -164,24 +164,14 @@ class EthernetEnvelope:
 
 @dataclass(slots=True)
 class LldpFrame:
-    chassis_id: tuple[int, bytes]  # (subtype, value)
-    port_id: tuple[int, bytes]
+    chassis_mac: str | None  # a chassis id of the MAC subtype; None for any other subtype
+    port_mac: str | None  # likewise for the port id
     ttl_seconds: int
     station_name: str | None = None
     port_descriptions: tuple[str, ...] = ()
     management_address: str | None = None
     profinet_tlvs: tuple[tuple[int, bytes], ...] = ()
     violations: tuple[str, ...] = ()
-
-    @property
-    def chassis_mac(self) -> str | None:
-        subtype, value = self.chassis_id
-        return mac_to_str(value) if subtype == LLDP_SUBTYPE_MAC and len(value) == 6 else None
-
-    @property
-    def port_mac(self) -> str | None:
-        subtype, value = self.port_id
-        return mac_to_str(value) if subtype == LLDP_PORT_SUBTYPE_MAC and len(value) == 6 else None
 
 
 @dataclass(slots=True)
@@ -339,22 +329,6 @@ def lldp_subject(parsed: ParsedFrame) -> str:
     return parsed.body.chassis_mac or parsed.envelope.src_mac
 
 
-@dataclass(frozen=True)
-class IoDataSpec:
-    """Location of one submodule's cyclic process data within a CR's C-SDU."""
-
-    direction: str  # "input" | "output"
-    slot: int
-    subslot: int
-    offset: int
-    length: int
-    iops_length: int = 1
-
-
-class InconsistentConnect(Exception):
-    """Connect frame's declared CR data length contradicts its submodule layout."""
-
-
 def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> bytes:
     if offset + count > len(data):
         raise MalformedFrame(protocol, offset, f"truncated {what}")
@@ -462,8 +436,8 @@ def _parse_lldp(data: bytes) -> LldpFrame:
                 pn_tlvs.append((value[3], value[4:]))
 
     return LldpFrame(
-        chassis_id=(chassis_raw[0], chassis_raw[1:]),
-        port_id=(port_raw[0], port_raw[1:]),
+        chassis_mac=_lldp_mac(chassis_raw, LLDP_SUBTYPE_MAC),
+        port_mac=_lldp_mac(port_raw, LLDP_PORT_SUBTYPE_MAC),
         ttl_seconds=ttl,
         station_name=station_name,
         port_descriptions=tuple(descriptions),
@@ -471,6 +445,13 @@ def _parse_lldp(data: bytes) -> LldpFrame:
         profinet_tlvs=tuple(pn_tlvs),
         violations=tuple(violations),
     )
+
+
+def _lldp_mac(id_tlv: bytes, mac_subtype: int) -> str | None:
+    """The MAC a chassis or port id TLV holds, if it is of the MAC subtype."""
+    if id_tlv[0] == mac_subtype and len(id_tlv) == 7:
+        return mac_to_str(id_tlv[1:])
+    return None
 
 
 # --- ARP -------------------------------------------------------------------
@@ -825,52 +806,3 @@ def _parse_expected_submodules(content: bytes, at: int) -> list[ExpectedSubmodul
     if pos != len(content):
         raise MalformedFrame("pn-cm", at + pos, "trailing bytes in expected submodule block")
     return out
-
-
-# --- Cyclic data layout ------------------------------------------------------
-
-
-def extract_io_specs(connect: CmFrame) -> list[IoDataSpec]:
-    """Compute per-submodule C-SDU offsets from a Connect request.
-
-    Within a CR, each submodule of that direction contributes its data bytes
-    followed by its IOPS bytes, in declaration order; consumer-status (IOCS)
-    bytes for the opposite direction's submodules trail at the end of the CR.
-    """
-    if connect.operation != "Connect" or connect.direction != "request":
-        raise ValueError("extract_io_specs needs a Connect request")
-    specs: list[IoDataSpec] = []
-    by_direction: dict[str, int] = {"input": 0, "output": 0}
-    for direction in ("input", "output"):
-        offset = 0
-        for sub in connect.expected_submodules:
-            sub_dir, data_length, iops_len, _iocs_len = sub.data_description
-            if sub_dir != direction:
-                continue
-            specs.append(
-                IoDataSpec(
-                    direction=direction,
-                    slot=sub.slot,
-                    subslot=sub.subslot,
-                    offset=offset,
-                    length=data_length,
-                    iops_length=iops_len,
-                )
-            )
-            offset += data_length + iops_len
-        opposite = "output" if direction == "input" else "input"
-        iocs_total = sum(
-            sub.data_description[3]
-            for sub in connect.expected_submodules
-            if sub.data_description[0] == opposite
-        )
-        by_direction[direction] = offset + iocs_total
-
-    for iocr in connect.iocr_blocks:
-        expected = by_direction[iocr.cr_type]
-        if iocr.data_length != expected:
-            raise InconsistentConnect(
-                f"{iocr.cr_type} CR declares {iocr.data_length} bytes, layout needs {expected}"
-            )
-    return specs
-

@@ -21,13 +21,9 @@ from .dissect import (
     ArpPacket,
     CmFrame,
     DcpFrame,
-    InconsistentConnect,
-    IocrBlock,
-    IoDataSpec,
     LldpFrame,
     ParsedFrame,
     PnioCyclicFrame,
-    extract_io_specs,
     lldp_subject,
 )
 from .fsm import Edge, FrameRef, FsmDefinition, WildcardEdge
@@ -293,33 +289,57 @@ class CyclicBinding:
     summary: str  # the cause summary of every good frame
 
 
-def compile_binding(
-    iocr: IocrBlock, specs: list[IoDataSpec] | None, key: str, responder_mac: str
-) -> CyclicBinding:
-    """The binding of one IOCR, given its Connect's specs (None if inconsistent)."""
-    direction = iocr.cr_type
-    own = [s for s in specs or () if s.direction == direction]
-    offsets: tuple[int, ...] | None = None
-    if own:
-        offsets = tuple(
-            at
-            for s in own
-            for at in range(s.offset + s.length, s.offset + s.length + s.iops_length)
+_OPPOSITE = {"input": "output", "output": "input"}
+
+
+def cyclic_bindings(
+    connect: CmFrame, key: str, responder_mac: str
+) -> tuple[tuple[CyclicBinding, ...], str | None]:
+    """Each IOCR of a Connect request compiled to its binding, plus the layout's problem.
+
+    Within a CR, each submodule of the CR's direction contributes its data
+    bytes and then its IOPS bytes, in declaration order; the IOCS bytes of the
+    other direction's submodules trail at the end. When a CR declares a length
+    that contradicts this layout, the problem names the first such CR and every
+    binding of the Connect is inert.
+    """
+    iops: dict[str, list[int]] = {}  # IOPS offsets, for each direction that has a submodule
+    own = {"input": 0, "output": 0}  # data and IOPS bytes laid out so far
+    iocs = {"input": 0, "output": 0}  # IOCS bytes trailing each direction's CR
+    for sub in connect.expected_submodules:
+        direction, data_length, iops_length, iocs_length = sub.data_description
+        at = own[direction] + data_length
+        iops.setdefault(direction, []).extend(range(at, at + iops_length))
+        own[direction] = at + iops_length
+        iocs[_OPPOSITE[direction]] += iocs_length
+    problem = None
+    for iocr in connect.iocr_blocks:
+        needed = own[iocr.cr_type] + iocs[iocr.cr_type]
+        if iocr.data_length != needed:
+            problem = f"{iocr.cr_type} CR declares {iocr.data_length} bytes, layout needs {needed}"
+            break
+    bindings = tuple(
+        CyclicBinding(
+            frame_id=iocr.frame_id,
+            responder_mac=responder_mac,
+            key=key,
+            data_event=(
+                INPUT_PROCESS_DATA_SENT if iocr.cr_type == "input" else OUTPUT_PROCESS_DATA_SENT
+            ),
+            iops_offsets=(
+                tuple(iops[iocr.cr_type]) if problem is None and iocr.cr_type in iops else None
+            ),
+            c_sdu_length=own[iocr.cr_type],
+            summary=f"pnio cyclic 0x{iocr.frame_id:04x} {iocr.cr_type} iops good",
         )
-    return CyclicBinding(
-        frame_id=iocr.frame_id,
-        responder_mac=responder_mac,
-        key=key,
-        data_event=INPUT_PROCESS_DATA_SENT if direction == "input" else OUTPUT_PROCESS_DATA_SENT,
-        iops_offsets=offsets,
-        c_sdu_length=max((s.offset + s.length + s.iops_length for s in own), default=0),
-        summary=f"pnio cyclic 0x{iocr.frame_id:04x} {direction} iops good",
+        for iocr in connect.iocr_blocks
     )
+    return bindings, problem
 
 
 @dataclass(frozen=True)
 class ConnectionRegistration:
-    """Registry payload extracted from one Connect request."""
+    """One AR, compiled from its Connect request: the record the tracker keeps per AR UUID."""
 
     key: str
     responder_mac: str
@@ -344,7 +364,7 @@ class TrackContext:
     def lookup_name(self, name: str) -> str | None:
         raise NotImplementedError
 
-    def connection_for_ar(self, ar_uuid: uuid.UUID):
+    def connection_for_ar(self, ar_uuid: uuid.UUID) -> ConnectionRegistration | None:
         raise NotImplementedError
 
     def binding_for_frame_id(self, frame_id: int) -> CyclicBinding | None:
@@ -353,13 +373,12 @@ class TrackContext:
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
         raise NotImplementedError
 
-    @property
-    def system_state(self) -> str:
+    def state_of(self, scope: str, key: str | None) -> str:
         raise NotImplementedError
 
 
 def _system_traffic_event(ctx: TrackContext, cause: FrameRef) -> list[ProtocolEvent]:
-    if ctx.system_state in WAKE_UP_STATES:
+    if ctx.state_of("system", None) in WAKE_UP_STATES:
         return [ProtocolEvent(PN_TRAFFIC_DETECTED, "system", None, cause)]
     return []
 
@@ -457,22 +476,13 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
     if body.operation == "Connect" and body.direction == "request":
         key = connection_key(src, dst)
         cause = _cause(parsed, f"pn-cm connect request to {dst}")
-        specs: list[IoDataSpec] | None = None
-        try:
-            specs = extract_io_specs(body)
-        except InconsistentConnect as exc:
+        bindings, problem = cyclic_bindings(body, key, dst)
+        if problem is not None:
             out.diagnostics.append(
-                TrackDiagnostic("inconsistent_connect", str(exc), cause, subject_mac=dst)
+                TrackDiagnostic("inconsistent_connect", problem, cause, subject_mac=dst)
             )
         assert body.ar_uuid is not None
-        out.registration = ConnectionRegistration(
-            key=key,
-            responder_mac=dst,
-            ar_uuid=body.ar_uuid,
-            frame_id_bindings=tuple(
-                compile_binding(iocr, specs, key, dst) for iocr in body.iocr_blocks
-            ),
-        )
+        out.registration = ConnectionRegistration(key, dst, body.ar_uuid, bindings)
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "device", dst, cause))
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "system", None, cause))
         return out
@@ -506,7 +516,7 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
 
     device = conn.responder_mac
     key = conn.key
-    established = conn.is_established
+    established = ctx.state_of("connection", key) in CONNECTION_ESTABLISHED_STATES
     op = body.operation
     cause = _cause(parsed, f"pn-cm {op.lower()} {body.direction}")
 

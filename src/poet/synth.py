@@ -517,9 +517,17 @@ def ar_block_response(ar_uuid: uuid.UUID, responder_mac: bytes) -> bytes:
     return _cm_block(BLOCK_AR_RES, content)
 
 
+def _u16(value: int, what: str) -> int:
+    """`value`, refused with a message naming `what` unless it fits an unsigned 16-bit field."""
+    if not 0 <= value <= 0xFFFF:
+        raise ValueError(f"{what} {value} is outside 0..65535")
+    return value
+
+
 def iocr_block_request(cr_type: int, reference: int, data_length: int, frame_id: int) -> bytes:
     content = struct.pack(
-        ">HHHHHHHHH", cr_type, reference, ETHERTYPE_PROFINET, data_length, frame_id, 32, 32, 3, 3
+        ">HHHHHHHHH", cr_type, reference, ETHERTYPE_PROFINET,
+        _u16(data_length, "IOCR data length"), frame_id, 32, 32, 3, 3,
     )
     return _cm_block(BLOCK_IOCR_REQ, content)
 
@@ -549,11 +557,17 @@ def expected_submodules_block(submodules: tuple[SubmoduleSpec, ...]) -> bytes:
     slots = _group_by_slot(submodules)
     content = struct.pack(">H", len(slots))
     for slot, subs in slots.items():
-        content += struct.pack(">HIH", slot, 0x100 + slot, len(subs))
+        content += struct.pack(">HIH", _u16(slot, "submodule slot"), 0x100 + slot, len(subs))
         for sub in subs:
             direction = 1 if sub.direction == "input" else 2
             content += struct.pack(
-                ">HIBHBB", sub.subslot, 0x1000 + sub.subslot, direction, sub.length, 1, 1
+                ">HIBHBB",
+                _u16(sub.subslot, "submodule subslot"),
+                0x1000 + sub.subslot,
+                direction,
+                _u16(sub.length, "submodule data length"),
+                1,
+                1,
             )
     return _cm_block(BLOCK_EXPECTED_SUBMODULES, content)
 
@@ -623,6 +637,8 @@ def cr_data_length(direction: str, submodules: tuple[SubmoduleSpec, ...]) -> int
 
 
 def _port_macs(node_index: int, node: NodeSpec, count: int) -> list[bytes]:
+    if count > 0xFF:
+        raise ValueError(f"port number {count} exceeds 255")
     interface = str_to_mac(node.mac)
     return [
         bytes([0x02, 0x70, node_index & 0xFF, port, interface[4], interface[5]])

@@ -75,17 +75,6 @@ class TrackerConfig:
     alert_sink: TextIO | None = None
 
 
-@dataclass
-class ConnectionInfo:
-    key: str
-    responder_mac: str
-    instance: FsmInstance
-
-    @property
-    def is_established(self) -> bool:
-        return self.instance.current_state in CONNECTION_ESTABLISHED_STATES
-
-
 class FsmFleet:
     """All live FSM instances of one run plus the composite-event evaluation.
 
@@ -115,7 +104,7 @@ class FsmFleet:
             instance = instances[key] = FsmInstance(definition, key)
         return instance
 
-    def state_of(self, scope: str, key: str) -> str:
+    def state_of(self, scope: str, key: str | None) -> str:
         """An instance's current state; its machine's initial state if it does not exist yet."""
         if scope == "system":
             return self.system.current_state
@@ -230,7 +219,7 @@ class Tracker(TrackContext):
         self.alerts: list[AnomalyAlert] = []
         self.fleet = FsmFleet(self.config.system_name, self._on_alert)
         self.inventory = AssetInventory()
-        self._ar_registry: dict[uuid.UUID, ConnectionInfo] = {}
+        self._ar_registry: dict[uuid.UUID, ConnectionRegistration] = {}
         self._frame_id_registry: dict[int, CyclicBinding] = {}
         # Pending identify requests in capture order (expiry takes them from the
         # front), and the same requests by name (an answer releases them all).
@@ -246,7 +235,7 @@ class Tracker(TrackContext):
     def lookup_name(self, name: str) -> str | None:
         return self.inventory.find_mac_by_name(name)
 
-    def connection_for_ar(self, ar_uuid: uuid.UUID) -> ConnectionInfo | None:
+    def connection_for_ar(self, ar_uuid: uuid.UUID) -> ConnectionRegistration | None:
         return self._ar_registry.get(ar_uuid)
 
     def binding_for_frame_id(self, frame_id: int) -> CyclicBinding | None:
@@ -255,9 +244,8 @@ class Tracker(TrackContext):
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
         return list(self._deferred_by_name.get(name, ()))
 
-    @property
-    def system_state(self) -> str:
-        return self.fleet.system.current_state
+    def state_of(self, scope: str, key: str | None) -> str:
+        return self.fleet.state_of(scope, key)
 
     # Pipeline ----------------------------------------------------------------
 
@@ -292,10 +280,22 @@ class Tracker(TrackContext):
 
     def _register_connection(self, reg: ConnectionRegistration, ts: Timestamp, cause: FrameRef) -> None:
         created = reg.key not in self.fleet.connections
-        instance = self.fleet.ensure("connection", reg.key)
-        info = ConnectionInfo(reg.key, reg.responder_mac, instance)
-        self._ar_registry[reg.ar_uuid] = info
+        self.fleet.ensure("connection", reg.key)
+        self._ar_registry[reg.ar_uuid] = reg
         for binding in reg.frame_id_bindings:
+            # A frame id stays with the connection that holds it: only that
+            # connection's own Connect (a reconnect) may rebind it.
+            held = self._frame_id_registry.get(binding.frame_id)
+            if held is not None and held.key != reg.key:
+                self._diagnostic(
+                    ts,
+                    "device",
+                    reg.responder_mac,
+                    "frame_id_conflict",
+                    cause,
+                    f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}",
+                )
+                continue
             self._frame_id_registry[binding.frame_id] = binding
         if created and self.fleet.system.current_state == "DataExchange":
             self._diagnostic(

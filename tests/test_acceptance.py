@@ -21,12 +21,12 @@ from poet.dissect import (
     ParsedFrame,
     PnioCyclicFrame,
     dissect,
-    extract_io_specs,
 )
 from poet.capture import RawFrame
 from poet.fsm import fold_log, reachable_states, validate_definition
 from poet.models import (
     connection_fsm_table,
+    cyclic_bindings,
     device_fsm_table,
     system_fsm_table,
 )
@@ -248,12 +248,12 @@ def test_c7_process_data_extraction(tmp_path):
             cyclic.append((item.capture_index, parsed.body))
 
     assert connects and cyclic
-    specs_by_direction: dict[str, list] = {"input": [], "output": []}
+    bindings = {}
     frame_id_direction: dict[int, str] = {}
     for connect in connects:
-        specs = extract_io_specs(connect)
-        for spec_entry in specs:
-            specs_by_direction[spec_entry.direction].append(spec_entry)
+        compiled, problem = cyclic_bindings(connect, "k", device.mac)
+        assert problem is None
+        bindings.update((b.frame_id, b) for b in compiled)
         for iocr in connect.iocr_blocks:
             frame_id_direction[iocr.frame_id] = iocr.cr_type
             # layout conservation: declared length == laid-out data+IOPS+IOCS
@@ -275,11 +275,14 @@ def test_c7_process_data_extraction(tmp_path):
         direction = frame_id_direction[frame.frame_id]
         round_index = round_of[direction]
         round_of[direction] += 1
-        for ordinal, spec_entry in enumerate(specs_by_direction[direction]):
-            data = frame.data[spec_entry.offset : spec_entry.offset + spec_entry.length]
+        own = [s for s in device.submodules if s.direction == direction]
+        iops_offsets = bindings[frame.frame_id].iops_offsets
+        assert len(iops_offsets) == len(own)
+        # Each submodule's data bytes end where its IOPS byte sits.
+        for ordinal, (sub, iops_at) in enumerate(zip(own, iops_offsets)):
+            data = frame.data[iops_at - sub.length : iops_at]
             expected = bytes(
-                process_byte(0, round_index, direction, ordinal, i)
-                for i in range(spec_entry.length)
+                process_byte(0, round_index, direction, ordinal, i) for i in range(sub.length)
             )
             assert data == expected, (index, direction, ordinal)
             checked += 1

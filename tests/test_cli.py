@@ -70,85 +70,160 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, names",
     [
-        {"controller": _PLC, "devices": [{**_IO, "mac": _PLC["mac"]}]},
-        {"controller": _PLC, "devices": [{**_IO, "mac": _PLC["mac"].replace(":", "-")}]},
-        {"controller": "plc"},
-        {"controller": _PLC, "devices": [{**_IO, "submodules": [{"slot": 1}]}]},
-        {"controller": {**_PLC, "mac": "zz"}},
-        {"controller": _PLC, "devices": [_IO], "ports_per_device": 300},
-        {"controller": _PLC, "devices": [_IO], "writes_per_device": 300},
-        {"controller": _PLC, "devices": [_IO], "start_time": -5},
-        {"controller": _PLC, "devices": [{**_IO, "submodules": [[1, 1, "input", 70000]]}]},
-        {
-            "controller": _PLC,
-            "devices": [_IO],
-            "injections": [{"after_index": -3, "attack": "malformed"}],
-        },
-        {"controller": _PLC, "devices": [{**_IO, "name": "n" * 600}]},
-        {"controller": _PLC, "devices": [{**_IO, "name": "io\ud800"}]},
-        {
-            "controller": _PLC,
-            "devices": [{**_IO, "submodules": [[1, i, "input", 1] for i in range(7000)]}],
-        },
-        {"controller": {**_PLC, "name": "Lift_Motor"}, "devices": [_IO]},
-        {"controller": _PLC, "devices": [{**_IO, "name": "a" * 241}]},
-        {"controller": _PLC, "devices": [{**_IO, "name": "-lift"}]},
-        {
-            "controller": _PLC,
-            "devices": [_IO],
-            "injections": [{"after_index": 0, "attack": "rename", "target": "io", "new_name": "n" * 70000}],
-        },
-        {"controller": _PLC, "devices": [_IO], "gap_seconds": float("inf")},
-        {"controller": _PLC, "devices": [_IO], "gap_seconds": float("nan")},
-        {"controller": _PLC, "devices": [_IO], "gap_seconds": -0.5},
-        {"controller": _PLC, "devices": [_IO], "acyclic_exchange": True, "writes_per_device": 0},
-        {
-            "controller": _PLC,
-            "devices": [_IO],
-            "injections": [{"after_index": 0, "attack": "malformed", "protocol": "bogus"}],
-        },
-        {"controller": _PLC, "devices": [_IO], "cyclic_rounds": -1},
-        {"controller": _PLC, "devices": [], "cyclic_rounds": 1_000_000_000_000},
-        {"controller": _PLC, "devices": [_IO], "cyclic_rounds": 100_001},
-        {"controller": _PLC, "devices": [_IO], "cyclic_rounds": 2.5},
-    ],
-    ids=[
-        "duplicate-mac",
-        "duplicate-mac-other-spelling",
-        "controller-not-object",
-        "submodule-missing-keys",
-        "bad-controller-mac",
-        "ports-per-device-300",
-        "writes-per-device-300",
-        "start-time-negative",
-        "submodule-length-70000",
-        "after-index-negative",
-        "station-name-600",
-        "station-name-lone-surrogate",
-        "submodules-7000",
-        "station-name-Lift_Motor",
-        "station-name-241",
-        "station-name--lift",
-        "rename-new-name-70000",
-        "gap-seconds-infinity",
-        "gap-seconds-nan",
-        "gap-seconds-negative",
-        "acyclic-exchange-without-writes",
-        "malformed-protocol-bogus",
-        "cyclic-rounds-negative",
-        "cyclic-rounds-10e12-no-devices",
-        "cyclic-rounds-100001",
-        "cyclic-rounds-2.5",
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "mac": _PLC["mac"]}]}, None, id="duplicate-mac"
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "mac": _PLC["mac"].replace(":", "-")}]},
+            None,
+            id="duplicate-mac-other-spelling",
+        ),
+        pytest.param({"controller": "plc"}, None, id="controller-not-object"),
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "submodules": [{"slot": 1}]}]},
+            None,
+            id="submodule-missing-keys",
+        ),
+        pytest.param({"controller": {**_PLC, "mac": "zz"}}, None, id="bad-controller-mac"),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "ports_per_device": 300},
+            "port number 300 exceeds 255",
+            id="ports-per-device-300",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "writes_per_device": 300},
+            None,
+            id="writes-per-device-300",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "start_time": -5}, None, id="start-time-negative"
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "submodules": [[1, 1, "input", 70000]]}]},
+            "IOCR data length 70001 is outside 0..65535",
+            id="submodule-length-70000",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "submodules": [[70000, 1, "input", 1]]}]},
+            "submodule slot 70000 is outside 0..65535",
+            id="slot-70000",
+        ),
+        pytest.param(
+            {
+                "controller": _PLC,
+                "devices": [_IO],
+                "injections": [{"after_index": -3, "attack": "malformed"}],
+            },
+            None,
+            id="after-index-negative",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "name": "n" * 600}]},
+            None,
+            id="station-name-600",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "name": "io\ud800"}]},
+            None,
+            id="station-name-lone-surrogate",
+        ),
+        pytest.param(
+            {
+                "controller": _PLC,
+                "devices": [{**_IO, "submodules": [[1, i, "input", 1] for i in range(7000)]}],
+            },
+            None,
+            id="submodules-7000",
+        ),
+        pytest.param(
+            {"controller": {**_PLC, "name": "Lift_Motor"}, "devices": [_IO]},
+            None,
+            id="station-name-Lift_Motor",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "name": "a" * 241}]},
+            None,
+            id="station-name-241",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [{**_IO, "name": "-lift"}]},
+            None,
+            id="station-name--lift",
+        ),
+        pytest.param(
+            {
+                "controller": _PLC,
+                "devices": [_IO],
+                "injections": [
+                    {"after_index": 0, "attack": "rename", "target": "io", "new_name": "n" * 70000}
+                ],
+            },
+            None,
+            id="rename-new-name-70000",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "gap_seconds": float("inf")},
+            None,
+            id="gap-seconds-infinity",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "gap_seconds": float("nan")},
+            None,
+            id="gap-seconds-nan",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "gap_seconds": -0.5},
+            None,
+            id="gap-seconds-negative",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "acyclic_exchange": True, "writes_per_device": 0},
+            None,
+            id="acyclic-exchange-without-writes",
+        ),
+        pytest.param(
+            {
+                "controller": _PLC,
+                "devices": [_IO],
+                "injections": [{"after_index": 0, "attack": "malformed", "protocol": "bogus"}],
+            },
+            None,
+            id="malformed-protocol-bogus",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "cyclic_rounds": -1},
+            None,
+            id="cyclic-rounds-negative",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [], "cyclic_rounds": 1_000_000_000_000},
+            None,
+            id="cyclic-rounds-10e12-no-devices",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "cyclic_rounds": 100_001},
+            None,
+            id="cyclic-rounds-100001",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "cyclic_rounds": 2.5},
+            None,
+            id="cyclic-rounds-2.5",
+        ),
     ],
 )
-def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec):
+def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec, names):
+    """Each invalid spec is refused with exit 1; an encoder's refusal names the field."""
     spec_path = tmp_path / "bad.json"
     spec_path.write_text(json.dumps(spec))
     code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "poet: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "poet: error:" in err
+    if names is not None:
+        assert names in err
 
 
 def test_synth_spec_missing_key_exit_one_names_key(tmp_path, capsys):

@@ -13,14 +13,12 @@ from poet.dissect import (
     CmFrame,
     DcpFrame,
     ETHERTYPE_PROFINET,
-    InconsistentConnect,
     LldpFrame,
     MalformedFrame,
     OtherBody,
     ParsedFrame,
     PnioCyclicFrame,
     dissect,
-    extract_io_specs,
     mac_to_str,
     str_to_mac,
 )
@@ -202,17 +200,12 @@ def test_dcp_uppercase_name_flagged_not_failed():
 SUBMODULES = (SubmoduleSpec(1, 1, "input", 2), SubmoduleSpec(2, 1, "output", 3))
 
 
-def _connect_frame(submodules=SUBMODULES, input_len=None, output_len=None) -> bytes:
+def _connect_frame() -> bytes:
     ar = uuid.uuid5(uuid.NAMESPACE_OID, "test-ar")
     blocks = ar_block_request(ar, CTRL, "plc-1")
-    if submodules:
-        blocks += iocr_block_request(
-            1, 1, input_len if input_len is not None else cr_data_length("input", submodules), 0x8001
-        )
-        blocks += iocr_block_request(
-            2, 2, output_len if output_len is not None else cr_data_length("output", submodules), 0x8002
-        )
-        blocks += expected_submodules_block(submodules)
+    blocks += iocr_block_request(1, 1, cr_data_length("input", SUBMODULES), 0x8001)
+    blocks += iocr_block_request(2, 2, cr_data_length("output", SUBMODULES), 0x8002)
+    blocks += expected_submodules_block(SUBMODULES)
     return encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 0, uuid.uuid4(), 1, blocks)
 
 
@@ -271,68 +264,6 @@ def test_pnio_round_trip():
     assert body.frame_id == 0x8002
     assert body.cycle_counter == 96
     assert body.data[: len(c_sdu)] == c_sdu  # padding beyond the real C-SDU
-
-
-# --- IO spec layout ------------------------------------------------------------
-
-
-def _layout_oracle(submodules, direction):
-    """Independent oracle: cumulative (data_length + iops) in declaration order."""
-    offsets = []
-    position = 0
-    for sub in submodules:
-        if sub.direction == direction:
-            offsets.append(position)
-            position += sub.length + 1
-    return offsets
-
-
-def test_extract_io_specs_single_input_submodule():
-    body = dissect(raw(_connect_frame((SubmoduleSpec(1, 1, "input", 2),)))).body
-    specs = extract_io_specs(body)
-    assert [(s.direction, s.slot, s.subslot, s.offset, s.length) for s in specs] == [
-        ("input", 1, 1, 0, 2)
-    ]
-
-
-def test_extract_io_specs_record_only_ar():
-    body = dissect(raw(_connect_frame(()))).body
-    assert extract_io_specs(body) == []
-
-
-def test_extract_io_specs_two_outputs_offsets():
-    subs = (SubmoduleSpec(1, 1, "output", 1), SubmoduleSpec(2, 1, "output", 4))
-    body = dissect(raw(_connect_frame(subs))).body
-    specs = extract_io_specs(body)
-    assert [s.offset for s in specs] == [0, 2]
-    assert [s.offset for s in specs] == _layout_oracle(subs, "output")
-
-
-@given(
-    lengths=st.lists(st.integers(0, 6), min_size=1, max_size=5),
-    directions=st.lists(st.sampled_from(["input", "output"]), min_size=1, max_size=5),
-)
-def test_layout_matches_oracle_and_conserves(lengths, directions):
-    n = min(len(lengths), len(directions))
-    subs = tuple(
-        SubmoduleSpec(i + 1, 1, directions[i], lengths[i]) for i in range(n)
-    )
-    body = dissect(raw(_connect_frame(subs))).body
-    specs = extract_io_specs(body)
-    for direction in ("input", "output"):
-        got = [s.offset for s in specs if s.direction == direction]
-        assert got == _layout_oracle(subs, direction)
-    # conservation: declared CR length equals laid-out lengths + status bytes
-    for iocr in body.iocr_blocks:
-        own = sum(s.length + 1 for s in subs if s.direction == iocr.cr_type)
-        opposite = sum(1 for s in subs if s.direction != iocr.cr_type)
-        assert iocr.data_length == own + opposite
-
-
-def test_inconsistent_connect_rejected():
-    body = dissect(raw(_connect_frame((SubmoduleSpec(1, 1, "input", 2),), input_len=9))).body
-    with pytest.raises(InconsistentConnect):
-        extract_io_specs(body)
 
 
 # --- Malformed frames ------------------------------------------------------------

@@ -14,11 +14,9 @@ from poet.dissect import (
     EthernetEnvelope,
     ExpectedSubmodule,
     IocrBlock,
-    IoDataSpec,
     ParsedFrame,
     PnioCyclicFrame,
     dissect,
-    extract_io_specs,
     str_to_mac,
 )
 from poet.fsm import FrameRef, FsmInstance, reachable_states, validate_definition
@@ -44,12 +42,13 @@ from poet.models import (
     OUTPUT_PROCESS_DATA_SENT,
     PARAMETRIZATION_WRITE,
     PN_TRAFFIC_DETECTED,
+    ConnectionRegistration,
     CyclicBinding,
     DeferredEvent,
     TrackContext,
-    compile_binding,
     connection_fsm_table,
     connection_key,
+    cyclic_bindings,
     derive_events,
     device_fsm_table,
     system_fsm_table,
@@ -84,21 +83,21 @@ def raw(data: bytes, index: int = 0) -> RawFrame:
     return RawFrame(0, 0, data, index)
 
 
-class FakeConnection:
-    def __init__(self, key, responder, established):
-        self.key = key
-        self.initiator_mac = CTRL
-        self.responder_mac = responder
-        self.is_established = established
+_TABLES = {"device": device_fsm_table, "connection": connection_fsm_table, "system": system_fsm_table}
 
 
 class FakeContext(TrackContext):
     def __init__(self):
         self.names: dict[str, str] = {}
-        self.ars: dict[uuid.UUID, FakeConnection] = {}
+        self.ars: dict[uuid.UUID, ConnectionRegistration] = {}
         self.frame_ids: dict[int, CyclicBinding] = {}
         self.deferred: list[DeferredEvent] = []
-        self._system_state = "Inactive"
+        self.states: dict[tuple[str, str | None], str] = {}  # instances that left their initial state
+
+    def register(self, registration: ConnectionRegistration) -> None:
+        """Keep a Connect's AR record and bindings, as the tracker does."""
+        self.ars[registration.ar_uuid] = registration
+        self.frame_ids.update((b.frame_id, b) for b in registration.frame_id_bindings)
 
     def lookup_name(self, name):
         return self.names.get(name)
@@ -112,9 +111,8 @@ class FakeContext(TrackContext):
     def deferred_for_name(self, name):
         return [d for d in self.deferred if d.name == name]
 
-    @property
-    def system_state(self):
-        return self._system_state
+    def state_of(self, scope, key):
+        return self.states.get((scope, key), _TABLES[scope]().initial_state)
 
 
 # --- Table shape -----------------------------------------------------------------
@@ -351,22 +349,30 @@ def test_derive_first_lldp_wakes_system():
 
 def test_derive_lldp_gated_after_startup():
     ctx = FakeContext()
-    ctx._system_state = "DataExchange"
+    ctx.states["system", None] = "DataExchange"
     parsed = dissect(raw(encode_lldp(DEV, PORT, 20, "lift-motor")))
     derived = derive_events(parsed, ctx)
     assert [(e.event_name, e.scope) for e in derived.events] == [(DETECT_NEIGHBOURS, "device")]
 
 
-def _register_connect(ctx: FakeContext, subs) -> list[CyclicBinding]:
-    """Derive a Connect request for `subs` and register its bindings in `ctx`."""
+def _connect_request(subs, input_len: int | None = None) -> ParsedFrame:
+    """The dissected Connect request from CTRL to DEV for synth submodules `subs`."""
     blocks = ar_block_request(AR, CTRL, "plc-1")
-    blocks += iocr_block_request(1, 1, cr_data_length("input", subs), 0x8001)
-    blocks += iocr_block_request(2, 2, cr_data_length("output", subs), 0x8002)
-    blocks += expected_submodules_block(subs)
+    if subs:
+        if input_len is None:
+            input_len = cr_data_length("input", subs)
+        blocks += iocr_block_request(1, 1, input_len, 0x8001)
+        blocks += iocr_block_request(2, 2, cr_data_length("output", subs), 0x8002)
+        blocks += expected_submodules_block(subs)
     frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 0, uuid.uuid4(), 1, blocks)
-    bindings = list(derive_events(dissect(raw(frame)), ctx).registration.frame_id_bindings)
-    ctx.frame_ids.update((b.frame_id, b) for b in bindings)
-    return bindings
+    return dissect(raw(frame))
+
+
+def _register_connect(ctx: FakeContext, subs) -> list[CyclicBinding]:
+    """Derive a Connect request for `subs` and register it in `ctx`."""
+    registration = derive_events(_connect_request(subs), ctx).registration
+    ctx.register(registration)
+    return list(registration.frame_id_bindings)
 
 
 def _pnio(frame_id: int, data: bytes, index: int = 7) -> ParsedFrame:
@@ -392,49 +398,68 @@ def test_derive_pnio_good_output():
     assert derived.events[1].cause is derived.events[0].cause
 
 
+def _connect_with(layout, direction: str = "input", skew: int = 0) -> CmFrame:
+    """A Connect request with submodules of `layout`, each entry a data description,
+    and one CR of `direction` at 0x8001 whose declared length is off by `skew`."""
+    submodules = tuple(
+        ExpectedSubmodule(i + 1, 1, 0x100, 0x1000, entry) for i, entry in enumerate(layout)
+    )
+    own = sum(d + p for sub_dir, d, p, _ in layout if sub_dir == direction)
+    opposite = sum(c for sub_dir, _, _, c in layout if sub_dir != direction)
+    iocr = IocrBlock(direction, 1, 0x8001, own + opposite + skew, 32, 32, 3, 3)
+    return CmFrame("request", "Connect", AR, (iocr,), submodules)
+
+
 @pytest.mark.parametrize(
-    "specs, data, fires",
+    "layout, data, fires, skew",
     [
-        pytest.param([IoDataSpec("input", 1, 1, 0, 2, 2)], b"\x01\x02\x80\x81", True, id="multi-byte-iops"),
-        pytest.param([IoDataSpec("input", 1, 1, 0, 2, 2)], b"\x01\x02\x80\x7f", False, id="multi-byte-iops-bad"),
-        pytest.param([IoDataSpec("input", 1, 1, 0, 0)], b"\x80", True, id="zero-length-submodule"),
-        pytest.param([IoDataSpec("input", 1, 1, 0, 0)], b"\x00", False, id="zero-length-submodule-bad"),
-        pytest.param([IoDataSpec("input", 1, 1, 0, 2)], b"\x80\x80", False, id="c-sdu-one-byte-short"),
-        pytest.param([], b"\x80\x80", False, id="cr-without-submodules"),
-        pytest.param(None, b"\x80\x80", False, id="inconsistent-connect"),
+        pytest.param([("input", 2, 2, 0)], b"\x01\x02\x80\x81", True, 0, id="multi-byte-iops"),
+        pytest.param([("input", 2, 2, 0)], b"\x01\x02\x80\x7f", False, 0, id="multi-byte-iops-bad"),
+        pytest.param([("input", 0, 1, 0)], b"\x80", True, 0, id="zero-length-submodule"),
+        pytest.param([("input", 0, 1, 0)], b"\x00", False, 0, id="zero-length-submodule-bad"),
+        pytest.param([("input", 2, 1, 0)], b"\x80\x80", False, 0, id="c-sdu-one-byte-short"),
+        pytest.param([], b"\x80\x80", False, 0, id="cr-without-submodules"),
+        pytest.param([("output", 2, 1, 1)], b"\x80\x80", False, 0, id="cr-without-own-submodule"),
+        pytest.param([("input", 1, 1, 0)], b"\x80\x80", True, 0, id="consistent-connect"),
+        pytest.param([("input", 1, 1, 0)], b"\x80\x80", False, 1, id="inconsistent-connect"),
         pytest.param(
-            [IoDataSpec("input", s, 1, 2 * (s - 1), 1) for s in (1, 2, 3)],
+            [("input", 1, 1, 0)] * 3,
             b"\x01\x80\x02\x00\x03\x80",
             False,
+            0,
             id="one-bad-iops-among-several",
         ),
         pytest.param(
-            [IoDataSpec("input", s, 1, 2 * (s - 1), 1) for s in (1, 2, 3)],
+            [("input", 1, 1, 0)] * 3,
             b"\x01\x80\x02\xc0\x03\x80",
             True,
+            0,
             id="every-iops-good",
         ),
     ],
 )
-def test_cyclic_binding_fires_iff_iops_good(specs, data, fires):
-    iocr = IocrBlock("input", 1, 0x8001, len(data), 32, 32, 3, 3)
+def test_cyclic_binding_fires_iff_iops_good(layout, data, fires, skew):
+    (binding,), _ = cyclic_bindings(_connect_with(layout, skew=skew), "k", DEV_MAC)
     ctx = FakeContext()
-    ctx.frame_ids[0x8001] = compile_binding(iocr, specs, "k", DEV_MAC)
+    ctx.frame_ids[0x8001] = binding
     derived = derive_events(_pnio(0x8001, data), ctx)
     expected = [(CYCLIC_DATA_GOOD, "device"), (INPUT_PROCESS_DATA_SENT, "connection")]
     assert [(e.event_name, e.scope) for e in derived.events] == (expected if fires else [])
     assert derived.diagnostics == []
 
 
-def _iops_good(data: bytes, specs) -> bool:
+def _iops_good(data: bytes, layout, direction: str) -> bool:
     """The cyclic good-data rule, stated over the layout: the CR has a submodule
-    of its direction, and every IOPS byte is inside the data and GOOD."""
-    if not specs:
+    of its direction, and the IOPS bytes that follow each such submodule's data
+    bytes are inside the data and GOOD."""
+    own = [(d, p) for sub_dir, d, p, _ in layout if sub_dir == direction]
+    if not own:
         return False
-    for spec in specs:
-        status_at = spec.offset + spec.length
-        end = status_at + spec.iops_length
-        if end > len(data) or any(not b & 0x80 for b in data[status_at:end]):
+    position = 0
+    for data_length, iops_length in own:
+        status_at = position + data_length
+        position = status_at + iops_length
+        if position > len(data) or any(not b & 0x80 for b in data[status_at:position]):
             return False
     return True
 
@@ -454,24 +479,87 @@ _SUBMODULE = st.tuples(
     bad=st.sets(st.integers(0, 19), max_size=2),
 )
 def test_binding_matches_iops_rule(layout, direction, skew, length, raw_bytes, bad):
-    submodules = tuple(
-        ExpectedSubmodule(i + 1, 1, 0x100, 0x1000, entry) for i, entry in enumerate(layout)
-    )
-    own = sum(d + p for sub_dir, d, p, _ in layout if sub_dir == direction)
-    opposite = sum(c for sub_dir, _, _, c in layout if sub_dir != direction)
-    iocr = IocrBlock(direction, 1, 0x8001, own + opposite + skew, 32, 32, 3, 3)
-    connect = CmFrame("request", "Connect", AR, (iocr,), submodules)
     envelope = EthernetEnvelope(DEV_MAC, CTRL_MAC, 0x0800, None, b"")
+    connect = ParsedFrame(envelope, _connect_with(layout, direction, skew), 0, "pn-cm")
     ctx = FakeContext()
-    registration = derive_events(ParsedFrame(envelope, connect, 0, "pn-cm"), ctx).registration
-    (binding,) = registration.frame_id_bindings
-    ctx.frame_ids[binding.frame_id] = binding
+    derived = derive_events(connect, ctx)
+    assert [d.kind for d in derived.diagnostics] == (["inconsistent_connect"] if skew else [])
+    ctx.register(derived.registration)
 
     # Every byte has the GOOD bit except those at the `bad` positions.
     c_sdu = bytes(b & 0x7F if i in bad else b | 0x80 for i, b in enumerate(raw_bytes[:length]))
-    specs = [] if skew else [s for s in extract_io_specs(connect) if s.direction == direction]
     fired = derive_events(_pnio(0x8001, c_sdu), ctx).events
-    assert bool(fired) == _iops_good(c_sdu, specs)
+    assert bool(fired) == (not skew and _iops_good(c_sdu, layout, direction))
+
+
+# --- Cyclic layout ------------------------------------------------------------------
+
+
+def _iops_oracle(submodules, direction: str) -> list[int]:
+    """Independent oracle: each submodule of `direction` puts its data bytes, then
+    its one IOPS byte, in declaration order."""
+    offsets = []
+    position = 0
+    for sub in submodules:
+        if sub.direction == direction:
+            position += sub.length
+            offsets.append(position)
+            position += 1
+    return offsets
+
+
+def test_cyclic_bindings_single_input_submodule():
+    bindings, problem = cyclic_bindings(
+        _connect_request((SubmoduleSpec(1, 1, "input", 2),)).body, "k", DEV_MAC
+    )
+    assert problem is None
+    assert [(b.frame_id, b.data_event, b.iops_offsets, b.c_sdu_length) for b in bindings] == [
+        (0x8001, INPUT_PROCESS_DATA_SENT, (2,), 3),
+        (0x8002, OUTPUT_PROCESS_DATA_SENT, None, 0),  # the output CR carries only IOCS
+    ]
+    assert {(b.key, b.responder_mac) for b in bindings} == {("k", DEV_MAC)}
+    assert bindings[0].summary == "pnio cyclic 0x8001 input iops good"
+
+
+def test_cyclic_bindings_record_only_ar():
+    assert cyclic_bindings(_connect_request(()).body, "k", DEV_MAC) == ((), None)
+
+
+def test_cyclic_bindings_two_outputs_offsets():
+    subs = (SubmoduleSpec(1, 1, "output", 1), SubmoduleSpec(2, 1, "output", 4))
+    _, outputs = cyclic_bindings(_connect_request(subs).body, "k", DEV_MAC)[0]
+    assert outputs.iops_offsets == (1, 6)
+    assert list(outputs.iops_offsets) == _iops_oracle(subs, "output")
+
+
+@given(
+    lengths=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    directions=st.lists(st.sampled_from(["input", "output"]), min_size=1, max_size=5),
+)
+def test_layout_matches_oracle_and_conserves(lengths, directions):
+    n = min(len(lengths), len(directions))
+    subs = tuple(
+        SubmoduleSpec(i + 1, 1, directions[i], lengths[i]) for i in range(n)
+    )
+    body = _connect_request(subs).body
+    bindings, problem = cyclic_bindings(body, "k", DEV_MAC)
+    assert problem is None
+    for binding, direction in zip(bindings, ("input", "output")):
+        oracle = _iops_oracle(subs, direction)
+        assert list(binding.iops_offsets or ()) == oracle
+        assert binding.c_sdu_length == (oracle[-1] + 1 if oracle else 0)
+    # conservation: declared CR length equals laid-out lengths + status bytes
+    for iocr in body.iocr_blocks:
+        own = sum(s.length + 1 for s in subs if s.direction == iocr.cr_type)
+        opposite = sum(1 for s in subs if s.direction != iocr.cr_type)
+        assert iocr.data_length == own + opposite
+
+
+def test_inconsistent_connect_rejected():
+    body = _connect_request((SubmoduleSpec(1, 1, "input", 2),), input_len=9).body
+    bindings, problem = cyclic_bindings(body, "k", DEV_MAC)
+    assert problem == "input CR declares 9 bytes, layout needs 3"
+    assert [b.iops_offsets for b in bindings] == [None, None]
 
 
 def test_derive_pnio_orphan_frame_id():
@@ -519,11 +607,11 @@ def test_derive_write_disambiguation_by_connection_state():
     frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 3, uuid.uuid4(), 2, block)
 
     ctx = FakeContext()
-    ctx.ars[AR] = FakeConnection(key, DEV_MAC, established=False)
+    ctx.register(ConnectionRegistration(key, DEV_MAC, AR, ()))
     pre = derive_events(dissect(raw(frame)), ctx)
     assert [e.event_name for e in pre.events] == [PARAMETRIZATION_WRITE, PARAMETRIZATION_WRITE]
 
-    ctx.ars[AR] = FakeConnection(key, DEV_MAC, established=True)
+    ctx.states["connection", key] = "ConnectionEstablished"
     post = derive_events(dissect(raw(frame)), ctx)
     assert [e.event_name for e in post.events] == [ACYCLIC_WRITE, ACYCLIC_WRITE]
 
@@ -534,10 +622,10 @@ def test_derive_write_response_silent_before_establishment():
     frame = encode_cm(DEV, CTRL, "192.168.0.11", "192.168.0.1", 2, 3, uuid.uuid4(), 2, block)
 
     ctx = FakeContext()
-    ctx.ars[AR] = FakeConnection(key, DEV_MAC, established=False)
+    ctx.register(ConnectionRegistration(key, DEV_MAC, AR, ()))
     assert derive_events(dissect(raw(frame)), ctx).events == []
 
-    ctx.ars[AR] = FakeConnection(key, DEV_MAC, established=True)
+    ctx.states["connection", key] = "InputDataExchange"
     assert [e.event_name for e in derive_events(dissect(raw(frame)), ctx).events] == [
         ACYCLIC_DONE,
         ACYCLIC_DONE,

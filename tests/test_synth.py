@@ -248,8 +248,8 @@ def test_bitflipped_ttl_zero_lldp_not_silent():
 
 def test_unsorted_slot_layout_extracts_correctly(tmp_path):
     """Wire order (slots first-seen) governs offsets even for odd declarations."""
-    from poet.dissect import CmFrame, PnioCyclicFrame, extract_io_specs
-    from poet.capture import RawFrame
+    from poet.dissect import CmFrame, PnioCyclicFrame
+    from poet.models import cyclic_bindings
     from poet.synth import layout_order, process_byte
 
     device = NodeSpec(
@@ -274,35 +274,38 @@ def test_unsorted_slot_layout_extracts_correctly(tmp_path):
     report = Tracker().process(open_capture(path))
     assert report.anomalies == []
 
-    specs_by_direction = {"input": [], "output": []}
+    bindings = {}
     frame_direction = {}
     cyclic = []
     for item in open_capture(path):
         parsed = dissect(item)
         if isinstance(parsed.body, CmFrame) and parsed.body.operation == "Connect" \
                 and parsed.body.direction == "request":
-            for entry in extract_io_specs(parsed.body):
-                specs_by_direction[entry.direction].append(entry)
+            compiled, problem = cyclic_bindings(parsed.body, "k", device.mac)
+            assert problem is None
+            bindings.update((b.frame_id, b) for b in compiled)
             for iocr in parsed.body.iocr_blocks:
                 frame_direction[iocr.frame_id] = iocr.cr_type
         elif isinstance(parsed.body, PnioCyclicFrame):
             cyclic.append(parsed.body)
 
-    wire_inputs = [s for s in layout_order(device.submodules) if s.direction == "input"]
-    assert [(s.slot, s.subslot) for s in specs_by_direction["input"]] == [
-        (s.slot, s.subslot) for s in wire_inputs
-    ]
+    wire = {d: [s for s in layout_order(device.submodules) if s.direction == d] for d in ("input", "output")}
+    assert [(s.slot, s.subslot) for s in wire["input"]] == [(5, 1), (5, 2), (2, 1)]
     rounds = {"input": 0, "output": 0}
     for frame in cyclic:
         direction = frame_direction[frame.frame_id]
         round_index = rounds[direction]
         rounds[direction] += 1
-        for ordinal, entry in enumerate(specs_by_direction[direction]):
-            data = frame.data[entry.offset : entry.offset + entry.length]
+        iops_offsets = bindings[frame.frame_id].iops_offsets
+        assert len(iops_offsets) == len(wire[direction])
+        # Each submodule's data bytes end where its IOPS byte sits.
+        for ordinal, (sub, iops_at) in enumerate(zip(wire[direction], iops_offsets)):
+            data = frame.data[iops_at - sub.length : iops_at]
             expected = bytes(
-                process_byte(0, round_index, direction, ordinal, i) for i in range(entry.length)
+                process_byte(0, round_index, direction, ordinal, i) for i in range(sub.length)
             )
-            assert data == expected, (direction, entry.slot, entry.subslot)
+            assert data == expected, (direction, sub.slot, sub.subslot)
+            assert frame.data[iops_at] == 0x80
 
 
 def _one_device_spec(*submodules: tuple) -> ScenarioSpec:

@@ -16,7 +16,7 @@ import poet
 from poet.capture import RawFrame, open_capture
 from poet.dissect import str_to_mac
 from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, fold_log
-from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
+from poet.models import connection_fsm_table, connection_key, device_fsm_table, system_fsm_table
 from poet.synth import (
     BUILTIN_SCENARIOS,
     SynthResult,
@@ -137,6 +137,47 @@ def test_rogue_connect_detected(tmp_path):
     # the rogue connection instance exists and never left creation
     rogue = [c for c in report.final_states["connections"] if c["state"] == "ConnectionCreation"]
     assert len(rogue) == 1
+
+
+def test_rogue_connect_cannot_take_over_live_frame_ids():
+    """A Connect of another connection that reuses a live CR's frame ids binds none of them."""
+    import uuid
+
+    from poet.synth import ATTACKER_MAC, _connect_blocks, encode_cm
+
+    result = synthesize(rogue_connect_spec())
+    device = result.spec.devices[0]
+    assert device.name == "lift-motor"  # its CRs run on frame ids 0x8001 and 0x8002
+    blocks = _connect_blocks(
+        uuid.uuid5(uuid.NAMESPACE_OID, "hijack-ar"), str_to_mac(ATTACKER_MAC), "intruder",
+        device.submodules, (0x8001, 0x8002),
+    )
+    hijack = encode_cm(
+        str_to_mac(ATTACKER_MAC), str_to_mac(device.mac), "192.168.0.250", device.ip, 0, 0,
+        uuid.uuid5(uuid.NAMESPACE_OID, "hijack-activity"), 0x7FFE, blocks,
+    )
+    frames = [(plan.ts, plan.data) for plan in result.frames]
+    frames.insert(51, (frames[50][0], hijack))  # just after the builtin rogue Connect
+    report = Tracker().process(RawFrame(*ts, data, index) for index, (ts, data) in enumerate(frames))
+
+    # Only the two rogue Connects are anomalies: the device's and the system's connect_requested.
+    assert Counter((a.instance_kind, a.offending_event) for a in report.anomalies) == {
+        ("device", "connect_requested"): 2,
+        ("system", "connect_requested"): 2,
+    }
+    conflicts = [a for a in report.diagnostics if a.offending_event == "frame_id_conflict"]
+    assert [(a.instance_kind, a.instance_key, a.cause.capture_index) for a in conflicts] == [
+        ("device", device.mac, 51),
+        ("device", device.mac, 51),
+    ]
+    # The real connection keeps getting its data events after the hijack attempt.
+    legit = connection_key(result.spec.controller.mac, device.mac)
+    data_at = [
+        record["cause"]["capture_index"]
+        for record in report.logs["connections"][legit]
+        if record["event"].endswith("_process_data_sent")
+    ]
+    assert max(data_at) > 51
 
 
 def test_orphan_write_before_connect_no_state_corruption(tmp_path):
