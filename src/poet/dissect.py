@@ -8,8 +8,9 @@ violates its own structure raises MalformedFrame; dissection never raises
 anything else for inputs of at least 14 bytes.
 
 All PROFINET application fields are big-endian. The DCE/RPC connectionless
-header honours its drep byte. Every MAC address is decoded here, once, to the
-lowercase "aa:bb:cc:dd:ee:ff" text that the rest of poet keys on.
+header honours its drep byte. Only the facts poet reads are decoded, each one
+once. Every MAC address is decoded here to the lowercase "aa:bb:cc:dd:ee:ff"
+text that the rest of poet keys on.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ PNIO_CM_UDP_PORT = 34964  # 0x8894
 # 0x8892 frame-id allocation (IEC 61158 ranges used here)
 DCP_FRAME_ID_MIN = 0xFEFC
 DCP_FRAME_ID_MAX = 0xFEFF
-DCP_FRAME_ID_HELLO = 0xFEFC
 DCP_FRAME_ID_GETSET = 0xFEFD
 DCP_FRAME_ID_IDENTIFY_REQ = 0xFEFE
 DCP_FRAME_ID_IDENTIFY_RES = 0xFEFF
@@ -66,20 +66,16 @@ DCP_SUBOPTION_NAME_OF_STATION = 2
 DCP_SUBOPTION_DEVICE_ID = 3
 DCP_OPTION_CONTROL = 5
 DCP_SUBOPTION_CONTROL_RESPONSE = 4
-DCP_OPTION_ALL = 0xFF
 
 # LLDP TLV types
 LLDP_TLV_END = 0
 LLDP_TLV_CHASSIS_ID = 1
 LLDP_TLV_PORT_ID = 2
 LLDP_TLV_TTL = 3
-LLDP_TLV_PORT_DESCRIPTION = 4
 LLDP_TLV_SYSTEM_NAME = 5
 LLDP_TLV_MGMT_ADDRESS = 8
-LLDP_TLV_ORG_SPECIFIC = 127
 LLDP_SUBTYPE_MAC = 4  # chassis id subtype
 LLDP_PORT_SUBTYPE_MAC = 3
-PROFINET_OUI = b"\x00\x0e\xcf"
 
 # DCE/RPC connectionless
 RPC_VERSION_CL = 4
@@ -154,32 +150,19 @@ def str_to_ip(text: str) -> bytes:
 
 
 @dataclass(slots=True)
-class EthernetEnvelope:
-    dst_mac: str
-    src_mac: str
-    ethertype: int  # post-VLAN ethertype
-    vlan_tag: tuple[int, int] | None  # (pcp, vid)
-    payload: bytes
-
-
-@dataclass(slots=True)
 class LldpFrame:
-    chassis_mac: str | None  # a chassis id of the MAC subtype; None for any other subtype
-    port_mac: str | None  # likewise for the port id
-    ttl_seconds: int
+    # The MAC the frame speaks for: a 6-byte chassis id of the MAC subtype, else the source MAC.
+    subject_mac: str
+    port_mac: str | None  # a port id of the MAC subtype; None for any other subtype
     station_name: str | None = None
-    port_descriptions: tuple[str, ...] = ()
     management_address: str | None = None
-    profinet_tlvs: tuple[tuple[int, bytes], ...] = ()
     violations: tuple[str, ...] = ()
 
 
 @dataclass(slots=True)
 class ArpPacket:
-    operation: str  # "request" | "reply"
     sender_mac: str
     sender_ip: str
-    target_mac: str
     target_ip: str
 
     @property
@@ -191,8 +174,7 @@ class ArpPacket:
 class DcpBlock:
     option: int
     suboption: int
-    qualifier: int | None  # BlockQualifier (Set requests) or BlockInfo (responses)
-    payload: bytes
+    payload: bytes  # without the BlockQualifier (Set requests) or BlockInfo (responses)
 
     @property
     def is_name_of_station(self) -> bool:
@@ -232,45 +214,24 @@ class DcpBlock:
 
 @dataclass(slots=True)
 class DcpFrame:
-    frame_id: int
     service_id: str  # "Identify" | "Get" | "Set" | "Hello"
     service_type: str  # "Request" | "ResponseSuccess" | "ResponseUnsupported"
-    xid: int
     blocks: tuple[DcpBlock, ...]
     violations: tuple[str, ...] = ()
 
-    def find_block(self, option: int, suboption: int) -> DcpBlock | None:
-        for block in self.blocks:
-            if block.option == option and block.suboption == suboption:
-                return block
-        return None
-
     @property
     def name_of_station(self) -> str | None:
-        block = self.find_block(DCP_OPTION_DEVICE, DCP_SUBOPTION_NAME_OF_STATION)
-        return block.name_of_station if block else None
+        for block in self.blocks:
+            if block.is_name_of_station:
+                return block.name_of_station
+        return None
 
 
 @dataclass(slots=True)
 class IocrBlock:
     cr_type: str  # "input" | "output"
-    reference: int
     frame_id: int
     data_length: int
-    send_clock: int
-    reduction_ratio: int
-    watchdog_factor: int
-    data_hold_factor: int
-
-
-@dataclass(slots=True)
-class ExpectedSubmodule:
-    slot: int
-    subslot: int
-    module_id: int
-    submodule_id: int
-    # (direction, data_length, iops_length, iocs_length)
-    data_description: tuple[str, int, int, int]
 
 
 @dataclass(slots=True)
@@ -279,28 +240,23 @@ class CmFrame:
     operation: str  # Connect | Write | Read | DControl | CControl | Release
     ar_uuid: uuid.UUID | None
     iocr_blocks: tuple[IocrBlock, ...] = ()
-    expected_submodules: tuple[ExpectedSubmodule, ...] = ()
-    initiator_mac: str | None = None
-    station_name: str | None = None
-    slot: int | None = None  # read/write record addressing
-    subslot: int | None = None
-    record_index: int | None = None
-    record_data: bytes = b""
+    # each submodule's (direction, data_length, iops_length, iocs_length)
+    expected_submodules: tuple[tuple[str, int, int, int], ...] = ()
 
 
 @dataclass(slots=True)
 class PnioCyclicFrame:
     frame_id: int
-    data: bytes
-    cycle_counter: int
-    data_status: int
-    transfer_status: int
+    data: bytes  # the C-SDU, without the cycle counter and status trailer
 
 
-@dataclass(slots=True)
 class OtherBody:
-    ethertype: int
-    tag: str | None = None
+    """A frame poet does not follow; it carries nothing."""
+
+    __slots__ = ()
+
+
+_OTHER = OtherBody()
 
 
 Body = LldpFrame | ArpPacket | DcpFrame | CmFrame | PnioCyclicFrame | OtherBody
@@ -318,15 +274,11 @@ _PROTOCOL_TAGS: dict[type, str] = {
 
 @dataclass(slots=True)
 class ParsedFrame:
-    envelope: EthernetEnvelope
+    dst_mac: str
+    src_mac: str
     body: Body
-    raw_ref: int  # capture_index of the source frame
+    capture_index: int  # of the source frame
     protocol: str  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
-
-
-def lldp_subject(parsed: ParsedFrame) -> str:
-    """The MAC an LLDP frame speaks for: its chassis MAC, else its source MAC."""
-    return parsed.body.chassis_mac or parsed.envelope.src_mac
 
 
 def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> bytes:
@@ -335,45 +287,37 @@ def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> byt
     return data[offset : offset + count]
 
 
-def parse_envelope(frame: bytes) -> EthernetEnvelope:
-    if len(frame) < 14:
-        raise MalformedFrame("ethernet", 0, "frame shorter than 14 bytes")
-    # mac_to_str, inlined: this runs for every frame.
-    dst = frame[0:6].hex(":")
-    src = frame[6:12].hex(":")
-    ethertype = struct.unpack(">H", frame[12:14])[0]
-    vlan = None
-    offset = 14
-    if ethertype == ETHERTYPE_VLAN:
-        tci_raw = _need(frame, 14, 4, "ethernet", "VLAN tag")
-        tci = struct.unpack(">H", tci_raw[0:2])[0]
-        vlan = (tci >> 13, tci & 0x0FFF)
-        ethertype = struct.unpack(">H", tci_raw[2:4])[0]
-        offset = 18
-    return EthernetEnvelope(dst, src, ethertype, vlan, frame[offset:])
-
-
 def dissect(raw: RawFrame) -> ParsedFrame:
     """Dissect one raw frame into a typed ParsedFrame.
 
     Unknown traffic becomes Other; structurally broken claims of a known
     protocol raise MalformedFrame.
     """
-    envelope = parse_envelope(raw.frame_bytes)
-    ethertype = envelope.ethertype
-    payload = envelope.payload
+    frame = raw.frame_bytes
+    if len(frame) < 14:
+        raise MalformedFrame("ethernet", 0, "frame shorter than 14 bytes")
+    # mac_to_str, inlined: this runs for every frame.
+    dst = frame[0:6].hex(":")
+    src = frame[6:12].hex(":")
+    ethertype = struct.unpack(">H", frame[12:14])[0]
+    if ethertype == ETHERTYPE_VLAN:
+        # The tag's priority and VLAN id are skipped: poet keys on neither.
+        ethertype = struct.unpack(">H", _need(frame, 14, 4, "ethernet", "VLAN tag")[2:4])[0]
+        payload = frame[18:]
+    else:
+        payload = frame[14:]
 
-    if ethertype == ETHERTYPE_LLDP:
-        body: Body = _parse_lldp(payload)
+    if ethertype == ETHERTYPE_PROFINET:
+        body: Body = _parse_profinet_rt(payload)
+    elif ethertype == ETHERTYPE_LLDP:
+        body = _parse_lldp(payload, src)
     elif ethertype == ETHERTYPE_ARP:
         body = _parse_arp(payload)
-    elif ethertype == ETHERTYPE_PROFINET:
-        body = _parse_profinet_rt(payload)
     elif ethertype == ETHERTYPE_IPV4:
         body = _parse_ipv4(payload)
     else:
-        body = OtherBody(ethertype)
-    return ParsedFrame(envelope, body, raw.capture_index, _PROTOCOL_TAGS[type(body)])
+        body = _OTHER
+    return ParsedFrame(dst, src, body, raw.capture_index, _PROTOCOL_TAGS[type(body)])
 
 
 # --- LLDP ------------------------------------------------------------------
@@ -381,7 +325,7 @@ def dissect(raw: RawFrame) -> ParsedFrame:
 NAME_OF_STATION_ALLOWED = set("abcdefghijklmnopqrstuvwxyz0123456789-.")
 
 
-def _parse_lldp(data: bytes) -> LldpFrame:
+def _parse_lldp(data: bytes, src_mac: str) -> LldpFrame:
     tlvs: list[tuple[int, bytes]] = []
     pos = 0
     while pos + 2 <= len(data):
@@ -413,37 +357,22 @@ def _parse_lldp(data: bytes) -> LldpFrame:
     if len(ttl_raw) != 2:
         raise MalformedFrame("lldp", 2, "ttl must be 2 bytes")
 
-    violations: list[str] = []
-    ttl = struct.unpack(">H", ttl_raw)[0]
-    if ttl == 0:
-        violations.append("ttl-zero")
-
     station_name = None
-    descriptions: list[str] = []
     mgmt_ip = None
-    pn_tlvs: list[tuple[int, bytes]] = []
     for tlv_type, value in tlvs[3:]:
         if tlv_type == LLDP_TLV_SYSTEM_NAME:
             station_name = value.decode("utf-8", errors="replace")
-        elif tlv_type == LLDP_TLV_PORT_DESCRIPTION:
-            descriptions.append(value.decode("utf-8", errors="replace"))
         elif tlv_type == LLDP_TLV_MGMT_ADDRESS and len(value) >= 2:
             addr_len = value[0]
             if addr_len >= 5 and value[1] == 1 and len(value) >= 1 + addr_len:
                 mgmt_ip = ip_to_str(value[2:6])
-        elif tlv_type == LLDP_TLV_ORG_SPECIFIC and len(value) >= 4:
-            if value[0:3] == PROFINET_OUI:
-                pn_tlvs.append((value[3], value[4:]))
 
     return LldpFrame(
-        chassis_mac=_lldp_mac(chassis_raw, LLDP_SUBTYPE_MAC),
+        subject_mac=_lldp_mac(chassis_raw, LLDP_SUBTYPE_MAC) or src_mac,
         port_mac=_lldp_mac(port_raw, LLDP_PORT_SUBTYPE_MAC),
-        ttl_seconds=ttl,
         station_name=station_name,
-        port_descriptions=tuple(descriptions),
         management_address=mgmt_ip,
-        profinet_tlvs=tuple(pn_tlvs),
-        violations=tuple(violations),
+        violations=("ttl-zero",) if ttl_raw == b"\x00\x00" else (),
     )
 
 
@@ -461,14 +390,12 @@ def _parse_arp(data: bytes) -> ArpPacket | OtherBody:
     raw = _need(data, 0, 28, "arp", "ARP payload")
     htype, ptype, hlen, plen, oper = struct.unpack(">HHBBH", raw[0:8])
     if htype != 1 or ptype != ETHERTYPE_IPV4 or hlen != 6 or plen != 4:
-        return OtherBody(ETHERTYPE_ARP, tag="arp-non-ipv4-ethernet")
+        return _OTHER
     if oper not in (1, 2):
         raise MalformedFrame("arp", 6, f"bad ARP operation {oper}")
     return ArpPacket(
-        operation="request" if oper == 1 else "reply",
         sender_mac=mac_to_str(raw[8:14]),
         sender_ip=ip_to_str(raw[14:18]),
-        target_mac=mac_to_str(raw[18:24]),
         target_ip=ip_to_str(raw[24:28]),
     )
 
@@ -479,11 +406,13 @@ def _parse_arp(data: bytes) -> ArpPacket | OtherBody:
 def _parse_profinet_rt(data: bytes) -> DcpFrame | PnioCyclicFrame | OtherBody:
     frame_id_raw = _need(data, 0, 2, "profinet-rt", "frame id")
     frame_id = struct.unpack(">H", frame_id_raw)[0]
-    if DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX:
-        return _parse_dcp(data, frame_id)
     if RT_CYCLIC_MIN <= frame_id <= RT_CYCLIC_MAX:
-        return _parse_pnio_cyclic(data, frame_id)
-    return OtherBody(ETHERTYPE_PROFINET, tag=f"pnio-unhandled-frame-id-0x{frame_id:04x}")
+        if len(data) < 7:  # frame id + >=1 data byte + 4 trailer bytes
+            raise MalformedFrame("pnio", 2, "cyclic frame too short for C-SDU")
+        return PnioCyclicFrame(frame_id, data[2:-4])
+    if DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX:
+        return _parse_dcp(data)
+    return _OTHER
 
 
 def name_of_station_violations(name: str) -> list[str]:
@@ -503,11 +432,10 @@ def name_of_station_violations(name: str) -> list[str]:
     return issues
 
 
-def _parse_dcp(data: bytes, frame_id: int) -> DcpFrame:
+def _parse_dcp(data: bytes) -> DcpFrame:
     # frame_id(2) service_id(1) service_type(1) xid(4) response_delay(2) data_length(2)
     header = _need(data, 2, 10, "pn-dcp", "DCP header")
     service_id, service_type = header[0], header[1]
-    xid = struct.unpack(">I", header[2:6])[0]
     data_length = struct.unpack(">H", header[8:10])[0]
     if service_id not in DCP_SERVICE_NAMES:
         raise MalformedFrame("pn-dcp", 2, f"unknown service id {service_id}")
@@ -536,16 +464,14 @@ def _parse_dcp(data: bytes, frame_id: int) -> DcpFrame:
         is_control_result = (
             option == DCP_OPTION_CONTROL and suboption == DCP_SUBOPTION_CONTROL_RESPONSE
         )
-        qualifier: int | None = None
         # Identify request filters and Control/Result blocks carry bare data;
         # Set requests prefix a BlockQualifier, responses prefix a BlockInfo.
         if not is_control_result and ((is_set and is_request) or not is_request):
             if len(payload) < 2:
                 raise MalformedFrame("pn-dcp", 10 + pos, "block too short for qualifier")
-            qualifier = struct.unpack(">H", payload[0:2])[0]
             payload = payload[2:]
 
-        block = DcpBlock(option, suboption, qualifier, payload)
+        block = DcpBlock(option, suboption, payload)
         if block.is_name_of_station:
             name = block.name_of_station or ""
             violations.extend(name_of_station_violations(name))
@@ -553,20 +479,11 @@ def _parse_dcp(data: bytes, frame_id: int) -> DcpFrame:
         pos += 4 + block_len + (block_len % 2)  # blocks pad to even length
 
     return DcpFrame(
-        frame_id=frame_id,
         service_id=DCP_SERVICE_NAMES[service_id],
         service_type=DCP_TYPE_NAMES[service_type],
-        xid=xid,
         blocks=tuple(blocks),
         violations=tuple(violations),
     )
-
-
-def _parse_pnio_cyclic(data: bytes, frame_id: int) -> PnioCyclicFrame:
-    if len(data) < 7:  # frame id + >=1 data byte + 4 trailer bytes
-        raise MalformedFrame("pnio", 2, "cyclic frame too short for C-SDU")
-    cycle_counter, data_status, transfer_status = struct.unpack(">HBB", data[-4:])
-    return PnioCyclicFrame(frame_id, data[2:-4], cycle_counter, data_status, transfer_status)
 
 
 # --- IPv4 / UDP / DCE-RPC / PN-CM -------------------------------------------
@@ -586,17 +503,15 @@ def _parse_ipv4(data: bytes) -> CmFrame | OtherBody:
     if total_length < ihl or total_length > len(data):
         raise MalformedFrame("ipv4", 2, "total length inconsistent")
     flags_frag = struct.unpack(">H", head[6:8])[0]
-    if flags_frag & 0x3FFF:  # MF set or fragment offset nonzero
-        return OtherBody(ETHERTYPE_IPV4, tag="ipv4-fragment")
-    protocol = head[9]
-    if protocol != 17:
-        return OtherBody(ETHERTYPE_IPV4)
+    # A fragment (MF set or fragment offset nonzero), or not UDP.
+    if flags_frag & 0x3FFF or head[9] != 17:
+        return _OTHER
     udp = data[ihl:total_length]
     if len(udp) < 8:
         raise MalformedFrame("udp", ihl, "truncated UDP header")
     sport, dport, udp_len = struct.unpack(">HHH", udp[0:6])
     if PNIO_CM_UDP_PORT not in (sport, dport):
-        return OtherBody(ETHERTYPE_IPV4)
+        return _OTHER
     if udp_len < 8 or udp_len > len(udp):
         raise MalformedFrame("udp", ihl + 4, "UDP length inconsistent")
     return _parse_dcerpc(udp[8:udp_len], ihl + 8)
@@ -611,16 +526,16 @@ def _parse_dcerpc(data: bytes, base: int) -> CmFrame | OtherBody:
     if len(head) < RPC_HEADER_LEN:
         raise MalformedFrame("pn-cm", base, "truncated DCE/RPC header")
     if head[0] != RPC_VERSION_CL:
-        return OtherBody(ETHERTYPE_IPV4, tag=f"rpc-version-{head[0]}")
+        return _OTHER
     ptype = head[1]
     if ptype not in (RPC_PTYPE_REQUEST, RPC_PTYPE_RESPONSE):
-        return OtherBody(ETHERTYPE_IPV4, tag=f"rpc-ptype-{ptype}")
+        return _OTHER
     flags1 = head[2]
     little_endian = (head[4] & 0xF0) == 0x10
     e = "<" if little_endian else ">"
     interface_uuid = _rpc_uuid(head[24:40], little_endian)
     if interface_uuid not in (UUID_IO_DEVICE, UUID_IO_CONTROLLER):
-        return OtherBody(ETHERTYPE_IPV4, tag="rpc-foreign-interface")
+        return _OTHER
     opnum = struct.unpack(e + "H", head[68:70])[0]
     frag_len = struct.unpack(e + "H", head[74:76])[0]
     frag_num = struct.unpack(e + "H", head[76:78])[0]
@@ -631,7 +546,7 @@ def _parse_dcerpc(data: bytes, base: int) -> CmFrame | OtherBody:
         raise MalformedFrame("pn-cm", base + RPC_HEADER_LEN, "fragment length exceeds datagram")
 
     if opnum > RPC_OPNUM_CONTROL:
-        return OtherBody(ETHERTYPE_IPV4, tag=f"pn-cm-opnum-{opnum}")
+        return _OTHER
     direction = "request" if ptype == RPC_PTYPE_REQUEST else "response"
 
     # NDR args: args_max/status(4) args_len(4) max_count(4) offset(4) actual_count(4)
@@ -661,13 +576,9 @@ def _iter_blocks(raw: bytes, base: int):
 
 def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFrame:
     ar_uuid: uuid.UUID | None = None
-    initiator_mac: str | None = None
-    station_name: str | None = None
     iocrs: list[IocrBlock] = []
-    submodules: list[ExpectedSubmodule] = []
+    submodules: list[tuple[str, int, int, int]] = []
     operation: str | None = None
-    slot = subslot = record_index = None
-    record_data = b""
 
     for block_type, content, at in _iter_blocks(raw, base):
         if block_type in (BLOCK_AR_REQ, BLOCK_AR_RES):
@@ -677,34 +588,20 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
             if len(content) < 26:
                 raise MalformedFrame("pn-cm", at, "AR block too short")
             ar_uuid = uuid.UUID(bytes=content[2:18])
-            initiator_mac = mac_to_str(content[20:26])
             if block_type == BLOCK_AR_REQ:
                 if len(content) < 52:
                     raise MalformedFrame("pn-cm", at, "AR request block too short")
                 name_len = struct.unpack(">H", content[50:52])[0]
-                name_raw = content[52 : 52 + name_len]
-                if len(name_raw) < name_len:
+                if len(content) < 52 + name_len:
                     raise MalformedFrame("pn-cm", at, "station name exceeds AR block")
-                station_name = name_raw.decode("utf-8", errors="replace")
         elif block_type == BLOCK_IOCR_REQ:
+            # cr_type(2) reference(2) lt(2) data_length(2) frame_id(2) then timing(8)
             if len(content) < 18:
                 raise MalformedFrame("pn-cm", at, "IOCR block too short")
-            (cr_type, reference, _lt, data_length, frame_id, send_clock,
-             reduction, watchdog, data_hold) = struct.unpack(">HHHHHHHHH", content[0:18])
+            cr_type, data_length, frame_id = struct.unpack(">H4xHH", content[0:10])
             if cr_type not in (CR_INPUT, CR_OUTPUT):
                 raise MalformedFrame("pn-cm", at, f"bad IOCR type {cr_type}")
-            iocrs.append(
-                IocrBlock(
-                    cr_type="input" if cr_type == CR_INPUT else "output",
-                    reference=reference,
-                    frame_id=frame_id,
-                    data_length=data_length,
-                    send_clock=send_clock,
-                    reduction_ratio=reduction,
-                    watchdog_factor=watchdog,
-                    data_hold_factor=data_hold,
-                )
-            )
+            iocrs.append(IocrBlock("input" if cr_type == CR_INPUT else "output", frame_id, data_length))
         elif block_type == BLOCK_IOCR_RES:
             operation = operation or "Connect"
         elif block_type == BLOCK_EXPECTED_SUBMODULES:
@@ -715,10 +612,8 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
             if len(content) < 32:
                 raise MalformedFrame("pn-cm", at, "record block too short")
             ar_uuid = uuid.UUID(bytes=content[2:18])
-            slot, subslot, record_index = struct.unpack(">HHH", content[22:28])
             data_len = struct.unpack(">I", content[28:32])[0]
-            record_data = content[32 : 32 + data_len]
-            if len(record_data) < data_len:
+            if len(content) < 32 + data_len:
                 raise MalformedFrame("pn-cm", at, "record data exceeds block")
         elif block_type in (BLOCK_DCONTROL_REQ, BLOCK_DCONTROL_RES):
             operation = "DControl"
@@ -752,23 +647,11 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
         if iocrs and not submodules:
             raise MalformedFrame("pn-cm", base, "IO CRs declared without expected submodules")
 
-    return CmFrame(
-        direction=direction,
-        operation=operation,
-        ar_uuid=ar_uuid,
-        iocr_blocks=tuple(iocrs),
-        expected_submodules=tuple(submodules),
-        initiator_mac=initiator_mac,
-        station_name=station_name,
-        slot=slot,
-        subslot=subslot,
-        record_index=record_index,
-        record_data=record_data,
-    )
+    return CmFrame(direction, operation, ar_uuid, tuple(iocrs), tuple(submodules))
 
 
-def _parse_expected_submodules(content: bytes, at: int) -> list[ExpectedSubmodule]:
-    out: list[ExpectedSubmodule] = []
+def _parse_expected_submodules(content: bytes, at: int) -> list[tuple[str, int, int, int]]:
+    out: list[tuple[str, int, int, int]] = []
     if len(content) < 2:
         raise MalformedFrame("pn-cm", at, "expected submodule block too short")
     num_slots = struct.unpack(">H", content[0:2])[0]
@@ -777,31 +660,18 @@ def _parse_expected_submodules(content: bytes, at: int) -> list[ExpectedSubmodul
         head = content[pos : pos + 8]
         if len(head) < 8:
             raise MalformedFrame("pn-cm", at + pos, "truncated slot entry")
-        slot, module_id, num_sub = struct.unpack(">HIH", head)
+        # slot(2) module_id(4) then the count of submodules
+        num_sub = struct.unpack(">H", head[6:8])[0]
         pos += 8
         for _ in range(num_sub):
+            # subslot(2) submodule_id(4) then the data description
             entry = content[pos : pos + 11]
             if len(entry) < 11:
                 raise MalformedFrame("pn-cm", at + pos, "truncated submodule entry")
-            subslot, submodule_id, direction, data_length, iops_len, iocs_len = struct.unpack(
-                ">HIBHBB", entry[0:11]
-            )
+            direction, data_length, iops_len, iocs_len = struct.unpack(">BHBB", entry[6:11])
             if direction not in (CR_INPUT, CR_OUTPUT):
                 raise MalformedFrame("pn-cm", at + pos, f"bad submodule direction {direction}")
-            out.append(
-                ExpectedSubmodule(
-                    slot=slot,
-                    subslot=subslot,
-                    module_id=module_id,
-                    submodule_id=submodule_id,
-                    data_description=(
-                        "input" if direction == CR_INPUT else "output",
-                        data_length,
-                        iops_len,
-                        iocs_len,
-                    ),
-                )
-            )
+            out.append(("input" if direction == CR_INPUT else "output", data_length, iops_len, iocs_len))
             pos += 11
     if pos != len(content):
         raise MalformedFrame("pn-cm", at + pos, "trailing bytes in expected submodule block")

@@ -12,7 +12,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-from .dissect import DCP_OPTION_DEVICE, DCP_SUBOPTION_DEVICE_ID, DcpFrame, ParsedFrame, lldp_subject
+from .dissect import DCP_OPTION_DEVICE, DCP_SUBOPTION_DEVICE_ID, DcpFrame, ParsedFrame
 from .fsm import FrameRef
 
 Timestamp = tuple[int, int]
@@ -137,7 +137,7 @@ class AssetInventory:
         """Fold one frame into the inventory; returns the (possibly empty) delta."""
         changes: list[InventoryChange] = []
         protocol = parsed.protocol
-        src = parsed.envelope.src_mac
+        src = parsed.src_mac
         if protocol not in _DESCRIBING_PROTOCOLS:
             # A PNIO sender becomes an asset; other traffic refreshes known assets only.
             record = self._record(src, ts) if protocol == "pnio" else self.records.get(src)
@@ -146,10 +146,10 @@ class AssetInventory:
             return changes
 
         body = parsed.body
-        dst = parsed.envelope.dst_mac
-        cause = FrameRef(parsed.raw_ref, protocol, "inventory update")
+        dst = parsed.dst_mac
+        cause = FrameRef(parsed.capture_index, protocol, "inventory update")
         if protocol == "lldp":
-            mac = lldp_subject(parsed)
+            mac = body.subject_mac
             record = self._record(mac, ts)
             self._set(record, "name_of_station", body.station_name, cause, changes)
             self._set(record, "ip_address", body.management_address, cause, changes)

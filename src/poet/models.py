@@ -24,7 +24,6 @@ from .dissect import (
     LldpFrame,
     ParsedFrame,
     PnioCyclicFrame,
-    lldp_subject,
 )
 from .fsm import Edge, FrameRef, FsmDefinition, WildcardEdge
 
@@ -306,8 +305,7 @@ def cyclic_bindings(
     iops: dict[str, list[int]] = {}  # IOPS offsets, for each direction that has a submodule
     own = {"input": 0, "output": 0}  # data and IOPS bytes laid out so far
     iocs = {"input": 0, "output": 0}  # IOCS bytes trailing each direction's CR
-    for sub in connect.expected_submodules:
-        direction, data_length, iops_length, iocs_length = sub.data_description
+    for direction, data_length, iops_length, iocs_length in connect.expected_submodules:
         at = own[direction] + data_length
         iops.setdefault(direction, []).extend(range(at, at + iops_length))
         own[direction] = at + iops_length
@@ -394,13 +392,12 @@ def derive_events(parsed: ParsedFrame, ctx: TrackContext) -> DerivedEvents:
 
 
 def _cause(parsed: ParsedFrame, summary: str) -> FrameRef:
-    return FrameRef(parsed.raw_ref, parsed.protocol, summary)
+    return FrameRef(parsed.capture_index, parsed.protocol, summary)
 
 
 def _derive_lldp(parsed: ParsedFrame, body: LldpFrame, ctx: TrackContext) -> DerivedEvents:
-    subject = lldp_subject(parsed)
-    name = body.station_name or subject
-    cause = _cause(parsed, f"lldp advertisement from {name}")
+    subject = body.subject_mac
+    cause = _cause(parsed, f"lldp advertisement from {body.station_name or subject}")
     out = DerivedEvents()
     out.events.append(ProtocolEvent(DETECT_NEIGHBOURS, "device", subject, cause))
     out.events.extend(_system_traffic_event(ctx, cause))
@@ -417,8 +414,8 @@ def _derive_arp(parsed: ParsedFrame, body: ArpPacket, ctx: TrackContext) -> Deri
 
 def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> DerivedEvents:
     out = DerivedEvents()
-    src = parsed.envelope.src_mac
-    dst = parsed.envelope.dst_mac
+    src = parsed.src_mac
+    dst = parsed.dst_mac
 
     if body.service_id == "Identify" and body.service_type == "Request":
         name = body.name_of_station
@@ -470,8 +467,8 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
 
 def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> DerivedEvents:
     out = DerivedEvents()
-    src = parsed.envelope.src_mac
-    dst = parsed.envelope.dst_mac
+    src = parsed.src_mac
+    dst = parsed.dst_mac
 
     if body.operation == "Connect" and body.direction == "request":
         key = connection_key(src, dst)
@@ -559,7 +556,7 @@ def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) 
     for at in offsets:
         if not data[at] & IOXS_GOOD:
             return DerivedEvents()
-    cause = FrameRef(parsed.raw_ref, "pnio", binding.summary)
+    cause = FrameRef(parsed.capture_index, "pnio", binding.summary)
     return DerivedEvents(
         [
             ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, cause),

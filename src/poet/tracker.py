@@ -281,8 +281,23 @@ class Tracker(TrackContext):
     def _register_connection(self, reg: ConnectionRegistration, ts: Timestamp, cause: FrameRef) -> None:
         created = reg.key not in self.fleet.connections
         self.fleet.ensure("connection", reg.key)
-        self._ar_registry[reg.ar_uuid] = reg
-        for binding in reg.frame_id_bindings:
+        # An AR UUID, like a frame id, stays with the connection that holds it:
+        # a Connect of another connection that reuses it registers nothing.
+        held_ar = self._ar_registry.get(reg.ar_uuid)
+        if held_ar is not None and held_ar.key != reg.key:
+            self._diagnostic(
+                ts,
+                "device",
+                reg.responder_mac,
+                "ar_uuid_conflict",
+                cause,
+                f"AR {reg.ar_uuid} is held by connection {held_ar.key}",
+            )
+            bindings: tuple[CyclicBinding, ...] = ()
+        else:
+            self._ar_registry[reg.ar_uuid] = reg
+            bindings = reg.frame_id_bindings
+        for binding in bindings:
             # A frame id stays with the connection that holds it: only that
             # connection's own Connect (a reconnect) may rebind it.
             held = self._frame_id_registry.get(binding.frame_id)
@@ -377,7 +392,7 @@ class Tracker(TrackContext):
         # no event ever targets it (e.g. a quiet attacker). LLDP needs no case here: its
         # detect_neighbours event always targets the frame's subject.
         if parsed.protocol in ("pn-dcp", "pn-cm", "pnio"):
-            self.fleet.ensure("device", parsed.envelope.src_mac)
+            self.fleet.ensure("device", parsed.src_mac)
 
     def _expire_deferred(self, ts: Timestamp, current_index: int | None = None) -> None:
         """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index."""

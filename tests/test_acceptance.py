@@ -258,14 +258,14 @@ def test_c7_process_data_extraction(tmp_path):
             frame_id_direction[iocr.frame_id] = iocr.cr_type
             # layout conservation: declared length == laid-out data+IOPS+IOCS
             own = sum(
-                s.data_description[1] + s.data_description[2]
-                for s in connect.expected_submodules
-                if s.data_description[0] == iocr.cr_type
+                data_length + iops_length
+                for direction, data_length, iops_length, _ in connect.expected_submodules
+                if direction == iocr.cr_type
             )
             opposite = sum(
-                s.data_description[3]
-                for s in connect.expected_submodules
-                if s.data_description[0] != iocr.cr_type
+                iocs_length
+                for direction, _, _, iocs_length in connect.expected_submodules
+                if direction != iocr.cr_type
             )
             assert iocr.data_length == own + opposite
 

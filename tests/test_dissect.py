@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 import uuid
 
 import pytest
@@ -58,12 +59,9 @@ def test_lldp_station_name_lift_motor():
     parsed = dissect(raw(frame))
     assert isinstance(parsed.body, LldpFrame)
     assert parsed.body.station_name == "Lift-Motor"
-    assert parsed.body.chassis_mac == "02:00:00:00:02:00"
+    assert parsed.body.subject_mac == "02:00:00:00:02:00"  # the chassis MAC, not the source
     assert parsed.body.port_mac == "02:70:01:01:02:00"
-    assert parsed.body.ttl_seconds == 20
-    assert parsed.body.port_descriptions == ("port-001",)
     assert parsed.body.management_address == "192.168.0.11"
-    assert parsed.body.profinet_tlvs  # PNO org TLV retained
 
 
 def test_dcp_set_name_ufo():
@@ -87,14 +85,14 @@ def test_ipv4_tcp_passes_through_as_other():
     frame = ethernet(DEV, CTRL, 0x0800, ip)
     parsed = dissect(raw(frame))
     assert isinstance(parsed.body, OtherBody)
-    assert parsed.body.ethertype == 0x0800
+    assert parsed.protocol == "other"
 
 
 def test_unknown_ethertype_is_other():
     frame = ethernet(DEV, CTRL, 0x86DD, b"\x00" * 40)
     parsed = dissect(raw(frame))
     assert isinstance(parsed.body, OtherBody)
-    assert parsed.body.ethertype == 0x86DD
+    assert (parsed.dst_mac, parsed.src_mac) == ("02:00:00:00:02:00", "02:00:00:00:01:00")
 
 
 def test_vlan_unwrapped_once():
@@ -103,16 +101,17 @@ def test_vlan_unwrapped_once():
     inner = dcp_set_name_request(CTRL, DEV, 9, "ufo")[14:]
     tagged = DEV + CTRL + struct.pack(">HH", 0x8100, (3 << 13) | 42) + struct.pack(">H", ETHERTYPE_PROFINET) + inner
     parsed = dissect(raw(tagged))
-    assert parsed.envelope.vlan_tag == (3, 42)
-    assert parsed.envelope.ethertype == ETHERTYPE_PROFINET
+    assert (parsed.dst_mac, parsed.src_mac) == ("02:00:00:00:02:00", "02:00:00:00:01:00")
+    assert parsed.protocol == "pn-dcp"
     assert isinstance(parsed.body, DcpFrame)
+    assert parsed.body.name_of_station == "ufo"
 
 
-def test_pnio_alarm_frame_id_is_other_with_tag():
+def test_pnio_alarm_frame_id_is_other():
     frame = ethernet(DEV, CTRL, ETHERTYPE_PROFINET, b"\xfc\x01" + b"\x00" * 40)
     parsed = dissect(raw(frame))
     assert isinstance(parsed.body, OtherBody)
-    assert parsed.body.tag == "pnio-unhandled-frame-id-0xfc01"
+    assert parsed.protocol == "other"
 
 
 # --- Round trips over every synthesized frame family -------------------------
@@ -122,13 +121,8 @@ def test_lldp_round_trip_parameters():
     frame = encode_lldp(DEV, PORT, 30, "turntable-motor", ("port-001", "port-002"), "10.0.0.5")
     body = dissect(raw(frame)).body
     assert isinstance(body, LldpFrame)
-    assert (body.chassis_mac, body.port_mac, body.ttl_seconds) == (
-        "02:00:00:00:02:00",
-        "02:70:01:01:02:00",
-        30,
-    )
+    assert (body.subject_mac, body.port_mac) == ("02:00:00:00:02:00", "02:70:01:01:02:00")
     assert body.station_name == "turntable-motor"
-    assert body.port_descriptions == ("port-001", "port-002")
     assert body.management_address == "10.0.0.5"
 
 
@@ -136,7 +130,6 @@ def test_arp_round_trip_and_gratuitous_flag():
     frame = encode_arp(CTRL, b"\xff" * 6, 1, CTRL, "192.168.0.1", b"\x00" * 6, "192.168.0.11")
     body = dissect(raw(frame)).body
     assert isinstance(body, ArpPacket)
-    assert body.operation == "request"
     assert body.sender_mac == "02:00:00:00:01:00"
     assert (body.sender_ip, body.target_ip) == ("192.168.0.1", "192.168.0.11")
     assert not body.is_gratuitous
@@ -161,27 +154,24 @@ def test_gratuitous_iff_sender_equals_target(sender, target):
 def test_dcp_identify_round_trip():
     req = dissect(raw(dcp_identify_request(CTRL, 0x42, "lift-motor"))).body
     assert isinstance(req, DcpFrame)
-    assert (req.service_id, req.service_type, req.xid) == ("Identify", "Request", 0x42)
+    assert (req.service_id, req.service_type) == ("Identify", "Request")
     assert req.name_of_station == "lift-motor"
 
     res = dissect(raw(dcp_identify_response(DEV, CTRL, 0x42, "lift-motor", ip="192.168.0.11"))).body
     assert isinstance(res, DcpFrame)
     assert (res.service_id, res.service_type) == ("Identify", "ResponseSuccess")
     assert res.name_of_station == "lift-motor"
-    ip_block = res.find_block(1, 2)
-    assert ip_block is not None
-    assert ip_block.ip_parameter == ("192.168.0.11", "255.255.255.0", "0.0.0.0")
-    identity = res.find_block(2, 3)
-    assert identity is not None and len(identity.payload) == 4
+    blocks = {(b.option, b.suboption): b for b in res.blocks}
+    assert blocks[1, 2].ip_parameter == ("192.168.0.11", "255.255.255.0", "0.0.0.0")
+    assert len(blocks[2, 3].payload) == 4
 
 
 def test_dcp_set_round_trip():
     req = dissect(raw(dcp_set_ip_request(CTRL, DEV, 0x43, "192.168.0.11", "255.255.255.0", "0.0.0.0"))).body
     assert isinstance(req, DcpFrame)
-    block = req.find_block(1, 2)
-    assert block is not None
-    assert block.qualifier == 1
-    assert block.ip_parameter == ("192.168.0.11", "255.255.255.0", "0.0.0.0")
+    (block,) = req.blocks
+    assert (block.option, block.suboption) == (1, 2)
+    assert block.ip_parameter == ("192.168.0.11", "255.255.255.0", "0.0.0.0")  # qualifier stripped
 
     res = dissect(raw(dcp_set_response(DEV, CTRL, 0x43, 1, 2))).body
     assert isinstance(res, DcpFrame)
@@ -215,16 +205,11 @@ def test_cm_connect_round_trip():
     assert isinstance(body, CmFrame)
     assert (body.direction, body.operation) == ("request", "Connect")
     assert body.ar_uuid == uuid.uuid5(uuid.NAMESPACE_OID, "test-ar")
-    assert body.initiator_mac == "02:00:00:00:01:00"
-    assert body.station_name == "plc-1"
     assert [(c.cr_type, c.frame_id, c.data_length) for c in body.iocr_blocks] == [
         ("input", 0x8001, 4),  # 2 data + 1 iops + 1 iocs(output submodule)
         ("output", 0x8002, 5),  # 3 data + 1 iops + 1 iocs(input submodule)
     ]
-    assert [(s.slot, s.subslot, s.data_description) for s in body.expected_submodules] == [
-        (1, 1, ("input", 2, 1, 1)),
-        (2, 1, ("output", 3, 1, 1)),
-    ]
+    assert body.expected_submodules == (("input", 2, 1, 1), ("output", 3, 1, 1))
 
 
 def test_cm_write_read_control_round_trip():
@@ -250,10 +235,6 @@ def test_cm_write_read_control_round_trip():
         assert body.operation == operation
         assert body.ar_uuid == ar
         assert body.direction == "request"
-    write = dissect(raw(encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 3, uuid.uuid4(), 5,
-                                  record_block(BLOCK_WRITE_REQ, ar, 1, 4, 2, 0x8001, b"\xaa\xbb")))).body
-    assert (write.slot, write.subslot, write.record_index) == (4, 2, 0x8001)
-    assert write.record_data == b"\xaa\xbb"
 
 
 def test_pnio_round_trip():
@@ -262,7 +243,6 @@ def test_pnio_round_trip():
     body = dissect(raw(frame)).body
     assert isinstance(body, PnioCyclicFrame)
     assert body.frame_id == 0x8002
-    assert body.cycle_counter == 96
     assert body.data[: len(c_sdu)] == c_sdu  # padding beyond the real C-SDU
 
 
@@ -305,9 +285,9 @@ def test_dcp_get_request_bare_blocks():
     body = dissect(raw(frame)).body
     assert isinstance(body, DcpFrame)
     assert body.service_id == "Get"
-    assert [(b.option, b.suboption, b.qualifier, b.payload) for b in body.blocks] == [
-        (1, 2, None, b""),
-        (2, 2, None, b""),
+    assert [(b.option, b.suboption, b.payload) for b in body.blocks] == [
+        (1, 2, b""),
+        (2, 2, b""),
     ]
 
 
@@ -334,7 +314,6 @@ def test_dcp_set_block_too_short_for_qualifier():
 
 def test_expected_submodules_trailing_bytes_rejected():
     import struct
-    import poet.synth as synthmod
 
     ar = uuid.uuid5(uuid.NAMESPACE_OID, "trail-ar")
     blocks = ar_block_request(ar, CTRL, "plc-1")
@@ -389,6 +368,170 @@ def test_fragmented_rpc_rejected():
     with pytest.raises(MalformedFrame) as exc:
         dissect(raw(bytes(frame)))
     assert "fragment" in exc.value.reason
+
+
+# --- Refusals: every MalformedFrame the dissector raises, with its position -------
+
+AR = uuid.uuid5(uuid.NAMESPACE_OID, "refusal-ar")
+
+
+def _lldp(*tlvs: bytes) -> bytes:
+    return ethernet(DEV, CTRL, 0x88CC, b"".join(tlvs), pad_to=0)
+
+
+CHASSIS = synth._lldp_tlv(1, bytes([4]) + DEV)
+PORT_ID = synth._lldp_tlv(2, bytes([3]) + PORT)
+TTL = synth._lldp_tlv(3, b"\x00\x14")
+
+
+def _dcp(service_id: int, service_type: int, blocks: bytes, frame_id: int = 0xFEFD) -> bytes:
+    return synth.encode_dcp(CTRL, DEV, frame_id, service_id, service_type, 1, blocks)
+
+
+def _ipv4(payload: bytes, first: int = 0x45, total: int | None = None) -> bytes:
+    """A UDP datagram; `first` is the version/IHL byte."""
+    total = 20 + len(payload) if total is None else total
+    header = struct.pack(">BBHHHBBH4s4s", first, 0, total, 1, 0, 64, 17, 0,
+                         b"\xc0\xa8\x00\x01", b"\xc0\xa8\x00\x0b")
+    return ethernet(DEV, CTRL, 0x0800, header + payload, pad_to=0)
+
+
+def _udp(payload: bytes, length: int | None = None) -> bytes:
+    length = 8 + len(payload) if length is None else length
+    return struct.pack(">HHHH", 34964, 34964, length, 0) + payload
+
+
+def _cm(blocks: bytes, opnum: int = 0) -> bytes:
+    return encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, opnum, uuid.UUID(int=3), 1, blocks)
+
+
+def _patched(frame: bytes, at: int, value: bytes) -> bytes:
+    return frame[:at] + value + frame[at + len(value):]
+
+
+# Offsets in a PN-CM frame: the RPC header follows Ethernet(14), IPv4(20) and UDP(8);
+# the NDR args header follows the 80-byte RPC header, and the blocks follow it.
+RPC_AT = 14 + 20 + 8
+RPC_BASE = 20 + 8  # refusal offsets count from the start of the IPv4 header
+BLOCKS_BASE = RPC_BASE + 80 + 20
+AR_HEAD = struct.pack(">H", 1) + AR.bytes + struct.pack(">H", 1) + CTRL  # 26 bytes
+AR_REQUEST_HEAD = AR_HEAD + bytes(16) + struct.pack(">IHH", 0x11, 100, 34964)  # 50 bytes
+SLOT = struct.pack(">HIH", 1, 0x101, 1)
+
+
+def _submodule(direction: int) -> bytes:
+    return struct.pack(">HIBHBB", 1, 0x1001, direction, 2, 1, 1)
+
+
+REFUSALS = [
+    # Ethernet
+    ("short-frame", bytes(13), "ethernet", 0, "frame shorter than 14 bytes"),
+    ("vlan-tag-cut", DEV + CTRL + b"\x81\x00\x00\x2a", "ethernet", 14, "truncated VLAN tag"),
+    # LLDP
+    ("lldp-tlv-overlong", _lldp(CHASSIS, struct.pack(">H", (2 << 9) | 7) + b"\x03\x02"),
+     "lldp", 9, "TLV length exceeds frame"),
+    ("lldp-order", _lldp(CHASSIS, TTL, PORT_ID), "lldp", 0, "mandatory TLV order violated"),
+    ("lldp-missing-ttl", _lldp(CHASSIS, PORT_ID), "lldp", 0, "mandatory TLV order violated"),
+    ("lldp-chassis-short", _lldp(synth._lldp_tlv(1, b"\x04"), PORT_ID, TTL),
+     "lldp", 2, "chassis id too short"),
+    ("lldp-port-short", _lldp(CHASSIS, synth._lldp_tlv(2, b"\x03"), TTL), "lldp", 2, "port id too short"),
+    ("lldp-ttl-size", _lldp(CHASSIS, PORT_ID, synth._lldp_tlv(3, b"\x14")), "lldp", 2, "ttl must be 2 bytes"),
+    # ARP
+    ("arp-short", ethernet(DEV, CTRL, 0x0806, bytes(27), pad_to=0), "arp", 0, "truncated ARP payload"),
+    ("arp-operation", encode_arp(CTRL, DEV, 3, CTRL, "192.168.0.1", DEV, "192.168.0.11"),
+     "arp", 6, "bad ARP operation 3"),
+    # PROFINET RT
+    ("rt-frame-id", ethernet(DEV, CTRL, ETHERTYPE_PROFINET, b"\xfe", pad_to=0),
+     "profinet-rt", 0, "truncated frame id"),
+    ("dcp-header", ethernet(DEV, CTRL, ETHERTYPE_PROFINET, b"\xfe\xfe" + bytes(9), pad_to=0),
+     "pn-dcp", 2, "truncated DCP header"),
+    ("dcp-service-id", _dcp(9, 0, b""), "pn-dcp", 2, "unknown service id 9"),
+    ("dcp-service-type", _dcp(5, 7, b""), "pn-dcp", 3, "unknown service type 7"),
+    ("dcp-data-length",
+     ethernet(DEV, CTRL, ETHERTYPE_PROFINET, struct.pack(">HBBIHH", 0xFEFE, 5, 0, 1, 0, 8) + bytes(6),
+              pad_to=0),
+     "pn-dcp", 12, "dcp data length exceeds frame"),
+    ("dcp-block-header", _dcp(5, 0, synth._dcp_block(2, 2, None, b"ab") + b"\x02\x02", 0xFEFE),
+     "pn-dcp", 16, "truncated block header"),
+    ("dcp-block-length", _dcp(5, 0, bytes([2, 2]) + struct.pack(">H", 10) + b"ab", 0xFEFE),
+     "pn-dcp", 10, "block length exceeds dcp data"),
+    ("dcp-set-qualifier", _dcp(4, 0, synth._dcp_block(2, 2, None, b"a")),
+     "pn-dcp", 10, "block too short for qualifier"),
+    ("dcp-response-blockinfo", _dcp(5, 1, synth._dcp_block(2, 2, None, b"a"), 0xFEFF),
+     "pn-dcp", 10, "block too short for qualifier"),
+    ("pnio-short", ethernet(DEV, CTRL, ETHERTYPE_PROFINET, b"\x80\x01" + bytes(4), pad_to=0),
+     "pnio", 2, "cyclic frame too short for C-SDU"),
+    # IPv4 and UDP
+    ("ipv4-header", ethernet(DEV, CTRL, 0x0800, b"\x45" + bytes(18), pad_to=0),
+     "ipv4", 0, "truncated IPv4 header"),
+    ("ipv4-version", _ipv4(_udp(b""), first=0x65), "ipv4", 0, "claimed IPv4 but version 6"),
+    ("ipv4-ihl", _ipv4(_udp(b""), first=0x44), "ipv4", 0, "bad header length 16"),
+    ("ipv4-total-under", _ipv4(_udp(b""), total=19), "ipv4", 2, "total length inconsistent"),
+    ("ipv4-total-over", _ipv4(_udp(b""), total=29), "ipv4", 2, "total length inconsistent"),
+    ("udp-header", _ipv4(_udp(b"")[:7]), "udp", 20, "truncated UDP header"),
+    ("udp-length-under", _ipv4(_udp(b"", length=7)), "udp", 24, "UDP length inconsistent"),
+    ("udp-length-over", _ipv4(_udp(b"", length=9)), "udp", 24, "UDP length inconsistent"),
+    # DCE/RPC
+    ("rpc-header", _ipv4(_udp(b"\x04" + bytes(78))), "pn-cm", RPC_BASE, "truncated DCE/RPC header"),
+    ("rpc-fragment-number", _patched(_cm(b""), RPC_AT + 76, b"\x01"),
+     "pn-cm", RPC_BASE, "fragmented RPC PDU unsupported"),
+    ("rpc-fragment-flag", _patched(_cm(b""), RPC_AT + 2, b"\x04"),
+     "pn-cm", RPC_BASE, "fragmented RPC PDU unsupported"),
+    ("rpc-fragment-length", _patched(_cm(b""), RPC_AT + 74, b"\x15\x00"),
+     "pn-cm", RPC_BASE + 80, "fragment length exceeds datagram"),
+    ("ndr-header", _patched(_cm(b""), RPC_AT + 74, b"\x13\x00"),
+     "pn-cm", RPC_BASE + 80, "truncated NDR args header"),
+    ("ndr-args-length", _patched(_cm(b""), RPC_AT + 80 + 4, b"\x01"),
+     "pn-cm", RPC_BASE + 84, "args length exceeds fragment"),
+    # PN-CM blocks
+    ("cm-block-header", _cm(b"\x01\x01\x00\x1c\x01"), "pn-cm", BLOCKS_BASE, "truncated block header"),
+    ("cm-block-length-under", _cm(struct.pack(">HH", 0x0101, 1) + b"\x01\x00"),
+     "pn-cm", BLOCKS_BASE, "block length exceeds args"),
+    ("cm-block-length-over", _cm(struct.pack(">HH", 0x0101, 9) + b"\x01\x00" + bytes(6)),
+     "pn-cm", BLOCKS_BASE, "block length exceeds args"),
+    ("ar-block", _cm(synth._cm_block(0x8101, AR_HEAD[:25])), "pn-cm", BLOCKS_BASE, "AR block too short"),
+    ("ar-request-block", _cm(synth._cm_block(0x0101, AR_REQUEST_HEAD + b"\x00")),
+     "pn-cm", BLOCKS_BASE, "AR request block too short"),
+    ("ar-station-name", _cm(synth._cm_block(0x0101, AR_REQUEST_HEAD + struct.pack(">H", 4) + b"plc")),
+     "pn-cm", BLOCKS_BASE, "station name exceeds AR block"),
+    ("iocr-block", _cm(synth._cm_block(0x0102, bytes(17))), "pn-cm", BLOCKS_BASE, "IOCR block too short"),
+    ("iocr-type", _cm(iocr_block_request(3, 1, 4, 0x8001)), "pn-cm", BLOCKS_BASE, "bad IOCR type 3"),
+    ("record-block", _cm(synth._cm_block(0x0008, bytes(31)), 3),
+     "pn-cm", BLOCKS_BASE, "record block too short"),
+    ("record-data", _cm(synth._cm_block(0x0009, bytes(28) + struct.pack(">I", 3) + b"ab"), 2),
+     "pn-cm", BLOCKS_BASE, "record data exceeds block"),
+    ("dcontrol-block", _cm(synth._cm_block(0x0110, bytes(17)), 4),
+     "pn-cm", BLOCKS_BASE, "control block too short"),
+    ("ccontrol-block", _cm(synth._cm_block(0x8112, bytes(17)), 4),
+     "pn-cm", BLOCKS_BASE, "control block too short"),
+    ("cm-block-type", _cm(ar_block_request(AR, CTRL, "plc") + synth._cm_block(0x0555, b"")),
+     "pn-cm", BLOCKS_BASE + 61, "unknown block type 0x0555"),  # after the 61-byte AR block
+    ("connect-without-ar", _cm(b""), "pn-cm", BLOCKS_BASE, "Connect request without AR block"),
+    ("connect-crs-without-submodules",
+     _cm(ar_block_request(AR, CTRL, "plc") + iocr_block_request(1, 1, 4, 0x8001)),
+     "pn-cm", BLOCKS_BASE, "IO CRs declared without expected submodules"),
+    ("submodule-block", _cm(synth._cm_block(0x0104, b"\x00")),
+     "pn-cm", BLOCKS_BASE, "expected submodule block too short"),
+    ("slot-entry", _cm(synth._cm_block(0x0104, struct.pack(">H", 1) + SLOT[:7])),
+     "pn-cm", BLOCKS_BASE + 2, "truncated slot entry"),
+    ("submodule-entry", _cm(synth._cm_block(0x0104, struct.pack(">H", 1) + SLOT + _submodule(1)[:10])),
+     "pn-cm", BLOCKS_BASE + 10, "truncated submodule entry"),
+    ("submodule-direction", _cm(synth._cm_block(0x0104, struct.pack(">H", 1) + SLOT + _submodule(3))),
+     "pn-cm", BLOCKS_BASE + 10, "bad submodule direction 3"),
+    ("submodule-trailing",
+     _cm(synth._cm_block(0x0104, struct.pack(">H", 1) + SLOT + _submodule(1) + b"\x00")),
+     "pn-cm", BLOCKS_BASE + 21, "trailing bytes in expected submodule block"),
+]
+
+
+@pytest.mark.parametrize(
+    "frame, protocol, offset, reason",
+    [pytest.param(*case[1:], id=case[0]) for case in REFUSALS],
+)
+def test_refusal(frame, protocol, offset, reason):
+    with pytest.raises(MalformedFrame) as exc:
+        dissect(raw(frame))
+    assert (exc.value.protocol, exc.value.offset, exc.value.reason) == (protocol, offset, reason)
 
 
 # --- Totality ---------------------------------------------------------------------

@@ -9,10 +9,7 @@ from hypothesis import given, strategies as st
 
 from poet.capture import RawFrame
 from poet.dissect import (
-    ETHERTYPE_PROFINET,
     CmFrame,
-    EthernetEnvelope,
-    ExpectedSubmodule,
     IocrBlock,
     ParsedFrame,
     PnioCyclicFrame,
@@ -377,8 +374,7 @@ def _register_connect(ctx: FakeContext, subs) -> list[CyclicBinding]:
 
 def _pnio(frame_id: int, data: bytes, index: int = 7) -> ParsedFrame:
     """A dissected cyclic frame from the device whose C-SDU is exactly `data`."""
-    envelope = EthernetEnvelope(CTRL_MAC, DEV_MAC, ETHERTYPE_PROFINET, None, b"")
-    return ParsedFrame(envelope, PnioCyclicFrame(frame_id, data, 0, 0x35, 0), index, "pnio")
+    return ParsedFrame(CTRL_MAC, DEV_MAC, PnioCyclicFrame(frame_id, data), index, "pnio")
 
 
 def test_derive_pnio_good_output():
@@ -401,13 +397,10 @@ def test_derive_pnio_good_output():
 def _connect_with(layout, direction: str = "input", skew: int = 0) -> CmFrame:
     """A Connect request with submodules of `layout`, each entry a data description,
     and one CR of `direction` at 0x8001 whose declared length is off by `skew`."""
-    submodules = tuple(
-        ExpectedSubmodule(i + 1, 1, 0x100, 0x1000, entry) for i, entry in enumerate(layout)
-    )
     own = sum(d + p for sub_dir, d, p, _ in layout if sub_dir == direction)
     opposite = sum(c for sub_dir, _, _, c in layout if sub_dir != direction)
-    iocr = IocrBlock(direction, 1, 0x8001, own + opposite + skew, 32, 32, 3, 3)
-    return CmFrame("request", "Connect", AR, (iocr,), submodules)
+    iocr = IocrBlock(direction, 0x8001, own + opposite + skew)
+    return CmFrame("request", "Connect", AR, (iocr,), tuple(layout))
 
 
 @pytest.mark.parametrize(
@@ -479,8 +472,7 @@ _SUBMODULE = st.tuples(
     bad=st.sets(st.integers(0, 19), max_size=2),
 )
 def test_binding_matches_iops_rule(layout, direction, skew, length, raw_bytes, bad):
-    envelope = EthernetEnvelope(DEV_MAC, CTRL_MAC, 0x0800, None, b"")
-    connect = ParsedFrame(envelope, _connect_with(layout, direction, skew), 0, "pn-cm")
+    connect = ParsedFrame(DEV_MAC, CTRL_MAC, _connect_with(layout, direction, skew), 0, "pn-cm")
     ctx = FakeContext()
     derived = derive_events(connect, ctx)
     assert [d.kind for d in derived.diagnostics] == (["inconsistent_connect"] if skew else [])

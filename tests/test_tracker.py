@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from functools import cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import poet
@@ -25,6 +26,7 @@ from poet.synth import (
     dcp_identify_request,
     dcp_identify_response,
     encode_lldp,
+    ethernet,
     fuzz_corpus,
     iocr_block_request,
     normal_startup_spec,
@@ -178,6 +180,46 @@ def test_rogue_connect_cannot_take_over_live_frame_ids():
         if record["event"].endswith("_process_data_sent")
     ]
     assert max(data_at) > 51
+
+
+def test_rogue_connect_cannot_take_over_a_live_ar():
+    """A Connect of another connection that reuses a live AR UUID registers nothing."""
+    import uuid
+
+    from poet.synth import ATTACKER_MAC, SubmoduleSpec, _ar_uuid, _connect_blocks, encode_cm
+
+    spec = normal_startup_spec(1, cyclic_rounds=6, acyclic_exchange=True)
+    result = synthesize(spec)
+    device = spec.devices[0]
+    live_ar = _ar_uuid(spec.seed, 0)
+    blocks = _connect_blocks(
+        live_ar, str_to_mac(ATTACKER_MAC), "intruder", (SubmoduleSpec(1, 1, "input", 1),), (0x9001, 0x9002)
+    )
+    takeover = encode_cm(
+        str_to_mac(ATTACKER_MAC), str_to_mac(device.mac), "192.168.0.250", device.ip, 0, 0,
+        uuid.uuid5(uuid.NAMESPACE_OID, "takeover-activity"), 0x7FFE, blocks,
+    )
+    frames = [(plan.ts, plan.data) for plan in result.frames]
+    assert result.frames[20].label.startswith("pnio")  # the live AR is in data exchange
+    frames.insert(21, (frames[20][0], takeover))
+    report = Tracker().process(RawFrame(*ts, data, index) for index, (ts, data) in enumerate(frames))
+
+    assert Counter((a.instance_kind, a.offending_event) for a in report.anomalies) == {
+        ("device", "connect_requested"): 1,
+        ("system", "connect_requested"): 1,
+    }
+    assert [
+        (a.offending_event, a.instance_kind, a.instance_key, a.cause.capture_index)
+        for a in report.diagnostics
+    ] == [
+        ("ar_uuid_conflict", "device", device.mac, 21),
+        ("connection_created_after_startup", "connection", connection_key(ATTACKER_MAC, device.mac), 21),
+    ]
+    # The controller's later Read and Write stay on the real connection.
+    legit = connection_key(spec.controller.mac, device.mac)
+    assert {"acyclic_read", "acyclic_write"} <= _logged_events(report, "connections", legit)
+    states = {c["key"]: c["state"] for c in report.final_states["connections"]}
+    assert states[legit] == "InputDataExchange"
 
 
 def test_orphan_write_before_connect_no_state_corruption(tmp_path):
@@ -706,3 +748,36 @@ def test_lldp_ttl_zero_is_one_system_diagnostic():
     )
     assert (diag.cause.protocol, diag.cause.summary) == ("lldp", "ttl-zero")
     assert report.anomalies == []
+
+
+@pytest.mark.parametrize(
+    "chassis_id",
+    [
+        pytest.param(bytes([7]) + b"plc-7", id="locally-assigned"),
+        pytest.param(bytes([4]) + str_to_mac("02:00:00:00:02:00")[:5], id="mac-subtype-5-bytes"),
+        pytest.param(bytes([4]) + str_to_mac("02:00:00:00:02:00") + b"\x00", id="mac-subtype-7-bytes"),
+    ],
+)
+def test_lldp_subject_falls_back_to_source_mac(chassis_id):
+    """Without a 6-byte MAC chassis id, an LLDP frame speaks for its Ethernet source."""
+    from poet.synth import _lldp_tlv
+
+    source = "02:70:01:01:02:00"
+    tlvs = (
+        _lldp_tlv(1, chassis_id)
+        + _lldp_tlv(2, bytes([5]) + b"port-001")  # interface-name subtype: no port MAC
+        + _lldp_tlv(3, b"\x00\x14")
+        + _lldp_tlv(5, b"lift-motor")
+        + _lldp_tlv(0, b"")
+    )
+    frame = ethernet(str_to_mac("01:80:c2:00:00:0e"), str_to_mac(source), 0x88CC, tlvs)
+    tracker = Tracker()
+    report = tracker.process([RawFrame(1, 0, frame, 0)])
+
+    assert [record.interface_mac for record in tracker.inventory.records.values()] == [source]
+    record = tracker.inventory.get(source)
+    assert record.name_of_station == "lift-motor"
+    assert record.port_macs == set()
+    assert list(tracker.fleet.devices) == [source]
+    assert _logged_events(report, "devices", source) == {"detect_neighbours"}
+    assert report.alerts == []
