@@ -36,6 +36,14 @@ MIN_ETHERNET_FRAME = 14
 MAX_SNAPLEN = 262_144
 # pcapng block framing (type and two lengths) plus the packet block's fixed fields.
 PCAPNG_MAX_BLOCK = MAX_SNAPLEN + 12 + 20
+# Bytes per buffer refill. Records are parsed in place from one buffer that
+# holds at most this much or one record, so memory does not grow with the file.
+READ_CHUNK = 64 * 1024
+
+# Precompiled field layouts by byte order, read in place with unpack_from.
+_U32 = {e: struct.Struct(e + "I").unpack_from for e in "<>"}
+_U32X4 = {e: struct.Struct(e + "IIII").unpack_from for e in "<>"}  # pcap record header
+_U32X5 = {e: struct.Struct(e + "IIIII").unpack_from for e in "<>"}  # packet block fields
 
 
 class CaptureFormatError(Exception):
@@ -95,6 +103,16 @@ def open_capture(path: str | os.PathLike) -> Iterator[StreamItem]:
     return stream
 
 
+def _refill(f, buf: bytes, pos: int, need: int) -> bytes:
+    """The unread rest of `buf` from `pos`, topped up to hold at least `need` bytes.
+
+    One read brings the buffer to max(READ_CHUNK, need) bytes, or fewer at end
+    of file, so it holds at most one chunk or one record.
+    """
+    rest = buf[pos:]
+    return rest + f.read(max(READ_CHUNK, need) - len(rest))
+
+
 def _iter_pcap(f, path: str | os.PathLike, endian: str, nanosecond: bool) -> Iterator[StreamItem]:
     try:
         rest = f.read(20)
@@ -108,31 +126,44 @@ def _iter_pcap(f, path: str | os.PathLike, endian: str, nanosecond: bool) -> Ite
         raise
 
     def gen() -> Iterator[StreamItem]:
+        record_header = _U32X4[endian]
         index = 0
+        buf = b""
+        pos = 0
+        base = 24  # file offset of buf[0]
         try:
             while True:
-                offset = f.tell()
-                header = f.read(16)
-                if not header:
-                    return
-                if len(header) < 16:
-                    yield CaptureError(offset, index, "truncated record header")
-                    return
-                ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(endian + "IIII", header)
+                # Each record is parsed in place; the buffer is refilled only when
+                # the next header or body runs past its end.
+                start = pos + 16
+                if start > len(buf):
+                    buf = _refill(f, buf, pos, 16)
+                    base += pos
+                    pos, start = 0, 16
+                    if len(buf) < 16:
+                        if buf:
+                            yield CaptureError(base, index, "truncated record header")
+                        return
+                ts_sec, ts_frac, incl_len, _orig_len = record_header(buf, pos)
                 if incl_len > MAX_SNAPLEN:
                     reason = f"record length {incl_len} exceeds {MAX_SNAPLEN}"
-                    yield CaptureError(offset, index, reason)
+                    yield CaptureError(base + pos, index, reason)
                     return
-                body = f.read(incl_len)
-                if len(body) < incl_len:
-                    yield CaptureError(offset, index, "truncated record body")
-                    return
+                stop = start + incl_len
+                if stop > len(buf):
+                    buf = _refill(f, buf, pos, 16 + incl_len)
+                    base += pos
+                    pos, start, stop = 0, 16, 16 + incl_len
+                    if stop > len(buf):
+                        yield CaptureError(base, index, "truncated record body")
+                        return
                 ts_nsec = ts_frac if nanosecond else ts_frac * 1000
                 if incl_len < MIN_ETHERNET_FRAME:
-                    yield CaptureError(offset, index, f"runt frame ({incl_len} bytes)")
+                    yield CaptureError(base + pos, index, f"runt frame ({incl_len} bytes)")
                 else:
-                    yield RawFrame(ts_sec, ts_nsec, body, index)
+                    yield RawFrame(ts_sec, ts_nsec, buf[start:stop], index)
                 index += 1
+                pos = stop
         finally:
             f.close()
 
@@ -168,66 +199,62 @@ def _iter_pcapng(f) -> Iterator[StreamItem]:
     def gen() -> Iterator[StreamItem]:
         index = 0
         endian = "<"
+        u32 = _U32["<"]
         interfaces: list[tuple[int, int]] = []  # (link type, timestamp divisor) per IDB
         f.seek(0)
+        buf = b""
+        pos = 0
+        base = 0  # file offset of buf[0]
         try:
             while True:
-                offset = f.tell()
-                head = f.read(8)
-                if not head:
-                    return
-                if len(head) < 8:
-                    yield CaptureError(offset, index, "truncated block header")
-                    return
-                block_type = struct.unpack(endian + "I", head[0:4])[0]
-                if block_type == PCAPNG_SHB:
-                    # Byte order can change per section; magic sits after the length field.
-                    magic_raw = f.read(4)
-                    if len(magic_raw) < 4:
-                        yield CaptureError(offset, index, "truncated section header")
+                # Each block is parsed in place, as for pcap records; `pos` is the
+                # block's start and `offset` its file offset.
+                if pos + 8 > len(buf):
+                    buf = _refill(f, buf, pos, 8)
+                    base += pos
+                    pos = 0
+                    if len(buf) < 8:
+                        if buf:
+                            yield CaptureError(base, index, "truncated block header")
                         return
-                    if struct.unpack("<I", magic_raw)[0] == PCAPNG_BYTE_ORDER_MAGIC:
+                offset = base + pos
+                block_type = u32(buf, pos)[0]
+                section = block_type == PCAPNG_SHB
+                if section:
+                    # Byte order can change per section; magic sits after the length field.
+                    if pos + 12 > len(buf):
+                        buf = _refill(f, buf, pos, 12)
+                        base, pos = offset, 0
+                        if len(buf) < 12:
+                            yield CaptureError(offset, index, "truncated section header")
+                            return
+                    if _U32["<"](buf, pos + 8)[0] == PCAPNG_BYTE_ORDER_MAGIC:
                         endian = "<"
-                    elif struct.unpack(">I", magic_raw)[0] == PCAPNG_BYTE_ORDER_MAGIC:
+                    elif _U32[">"](buf, pos + 8)[0] == PCAPNG_BYTE_ORDER_MAGIC:
                         endian = ">"
                     else:
                         yield CaptureError(offset, index, "bad section byte-order magic")
                         return
-                    total_len = struct.unpack(endian + "I", head[4:8])[0]
-                    if total_len < 28 or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
-                        yield CaptureError(offset, index, "bad section block length")
-                        return
-                    body = f.read(total_len - 12)
-                    if len(body) < total_len - 12:
-                        yield CaptureError(offset, index, "truncated section block")
-                        return
-                    interfaces = []
-                    continue
-                total_len = struct.unpack(endian + "I", head[4:8])[0]
-                if total_len < 12 or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
-                    yield CaptureError(offset, index, f"bad block length {total_len}")
+                    u32 = _U32[endian]
+                total_len = u32(buf, pos + 4)[0]
+                if total_len < (28 if section else 12) or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
+                    reason = "bad section block length" if section else f"bad block length {total_len}"
+                    yield CaptureError(offset, index, reason)
                     return
-                body = f.read(total_len - 8)
-                if len(body) < total_len - 8:
-                    yield CaptureError(offset, index, "truncated block")
-                    return
-                content = body[:-4]
-                if block_type == PCAPNG_IDB:
-                    if len(content) < 8:
-                        yield CaptureError(offset, index, "short interface block")
+                if pos + total_len > len(buf):
+                    buf = _refill(f, buf, pos, total_len)
+                    base, pos = offset, 0
+                    if total_len > len(buf):
+                        reason = "truncated section block" if section else "truncated block"
+                        yield CaptureError(offset, index, reason)
                         return
-                    link_type = struct.unpack(endian + "H", content[:2])[0]
-                    opts = _pcapng_options(content[8:], endian)
-                    interfaces.append((link_type, _tsresol_divisor(opts.get(9, b"\x06"))))
-                elif block_type == PCAPNG_EPB:
-                    if len(content) < 20:
+                content_len = total_len - 12  # without the framing
+                if block_type == PCAPNG_EPB:
+                    if content_len < 20:
                         yield CaptureError(offset, index, "short packet block")
                         return
-                    iface, ts_high, ts_low, cap_len, _orig = struct.unpack(
-                        endian + "IIIII", content[:20]
-                    )
-                    data = content[20 : 20 + cap_len]
-                    if len(data) < cap_len:
+                    iface, ts_high, ts_low, cap_len, _orig = _U32X5[endian](buf, pos + 8)
+                    if cap_len > content_len - 20:
                         yield CaptureError(offset, index, "truncated packet data")
                         return
                     if iface >= len(interfaces):
@@ -241,11 +268,20 @@ def _iter_pcapng(f) -> Iterator[StreamItem]:
                         divisor = interfaces[iface][1]
                         ts_sec, frac = divmod((ts_high << 32) | ts_low, divisor)
                         ts_nsec = frac * 1_000_000_000 // divisor
-                        yield RawFrame(ts_sec, ts_nsec, data, index)
+                        yield RawFrame(ts_sec, ts_nsec, buf[pos + 28 : pos + 28 + cap_len], index)
                     index += 1
+                elif section:
+                    interfaces = []
+                elif block_type == PCAPNG_IDB:
+                    if content_len < 8:
+                        yield CaptureError(offset, index, "short interface block")
+                        return
+                    link_type = struct.unpack_from(endian + "H", buf, pos + 8)[0]
+                    opts = _pcapng_options(buf[pos + 16 : pos + total_len - 4], endian)
+                    interfaces.append((link_type, _tsresol_divisor(opts.get(9, b"\x06"))))
                 # Every other block type is skipped silently.
+                pos += total_len
         finally:
             f.close()
 
     return gen()
-

@@ -281,6 +281,9 @@ class ParsedFrame:
     protocol: str  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
 
 
+_U16 = struct.Struct(">H").unpack_from
+
+
 def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> bytes:
     if offset + count > len(data):
         raise MalformedFrame(protocol, offset, f"truncated {what}")
@@ -299,22 +302,23 @@ def dissect(raw: RawFrame) -> ParsedFrame:
     # mac_to_str, inlined: this runs for every frame.
     dst = frame[0:6].hex(":")
     src = frame[6:12].hex(":")
-    ethertype = struct.unpack(">H", frame[12:14])[0]
+    ethertype = _U16(frame, 12)[0]
+    start = 14  # of the payload
     if ethertype == ETHERTYPE_VLAN:
         # The tag's priority and VLAN id are skipped: poet keys on neither.
-        ethertype = struct.unpack(">H", _need(frame, 14, 4, "ethernet", "VLAN tag")[2:4])[0]
-        payload = frame[18:]
-    else:
-        payload = frame[14:]
+        if len(frame) < 18:
+            raise MalformedFrame("ethernet", 14, "truncated VLAN tag")
+        ethertype = _U16(frame, 16)[0]
+        start = 18
 
     if ethertype == ETHERTYPE_PROFINET:
-        body: Body = _parse_profinet_rt(payload)
+        body: Body = _parse_profinet_rt(frame, start)
     elif ethertype == ETHERTYPE_LLDP:
-        body = _parse_lldp(payload, src)
+        body = _parse_lldp(frame[start:], src)
     elif ethertype == ETHERTYPE_ARP:
-        body = _parse_arp(payload)
+        body = _parse_arp(frame[start:])
     elif ethertype == ETHERTYPE_IPV4:
-        body = _parse_ipv4(payload)
+        body = _parse_ipv4(frame[start:])
     else:
         body = _OTHER
     return ParsedFrame(dst, src, body, raw.capture_index, _PROTOCOL_TAGS[type(body)])
@@ -403,15 +407,18 @@ def _parse_arp(data: bytes) -> ArpPacket | OtherBody:
 # --- PROFINET RT (0x8892): DCP vs cyclic -----------------------------------
 
 
-def _parse_profinet_rt(data: bytes) -> DcpFrame | PnioCyclicFrame | OtherBody:
-    frame_id_raw = _need(data, 0, 2, "profinet-rt", "frame id")
-    frame_id = struct.unpack(">H", frame_id_raw)[0]
+def _parse_profinet_rt(frame: bytes, start: int) -> DcpFrame | PnioCyclicFrame | OtherBody:
+    """The RT payload at `start`, read in place; refusal offsets count from `start`."""
+    size = len(frame) - start
+    if size < 2:
+        raise MalformedFrame("profinet-rt", 0, "truncated frame id")
+    frame_id = _U16(frame, start)[0]
     if RT_CYCLIC_MIN <= frame_id <= RT_CYCLIC_MAX:
-        if len(data) < 7:  # frame id + >=1 data byte + 4 trailer bytes
+        if size < 7:  # frame id + >=1 data byte + 4 trailer bytes
             raise MalformedFrame("pnio", 2, "cyclic frame too short for C-SDU")
-        return PnioCyclicFrame(frame_id, data[2:-4])
+        return PnioCyclicFrame(frame_id, frame[start + 2 : -4])
     if DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX:
-        return _parse_dcp(data)
+        return _parse_dcp(frame[start:])
     return _OTHER
 
 

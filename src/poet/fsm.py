@@ -70,16 +70,23 @@ class FsmDefinition:
     # optional state -> operation label mapping, opaque to the engine
     state_operations: tuple[tuple[str, str], ...] = ()
 
-    # Lookup tables compiled once per definition. Duplicate keys keep the
-    # first listed entry, so only the first of duplicate edges ever fires.
-
     @cached_property
-    def transitions(self) -> dict[tuple[str, str], str]:
-        return {(e.from_state, e.event): e.to_state for e in reversed(self.edges)}
+    def table(self) -> dict[str, dict[str, str]]:
+        """Every state's `{event: target}`, compiled once per definition.
 
-    @cached_property
-    def wildcards(self) -> dict[str, str]:
-        return {w.event: w.to_state for w in reversed(self.wildcard_edges)}
+        A state's specific edges shadow the wildcards. Among duplicates the
+        first listed edge wins, so only it ever fires. Every state an instance
+        can be in has a row: the declared ones, the initial one and each target.
+        """
+        # Written in reverse, so the first listed of duplicate entries is the one kept.
+        wildcards = {w.event: w.to_state for w in reversed(self.wildcard_edges)}
+        states = {self.initial_state, *self.states, *wildcards.values()}
+        for edge in self.edges:
+            states.update((edge.from_state, edge.to_state))
+        table = {state: dict(wildcards) for state in states}
+        for edge in reversed(self.edges):
+            table[edge.from_state][edge.event] = edge.to_state
+        return table
 
     @cached_property
     def alphabet(self) -> frozenset[str]:
@@ -152,7 +159,9 @@ class FsmInstance:
         self.instance_key = instance_key
         self.current_state = definition.initial_state
         self.transitions = 0  # events fired, accepted or rejected
-        self.window: deque[TransitionRecord] = deque(maxlen=LOG_WINDOW)
+        # The last LOG_WINDOW records: a list until it first fills, since most
+        # instances never fire that often, then a bounded deque.
+        self.window: list[TransitionRecord] | deque[TransitionRecord] = []
         self.rejected: list[TransitionRecord] = []
         # (from_state, event) -> [count, first record, last record], in order of
         # first firing; the definition is deterministic, so the key fixes the target.
@@ -160,26 +169,27 @@ class FsmInstance:
 
     def fire(self, event: str, cause: FrameRef, timestamp: tuple[int, int]) -> TransitionRecord:
         """Apply one event; returns its record (accepted or rejected)."""
-        definition = self.definition
-        if event not in definition.alphabet:
-            raise UnknownEvent(f"{definition.name}: event {event!r} not in alphabet")
-        edge = (self.current_state, event)
-        target = definition.transitions.get(edge)
+        state = self.current_state
+        target = self.definition.table[state].get(event)
         if target is None:
-            target = definition.wildcards.get(event)
-        self.transitions += 1
-        if target is None:
-            record = TransitionRecord(timestamp, event, self.current_state, None, "rejected", cause)
+            definition = self.definition
+            if event not in definition.alphabet:
+                raise UnknownEvent(f"{definition.name}: event {event!r} not in alphabet")
+            record = TransitionRecord(timestamp, event, state, None, "rejected", cause)
             self.rejected.append(record)
         else:
-            record = TransitionRecord(timestamp, event, self.current_state, target, "accepted", cause)
+            record = TransitionRecord(timestamp, event, state, target, "accepted", cause)
             self.current_state = target
+            edge = (state, event)
             tally = self.edges.get(edge)
             if tally is None:
                 self.edges[edge] = [1, record, record]
             else:
                 tally[0] += 1
                 tally[2] = record
+        self.transitions += 1
+        if self.transitions == LOG_WINDOW:
+            self.window = deque(self.window, LOG_WINDOW)
         self.window.append(record)
         return record
 
@@ -205,15 +215,6 @@ class FsmInstance:
             {"count": count, "first": first.to_json(), "last": last.to_json()}
             for count, first, last in self.edges.values()
         ]
-
-
-def fold_log(definition: FsmDefinition, log: list[TransitionRecord]) -> str:
-    """Replay a log's accepted records from the initial state."""
-    state = definition.initial_state
-    for record in log:
-        if record.verdict == "accepted":
-            state = record.to_state  # type: ignore[assignment]
-    return state
 
 
 def validate_definition(definition: FsmDefinition) -> list[DefinitionDiagnostic]:

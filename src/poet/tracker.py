@@ -19,8 +19,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, Iterable, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem
-from .dissect import MalformedFrame, ParsedFrame, dissect
-from .fsm import FrameRef, FsmDefinition, FsmInstance, TransitionRecord
+from .dissect import MalformedFrame, dissect
+from .fsm import FrameRef, FsmInstance, TransitionRecord
 from .inventory import AssetInventory
 from .models import (
     ALL_CONNECTIONS_ESTABLISHED,
@@ -43,6 +43,8 @@ SEVERITY_DIAGNOSTIC = "diagnostic"
 
 DEFERRED_WINDOW = 10000  # frames an identify-by-name may stay unresolved
 DEFAULT_SYSTEM_NAME = "poet-system"
+# Protocols whose source MAC gets a device machine on sight.
+_SOURCE_PROTOCOLS = frozenset({"pn-dcp", "pn-cm", "pnio"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,34 +89,43 @@ class FsmFleet:
         self.system = FsmInstance(system_fsm_table(), system_name)
         self.devices: dict[str, FsmInstance] = {}
         self.connections: dict[str, FsmInstance] = {}
-        # Each keyed scope's live instances and the machine they run.
-        self._scopes: dict[str, tuple[dict[str, FsmInstance], FsmDefinition]] = {
-            "device": (self.devices, device_fsm_table()),
-            "connection": (self.connections, connection_fsm_table()),
+        # Each scope's live instances by key, so that routing an event is one lookup,
+        # and the machine each keyed scope runs.
+        self._live: dict[str, dict] = {
+            "system": {None: self.system},
+            "device": self.devices,
+            "connection": self.connections,
         }
+        self._machines = {"device": device_fsm_table(), "connection": connection_fsm_table()}
         self._all_established_fired = False
 
     def ensure(self, scope: str, key: str | None) -> FsmInstance:
-        """The instance at (scope, key), created on first use; the system ignores its key."""
+        """The instance at (scope, key), created on first use; the system ignores its key.
+
+        This is the only place that creates an instance.
+        """
         if scope == "system":
             return self.system
-        instances, definition = self._scopes[scope]
+        instances = self._live[scope]
         instance = instances.get(key)
         if instance is None:
-            instance = instances[key] = FsmInstance(definition, key)
+            instance = instances[key] = FsmInstance(self._machines[scope], key)
         return instance
 
     def state_of(self, scope: str, key: str | None) -> str:
         """An instance's current state; its machine's initial state if it does not exist yet."""
         if scope == "system":
             return self.system.current_state
-        instances, definition = self._scopes[scope]
-        instance = instances.get(key)
-        return instance.current_state if instance else definition.initial_state
+        instance = self._live[scope].get(key)
+        return instance.current_state if instance else self._machines[scope].initial_state
 
-    def _fire(self, instance: FsmInstance, event: str, cause: FrameRef, ts: Timestamp) -> TransitionRecord:
-        """Fire one event; a rejection becomes an anomaly alert."""
-        record = instance.fire(event, cause, ts)
+    def fire(self, event: ProtocolEvent, ts: Timestamp) -> TransitionRecord:
+        """Fire one event at its instance; a rejection becomes an anomaly alert."""
+        scope = event.scope
+        instance = self._live[scope].get(event.key)
+        if instance is None:
+            instance = self.ensure(scope, event.key)
+        record = instance.fire(event.event_name, event.cause, ts)
         if record.verdict == "rejected":
             definition = instance.definition
             operation = definition.operation_for(record.from_state) or record.from_state
@@ -130,24 +141,20 @@ class FsmFleet:
                     severity=SEVERITY_ANOMALY,
                 )
             )
-        return record
-
-    def fire(self, event: ProtocolEvent, ts: Timestamp) -> TransitionRecord:
-        record = self._fire(self.ensure(event.scope, event.key), event.event_name, event.cause, ts)
-        if event.scope == "connection" and record.verdict == "accepted":
+        elif scope == "connection" and not self._all_established_fired:
             self._evaluate_all_established(event.cause, ts)
         return record
 
     def _evaluate_all_established(self, cause: FrameRef, ts: Timestamp) -> None:
         # Fires at most once per run, when every live connection has reached
         # ConnectionEstablished or a data-exchange state.
-        if self._all_established_fired or not self.connections:
+        if not self.connections:
             return
         for instance in self.connections.values():
             if instance.current_state not in CONNECTION_ESTABLISHED_STATES:
                 return
         self._all_established_fired = True
-        self._fire(self.system, ALL_CONNECTIONS_ESTABLISHED, cause, ts)
+        self.fire(ProtocolEvent(ALL_CONNECTIONS_ESTABLISHED, "system", None, cause), ts)
 
     def transition_count(self) -> int:
         count = self.system.transitions
@@ -341,7 +348,8 @@ class Tracker(TrackContext):
                 FrameRef(raw.capture_index, exc.protocol, exc.reason),
                 f"malformed {exc.protocol} frame at byte {exc.offset}: {exc.reason}",
             )
-            self._expire_deferred(ts, raw.capture_index)
+            if self.deferred:
+                self._expire_deferred(ts, raw.capture_index)
             return
 
         for change in self.inventory.update_from_frame(parsed, ts):
@@ -364,7 +372,11 @@ class Tracker(TrackContext):
                 f"{parsed.protocol} rule violation: {violation}",
             )
 
-        self._ensure_source_instance(parsed)
+        # A device machine exists for every MAC speaking a PROFINET-family protocol, even if
+        # no event ever targets it (e.g. a quiet attacker). LLDP needs no case here: its
+        # detect_neighbours event always targets the frame's subject.
+        if parsed.protocol in _SOURCE_PROTOCOLS and parsed.src_mac not in self.fleet.devices:
+            self.fleet.ensure("device", parsed.src_mac)
         derived = derive_events(parsed, self)
 
         if derived.registration is not None:
@@ -385,14 +397,8 @@ class Tracker(TrackContext):
         for event in derived.events:
             self.fleet.fire(event, ts)
 
-        self._expire_deferred(ts, raw.capture_index)
-
-    def _ensure_source_instance(self, parsed: ParsedFrame) -> None:
-        # A device machine exists for every MAC speaking a PROFINET-family protocol, even if
-        # no event ever targets it (e.g. a quiet attacker). LLDP needs no case here: its
-        # detect_neighbours event always targets the frame's subject.
-        if parsed.protocol in ("pn-dcp", "pn-cm", "pnio"):
-            self.fleet.ensure("device", parsed.src_mac)
+        if self.deferred:
+            self._expire_deferred(ts, raw.capture_index)
 
     def _expire_deferred(self, ts: Timestamp, current_index: int | None = None) -> None:
         """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index."""

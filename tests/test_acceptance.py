@@ -23,7 +23,7 @@ from poet.dissect import (
     dissect,
 )
 from poet.capture import RawFrame
-from poet.fsm import fold_log, reachable_states, validate_definition
+from poet.fsm import reachable_states, validate_definition
 from poet.models import (
     connection_fsm_table,
     cyclic_bindings,
@@ -39,6 +39,8 @@ from poet.synth import (
     write_pcap_bytes,
 )
 from poet.tracker import Tracker, TrackerConfig
+
+from fsm_replay import fold_log
 
 
 def _announce(criterion: str, detail: str = "") -> None:

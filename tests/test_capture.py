@@ -9,10 +9,15 @@ import subprocess
 import sys
 import warnings
 
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import poet
+from poet import capture
 from poet.capture import (
+    MAX_SNAPLEN,
     CaptureError,
     CaptureFormatError,
     RawFrame,
@@ -339,3 +344,93 @@ def test_pcapng_malformed_block_is_one_capture_error(tmp_path, before, block, re
     (item,) = list(open_capture(path))
     assert isinstance(item, CaptureError)
     assert (item.byte_offset, item.capture_index, item.reason) == (len(before), 0, reason)
+
+
+# --- The bounded read buffer ---------------------------------------------------
+
+# Record lengths: runts, a few bytes, around one default chunk, and up to the snapshot maximum.
+_LENGTHS = st.one_of(
+    st.integers(0, 13),
+    st.integers(14, 80),
+    st.integers(capture.READ_CHUNK - 40, capture.READ_CHUNK + 40),
+    st.integers(capture.READ_CHUNK + 41, MAX_SNAPLEN),
+)
+_CHUNKS = (1, 7, 16, 17, 64)
+_PATTERN = bytes(range(256)) * (MAX_SNAPLEN // 256 + 1)
+
+
+def _record_bytes(index: int, length: int) -> bytes:
+    return _PATTERN[index : index + length]
+
+
+def _build_capture(fmt: str, endian: str, nanosecond: bool, lengths: list[int]):
+    """A capture of one record per length, the expected stream, and each record's file offset."""
+    out = bytearray()
+    expected: list = []
+    offsets = []
+    if fmt == "pcap":
+        magic = 0xA1B23C4D if nanosecond else 0xA1B2C3D4
+        out += struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, MAX_SNAPLEN, 1)
+    else:
+        out += _pcapng_block(0x0A0D0D0A, struct.pack(endian + "IHHq", 0x1A2B3C4D, 1, 0, -1), endian)
+        # An Ethernet interface at the default microsecond resolution, then an unknown block.
+        out += _pcapng_block(0x00000001, struct.pack(endian + "HHI", 1, 0, MAX_SNAPLEN), endian)
+        out += _pcapng_block(0x00000BAD, bytes(8), endian)
+    for index, length in enumerate(lengths):
+        frame = _record_bytes(index, length)
+        offsets.append(len(out))
+        if fmt == "pcap":
+            frac = 999_999 - index
+            out += struct.pack(endian + "IIII", 1_700_000_000 + index, frac, length, length) + frame
+            ts_nsec = frac if nanosecond else frac * 1000
+        else:
+            ticks = (1_700_000_000 + index) * 1_000_000 + 999_999 - index
+            fields = struct.pack(endian + "IIIII", 0, ticks >> 32, ticks & 0xFFFFFFFF, length, length)
+            out += _pcapng_block(0x00000006, fields + frame + bytes(-length % 4), endian)
+            ts_nsec = (999_999 - index) * 1000
+        if length < 14:
+            expected.append(CaptureError(offsets[-1], index, f"runt frame ({length} bytes)"))
+        else:
+            expected.append(RawFrame(1_700_000_000 + index, ts_nsec, frame, index))
+    return bytes(out), expected, offsets
+
+
+_FORMATS = st.sampled_from([("pcap", "<"), ("pcap", ">"), ("pcapng", "<"), ("pcapng", ">")])
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FORMATS, st.booleans(), st.lists(_LENGTHS, min_size=1, max_size=5))
+def test_stream_is_the_same_for_every_chunk_size(tmp_path, fmt_endian, nanosecond, lengths):
+    fmt, endian = fmt_endian
+    data, expected, _ = _build_capture(fmt, endian, nanosecond, lengths)
+    path = tmp_path / f"chunks.{fmt}"
+    path.write_bytes(data)
+    assert list(open_capture(path)) == expected
+    for chunk in _CHUNKS:
+        with mock.patch.object(capture, "READ_CHUNK", chunk):
+            assert list(open_capture(path)) == expected, chunk
+
+
+# Each format's record framing length, and its errors for a cut inside and after that framing.
+_CUT_REASONS = {
+    "pcap": (16, ("truncated record header", "truncated record body")),
+    "pcapng": (8, ("truncated block header", "truncated block")),
+}
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FORMATS, st.lists(_LENGTHS, max_size=3), st.integers(0, 80), st.sampled_from((7, capture.READ_CHUNK)))
+def test_cut_inside_the_last_record_is_one_error_at_its_start(tmp_path, fmt_endian, lengths, last, chunk):
+    """Cut at every byte of the last record: the earlier records, then one error at its offset."""
+    fmt, endian = fmt_endian
+    data, expected, offsets = _build_capture(fmt, endian, False, [*lengths, last])
+    start = offsets[-1]
+    header, reasons = _CUT_REASONS[fmt]
+    path = tmp_path / f"cut.{fmt}"
+    path.write_bytes(data)
+    with open(path, "r+b") as f, mock.patch.object(capture, "READ_CHUNK", chunk):
+        for cut in range(len(data) - 1, start, -1):
+            f.truncate(cut)
+            f.flush()
+            error = CaptureError(start, len(lengths), reasons[cut - start >= header])
+            assert list(open_capture(path)) == [*expected[:-1], error], cut

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,10 +18,11 @@ from poet.fsm import (
     TransitionRecord,
     UnknownEvent,
     WildcardEdge,
-    fold_log,
     validate_definition,
 )
 from poet.models import device_fsm_table
+
+from fsm_replay import fold_log
 
 CAUSE = FrameRef(0, "test", "unit")
 TS = (0, 0)
@@ -280,3 +284,81 @@ def test_rejection_safety(case):
     for event in accepted_events:
         assert filtered.fire(event, CAUSE, TS).verdict == "accepted"
     assert filtered.current_state == full.current_state
+
+
+@st.composite
+def tangled_definitions_and_events(draw):
+    """Definitions with duplicate and dangling edges, duplicate wildcards and reject-only
+    events, and event sequences that stray outside the alphabet."""
+    names = st.sampled_from("ABCDEFG")
+    states = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True))
+    events = st.sampled_from("pqrstu")
+    edges = draw(st.lists(st.builds(Edge, st.sampled_from(states), events, names), max_size=14))
+    wildcards = draw(st.lists(st.builds(WildcardEdge, events, names), max_size=5))
+    definition = FsmDefinition(
+        name="tangled",
+        states=frozenset(states),
+        initial_state=states[0],
+        edges=tuple(edges),
+        wildcard_edges=tuple(wildcards),
+        reject_only_events=frozenset(draw(st.lists(events, max_size=3))),
+    )
+    sequence = draw(st.lists(st.sampled_from("pqrstuvw"), max_size=40))
+    return definition, sequence
+
+
+def _reference_target(definition: FsmDefinition, state: str, event: str) -> str | None:
+    """The documented rule, read straight off the edge lists: the first listed specific
+    edge, else the first listed wildcard, else None for a rejection."""
+    for edge in definition.edges:
+        if (edge.from_state, edge.event) == (state, event):
+            return edge.to_state
+    for wild in definition.wildcard_edges:
+        if wild.event == event:
+            return wild.to_state
+    return None
+
+
+@given(tangled_definitions_and_events())
+def test_compiled_table_fires_as_the_reference_interpreter(case):
+    definition, sequence = case
+    alphabet = (
+        {e.event for e in definition.edges}
+        | {w.event for w in definition.wildcard_edges}
+        | definition.reject_only_events
+    )
+    inst = FsmInstance(definition, "p")
+    state = definition.initial_state
+    count = 0
+    for event in sequence:
+        if event not in alphabet:
+            with pytest.raises(UnknownEvent):
+                inst.fire(event, CAUSE, TS)
+        else:
+            target = _reference_target(definition, state, event)
+            record = inst.fire(event, CAUSE, TS)
+            verdict = "rejected" if target is None else "accepted"
+            assert (record.from_state, record.to_state, record.verdict) == (state, target, verdict)
+            state = target or state
+            count += 1
+        assert (inst.current_state, inst.transitions) == (state, count)
+
+
+def test_short_lived_instances_hold_no_window_deque():
+    """An instance that fired a few times keeps its window as a short list, not a deque of
+    LOG_WINDOW slots: at least 500 B less per instance."""
+    definition = device_fsm_table()
+    tracemalloc.start()
+    try:
+        instances = [FsmInstance(definition, f"{n:012x}") for n in range(1500)]
+        for inst in instances:
+            for _ in range(3):
+                inst.fire("detect_neighbours", CAUSE, TS)
+        lazy = tracemalloc.get_traced_memory()[0]
+        for inst in instances:
+            inst.window = deque(inst.window, LOG_WINDOW)  # what each instance held eagerly
+        eager = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(len(inst.window) == 3 for inst in instances)
+    assert (eager - lazy) / len(instances) >= 500

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import poet
 from poet.capture import RawFrame, open_capture
 from poet.dissect import str_to_mac
-from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, fold_log
+from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance
+from poet.inventory import AssetInventory
 from poet.models import connection_fsm_table, connection_key, device_fsm_table, system_fsm_table
 from poet.synth import (
     BUILTIN_SCENARIOS,
@@ -36,6 +37,8 @@ from poet.synth import (
     write_pcap_bytes,
 )
 from poet.tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport
+
+from fsm_replay import fold_log
 
 
 def run(result: SynthResult, tmp_path, name="cap", config: TrackerConfig | None = None):
@@ -781,3 +784,40 @@ def test_lldp_subject_falls_back_to_source_mac(chassis_id):
     assert list(tracker.fleet.devices) == [source]
     assert _logged_events(report, "devices", source) == {"detect_neighbours"}
     assert report.alerts == []
+
+
+def test_each_seam_runs_once_per_frame_or_event(tmp_path, monkeypatch):
+    """dissect once per frame, update and derive once per well-formed frame, fire once per event.
+
+    The counting wrappers go where perfbench's traced mode puts its own: on the
+    names the tracker calls through, so a call that bypasses them would show.
+    """
+    results = {name: synthesize(builtin_scenario(name)) for name in ("rogue-connect", "malformed-dcp")}
+    counts: Counter[str] = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(poet.tracker, "dissect", counted("dissect", poet.tracker.dissect))
+    monkeypatch.setattr(poet.tracker, "derive_events", counted("derive", poet.tracker.derive_events))
+    monkeypatch.setattr(
+        AssetInventory, "update_from_frame", counted("update", AssetInventory.update_from_frame)
+    )
+    monkeypatch.setattr(FsmInstance, "fire", counted("fire", FsmInstance.fire))
+    for name, result in results.items():
+        counts.clear()
+        _, report = run(result, tmp_path, name)
+        frames = report.summary["frames"]
+        malformed = sum(a.offending_event == "malformed_frame" for a in report.diagnostics)
+        assert frames == len(result.frames)
+        assert counts["dissect"] == frames
+        assert counts["update"] == counts["derive"] == frames - malformed
+        assert counts["fire"] == report.summary["transitions"]
+        if name == "malformed-dcp":
+            assert malformed > 0
+        else:
+            assert report.anomalies
