@@ -15,7 +15,7 @@ import sys
 from .capture import CaptureFormatError, open_capture
 from .models import connection_fsm_table, device_fsm_table, system_fsm_table
 from .synth import BUILTIN_SCENARIOS, ScenarioError, ScenarioSpec, builtin_scenario, synthesize
-from .tracker import DEFAULT_SYSTEM_NAME, Tracker, TrackerConfig
+from .tracker import DEFAULT_SYSTEM_NAME, Tracker, TrackerConfig, TrackerReport
 
 log = logging.getLogger("poet")
 
@@ -71,7 +71,7 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
-def _run_tracker(capture_path: str, system_name: str, alert_sink=None) -> "TrackerReport":
+def _run_tracker(capture_path: str, system_name: str, alert_sink=None) -> TrackerReport:
     stream = open_capture(capture_path)
     tracker = Tracker(TrackerConfig(system_name=system_name, alert_sink=alert_sink))
     return tracker.process(stream)

@@ -326,7 +326,7 @@ def dissect(raw: RawFrame) -> ParsedFrame:
 
 # --- LLDP ------------------------------------------------------------------
 
-NAME_OF_STATION_ALLOWED = set("abcdefghijklmnopqrstuvwxyz0123456789-.")
+NAME_OF_STATION_ALLOWED = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-.")
 
 
 def _parse_lldp(data: bytes, src_mac: str) -> LldpFrame:
@@ -430,7 +430,7 @@ def name_of_station_violations(name: str) -> list[str]:
         return issues
     if len(name) > 240:
         issues.append("name-too-long")
-    if any(c not in NAME_OF_STATION_ALLOWED for c in name):
+    if not NAME_OF_STATION_ALLOWED.issuperset(name):
         issues.append("name-charset")
     for label in name.split("."):
         if not label or label.startswith("-") or label.endswith("-"):

@@ -47,7 +47,7 @@ DEFAULT_SYSTEM_NAME = "poet-system"
 _SOURCE_PROTOCOLS = frozenset({"pn-dcp", "pn-cm", "pnio"})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AnomalyAlert:
     timestamp: Timestamp
     instance_kind: str  # "device" | "connection" | "system"
@@ -199,7 +199,7 @@ class TrackerReport:
         """
         templates: dict = {}
         out = ['{\n  "alerts": ']
-        _write_records(out, templates, [a.to_json() for a in self.alerts], "  ", _alert_leaves)
+        _write_records(out, templates, self.alerts, "  ", _alert_leaves)
         out.append(',\n  "edges": ')
         _write_nested(out, templates, self.edges, "  ", _edge_leaves)
         for name in ("final_states", "inventory"):
@@ -260,7 +260,7 @@ class Tracker(TrackContext):
         self.alerts.append(alert)
         sink = self.config.alert_sink
         if sink is not None:
-            sink.write(json.dumps(alert.to_json(), sort_keys=True) + "\n")
+            sink.write(_ALERT_LINE % _alert_leaves(alert))
             sink.flush()
 
     def _diagnostic(
@@ -479,13 +479,17 @@ def _dumps_small(doc: Any, pad: str) -> str:
     return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
-def _layout(doc: Any, pad: str) -> str:
+def _layout(doc: Any, pad: str | None) -> str:
     """`doc` laid out as `json.dumps(sort_keys=True, indent=2)` lays it out at indent `pad`.
 
-    Every leaf is a %s slot, in sorted-key order.
+    With `pad` None it is laid out on one line, as `json.dumps(sort_keys=True)`
+    lays it out. Every leaf is a %s slot, in sorted-key order. An object with
+    `to_json` is laid out as its document.
     """
+    if hasattr(doc, "to_json"):
+        doc = doc.to_json()
     if isinstance(doc, (dict, list)) and doc:
-        inner = pad + "  "
+        inner = None if pad is None else pad + "  "
         if isinstance(doc, dict):
             items = [
                 _encode_str(key).replace("%", "%%") + ": " + _layout(value, inner)
@@ -495,12 +499,14 @@ def _layout(doc: Any, pad: str) -> str:
         else:
             items = [_layout(value, inner) for value in doc]
             opening, closing = "[", "]"
+        if pad is None:
+            return opening + ", ".join(items) + closing
         return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
     return "%s"
 
 
 def _write_records(
-    out: list[str], templates: dict, records: list[dict], pad: str, leaves: Callable[[dict], tuple]
+    out: list[str], templates: dict, records: list, pad: str, leaves: Callable[[Any], tuple]
 ) -> None:
     """Append a JSON list of same-layout records at indent `pad`.
 
@@ -562,23 +568,27 @@ def _edge_leaves(edge: dict) -> tuple:
     return (edge["count"], *_transition_leaves(edge["first"]), *_transition_leaves(edge["last"]))
 
 
-def _alert_leaves(alert: dict) -> tuple:
+def _alert_leaves(alert: AnomalyAlert) -> tuple:
     # An alert's leaves in sorted-key order; see AnomalyAlert.to_json.
-    cause = alert["cause"]
-    timestamp = alert["timestamp"]
+    cause = alert.cause
+    timestamp = alert.timestamp
     return (
-        cause["capture_index"],
-        _encode_str(cause["protocol"]),
-        _encode_str(cause["summary"]),
-        _encode_str(alert["explanation"]),
-        _encode_str(alert["instance_key"]),
-        _encode_str(alert["instance_kind"]),
-        _encode_str(alert["offending_event"]),
-        _encode_str(alert["severity"]),
-        _encode_str(alert["state_at_event"]),
+        cause.capture_index,
+        _encode_str(cause.protocol),
+        _encode_str(cause.summary),
+        _encode_str(alert.explanation),
+        _encode_str(alert.instance_key),
+        _encode_str(alert.instance_kind),
+        _encode_str(alert.offending_event),
+        _encode_str(alert.severity),
+        _encode_str(alert.state_at_event),
         timestamp[0],
         timestamp[1],
     )
+
+
+# One streamed alert: its line as `json.dumps(alert.to_json(), sort_keys=True)` writes it.
+_ALERT_LINE = _layout(AnomalyAlert((0, 0), "", "", "", "", FrameRef(0, "", ""), "", ""), None) + "\n"
 
 
 def _state_entry(key_field: str, instance: FsmInstance) -> dict:

@@ -21,6 +21,7 @@ from poet.dissect import (
     PnioCyclicFrame,
     dissect,
     mac_to_str,
+    name_of_station_violations,
     str_to_mac,
 )
 from poet import synth
@@ -185,6 +186,43 @@ def test_dcp_uppercase_name_flagged_not_failed():
     assert isinstance(body, DcpFrame)
     assert body.name_of_station == "Lift-Motor"
     assert "name-charset" in body.violations
+
+
+def _reference_name_violations(name: str) -> list[str]:
+    # The NameOfStation rule read one character and one label at a time.
+    if name == "":
+        return ["name-empty"]
+    tags = []
+    if len(name) > 240:
+        tags.append("name-too-long")
+    for c in name:
+        if c not in "abcdefghijklmnopqrstuvwxyz0123456789-.":
+            tags.append("name-charset")
+            break
+    for label in name.split("."):
+        if label == "" or label[0] == "-" or label[-1] == "-":
+            tags.append("name-label-shape")
+            break
+    return tags
+
+
+_NAME_CHARS = st.one_of(
+    st.sampled_from("abz09-."),
+    st.sampled_from("AZ_ /\x00\x7f\u00e9\u0131\u212a\u2603"),
+    st.characters(categories=["Cs"]),  # lone surrogates
+    st.characters(),
+)
+
+
+@given(
+    st.one_of(
+        st.text(_NAME_CHARS, max_size=24),
+        st.lists(st.text(_NAME_CHARS, max_size=6), min_size=1, max_size=6).map(".".join),
+        st.text(st.sampled_from("az09-.A\u00e9"), min_size=239, max_size=242),  # about the 240 limit
+    )
+)
+def test_name_rule_tags_match_a_per_character_reference(name):
+    assert name_of_station_violations(name) == _reference_name_violations(name)
 
 
 SUBMODULES = (SubmoduleSpec(1, 1, "input", 2), SubmoduleSpec(2, 1, "output", 3))

@@ -694,6 +694,33 @@ def test_dumps_matches_json_on_hostile_strings():
     assert empty.dumps() == _oracle_dumps(empty)
 
 
+_HOSTILE_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "%", "%s", "%r", "\u00e9", "\u2603"]),
+        st.characters(categories=["Cs"]),  # lone surrogates
+        st.characters(),
+    ),
+    max_size=8,
+).map("".join)
+_COUNT = st.integers(min_value=0, max_value=2**64)
+
+
+@given(
+    ts=st.tuples(_COUNT, _COUNT),
+    index=_COUNT,
+    texts=st.lists(_HOSTILE_TEXT, min_size=8, max_size=8),
+)
+def test_streamed_alert_line_is_json_dumps_exact(ts, index, texts):
+    kind, key, state, event, protocol, summary, explanation, severity = texts
+    alert = AnomalyAlert(ts, kind, key, state, event, FrameRef(index, protocol, summary), explanation, severity)
+    sink = io.StringIO()
+    Tracker(TrackerConfig(alert_sink=sink)).fleet.on_alert(alert)
+    assert sink.getvalue() == json.dumps(alert.to_json(), sort_keys=True) + "\n"
+    nobody = {"system": [], "devices": {}, "connections": {}}
+    report = TrackerReport({}, {}, {}, [alert, alert], nobody, nobody)
+    assert report.dumps() == _oracle_dumps(report)
+
+
 def test_dumps_peak_memory_is_bounded_by_its_output(tmp_path):
     """Building the text holds about one copy of it besides the result, not millions of pieces."""
     _, report = run(synthesize(normal_startup_spec(2, cyclic_rounds=500)), tmp_path)
