@@ -171,60 +171,14 @@ class ArpPacket:
 
 
 @dataclass(slots=True)
-class DcpBlock:
-    option: int
-    suboption: int
-    payload: bytes  # without the BlockQualifier (Set requests) or BlockInfo (responses)
-
-    @property
-    def is_name_of_station(self) -> bool:
-        return self.option == DCP_OPTION_DEVICE and self.suboption == DCP_SUBOPTION_NAME_OF_STATION
-
-    @property
-    def is_ip_parameter(self) -> bool:
-        return self.option == DCP_OPTION_IP and self.suboption == DCP_SUBOPTION_IP_PARAMETER
-
-    @property
-    def name_of_station(self) -> str | None:
-        if not self.is_name_of_station:
-            return None
-        return self.payload.decode("utf-8", errors="replace")
-
-    @property
-    def ip_parameter(self) -> tuple[str, str, str] | None:
-        if not self.is_ip_parameter or len(self.payload) < 12:
-            return None
-        return (
-            ip_to_str(self.payload[0:4]),
-            ip_to_str(self.payload[4:8]),
-            ip_to_str(self.payload[8:12]),
-        )
-
-    @property
-    def control_response_target(self) -> tuple[int, int] | None:
-        """(option, suboption) acknowledged by a Control/Result block."""
-        if (
-            self.option == DCP_OPTION_CONTROL
-            and self.suboption == DCP_SUBOPTION_CONTROL_RESPONSE
-            and len(self.payload) >= 2
-        ):
-            return (self.payload[0], self.payload[1])
-        return None
-
-
-@dataclass(slots=True)
 class DcpFrame:
     service_id: str  # "Identify" | "Get" | "Set" | "Hello"
     service_type: str  # "Request" | "ResponseSuccess" | "ResponseUnsupported"
-    blocks: tuple[DcpBlock, ...]
+    # The blocks poet reads, decoded in block order: ("name", str), ("ip", (ip, subnet,
+    # gateway)), ("device_id", (vendor, device)) or ("ip_acknowledged", None).
+    facts: tuple[tuple[str, object], ...]
+    name_of_station: str | None  # of the first name block
     violations: tuple[str, ...] = ()
-
-    @property
-    def name_of_station(self) -> str | None:
-        for block in self.blocks:
-            if block.is_name_of_station:
-                return block.name_of_station
-        return None
 
 
 @dataclass(slots=True)
@@ -439,6 +393,12 @@ def name_of_station_violations(name: str) -> list[str]:
     return issues
 
 
+_NAME_OF_STATION = (DCP_OPTION_DEVICE, DCP_SUBOPTION_NAME_OF_STATION)
+_IP_PARAMETER = (DCP_OPTION_IP, DCP_SUBOPTION_IP_PARAMETER)
+_DEVICE_ID = (DCP_OPTION_DEVICE, DCP_SUBOPTION_DEVICE_ID)
+_CONTROL_RESULT = (DCP_OPTION_CONTROL, DCP_SUBOPTION_CONTROL_RESPONSE)
+
+
 def _parse_dcp(data: bytes) -> DcpFrame:
     # frame_id(2) service_id(1) service_type(1) xid(4) response_delay(2) data_length(2)
     header = _need(data, 2, 10, "pn-dcp", "DCP header")
@@ -452,43 +412,52 @@ def _parse_dcp(data: bytes) -> DcpFrame:
     if len(blocks_raw) < data_length:
         raise MalformedFrame("pn-dcp", 12, "dcp data length exceeds frame")
 
-    is_request = service_type == DCP_TYPE_REQUEST
-    is_set = service_id == DCP_SERVICE_SET
+    # Identify request filters and Control/Result blocks carry bare data;
+    # Set requests prefix a BlockQualifier, responses prefix a BlockInfo.
+    prefixed = service_id == DCP_SERVICE_SET or service_type != DCP_TYPE_REQUEST
 
+    facts: list[tuple[str, object]] = []
+    first_name: str | None = None
     violations: list[str] = []
-    blocks: list[DcpBlock] = []
     pos = 0
     while pos < len(blocks_raw):
+        at = 12 + pos  # refusal offsets count from the RT payload, as the header's do
         head = blocks_raw[pos : pos + 4]
         if len(head) < 4:
-            raise MalformedFrame("pn-dcp", 10 + pos, "truncated block header")
-        option, suboption = head[0], head[1]
-        block_len = struct.unpack(">H", head[2:4])[0]
+            raise MalformedFrame("pn-dcp", at, "truncated block header")
+        block = (head[0], head[1])
+        block_len = _U16(head, 2)[0]
         payload = blocks_raw[pos + 4 : pos + 4 + block_len]
         if len(payload) < block_len:
-            raise MalformedFrame("pn-dcp", 10 + pos, "block length exceeds dcp data")
-
-        is_control_result = (
-            option == DCP_OPTION_CONTROL and suboption == DCP_SUBOPTION_CONTROL_RESPONSE
-        )
-        # Identify request filters and Control/Result blocks carry bare data;
-        # Set requests prefix a BlockQualifier, responses prefix a BlockInfo.
-        if not is_control_result and ((is_set and is_request) or not is_request):
-            if len(payload) < 2:
-                raise MalformedFrame("pn-dcp", 10 + pos, "block too short for qualifier")
-            payload = payload[2:]
-
-        block = DcpBlock(option, suboption, payload)
-        if block.is_name_of_station:
-            name = block.name_of_station or ""
-            violations.extend(name_of_station_violations(name))
-        blocks.append(block)
+            raise MalformedFrame("pn-dcp", at, "block length exceeds dcp data")
         pos += 4 + block_len + (block_len % 2)  # blocks pad to even length
+
+        if block == _CONTROL_RESULT:
+            # The acknowledged option and suboption, then an error code.
+            if tuple(payload[:2]) == _IP_PARAMETER:
+                facts.append(("ip_acknowledged", None))
+            continue
+        if prefixed:
+            if len(payload) < 2:
+                raise MalformedFrame("pn-dcp", at, "block too short for qualifier")
+            payload = payload[2:]
+        if block == _NAME_OF_STATION:
+            name = payload.decode("utf-8", errors="replace")
+            violations.extend(name_of_station_violations(name))
+            facts.append(("name", name))
+            if first_name is None:
+                first_name = name
+        elif block == _IP_PARAMETER and len(payload) >= 12:
+            ip = (ip_to_str(payload[0:4]), ip_to_str(payload[4:8]), ip_to_str(payload[8:12]))
+            facts.append(("ip", ip))
+        elif block == _DEVICE_ID and len(payload) >= 4:
+            facts.append(("device_id", struct.unpack(">HH", payload[0:4])))
 
     return DcpFrame(
         service_id=DCP_SERVICE_NAMES[service_id],
         service_type=DCP_TYPE_NAMES[service_type],
-        blocks=tuple(blocks),
+        facts=tuple(facts),
+        name_of_station=first_name,
         violations=tuple(violations),
     )
 

@@ -12,7 +12,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-from .dissect import DCP_OPTION_DEVICE, DCP_SUBOPTION_DEVICE_ID, DcpFrame, ParsedFrame
+from .dissect import DcpFrame, ParsedFrame
 from .fsm import FrameRef
 
 Timestamp = tuple[int, int]
@@ -102,10 +102,13 @@ class AssetInventory:
         return holders[0] if holders else None
 
     def _record(self, mac: str, ts: Timestamp) -> AssetRecord:
+        """The record of `mac`, created on first sight, with `last_seen` set to `ts`."""
         record = self.records.get(mac)
         if record is None:
             record = AssetRecord(interface_mac=mac, first_seen=ts, last_seen=ts)
             self.records[mac] = record
+        else:
+            record.last_seen = ts
         return record
 
     def _set(
@@ -140,9 +143,12 @@ class AssetInventory:
         src = parsed.src_mac
         if protocol not in _DESCRIBING_PROTOCOLS:
             # A PNIO sender becomes an asset; other traffic refreshes known assets only.
-            record = self._record(src, ts) if protocol == "pnio" else self.records.get(src)
-            if record is not None:
-                record.last_seen = ts
+            if protocol == "pnio":
+                self._record(src, ts)
+            else:
+                record = self.records.get(src)
+                if record is not None:
+                    record.last_seen = ts
             return changes
 
         body = parsed.body
@@ -160,58 +166,45 @@ class AssetInventory:
                     "port_macs", Provenance(cause.protocol, cause.capture_index)
                 )
                 changes.append(InventoryChange(mac, "port_macs", None, port, False, cause))
-            record.last_seen = ts
         elif protocol == "arp":
             record = self._record(body.sender_mac, ts)
             if body.sender_ip != "0.0.0.0":
                 self._set(record, "ip_address", body.sender_ip, cause, changes)
-            record.last_seen = ts
         elif protocol == "pn-dcp":
             record = self._record(src, ts)
-            record.last_seen = ts
             if body.service_type == "ResponseSuccess" and body.service_id == "Identify":
-                self._apply_dcp_blocks(record, body, cause, changes)
+                self._apply_dcp_facts(record, body, cause, changes)
             elif body.service_type == "Request" and body.service_id == "Set":
                 target = self._record(dst, ts)
-                target.last_seen = ts
-                self._apply_dcp_blocks(target, body, cause, changes)
+                self._apply_dcp_facts(target, body, cause, changes)
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
         else:  # pn-cm
             record = self._record(src, ts)
-            record.last_seen = ts
             if body.operation == "Connect" and body.direction == "request":
                 target = self._record(dst, ts)
-                target.last_seen = ts
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
         return changes
 
-    def _apply_dcp_blocks(
+    def _apply_dcp_facts(
         self,
         record: AssetRecord,
         body: DcpFrame,
         cause: FrameRef,
         changes: list[InventoryChange],
     ) -> None:
-        for block in body.blocks:
-            if block.is_name_of_station:
-                self._set(record, "name_of_station", block.name_of_station, cause, changes)
-            elif block.is_ip_parameter and block.ip_parameter:
-                ip, subnet, gateway = block.ip_parameter
+        for kind, value in body.facts:
+            if kind == "name":
+                self._set(record, "name_of_station", value, cause, changes)
+            elif kind == "ip":
+                ip, subnet, gateway = value
                 if ip != "0.0.0.0":
                     self._set(record, "ip_address", ip, cause, changes)
                     self._set(record, "subnet", subnet, cause, changes)
                     self._set(record, "gateway", gateway, cause, changes)
-            elif (
-                block.option == DCP_OPTION_DEVICE
-                and block.suboption == DCP_SUBOPTION_DEVICE_ID
-                and len(block.payload) >= 4
-            ):
-                vendor, device = (
-                    int.from_bytes(block.payload[0:2], "big"),
-                    int.from_bytes(block.payload[2:4], "big"),
-                )
+            elif kind == "device_id":
+                vendor, device = value
                 self._set(record, "vendor_id", vendor, cause, changes)
                 self._set(record, "device_id", device, cause, changes)
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .dissect import (
-    DCP_OPTION_IP,
-    DCP_SUBOPTION_IP_PARAMETER,
     IOXS_GOOD,
     ArpPacket,
     CmFrame,
@@ -443,21 +441,18 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
         return out
 
     if body.service_id == "Set" and body.service_type == "Request":
-        for block in body.blocks:
-            if block.is_ip_parameter and block.ip_parameter:
-                ip, _, _ = block.ip_parameter
-                cause = _cause(parsed, f"dcp set ip-parameter {ip}")
+        for kind, value in body.facts:
+            if kind == "ip":
+                cause = _cause(parsed, f"dcp set ip-parameter {value[0]}")
                 out.events.append(ProtocolEvent(IP_ASSIGNMENT_REQUESTED, "device", dst, cause))
-            elif block.is_name_of_station:
-                new_name = block.name_of_station or ""
-                cause = _cause(parsed, f"dcp set name-of-station {new_name!r}")
+            elif kind == "name":
+                cause = _cause(parsed, f"dcp set name-of-station {value!r}")
                 out.events.append(ProtocolEvent(NAME_SET_REQUESTED, "device", dst, cause))
         return out
 
     if body.service_id == "Set" and body.service_type == "ResponseSuccess":
-        for block in body.blocks:
-            target = block.control_response_target
-            if target == (DCP_OPTION_IP, DCP_SUBOPTION_IP_PARAMETER):
+        for kind, _ in body.facts:
+            if kind == "ip_acknowledged":
                 cause = _cause(parsed, "dcp set response (ip parameter)")
                 out.events.append(ProtocolEvent(IP_ASSIGNED, "device", src, cause))
         return out

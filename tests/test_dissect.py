@@ -162,22 +162,23 @@ def test_dcp_identify_round_trip():
     assert isinstance(res, DcpFrame)
     assert (res.service_id, res.service_type) == ("Identify", "ResponseSuccess")
     assert res.name_of_station == "lift-motor"
-    blocks = {(b.option, b.suboption): b for b in res.blocks}
-    assert blocks[1, 2].ip_parameter == ("192.168.0.11", "255.255.255.0", "0.0.0.0")
-    assert len(blocks[2, 3].payload) == 4
+    # BlockInfo stripped from each block, so the name, DeviceID and IP triple read whole
+    assert res.facts == (
+        ("name", "lift-motor"),
+        ("device_id", (0x002A, 0x0301)),
+        ("ip", ("192.168.0.11", "255.255.255.0", "0.0.0.0")),
+    )
 
 
 def test_dcp_set_round_trip():
     req = dissect(raw(dcp_set_ip_request(CTRL, DEV, 0x43, "192.168.0.11", "255.255.255.0", "0.0.0.0"))).body
     assert isinstance(req, DcpFrame)
-    (block,) = req.blocks
-    assert (block.option, block.suboption) == (1, 2)
-    assert block.ip_parameter == ("192.168.0.11", "255.255.255.0", "0.0.0.0")  # qualifier stripped
+    assert req.facts == (("ip", ("192.168.0.11", "255.255.255.0", "0.0.0.0")),)  # qualifier stripped
 
     res = dissect(raw(dcp_set_response(DEV, CTRL, 0x43, 1, 2))).body
     assert isinstance(res, DcpFrame)
     assert res.service_type == "ResponseSuccess"
-    assert res.blocks[0].control_response_target == (1, 2)
+    assert res.facts == (("ip_acknowledged", None),)
 
 
 def test_dcp_uppercase_name_flagged_not_failed():
@@ -323,10 +324,9 @@ def test_dcp_get_request_bare_blocks():
     body = dissect(raw(frame)).body
     assert isinstance(body, DcpFrame)
     assert body.service_id == "Get"
-    assert [(b.option, b.suboption, b.payload) for b in body.blocks] == [
-        (1, 2, b""),
-        (2, 2, b""),
-    ]
+    # Bare blocks: a qualifier stripped from these empty blocks would refuse the frame.
+    # The empty name is a fact; the IP block is too short to be one.
+    assert body.facts == (("name", ""),)
 
 
 def test_dcp_hello_parses_without_failure():
@@ -490,13 +490,13 @@ REFUSALS = [
               pad_to=0),
      "pn-dcp", 12, "dcp data length exceeds frame"),
     ("dcp-block-header", _dcp(5, 0, synth._dcp_block(2, 2, None, b"ab") + b"\x02\x02", 0xFEFE),
-     "pn-dcp", 16, "truncated block header"),
+     "pn-dcp", 18, "truncated block header"),
     ("dcp-block-length", _dcp(5, 0, bytes([2, 2]) + struct.pack(">H", 10) + b"ab", 0xFEFE),
-     "pn-dcp", 10, "block length exceeds dcp data"),
+     "pn-dcp", 12, "block length exceeds dcp data"),
     ("dcp-set-qualifier", _dcp(4, 0, synth._dcp_block(2, 2, None, b"a")),
-     "pn-dcp", 10, "block too short for qualifier"),
+     "pn-dcp", 12, "block too short for qualifier"),
     ("dcp-response-blockinfo", _dcp(5, 1, synth._dcp_block(2, 2, None, b"a"), 0xFEFF),
-     "pn-dcp", 10, "block too short for qualifier"),
+     "pn-dcp", 12, "block too short for qualifier"),
     ("pnio-short", ethernet(DEV, CTRL, ETHERTYPE_PROFINET, b"\x80\x01" + bytes(4), pad_to=0),
      "pnio", 2, "cyclic frame too short for C-SDU"),
     # IPv4 and UDP
