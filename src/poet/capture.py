@@ -114,16 +114,13 @@ def _refill(f, buf: bytes, pos: int, need: int) -> bytes:
 
 
 def _iter_pcap(f, path: str | os.PathLike, endian: str, nanosecond: bool) -> Iterator[StreamItem]:
-    try:
-        rest = f.read(20)
-        if len(rest) < 20:
-            raise CaptureFormatError(f"{path}: truncated pcap global header")
-        link_type = struct.unpack(endian + "I", rest[16:20])[0] & 0xFFFF
-        if link_type != LINKTYPE_ETHERNET:
-            raise CaptureFormatError(f"{path}: pcap link type {link_type} is not Ethernet")
-    except BaseException:
-        f.close()
-        raise
+    # Runs eagerly, inside open_capture's handler, which closes `f` if this raises.
+    rest = f.read(20)
+    if len(rest) < 20:
+        raise CaptureFormatError(f"{path}: truncated pcap global header")
+    link_type = struct.unpack(endian + "I", rest[16:20])[0] & 0xFFFF
+    if link_type != LINKTYPE_ETHERNET:
+        raise CaptureFormatError(f"{path}: pcap link type {link_type} is not Ethernet")
 
     def gen() -> Iterator[StreamItem]:
         record_header = _U32X4[endian]
@@ -170,29 +167,23 @@ def _iter_pcap(f, path: str | os.PathLike, endian: str, nanosecond: bool) -> Ite
     return gen()
 
 
-def _pcapng_options(data: bytes, endian: str) -> dict[int, bytes]:
-    """Decode a pcapng option list; stops at opt_endofopt or malformed tail."""
-    opts: dict[int, bytes] = {}
+def _tsresol_divisor(options: bytes, endian: str) -> int:
+    """Timestamp units per second from an interface's option list: its last if_tsresol
+    option (code 9), else microseconds. The list ends at opt_endofopt or a cut option."""
+    raw = b"\x06"
     pos = 0
-    while pos + 4 <= len(data):
-        code, length = struct.unpack(endian + "HH", data[pos : pos + 4])
-        if code == 0:
+    while pos + 4 <= len(options):
+        code, length = struct.unpack(endian + "HH", options[pos : pos + 4])
+        value = options[pos + 4 : pos + 4 + length]
+        if code == 0 or len(value) < length:
             break
-        value = data[pos + 4 : pos + 4 + length]
-        if len(value) < length:
-            break
-        opts[code] = value
+        if code == 9:
+            raw = value
         pos += 4 + length + (-length % 4)
-    return opts
-
-
-def _tsresol_divisor(raw: bytes) -> int:
     if len(raw) != 1:
         return 1_000_000
     v = raw[0]
-    if v & 0x80:
-        return 1 << (v & 0x7F)
-    return 10**v
+    return 1 << (v & 0x7F) if v & 0x80 else 10**v
 
 
 def _iter_pcapng(f) -> Iterator[StreamItem]:
@@ -277,8 +268,7 @@ def _iter_pcapng(f) -> Iterator[StreamItem]:
                         yield CaptureError(offset, index, "short interface block")
                         return
                     link_type = struct.unpack_from(endian + "H", buf, pos + 8)[0]
-                    opts = _pcapng_options(buf[pos + 16 : pos + total_len - 4], endian)
-                    interfaces.append((link_type, _tsresol_divisor(opts.get(9, b"\x06"))))
+                    interfaces.append((link_type, _tsresol_divisor(buf[pos + 16 : pos + total_len - 4], endian)))
                 # Every other block type is skipped silently.
                 pos += total_len
         finally:

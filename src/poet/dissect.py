@@ -175,7 +175,8 @@ class DcpFrame:
     service_id: str  # "Identify" | "Get" | "Set" | "Hello"
     service_type: str  # "Request" | "ResponseSuccess" | "ResponseUnsupported"
     # The blocks poet reads, decoded in block order: ("name", str), ("ip", (ip, subnet,
-    # gateway)), ("device_id", (vendor, device)) or ("ip_acknowledged", None).
+    # gateway)), ("device_id", (vendor, device)), ("ip_acknowledged", None) or
+    # ("ip_refused", block error).
     facts: tuple[tuple[str, object], ...]
     name_of_station: str | None  # of the first name block
     violations: tuple[str, ...] = ()
@@ -412,9 +413,9 @@ def _parse_dcp(data: bytes) -> DcpFrame:
     if len(blocks_raw) < data_length:
         raise MalformedFrame("pn-dcp", 12, "dcp data length exceeds frame")
 
-    # Identify request filters and Control/Result blocks carry bare data;
-    # Set requests prefix a BlockQualifier, responses prefix a BlockInfo.
-    prefixed = service_id == DCP_SERVICE_SET or service_type != DCP_TYPE_REQUEST
+    # Identify request filters and Control/Result blocks carry bare data; Set
+    # requests prefix a BlockQualifier, responses and Hello requests a BlockInfo.
+    prefixed = service_id in (DCP_SERVICE_SET, DCP_SERVICE_HELLO) or service_type != DCP_TYPE_REQUEST
 
     facts: list[tuple[str, object]] = []
     first_name: str | None = None
@@ -433,9 +434,10 @@ def _parse_dcp(data: bytes) -> DcpFrame:
         pos += 4 + block_len + (block_len % 2)  # blocks pad to even length
 
         if block == _CONTROL_RESULT:
-            # The acknowledged option and suboption, then an error code.
+            # The answered option and suboption, then a BlockError; zero (or none) acknowledges.
             if tuple(payload[:2]) == _IP_PARAMETER:
-                facts.append(("ip_acknowledged", None))
+                error = payload[2] if len(payload) > 2 else 0
+                facts.append(("ip_refused", error) if error else ("ip_acknowledged", None))
             continue
         if prefixed:
             if len(payload) < 2:
@@ -550,6 +552,28 @@ def _iter_blocks(raw: bytes, base: int):
         pos += 4 + block_len
 
 
+# Each block that names an AR: block type -> (operation, least content length, refusal).
+# The AR UUID follows a 2-byte field in each; a Release may omit it, so it has no least length.
+_AR_BLOCKS: dict[int, tuple[str, int, str]] = {
+    # ar_type(2) ar_uuid(16) session_key(2) mac(6), then a request's object_uuid(16)
+    # properties(4) timeout(2) udp_port(2) name_len(2) name
+    BLOCK_AR_REQ: ("Connect", 26, "AR block too short"),
+    BLOCK_AR_RES: ("Connect", 26, "AR block too short"),
+    # seq(2) ar_uuid(16) api(4) slot(2) subslot(2) index(2) data_len(4) data
+    BLOCK_WRITE_REQ: ("Write", 32, "record block too short"),
+    BLOCK_WRITE_RES: ("Write", 32, "record block too short"),
+    BLOCK_READ_REQ: ("Read", 32, "record block too short"),
+    BLOCK_READ_RES: ("Read", 32, "record block too short"),
+    BLOCK_DCONTROL_REQ: ("DControl", 18, "control block too short"),
+    BLOCK_DCONTROL_RES: ("DControl", 18, "control block too short"),
+    BLOCK_CCONTROL_REQ: ("CControl", 18, "control block too short"),
+    BLOCK_CCONTROL_RES: ("CControl", 18, "control block too short"),
+    BLOCK_RELEASE: ("Release", 0, ""),
+}
+# The operation of a PDU without blocks (e.g. an empty response), by opnum.
+_OPNUM_OPERATIONS = ("Connect", "Release", "Read", "Write", "DControl")
+
+
 def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFrame:
     ar_uuid: uuid.UUID | None = None
     iocrs: list[IocrBlock] = []
@@ -557,19 +581,23 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
     operation: str | None = None
 
     for block_type, content, at in _iter_blocks(raw, base):
-        if block_type in (BLOCK_AR_REQ, BLOCK_AR_RES):
-            # ar_type(2) ar_uuid(16) session_key(2) mac(6) then request-only:
-            # object_uuid(16) properties(4) timeout(2) udp_port(2) name_len(2) name
-            operation = "Connect"
-            if len(content) < 26:
-                raise MalformedFrame("pn-cm", at, "AR block too short")
-            ar_uuid = uuid.UUID(bytes=content[2:18])
+        ar_block = _AR_BLOCKS.get(block_type)
+        if ar_block is not None:
+            operation, least, too_short = ar_block
+            if len(content) < least:
+                raise MalformedFrame("pn-cm", at, too_short)
+            if len(content) >= 18:
+                ar_uuid = uuid.UUID(bytes=content[2:18])
             if block_type == BLOCK_AR_REQ:
                 if len(content) < 52:
                     raise MalformedFrame("pn-cm", at, "AR request block too short")
                 name_len = struct.unpack(">H", content[50:52])[0]
                 if len(content) < 52 + name_len:
                     raise MalformedFrame("pn-cm", at, "station name exceeds AR block")
+            elif operation in ("Write", "Read"):
+                data_len = struct.unpack(">I", content[28:32])[0]
+                if len(content) < 32 + data_len:
+                    raise MalformedFrame("pn-cm", at, "record data exceeds block")
         elif block_type == BLOCK_IOCR_REQ:
             # cr_type(2) reference(2) lt(2) data_length(2) frame_id(2) then timing(8)
             if len(content) < 18:
@@ -582,41 +610,10 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
             operation = operation or "Connect"
         elif block_type == BLOCK_EXPECTED_SUBMODULES:
             submodules.extend(_parse_expected_submodules(content, at))
-        elif block_type in (BLOCK_WRITE_REQ, BLOCK_WRITE_RES, BLOCK_READ_REQ, BLOCK_READ_RES):
-            # seq(2) ar_uuid(16) api(4) slot(2) subslot(2) index(2) data_len(4) data
-            operation = "Write" if block_type in (BLOCK_WRITE_REQ, BLOCK_WRITE_RES) else "Read"
-            if len(content) < 32:
-                raise MalformedFrame("pn-cm", at, "record block too short")
-            ar_uuid = uuid.UUID(bytes=content[2:18])
-            data_len = struct.unpack(">I", content[28:32])[0]
-            if len(content) < 32 + data_len:
-                raise MalformedFrame("pn-cm", at, "record data exceeds block")
-        elif block_type in (BLOCK_DCONTROL_REQ, BLOCK_DCONTROL_RES):
-            operation = "DControl"
-            if len(content) < 18:
-                raise MalformedFrame("pn-cm", at, "control block too short")
-            ar_uuid = uuid.UUID(bytes=content[2:18])
-        elif block_type in (BLOCK_CCONTROL_REQ, BLOCK_CCONTROL_RES):
-            operation = "CControl"
-            if len(content) < 18:
-                raise MalformedFrame("pn-cm", at, "control block too short")
-            ar_uuid = uuid.UUID(bytes=content[2:18])
-        elif block_type == BLOCK_RELEASE:
-            operation = "Release"
-            if len(content) >= 18:
-                ar_uuid = uuid.UUID(bytes=content[2:18])
         else:
             raise MalformedFrame("pn-cm", at, f"unknown block type 0x{block_type:04x}")
 
-    if operation is None:
-        # Map bare opnums for block-less PDUs (e.g. empty responses).
-        operation = {
-            RPC_OPNUM_CONNECT: "Connect",
-            RPC_OPNUM_RELEASE: "Release",
-            RPC_OPNUM_READ: "Read",
-            RPC_OPNUM_WRITE: "Write",
-            RPC_OPNUM_CONTROL: "DControl",
-        }[opnum]
+    operation = operation or _OPNUM_OPERATIONS[opnum]
     if operation == "Connect" and direction == "request":
         if ar_uuid is None:
             raise MalformedFrame("pn-cm", base, "Connect request without AR block")

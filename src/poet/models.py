@@ -11,6 +11,7 @@ the rename-attack signal.
 from __future__ import annotations
 
 import uuid
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -348,9 +349,9 @@ class DerivedEvents:
     """Result of derive_events: events to fire plus tracker bookkeeping."""
 
     events: list[ProtocolEvent] = field(default_factory=list)
-    diagnostics: list[TrackDiagnostic] = field(default_factory=list)
+    diagnostics: tuple[TrackDiagnostic, ...] = ()
     new_deferral: DeferredEvent | None = None
-    consumed_deferrals: list[DeferredEvent] = field(default_factory=list)
+    consumed_deferrals: Sequence[DeferredEvent] = ()
     registration: ConnectionRegistration | None = None
 
 
@@ -451,99 +452,76 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
         return out
 
     if body.service_id == "Set" and body.service_type == "ResponseSuccess":
-        for kind, _ in body.facts:
+        cause = _cause(parsed, "dcp set response (ip parameter)")
+        for kind, value in body.facts:
             if kind == "ip_acknowledged":
-                cause = _cause(parsed, "dcp set response (ip parameter)")
                 out.events.append(ProtocolEvent(IP_ASSIGNED, "device", src, cause))
+            elif kind == "ip_refused":
+                detail = f"ip parameter set refused with block error {value}"
+                out.diagnostics += (TrackDiagnostic("dcp_set_refused", detail, cause, subject_mac=src),)
         return out
 
     return out
 
 
-def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> DerivedEvents:
-    out = DerivedEvents()
-    src = parsed.src_mac
-    dst = parsed.dst_mac
+# (operation, direction) of a PN-CM frame on a registered AR -> (event before the
+# connection is established, event after); each fires on the device and the connection.
+_CM_EVENTS: dict[tuple[str, str], tuple[str | None, str | None]] = {
+    ("Write", "request"): (PARAMETRIZATION_WRITE, ACYCLIC_WRITE),
+    ("Write", "response"): (None, ACYCLIC_DONE),
+    ("Read", "request"): (ACYCLIC_READ, ACYCLIC_READ),
+    ("Read", "response"): (None, ACYCLIC_DONE),
+    ("DControl", "request"): (END_OF_PARAMETRIZATION, END_OF_PARAMETRIZATION),
+    ("CControl", "request"): (APPLICATION_READY, APPLICATION_READY),
+}
 
-    if body.operation == "Connect" and body.direction == "request":
-        key = connection_key(src, dst)
+
+def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> DerivedEvents:
+    op, direction = body.operation, body.direction
+    if op == "Connect" and direction == "request":
+        dst = parsed.dst_mac
+        key = connection_key(parsed.src_mac, dst)
         cause = _cause(parsed, f"pn-cm connect request to {dst}")
         bindings, problem = cyclic_bindings(body, key, dst)
+        out = DerivedEvents()
         if problem is not None:
-            out.diagnostics.append(
-                TrackDiagnostic("inconsistent_connect", problem, cause, subject_mac=dst)
-            )
+            out.diagnostics = (TrackDiagnostic("inconsistent_connect", problem, cause, subject_mac=dst),)
         assert body.ar_uuid is not None
         out.registration = ConnectionRegistration(key, dst, body.ar_uuid, bindings)
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "device", dst, cause))
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "system", None, cause))
         return out
+    if op in ("Connect", "Release"):
+        return DerivedEvents()  # Connect responses and Releases drive no tracked event
 
-    if body.operation == "Connect":
-        return out  # connect responses carry no tracked event
-
-    if body.operation == "Release":
-        return out
-
-    if body.ar_uuid is None:
-        out.diagnostics.append(
-            TrackDiagnostic(
-                "orphan_frame",
-                f"pn-cm {body.operation.lower()} {body.direction} without AR reference",
-                _cause(parsed, f"pn-cm {body.operation.lower()} {body.direction}"),
-            )
-        )
-        return out
-
-    conn = ctx.connection_for_ar(body.ar_uuid)
+    cause = _cause(parsed, f"pn-cm {op.lower()} {direction}")
+    conn = None if body.ar_uuid is None else ctx.connection_for_ar(body.ar_uuid)
     if conn is None:
-        out.diagnostics.append(
-            TrackDiagnostic(
-                "orphan_frame",
-                f"pn-cm {body.operation.lower()} {body.direction} for unknown AR {body.ar_uuid}",
-                _cause(parsed, f"pn-cm {body.operation.lower()} {body.direction}"),
-            )
-        )
-        return out
-
+        missing = "without AR reference" if body.ar_uuid is None else f"for unknown AR {body.ar_uuid}"
+        orphan = TrackDiagnostic("orphan_frame", f"{cause.summary} {missing}", cause)
+        return DerivedEvents(diagnostics=(orphan,))
     device = conn.responder_mac
-    key = conn.key
-    established = ctx.state_of("connection", key) in CONNECTION_ESTABLISHED_STATES
-    op = body.operation
-    cause = _cause(parsed, f"pn-cm {op.lower()} {body.direction}")
-
-    def both(event_name: str) -> None:
-        out.events.append(ProtocolEvent(event_name, "device", device, cause))
-        out.events.append(ProtocolEvent(event_name, "connection", key, cause))
-
-    if op == "Write" and body.direction == "request":
-        both(ACYCLIC_WRITE if established else PARAMETRIZATION_WRITE)
-    elif op == "Read" and body.direction == "request":
-        both(ACYCLIC_READ)
-    elif op in ("Write", "Read") and body.direction == "response":
-        if established:
-            both(ACYCLIC_DONE)
-    elif op == "DControl" and body.direction == "request":
-        both(END_OF_PARAMETRIZATION)
-    elif op == "CControl" and body.direction == "request":
-        both(APPLICATION_READY)
-    elif op == "CControl" and body.direction == "response":
-        out.events.append(ProtocolEvent(CONNECTION_CONFIRMED, "device", device, cause))
-    return out
+    if op == "CControl" and direction == "response":
+        # The controller's confirmation completes the device's establishment only.
+        return DerivedEvents([ProtocolEvent(CONNECTION_CONFIRMED, "device", device, cause)])
+    before, after = _CM_EVENTS.get((op, direction), (None, None))
+    event = after if ctx.state_of("connection", conn.key) in CONNECTION_ESTABLISHED_STATES else before
+    if event is None:
+        return DerivedEvents()
+    return DerivedEvents(
+        [ProtocolEvent(event, "device", device, cause), ProtocolEvent(event, "connection", conn.key, cause)]
+    )
 
 
 def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) -> DerivedEvents:
     binding = ctx.binding_for_frame_id(body.frame_id)
     if binding is None:
-        out = DerivedEvents()
-        out.diagnostics.append(
-            TrackDiagnostic(
-                "orphan_frame",
-                f"pnio cyclic frame id 0x{body.frame_id:04x} has no registered connection",
-                _cause(parsed, f"pnio cyclic 0x{body.frame_id:04x}"),
-            )
+        orphan = TrackDiagnostic(
+            "orphan_frame",
+            f"pnio cyclic frame id 0x{body.frame_id:04x} has no registered connection",
+            _cause(parsed, f"pnio cyclic 0x{body.frame_id:04x}"),
         )
-        return out
+        return DerivedEvents(diagnostics=(orphan,))
     data = body.data
     offsets = binding.iops_offsets
     if offsets is None or len(data) < binding.c_sdu_length:

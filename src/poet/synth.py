@@ -434,8 +434,8 @@ def dcp_set_name_request(src: bytes, dst: bytes, xid: int, name: str) -> bytes:
     return encode_dcp(src, dst, DCP_FRAME_ID_GETSET, 4, 0, xid, blocks)
 
 
-def dcp_set_response(src: bytes, dst: bytes, xid: int, option: int, suboption: int) -> bytes:
-    blocks = _dcp_block(5, 4, None, bytes([option, suboption, 0]))
+def dcp_set_response(src: bytes, dst: bytes, xid: int, option: int, suboption: int, error: int = 0) -> bytes:
+    blocks = _dcp_block(5, 4, None, bytes([option, suboption, error]))
     return encode_dcp(src, dst, DCP_FRAME_ID_GETSET, 4, 1, xid, blocks)
 
 

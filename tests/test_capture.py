@@ -183,6 +183,35 @@ def test_pcapng_big_endian_nanosecond_section(tmp_path):
     assert item.frame_bytes == FRAME
 
 
+def _option(code: int, value: bytes) -> bytes:
+    return struct.pack("<HH", code, len(value)) + value + bytes(-len(value) % 4)
+
+
+@pytest.mark.parametrize(
+    "options, divisor",
+    [
+        pytest.param(b"", 1_000_000, id="no-option"),
+        pytest.param(_option(9, b"\x8a"), 1024, id="power-of-two"),
+        pytest.param(_option(9, b"\x09") + _option(9, b"\x03"), 1000, id="repeated-last-wins"),
+        pytest.param(_option(9, b"\x09") + _option(9, b"\x09\x00"), 1_000_000, id="repeated-last-malformed"),
+        pytest.param(_option(2, b"eth0") + _option(9, b"\x09"), 10**9, id="after-another-option"),
+        pytest.param(_option(0, b"") + _option(9, b"\x09"), 1_000_000, id="after-end-of-options"),
+        pytest.param(_option(9, b"\x09") + struct.pack("<HH", 2, 8) + b"eth0", 10**9, id="cut-after-tsresol"),
+        pytest.param(struct.pack("<HH", 9, 8) + b"\x09\x00\x00\x00", 1_000_000, id="cut-inside-tsresol"),
+        pytest.param(struct.pack("<HH", 2, 8) + b"eth0" + _option(9, b"\x09"), 1_000_000, id="cut-before-tsresol"),
+    ],
+)
+def test_pcapng_timestamp_divisor_from_if_tsresol(tmp_path, options, divisor):
+    data = _SHB + _pcapng_block(0x00000001, struct.pack("<HHI", 1, 0, 65535) + options)
+    ticks = 3 * divisor + divisor // 4
+    epb = struct.pack("<IIIII", 0, ticks >> 32, ticks & 0xFFFFFFFF, len(FRAME), len(FRAME))
+    data += _pcapng_block(0x00000006, epb + FRAME)
+    path = tmp_path / "tsresol.pcapng"
+    path.write_bytes(data)
+    (item,) = list(open_capture(path))
+    assert (item.ts_sec, item.ts_nsec) == (3, 250_000_000)
+
+
 def test_order_preserved_for_non_monotonic_timestamps(tmp_path):
     frames = [((100, 0), FRAME), ((50, 0), FRAME + b"\x01"), ((75, 0), FRAME + b"\x02")]
     path = tmp_path / "shuffle.pcap"

@@ -51,6 +51,7 @@ BLOCKS = st.one_of(
     st.tuples(st.just(2), st.just(3), st.sampled_from([b"\x00\x2a\x03\x01", b"\x00\x2a\x03\x02\x09"])),
     st.tuples(st.just(2), st.just(3), st.binary(max_size=3)),
     st.tuples(st.just(5), st.just(4), st.sampled_from([b"\x01\x02\x00", b"\x01\x02"])),
+    st.tuples(st.just(5), st.just(4), st.sampled_from([b"\x01\x02\x06", b"\x01\x02\x01\x00"])),
     st.tuples(st.just(5), st.just(4), st.just(b"\x02\x02\x00")),
     st.tuples(st.sampled_from([3, 4, 6, 0x80, 0xFF]), st.integers(0, 255), st.binary(max_size=6)),
 )
@@ -91,7 +92,7 @@ def _reference_events(service, blocks) -> list[tuple[str, str, str]]:
         return [
             (IP_ASSIGNED, SRC_MAC, "dcp set response (ip parameter)")
             for option, suboption, payload in blocks
-            if (option, suboption) == (5, 4) and payload[:2] == b"\x01\x02"
+            if (option, suboption) == (5, 4) and payload[:2] == b"\x01\x02" and not any(payload[2:3])
         ]
     names = [p.decode("utf-8", errors="replace") for o, s, p in blocks if (o, s) == (2, 2)]
     name = names[0] if names else None
@@ -100,6 +101,17 @@ def _reference_events(service, blocks) -> list[tuple[str, str, str]]:
         out.append((NAME_RESOLUTION_REQUESTED, SRC_MAC, HELD.cause.summary))
     out.append((NAME_RESOLVED, SRC_MAC, f"dcp identify response from {name!r}"))
     return out
+
+
+def _reference_diagnostics(service, blocks) -> list[tuple[str, str, str]]:
+    """A Set response's Control/Result block with a nonzero BlockError refuses the IP Set."""
+    if service != SET_RESPONSE:
+        return []
+    return [
+        ("dcp_set_refused", SRC_MAC, f"ip parameter set refused with block error {payload[2]}")
+        for option, suboption, payload in blocks
+        if (option, suboption) == (5, 4) and payload[:2] == b"\x01\x02" and any(payload[2:3])
+    ]
 
 
 def _reference_changes(service, blocks) -> list[tuple[str, str, object, object, bool]]:
@@ -145,6 +157,8 @@ def test_multi_block_frame_matches_block_order_reference(service, blocks):
     derived = derive_events(parsed, _Context())
     events = [(e.event_name, e.key, e.cause.summary) for e in derived.events]
     assert events == _reference_events(service, blocks)
+    diagnostics = [(d.kind, d.subject_mac, d.detail) for d in derived.diagnostics]
+    assert diagnostics == _reference_diagnostics(service, blocks)
 
     changes = AssetInventory().update_from_frame(parsed, (1, 0))
     assert [(c.mac, c.fieldname, c.old, c.new, c.conflict) for c in changes] == _reference_changes(

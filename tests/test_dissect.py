@@ -332,11 +332,13 @@ def test_dcp_get_request_bare_blocks():
 def test_dcp_hello_parses_without_failure():
     from poet.synth import _dcp_block, encode_dcp
 
-    blocks = _dcp_block(2, 2, None, b"lift-motor")
+    # A Hello request carries a BlockInfo before each block, as a response does.
+    blocks = _dcp_block(2, 2, 0, b"lift-motor")
     frame = encode_dcp(DEV, CTRL, 0xFEFC, 6, 0, 0x66, blocks)
     body = dissect(raw(frame)).body
     assert isinstance(body, DcpFrame)
     assert body.service_id == "Hello"
+    assert (body.name_of_station, body.violations) == ("lift-motor", ())
 
 
 def test_dcp_set_block_too_short_for_qualifier():

@@ -438,7 +438,7 @@ def test_cyclic_binding_fires_iff_iops_good(layout, data, fires, skew):
     derived = derive_events(_pnio(0x8001, data), ctx)
     expected = [(CYCLIC_DATA_GOOD, "device"), (INPUT_PROCESS_DATA_SENT, "connection")]
     assert [(e.event_name, e.scope) for e in derived.events] == (expected if fires else [])
-    assert derived.diagnostics == []
+    assert derived.diagnostics == ()
 
 
 def _iops_good(data: bytes, layout, direction: str) -> bool:

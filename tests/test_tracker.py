@@ -455,6 +455,28 @@ def test_unanswered_identify_expires_as_diagnostic(tmp_path):
     assert report.anomalies == []
 
 
+def test_refused_ip_set_leaves_device_awaiting_assignment(tmp_path):
+    from poet.synth import dcp_set_ip_request, dcp_set_response
+
+    ctrl, dev = str_to_mac("02:00:00:00:01:00"), str_to_mac("02:00:00:00:02:00")
+    frames = [
+        dcp_identify_request(ctrl, 1, "lift-motor"),
+        dcp_identify_response(dev, ctrl, 1, "lift-motor"),
+        dcp_set_ip_request(ctrl, dev, 2, "192.168.0.11", "255.255.255.0", "0.0.0.0"),
+        dcp_set_response(dev, ctrl, 2, 1, 2, error=6),  # BlockError 6: set not possible in operation
+    ]
+    path = tmp_path / "refused.pcap"
+    path.write_bytes(write_pcap_bytes([((100, i), f) for i, f in enumerate(frames)]))
+    report = Tracker().process(open_capture(path))
+    device_states = {d["mac"]: d["state"] for d in report.final_states["devices"]}
+    assert device_states["02:00:00:00:02:00"] == "IpAddressAssignment"
+    assert report.anomalies == []
+    assert [(a.instance_key, a.offending_event, a.cause.capture_index, a.explanation)
+            for a in report.diagnostics] == [
+        ("02:00:00:00:02:00", "dcp_set_refused", 3, "ip parameter set refused with block error 6"),
+    ]
+
+
 def test_expired_identifies_report_in_creation_order():
     """Requests that outlive the window expire oldest first, stamped by the frame that ages them out."""
     ctrl, dev = str_to_mac("02:00:00:00:01:00"), str_to_mac("02:00:00:00:02:00")
