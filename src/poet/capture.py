@@ -36,11 +36,11 @@ MIN_ETHERNET_FRAME = 14
 MAX_SNAPLEN = 262_144
 # pcapng block framing (type and two lengths) plus the packet block's fixed fields.
 PCAPNG_MAX_BLOCK = MAX_SNAPLEN + 12 + 20
-# Bytes per buffer refill. Records are parsed in place from one buffer that
-# holds at most this much or one record, so memory does not grow with the file.
+# The size of the buffer each capture file is read through. Records are read one
+# at a time, so memory holds this buffer and one record, however long the file.
 READ_CHUNK = 64 * 1024
 
-# Precompiled field layouts by byte order, read in place with unpack_from.
+# Precompiled field layouts by byte order.
 _U32 = {e: struct.Struct(e + "I").unpack_from for e in "<>"}
 _U32X4 = {e: struct.Struct(e + "IIII").unpack_from for e in "<>"}  # pcap record header
 _U32X5 = {e: struct.Struct(e + "IIIII").unpack_from for e in "<>"}  # packet block fields
@@ -80,7 +80,7 @@ def open_capture(path: str | os.PathLike) -> Iterator[StreamItem]:
     unreadable path raises OSError. Truncation later in the file yields one
     CaptureError item and ends the stream.
     """
-    f = open(path, "rb")
+    f = open(path, "rb", buffering=READ_CHUNK)
     try:
         head = f.read(4)
         if len(head) < 4:
@@ -103,16 +103,6 @@ def open_capture(path: str | os.PathLike) -> Iterator[StreamItem]:
     return stream
 
 
-def _refill(f, buf: bytes, pos: int, need: int) -> bytes:
-    """The unread rest of `buf` from `pos`, topped up to hold at least `need` bytes.
-
-    One read brings the buffer to max(READ_CHUNK, need) bytes, or fewer at end
-    of file, so it holds at most one chunk or one record.
-    """
-    rest = buf[pos:]
-    return rest + f.read(max(READ_CHUNK, need) - len(rest))
-
-
 def _iter_pcap(f, path: str | os.PathLike, endian: str, nanosecond: bool) -> Iterator[StreamItem]:
     # Runs eagerly, inside open_capture's handler, which closes `f` if this raises.
     rest = f.read(20)
@@ -125,42 +115,29 @@ def _iter_pcap(f, path: str | os.PathLike, endian: str, nanosecond: bool) -> Ite
     def gen() -> Iterator[StreamItem]:
         record_header = _U32X4[endian]
         index = 0
-        buf = b""
-        pos = 0
-        base = 24  # file offset of buf[0]
+        offset = 24  # file offset of the next record
         try:
             while True:
-                # Each record is parsed in place; the buffer is refilled only when
-                # the next header or body runs past its end.
-                start = pos + 16
-                if start > len(buf):
-                    buf = _refill(f, buf, pos, 16)
-                    base += pos
-                    pos, start = 0, 16
-                    if len(buf) < 16:
-                        if buf:
-                            yield CaptureError(base, index, "truncated record header")
-                        return
-                ts_sec, ts_frac, incl_len, _orig_len = record_header(buf, pos)
-                if incl_len > MAX_SNAPLEN:
-                    reason = f"record length {incl_len} exceeds {MAX_SNAPLEN}"
-                    yield CaptureError(base + pos, index, reason)
+                head = f.read(16)
+                if len(head) < 16:
+                    if head:
+                        yield CaptureError(offset, index, "truncated record header")
                     return
-                stop = start + incl_len
-                if stop > len(buf):
-                    buf = _refill(f, buf, pos, 16 + incl_len)
-                    base += pos
-                    pos, start, stop = 0, 16, 16 + incl_len
-                    if stop > len(buf):
-                        yield CaptureError(base, index, "truncated record body")
-                        return
+                ts_sec, ts_frac, incl_len, _orig_len = record_header(head)
+                if incl_len > MAX_SNAPLEN:
+                    yield CaptureError(offset, index, f"record length {incl_len} exceeds {MAX_SNAPLEN}")
+                    return
+                data = f.read(incl_len)
+                if len(data) < incl_len:
+                    yield CaptureError(offset, index, "truncated record body")
+                    return
                 ts_nsec = ts_frac if nanosecond else ts_frac * 1000
                 if incl_len < MIN_ETHERNET_FRAME:
-                    yield CaptureError(base + pos, index, f"runt frame ({incl_len} bytes)")
+                    yield CaptureError(offset, index, f"runt frame ({incl_len} bytes)")
                 else:
-                    yield RawFrame(ts_sec, ts_nsec, buf[start:stop], index)
+                    yield RawFrame(ts_sec, ts_nsec, data, index)
                 index += 1
-                pos = stop
+                offset += 16 + incl_len
         finally:
             f.close()
 
@@ -192,59 +169,49 @@ def _iter_pcapng(f) -> Iterator[StreamItem]:
         endian = "<"
         u32 = _U32["<"]
         interfaces: list[tuple[int, int]] = []  # (link type, timestamp divisor) per IDB
+        offset = 0  # file offset of the next block
         f.seek(0)
-        buf = b""
-        pos = 0
-        base = 0  # file offset of buf[0]
         try:
             while True:
-                # Each block is parsed in place, as for pcap records; `pos` is the
-                # block's start and `offset` its file offset.
-                if pos + 8 > len(buf):
-                    buf = _refill(f, buf, pos, 8)
-                    base += pos
-                    pos = 0
-                    if len(buf) < 8:
-                        if buf:
-                            yield CaptureError(base, index, "truncated block header")
-                        return
-                offset = base + pos
-                block_type = u32(buf, pos)[0]
+                head = f.read(8)
+                if len(head) < 8:
+                    if head:
+                        yield CaptureError(offset, index, "truncated block header")
+                    return
+                block_type = u32(head)[0]
                 section = block_type == PCAPNG_SHB
                 if section:
                     # Byte order can change per section; magic sits after the length field.
-                    if pos + 12 > len(buf):
-                        buf = _refill(f, buf, pos, 12)
-                        base, pos = offset, 0
-                        if len(buf) < 12:
-                            yield CaptureError(offset, index, "truncated section header")
-                            return
-                    if _U32["<"](buf, pos + 8)[0] == PCAPNG_BYTE_ORDER_MAGIC:
+                    magic = f.read(4)
+                    if len(magic) < 4:
+                        yield CaptureError(offset, index, "truncated section header")
+                        return
+                    if _U32["<"](magic)[0] == PCAPNG_BYTE_ORDER_MAGIC:
                         endian = "<"
-                    elif _U32[">"](buf, pos + 8)[0] == PCAPNG_BYTE_ORDER_MAGIC:
+                    elif _U32[">"](magic)[0] == PCAPNG_BYTE_ORDER_MAGIC:
                         endian = ">"
                     else:
                         yield CaptureError(offset, index, "bad section byte-order magic")
                         return
                     u32 = _U32[endian]
-                total_len = u32(buf, pos + 4)[0]
+                total_len = u32(head, 4)[0]
                 if total_len < (28 if section else 12) or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
                     reason = "bad section block length" if section else f"bad block length {total_len}"
                     yield CaptureError(offset, index, reason)
                     return
-                if pos + total_len > len(buf):
-                    buf = _refill(f, buf, pos, total_len)
-                    base, pos = offset, 0
-                    if total_len > len(buf):
-                        reason = "truncated section block" if section else "truncated block"
-                        yield CaptureError(offset, index, reason)
-                        return
+                # The rest of the block; for all but a section header, from byte 8 on.
+                size = total_len - (12 if section else 8)
+                body = f.read(size)
+                if len(body) < size:
+                    reason = "truncated section block" if section else "truncated block"
+                    yield CaptureError(offset, index, reason)
+                    return
                 content_len = total_len - 12  # without the framing
                 if block_type == PCAPNG_EPB:
                     if content_len < 20:
                         yield CaptureError(offset, index, "short packet block")
                         return
-                    iface, ts_high, ts_low, cap_len, _orig = _U32X5[endian](buf, pos + 8)
+                    iface, ts_high, ts_low, cap_len, _orig = _U32X5[endian](body)
                     if cap_len > content_len - 20:
                         yield CaptureError(offset, index, "truncated packet data")
                         return
@@ -259,7 +226,7 @@ def _iter_pcapng(f) -> Iterator[StreamItem]:
                         divisor = interfaces[iface][1]
                         ts_sec, frac = divmod((ts_high << 32) | ts_low, divisor)
                         ts_nsec = frac * 1_000_000_000 // divisor
-                        yield RawFrame(ts_sec, ts_nsec, buf[pos + 28 : pos + 28 + cap_len], index)
+                        yield RawFrame(ts_sec, ts_nsec, body[20 : 20 + cap_len], index)
                     index += 1
                 elif section:
                     interfaces = []
@@ -267,10 +234,10 @@ def _iter_pcapng(f) -> Iterator[StreamItem]:
                     if content_len < 8:
                         yield CaptureError(offset, index, "short interface block")
                         return
-                    link_type = struct.unpack_from(endian + "H", buf, pos + 8)[0]
-                    interfaces.append((link_type, _tsresol_divisor(buf[pos + 16 : pos + total_len - 4], endian)))
+                    link_type = struct.unpack_from(endian + "H", body)[0]
+                    interfaces.append((link_type, _tsresol_divisor(body[8:-4], endian)))
                 # Every other block type is skipped silently.
-                pos += total_len
+                offset += total_len
         finally:
             f.close()
 

@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, CaptureFormatError, ScenarioError, json.JSONDecodeError) as exc:
+    except (OSError, CaptureFormatError, ScenarioError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"poet: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

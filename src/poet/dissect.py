@@ -96,7 +96,10 @@ BLOCK_AR_REQ = 0x0101
 BLOCK_AR_RES = 0x8101
 BLOCK_IOCR_REQ = 0x0102
 BLOCK_IOCR_RES = 0x8102
+BLOCK_ALARMCR_REQ = 0x0103
+BLOCK_ALARMCR_RES = 0x8103
 BLOCK_EXPECTED_SUBMODULES = 0x0104
+BLOCK_MODULE_DIFF = 0x8104
 BLOCK_WRITE_REQ = 0x0008
 BLOCK_WRITE_RES = 0x8008
 BLOCK_READ_REQ = 0x0009
@@ -570,6 +573,9 @@ _AR_BLOCKS: dict[int, tuple[str, int, str]] = {
     BLOCK_CCONTROL_RES: ("CControl", 18, "control block too short"),
     BLOCK_RELEASE: ("Release", 0, ""),
 }
+# Connect blocks that poet does not read: framing-checked and skipped. Alone they
+# name the operation Connect; a block of _AR_BLOCKS names it in their place.
+_SKIPPED_BLOCKS = frozenset({BLOCK_IOCR_RES, BLOCK_ALARMCR_REQ, BLOCK_ALARMCR_RES, BLOCK_MODULE_DIFF})
 # The operation of a PDU without blocks (e.g. an empty response), by opnum.
 _OPNUM_OPERATIONS = ("Connect", "Release", "Read", "Write", "DControl")
 
@@ -606,7 +612,7 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
             if cr_type not in (CR_INPUT, CR_OUTPUT):
                 raise MalformedFrame("pn-cm", at, f"bad IOCR type {cr_type}")
             iocrs.append(IocrBlock("input" if cr_type == CR_INPUT else "output", frame_id, data_length))
-        elif block_type == BLOCK_IOCR_RES:
+        elif block_type in _SKIPPED_BLOCKS:
             operation = operation or "Connect"
         elif block_type == BLOCK_EXPECTED_SUBMODULES:
             submodules.extend(_parse_expected_submodules(content, at))

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 from unittest import mock
@@ -384,7 +385,7 @@ _LENGTHS = st.one_of(
     st.integers(capture.READ_CHUNK - 40, capture.READ_CHUNK + 40),
     st.integers(capture.READ_CHUNK + 41, MAX_SNAPLEN),
 )
-_CHUNKS = (1, 7, 16, 17, 64)
+_CHUNKS = (2, 7, 16, 17, 64)
 _PATTERN = bytes(range(256)) * (MAX_SNAPLEN // 256 + 1)
 
 
@@ -438,6 +439,29 @@ def test_stream_is_the_same_for_every_chunk_size(tmp_path, fmt_endian, nanosecon
     for chunk in _CHUNKS:
         with mock.patch.object(capture, "READ_CHUNK", chunk):
             assert list(open_capture(path)) == expected, chunk
+
+
+def _streaming_peak(path) -> int:
+    """Peak traced memory while streaming a capture and dropping each item."""
+    tracemalloc.start()
+    try:
+        for _ in open_capture(path):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["pcap", "pcapng"])
+def test_streaming_memory_does_not_grow_with_the_file(tmp_path, fmt):
+    write = write_pcap_bytes if fmt == "pcap" else write_pcapng_bytes
+    peaks = []
+    for count in (10_000, 40_000):
+        path = tmp_path / f"{count}.{fmt}"
+        path.write_bytes(write([((1_700_000_000, 0), FRAME)] * count))
+        peaks.append(_streaming_peak(path))
+    # A reader that held the file would peak 30,000 records (2.4 MB) higher.
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks
 
 
 # Each format's record framing length, and its errors for a cut inside and after that framing.

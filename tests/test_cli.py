@@ -234,6 +234,15 @@ def test_synth_spec_missing_key_exit_one_names_key(tmp_path, capsys):
     assert "missing key 'controller'" in capsys.readouterr().err
 
 
+def test_synth_spec_not_utf8_exit_one_writes_nothing(tmp_path, capsys):
+    spec_path = tmp_path / "latin1.json"
+    spec_path.write_bytes(b'{"controller": "\xff"}')
+    code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "poet: error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [spec_path]
+
+
 def test_key_error_in_handler_propagates(tmp_path, monkeypatch):
     # A KeyError inside a command is a bug, not an operational error.
     def broken(args):

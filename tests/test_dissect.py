@@ -229,12 +229,12 @@ def test_name_rule_tags_match_a_per_character_reference(name):
 SUBMODULES = (SubmoduleSpec(1, 1, "input", 2), SubmoduleSpec(2, 1, "output", 3))
 
 
-def _connect_frame() -> bytes:
+def _connect_frame(alarm_cr: bytes = b"") -> bytes:
     ar = uuid.uuid5(uuid.NAMESPACE_OID, "test-ar")
     blocks = ar_block_request(ar, CTRL, "plc-1")
     blocks += iocr_block_request(1, 1, cr_data_length("input", SUBMODULES), 0x8001)
     blocks += iocr_block_request(2, 2, cr_data_length("output", SUBMODULES), 0x8002)
-    blocks += expected_submodules_block(SUBMODULES)
+    blocks += alarm_cr + expected_submodules_block(SUBMODULES)
     return encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 0, uuid.uuid4(), 1, blocks)
 
 
@@ -249,6 +249,12 @@ def test_cm_connect_round_trip():
         ("output", 0x8002, 5),  # 3 data + 1 iops + 1 iocs(input submodule)
     ]
     assert body.expected_submodules == (("input", 2, 1, 1), ("output", 3, 1, 1))
+
+
+def test_cm_connect_with_alarm_cr_block_reads_its_ar_and_iocrs():
+    """A real Connect request carries an AlarmCR block, which poet skips."""
+    body = dissect(raw(_connect_frame(synth._cm_block(0x0103, bytes(24))))).body
+    assert body == dissect(raw(_connect_frame())).body
 
 
 def test_cm_write_read_control_round_trip():
