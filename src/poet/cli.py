@@ -71,23 +71,19 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
-def _run_tracker(capture_path: str, system_name: str, alert_sink=None) -> TrackerReport:
-    stream = open_capture(capture_path)
+def _run_tracker(stream, system_name: str, alert_sink=None) -> TrackerReport:
     tracker = Tracker(TrackerConfig(system_name=system_name, alert_sink=alert_sink))
     return tracker.process(stream)
 
 
 def cmd_analyze(args) -> int:
-    sink_file = None
-    try:
-        sink = sys.stdout
-        if args.alerts:
-            sink_file = open(args.alerts, "w", encoding="utf-8")
-            sink = sink_file
-        report = _run_tracker(args.capture, args.system_name, alert_sink=sink)
-    finally:
-        if sink_file is not None:
-            sink_file.close()
+    # The capture is opened first, so one that cannot be read leaves no alerts file.
+    stream = open_capture(args.capture)
+    if args.alerts:
+        with open(args.alerts, "w", encoding="utf-8") as sink:
+            report = _run_tracker(stream, args.system_name, alert_sink=sink)
+    else:
+        report = _run_tracker(stream, args.system_name, alert_sink=sys.stdout)
     if args.report:
         _write_text(args.report, report.dumps())
     anomalies = report.anomalies
@@ -96,7 +92,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = _run_tracker(args.capture, args.system_name)
+    report = _run_tracker(open_capture(args.capture), args.system_name)
     _write_text(args.out, report.dumps())
     return EXIT_OK
 

@@ -248,12 +248,13 @@ class ProtocolEvent:
 
 @dataclass(frozen=True)
 class TrackDiagnostic:
-    """Non-anomaly finding surfaced to the tracker (orphans, bad layouts)."""
+    """Non-anomaly finding surfaced to the tracker (orphans, bad layouts), addressed as a ProtocolEvent."""
 
     kind: str
     detail: str
     cause: FrameRef
-    subject_mac: str | None = None
+    scope: str = "system"  # "device" | "system"
+    key: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,7 +459,7 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
                 out.events.append(ProtocolEvent(IP_ASSIGNED, "device", src, cause))
             elif kind == "ip_refused":
                 detail = f"ip parameter set refused with block error {value}"
-                out.diagnostics += (TrackDiagnostic("dcp_set_refused", detail, cause, subject_mac=src),)
+                out.diagnostics += (TrackDiagnostic("dcp_set_refused", detail, cause, "device", src),)
         return out
 
     return out
@@ -485,7 +486,7 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
         bindings, problem = cyclic_bindings(body, key, dst)
         out = DerivedEvents()
         if problem is not None:
-            out.diagnostics = (TrackDiagnostic("inconsistent_connect", problem, cause, subject_mac=dst),)
+            out.diagnostics = (TrackDiagnostic("inconsistent_connect", problem, cause, "device", dst),)
         assert body.ar_uuid is not None
         out.registration = ConnectionRegistration(key, dst, body.ar_uuid, bindings)
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "device", dst, cause))

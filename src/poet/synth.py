@@ -1031,11 +1031,7 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
             cause = FrameRef(plan.index, "synth", plan.label)
             fleet.fire(ProtocolEvent(planned.event_name, planned.scope, planned.key, cause), ts)
 
-    final_states = {
-        "system": fleet.system.current_state,
-        "devices": {mac: inst.current_state for mac, inst in sorted(fleet.devices.items())},
-        "connections": {key: inst.current_state for key, inst in sorted(fleet.connections.items())},
-    }
+    final_states = fleet.per_instance(lambda instance: instance.current_state)
 
     return {
         "system_name": spec.system_name,

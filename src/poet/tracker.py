@@ -100,12 +100,10 @@ class FsmFleet:
         self._all_established_fired = False
 
     def ensure(self, scope: str, key: str | None) -> FsmInstance:
-        """The instance at (scope, key), created on first use; the system ignores its key.
+        """The instance at (scope, key), created on first use; the system's key is None.
 
         This is the only place that creates an instance.
         """
-        if scope == "system":
-            return self.system
         instances = self._live[scope]
         instance = instances.get(key)
         if instance is None:
@@ -114,8 +112,6 @@ class FsmFleet:
 
     def state_of(self, scope: str, key: str | None) -> str:
         """An instance's current state; its machine's initial state if it does not exist yet."""
-        if scope == "system":
-            return self.system.current_state
         instance = self._live[scope].get(key)
         return instance.current_state if instance else self._machines[scope].initial_state
 
@@ -162,7 +158,7 @@ class FsmFleet:
         count += sum(i.transitions for i in self.connections.values())
         return count
 
-    def per_instance(self, export: Callable[[FsmInstance], list]) -> dict:
+    def per_instance(self, export: Callable[[FsmInstance], Any]) -> dict:
         """`export` of every instance, nested as system, devices by MAC and connections by key."""
         return {
             "system": export(self.system),
@@ -264,42 +260,31 @@ class Tracker(TrackContext):
             sink.flush()
 
     def _diagnostic(
-        self,
-        ts: Timestamp,
-        kind: str,
-        key: str,
-        offending_event: str,
-        cause: FrameRef,
-        explanation: str,
+        self, kind: str, detail: str, cause: FrameRef, scope: str = "system", key: str | None = None
     ) -> None:
+        """Raise a finding of `kind` at the instance (scope, key), stamped with the last frame's time."""
         self._on_alert(
             AnomalyAlert(
-                timestamp=ts,
-                instance_kind=kind,
-                instance_key=key,
-                state_at_event=self.fleet.state_of(kind, key),
-                offending_event=offending_event,
+                timestamp=self._last_ts or (0, 0),
+                instance_kind=scope,
+                instance_key=key or self.config.system_name,
+                state_at_event=self.fleet.state_of(scope, key),
+                offending_event=kind,
                 cause=cause,
-                explanation=explanation,
+                explanation=detail,
                 severity=SEVERITY_DIAGNOSTIC,
             )
         )
 
-    def _register_connection(self, reg: ConnectionRegistration, ts: Timestamp, cause: FrameRef) -> None:
+    def _register_connection(self, reg: ConnectionRegistration, cause: FrameRef) -> None:
         created = reg.key not in self.fleet.connections
         self.fleet.ensure("connection", reg.key)
         # An AR UUID, like a frame id, stays with the connection that holds it:
         # a Connect of another connection that reuses it registers nothing.
         held_ar = self._ar_registry.get(reg.ar_uuid)
         if held_ar is not None and held_ar.key != reg.key:
-            self._diagnostic(
-                ts,
-                "device",
-                reg.responder_mac,
-                "ar_uuid_conflict",
-                cause,
-                f"AR {reg.ar_uuid} is held by connection {held_ar.key}",
-            )
+            detail = f"AR {reg.ar_uuid} is held by connection {held_ar.key}"
+            self._diagnostic("ar_uuid_conflict", detail, cause, "device", reg.responder_mac)
             bindings: tuple[CyclicBinding, ...] = ()
         else:
             self._ar_registry[reg.ar_uuid] = reg
@@ -309,25 +294,13 @@ class Tracker(TrackContext):
             # connection's own Connect (a reconnect) may rebind it.
             held = self._frame_id_registry.get(binding.frame_id)
             if held is not None and held.key != reg.key:
-                self._diagnostic(
-                    ts,
-                    "device",
-                    reg.responder_mac,
-                    "frame_id_conflict",
-                    cause,
-                    f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}",
-                )
+                detail = f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}"
+                self._diagnostic("frame_id_conflict", detail, cause, "device", reg.responder_mac)
                 continue
             self._frame_id_registry[binding.frame_id] = binding
         if created and self.fleet.system.current_state == "DataExchange":
-            self._diagnostic(
-                ts,
-                "connection",
-                reg.key,
-                "connection_created_after_startup",
-                cause,
-                "new connection initiated after system startup completed",
-            )
+            detail = "new connection initiated after system startup completed"
+            self._diagnostic("connection_created_after_startup", detail, cause, "connection", reg.key)
 
     def process_frame(self, raw: RawFrame) -> None:
         ts = (raw.ts_sec, raw.ts_nsec)
@@ -340,37 +313,21 @@ class Tracker(TrackContext):
         try:
             parsed = dissect(raw)
         except MalformedFrame as exc:
-            self._diagnostic(
-                ts,
-                "system",
-                self.config.system_name,
-                "malformed_frame",
-                FrameRef(raw.capture_index, exc.protocol, exc.reason),
-                f"malformed {exc.protocol} frame at byte {exc.offset}: {exc.reason}",
-            )
+            detail = f"malformed {exc.protocol} frame at byte {exc.offset}: {exc.reason}"
+            cause = FrameRef(raw.capture_index, exc.protocol, exc.reason)
+            self._diagnostic("malformed_frame", detail, cause)
             if self.deferred:
-                self._expire_deferred(ts, raw.capture_index)
+                self._expire_deferred(raw.capture_index)
             return
 
         for change in self.inventory.update_from_frame(parsed, ts):
             if change.conflict:
-                self._diagnostic(
-                    ts,
-                    "device",
-                    change.mac,
-                    "inventory_conflict",
-                    change.cause,
-                    f"{change.fieldname} changed from {change.old!r} to {change.new!r}",
-                )
+                detail = f"{change.fieldname} changed from {change.old!r} to {change.new!r}"
+                self._diagnostic("inventory_conflict", detail, change.cause, "device", change.mac)
         for violation in getattr(parsed.body, "violations", ()):
-            self._diagnostic(
-                ts,
-                "system",
-                self.config.system_name,
-                "protocol_rule_violation",
-                FrameRef(raw.capture_index, parsed.protocol, violation),
-                f"{parsed.protocol} rule violation: {violation}",
-            )
+            detail = f"{parsed.protocol} rule violation: {violation}"
+            cause = FrameRef(raw.capture_index, parsed.protocol, violation)
+            self._diagnostic("protocol_rule_violation", detail, cause)
 
         # A device machine exists for every MAC speaking a PROFINET-family protocol, even if
         # no event ever targets it (e.g. a quiet attacker). LLDP needs no case here: its
@@ -381,11 +338,9 @@ class Tracker(TrackContext):
 
         if derived.registration is not None:
             cause = FrameRef(raw.capture_index, parsed.protocol, "connect request")
-            self._register_connection(derived.registration, ts, cause)
+            self._register_connection(derived.registration, cause)
         for diag in derived.diagnostics:
-            key = diag.subject_mac or self.config.system_name
-            kind = "device" if diag.subject_mac else "system"
-            self._diagnostic(ts, kind, key, diag.kind, diag.cause, diag.detail)
+            self._diagnostic(diag.kind, diag.detail, diag.cause, diag.scope, diag.key)
         for held in derived.consumed_deferrals:
             del self.deferred[held]
             self._deferred_by_name.pop(held.name, None)
@@ -398,9 +353,9 @@ class Tracker(TrackContext):
             self.fleet.fire(event, ts)
 
         if self.deferred:
-            self._expire_deferred(ts, raw.capture_index)
+            self._expire_deferred(raw.capture_index)
 
-    def _expire_deferred(self, ts: Timestamp, current_index: int | None = None) -> None:
+    def _expire_deferred(self, current_index: int | None = None) -> None:
         """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index."""
         horizon = float("inf") if current_index is None else current_index - DEFERRED_WINDOW
         while self.deferred and next(iter(self.deferred)).cause.capture_index < horizon:
@@ -409,30 +364,19 @@ class Tracker(TrackContext):
             same_name.popleft()  # the oldest request for its name
             if not same_name:
                 del self._deferred_by_name[deferred.name]
-            self._diagnostic(
-                ts,
-                "system",
-                self.config.system_name,
-                "deferred_identify_expired",
-                deferred.cause,
-                f"identify request for {deferred.name!r} never answered",
-            )
+            detail = f"identify request for {deferred.name!r} never answered"
+            self._diagnostic("deferred_identify_expired", detail, deferred.cause)
 
     def finish(self) -> None:
         """Flush unresolved deferrals as diagnostics at end of capture."""
-        self._expire_deferred(self._last_ts or (0, 0))
+        self._expire_deferred()
 
     def process(self, stream: Iterable[StreamItem]) -> TrackerReport:
         for item in stream:
             if isinstance(item, CaptureError):
-                self._diagnostic(
-                    self._last_ts or (0, 0),
-                    "system",
-                    self.config.system_name,
-                    "capture_error",
-                    FrameRef(item.capture_index, "capture", item.reason),
-                    f"capture error at byte {item.byte_offset}: {item.reason}",
-                )
+                detail = f"capture error at byte {item.byte_offset}: {item.reason}"
+                cause = FrameRef(item.capture_index, "capture", item.reason)
+                self._diagnostic("capture_error", detail, cause)
                 continue
             self.process_frame(item)
         self.finish()

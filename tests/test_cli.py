@@ -43,6 +43,17 @@ def test_analyze_missing_file_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"not a capture file"], ids=["missing", "unknown-magic"])
+def test_analyze_unreadable_capture_writes_no_alerts_file(tmp_path, capsys, content):
+    capture = tmp_path / "nope.pcap"
+    if content is not None:
+        capture.write_bytes(content)
+    code = main(["analyze", str(capture), "--alerts", str(tmp_path / "a.jsonl")])
+    assert code == 1
+    assert "poet: error:" in capsys.readouterr().err
+    assert not (tmp_path / "a.jsonl").exists()
+
+
 def test_analyze_report_and_alert_files(tmp_path):
     prefix = _write_builtin(tmp_path, "rename-attack")
     report_path = tmp_path / "report.json"

@@ -255,7 +255,8 @@ def test_each_ar_operation_matches_reference_table():
         connect = (operation, direction) == ("Connect", "request")
         cause = f"pn-cm connect request to {DEV_MAC}" if connect else summary
         assert all(e.cause.summary == cause for e in derived.events)
-        assert all(d.cause.summary == summary and d.subject_mac is None for d in derived.diagnostics)
+        assert all(d.cause.summary == summary for d in derived.diagnostics)
+        assert all((d.scope, d.key) == ("system", None) for d in derived.diagnostics)
         outcome = (
             [(e.event_name, e.scope, e.key) for e in derived.events],
             [(d.kind, d.detail) for d in derived.diagnostics],

@@ -157,7 +157,7 @@ def test_multi_block_frame_matches_block_order_reference(service, blocks):
     derived = derive_events(parsed, _Context())
     events = [(e.event_name, e.key, e.cause.summary) for e in derived.events]
     assert events == _reference_events(service, blocks)
-    diagnostics = [(d.kind, d.subject_mac, d.detail) for d in derived.diagnostics]
+    diagnostics = [(d.kind, d.key, d.detail) for d in derived.diagnostics]
     assert diagnostics == _reference_diagnostics(service, blocks)
 
     changes = AssetInventory().update_from_frame(parsed, (1, 0))

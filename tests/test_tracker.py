@@ -455,19 +455,21 @@ def test_unanswered_identify_expires_as_diagnostic(tmp_path):
     assert report.anomalies == []
 
 
-def test_refused_ip_set_leaves_device_awaiting_assignment(tmp_path):
+def _refused_ip_set() -> list[RawFrame]:
     from poet.synth import dcp_set_ip_request, dcp_set_response
 
     ctrl, dev = str_to_mac("02:00:00:00:01:00"), str_to_mac("02:00:00:00:02:00")
-    frames = [
+    datas = [
         dcp_identify_request(ctrl, 1, "lift-motor"),
         dcp_identify_response(dev, ctrl, 1, "lift-motor"),
         dcp_set_ip_request(ctrl, dev, 2, "192.168.0.11", "255.255.255.0", "0.0.0.0"),
         dcp_set_response(dev, ctrl, 2, 1, 2, error=6),  # BlockError 6: set not possible in operation
     ]
-    path = tmp_path / "refused.pcap"
-    path.write_bytes(write_pcap_bytes([((100, i), f) for i, f in enumerate(frames)]))
-    report = Tracker().process(open_capture(path))
+    return [RawFrame(100, i, data, i) for i, data in enumerate(datas)]
+
+
+def test_refused_ip_set_leaves_device_awaiting_assignment():
+    report = Tracker().process(_refused_ip_set())
     device_states = {d["mac"]: d["state"] for d in report.final_states["devices"]}
     assert device_states["02:00:00:00:02:00"] == "IpAddressAssignment"
     assert report.anomalies == []
@@ -870,3 +872,171 @@ def test_each_seam_runs_once_per_frame_or_event(tmp_path, monkeypatch):
             assert malformed > 0
         else:
             assert report.anomalies
+
+
+@cache
+def _startup_plans() -> tuple:
+    return tuple(synthesize(normal_startup_spec(1)).frames)
+
+
+def _replayed(count: int, *extra: bytes) -> list[RawFrame]:
+    """The first `count` frames of a one-device startup, then `extra` at the same spacing."""
+    plans = _startup_plans()
+    datas = [plan.data for plan in plans[:count]] + list(extra)
+    return [RawFrame(*plans[index].ts, data, index) for index, data in enumerate(datas)]
+
+
+def _connect_from(source: str, ar_uuid=None) -> bytes:
+    """The startup's Connect request sent from `source`, optionally for another AR."""
+    from poet.synth import _ar_uuid
+
+    data = _startup_plans()[10].data
+    assert _startup_plans()[10].label.startswith("pn-cm connect request")
+    data = data[:6] + str_to_mac(source) + data[12:]
+    if ar_uuid is not None:
+        live_ar = _ar_uuid(normal_startup_spec(1).seed, 0)
+        assert data.count(live_ar.bytes) == 1
+        data = data.replace(live_ar.bytes, ar_uuid.bytes)
+    return data
+
+
+def _inconsistent_connect() -> list[RawFrame]:
+    device = normal_startup_spec(1).devices[0]
+    length = cr_data_length("input", device.submodules)
+    declared = iocr_block_request(1, 1, length, 0x8001)
+    connect = _startup_plans()[10].data
+    return _replayed(10, connect.replace(declared, iocr_block_request(1, 1, length + 1, 0x8001)))
+
+
+def _unanswered_identifies() -> list[RawFrame]:
+    ctrl = str_to_mac("02:00:00:00:01:00")
+    return [
+        RawFrame(100, 0, dcp_identify_request(ctrl, 1, "ghost-a"), 0),
+        RawFrame(200, 5, dcp_identify_request(ctrl, 2, "ghost-b"), 10_001),
+    ]
+
+
+def _diagnostic_cases():
+    import uuid
+
+    from poet.capture import CaptureError
+
+    ttl_zero = encode_lldp(str_to_mac("02:00:00:00:02:00"), str_to_mac("02:70:01:01:02:00"), 0, "lift-motor")
+    return {
+        "protocol_rule_violation": lambda: [RawFrame(1, 0, ttl_zero, 0)],
+        "ar_uuid_conflict": lambda: _replayed(11, _connect_from("02:66:6e:00:00:99")),
+        "frame_id_conflict": lambda: _replayed(
+            11, _connect_from("02:66:6e:00:00:99", uuid.uuid5(uuid.NAMESPACE_OID, "other-ar"))
+        ),
+        "deferred_identify_expired": _unanswered_identifies,
+        "capture_error-before-any-frame": lambda: [CaptureError(24, 0, "truncated record header")],
+        "capture_error": lambda: [RawFrame(1, 0, ttl_zero, 0), CaptureError(100, 1, "truncated record")],
+        "dcp_set_refused": _refused_ip_set,
+        "inconsistent_connect": _inconsistent_connect,
+        "orphan_frame-pn-cm": lambda: _replayed(10, _startup_plans()[12].data),
+        "orphan_frame-pnio": lambda: _replayed(10, _startup_plans()[20].data),
+    }
+
+
+def _diagnostic_lines(case: str) -> list[str]:
+    """The streamed alert lines of one case's run that carry its diagnostic kind."""
+    kind = case.split("-")[0]
+    sink = io.StringIO()
+    Tracker(TrackerConfig(alert_sink=sink)).process(_diagnostic_cases()[case]())
+    return [line for line in sink.getvalue().splitlines() if f'"offending_event": "{kind}"' in line]
+
+
+# One streamed line for every diagnostic the builtin goldens do not reach, at
+# each place the tracker raises it.
+_DIAGNOSTIC_LINES = {
+    "protocol_rule_violation": [
+        '{"cause": {"capture_index": 0, "protocol": "lldp", "summary": "ttl-zero"}, '
+        '"explanation": "lldp rule violation: ttl-zero", "instance_key": "poet-system", '
+        '"instance_kind": "system", "offending_event": "protocol_rule_violation", '
+        '"severity": "diagnostic", "state_at_event": "Inactive", "timestamp": [1, 0]}',
+    ],
+    "ar_uuid_conflict": [
+        '{"cause": {"capture_index": 11, "protocol": "pn-cm", "summary": "connect request"}, '
+        '"explanation": "AR 527e9f59-79ea-5661-80cf-a16512d7a62e is held by connection 020000000100-020000000200", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", '
+        '"offending_event": "ar_uuid_conflict", "severity": "diagnostic", '
+        '"state_at_event": "NewConnectionInitiated", "timestamp": [1700000000, 330000000]}',
+    ],
+    "frame_id_conflict": [
+        '{"cause": {"capture_index": 11, "protocol": "pn-cm", "summary": "connect request"}, '
+        '"explanation": "frame id 0x8001 is held by connection 020000000100-020000000200", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", '
+        '"offending_event": "frame_id_conflict", "severity": "diagnostic", '
+        '"state_at_event": "NewConnectionInitiated", "timestamp": [1700000000, 330000000]}',
+        '{"cause": {"capture_index": 11, "protocol": "pn-cm", "summary": "connect request"}, '
+        '"explanation": "frame id 0x8002 is held by connection 020000000100-020000000200", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", '
+        '"offending_event": "frame_id_conflict", "severity": "diagnostic", '
+        '"state_at_event": "NewConnectionInitiated", "timestamp": [1700000000, 330000000]}',
+    ],
+    "deferred_identify_expired": [
+        '{"cause": {"capture_index": 0, "protocol": "pn-dcp", '
+        '"summary": "dcp identify request for \'ghost-a\'"}, '
+        '"explanation": "identify request for \'ghost-a\' never answered", '
+        '"instance_key": "poet-system", "instance_kind": "system", '
+        '"offending_event": "deferred_identify_expired", "severity": "diagnostic", '
+        '"state_at_event": "PoweredOn", "timestamp": [200, 5]}',
+        '{"cause": {"capture_index": 10001, "protocol": "pn-dcp", '
+        '"summary": "dcp identify request for \'ghost-b\'"}, '
+        '"explanation": "identify request for \'ghost-b\' never answered", '
+        '"instance_key": "poet-system", "instance_kind": "system", '
+        '"offending_event": "deferred_identify_expired", "severity": "diagnostic", '
+        '"state_at_event": "PoweredOn", "timestamp": [200, 5]}',
+    ],
+    "capture_error-before-any-frame": [
+        '{"cause": {"capture_index": 0, "protocol": "capture", '
+        '"summary": "truncated record header"}, '
+        '"explanation": "capture error at byte 24: truncated record header", '
+        '"instance_key": "poet-system", "instance_kind": "system", '
+        '"offending_event": "capture_error", "severity": "diagnostic", '
+        '"state_at_event": "Inactive", "timestamp": [0, 0]}',
+    ],
+    "capture_error": [
+        '{"cause": {"capture_index": 1, "protocol": "capture", "summary": "truncated record"}, '
+        '"explanation": "capture error at byte 100: truncated record", '
+        '"instance_key": "poet-system", "instance_kind": "system", '
+        '"offending_event": "capture_error", "severity": "diagnostic", '
+        '"state_at_event": "PoweredOn", "timestamp": [1, 0]}',
+    ],
+    "dcp_set_refused": [
+        '{"cause": {"capture_index": 3, "protocol": "pn-dcp", '
+        '"summary": "dcp set response (ip parameter)"}, '
+        '"explanation": "ip parameter set refused with block error 6", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", '
+        '"offending_event": "dcp_set_refused", "severity": "diagnostic", '
+        '"state_at_event": "IpAddressAssignment", "timestamp": [100, 3]}',
+    ],
+    "inconsistent_connect": [
+        '{"cause": {"capture_index": 10, "protocol": "pn-cm", '
+        '"summary": "pn-cm connect request to 02:00:00:00:02:00"}, '
+        '"explanation": "input CR declares 5 bytes, layout needs 4", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", '
+        '"offending_event": "inconsistent_connect", "severity": "diagnostic", '
+        '"state_at_event": "IpDuplicationCheck", "timestamp": [1700000000, 300000000]}',
+    ],
+    "orphan_frame-pn-cm": [
+        '{"cause": {"capture_index": 10, "protocol": "pn-cm", '
+        '"summary": "pn-cm write request"}, '
+        '"explanation": "pn-cm write request for unknown AR 527e9f59-79ea-5661-80cf-a16512d7a62e", '
+        '"instance_key": "poet-system", "instance_kind": "system", '
+        '"offending_event": "orphan_frame", "severity": "diagnostic", '
+        '"state_at_event": "PoweredOn", "timestamp": [1700000000, 300000000]}',
+    ],
+    "orphan_frame-pnio": [
+        '{"cause": {"capture_index": 10, "protocol": "pnio", "summary": "pnio cyclic 0x8002"}, '
+        '"explanation": "pnio cyclic frame id 0x8002 has no registered connection", '
+        '"instance_key": "poet-system", "instance_kind": "system", '
+        '"offending_event": "orphan_frame", "severity": "diagnostic", '
+        '"state_at_event": "PoweredOn", "timestamp": [1700000000, 300000000]}',
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIAGNOSTIC_LINES))
+def test_diagnostic_alert_lines_are_pinned(case):
+    assert _diagnostic_lines(case) == _DIAGNOSTIC_LINES[case]
