@@ -15,7 +15,7 @@ import sys
 from .capture import CaptureFormatError, open_capture
 from .models import connection_fsm_table, device_fsm_table, system_fsm_table
 from .synth import BUILTIN_SCENARIOS, ScenarioError, ScenarioSpec, builtin_scenario, synthesize
-from .tracker import DEFAULT_SYSTEM_NAME, Tracker, TrackerConfig, TrackerReport
+from .tracker import DEFAULT_SYSTEM_NAME, Tracker, TrackerConfig, TrackerReport, dumps_inventory
 
 log = logging.getLogger("poet")
 
@@ -110,10 +110,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inventory(args) -> int:
-    stream = open_capture(args.capture)
-    tracker = Tracker()
-    tracker.process(stream)
-    _write_text(args.out, tracker.inventory.export_json())
+    report = _run_tracker(open_capture(args.capture), DEFAULT_SYSTEM_NAME)
+    _write_text(args.out, dumps_inventory(report.assets))
     return EXIT_OK
 
 

@@ -74,6 +74,9 @@ LLDP_TLV_PORT_ID = 2
 LLDP_TLV_TTL = 3
 LLDP_TLV_SYSTEM_NAME = 5
 LLDP_TLV_MGMT_ADDRESS = 8
+LLDP_TLV_ORG_SPECIFIC = 127
+# The PNO Chassis-MAC TLV: the PROFINET OUI 00-0E-CF and subtype 5, then the interface MAC.
+LLDP_PNO_CHASSIS_MAC = b"\x00\x0e\xcf\x05"
 LLDP_SUBTYPE_MAC = 4  # chassis id subtype
 LLDP_PORT_SUBTYPE_MAC = 3
 
@@ -154,7 +157,8 @@ def str_to_ip(text: str) -> bytes:
 
 @dataclass(slots=True)
 class LldpFrame:
-    # The MAC the frame speaks for: a 6-byte chassis id of the MAC subtype, else the source MAC.
+    # The MAC the frame speaks for: the PNO Chassis-MAC TLV's, else a 6-byte chassis id of
+    # the MAC subtype, else the source MAC.
     subject_mac: str
     port_mac: str | None  # a port id of the MAC subtype; None for any other subtype
     station_name: str | None = None
@@ -321,6 +325,7 @@ def _parse_lldp(data: bytes, src_mac: str) -> LldpFrame:
 
     station_name = None
     mgmt_ip = None
+    chassis_mac = None
     for tlv_type, value in tlvs[3:]:
         if tlv_type == LLDP_TLV_SYSTEM_NAME:
             station_name = value.decode("utf-8", errors="replace")
@@ -328,9 +333,14 @@ def _parse_lldp(data: bytes, src_mac: str) -> LldpFrame:
             addr_len = value[0]
             if addr_len >= 5 and value[1] == 1 and len(value) >= 1 + addr_len:
                 mgmt_ip = ip_to_str(value[2:6])
+        elif tlv_type == LLDP_TLV_ORG_SPECIFIC and value[:4] == LLDP_PNO_CHASSIS_MAC and len(value) >= 10:
+            # A station with a locally assigned chassis id (its NameOfStation) names its
+            # interface MAC here, and may send from each port's own MAC; Wireshark's
+            # packet-lldp.c reads the same six bytes. A shorter TLV is ignored.
+            chassis_mac = mac_to_str(value[4:10])
 
     return LldpFrame(
-        subject_mac=_lldp_mac(chassis_raw, LLDP_SUBTYPE_MAC) or src_mac,
+        subject_mac=chassis_mac or _lldp_mac(chassis_raw, LLDP_SUBTYPE_MAC) or src_mac,
         port_mac=_lldp_mac(port_raw, LLDP_PORT_SUBTYPE_MAC),
         station_name=station_name,
         management_address=mgmt_ip,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 LOG_WINDOW = 64  # most recent records, accepted or rejected, that each instance keeps
@@ -144,6 +145,17 @@ class TransitionRecord:
         }
 
 
+class EdgeTally(NamedTuple):
+    """One followed edge: how often it fired, with its first and last record."""
+
+    count: int
+    first: TransitionRecord
+    last: TransitionRecord
+
+    def to_json(self) -> dict:
+        return {"count": self.count, "first": self.first.to_json(), "last": self.last.to_json()}
+
+
 @dataclass(frozen=True)
 class DefinitionDiagnostic:
     kind: str  # "nondeterministic" | "unreachable" | "dangling"
@@ -198,23 +210,19 @@ class FsmInstance:
 
         This is the whole log while at most LOG_WINDOW events have fired.
         """
+        if self.transitions <= LOG_WINDOW:
+            return list(self.window)  # every record, the rejected ones included
         in_window = sum(record.verdict == "rejected" for record in self.window)
         return self.rejected[: len(self.rejected) - in_window] + list(self.window)
 
-    def export_log(self) -> list[dict]:
-        return [record.to_json() for record in self.records()]
-
-    def export_edges(self) -> list[dict]:
+    def edge_tallies(self) -> list[EdgeTally]:
         """Each followed edge's count, first and last record, in order of first firing.
 
         Empty while the log is whole, since the log then holds every edge's records.
         """
         if self.transitions <= LOG_WINDOW:
             return []
-        return [
-            {"count": count, "first": first.to_json(), "last": last.to_json()}
-            for count, first, last in self.edges.values()
-        ]
+        return [EdgeTally(*tally) for tally in self.edges.values()]
 
 
 def validate_definition(definition: FsmDefinition) -> list[DefinitionDiagnostic]:

@@ -8,7 +8,6 @@ value is flagged as a conflict instead of being silently rewritten.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
@@ -53,6 +52,17 @@ class AssetRecord:
     @property
     def port_count(self) -> int:
         return len(self.port_macs)
+
+    def snapshot(self) -> AssetRecord:
+        """A copy that later updates of this record leave unchanged.
+
+        An update replaces a field's Provenance and never changes one, so the copy shares them.
+        """
+        copy = object.__new__(AssetRecord)
+        copy.__dict__.update(
+            self.__dict__, port_macs=set(self.port_macs), provenance=dict(self.provenance)
+        )
+        return copy
 
     def to_json(self) -> dict:
         return {
@@ -208,9 +218,11 @@ class AssetInventory:
                 self._set(record, "vendor_id", vendor, cause, changes)
                 self._set(record, "device_id", device, cause, changes)
 
-    def export(self) -> dict:
-        """Deterministic JSON document, records sorted by interface MAC."""
-        return {"assets": [self.records[mac].to_json() for mac in sorted(self.records)]}
+    def snapshot(self) -> list[AssetRecord]:
+        """A snapshot of every record, sorted by interface MAC."""
+        records = self.records
+        return [records[mac].snapshot() for mac in sorted(records)]
 
-    def export_json(self) -> str:
-        return json.dumps(self.export(), sort_keys=True, indent=2) + "\n"
+    def export(self) -> dict:
+        """The inventory as a JSON document, records sorted by interface MAC."""
+        return {"assets": [self.records[mac].to_json() for mac in sorted(self.records)]}

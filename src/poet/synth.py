@@ -346,9 +346,19 @@ def encode_lldp(
     station_name: str | None,
     port_descriptions: tuple[str, ...] = (),
     management_ip: str | None = None,
+    chassis_name: str | None = None,
 ) -> bytes:
+    """An LLDP frame sent from `port_mac` for the station whose interface MAC is `chassis_mac`.
+
+    By default the chassis id is that MAC (MAC subtype). With `chassis_name` it is
+    that locally assigned name, and the PNO Chassis-MAC TLV carries the MAC instead.
+    """
+    if chassis_name is None:
+        chassis_id = bytes([4]) + chassis_mac  # chassis id, MAC subtype
+    else:
+        chassis_id = bytes([7]) + chassis_name.encode()  # chassis id, locally assigned
     tlvs = [
-        _lldp_tlv(1, bytes([4]) + chassis_mac),  # chassis id, MAC subtype
+        _lldp_tlv(1, chassis_id),
         _lldp_tlv(2, bytes([3]) + port_mac),  # port id, MAC subtype
         _lldp_tlv(3, struct.pack(">H", ttl)),
     ]
@@ -360,6 +370,8 @@ def encode_lldp(
         value = bytes([5, 1]) + str_to_ip(management_ip) + bytes([2]) + struct.pack(">I", 1) + b"\x00"
         tlvs.append(_lldp_tlv(8, value))
     tlvs.append(_lldp_tlv(127, b"\x00\x0e\xcf\x02\x00\x00"))  # PNO port status
+    if chassis_name is not None:
+        tlvs.append(_lldp_tlv(127, b"\x00\x0e\xcf\x05" + chassis_mac))  # PNO Chassis-MAC
     tlvs.append(_lldp_tlv(0, b""))
     return ethernet(LLDP_MULTICAST, port_mac, ETHERTYPE_LLDP, b"".join(tlvs))
 

@@ -16,12 +16,13 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Callable, Iterable, TextIO
+from operator import attrgetter
+from typing import Any, Callable, Iterable, NamedTuple, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem
 from .dissect import MalformedFrame, dissect
-from .fsm import FrameRef, FsmInstance, TransitionRecord
-from .inventory import AssetInventory
+from .fsm import EdgeTally, FrameRef, FsmInstance, TransitionRecord
+from .inventory import AssetInventory, AssetRecord, Provenance
 from .models import (
     ALL_CONNECTIONS_ESTABLISHED,
     CONNECTION_ESTABLISHED_STATES,
@@ -167,14 +168,79 @@ class FsmFleet:
         }
 
 
+class InstanceSnapshot(NamedTuple):
+    """What the report reads of one FSM instance, as it was when the report was taken."""
+
+    scope: str  # "system" | "device" | "connection"
+    key: str
+    state: str
+    operation: str | None
+    log: list[TransitionRecord]  # every rejected record plus the last LOG_WINDOW, in fire order
+    edges: list[EdgeTally]  # each followed edge, once the log no longer holds them all
+
+    @classmethod
+    def of(cls, instance: FsmInstance) -> InstanceSnapshot:
+        definition = instance.definition
+        state = instance.current_state
+        return cls(
+            definition.name,
+            instance.instance_key,
+            state,
+            definition.operation_for(state),
+            instance.records(),
+            instance.edge_tallies(),
+        )
+
+    def to_json(self) -> dict:
+        """The instance's final-states entry; a device is keyed by its MAC."""
+        key_field = "mac" if self.scope == "device" else "key"
+        return {key_field: self.key, "state": self.state, "operation": self.operation}
+
+
 @dataclass
 class TrackerReport:
+    """A run's report as it was when taken: later frames leave it unchanged.
+
+    It holds the alerts, a snapshot of every FSM instance and a snapshot of every
+    asset record. `dumps()` writes from these objects; the dict sections that
+    `to_json()` returns are built from them each time they are read.
+    """
+
     summary: dict
-    final_states: dict
-    inventory: dict
     alerts: list[AnomalyAlert]
-    logs: dict  # per instance: every rejected record plus the last LOG_WINDOW, in fire order
-    edges: dict  # per instance: each followed edge's count, first and last record
+    instances: dict  # snapshots: "system", "devices" by MAC and "connections" by key, sorted
+    assets: list[AssetRecord]  # snapshots, sorted by interface MAC
+
+    @property
+    def final_states(self) -> dict:
+        instances = self.instances
+        return {
+            "system": instances["system"].to_json(),
+            "devices": [s.to_json() for s in instances["devices"].values()],
+            "connections": [s.to_json() for s in instances["connections"].values()],
+        }
+
+    @property
+    def inventory(self) -> dict:
+        return {"assets": [asset.to_json() for asset in self.assets]}
+
+    @property
+    def logs(self) -> dict:
+        """Per instance: every rejected record plus the last LOG_WINDOW, in fire order."""
+        return self._per_instance(lambda s: [record.to_json() for record in s.log])
+
+    @property
+    def edges(self) -> dict:
+        """Per instance: each followed edge's count, first and last record."""
+        return self._per_instance(lambda s: [tally.to_json() for tally in s.edges])
+
+    def _per_instance(self, part: Callable[[InstanceSnapshot], Any]) -> dict:
+        instances = self.instances
+        return {
+            "system": part(instances["system"]),
+            "devices": {mac: part(s) for mac, s in instances["devices"].items()},
+            "connections": {key: part(s) for key, s in instances["connections"].items()},
+        }
 
     def to_json(self) -> dict:
         return {
@@ -190,18 +256,21 @@ class TrackerReport:
         """The report as JSON with sorted keys and a two-space indent, plus a newline.
 
         The bytes are those of `json.dumps(self.to_json(), sort_keys=True, indent=2)`,
-        but each alert, log record and edge is one %-template fill into a flat
-        chunk list joined once, since the indenting encoder is pure Python.
+        but every record of every section but `summary` is one %-template fill
+        from its object, appended to a flat chunk list that is joined once, since
+        the indenting encoder is pure Python.
         """
         templates: dict = {}
         out = ['{\n  "alerts": ']
         _write_records(out, templates, self.alerts, "  ", _alert_leaves)
         out.append(',\n  "edges": ')
-        _write_nested(out, templates, self.edges, "  ", _edge_leaves)
-        for name in ("final_states", "inventory"):
-            out.append(f',\n  "{name}": ' + _dumps_small(getattr(self, name), "  "))
+        _write_nested(out, templates, self._per_instance(attrgetter("edges")), "  ", _edge_leaves)
+        out.append(',\n  "final_states": ')
+        _write_states(out, self.instances, "  ")
+        out.append(',\n  "inventory": ')
+        _write_inventory(out, self.assets, "  ")
         out.append(',\n  "logs": ')
-        _write_nested(out, templates, self.logs, "  ", _transition_leaves)
+        _write_nested(out, templates, self._per_instance(attrgetter("log")), "  ", _transition_leaves)
         out.append(',\n  "summary": ' + _dumps_small(self.summary, "  ") + "\n}\n")
         return "".join(out)
 
@@ -212,6 +281,14 @@ class TrackerReport:
     @property
     def diagnostics(self) -> list[AnomalyAlert]:
         return [a for a in self.alerts if a.severity == SEVERITY_DIAGNOSTIC]
+
+
+def dumps_inventory(assets: list[AssetRecord]) -> str:
+    """`{"assets": [...]}` of `assets` as `TrackerReport.dumps()` writes it, at the top level."""
+    out: list[str] = []
+    _write_inventory(out, assets, "")
+    out.append("\n")
+    return "".join(out)
 
 
 class Tracker(TrackContext):
@@ -384,18 +461,8 @@ class Tracker(TrackContext):
 
     # Outputs ------------------------------------------------------------------
 
-    def snapshot_states(self) -> dict:
-        """Every instance's current state with its operation label."""
-        fleet = self.fleet
-        return {
-            "system": _state_entry("key", fleet.system),
-            "devices": [_state_entry("mac", fleet.devices[mac]) for mac in sorted(fleet.devices)],
-            "connections": [
-                _state_entry("key", fleet.connections[key]) for key in sorted(fleet.connections)
-            ],
-        }
-
     def report(self) -> TrackerReport:
+        """The report as of now; later frames leave it unchanged."""
         summary = {
             "system_name": self.config.system_name,
             "frames": self._frames,
@@ -407,11 +474,9 @@ class Tracker(TrackContext):
         }
         return TrackerReport(
             summary=summary,
-            final_states=self.snapshot_states(),
-            inventory=self.inventory.export(),
             alerts=list(self.alerts),
-            logs=self.fleet.per_instance(FsmInstance.export_log),
-            edges=self.fleet.per_instance(FsmInstance.export_edges),
+            instances=self.fleet.per_instance(InstanceSnapshot.of),
+            assets=self.inventory.snapshot(),
         )
 
 
@@ -450,13 +515,18 @@ def _layout(doc: Any, pad: str | None) -> str:
 
 
 def _write_records(
-    out: list[str], templates: dict, records: list, pad: str, leaves: Callable[[Any], tuple]
+    out: list[str],
+    templates: dict,
+    records: list,
+    pad: str,
+    leaves: Callable[[Any], tuple],
+    sample: Any = None,
 ) -> None:
     """Append a JSON list of same-layout records at indent `pad`.
 
     `leaves` gives a record's encoded leaves in sorted-key order, the order of
-    the %s slots in the template laid out from the first record. The template
-    is built once per layout and depth.
+    the %s slots in the template laid out from `sample`, else from the first
+    record. The template is built once per leaves function and depth.
     """
     if not records:
         out.append("[]")
@@ -464,7 +534,8 @@ def _write_records(
     template = templates.get((leaves, pad))
     if template is None:
         inner = pad + "  "
-        template = templates[(leaves, pad)] = ",\n" + inner + _layout(records[0], inner)
+        layout = _layout(records[0] if sample is None else sample, inner)
+        template = templates[(leaves, pad)] = ",\n" + inner + layout
     out.append("[" + template[1:] % leaves(records[0]))  # the first record has no comma
     out += map(template.__mod__, map(leaves, islice(records, 1, None)))
     out.append("\n" + pad + "]")
@@ -489,27 +560,110 @@ def _write_nested(
     out.append("\n" + pad + "}")
 
 
-def _transition_leaves(record: dict) -> tuple:
-    # A transition record's leaves in sorted-key order; see TransitionRecord.to_json.
-    cause = record["cause"]
-    timestamp = record["timestamp"]
-    to_state = record["to_state"]
+def _write_states(out: list[str], instances: dict, pad: str) -> None:
+    """Append the final states of the instance snapshots at indent `pad`."""
+    inner = pad + "  "
+    out.append("{\n" + inner + '"connections": ')
+    _write_records(out, {}, list(instances["connections"].values()), inner, _state_leaves)
+    out.append(",\n" + inner + '"devices": ')
+    # Its own template cache: a device's entry is keyed "mac", a connection's "key".
+    _write_records(out, {}, list(instances["devices"].values()), inner, _state_leaves)
+    system = instances["system"]
+    out.append(",\n" + inner + '"system": ' + _layout(system, inner) % _state_leaves(system))
+    out.append("\n" + pad + "}")
+
+
+def _write_inventory(out: list[str], assets: list[AssetRecord], pad: str) -> None:
+    """Append the inventory document of the asset records at indent `pad`."""
+    inner = pad + "  "
+    out.append("{\n" + inner + '"assets": ')
+    _write_records(out, {}, assets, inner, _asset_leaves(inner + "    "), _BLANK_ASSET)
+    out.append("\n" + pad + "}")
+
+
+def _asset_leaves(pad: str) -> Callable[[AssetRecord], tuple]:
+    """The leaves function of asset records whose `port_macs` and `provenance` open at `pad`.
+
+    The record template is laid out from a blank record, where each of those two
+    is empty and so one slot. Each is filled with a sub-chunk: the sorted port
+    MACs, and one Provenance template fill per field.
+    """
+    item = ",\n" + pad + "  "
+    close = "\n" + pad
+    source = item + "%s: " + _layout(Provenance("", 0), pad + "  ")
+
+    def leaves(record: AssetRecord) -> tuple:
+        # In sorted-key order; see AssetRecord.to_json.
+        ports = record.port_macs
+        port_chunk = "[]"
+        if ports:
+            port_chunk = "[" + "".join([item + _encode_str(mac) for mac in sorted(ports)])[1:] + close + "]"
+        provenance = record.provenance
+        provenance_chunk = "{}"
+        if provenance:
+            fills = [
+                source
+                % (_encode_str(field), p.capture_index, "true" if p.conflict else "false", _encode_str(p.protocol))
+                for field, p in sorted(provenance.items())
+            ]
+            provenance_chunk = "{" + "".join(fills)[1:] + close + "}"
+        first = record.first_seen
+        last = record.last_seen
+        return (
+            "null" if record.device_id is None else record.device_id,
+            first[0],
+            first[1],
+            "null" if record.gateway is None else _encode_str(record.gateway),
+            _encode_str(record.interface_mac),
+            "null" if record.ip_address is None else _encode_str(record.ip_address),
+            last[0],
+            last[1],
+            "null" if record.name_of_station is None else _encode_str(record.name_of_station),
+            len(ports),
+            port_chunk,
+            provenance_chunk,
+            _encode_str(record.role),
+            "null" if record.subnet is None else _encode_str(record.subnet),
+            "null" if record.vendor_id is None else record.vendor_id,
+        )
+
+    return leaves
+
+
+_BLANK_ASSET = AssetRecord("")
+
+
+def _state_leaves(snapshot: InstanceSnapshot) -> tuple:
+    # A final-states entry's leaves in sorted-key order; see InstanceSnapshot.to_json.
+    operation = snapshot.operation
     return (
-        cause["capture_index"],
-        _encode_str(cause["protocol"]),
-        _encode_str(cause["summary"]),
-        _encode_str(record["event"]),
-        _encode_str(record["from_state"]),
-        timestamp[0],
-        timestamp[1],
-        "null" if to_state is None else _encode_str(to_state),
-        _encode_str(record["verdict"]),
+        _encode_str(snapshot.key),
+        "null" if operation is None else _encode_str(operation),
+        _encode_str(snapshot.state),
     )
 
 
-def _edge_leaves(edge: dict) -> tuple:
-    # An edge entry's leaves in sorted-key order; see FsmInstance.export_edges.
-    return (edge["count"], *_transition_leaves(edge["first"]), *_transition_leaves(edge["last"]))
+def _transition_leaves(record: TransitionRecord) -> tuple:
+    # A transition record's leaves in sorted-key order; see TransitionRecord.to_json.
+    cause = record.cause
+    timestamp = record.timestamp
+    to_state = record.to_state
+    return (
+        cause.capture_index,
+        _encode_str(cause.protocol),
+        _encode_str(cause.summary),
+        _encode_str(record.event),
+        _encode_str(record.from_state),
+        timestamp[0],
+        timestamp[1],
+        "null" if to_state is None else _encode_str(to_state),
+        _encode_str(record.verdict),
+    )
+
+
+def _edge_leaves(tally: EdgeTally) -> tuple:
+    # An edge tally's leaves in sorted-key order; see EdgeTally.to_json.
+    return (tally.count, *_transition_leaves(tally.first), *_transition_leaves(tally.last))
 
 
 def _alert_leaves(alert: AnomalyAlert) -> tuple:
@@ -533,15 +687,6 @@ def _alert_leaves(alert: AnomalyAlert) -> tuple:
 
 # One streamed alert: its line as `json.dumps(alert.to_json(), sort_keys=True)` writes it.
 _ALERT_LINE = _layout(AnomalyAlert((0, 0), "", "", "", "", FrameRef(0, "", ""), "", ""), None) + "\n"
-
-
-def _state_entry(key_field: str, instance: FsmInstance) -> dict:
-    state = instance.current_state
-    return {
-        key_field: instance.instance_key,
-        "state": state,
-        "operation": instance.definition.operation_for(state),
-    }
 
 
 def span_seconds(first: Timestamp | None, last: Timestamp | None, frames: int) -> float:

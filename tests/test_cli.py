@@ -7,8 +7,10 @@ import json
 import pytest
 
 import poet.cli
+from poet.capture import open_capture
 from poet.cli import main
-from poet.synth import builtin_scenario, synthesize
+from poet.synth import BUILTIN_SCENARIOS, builtin_scenario, synthesize
+from poet.tracker import Tracker
 
 
 def _write_builtin(tmp_path, name: str) -> str:
@@ -314,6 +316,18 @@ def test_inventory_command(tmp_path, capsys):
     assert len(doc["assets"]) >= 3
     names = {asset["name_of_station"] for asset in doc["assets"]}
     assert {"plc-1", "lift-motor", "turntable-motor"} <= names
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_inventory_command_writes_json_dumps_bytes(tmp_path, name):
+    """`poet inventory --out` writes the stdlib's sorted, two-space indented text of the inventory."""
+    prefix = _write_builtin(tmp_path, name)
+    out = tmp_path / "inv.json"
+    assert main(["inventory", prefix + ".pcap", "--out", str(out)]) == 0
+    tracker = Tracker()
+    tracker.process(open_capture(prefix + ".pcap"))
+    expected = json.dumps(tracker.inventory.export(), sort_keys=True, indent=2) + "\n"
+    assert out.read_text(encoding="utf-8") == expected
 
 
 def test_report_command_stdout(tmp_path, capsys):

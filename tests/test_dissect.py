@@ -127,6 +127,42 @@ def test_lldp_round_trip_parameters():
     assert body.management_address == "10.0.0.5"
 
 
+def test_lldp_chassis_name_with_pno_chassis_mac_round_trip():
+    frame = encode_lldp(DEV, PORT, 20, "lift-motor", chassis_name="lift-motor")
+    body = dissect(raw(frame)).body
+    assert (body.subject_mac, body.port_mac) == ("02:00:00:00:02:00", "02:70:01:01:02:00")
+    assert body.station_name == "lift-motor"
+
+
+PNO_CHASSIS_MAC = b"\x00\x0e\xcf\x05"  # the PROFINET OUI, then subtype 5
+
+
+@pytest.mark.parametrize(
+    "chassis_id, pno_tlv, subject",
+    [
+        # The PNO Chassis-MAC TLV names the subject over a MAC-subtype chassis id and over
+        # the source MAC; a short one is ignored, not refused.
+        pytest.param(bytes([4]) + DEV, PNO_CHASSIS_MAC + CTRL, "02:00:00:00:01:00", id="over-mac-chassis"),
+        pytest.param(bytes([7]) + b"lift", PNO_CHASSIS_MAC + CTRL, "02:00:00:00:01:00", id="over-source"),
+        pytest.param(bytes([4]) + DEV, PNO_CHASSIS_MAC + CTRL[:5], "02:00:00:00:02:00", id="short"),
+        pytest.param(bytes([7]) + b"lift", PNO_CHASSIS_MAC, "02:70:01:01:02:00", id="empty"),
+        pytest.param(bytes([7]) + b"lift", b"\x00\x0e\xcf\x02" + CTRL, "02:70:01:01:02:00", id="other-subtype"),
+        pytest.param(bytes([7]) + b"lift", b"\x00\x0e\xce\x05" + CTRL, "02:70:01:01:02:00", id="other-oui"),
+    ],
+)
+def test_lldp_subject_prefers_the_pno_chassis_mac(chassis_id, pno_tlv, subject):
+    tlvs = (
+        synth._lldp_tlv(1, chassis_id)
+        + synth._lldp_tlv(2, bytes([3]) + PORT)
+        + synth._lldp_tlv(3, b"\x00\x14")
+        + synth._lldp_tlv(127, pno_tlv)
+        + synth._lldp_tlv(0, b"")
+    )
+    body = dissect(raw(ethernet(DEV, PORT, 0x88CC, tlvs))).body
+    assert isinstance(body, LldpFrame)
+    assert body.subject_mac == subject
+
+
 def test_arp_round_trip_and_gratuitous_flag():
     frame = encode_arp(CTRL, b"\xff" * 6, 1, CTRL, "192.168.0.1", b"\x00" * 6, "192.168.0.11")
     body = dissect(raw(frame)).body

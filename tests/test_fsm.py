@@ -156,7 +156,7 @@ def test_log_export_jsonl_round_trip():
     inst = FsmInstance(simple_def(), "x")
     inst.fire("go", CAUSE, (1, 500))
     inst.fire("forbidden", CAUSE, (2, 0))
-    decoded = json.loads(json.dumps(inst.export_log()))
+    decoded = json.loads(json.dumps([record.to_json() for record in inst.records()]))
     assert len(decoded) == 2
     assert decoded[0]["verdict"] == "accepted"
     assert decoded[1]["verdict"] == "rejected"
@@ -180,9 +180,8 @@ def test_log_keeps_rejections_window_and_edge_counts():
     assert records[1:] == list(inst.window)
     assert len(inst.window) == LOG_WINDOW
     assert [r.timestamp[0] for r in records] == [0, *range(3 + LOG_WINDOW + 1, 3 + 2 * LOG_WINDOW), 999]
-    assert inst.export_log() == [r.to_json() for r in records]
 
-    edges = inst.export_edges()
+    edges = [tally.to_json() for tally in inst.edge_tallies()]
     assert [(e["first"]["from_state"], e["first"]["event"], e["count"]) for e in edges] == [
         ("A", "go", 1),
         ("B", "go", 1),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import timeit
 
 from poet.capture import RawFrame, open_capture
@@ -16,7 +17,7 @@ from poet.synth import (
     normal_startup_spec,
     synthesize,
 )
-from poet.tracker import Tracker, TrackerConfig
+from poet.tracker import Tracker, TrackerConfig, dumps_inventory
 
 CTRL = str_to_mac("02:00:00:00:01:00")
 DEV = str_to_mac("02:00:00:00:02:00")
@@ -104,7 +105,7 @@ def test_export_sorted_and_deterministic():
     doc = inv.export()
     macs = [a["interface_mac"] for a in doc["assets"]]
     assert macs == sorted(macs)
-    assert inv.export_json() == inv.export_json()
+    assert dumps_inventory(inv.snapshot()) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_export_empty():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import poet
 from poet.capture import RawFrame, open_capture
 from poet.dissect import str_to_mac
 from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance
-from poet.inventory import AssetInventory
+from poet.inventory import AssetInventory, AssetRecord, Provenance
 from poet.models import connection_fsm_table, connection_key, device_fsm_table, system_fsm_table
 from poet.synth import (
     BUILTIN_SCENARIOS,
@@ -26,6 +27,7 @@ from poet.synth import (
     cr_data_length,
     dcp_identify_request,
     dcp_identify_response,
+    dcp_set_name_request,
     encode_lldp,
     ethernet,
     fuzz_corpus,
@@ -36,7 +38,7 @@ from poet.synth import (
     synthesize,
     write_pcap_bytes,
 )
-from poet.tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport
+from poet.tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport, dumps_inventory
 
 from fsm_replay import fold_log
 
@@ -255,7 +257,7 @@ def test_snapshot_mid_handshake(tmp_path):
         if item.capture_index == stop_at:
             break
         tracker.process_frame(item)
-    snapshot = tracker.snapshot_states()
+    snapshot = tracker.report().final_states
     device = result.spec.devices[0]
     states = {d["mac"]: d["state"] for d in snapshot["devices"]}
     assert states[device.mac] == "EndOfParametrization"
@@ -265,7 +267,7 @@ def test_snapshot_mid_handshake(tmp_path):
 
 def test_pre_traffic_snapshot_only_system():
     tracker = Tracker(TrackerConfig())
-    snapshot = tracker.snapshot_states()
+    snapshot = tracker.report().final_states
     assert snapshot["system"]["state"] == "Inactive"
     assert snapshot["devices"] == []
     assert snapshot["connections"] == []
@@ -688,33 +690,33 @@ def _oracle_dumps(report: TrackerReport) -> str:
 def test_dumps_matches_json_on_hostile_strings():
     hostile = 'caf\u00e9 "q" back\\slash \x00\x1f\x7f tab\t nl\n \ud800 % %s \u2603'
     cause = FrameRef(7, hostile, hostile)
-    device = FsmInstance(device_fsm_table(), hostile)
+    tracker = Tracker(TrackerConfig(system_name=hostile))
+    fleet = tracker.fleet
+    device = fleet.ensure("device", hostile)
     device.fire("name_set_requested", cause, (1, 2))  # rejected in the initial state: to_state null
-    # Past LOG_WINDOW events the edges are exported too, so hostile strings reach them.
+    # Past LOG_WINDOW events the edges are written too, so hostile strings reach them.
     for second in range(LOG_WINDOW):
         device.fire("detect_neighbours", cause, (3 + second, 4))
     assert [r.verdict for r in device.records()[:2]] == ["rejected", "accepted"]
-    assert len(device.export_edges()) == 2
+    assert len(device.edge_tallies()) == 2
+    fleet.ensure("device", "\u00e9")
+    fleet.ensure("device", "").fire("detect_neighbours", cause, (5, 6))
+    fleet.ensure("connection", hostile).fire("application_ready", cause, (7, 8))  # rejected
     alert = AnomalyAlert((5, 6), "device", hostile, hostile, hostile, cause, hostile, "anomaly")
-    report = TrackerReport(
-        summary={"system_name": hostile, hostile: 1.5, "frames": 0},
-        final_states={"system": {"key": hostile}, "devices": [], "connections": []},
-        inventory={hostile: {hostile: [hostile, None, 3]}},
-        alerts=[alert, alert],
-        logs={
-            "system": [],
-            "devices": {hostile: device.export_log(), "\u00e9": [], "": device.export_log()},
-            "connections": {},
-        },
-        edges={
-            "system": device.export_edges(),
-            "devices": {hostile: device.export_edges(), "\u00e9": []},
-            "connections": {},
-        },
+    fleet.on_alert(alert)
+    fleet.on_alert(alert)
+    records = tracker.inventory.records
+    records[hostile] = AssetRecord(
+        hostile, hostile, {hostile, "\u00e9", ""}, hostile, hostile, hostile, 2**64, 0, hostile,
+        (2**64, 1), (3, 2**64), {hostile: Provenance(hostile, 2**64, True), "role": Provenance("pn-dcp", 0)},
     )
+    records["02:00:00:00:00:01"] = AssetRecord("02:00:00:00:00:01")  # every optional field null
+
+    report = tracker.report()
+    report.summary[hostile] = 1.5
     assert report.dumps() == _oracle_dumps(report)
-    nobody = {"system": [], "devices": {}, "connections": {}}
-    empty = TrackerReport({}, {}, {}, [], nobody, nobody)
+    assert dumps_inventory(report.assets) == json.dumps(report.inventory, sort_keys=True, indent=2) + "\n"
+    empty = Tracker().report()
     assert empty.dumps() == _oracle_dumps(empty)
 
 
@@ -740,9 +742,77 @@ def test_streamed_alert_line_is_json_dumps_exact(ts, index, texts):
     sink = io.StringIO()
     Tracker(TrackerConfig(alert_sink=sink)).fleet.on_alert(alert)
     assert sink.getvalue() == json.dumps(alert.to_json(), sort_keys=True) + "\n"
-    nobody = {"system": [], "devices": {}, "connections": {}}
-    report = TrackerReport({}, {}, {}, [alert, alert], nobody, nobody)
+    report = dataclasses.replace(Tracker().report(), alerts=[alert, alert])
     assert report.dumps() == _oracle_dumps(report)
+
+
+_MAYBE_TEXT = st.none() | _HOSTILE_TEXT
+_MAYBE_COUNT = st.none() | _COUNT
+_ASSET = st.builds(
+    AssetRecord,
+    interface_mac=_HOSTILE_TEXT,
+    name_of_station=_MAYBE_TEXT,
+    port_macs=st.sets(_HOSTILE_TEXT, max_size=6),
+    ip_address=_MAYBE_TEXT,
+    subnet=_MAYBE_TEXT,
+    gateway=_MAYBE_TEXT,
+    vendor_id=_MAYBE_COUNT,
+    device_id=_MAYBE_COUNT,
+    role=_HOSTILE_TEXT,
+    first_seen=st.tuples(_COUNT, _COUNT),
+    last_seen=st.tuples(_COUNT, _COUNT),
+    provenance=st.dictionaries(
+        st.sampled_from(
+            ["name_of_station", "port_macs", "ip_address", "subnet", "gateway", "vendor_id", "device_id", "role"]
+        ),
+        st.builds(Provenance, _HOSTILE_TEXT, _COUNT, st.booleans()),
+    ),
+)
+
+
+@given(assets=st.lists(_ASSET, max_size=4, unique_by=lambda record: record.interface_mac))
+def test_inventory_is_written_as_json_dumps_writes_it(assets):
+    """The inventory writer, at `poet inventory` depth and at report depth, against the stdlib."""
+    inventory = AssetInventory()
+    for record in assets:
+        inventory.records[record.interface_mac] = record
+    snapshot = inventory.snapshot()
+    assert dumps_inventory(snapshot) == json.dumps(inventory.export(), sort_keys=True, indent=2) + "\n"
+    report = dataclasses.replace(Tracker().report(), assets=snapshot)
+    assert report.dumps() == _oracle_dumps(report)
+
+
+def test_report_is_fixed_when_taken():
+    """Frames processed after `report()` change neither its bytes nor its sections."""
+    spec = normal_startup_spec(1, cyclic_rounds=200)
+    plans = synthesize(spec).frames
+    controller, device = str_to_mac(spec.controller.mac), str_to_mac(spec.devices[0].mac)
+    datas = [plan.data for plan in plans]
+    datas.append(dcp_set_name_request(controller, device, 900, "renamed"))
+    datas.append(encode_lldp(device, str_to_mac("02:70:09:09:09:09"), 20, "renamed"))
+    frames = [RawFrame(1_000 + i, 0, data, i) for i, data in enumerate(datas)]
+    cut = len(plans) - 100  # the last 100 frames are cyclic: each fires the connection
+
+    tracker = Tracker()
+    for frame in frames[:cut]:
+        tracker.process_frame(frame)
+    report = tracker.report()
+    text = report.dumps()
+    sections = json.loads(json.dumps([report.logs, report.edges, report.final_states, report.inventory]))
+    (key, connection) = next(iter(tracker.fleet.connections.items()))
+    window_before = list(connection.window)
+
+    for frame in frames[cut:]:
+        tracker.process_frame(frame)
+    # The live state moved on: a rename, a new port and a wholly new window.
+    record = tracker.inventory.get(spec.devices[0].mac)
+    assert record.name_of_station == "renamed"
+    assert "02:70:09:09:09:09" in record.port_macs
+    assert not set(map(id, window_before)) & set(map(id, connection.window))
+    assert tracker.report().dumps() != text
+
+    assert report.dumps() == text
+    assert [report.logs, report.edges, report.final_states, report.inventory] == sections
 
 
 def test_dumps_peak_memory_is_bounded_by_its_output(tmp_path):
@@ -835,6 +905,35 @@ def test_lldp_subject_falls_back_to_source_mac(chassis_id):
     assert list(tracker.fleet.devices) == [source]
     assert _logged_events(report, "devices", source) == {"detect_neighbours"}
     assert report.alerts == []
+
+
+def test_lldp_with_chassis_name_and_pno_chassis_mac_tracks_like_mac_subtype():
+    """Stations that send LLDP from their port MACs with a name chassis id reach the DCP/PN-CM device."""
+    from poet.dissect import dissect
+
+    plans = synthesize(normal_startup_spec(1)).frames
+    mac_subtype, named = [], []
+    for plan in plans:
+        frame = RawFrame(plan.ts[0], plan.ts[1], plan.data, plan.index)
+        mac_subtype.append(frame)
+        if plan.label.startswith("lldp "):
+            body = dissect(frame).body
+            data = encode_lldp(
+                str_to_mac(body.subject_mac),
+                str_to_mac(body.port_mac),
+                20,
+                body.station_name,
+                management_ip=body.management_address,
+                chassis_name=body.station_name,
+            )
+            assert data != plan.data
+            frame = RawFrame(plan.ts[0], plan.ts[1], data, plan.index)
+        named.append(frame)
+
+    baseline = Tracker().process(mac_subtype)
+    report = Tracker().process(named)
+    assert report.final_states == baseline.final_states
+    assert [a.to_json() for a in report.alerts] == [a.to_json() for a in baseline.alerts]
 
 
 def test_each_seam_runs_once_per_frame_or_event(tmp_path, monkeypatch):
