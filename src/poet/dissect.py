@@ -78,6 +78,7 @@ LLDP_TLV_ORG_SPECIFIC = 127
 # The PNO Chassis-MAC TLV: the PROFINET OUI 00-0E-CF and subtype 5, then the interface MAC.
 LLDP_PNO_CHASSIS_MAC = b"\x00\x0e\xcf\x05"
 LLDP_SUBTYPE_MAC = 4  # chassis id subtype
+LLDP_SUBTYPE_LOCAL = 7  # chassis id subtype: locally assigned
 LLDP_PORT_SUBTYPE_MAC = 3
 
 # DCE/RPC connectionless
@@ -160,7 +161,9 @@ class LldpFrame:
     # The MAC the frame speaks for: the PNO Chassis-MAC TLV's, else a 6-byte chassis id of
     # the MAC subtype, else the source MAC.
     subject_mac: str
-    port_mac: str | None  # a port id of the MAC subtype; None for any other subtype
+    # A 6-byte port id of the MAC subtype; else, with the PNO Chassis-MAC TLV, the source MAC.
+    port_mac: str | None
+    # The System Name; else, with the PNO Chassis-MAC TLV, a locally assigned chassis id.
     station_name: str | None = None
     management_address: str | None = None
     violations: tuple[str, ...] = ()
@@ -339,9 +342,17 @@ def _parse_lldp(data: bytes, src_mac: str) -> LldpFrame:
             # packet-lldp.c reads the same six bytes. A shorter TLV is ignored.
             chassis_mac = mac_to_str(value[4:10])
 
+    port_mac = _lldp_mac(port_raw, LLDP_PORT_SUBTYPE_MAC)
+    if chassis_mac is not None:
+        # Such a station's locally assigned chassis id is its NameOfStation, and it
+        # sends from the port's own MAC; its port id is then a name (port-001.<name>).
+        if station_name is None and chassis_raw[0] == LLDP_SUBTYPE_LOCAL:
+            station_name = chassis_raw[1:].decode("utf-8", errors="replace")
+        if port_mac is None:
+            port_mac = src_mac
     return LldpFrame(
         subject_mac=chassis_mac or _lldp_mac(chassis_raw, LLDP_SUBTYPE_MAC) or src_mac,
-        port_mac=_lldp_mac(port_raw, LLDP_PORT_SUBTYPE_MAC),
+        port_mac=port_mac,
         station_name=station_name,
         management_address=mgmt_ip,
         violations=("ttl-zero",) if ttl_raw == b"\x00\x00" else (),

@@ -53,17 +53,6 @@ class AssetRecord:
     def port_count(self) -> int:
         return len(self.port_macs)
 
-    def snapshot(self) -> AssetRecord:
-        """A copy that later updates of this record leave unchanged.
-
-        An update replaces a field's Provenance and never changes one, so the copy shares them.
-        """
-        copy = object.__new__(AssetRecord)
-        copy.__dict__.update(
-            self.__dict__, port_macs=set(self.port_macs), provenance=dict(self.provenance)
-        )
-        return copy
-
     def to_json(self) -> dict:
         return {
             "interface_mac": self.interface_mac,
@@ -217,11 +206,6 @@ class AssetInventory:
                 vendor, device = value
                 self._set(record, "vendor_id", vendor, cause, changes)
                 self._set(record, "device_id", device, cause, changes)
-
-    def snapshot(self) -> list[AssetRecord]:
-        """A snapshot of every record, sorted by interface MAC."""
-        records = self.records
-        return [records[mac].snapshot() for mac in sorted(records)]
 
     def export(self) -> dict:
         """The inventory as a JSON document, records sorted by interface MAC."""

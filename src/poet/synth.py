@@ -347,19 +347,26 @@ def encode_lldp(
     port_descriptions: tuple[str, ...] = (),
     management_ip: str | None = None,
     chassis_name: str | None = None,
+    port_name: str | None = None,
 ) -> bytes:
     """An LLDP frame sent from `port_mac` for the station whose interface MAC is `chassis_mac`.
 
     By default the chassis id is that MAC (MAC subtype). With `chassis_name` it is
     that locally assigned name, and the PNO Chassis-MAC TLV carries the MAC instead.
+    By default the port id is `port_mac` (MAC subtype). With `port_name` it is the
+    locally assigned `port-001.<port_name>`.
     """
     if chassis_name is None:
         chassis_id = bytes([4]) + chassis_mac  # chassis id, MAC subtype
     else:
         chassis_id = bytes([7]) + chassis_name.encode()  # chassis id, locally assigned
+    if port_name is None:
+        port_id = bytes([3]) + port_mac  # port id, MAC subtype
+    else:
+        port_id = bytes([7]) + f"port-001.{port_name}".encode()  # port id, locally assigned
     tlvs = [
         _lldp_tlv(1, chassis_id),
-        _lldp_tlv(2, bytes([3]) + port_mac),  # port id, MAC subtype
+        _lldp_tlv(2, port_id),
         _lldp_tlv(3, struct.pack(">H", ttl)),
     ]
     for description in port_descriptions:

@@ -16,8 +16,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import attrgetter
-from typing import Any, Callable, Iterable, NamedTuple, TextIO
+from typing import Any, Callable, Iterable, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem
 from .dissect import MalformedFrame, dissect
@@ -168,56 +167,28 @@ class FsmFleet:
         }
 
 
-class InstanceSnapshot(NamedTuple):
-    """What the report reads of one FSM instance, as it was when the report was taken."""
-
-    scope: str  # "system" | "device" | "connection"
-    key: str
-    state: str
-    operation: str | None
-    log: list[TransitionRecord]  # every rejected record plus the last LOG_WINDOW, in fire order
-    edges: list[EdgeTally]  # each followed edge, once the log no longer holds them all
-
-    @classmethod
-    def of(cls, instance: FsmInstance) -> InstanceSnapshot:
-        definition = instance.definition
-        state = instance.current_state
-        return cls(
-            definition.name,
-            instance.instance_key,
-            state,
-            definition.operation_for(state),
-            instance.records(),
-            instance.edge_tallies(),
-        )
-
-    def to_json(self) -> dict:
-        """The instance's final-states entry; a device is keyed by its MAC."""
-        key_field = "mac" if self.scope == "device" else "key"
-        return {key_field: self.key, "state": self.state, "operation": self.operation}
-
-
 @dataclass
 class TrackerReport:
-    """A run's report as it was when taken: later frames leave it unchanged.
+    """A run's report, read from the tracker's own objects when it is written.
 
-    It holds the alerts, a snapshot of every FSM instance and a snapshot of every
-    asset record. `dumps()` writes from these objects; the dict sections that
-    `to_json()` returns are built from them each time they are read.
+    It holds the tracker's alerts, its FSM fleet and its asset records sorted by
+    interface MAC, so it is taken after the last frame, as `Tracker.process` takes
+    it. `dumps()` writes from these objects; the dict sections that `to_json()`
+    returns are built from them each time they are read.
     """
 
     summary: dict
     alerts: list[AnomalyAlert]
-    instances: dict  # snapshots: "system", "devices" by MAC and "connections" by key, sorted
-    assets: list[AssetRecord]  # snapshots, sorted by interface MAC
+    fleet: FsmFleet
+    assets: list[AssetRecord]  # sorted by interface MAC
 
     @property
     def final_states(self) -> dict:
-        instances = self.instances
+        states = self.fleet.per_instance(_state_entry)
         return {
-            "system": instances["system"].to_json(),
-            "devices": [s.to_json() for s in instances["devices"].values()],
-            "connections": [s.to_json() for s in instances["connections"].values()],
+            "system": states["system"],
+            "devices": list(states["devices"].values()),
+            "connections": list(states["connections"].values()),
         }
 
     @property
@@ -227,20 +198,12 @@ class TrackerReport:
     @property
     def logs(self) -> dict:
         """Per instance: every rejected record plus the last LOG_WINDOW, in fire order."""
-        return self._per_instance(lambda s: [record.to_json() for record in s.log])
+        return self.fleet.per_instance(lambda instance: [r.to_json() for r in instance.records()])
 
     @property
     def edges(self) -> dict:
         """Per instance: each followed edge's count, first and last record."""
-        return self._per_instance(lambda s: [tally.to_json() for tally in s.edges])
-
-    def _per_instance(self, part: Callable[[InstanceSnapshot], Any]) -> dict:
-        instances = self.instances
-        return {
-            "system": part(instances["system"]),
-            "devices": {mac: part(s) for mac, s in instances["devices"].items()},
-            "connections": {key: part(s) for key, s in instances["connections"].items()},
-        }
+        return self.fleet.per_instance(lambda instance: [t.to_json() for t in instance.edge_tallies()])
 
     def to_json(self) -> dict:
         return {
@@ -261,16 +224,17 @@ class TrackerReport:
         the indenting encoder is pure Python.
         """
         templates: dict = {}
+        per_instance = self.fleet.per_instance
         out = ['{\n  "alerts": ']
         _write_records(out, templates, self.alerts, "  ", _alert_leaves)
         out.append(',\n  "edges": ')
-        _write_nested(out, templates, self._per_instance(attrgetter("edges")), "  ", _edge_leaves)
+        _write_nested(out, templates, per_instance(FsmInstance.edge_tallies), "  ", _edge_leaves)
         out.append(',\n  "final_states": ')
-        _write_states(out, self.instances, "  ")
+        _write_states(out, per_instance(lambda instance: instance), "  ")
         out.append(',\n  "inventory": ')
         _write_inventory(out, self.assets, "  ")
         out.append(',\n  "logs": ')
-        _write_nested(out, templates, self._per_instance(attrgetter("log")), "  ", _transition_leaves)
+        _write_nested(out, templates, per_instance(FsmInstance.records), "  ", _transition_leaves)
         out.append(',\n  "summary": ' + _dumps_small(self.summary, "  ") + "\n}\n")
         return "".join(out)
 
@@ -462,7 +426,8 @@ class Tracker(TrackContext):
     # Outputs ------------------------------------------------------------------
 
     def report(self) -> TrackerReport:
-        """The report as of now; later frames leave it unchanged."""
+        """The report of the run, to be taken after its last frame."""
+        records = self.inventory.records
         summary = {
             "system_name": self.config.system_name,
             "frames": self._frames,
@@ -474,9 +439,9 @@ class Tracker(TrackContext):
         }
         return TrackerReport(
             summary=summary,
-            alerts=list(self.alerts),
-            instances=self.fleet.per_instance(InstanceSnapshot.of),
-            assets=self.inventory.snapshot(),
+            alerts=self.alerts,
+            fleet=self.fleet,
+            assets=[records[mac] for mac in sorted(records)],
         )
 
 
@@ -561,15 +526,15 @@ def _write_nested(
 
 
 def _write_states(out: list[str], instances: dict, pad: str) -> None:
-    """Append the final states of the instance snapshots at indent `pad`."""
+    """Append the final states of the FSM instances at indent `pad`."""
     inner = pad + "  "
-    out.append("{\n" + inner + '"connections": ')
-    _write_records(out, {}, list(instances["connections"].values()), inner, _state_leaves)
-    out.append(",\n" + inner + '"devices": ')
-    # Its own template cache: a device's entry is keyed "mac", a connection's "key".
-    _write_records(out, {}, list(instances["devices"].values()), inner, _state_leaves)
+    for opening, scope in (("{\n", "connections"), (",\n", "devices")):
+        scoped = list(instances[scope].values())
+        out.append(opening + inner + f'"{scope}": ')
+        # Its own template cache: a device's entry is keyed "mac", a connection's "key".
+        _write_records(out, {}, scoped, inner, _state_leaves, _state_entry(scoped[0]) if scoped else None)
     system = instances["system"]
-    out.append(",\n" + inner + '"system": ' + _layout(system, inner) % _state_leaves(system))
+    out.append(",\n" + inner + '"system": ' + _layout(_state_entry(system), inner) % _state_leaves(system))
     out.append("\n" + pad + "}")
 
 
@@ -633,13 +598,22 @@ def _asset_leaves(pad: str) -> Callable[[AssetRecord], tuple]:
 _BLANK_ASSET = AssetRecord("")
 
 
-def _state_leaves(snapshot: InstanceSnapshot) -> tuple:
-    # A final-states entry's leaves in sorted-key order; see InstanceSnapshot.to_json.
-    operation = snapshot.operation
+def _state_entry(instance: FsmInstance) -> dict:
+    """The instance's final-states entry; a device is keyed by its MAC."""
+    definition = instance.definition
+    state = instance.current_state
+    key_field = "mac" if definition.name == "device" else "key"
+    return {key_field: instance.instance_key, "state": state, "operation": definition.operation_for(state)}
+
+
+def _state_leaves(instance: FsmInstance) -> tuple:
+    # A final-states entry's leaves in sorted-key order; see _state_entry.
+    state = instance.current_state
+    operation = instance.definition.operation_for(state)
     return (
-        _encode_str(snapshot.key),
+        _encode_str(instance.instance_key),
         "null" if operation is None else _encode_str(operation),
-        _encode_str(snapshot.state),
+        _encode_str(state),
     )
 
 

@@ -57,17 +57,22 @@ def test_analyze_unreadable_capture_writes_no_alerts_file(tmp_path, capsys, cont
 
 
 def test_analyze_report_and_alert_files(tmp_path):
-    prefix = _write_builtin(tmp_path, "rename-attack")
-    report_path = tmp_path / "report.json"
-    alerts_path = tmp_path / "alerts.jsonl"
-    code = main(
-        ["analyze", prefix + ".pcap", "--report", str(report_path), "--alerts", str(alerts_path)]
-    )
-    assert code == 2
-    report = json.loads(report_path.read_text())
-    assert report["summary"]["anomalies"] == 1
-    lines = [json.loads(line) for line in alerts_path.read_text().splitlines() if line]
-    assert len(lines) == len(report["alerts"])
+    for name, expected_code, anomalies in [("rename-attack", 2, 1), ("normal-startup", 0, 0)]:
+        prefix = _write_builtin(tmp_path, name)
+        report_path = tmp_path / f"{name}.report.json"
+        alerts_path = tmp_path / f"{name}.alerts.jsonl"
+        code = main(
+            ["analyze", prefix + ".pcap", "--report", str(report_path), "--alerts", str(alerts_path)]
+        )
+        assert code == expected_code
+        report = json.loads(report_path.read_text())
+        assert report["summary"]["anomalies"] == anomalies
+        lines = [json.loads(line) for line in alerts_path.read_text().splitlines() if line]
+        assert len(lines) == len(report["alerts"])
+        # `poet report` writes the same bytes as `poet analyze --report`.
+        out_path = tmp_path / f"{name}.out.json"
+        assert main(["report", prefix + ".pcap", "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == report_path.read_bytes()
 
 
 def test_synth_builtin_writes_pair(tmp_path):

@@ -137,6 +137,61 @@ def test_lldp_chassis_name_with_pno_chassis_mac_round_trip():
 PNO_CHASSIS_MAC = b"\x00\x0e\xcf\x05"  # the PROFINET OUI, then subtype 5
 
 
+def test_lldp_named_station_gives_its_name_and_port_mac():
+    """A station named only by its chassis id, with a named port id, sending from its port's MAC."""
+    tlvs = (
+        synth._lldp_tlv(1, b"\x07lift-motor")
+        + synth._lldp_tlv(2, b"\x07port-001.lift-motor")
+        + synth._lldp_tlv(3, b"\x00\x14")
+        + synth._lldp_tlv(127, PNO_CHASSIS_MAC + DEV)
+        + synth._lldp_tlv(0, b"")
+    )
+    body = dissect(raw(ethernet(synth.LLDP_MULTICAST, PORT, 0x88CC, tlvs))).body
+    assert isinstance(body, LldpFrame)
+    assert (body.subject_mac, body.port_mac, body.station_name) == (
+        "02:00:00:00:02:00",
+        "02:70:01:01:02:00",
+        "lift-motor",
+    )
+    encoded = encode_lldp(DEV, PORT, 20, None, chassis_name="lift-motor", port_name="lift-motor")
+    assert b"\x07port-001.lift-motor" in encoded
+    assert dissect(raw(encoded)).body == body
+
+
+@pytest.mark.parametrize(
+    "chassis_id, port_id, system_name, pno_tlv, expected",
+    [
+        # The System Name wins over the chassis id, and a MAC port id over the source MAC.
+        pytest.param(
+            b"\x07lift", b"\x07port-001.lift", b"plc-7", PNO_CHASSIS_MAC + DEV,
+            ("02:00:00:00:02:00", "02:70:01:01:02:00", "plc-7"), id="system-name",
+        ),
+        pytest.param(
+            b"\x07lift", b"\x03" + CTRL, None, PNO_CHASSIS_MAC + DEV,
+            ("02:00:00:00:02:00", "02:00:00:00:01:00", "lift"), id="mac-port-id",
+        ),
+        # A chassis id of another subtype is no name.
+        pytest.param(
+            b"\x04" + CTRL, b"\x07port-001", None, PNO_CHASSIS_MAC + DEV,
+            ("02:00:00:00:02:00", "02:70:01:01:02:00", None), id="mac-chassis-id",
+        ),
+        # Without the Chassis-MAC TLV neither id names the station or its port.
+        pytest.param(
+            b"\x07lift", b"\x07port-001.lift", None, None,
+            ("02:70:01:01:02:00", None, None), id="no-pno-chassis-mac",
+        ),
+    ],
+)
+def test_lldp_named_station_rules(chassis_id, port_id, system_name, pno_tlv, expected):
+    tlvs = synth._lldp_tlv(1, chassis_id) + synth._lldp_tlv(2, port_id) + synth._lldp_tlv(3, b"\x00\x14")
+    if system_name is not None:
+        tlvs += synth._lldp_tlv(5, system_name)
+    if pno_tlv is not None:
+        tlvs += synth._lldp_tlv(127, pno_tlv)
+    body = dissect(raw(ethernet(synth.LLDP_MULTICAST, PORT, 0x88CC, tlvs + synth._lldp_tlv(0, b"")))).body
+    assert (body.subject_mac, body.port_mac, body.station_name) == expected
+
+
 @pytest.mark.parametrize(
     "chassis_id, pno_tlv, subject",
     [

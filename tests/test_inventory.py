@@ -105,7 +105,8 @@ def test_export_sorted_and_deterministic():
     doc = inv.export()
     macs = [a["interface_mac"] for a in doc["assets"]]
     assert macs == sorted(macs)
-    assert dumps_inventory(inv.snapshot()) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    records = [inv.records[mac] for mac in sorted(inv.records)]
+    assert dumps_inventory(records) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_export_empty():
