@@ -226,13 +226,12 @@ _OTHER = OtherBody()
 
 Body = LldpFrame | ArpPacket | DcpFrame | CmFrame | PnioCyclicFrame | OtherBody
 
-# The protocol tag of each body type; dissect stamps it on every ParsedFrame.
+# The protocol tag that dissect stamps on each body type but the cyclic one, tagged where it is built.
 _PROTOCOL_TAGS: dict[type, str] = {
     LldpFrame: "lldp",
     ArpPacket: "arp",
     DcpFrame: "pn-dcp",
     CmFrame: "pn-cm",
-    PnioCyclicFrame: "pnio",
     OtherBody: "other",
 }
 
@@ -262,7 +261,8 @@ def dissect(raw: RawFrame) -> ParsedFrame:
     protocol raise MalformedFrame.
     """
     frame = raw.frame_bytes
-    if len(frame) < 14:
+    size = len(frame)
+    if size < 14:
         raise MalformedFrame("ethernet", 0, "frame shorter than 14 bytes")
     # mac_to_str, inlined: this runs for every frame.
     dst = frame[0:6].hex(":")
@@ -271,13 +271,24 @@ def dissect(raw: RawFrame) -> ParsedFrame:
     start = 14  # of the payload
     if ethertype == ETHERTYPE_VLAN:
         # The tag's priority and VLAN id are skipped: poet keys on neither.
-        if len(frame) < 18:
+        if size < 18:
             raise MalformedFrame("ethernet", 14, "truncated VLAN tag")
         ethertype = _U16(frame, 16)[0]
         start = 18
 
     if ethertype == ETHERTYPE_PROFINET:
-        body: Body = _parse_profinet_rt(frame, start)
+        # The RT payload is read in place; its refusal offsets count from `start`.
+        if size - start < 2:
+            raise MalformedFrame("profinet-rt", 0, "truncated frame id")
+        frame_id = _U16(frame, start)[0]
+        if RT_CYCLIC_MIN <= frame_id <= RT_CYCLIC_MAX:
+            # Nearly all of a running plant's frames, so built and tagged here.
+            if size - start < 7:  # frame id + >=1 data byte + 4 trailer bytes
+                raise MalformedFrame("pnio", 2, "cyclic frame too short for C-SDU")
+            cyclic = PnioCyclicFrame(frame_id, frame[start + 2 : -4])
+            return ParsedFrame(dst, src, cyclic, raw.capture_index, "pnio")
+        dcp = DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX
+        body: Body = _parse_dcp(frame[start:]) if dcp else _OTHER
     elif ethertype == ETHERTYPE_LLDP:
         body = _parse_lldp(frame[start:], src)
     elif ethertype == ETHERTYPE_ARP:
@@ -383,22 +394,7 @@ def _parse_arp(data: bytes) -> ArpPacket | OtherBody:
     )
 
 
-# --- PROFINET RT (0x8892): DCP vs cyclic -----------------------------------
-
-
-def _parse_profinet_rt(frame: bytes, start: int) -> DcpFrame | PnioCyclicFrame | OtherBody:
-    """The RT payload at `start`, read in place; refusal offsets count from `start`."""
-    size = len(frame) - start
-    if size < 2:
-        raise MalformedFrame("profinet-rt", 0, "truncated frame id")
-    frame_id = _U16(frame, start)[0]
-    if RT_CYCLIC_MIN <= frame_id <= RT_CYCLIC_MAX:
-        if size < 7:  # frame id + >=1 data byte + 4 trailer bytes
-            raise MalformedFrame("pnio", 2, "cyclic frame too short for C-SDU")
-        return PnioCyclicFrame(frame_id, frame[start + 2 : -4])
-    if DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX:
-        return _parse_dcp(frame[start:])
-    return _OTHER
+# --- PN-DCP (0x8892, DCP frame ids) ----------------------------------------
 
 
 def name_of_station_violations(name: str) -> list[str]:

@@ -168,6 +168,7 @@ class FsmInstance:
 
     def __init__(self, definition: FsmDefinition, instance_key: str):
         self.definition = definition
+        self.table = definition.table  # compiled once per definition, shared
         self.instance_key = instance_key
         self.current_state = definition.initial_state
         self.transitions = 0  # events fired, accepted or rejected
@@ -182,7 +183,7 @@ class FsmInstance:
     def fire(self, event: str, cause: FrameRef, timestamp: tuple[int, int]) -> TransitionRecord:
         """Apply one event; returns its record (accepted or rejected)."""
         state = self.current_state
-        target = self.definition.table[state].get(event)
+        target = self.table[state].get(event)
         if target is None:
             definition = self.definition
             if event not in definition.alphabet:

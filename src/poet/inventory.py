@@ -9,6 +9,7 @@ value is flagged as a conflict instead of being silently rewritten.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .dissect import DcpFrame, ParsedFrame
@@ -135,21 +136,20 @@ class AssetInventory:
         record.provenance[fieldname] = Provenance(cause.protocol, cause.capture_index, flagged)
         changes.append(InventoryChange(record.interface_mac, fieldname, old, value, conflict, cause))
 
-    def update_from_frame(self, parsed: ParsedFrame, ts: Timestamp) -> list[InventoryChange]:
-        """Fold one frame into the inventory; returns the (possibly empty) delta."""
-        changes: list[InventoryChange] = []
+    def update_from_frame(self, parsed: ParsedFrame, ts: Timestamp) -> Sequence[InventoryChange]:
+        """Fold one frame into the inventory; returns its delta, `()` if it only refreshes `last_seen`."""
         protocol = parsed.protocol
         src = parsed.src_mac
         if protocol not in _DESCRIBING_PROTOCOLS:
-            # A PNIO sender becomes an asset; other traffic refreshes known assets only.
-            if protocol == "pnio":
+            # Other traffic refreshes known assets only; a PNIO sender becomes one.
+            record = self.records.get(src)
+            if record is not None:
+                record.last_seen = ts
+            elif protocol == "pnio":
                 self._record(src, ts)
-            else:
-                record = self.records.get(src)
-                if record is not None:
-                    record.last_seen = ts
-            return changes
+            return ()
 
+        changes: list[InventoryChange] = []
         body = parsed.body
         dst = parsed.dst_mac
         cause = FrameRef(parsed.capture_index, protocol, "inventory update")

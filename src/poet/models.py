@@ -24,7 +24,7 @@ from .dissect import (
     ParsedFrame,
     PnioCyclicFrame,
 )
-from .fsm import Edge, FrameRef, FsmDefinition, WildcardEdge
+from .fsm import Edge, FrameRef, FsmDefinition, FsmInstance, WildcardEdge
 
 # Event names (device scope unless noted)
 DETECT_NEIGHBOURS = "detect_neighbours"
@@ -238,12 +238,13 @@ def connection_key(initiator_mac: str, responder_mac: str) -> str:
 
 @dataclass(slots=True)
 class ProtocolEvent:
-    """One normalized semantic event derived from a dissected frame."""
+    """One normalized semantic event derived from a dissected frame, addressed by (scope, key)."""
 
     event_name: str
     scope: str  # "device" | "connection" | "system"
     key: str | None  # the device MAC, the connection key, or None for the system
     cause: FrameRef
+    instance: FsmInstance | None = None  # a bound CR's, resolved at registration: fired with no lookup
 
 
 @dataclass(frozen=True)
@@ -269,14 +270,16 @@ class DeferredEvent:
     cause: FrameRef
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CyclicBinding:
-    """One cyclic frame id, compiled once from the Connect request of its CR.
+    """The record of one CR, compiled once from its Connect request.
 
     A frame of this id is good data iff its C-SDU reaches `c_sdu_length` bytes
     and every byte at `iops_offsets` has the GOOD bit. `iops_offsets` is None
     when the CR has no submodule of its direction, or the Connect's layout is
-    inconsistent: such a frame drives no event.
+    inconsistent: such a frame drives no event. While the tracker binds its frame
+    id, it is the live CR: `device` and `connection` hold the instances at
+    ("device", responder_mac) and ("connection", key) that a good frame drives.
     """
 
     frame_id: int
@@ -286,6 +289,8 @@ class CyclicBinding:
     iops_offsets: tuple[int, ...] | None
     c_sdu_length: int
     summary: str  # the cause summary of every good frame
+    device: FsmInstance | None = field(default=None, compare=False, repr=False)
+    connection: FsmInstance | None = field(default=None, compare=False, repr=False)
 
 
 _OPPOSITE = {"input": "output", "output": "input"}
@@ -345,9 +350,9 @@ class ConnectionRegistration:
     frame_id_bindings: tuple[CyclicBinding, ...]  # one per IOCR
 
 
-@dataclass
+@dataclass(slots=True)
 class DerivedEvents:
-    """Result of derive_events: events to fire plus tracker bookkeeping."""
+    """Result of derive_events: one frame's events, fired in order by one call, plus tracker bookkeeping."""
 
     events: list[ProtocolEvent] = field(default_factory=list)
     diagnostics: tuple[TrackDiagnostic, ...] = ()
@@ -533,8 +538,8 @@ def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) 
     cause = FrameRef(parsed.capture_index, "pnio", binding.summary)
     return DerivedEvents(
         [
-            ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, cause),
-            ProtocolEvent(binding.data_event, "connection", binding.key, cause),
+            ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, cause, binding.device),
+            ProtocolEvent(binding.data_event, "connection", binding.key, cause, binding.connection),
         ]
     )
 

@@ -1040,15 +1040,17 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
 
     fleet = FsmFleet(spec.system_name, collect)
     for plan in frames:
-        ts = plan.ts
         for scope, key in plan.new_instances:
             fleet.ensure(scope, key)
-        for planned in plan.events:
-            wake_up = planned.event_name == PN_TRAFFIC_DETECTED
-            if wake_up and fleet.system.current_state not in WAKE_UP_STATES:
-                continue
-            cause = FrameRef(plan.index, "synth", plan.label)
-            fleet.fire(ProtocolEvent(planned.event_name, planned.scope, planned.key, cause), ts)
+        # As the tracker does, a frame's wake-up is decided before any of its events fire.
+        waking = fleet.system.current_state in WAKE_UP_STATES
+        cause = FrameRef(plan.index, "synth", plan.label)
+        events = [
+            ProtocolEvent(planned.event_name, planned.scope, planned.key, cause)
+            for planned in plan.events
+            if waking or planned.event_name != PN_TRAFFIC_DETECTED
+        ]
+        fleet.fire(events, plan.ts)
 
     final_states = fleet.per_instance(lambda instance: instance.current_state)
 

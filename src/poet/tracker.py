@@ -115,31 +115,35 @@ class FsmFleet:
         instance = self._live[scope].get(key)
         return instance.current_state if instance else self._machines[scope].initial_state
 
-    def fire(self, event: ProtocolEvent, ts: Timestamp) -> TransitionRecord:
-        """Fire one event at its instance; a rejection becomes an anomaly alert."""
-        scope = event.scope
-        instance = self._live[scope].get(event.key)
-        if instance is None:
-            instance = self.ensure(scope, event.key)
-        record = instance.fire(event.event_name, event.cause, ts)
-        if record.verdict == "rejected":
-            definition = instance.definition
-            operation = definition.operation_for(record.from_state) or record.from_state
-            self.on_alert(
-                AnomalyAlert(
-                    timestamp=record.timestamp,
-                    instance_kind=definition.name,
-                    instance_key=instance.instance_key,
-                    state_at_event=record.from_state,
-                    offending_event=record.event,
-                    cause=record.cause,
-                    explanation=f"{record.event} not permitted during {operation} operation",
-                    severity=SEVERITY_ANOMALY,
+    def fire(self, events: Iterable[ProtocolEvent], ts: Timestamp) -> None:
+        """Fire one frame's events in order, each at the instance it carries, else at its (scope, key).
+
+        Each rejection becomes an anomaly alert. The tracker and synth's manifest replay both fire here.
+        """
+        for event in events:
+            instance = event.instance
+            if instance is None:
+                instance = self._live[event.scope].get(event.key)
+                if instance is None:
+                    instance = self.ensure(event.scope, event.key)
+            record = instance.fire(event.event_name, event.cause, ts)
+            if record.verdict == "rejected":
+                definition = instance.definition
+                operation = definition.operation_for(record.from_state) or record.from_state
+                self.on_alert(
+                    AnomalyAlert(
+                        timestamp=record.timestamp,
+                        instance_kind=definition.name,
+                        instance_key=instance.instance_key,
+                        state_at_event=record.from_state,
+                        offending_event=record.event,
+                        cause=record.cause,
+                        explanation=f"{record.event} not permitted during {operation} operation",
+                        severity=SEVERITY_ANOMALY,
+                    )
                 )
-            )
-        elif scope == "connection" and not self._all_established_fired:
-            self._evaluate_all_established(event.cause, ts)
-        return record
+            elif not self._all_established_fired and event.scope == "connection":
+                self._evaluate_all_established(event.cause, ts)
 
     def _evaluate_all_established(self, cause: FrameRef, ts: Timestamp) -> None:
         # Fires at most once per run, when every live connection has reached
@@ -150,7 +154,7 @@ class FsmFleet:
             if instance.current_state not in CONNECTION_ESTABLISHED_STATES:
                 return
         self._all_established_fired = True
-        self.fire(ProtocolEvent(ALL_CONNECTIONS_ESTABLISHED, "system", None, cause), ts)
+        self.fire((ProtocolEvent(ALL_CONNECTIONS_ESTABLISHED, "system", None, cause, self.system),), ts)
 
     def transition_count(self) -> int:
         count = self.system.transitions
@@ -319,7 +323,8 @@ class Tracker(TrackContext):
 
     def _register_connection(self, reg: ConnectionRegistration, cause: FrameRef) -> None:
         created = reg.key not in self.fleet.connections
-        self.fleet.ensure("connection", reg.key)
+        connection = self.fleet.ensure("connection", reg.key)
+        device = self.fleet.ensure("device", reg.responder_mac)
         # An AR UUID, like a frame id, stays with the connection that holds it:
         # a Connect of another connection that reuses it registers nothing.
         held_ar = self._ar_registry.get(reg.ar_uuid)
@@ -334,10 +339,15 @@ class Tracker(TrackContext):
             # A frame id stays with the connection that holds it: only that
             # connection's own Connect (a reconnect) may rebind it.
             held = self._frame_id_registry.get(binding.frame_id)
-            if held is not None and held.key != reg.key:
-                detail = f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}"
-                self._diagnostic("frame_id_conflict", detail, cause, "device", reg.responder_mac)
-                continue
+            if held is not None:
+                if held.key != reg.key:
+                    detail = f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}"
+                    self._diagnostic("frame_id_conflict", detail, cause, "device", reg.responder_mac)
+                    continue
+                held.device = held.connection = None  # replaced: a record holds instances only while bound
+            # Bound, the binding is the live CR: its good frames fire these two instances.
+            binding.device = device
+            binding.connection = connection
             self._frame_id_registry[binding.frame_id] = binding
         if created and self.fleet.system.current_state == "DataExchange":
             detail = "new connection initiated after system startup completed"
@@ -365,10 +375,12 @@ class Tracker(TrackContext):
             if change.conflict:
                 detail = f"{change.fieldname} changed from {change.old!r} to {change.new!r}"
                 self._diagnostic("inventory_conflict", detail, change.cause, "device", change.mac)
-        for violation in getattr(parsed.body, "violations", ()):
-            detail = f"{parsed.protocol} rule violation: {violation}"
-            cause = FrameRef(raw.capture_index, parsed.protocol, violation)
-            self._diagnostic("protocol_rule_violation", detail, cause)
+        violations = getattr(parsed.body, "violations", ())
+        if violations:
+            for violation in violations:
+                detail = f"{parsed.protocol} rule violation: {violation}"
+                cause = FrameRef(raw.capture_index, parsed.protocol, violation)
+                self._diagnostic("protocol_rule_violation", detail, cause)
 
         # A device machine exists for every MAC speaking a PROFINET-family protocol, even if
         # no event ever targets it (e.g. a quiet attacker). LLDP needs no case here: its
@@ -380,18 +392,21 @@ class Tracker(TrackContext):
         if derived.registration is not None:
             cause = FrameRef(raw.capture_index, parsed.protocol, "connect request")
             self._register_connection(derived.registration, cause)
-        for diag in derived.diagnostics:
-            self._diagnostic(diag.kind, diag.detail, diag.cause, diag.scope, diag.key)
-        for held in derived.consumed_deferrals:
-            del self.deferred[held]
-            self._deferred_by_name.pop(held.name, None)
+        # Most frames carry no bookkeeping, so each part is tested before it is looped over.
+        if derived.diagnostics:
+            for diag in derived.diagnostics:
+                self._diagnostic(diag.kind, diag.detail, diag.cause, diag.scope, diag.key)
+        if derived.consumed_deferrals:
+            for held in derived.consumed_deferrals:
+                del self.deferred[held]
+                self._deferred_by_name.pop(held.name, None)
         held = derived.new_deferral
         if held is not None:
             self.deferred[held] = None
             self._deferred_by_name.setdefault(held.name, deque()).append(held)
 
-        for event in derived.events:
-            self.fleet.fire(event, ts)
+        if derived.events:
+            self.fleet.fire(derived.events, ts)
 
         if self.deferred:
             self._expire_deferred(raw.capture_index)

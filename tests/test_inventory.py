@@ -46,7 +46,7 @@ def test_lldp_burst_builds_lift_motor_record():
 def test_other_frame_yields_empty_delta():
     inv = AssetInventory()
     frame = ethernet(DEV, CTRL, 0x86DD, b"\x00" * 40)
-    assert inv.update_from_frame(parse(frame), TS) == []
+    assert inv.update_from_frame(parse(frame), TS) == ()  # a refresh-only frame builds no list
     assert len(inv) == 0
 
 

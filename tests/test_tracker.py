@@ -943,12 +943,14 @@ def test_lldp_named_station_without_system_name_tracks_like_mac_subtype():
 
 
 def test_each_seam_runs_once_per_frame_or_event(tmp_path, monkeypatch):
-    """dissect once per frame, update and derive once per well-formed frame, fire once per event.
+    """dissect once per frame, update and derive once per well-formed frame, fire once per transition.
 
     The counting wrappers go where perfbench's traced mode puts its own: on the
     names the tracker calls through, so a call that bypasses them would show.
+    The cyclic-heavy run takes the resolved path of bound CRs on most frames.
     """
     results = {name: synthesize(builtin_scenario(name)) for name in ("rogue-connect", "malformed-dcp")}
+    results["cyclic"] = synthesize(normal_startup_spec(2, cyclic_rounds=200))
     counts: Counter[str] = Counter()
 
     def counted(name, fn):
@@ -975,8 +977,14 @@ def test_each_seam_runs_once_per_frame_or_event(tmp_path, monkeypatch):
         assert counts["fire"] == report.summary["transitions"]
         if name == "malformed-dcp":
             assert malformed > 0
-        else:
+        elif name == "rogue-connect":
             assert report.anomalies
+        else:
+            # Each good cyclic frame fires its CR's device and connection once each.
+            cyclic = sum(plan.label.startswith("pnio") for plan in result.frames)
+            assert cyclic == 2 * 2 * 200
+            assert not report.alerts
+            assert counts["fire"] >= 2 * cyclic
 
 
 @cache
@@ -1145,3 +1153,109 @@ _DIAGNOSTIC_LINES = {
 @pytest.mark.parametrize("case", sorted(_DIAGNOSTIC_LINES))
 def test_diagnostic_alert_lines_are_pinned(case):
     assert _diagnostic_lines(case) == _DIAGNOSTIC_LINES[case]
+
+
+def _assert_bound_records_are_resolved(tracker: Tracker) -> None:
+    """Each bound frame id's CR record holds the fleet's own instances and is reached through its AR."""
+    fleet = tracker.fleet
+    registered = [b for reg in tracker._ar_registry.values() for b in reg.frame_id_bindings]
+    assert tracker._frame_id_registry
+    for frame_id, binding in tracker._frame_id_registry.items():
+        assert binding.frame_id == frame_id
+        assert binding.device is fleet.devices[binding.responder_mac]
+        assert binding.connection is fleet.connections[binding.key]
+        assert any(binding is held for held in registered)
+
+
+def test_bound_cr_records_hold_the_fleets_own_instances():
+    import uuid
+
+    result = synthesize(normal_startup_spec(2, cyclic_rounds=5))
+    tracker = Tracker()
+    tracker.process(RawFrame(*plan.ts, plan.data, index) for index, plan in enumerate(result.frames))
+    _assert_bound_records_are_resolved(tracker)
+    assert len(tracker._frame_id_registry) == 4
+
+    # A Connect that spoofs the live controller has the live key, so its new AR
+    # rebinds the live CR's frame ids. The new records are resolved to the same
+    # instances, and the run raises what it raised before they were resolved.
+    spec = normal_startup_spec(1)
+    live = connection_key(spec.controller.mac, spec.devices[0].mac)
+    spoofed_ar = uuid.uuid5(uuid.NAMESPACE_OID, "spoofed-controller-ar")
+    assert _startup_plans()[22].label.startswith("pnio output")
+    tracker = Tracker()
+    report = tracker.process(
+        _replayed(21, _connect_from(spec.controller.mac, spoofed_ar), _startup_plans()[22].data)
+    )
+    _assert_bound_records_are_resolved(tracker)
+    rebound = tracker._ar_registry[spoofed_ar].frame_id_bindings
+    assert {b.frame_id for b in rebound} == set(tracker._frame_id_registry)
+    assert all(tracker._frame_id_registry[b.frame_id] is b for b in rebound)
+    replaced = [reg for ar, reg in tracker._ar_registry.items() if ar != spoofed_ar]
+    assert len(replaced) == 1 and replaced[0].key == live
+    assert all(b.device is None and b.connection is None for b in replaced[0].frame_id_bindings)
+    assert [(a.instance_kind, a.offending_event) for a in report.anomalies] == [
+        ("device", "connect_requested"),
+        ("system", "connect_requested"),
+    ]
+    assert [r["cause"]["capture_index"] for r in report.logs["connections"][live]][-1] == 22
+
+    # Frame ids refused as frame_id_conflict stay bound to their holder's record.
+    other_ar = uuid.uuid5(uuid.NAMESPACE_OID, "other-ar")
+    tracker = Tracker()
+    tracker.process(_replayed(11, _connect_from("02:66:6e:00:00:99", other_ar)))
+    _assert_bound_records_are_resolved(tracker)
+    assert {b.key for b in tracker._frame_id_registry.values()} == {live}
+    refused = tracker._ar_registry[other_ar].frame_id_bindings
+    assert refused and all(b.device is None and b.connection is None for b in refused)
+
+
+# The streamed lines of two good cyclic frames (output, then input) sent after
+# the first `count` startup frames: just after the Connect's response, and just
+# before the CControl response. The resolved instances reject them as the
+# lookup by (scope, key) did.
+_EARLY_CYCLIC_LINES = {
+    12: [
+        '{"cause": {"capture_index": 12, "protocol": "pnio", "summary": "pnio cyclic 0x8002 output iops good"}, '
+        '"explanation": "cyclic_data_good not permitted during Connection Establishment operation", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", "offending_event": "cyclic_data_good", '
+        '"severity": "anomaly", "state_at_event": "NewConnectionInitiated", "timestamp": [1700000000, 360000000]}',
+        '{"cause": {"capture_index": 12, "protocol": "pnio", "summary": "pnio cyclic 0x8002 output iops good"}, '
+        '"explanation": "output_process_data_sent not permitted during Connection Establishment operation", '
+        '"instance_key": "020000000100-020000000200", "instance_kind": "connection", '
+        '"offending_event": "output_process_data_sent", "severity": "anomaly", '
+        '"state_at_event": "ConnectionCreation", "timestamp": [1700000000, 360000000]}',
+        '{"cause": {"capture_index": 13, "protocol": "pnio", "summary": "pnio cyclic 0x8001 input iops good"}, '
+        '"explanation": "cyclic_data_good not permitted during Connection Establishment operation", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", "offending_event": "cyclic_data_good", '
+        '"severity": "anomaly", "state_at_event": "NewConnectionInitiated", "timestamp": [1700000000, 390000000]}',
+        '{"cause": {"capture_index": 13, "protocol": "pnio", "summary": "pnio cyclic 0x8001 input iops good"}, '
+        '"explanation": "input_process_data_sent not permitted during Connection Establishment operation", '
+        '"instance_key": "020000000100-020000000200", "instance_kind": "connection", '
+        '"offending_event": "input_process_data_sent", "severity": "anomaly", '
+        '"state_at_event": "ConnectionCreation", "timestamp": [1700000000, 390000000]}',
+    ],
+    19: [
+        '{"cause": {"capture_index": 19, "protocol": "pnio", "summary": "pnio cyclic 0x8002 output iops good"}, '
+        '"explanation": "cyclic_data_good not permitted during Connection Establishment operation", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", "offending_event": "cyclic_data_good", '
+        '"severity": "anomaly", "state_at_event": "ApplicationReady", "timestamp": [1700000000, 570000000]}',
+        '{"cause": {"capture_index": 20, "protocol": "pnio", "summary": "pnio cyclic 0x8001 input iops good"}, '
+        '"explanation": "cyclic_data_good not permitted during Connection Establishment operation", '
+        '"instance_key": "02:00:00:00:02:00", "instance_kind": "device", "offending_event": "cyclic_data_good", '
+        '"severity": "anomaly", "state_at_event": "ApplicationReady", "timestamp": [1700000000, 600000000]}',
+    ],
+}
+
+
+@pytest.mark.parametrize("count", sorted(_EARLY_CYCLIC_LINES))
+def test_cyclic_frames_before_establishment_are_rejected_at_the_resolved_instances(count):
+    plans = _startup_plans()
+    assert plans[11].label.startswith("pn-cm connect response")
+    assert plans[19].label.startswith("pn-cm ccontrol response")
+    sink = io.StringIO()
+    tracker = Tracker(TrackerConfig(alert_sink=sink))
+    report = tracker.process(_replayed(count, plans[20].data, plans[21].data))
+    _assert_bound_records_are_resolved(tracker)
+    assert sink.getvalue().splitlines() == _EARLY_CYCLIC_LINES[count]
+    assert len(report.anomalies) == len(_EARLY_CYCLIC_LINES[count])
