@@ -2,8 +2,9 @@
 
 Raw Ethernet frames are classified by ethertype and decoded into typed frame
 structures: LLDP (0x88CC), ARP (0x0806), PN-DCP and PNIO cyclic (0x8892,
-split by frame id), and PN-CM as DCE/RPC over UDP port 34964. Anything else
-passes through as Other. A frame that claims one of these protocols but
+split by frame id), and PN-CM as DCE/RPC over UDP port 34964. Each frame
+becomes one record of its protocol's class; anything else is a bare
+ParsedFrame tagged "other". A frame that claims one of these protocols but
 violates its own structure raises MalformedFrame; dissection never raises
 anything else for inputs of at least 14 bytes.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import struct
 import uuid
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .capture import RawFrame
 
@@ -157,7 +159,23 @@ def str_to_ip(text: str) -> bytes:
 
 
 @dataclass(slots=True)
-class LldpFrame:
+class ParsedFrame:
+    """One dissected frame: its Ethernet addresses and capture index.
+
+    Each protocol poet follows is a subclass that adds the facts poet reads and
+    sets its own `protocol` tag; a frame poet does not follow is a bare
+    ParsedFrame, tagged "other".
+    """
+
+    dst_mac: str
+    src_mac: str
+    capture_index: int  # of the source frame
+    protocol: ClassVar[str] = "other"  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
+
+
+@dataclass(slots=True)
+class LldpFrame(ParsedFrame):
+    protocol: ClassVar[str] = "lldp"
     # The MAC the frame speaks for: the PNO Chassis-MAC TLV's, else a 6-byte chassis id of
     # the MAC subtype, else the source MAC.
     subject_mac: str
@@ -170,7 +188,8 @@ class LldpFrame:
 
 
 @dataclass(slots=True)
-class ArpPacket:
+class ArpPacket(ParsedFrame):
+    protocol: ClassVar[str] = "arp"
     sender_mac: str
     sender_ip: str
     target_ip: str
@@ -181,7 +200,8 @@ class ArpPacket:
 
 
 @dataclass(slots=True)
-class DcpFrame:
+class DcpFrame(ParsedFrame):
+    protocol: ClassVar[str] = "pn-dcp"
     service_id: str  # "Identify" | "Get" | "Set" | "Hello"
     service_type: str  # "Request" | "ResponseSuccess" | "ResponseUnsupported"
     # The blocks poet reads, decoded in block order: ("name", str), ("ip", (ip, subnet,
@@ -200,7 +220,8 @@ class IocrBlock:
 
 
 @dataclass(slots=True)
-class CmFrame:
+class CmFrame(ParsedFrame):
+    protocol: ClassVar[str] = "pn-cm"
     direction: str  # "request" | "response"
     operation: str  # Connect | Write | Read | DControl | CControl | Release
     ar_uuid: uuid.UUID | None
@@ -210,39 +231,10 @@ class CmFrame:
 
 
 @dataclass(slots=True)
-class PnioCyclicFrame:
+class PnioCyclicFrame(ParsedFrame):
+    protocol: ClassVar[str] = "pnio"
     frame_id: int
     data: bytes  # the C-SDU, without the cycle counter and status trailer
-
-
-class OtherBody:
-    """A frame poet does not follow; it carries nothing."""
-
-    __slots__ = ()
-
-
-_OTHER = OtherBody()
-
-
-Body = LldpFrame | ArpPacket | DcpFrame | CmFrame | PnioCyclicFrame | OtherBody
-
-# The protocol tag that dissect stamps on each body type but the cyclic one, tagged where it is built.
-_PROTOCOL_TAGS: dict[type, str] = {
-    LldpFrame: "lldp",
-    ArpPacket: "arp",
-    DcpFrame: "pn-dcp",
-    CmFrame: "pn-cm",
-    OtherBody: "other",
-}
-
-
-@dataclass(slots=True)
-class ParsedFrame:
-    dst_mac: str
-    src_mac: str
-    body: Body
-    capture_index: int  # of the source frame
-    protocol: str  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
 
 
 _U16 = struct.Struct(">H").unpack_from
@@ -255,10 +247,11 @@ def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> byt
 
 
 def dissect(raw: RawFrame) -> ParsedFrame:
-    """Dissect one raw frame into a typed ParsedFrame.
+    """Dissect one raw frame into one record of its protocol's ParsedFrame subclass.
 
-    Unknown traffic becomes Other; structurally broken claims of a known
-    protocol raise MalformedFrame.
+    Unknown traffic becomes a bare ParsedFrame; structurally broken claims of a
+    known protocol raise MalformedFrame. Each parser gets the frame's
+    (dst_mac, src_mac, capture_index), the fields its record starts with.
     """
     frame = raw.frame_bytes
     size = len(frame)
@@ -282,22 +275,19 @@ def dissect(raw: RawFrame) -> ParsedFrame:
             raise MalformedFrame("profinet-rt", 0, "truncated frame id")
         frame_id = _U16(frame, start)[0]
         if RT_CYCLIC_MIN <= frame_id <= RT_CYCLIC_MAX:
-            # Nearly all of a running plant's frames, so built and tagged here.
+            # Nearly all of a running plant's frames, so built here.
             if size - start < 7:  # frame id + >=1 data byte + 4 trailer bytes
                 raise MalformedFrame("pnio", 2, "cyclic frame too short for C-SDU")
-            cyclic = PnioCyclicFrame(frame_id, frame[start + 2 : -4])
-            return ParsedFrame(dst, src, cyclic, raw.capture_index, "pnio")
-        dcp = DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX
-        body: Body = _parse_dcp(frame[start:]) if dcp else _OTHER
+            return PnioCyclicFrame(dst, src, raw.capture_index, frame_id, frame[start + 2 : -4])
+        if DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX:
+            return _parse_dcp(frame[start:], (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_LLDP:
-        body = _parse_lldp(frame[start:], src)
+        return _parse_lldp(frame[start:], (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_ARP:
-        body = _parse_arp(frame[start:])
+        return _parse_arp(frame[start:], (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_IPV4:
-        body = _parse_ipv4(frame[start:])
-    else:
-        body = _OTHER
-    return ParsedFrame(dst, src, body, raw.capture_index, _PROTOCOL_TAGS[type(body)])
+        return _parse_ipv4(frame[start:], (dst, src, raw.capture_index))
+    return ParsedFrame(dst, src, raw.capture_index)
 
 
 # --- LLDP ------------------------------------------------------------------
@@ -305,7 +295,7 @@ def dissect(raw: RawFrame) -> ParsedFrame:
 NAME_OF_STATION_ALLOWED = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-.")
 
 
-def _parse_lldp(data: bytes, src_mac: str) -> LldpFrame:
+def _parse_lldp(data: bytes, eth: tuple[str, str, int]) -> LldpFrame:
     tlvs: list[tuple[int, bytes]] = []
     pos = 0
     while pos + 2 <= len(data):
@@ -353,6 +343,7 @@ def _parse_lldp(data: bytes, src_mac: str) -> LldpFrame:
             # packet-lldp.c reads the same six bytes. A shorter TLV is ignored.
             chassis_mac = mac_to_str(value[4:10])
 
+    src_mac = eth[1]
     port_mac = _lldp_mac(port_raw, LLDP_PORT_SUBTYPE_MAC)
     if chassis_mac is not None:
         # Such a station's locally assigned chassis id is its NameOfStation, and it
@@ -362,6 +353,7 @@ def _parse_lldp(data: bytes, src_mac: str) -> LldpFrame:
         if port_mac is None:
             port_mac = src_mac
     return LldpFrame(
+        *eth,
         subject_mac=chassis_mac or _lldp_mac(chassis_raw, LLDP_SUBTYPE_MAC) or src_mac,
         port_mac=port_mac,
         station_name=station_name,
@@ -380,14 +372,15 @@ def _lldp_mac(id_tlv: bytes, mac_subtype: int) -> str | None:
 # --- ARP -------------------------------------------------------------------
 
 
-def _parse_arp(data: bytes) -> ArpPacket | OtherBody:
+def _parse_arp(data: bytes, eth: tuple[str, str, int]) -> ParsedFrame:
     raw = _need(data, 0, 28, "arp", "ARP payload")
     htype, ptype, hlen, plen, oper = struct.unpack(">HHBBH", raw[0:8])
     if htype != 1 or ptype != ETHERTYPE_IPV4 or hlen != 6 or plen != 4:
-        return _OTHER
+        return ParsedFrame(*eth)
     if oper not in (1, 2):
         raise MalformedFrame("arp", 6, f"bad ARP operation {oper}")
     return ArpPacket(
+        *eth,
         sender_mac=mac_to_str(raw[8:14]),
         sender_ip=ip_to_str(raw[14:18]),
         target_ip=ip_to_str(raw[24:28]),
@@ -398,7 +391,12 @@ def _parse_arp(data: bytes) -> ArpPacket | OtherBody:
 
 
 def name_of_station_violations(name: str) -> list[str]:
-    """PROFINET station-name rule check; returns rule tags, empty when clean."""
+    """PROFINET station-name rule check; returns rule tags, empty when clean.
+
+    IEC 61158-6-10 limits a name to 240 octets and each dot-separated label to
+    63, the DNS label limit of RFC 1035 section 2.3.4. Lengths are counted in
+    characters, which are octets in every name of the allowed charset.
+    """
     issues: list[str] = []
     if not name:
         issues.append("name-empty")
@@ -407,10 +405,13 @@ def name_of_station_violations(name: str) -> list[str]:
         issues.append("name-too-long")
     if not NAME_OF_STATION_ALLOWED.issuperset(name):
         issues.append("name-charset")
-    for label in name.split("."):
+    labels = name.split(".")
+    for label in labels:
         if not label or label.startswith("-") or label.endswith("-"):
             issues.append("name-label-shape")
             break
+    if max(map(len, labels)) > 63:
+        issues.append("name-label-too-long")
     return issues
 
 
@@ -420,7 +421,7 @@ _DEVICE_ID = (DCP_OPTION_DEVICE, DCP_SUBOPTION_DEVICE_ID)
 _CONTROL_RESULT = (DCP_OPTION_CONTROL, DCP_SUBOPTION_CONTROL_RESPONSE)
 
 
-def _parse_dcp(data: bytes) -> DcpFrame:
+def _parse_dcp(data: bytes, eth: tuple[str, str, int]) -> DcpFrame:
     # frame_id(2) service_id(1) service_type(1) xid(4) response_delay(2) data_length(2)
     header = _need(data, 2, 10, "pn-dcp", "DCP header")
     service_id, service_type = header[0], header[1]
@@ -476,6 +477,7 @@ def _parse_dcp(data: bytes) -> DcpFrame:
             facts.append(("device_id", struct.unpack(">HH", payload[0:4])))
 
     return DcpFrame(
+        *eth,
         service_id=DCP_SERVICE_NAMES[service_id],
         service_type=DCP_TYPE_NAMES[service_type],
         facts=tuple(facts),
@@ -487,7 +489,7 @@ def _parse_dcp(data: bytes) -> DcpFrame:
 # --- IPv4 / UDP / DCE-RPC / PN-CM -------------------------------------------
 
 
-def _parse_ipv4(data: bytes) -> CmFrame | OtherBody:
+def _parse_ipv4(data: bytes, eth: tuple[str, str, int]) -> ParsedFrame:
     head = data[:20]
     if len(head) < 20:
         raise MalformedFrame("ipv4", 0, "truncated IPv4 header")
@@ -503,37 +505,37 @@ def _parse_ipv4(data: bytes) -> CmFrame | OtherBody:
     flags_frag = struct.unpack(">H", head[6:8])[0]
     # A fragment (MF set or fragment offset nonzero), or not UDP.
     if flags_frag & 0x3FFF or head[9] != 17:
-        return _OTHER
+        return ParsedFrame(*eth)
     udp = data[ihl:total_length]
     if len(udp) < 8:
         raise MalformedFrame("udp", ihl, "truncated UDP header")
     sport, dport, udp_len = struct.unpack(">HHH", udp[0:6])
     if PNIO_CM_UDP_PORT not in (sport, dport):
-        return _OTHER
+        return ParsedFrame(*eth)
     if udp_len < 8 or udp_len > len(udp):
         raise MalformedFrame("udp", ihl + 4, "UDP length inconsistent")
-    return _parse_dcerpc(udp[8:udp_len], ihl + 8)
+    return _parse_dcerpc(udp[8:udp_len], ihl + 8, eth)
 
 
 def _rpc_uuid(raw: bytes, little_endian: bool) -> uuid.UUID:
     return uuid.UUID(bytes_le=raw) if little_endian else uuid.UUID(bytes=raw)
 
 
-def _parse_dcerpc(data: bytes, base: int) -> CmFrame | OtherBody:
+def _parse_dcerpc(data: bytes, base: int, eth: tuple[str, str, int]) -> ParsedFrame:
     head = data[:RPC_HEADER_LEN]
     if len(head) < RPC_HEADER_LEN:
         raise MalformedFrame("pn-cm", base, "truncated DCE/RPC header")
     if head[0] != RPC_VERSION_CL:
-        return _OTHER
+        return ParsedFrame(*eth)
     ptype = head[1]
     if ptype not in (RPC_PTYPE_REQUEST, RPC_PTYPE_RESPONSE):
-        return _OTHER
+        return ParsedFrame(*eth)
     flags1 = head[2]
     little_endian = (head[4] & 0xF0) == 0x10
     e = "<" if little_endian else ">"
     interface_uuid = _rpc_uuid(head[24:40], little_endian)
     if interface_uuid not in (UUID_IO_DEVICE, UUID_IO_CONTROLLER):
-        return _OTHER
+        return ParsedFrame(*eth)
     opnum = struct.unpack(e + "H", head[68:70])[0]
     frag_len = struct.unpack(e + "H", head[74:76])[0]
     frag_num = struct.unpack(e + "H", head[76:78])[0]
@@ -544,7 +546,7 @@ def _parse_dcerpc(data: bytes, base: int) -> CmFrame | OtherBody:
         raise MalformedFrame("pn-cm", base + RPC_HEADER_LEN, "fragment length exceeds datagram")
 
     if opnum > RPC_OPNUM_CONTROL:
-        return _OTHER
+        return ParsedFrame(*eth)
     direction = "request" if ptype == RPC_PTYPE_REQUEST else "response"
 
     # NDR args: args_max/status(4) args_len(4) max_count(4) offset(4) actual_count(4)
@@ -555,7 +557,7 @@ def _parse_dcerpc(data: bytes, base: int) -> CmFrame | OtherBody:
     if len(blocks_raw) < args_len:
         raise MalformedFrame("pn-cm", base + RPC_HEADER_LEN + 4, "args length exceeds fragment")
 
-    return _parse_cm_blocks(direction, opnum, blocks_raw, base + RPC_HEADER_LEN + 20)
+    return _parse_cm_blocks(direction, opnum, blocks_raw, base + RPC_HEADER_LEN + 20, eth)
 
 
 def _iter_blocks(raw: bytes, base: int):
@@ -597,7 +599,7 @@ _SKIPPED_BLOCKS = frozenset({BLOCK_IOCR_RES, BLOCK_ALARMCR_REQ, BLOCK_ALARMCR_RE
 _OPNUM_OPERATIONS = ("Connect", "Release", "Read", "Write", "DControl")
 
 
-def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFrame:
+def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int, eth: tuple[str, str, int]) -> CmFrame:
     ar_uuid: uuid.UUID | None = None
     iocrs: list[IocrBlock] = []
     submodules: list[tuple[str, int, int, int]] = []
@@ -643,7 +645,7 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int) -> CmFra
         if iocrs and not submodules:
             raise MalformedFrame("pn-cm", base, "IO CRs declared without expected submodules")
 
-    return CmFrame(direction, operation, ar_uuid, tuple(iocrs), tuple(submodules))
+    return CmFrame(*eth, direction, operation, ar_uuid, tuple(iocrs), tuple(submodules))
 
 
 def _parse_expected_submodules(content: bytes, at: int) -> list[tuple[str, int, int, int]]:

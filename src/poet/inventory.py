@@ -150,15 +150,14 @@ class AssetInventory:
             return ()
 
         changes: list[InventoryChange] = []
-        body = parsed.body
         dst = parsed.dst_mac
         cause = FrameRef(parsed.capture_index, protocol, "inventory update")
         if protocol == "lldp":
-            mac = body.subject_mac
+            mac = parsed.subject_mac
             record = self._record(mac, ts)
-            self._set(record, "name_of_station", body.station_name, cause, changes)
-            self._set(record, "ip_address", body.management_address, cause, changes)
-            port = body.port_mac
+            self._set(record, "name_of_station", parsed.station_name, cause, changes)
+            self._set(record, "ip_address", parsed.management_address, cause, changes)
+            port = parsed.port_mac
             if port is not None and port not in record.port_macs:
                 record.port_macs.add(port)
                 record.provenance.setdefault(
@@ -166,21 +165,21 @@ class AssetInventory:
                 )
                 changes.append(InventoryChange(mac, "port_macs", None, port, False, cause))
         elif protocol == "arp":
-            record = self._record(body.sender_mac, ts)
-            if body.sender_ip != "0.0.0.0":
-                self._set(record, "ip_address", body.sender_ip, cause, changes)
+            record = self._record(parsed.sender_mac, ts)
+            if parsed.sender_ip != "0.0.0.0":
+                self._set(record, "ip_address", parsed.sender_ip, cause, changes)
         elif protocol == "pn-dcp":
             record = self._record(src, ts)
-            if body.service_type == "ResponseSuccess" and body.service_id == "Identify":
-                self._apply_dcp_facts(record, body, cause, changes)
-            elif body.service_type == "Request" and body.service_id == "Set":
+            if parsed.service_type == "ResponseSuccess" and parsed.service_id == "Identify":
+                self._apply_dcp_facts(record, parsed, cause, changes)
+            elif parsed.service_type == "Request" and parsed.service_id == "Set":
                 target = self._record(dst, ts)
-                self._apply_dcp_facts(target, body, cause, changes)
+                self._apply_dcp_facts(target, parsed, cause, changes)
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
         else:  # pn-cm
             record = self._record(src, ts)
-            if body.operation == "Connect" and body.direction == "request":
+            if parsed.operation == "Connect" and parsed.direction == "request":
                 target = self._record(dst, ts)
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
@@ -189,11 +188,11 @@ class AssetInventory:
     def _apply_dcp_facts(
         self,
         record: AssetRecord,
-        body: DcpFrame,
+        frame: DcpFrame,
         cause: FrameRef,
         changes: list[InventoryChange],
     ) -> None:
-        for kind, value in body.facts:
+        for kind, value in frame.facts:
             if kind == "name":
                 self._set(record, "name_of_station", value, cause, changes)
             elif kind == "ip":

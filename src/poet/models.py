@@ -11,7 +11,7 @@ the rename-attack signal.
 from __future__ import annotations
 
 import uuid
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -362,15 +362,17 @@ class DerivedEvents:
 
 
 class TrackContext:
-    """Read-only view derive_events needs; the tracker implements it."""
+    """Read-only view derive_events needs; the tracker implements it.
+
+    `ar_registry` (each AR's Connect record, by AR UUID) and `frame_id_registry`
+    (each bound CR, by frame id) are the tracker's own registries: derive_events
+    reads them and leaves every write to the tracker.
+    """
+
+    ar_registry: Mapping[uuid.UUID, ConnectionRegistration]
+    frame_id_registry: Mapping[int, CyclicBinding]
 
     def lookup_name(self, name: str) -> str | None:
-        raise NotImplementedError
-
-    def connection_for_ar(self, ar_uuid: uuid.UUID) -> ConnectionRegistration | None:
-        raise NotImplementedError
-
-    def binding_for_frame_id(self, frame_id: int) -> CyclicBinding | None:
         raise NotImplementedError
 
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
@@ -393,38 +395,38 @@ def derive_events(parsed: ParsedFrame, ctx: TrackContext) -> DerivedEvents:
     connection registry) is returned for the tracker to apply.
     """
     derive = _DERIVERS.get(parsed.protocol)
-    return derive(parsed, parsed.body, ctx) if derive else DerivedEvents()
+    return derive(parsed, ctx) if derive else DerivedEvents()
 
 
-def _cause(parsed: ParsedFrame, summary: str) -> FrameRef:
-    return FrameRef(parsed.capture_index, parsed.protocol, summary)
+def _cause(frame: ParsedFrame, summary: str) -> FrameRef:
+    return FrameRef(frame.capture_index, frame.protocol, summary)
 
 
-def _derive_lldp(parsed: ParsedFrame, body: LldpFrame, ctx: TrackContext) -> DerivedEvents:
-    subject = body.subject_mac
-    cause = _cause(parsed, f"lldp advertisement from {body.station_name or subject}")
+def _derive_lldp(frame: LldpFrame, ctx: TrackContext) -> DerivedEvents:
+    subject = frame.subject_mac
+    cause = _cause(frame, f"lldp advertisement from {frame.station_name or subject}")
     out = DerivedEvents()
     out.events.append(ProtocolEvent(DETECT_NEIGHBOURS, "device", subject, cause))
     out.events.extend(_system_traffic_event(ctx, cause))
     return out
 
 
-def _derive_arp(parsed: ParsedFrame, body: ArpPacket, ctx: TrackContext) -> DerivedEvents:
+def _derive_arp(frame: ArpPacket, ctx: TrackContext) -> DerivedEvents:
     out = DerivedEvents()
-    if body.is_gratuitous:
-        cause = _cause(parsed, f"gratuitous arp for {body.sender_ip}")
-        out.events.append(ProtocolEvent(DUPLICATION_CHECK, "device", body.sender_mac, cause))
+    if frame.is_gratuitous:
+        cause = _cause(frame, f"gratuitous arp for {frame.sender_ip}")
+        out.events.append(ProtocolEvent(DUPLICATION_CHECK, "device", frame.sender_mac, cause))
     return out
 
 
-def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> DerivedEvents:
+def _derive_dcp(frame: DcpFrame, ctx: TrackContext) -> DerivedEvents:
     out = DerivedEvents()
-    src = parsed.src_mac
-    dst = parsed.dst_mac
+    src = frame.src_mac
+    dst = frame.dst_mac
 
-    if body.service_id == "Identify" and body.service_type == "Request":
-        name = body.name_of_station
-        cause = _cause(parsed, f"dcp identify request for {name!r}")
+    if frame.service_id == "Identify" and frame.service_type == "Request":
+        name = frame.name_of_station
+        cause = _cause(frame, f"dcp identify request for {name!r}")
         if name:
             subject = ctx.lookup_name(name)
             if subject is not None:
@@ -434,9 +436,9 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
         out.events.extend(_system_traffic_event(ctx, cause))
         return out
 
-    if body.service_id == "Identify" and body.service_type == "ResponseSuccess":
-        name = body.name_of_station
-        cause = _cause(parsed, f"dcp identify response from {name!r}")
+    if frame.service_id == "Identify" and frame.service_type == "ResponseSuccess":
+        name = frame.name_of_station
+        cause = _cause(frame, f"dcp identify response from {name!r}")
         if name:
             # The response binds name -> MAC: release the requests held for it first.
             out.consumed_deferrals = ctx.deferred_for_name(name)
@@ -447,19 +449,19 @@ def _derive_dcp(parsed: ParsedFrame, body: DcpFrame, ctx: TrackContext) -> Deriv
         out.events.append(ProtocolEvent(NAME_RESOLVED, "device", src, cause))
         return out
 
-    if body.service_id == "Set" and body.service_type == "Request":
-        for kind, value in body.facts:
+    if frame.service_id == "Set" and frame.service_type == "Request":
+        for kind, value in frame.facts:
             if kind == "ip":
-                cause = _cause(parsed, f"dcp set ip-parameter {value[0]}")
+                cause = _cause(frame, f"dcp set ip-parameter {value[0]}")
                 out.events.append(ProtocolEvent(IP_ASSIGNMENT_REQUESTED, "device", dst, cause))
             elif kind == "name":
-                cause = _cause(parsed, f"dcp set name-of-station {value!r}")
+                cause = _cause(frame, f"dcp set name-of-station {value!r}")
                 out.events.append(ProtocolEvent(NAME_SET_REQUESTED, "device", dst, cause))
         return out
 
-    if body.service_id == "Set" and body.service_type == "ResponseSuccess":
-        cause = _cause(parsed, "dcp set response (ip parameter)")
-        for kind, value in body.facts:
+    if frame.service_id == "Set" and frame.service_type == "ResponseSuccess":
+        cause = _cause(frame, "dcp set response (ip parameter)")
+        for kind, value in frame.facts:
             if kind == "ip_acknowledged":
                 out.events.append(ProtocolEvent(IP_ASSIGNED, "device", src, cause))
             elif kind == "ip_refused":
@@ -482,28 +484,28 @@ _CM_EVENTS: dict[tuple[str, str], tuple[str | None, str | None]] = {
 }
 
 
-def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> DerivedEvents:
-    op, direction = body.operation, body.direction
+def _derive_cm(frame: CmFrame, ctx: TrackContext) -> DerivedEvents:
+    op, direction = frame.operation, frame.direction
     if op == "Connect" and direction == "request":
-        dst = parsed.dst_mac
-        key = connection_key(parsed.src_mac, dst)
-        cause = _cause(parsed, f"pn-cm connect request to {dst}")
-        bindings, problem = cyclic_bindings(body, key, dst)
+        dst = frame.dst_mac
+        key = connection_key(frame.src_mac, dst)
+        cause = _cause(frame, f"pn-cm connect request to {dst}")
+        bindings, problem = cyclic_bindings(frame, key, dst)
         out = DerivedEvents()
         if problem is not None:
             out.diagnostics = (TrackDiagnostic("inconsistent_connect", problem, cause, "device", dst),)
-        assert body.ar_uuid is not None
-        out.registration = ConnectionRegistration(key, dst, body.ar_uuid, bindings)
+        assert frame.ar_uuid is not None
+        out.registration = ConnectionRegistration(key, dst, frame.ar_uuid, bindings)
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "device", dst, cause))
         out.events.append(ProtocolEvent(CONNECT_REQUESTED, "system", None, cause))
         return out
     if op in ("Connect", "Release"):
         return DerivedEvents()  # Connect responses and Releases drive no tracked event
 
-    cause = _cause(parsed, f"pn-cm {op.lower()} {direction}")
-    conn = None if body.ar_uuid is None else ctx.connection_for_ar(body.ar_uuid)
+    cause = _cause(frame, f"pn-cm {op.lower()} {direction}")
+    conn = None if frame.ar_uuid is None else ctx.ar_registry.get(frame.ar_uuid)
     if conn is None:
-        missing = "without AR reference" if body.ar_uuid is None else f"for unknown AR {body.ar_uuid}"
+        missing = "without AR reference" if frame.ar_uuid is None else f"for unknown AR {frame.ar_uuid}"
         orphan = TrackDiagnostic("orphan_frame", f"{cause.summary} {missing}", cause)
         return DerivedEvents(diagnostics=(orphan,))
     device = conn.responder_mac
@@ -519,23 +521,23 @@ def _derive_cm(parsed: ParsedFrame, body: CmFrame, ctx: TrackContext) -> Derived
     )
 
 
-def _derive_pnio(parsed: ParsedFrame, body: PnioCyclicFrame, ctx: TrackContext) -> DerivedEvents:
-    binding = ctx.binding_for_frame_id(body.frame_id)
+def _derive_pnio(frame: PnioCyclicFrame, ctx: TrackContext) -> DerivedEvents:
+    binding = ctx.frame_id_registry.get(frame.frame_id)
     if binding is None:
         orphan = TrackDiagnostic(
             "orphan_frame",
-            f"pnio cyclic frame id 0x{body.frame_id:04x} has no registered connection",
-            _cause(parsed, f"pnio cyclic 0x{body.frame_id:04x}"),
+            f"pnio cyclic frame id 0x{frame.frame_id:04x} has no registered connection",
+            _cause(frame, f"pnio cyclic 0x{frame.frame_id:04x}"),
         )
         return DerivedEvents(diagnostics=(orphan,))
-    data = body.data
+    data = frame.data
     offsets = binding.iops_offsets
     if offsets is None or len(data) < binding.c_sdu_length:
         return DerivedEvents()
     for at in offsets:
         if not data[at] & IOXS_GOOD:
             return DerivedEvents()
-    cause = FrameRef(parsed.capture_index, "pnio", binding.summary)
+    cause = FrameRef(frame.capture_index, "pnio", binding.summary)
     return DerivedEvents(
         [
             ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, cause, binding.device),

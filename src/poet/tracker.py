@@ -267,8 +267,8 @@ class Tracker(TrackContext):
         self.alerts: list[AnomalyAlert] = []
         self.fleet = FsmFleet(self.config.system_name, self._on_alert)
         self.inventory = AssetInventory()
-        self._ar_registry: dict[uuid.UUID, ConnectionRegistration] = {}
-        self._frame_id_registry: dict[int, CyclicBinding] = {}
+        self.ar_registry: dict[uuid.UUID, ConnectionRegistration] = {}
+        self.frame_id_registry: dict[int, CyclicBinding] = {}
         # Pending identify requests in capture order (expiry takes them from the
         # front), and the same requests by name (an answer releases them all).
         self.deferred: OrderedDict[DeferredEvent, None] = OrderedDict()
@@ -282,12 +282,6 @@ class Tracker(TrackContext):
 
     def lookup_name(self, name: str) -> str | None:
         return self.inventory.find_mac_by_name(name)
-
-    def connection_for_ar(self, ar_uuid: uuid.UUID) -> ConnectionRegistration | None:
-        return self._ar_registry.get(ar_uuid)
-
-    def binding_for_frame_id(self, frame_id: int) -> CyclicBinding | None:
-        return self._frame_id_registry.get(frame_id)
 
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
         return list(self._deferred_by_name.get(name, ()))
@@ -327,18 +321,18 @@ class Tracker(TrackContext):
         device = self.fleet.ensure("device", reg.responder_mac)
         # An AR UUID, like a frame id, stays with the connection that holds it:
         # a Connect of another connection that reuses it registers nothing.
-        held_ar = self._ar_registry.get(reg.ar_uuid)
+        held_ar = self.ar_registry.get(reg.ar_uuid)
         if held_ar is not None and held_ar.key != reg.key:
             detail = f"AR {reg.ar_uuid} is held by connection {held_ar.key}"
             self._diagnostic("ar_uuid_conflict", detail, cause, "device", reg.responder_mac)
             bindings: tuple[CyclicBinding, ...] = ()
         else:
-            self._ar_registry[reg.ar_uuid] = reg
+            self.ar_registry[reg.ar_uuid] = reg
             bindings = reg.frame_id_bindings
         for binding in bindings:
             # A frame id stays with the connection that holds it: only that
             # connection's own Connect (a reconnect) may rebind it.
-            held = self._frame_id_registry.get(binding.frame_id)
+            held = self.frame_id_registry.get(binding.frame_id)
             if held is not None:
                 if held.key != reg.key:
                     detail = f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}"
@@ -348,7 +342,7 @@ class Tracker(TrackContext):
             # Bound, the binding is the live CR: its good frames fire these two instances.
             binding.device = device
             binding.connection = connection
-            self._frame_id_registry[binding.frame_id] = binding
+            self.frame_id_registry[binding.frame_id] = binding
         if created and self.fleet.system.current_state == "DataExchange":
             detail = "new connection initiated after system startup completed"
             self._diagnostic("connection_created_after_startup", detail, cause, "connection", reg.key)
@@ -375,7 +369,7 @@ class Tracker(TrackContext):
             if change.conflict:
                 detail = f"{change.fieldname} changed from {change.old!r} to {change.new!r}"
                 self._diagnostic("inventory_conflict", detail, change.cause, "device", change.mac)
-        violations = getattr(parsed.body, "violations", ())
+        violations = getattr(parsed, "violations", ())
         if violations:
             for violation in violations:
                 detail = f"{parsed.protocol} rule violation: {violation}"

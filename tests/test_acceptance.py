@@ -189,40 +189,49 @@ def test_c5_determinism(tmp_path):
 def test_c6_dissector_totality_and_duality():
     corpus = fuzz_corpus(seed=2024, count=10_000)
     outcomes = {"parsed": 0, "malformed": 0}
-    for data in corpus:
+    tags = {"lldp", "arp", "pn-dcp", "pn-cm", "pnio", "other"}
+    for index, data in enumerate(corpus):
         try:
-            parsed = dissect(RawFrame(0, 0, data, 0))
+            parsed = dissect(RawFrame(0, 0, data, index))
             assert isinstance(parsed, ParsedFrame)
+            # one record per frame: the frame's own header and index, and one of the six tags
+            assert (parsed.dst_mac, parsed.src_mac, parsed.capture_index) == (
+                data[0:6].hex(":"),
+                data[6:12].hex(":"),
+                index,
+            )
+            assert parsed.protocol in tags
             outcomes["parsed"] += 1
         except MalformedFrame:
             outcomes["malformed"] += 1
     assert sum(outcomes.values()) == 10_000
 
-    # duality: every synthesized frame family dissects to its intended family
+    # duality: every synthesized frame family dissects to its intended family and tag
     result = synthesize(
         replace(normal_startup_spec(2), acyclic_exchange=True, cyclic_rounds=3)
     )
     family_of = {
-        "lldp": LldpFrame,
-        "dcp": DcpFrame,
-        "arp": ArpPacket,
-        "gratuitous": ArpPacket,
-        "pn-cm": CmFrame,
-        "pnio": PnioCyclicFrame,
+        "lldp": (LldpFrame, "lldp"),
+        "dcp": (DcpFrame, "pn-dcp"),
+        "arp": (ArpPacket, "arp"),
+        "gratuitous": (ArpPacket, "arp"),
+        "pn-cm": (CmFrame, "pn-cm"),
+        "pnio": (PnioCyclicFrame, "pnio"),
     }
     families_seen = set()
     for plan in result.frames:
         parsed = dissect(RawFrame(*plan.ts, plan.data, plan.index))
         label = plan.label.split()[0]
-        expected = family_of[label]
-        assert isinstance(parsed.body, expected), plan.label
+        expected, tag = family_of[label]
+        assert isinstance(parsed, expected), plan.label
+        assert parsed.protocol == tag, plan.label
         families_seen.add(expected)
-        if isinstance(parsed.body, CmFrame):
-            assert parsed.body.operation.lower() in plan.label, plan.label
-            assert parsed.body.direction in plan.label, plan.label
-        elif isinstance(parsed.body, DcpFrame):
-            assert parsed.body.service_id.lower() in plan.label, plan.label
-        elif isinstance(parsed.body, PnioCyclicFrame):
+        if isinstance(parsed, CmFrame):
+            assert parsed.operation.lower() in plan.label, plan.label
+            assert parsed.direction in plan.label, plan.label
+        elif isinstance(parsed, DcpFrame):
+            assert parsed.service_id.lower() in plan.label, plan.label
+        elif isinstance(parsed, PnioCyclicFrame):
             assert plan.label.split()[1] in ("input", "output"), plan.label
     assert families_seen == {LldpFrame, DcpFrame, ArpPacket, CmFrame, PnioCyclicFrame}
     _announce(
@@ -243,11 +252,11 @@ def test_c7_process_data_extraction(tmp_path):
     path.write_bytes(result.pcap_bytes)
     for item in open_capture(path):
         parsed = dissect(item)
-        if isinstance(parsed.body, CmFrame) and parsed.body.operation == "Connect" \
-                and parsed.body.direction == "request":
-            connects.append(parsed.body)
-        elif isinstance(parsed.body, PnioCyclicFrame):
-            cyclic.append((item.capture_index, parsed.body))
+        if isinstance(parsed, CmFrame) and parsed.operation == "Connect" \
+                and parsed.direction == "request":
+            connects.append(parsed)
+        elif isinstance(parsed, PnioCyclicFrame):
+            cyclic.append((item.capture_index, parsed))
 
     assert connects and cyclic
     bindings = {}

@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import struct
 import uuid
+from types import MappingProxyType
 
 from hypothesis import given, settings, strategies as st
 
 from poet.capture import RawFrame
-from poet.dissect import CmFrame, MalformedFrame, ParsedFrame, dissect, str_to_mac
+from poet.dissect import CmFrame, MalformedFrame, dissect, str_to_mac
 from poet.models import (
     ACYCLIC_DONE,
     ACYCLIC_READ,
@@ -178,7 +179,7 @@ def test_multi_block_pdu_matches_block_order_reference(direction, opnum, blocks)
     args = b"".join(_cm_block(block_type, content) for block_type, content in blocks)
     frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", ptype, opnum, uuid.UUID(int=5), 1, args)
     try:
-        body = dissect(RawFrame(0, 0, frame, 0)).body
+        body = dissect(RawFrame(0, 0, frame, 0))
     except MalformedFrame as refusal:
         assert refusal.protocol == "pn-cm"
         outcome = ("refused", refusal.reason, refusal.offset)
@@ -216,11 +217,12 @@ KNOWN_AR_EVENTS = {
 
 
 class _Context(TrackContext):
+    # Read-only registries: a write from derive_events fails the test.
+    ar_registry = MappingProxyType({KNOWN_AR: ConnectionRegistration(KEY, DEV_MAC, KNOWN_AR, ())})
+    frame_id_registry = MappingProxyType({})
+
     def __init__(self, established: bool):
         self.established = established
-
-    def connection_for_ar(self, ar_uuid):
-        return ConnectionRegistration(KEY, DEV_MAC, KNOWN_AR, ()) if ar_uuid == KNOWN_AR else None
 
     def state_of(self, scope, key):
         assert (scope, key) == ("connection", KEY)
@@ -249,8 +251,7 @@ def test_each_ar_operation_matches_reference_table():
         if (operation, direction, ar) == ("Connect", "request", None):
             continue  # dissect refuses a Connect request without an AR block
         src, dst = (CTRL_MAC, DEV_MAC) if direction == "request" else (DEV_MAC, CTRL_MAC)
-        body = CmFrame(direction, operation, ar)
-        derived = derive_events(ParsedFrame(dst, src, body, 9, "pn-cm"), _Context(established))
+        derived = derive_events(CmFrame(dst, src, 9, direction, operation, ar), _Context(established))
         summary = f"pn-cm {operation.lower()} {direction}"
         connect = (operation, direction) == ("Connect", "request")
         cause = f"pn-cm connect request to {DEV_MAC}" if connect else summary

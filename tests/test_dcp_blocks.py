@@ -7,6 +7,7 @@ time, so it knows nothing of how `dissect` hands the blocks on.
 from __future__ import annotations
 
 import struct
+from types import MappingProxyType
 
 from hypothesis import given, strategies as st
 
@@ -58,6 +59,9 @@ BLOCKS = st.one_of(
 
 
 class _Context(TrackContext):
+    # Empty read-only registries: a write from derive_events fails the test.
+    ar_registry = frame_id_registry = MappingProxyType({})
+
     def deferred_for_name(self, name):
         return [HELD] if name == HELD_NAME else []
 

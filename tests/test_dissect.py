@@ -16,7 +16,6 @@ from poet.dissect import (
     ETHERTYPE_PROFINET,
     LldpFrame,
     MalformedFrame,
-    OtherBody,
     ParsedFrame,
     PnioCyclicFrame,
     dissect,
@@ -26,6 +25,9 @@ from poet.dissect import (
 )
 from poet import synth
 from poet.synth import (
+    NodeSpec,
+    ScenarioError,
+    ScenarioSpec,
     SubmoduleSpec,
     ar_block_request,
     cr_data_length,
@@ -58,17 +60,16 @@ def raw(data: bytes, index: int = 0) -> RawFrame:
 def test_lldp_station_name_lift_motor():
     frame = encode_lldp(DEV, PORT, 20, "Lift-Motor", ("port-001",), management_ip="192.168.0.11")
     parsed = dissect(raw(frame))
-    assert isinstance(parsed.body, LldpFrame)
-    assert parsed.body.station_name == "Lift-Motor"
-    assert parsed.body.subject_mac == "02:00:00:00:02:00"  # the chassis MAC, not the source
-    assert parsed.body.port_mac == "02:70:01:01:02:00"
-    assert parsed.body.management_address == "192.168.0.11"
+    assert isinstance(parsed, LldpFrame)
+    assert parsed.station_name == "Lift-Motor"
+    assert parsed.subject_mac == "02:00:00:00:02:00"  # the chassis MAC, not the source
+    assert parsed.port_mac == "02:70:01:01:02:00"
+    assert parsed.management_address == "192.168.0.11"
 
 
 def test_dcp_set_name_ufo():
     frame = dcp_set_name_request(CTRL, DEV, 7, "ufo")
-    parsed = dissect(raw(frame))
-    body = parsed.body
+    body = dissect(raw(frame))
     assert isinstance(body, DcpFrame)
     assert body.service_id == "Set"
     assert body.service_type == "Request"
@@ -85,14 +86,14 @@ def test_ipv4_tcp_passes_through_as_other():
     ) + b"\x00" * 20
     frame = ethernet(DEV, CTRL, 0x0800, ip)
     parsed = dissect(raw(frame))
-    assert isinstance(parsed.body, OtherBody)
+    assert type(parsed) is ParsedFrame
     assert parsed.protocol == "other"
 
 
 def test_unknown_ethertype_is_other():
     frame = ethernet(DEV, CTRL, 0x86DD, b"\x00" * 40)
     parsed = dissect(raw(frame))
-    assert isinstance(parsed.body, OtherBody)
+    assert type(parsed) is ParsedFrame
     assert (parsed.dst_mac, parsed.src_mac) == ("02:00:00:00:02:00", "02:00:00:00:01:00")
 
 
@@ -104,14 +105,14 @@ def test_vlan_unwrapped_once():
     parsed = dissect(raw(tagged))
     assert (parsed.dst_mac, parsed.src_mac) == ("02:00:00:00:02:00", "02:00:00:00:01:00")
     assert parsed.protocol == "pn-dcp"
-    assert isinstance(parsed.body, DcpFrame)
-    assert parsed.body.name_of_station == "ufo"
+    assert isinstance(parsed, DcpFrame)
+    assert parsed.name_of_station == "ufo"
 
 
 def test_pnio_alarm_frame_id_is_other():
     frame = ethernet(DEV, CTRL, ETHERTYPE_PROFINET, b"\xfc\x01" + b"\x00" * 40)
     parsed = dissect(raw(frame))
-    assert isinstance(parsed.body, OtherBody)
+    assert type(parsed) is ParsedFrame
     assert parsed.protocol == "other"
 
 
@@ -120,7 +121,7 @@ def test_pnio_alarm_frame_id_is_other():
 
 def test_lldp_round_trip_parameters():
     frame = encode_lldp(DEV, PORT, 30, "turntable-motor", ("port-001", "port-002"), "10.0.0.5")
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, LldpFrame)
     assert (body.subject_mac, body.port_mac) == ("02:00:00:00:02:00", "02:70:01:01:02:00")
     assert body.station_name == "turntable-motor"
@@ -129,7 +130,7 @@ def test_lldp_round_trip_parameters():
 
 def test_lldp_chassis_name_with_pno_chassis_mac_round_trip():
     frame = encode_lldp(DEV, PORT, 20, "lift-motor", chassis_name="lift-motor")
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert (body.subject_mac, body.port_mac) == ("02:00:00:00:02:00", "02:70:01:01:02:00")
     assert body.station_name == "lift-motor"
 
@@ -146,7 +147,7 @@ def test_lldp_named_station_gives_its_name_and_port_mac():
         + synth._lldp_tlv(127, PNO_CHASSIS_MAC + DEV)
         + synth._lldp_tlv(0, b"")
     )
-    body = dissect(raw(ethernet(synth.LLDP_MULTICAST, PORT, 0x88CC, tlvs))).body
+    body = dissect(raw(ethernet(synth.LLDP_MULTICAST, PORT, 0x88CC, tlvs)))
     assert isinstance(body, LldpFrame)
     assert (body.subject_mac, body.port_mac, body.station_name) == (
         "02:00:00:00:02:00",
@@ -155,7 +156,7 @@ def test_lldp_named_station_gives_its_name_and_port_mac():
     )
     encoded = encode_lldp(DEV, PORT, 20, None, chassis_name="lift-motor", port_name="lift-motor")
     assert b"\x07port-001.lift-motor" in encoded
-    assert dissect(raw(encoded)).body == body
+    assert dissect(raw(encoded)) == body
 
 
 @pytest.mark.parametrize(
@@ -188,7 +189,7 @@ def test_lldp_named_station_rules(chassis_id, port_id, system_name, pno_tlv, exp
         tlvs += synth._lldp_tlv(5, system_name)
     if pno_tlv is not None:
         tlvs += synth._lldp_tlv(127, pno_tlv)
-    body = dissect(raw(ethernet(synth.LLDP_MULTICAST, PORT, 0x88CC, tlvs + synth._lldp_tlv(0, b"")))).body
+    body = dissect(raw(ethernet(synth.LLDP_MULTICAST, PORT, 0x88CC, tlvs + synth._lldp_tlv(0, b""))))
     assert (body.subject_mac, body.port_mac, body.station_name) == expected
 
 
@@ -213,21 +214,21 @@ def test_lldp_subject_prefers_the_pno_chassis_mac(chassis_id, pno_tlv, subject):
         + synth._lldp_tlv(127, pno_tlv)
         + synth._lldp_tlv(0, b"")
     )
-    body = dissect(raw(ethernet(DEV, PORT, 0x88CC, tlvs))).body
+    body = dissect(raw(ethernet(DEV, PORT, 0x88CC, tlvs)))
     assert isinstance(body, LldpFrame)
     assert body.subject_mac == subject
 
 
 def test_arp_round_trip_and_gratuitous_flag():
     frame = encode_arp(CTRL, b"\xff" * 6, 1, CTRL, "192.168.0.1", b"\x00" * 6, "192.168.0.11")
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, ArpPacket)
     assert body.sender_mac == "02:00:00:00:01:00"
     assert (body.sender_ip, body.target_ip) == ("192.168.0.1", "192.168.0.11")
     assert not body.is_gratuitous
 
     announce = encode_arp(DEV, b"\xff" * 6, 1, DEV, "192.168.0.11", b"\x00" * 6, "192.168.0.11")
-    assert dissect(raw(announce)).body.is_gratuitous
+    assert dissect(raw(announce)).is_gratuitous
 
 
 @given(
@@ -238,18 +239,18 @@ def test_gratuitous_iff_sender_equals_target(sender, target):
     sender_ip = ".".join(map(str, sender))
     target_ip = ".".join(map(str, target))
     frame = encode_arp(DEV, b"\xff" * 6, 1, DEV, sender_ip, b"\x00" * 6, target_ip)
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, ArpPacket)
     assert body.is_gratuitous == (sender_ip == target_ip)
 
 
 def test_dcp_identify_round_trip():
-    req = dissect(raw(dcp_identify_request(CTRL, 0x42, "lift-motor"))).body
+    req = dissect(raw(dcp_identify_request(CTRL, 0x42, "lift-motor")))
     assert isinstance(req, DcpFrame)
     assert (req.service_id, req.service_type) == ("Identify", "Request")
     assert req.name_of_station == "lift-motor"
 
-    res = dissect(raw(dcp_identify_response(DEV, CTRL, 0x42, "lift-motor", ip="192.168.0.11"))).body
+    res = dissect(raw(dcp_identify_response(DEV, CTRL, 0x42, "lift-motor", ip="192.168.0.11")))
     assert isinstance(res, DcpFrame)
     assert (res.service_id, res.service_type) == ("Identify", "ResponseSuccess")
     assert res.name_of_station == "lift-motor"
@@ -262,11 +263,11 @@ def test_dcp_identify_round_trip():
 
 
 def test_dcp_set_round_trip():
-    req = dissect(raw(dcp_set_ip_request(CTRL, DEV, 0x43, "192.168.0.11", "255.255.255.0", "0.0.0.0"))).body
+    req = dissect(raw(dcp_set_ip_request(CTRL, DEV, 0x43, "192.168.0.11", "255.255.255.0", "0.0.0.0")))
     assert isinstance(req, DcpFrame)
     assert req.facts == (("ip", ("192.168.0.11", "255.255.255.0", "0.0.0.0")),)  # qualifier stripped
 
-    res = dissect(raw(dcp_set_response(DEV, CTRL, 0x43, 1, 2))).body
+    res = dissect(raw(dcp_set_response(DEV, CTRL, 0x43, 1, 2)))
     assert isinstance(res, DcpFrame)
     assert res.service_type == "ResponseSuccess"
     assert res.facts == (("ip_acknowledged", None),)
@@ -274,7 +275,7 @@ def test_dcp_set_round_trip():
 
 def test_dcp_uppercase_name_flagged_not_failed():
     frame = dcp_set_name_request(CTRL, DEV, 9, "Lift-Motor")
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, DcpFrame)
     assert body.name_of_station == "Lift-Motor"
     assert "name-charset" in body.violations
@@ -295,6 +296,10 @@ def _reference_name_violations(name: str) -> list[str]:
         if label == "" or label[0] == "-" or label[-1] == "-":
             tags.append("name-label-shape")
             break
+    for label in name.split("."):
+        if len(label) > 63:  # the DNS label limit, RFC 1035 section 2.3.4
+            tags.append("name-label-too-long")
+            break
     return tags
 
 
@@ -311,10 +316,31 @@ _NAME_CHARS = st.one_of(
         st.text(_NAME_CHARS, max_size=24),
         st.lists(st.text(_NAME_CHARS, max_size=6), min_size=1, max_size=6).map(".".join),
         st.text(st.sampled_from("az09-.A\u00e9"), min_size=239, max_size=242),  # about the 240 limit
+        st.text(st.sampled_from("az09-."), min_size=60, max_size=70),  # about the 63 label limit
     )
 )
 def test_name_rule_tags_match_a_per_character_reference(name):
     assert name_of_station_violations(name) == _reference_name_violations(name)
+
+
+@pytest.mark.parametrize(
+    "name, tags",
+    [
+        ("a" * 63, []),
+        ("a" * 64, ["name-label-too-long"]),
+        ("plc." + "b" * 63, []),
+        ("plc." + "b" * 64 + ".line", ["name-label-too-long"]),
+        ("-" + "c" * 64, ["name-label-shape", "name-label-too-long"]),
+    ],
+)
+def test_name_label_holds_at_most_63_octets(name, tags):
+    assert name_of_station_violations(name) == _reference_name_violations(name) == tags
+    spec = ScenarioSpec(NodeSpec("02:00:00:00:01:00", name, "192.168.0.1"), ())
+    if tags:
+        with pytest.raises(ScenarioError, match="name-label-too-long"):
+            spec.validate()
+    else:
+        spec.validate()
 
 
 SUBMODULES = (SubmoduleSpec(1, 1, "input", 2), SubmoduleSpec(2, 1, "output", 3))
@@ -331,7 +357,7 @@ def _connect_frame(alarm_cr: bytes = b"") -> bytes:
 
 def test_cm_connect_round_trip():
     frame = _connect_frame()
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, CmFrame)
     assert (body.direction, body.operation) == ("request", "Connect")
     assert body.ar_uuid == uuid.uuid5(uuid.NAMESPACE_OID, "test-ar")
@@ -344,8 +370,8 @@ def test_cm_connect_round_trip():
 
 def test_cm_connect_with_alarm_cr_block_reads_its_ar_and_iocrs():
     """A real Connect request carries an AlarmCR block, which poet skips."""
-    body = dissect(raw(_connect_frame(synth._cm_block(0x0103, bytes(24))))).body
-    assert body == dissect(raw(_connect_frame())).body
+    body = dissect(raw(_connect_frame(synth._cm_block(0x0103, bytes(24)))))
+    assert body == dissect(raw(_connect_frame()))
 
 
 def test_cm_write_read_control_round_trip():
@@ -366,7 +392,7 @@ def test_cm_write_read_control_round_trip():
     ]
     for opnum, block, operation in cases:
         frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, opnum, uuid.uuid4(), 5, block)
-        body = dissect(raw(frame)).body
+        body = dissect(raw(frame))
         assert isinstance(body, CmFrame)
         assert body.operation == operation
         assert body.ar_uuid == ar
@@ -376,7 +402,7 @@ def test_cm_write_read_control_round_trip():
 def test_pnio_round_trip():
     c_sdu = cyclic_c_sdu(0, 3, "output", SUBMODULES)
     frame = encode_pnio(CTRL, DEV, 0x8002, c_sdu, 96)
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, PnioCyclicFrame)
     assert body.frame_id == 0x8002
     assert body.data[: len(c_sdu)] == c_sdu  # padding beyond the real C-SDU
@@ -418,7 +444,7 @@ def test_dcp_get_request_bare_blocks():
 
     blocks = _dcp_block(1, 2, None, b"") + _dcp_block(2, 2, None, b"")
     frame = encode_dcp(CTRL, DEV, 0xFEFD, 3, 0, 0x55, blocks)
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, DcpFrame)
     assert body.service_id == "Get"
     # Bare blocks: a qualifier stripped from these empty blocks would refuse the frame.
@@ -432,7 +458,7 @@ def test_dcp_hello_parses_without_failure():
     # A Hello request carries a BlockInfo before each block, as a response does.
     blocks = _dcp_block(2, 2, 0, b"lift-motor")
     frame = encode_dcp(DEV, CTRL, 0xFEFC, 6, 0, 0x66, blocks)
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, DcpFrame)
     assert body.service_id == "Hello"
     assert (body.name_of_station, body.violations) == ("lift-motor", ())
@@ -466,7 +492,7 @@ def test_expected_submodules_trailing_bytes_rejected():
 
 def test_lldp_ttl_zero_flagged_not_dropped():
     frame = encode_lldp(DEV, PORT, 0, "lift-motor")
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, LldpFrame)
     assert "ttl-zero" in body.violations
 
@@ -491,7 +517,7 @@ def test_big_endian_drep_rpc_parsed():
     )
     ip = ip[:10] + struct.pack(">H", _ipv4_checksum(ip)) + ip[12:]
     frame = ethernet(DEV, CTRL, 0x0800, ip + udp + rpc + args)
-    body = dissect(raw(frame)).body
+    body = dissect(raw(frame))
     assert isinstance(body, CmFrame)
     assert body.operation == "Connect"
     assert body.ar_uuid == ar

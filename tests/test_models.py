@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import uuid
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,6 @@ from poet.capture import RawFrame
 from poet.dissect import (
     CmFrame,
     IocrBlock,
-    ParsedFrame,
     PnioCyclicFrame,
     dissect,
     str_to_mac,
@@ -88,6 +88,9 @@ class FakeContext(TrackContext):
         self.names: dict[str, str] = {}
         self.ars: dict[uuid.UUID, ConnectionRegistration] = {}
         self.frame_ids: dict[int, CyclicBinding] = {}
+        # What derive_events sees: read-only views, so a write from it fails the test.
+        self.ar_registry = MappingProxyType(self.ars)
+        self.frame_id_registry = MappingProxyType(self.frame_ids)
         self.deferred: list[DeferredEvent] = []
         self.states: dict[tuple[str, str | None], str] = {}  # instances that left their initial state
 
@@ -98,12 +101,6 @@ class FakeContext(TrackContext):
 
     def lookup_name(self, name):
         return self.names.get(name)
-
-    def connection_for_ar(self, ar_uuid):
-        return self.ars.get(ar_uuid)
-
-    def binding_for_frame_id(self, frame_id):
-        return self.frame_ids.get(frame_id)
 
     def deferred_for_name(self, name):
         return [d for d in self.deferred if d.name == name]
@@ -352,7 +349,7 @@ def test_derive_lldp_gated_after_startup():
     assert [(e.event_name, e.scope) for e in derived.events] == [(DETECT_NEIGHBOURS, "device")]
 
 
-def _connect_request(subs, input_len: int | None = None) -> ParsedFrame:
+def _connect_request(subs, input_len: int | None = None) -> CmFrame:
     """The dissected Connect request from CTRL to DEV for synth submodules `subs`."""
     blocks = ar_block_request(AR, CTRL, "plc-1")
     if subs:
@@ -372,9 +369,9 @@ def _register_connect(ctx: FakeContext, subs) -> list[CyclicBinding]:
     return list(registration.frame_id_bindings)
 
 
-def _pnio(frame_id: int, data: bytes, index: int = 7) -> ParsedFrame:
+def _pnio(frame_id: int, data: bytes, index: int = 7) -> PnioCyclicFrame:
     """A dissected cyclic frame from the device whose C-SDU is exactly `data`."""
-    return ParsedFrame(CTRL_MAC, DEV_MAC, PnioCyclicFrame(frame_id, data), index, "pnio")
+    return PnioCyclicFrame(CTRL_MAC, DEV_MAC, index, frame_id, data)
 
 
 def test_derive_pnio_good_output():
@@ -395,12 +392,12 @@ def test_derive_pnio_good_output():
 
 
 def _connect_with(layout, direction: str = "input", skew: int = 0) -> CmFrame:
-    """A Connect request with submodules of `layout`, each entry a data description,
+    """A Connect request from CTRL to DEV with submodules of `layout`, each entry a data description,
     and one CR of `direction` at 0x8001 whose declared length is off by `skew`."""
     own = sum(d + p for sub_dir, d, p, _ in layout if sub_dir == direction)
     opposite = sum(c for sub_dir, _, _, c in layout if sub_dir != direction)
     iocr = IocrBlock(direction, 0x8001, own + opposite + skew)
-    return CmFrame("request", "Connect", AR, (iocr,), tuple(layout))
+    return CmFrame(DEV_MAC, CTRL_MAC, 0, "request", "Connect", AR, (iocr,), tuple(layout))
 
 
 @pytest.mark.parametrize(
@@ -472,7 +469,7 @@ _SUBMODULE = st.tuples(
     bad=st.sets(st.integers(0, 19), max_size=2),
 )
 def test_binding_matches_iops_rule(layout, direction, skew, length, raw_bytes, bad):
-    connect = ParsedFrame(DEV_MAC, CTRL_MAC, _connect_with(layout, direction, skew), 0, "pn-cm")
+    connect = _connect_with(layout, direction, skew)
     ctx = FakeContext()
     derived = derive_events(connect, ctx)
     assert [d.kind for d in derived.diagnostics] == (["inconsistent_connect"] if skew else [])
@@ -502,7 +499,7 @@ def _iops_oracle(submodules, direction: str) -> list[int]:
 
 def test_cyclic_bindings_single_input_submodule():
     bindings, problem = cyclic_bindings(
-        _connect_request((SubmoduleSpec(1, 1, "input", 2),)).body, "k", DEV_MAC
+        _connect_request((SubmoduleSpec(1, 1, "input", 2),)), "k", DEV_MAC
     )
     assert problem is None
     assert [(b.frame_id, b.data_event, b.iops_offsets, b.c_sdu_length) for b in bindings] == [
@@ -514,12 +511,12 @@ def test_cyclic_bindings_single_input_submodule():
 
 
 def test_cyclic_bindings_record_only_ar():
-    assert cyclic_bindings(_connect_request(()).body, "k", DEV_MAC) == ((), None)
+    assert cyclic_bindings(_connect_request(()), "k", DEV_MAC) == ((), None)
 
 
 def test_cyclic_bindings_two_outputs_offsets():
     subs = (SubmoduleSpec(1, 1, "output", 1), SubmoduleSpec(2, 1, "output", 4))
-    _, outputs = cyclic_bindings(_connect_request(subs).body, "k", DEV_MAC)[0]
+    _, outputs = cyclic_bindings(_connect_request(subs), "k", DEV_MAC)[0]
     assert outputs.iops_offsets == (1, 6)
     assert list(outputs.iops_offsets) == _iops_oracle(subs, "output")
 
@@ -533,7 +530,7 @@ def test_layout_matches_oracle_and_conserves(lengths, directions):
     subs = tuple(
         SubmoduleSpec(i + 1, 1, directions[i], lengths[i]) for i in range(n)
     )
-    body = _connect_request(subs).body
+    body = _connect_request(subs)
     bindings, problem = cyclic_bindings(body, "k", DEV_MAC)
     assert problem is None
     for binding, direction in zip(bindings, ("input", "output")):
@@ -548,7 +545,7 @@ def test_layout_matches_oracle_and_conserves(lengths, directions):
 
 
 def test_inconsistent_connect_rejected():
-    body = _connect_request((SubmoduleSpec(1, 1, "input", 2),), input_len=9).body
+    body = _connect_request((SubmoduleSpec(1, 1, "input", 2),), input_len=9)
     bindings, problem = cyclic_bindings(body, "k", DEV_MAC)
     assert problem == "input CR declares 9 bytes, layout needs 3"
     assert [b.iops_offsets for b in bindings] == [None, None]

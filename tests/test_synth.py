@@ -240,8 +240,8 @@ def test_bitflipped_ttl_zero_lldp_not_silent():
     frame[ttl_at : ttl_at + 2] = b"\x00\x00"
     try:
         parsed = dissect(RawFrame(0, 0, bytes(frame), 0))
-        assert isinstance(parsed.body, LldpFrame)
-        assert "ttl-zero" in parsed.body.violations
+        assert isinstance(parsed, LldpFrame)
+        assert "ttl-zero" in parsed.violations
     except MalformedFrame:
         pass  # also acceptable: reported, not dropped
 
@@ -279,15 +279,15 @@ def test_unsorted_slot_layout_extracts_correctly(tmp_path):
     cyclic = []
     for item in open_capture(path):
         parsed = dissect(item)
-        if isinstance(parsed.body, CmFrame) and parsed.body.operation == "Connect" \
-                and parsed.body.direction == "request":
-            compiled, problem = cyclic_bindings(parsed.body, "k", device.mac)
+        if isinstance(parsed, CmFrame) and parsed.operation == "Connect" \
+                and parsed.direction == "request":
+            compiled, problem = cyclic_bindings(parsed, "k", device.mac)
             assert problem is None
             bindings.update((b.frame_id, b) for b in compiled)
-            for iocr in parsed.body.iocr_blocks:
+            for iocr in parsed.iocr_blocks:
                 frame_direction[iocr.frame_id] = iocr.cr_type
-        elif isinstance(parsed.body, PnioCyclicFrame):
-            cyclic.append(parsed.body)
+        elif isinstance(parsed, PnioCyclicFrame):
+            cyclic.append(parsed)
 
     wire = {d: [s for s in layout_order(device.submodules) if s.direction == d] for d in ("input", "output")}
     assert [(s.slot, s.subslot) for s in wire["input"]] == [(5, 1), (5, 2), (2, 1)]

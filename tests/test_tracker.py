@@ -911,7 +911,7 @@ def _reported_with_chassis_name_lldp(named_station: bool):
         frame = RawFrame(plan.ts[0], plan.ts[1], plan.data, plan.index)
         mac_subtype.append(frame)
         if plan.label.startswith("lldp "):
-            body = dissect(frame).body
+            body = dissect(frame)
             data = encode_lldp(
                 str_to_mac(body.subject_mac),
                 str_to_mac(body.port_mac),
@@ -1158,9 +1158,9 @@ def test_diagnostic_alert_lines_are_pinned(case):
 def _assert_bound_records_are_resolved(tracker: Tracker) -> None:
     """Each bound frame id's CR record holds the fleet's own instances and is reached through its AR."""
     fleet = tracker.fleet
-    registered = [b for reg in tracker._ar_registry.values() for b in reg.frame_id_bindings]
-    assert tracker._frame_id_registry
-    for frame_id, binding in tracker._frame_id_registry.items():
+    registered = [b for reg in tracker.ar_registry.values() for b in reg.frame_id_bindings]
+    assert tracker.frame_id_registry
+    for frame_id, binding in tracker.frame_id_registry.items():
         assert binding.frame_id == frame_id
         assert binding.device is fleet.devices[binding.responder_mac]
         assert binding.connection is fleet.connections[binding.key]
@@ -1174,7 +1174,7 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
     tracker = Tracker()
     tracker.process(RawFrame(*plan.ts, plan.data, index) for index, plan in enumerate(result.frames))
     _assert_bound_records_are_resolved(tracker)
-    assert len(tracker._frame_id_registry) == 4
+    assert len(tracker.frame_id_registry) == 4
 
     # A Connect that spoofs the live controller has the live key, so its new AR
     # rebinds the live CR's frame ids. The new records are resolved to the same
@@ -1188,10 +1188,10 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
         _replayed(21, _connect_from(spec.controller.mac, spoofed_ar), _startup_plans()[22].data)
     )
     _assert_bound_records_are_resolved(tracker)
-    rebound = tracker._ar_registry[spoofed_ar].frame_id_bindings
-    assert {b.frame_id for b in rebound} == set(tracker._frame_id_registry)
-    assert all(tracker._frame_id_registry[b.frame_id] is b for b in rebound)
-    replaced = [reg for ar, reg in tracker._ar_registry.items() if ar != spoofed_ar]
+    rebound = tracker.ar_registry[spoofed_ar].frame_id_bindings
+    assert {b.frame_id for b in rebound} == set(tracker.frame_id_registry)
+    assert all(tracker.frame_id_registry[b.frame_id] is b for b in rebound)
+    replaced = [reg for ar, reg in tracker.ar_registry.items() if ar != spoofed_ar]
     assert len(replaced) == 1 and replaced[0].key == live
     assert all(b.device is None and b.connection is None for b in replaced[0].frame_id_bindings)
     assert [(a.instance_kind, a.offending_event) for a in report.anomalies] == [
@@ -1205,8 +1205,8 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
     tracker = Tracker()
     tracker.process(_replayed(11, _connect_from("02:66:6e:00:00:99", other_ar)))
     _assert_bound_records_are_resolved(tracker)
-    assert {b.key for b in tracker._frame_id_registry.values()} == {live}
-    refused = tracker._ar_registry[other_ar].frame_id_bindings
+    assert {b.key for b in tracker.frame_id_registry.values()} == {live}
+    refused = tracker.ar_registry[other_ar].frame_id_bindings
     assert refused and all(b.device is None and b.connection is None for b in refused)
 
 
