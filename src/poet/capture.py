@@ -6,6 +6,11 @@ stream. Frames are yielded strictly in record order; timestamps come from the
 capture records and are never reordered. Only the Ethernet link type is read:
 a pcap of another link type is refused when opened, and a pcapng packet on a
 non-Ethernet or undeclared interface is one CaptureError.
+
+Of pcapng's blocks, only the Enhanced Packet Block's frames are read. A Simple
+Packet Block or an obsolete Packet Block also holds a frame: each one is one
+CaptureError that takes a capture index, and the stream goes on. Every other
+block type is skipped silently.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ PCAP_MAGIC_NS_BE = 0x4D3CB2A1
 PCAPNG_SHB = 0x0A0D0D0A
 PCAPNG_IDB = 0x00000001
 PCAPNG_EPB = 0x00000006
+# The other blocks that hold a frame, which poet does not read.
+PCAPNG_UNREAD_PACKET_BLOCKS = {0x00000002: "obsolete packet block", 0x00000003: "simple packet block"}
 PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
 
 LINKTYPE_ETHERNET = 1
@@ -227,6 +234,9 @@ def _iter_pcapng(f) -> Iterator[StreamItem]:
                         ts_sec, frac = divmod((ts_high << 32) | ts_low, divisor)
                         ts_nsec = frac * 1_000_000_000 // divisor
                         yield RawFrame(ts_sec, ts_nsec, body[20 : 20 + cap_len], index)
+                    index += 1
+                elif block_type in PCAPNG_UNREAD_PACKET_BLOCKS:
+                    yield CaptureError(offset, index, f"{PCAPNG_UNREAD_PACKET_BLOCKS[block_type]} not read")
                     index += 1
                 elif section:
                     interfaces = []

@@ -16,6 +16,7 @@ text that the rest of poet keys on.
 
 from __future__ import annotations
 
+import re
 import struct
 import uuid
 from dataclasses import dataclass
@@ -251,7 +252,8 @@ def dissect(raw: RawFrame) -> ParsedFrame:
 
     Unknown traffic becomes a bare ParsedFrame; structurally broken claims of a
     known protocol raise MalformedFrame. Each parser gets the frame's
-    (dst_mac, src_mac, capture_index), the fields its record starts with.
+    (dst_mac, src_mac, capture_index), the fields its record starts with. The
+    LLDP and DCP parsers read the frame in place from their payload's offset.
     """
     frame = raw.frame_bytes
     size = len(frame)
@@ -280,9 +282,9 @@ def dissect(raw: RawFrame) -> ParsedFrame:
                 raise MalformedFrame("pnio", 2, "cyclic frame too short for C-SDU")
             return PnioCyclicFrame(dst, src, raw.capture_index, frame_id, frame[start + 2 : -4])
         if DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX:
-            return _parse_dcp(frame[start:], (dst, src, raw.capture_index))
+            return _parse_dcp(frame, start, (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_LLDP:
-        return _parse_lldp(frame[start:], (dst, src, raw.capture_index))
+        return _parse_lldp(frame, start, (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_ARP:
         return _parse_arp(frame[start:], (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_IPV4:
@@ -295,77 +297,89 @@ def dissect(raw: RawFrame) -> ParsedFrame:
 NAME_OF_STATION_ALLOWED = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-.")
 
 
-def _parse_lldp(data: bytes, eth: tuple[str, str, int]) -> LldpFrame:
-    tlvs: list[tuple[int, bytes]] = []
-    pos = 0
-    while pos + 2 <= len(data):
-        typelen = struct.unpack(">H", data[pos : pos + 2])[0]
-        tlv_type = typelen >> 9
-        tlv_len = typelen & 0x01FF
-        if tlv_type == LLDP_TLV_END:
-            break
-        value = data[pos + 2 : pos + 2 + tlv_len]
-        if len(value) < tlv_len:
-            raise MalformedFrame("lldp", pos, "TLV length exceeds frame")
-        tlvs.append((tlv_type, value))
-        pos += 2 + tlv_len
-
-    if len(tlvs) < 3 or [t for t, _ in tlvs[:3]] != [
-        LLDP_TLV_CHASSIS_ID,
-        LLDP_TLV_PORT_ID,
-        LLDP_TLV_TTL,
-    ]:
-        raise MalformedFrame("lldp", 0, "mandatory TLV order violated")
-
-    chassis_raw = tlvs[0][1]
-    port_raw = tlvs[1][1]
-    ttl_raw = tlvs[2][1]
-    if len(chassis_raw) < 2:
-        raise MalformedFrame("lldp", 2, "chassis id too short")
-    if len(port_raw) < 2:
-        raise MalformedFrame("lldp", 2, "port id too short")
-    if len(ttl_raw) != 2:
-        raise MalformedFrame("lldp", 2, "ttl must be 2 bytes")
-
+def _parse_lldp(frame: bytes, start: int, eth: tuple[str, str, int]) -> LldpFrame:
+    """The LLDP frame whose TLVs start at `start`, read in place; refusal offsets count from `start`."""
+    end = len(frame)
+    pos = start
+    # The first three TLVs' types, in the order walked, and each one's value span.
+    mandatory = 0
+    walked = 0
+    chassis_at = chassis_end = port_at = port_end = ttl_at = ttl_end = 0
     station_name = None
     mgmt_ip = None
     chassis_mac = None
-    for tlv_type, value in tlvs[3:]:
-        if tlv_type == LLDP_TLV_SYSTEM_NAME:
-            station_name = value.decode("utf-8", errors="replace")
-        elif tlv_type == LLDP_TLV_MGMT_ADDRESS and len(value) >= 2:
-            addr_len = value[0]
-            if addr_len >= 5 and value[1] == 1 and len(value) >= 1 + addr_len:
-                mgmt_ip = ip_to_str(value[2:6])
-        elif tlv_type == LLDP_TLV_ORG_SPECIFIC and value[:4] == LLDP_PNO_CHASSIS_MAC and len(value) >= 10:
+    while pos + 2 <= end:
+        typelen = _U16(frame, pos)[0]
+        tlv_type = typelen >> 9
+        if tlv_type == LLDP_TLV_END:
+            break
+        at = pos + 2
+        pos = at + (typelen & 0x01FF)
+        if pos > end:
+            raise MalformedFrame("lldp", at - 2 - start, "TLV length exceeds frame")
+        if walked < 3:
+            mandatory = mandatory << 8 | tlv_type
+            if walked == 0:
+                chassis_at, chassis_end = at, pos
+            elif walked == 1:
+                port_at, port_end = at, pos
+            else:
+                ttl_at, ttl_end = at, pos
+            walked += 1
+        elif tlv_type == LLDP_TLV_SYSTEM_NAME:
+            station_name = frame[at:pos].decode("utf-8", errors="replace")
+        elif tlv_type == LLDP_TLV_MGMT_ADDRESS and pos - at >= 2:
+            addr_len = frame[at]
+            if addr_len >= 5 and frame[at + 1] == 1 and pos - at >= 1 + addr_len:
+                mgmt_ip = ip_to_str(frame[at + 2 : at + 6])
+        elif (
+            tlv_type == LLDP_TLV_ORG_SPECIFIC
+            and pos - at >= 10
+            and frame.startswith(LLDP_PNO_CHASSIS_MAC, at)
+        ):
             # A station with a locally assigned chassis id (its NameOfStation) names its
             # interface MAC here, and may send from each port's own MAC; Wireshark's
             # packet-lldp.c reads the same six bytes. A shorter TLV is ignored.
-            chassis_mac = mac_to_str(value[4:10])
+            chassis_mac = frame[at + 4 : at + 10].hex(":")
+
+    # Refused only once the whole walk fits the frame: a TLV that overruns it is refused first.
+    # Fewer than three TLVs never pack to the three mandatory types.
+    if mandatory != _LLDP_MANDATORY_ORDER:
+        raise MalformedFrame("lldp", 0, "mandatory TLV order violated")
+    if chassis_end - chassis_at < 2:
+        raise MalformedFrame("lldp", 2, "chassis id too short")
+    if port_end - port_at < 2:
+        raise MalformedFrame("lldp", 2, "port id too short")
+    if ttl_end - ttl_at != 2:
+        raise MalformedFrame("lldp", 2, "ttl must be 2 bytes")
 
     src_mac = eth[1]
-    port_mac = _lldp_mac(port_raw, LLDP_PORT_SUBTYPE_MAC)
+    port_mac = _lldp_mac(frame, port_at, port_end, LLDP_PORT_SUBTYPE_MAC)
     if chassis_mac is not None:
         # Such a station's locally assigned chassis id is its NameOfStation, and it
         # sends from the port's own MAC; its port id is then a name (port-001.<name>).
-        if station_name is None and chassis_raw[0] == LLDP_SUBTYPE_LOCAL:
-            station_name = chassis_raw[1:].decode("utf-8", errors="replace")
+        if station_name is None and frame[chassis_at] == LLDP_SUBTYPE_LOCAL:
+            station_name = frame[chassis_at + 1 : chassis_end].decode("utf-8", errors="replace")
         if port_mac is None:
             port_mac = src_mac
     return LldpFrame(
         *eth,
-        subject_mac=chassis_mac or _lldp_mac(chassis_raw, LLDP_SUBTYPE_MAC) or src_mac,
+        subject_mac=chassis_mac or _lldp_mac(frame, chassis_at, chassis_end, LLDP_SUBTYPE_MAC) or src_mac,
         port_mac=port_mac,
         station_name=station_name,
         management_address=mgmt_ip,
-        violations=("ttl-zero",) if ttl_raw == b"\x00\x00" else (),
+        violations=("ttl-zero",) if _U16(frame, ttl_at)[0] == 0 else (),
     )
 
 
-def _lldp_mac(id_tlv: bytes, mac_subtype: int) -> str | None:
-    """The MAC a chassis or port id TLV holds, if it is of the MAC subtype."""
-    if id_tlv[0] == mac_subtype and len(id_tlv) == 7:
-        return mac_to_str(id_tlv[1:])
+# The chassis id, port id and TTL TLV types, packed one byte each as _parse_lldp packs them.
+_LLDP_MANDATORY_ORDER = LLDP_TLV_CHASSIS_ID << 16 | LLDP_TLV_PORT_ID << 8 | LLDP_TLV_TTL
+
+
+def _lldp_mac(frame: bytes, at: int, end: int, mac_subtype: int) -> str | None:
+    """The MAC a chassis or port id TLV's value frame[at:end] holds, if it is of the MAC subtype."""
+    if end - at == 7 and frame[at] == mac_subtype:
+        return frame[at + 1 : end].hex(":")
     return None
 
 
@@ -390,13 +404,22 @@ def _parse_arp(data: bytes, eth: tuple[str, str, int]) -> ParsedFrame:
 # --- PN-DCP (0x8892, DCP frame ids) ----------------------------------------
 
 
+# A name that breaks no rule below: 1 to 63 characters of the charset per label, neither
+# first nor last a hyphen (the DNS label shape), labels joined by dots. Its length is checked apart.
+_NAME_LABEL = r"[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?"
+_CLEAN_NAME = re.compile(rf"{_NAME_LABEL}(?:\.{_NAME_LABEL})*").fullmatch
+
+
 def name_of_station_violations(name: str) -> list[str]:
     """PROFINET station-name rule check; returns rule tags, empty when clean.
 
     IEC 61158-6-10 limits a name to 240 octets and each dot-separated label to
     63, the DNS label limit of RFC 1035 section 2.3.4. Lengths are counted in
-    characters, which are octets in every name of the allowed charset.
+    characters, which are octets in every name of the allowed charset. A clean
+    name is answered by one match; only a name that fails it is tagged rule by rule.
     """
+    if len(name) <= 240 and _CLEAN_NAME(name):
+        return []
     issues: list[str] = []
     if not name:
         issues.append("name-empty")
@@ -415,23 +438,34 @@ def name_of_station_violations(name: str) -> list[str]:
     return issues
 
 
-_NAME_OF_STATION = (DCP_OPTION_DEVICE, DCP_SUBOPTION_NAME_OF_STATION)
-_IP_PARAMETER = (DCP_OPTION_IP, DCP_SUBOPTION_IP_PARAMETER)
-_DEVICE_ID = (DCP_OPTION_DEVICE, DCP_SUBOPTION_DEVICE_ID)
-_CONTROL_RESULT = (DCP_OPTION_CONTROL, DCP_SUBOPTION_CONTROL_RESPONSE)
+# DCP blocks by option << 8 | suboption, as _parse_dcp reads a block's first two bytes.
+_NAME_OF_STATION = DCP_OPTION_DEVICE << 8 | DCP_SUBOPTION_NAME_OF_STATION
+_IP_PARAMETER = DCP_OPTION_IP << 8 | DCP_SUBOPTION_IP_PARAMETER
+_DEVICE_ID = DCP_OPTION_DEVICE << 8 | DCP_SUBOPTION_DEVICE_ID
+_CONTROL_RESULT = DCP_OPTION_CONTROL << 8 | DCP_SUBOPTION_CONTROL_RESPONSE
+
+# service_id(1) service_type(1) xid(4) response_delay(2) data_length(2), after the frame id
+_DCP_HEADER = struct.Struct(">BB6xH").unpack_from
+_U16X2 = struct.Struct(">HH").unpack_from
 
 
-def _parse_dcp(data: bytes, eth: tuple[str, str, int]) -> DcpFrame:
-    # frame_id(2) service_id(1) service_type(1) xid(4) response_delay(2) data_length(2)
-    header = _need(data, 2, 10, "pn-dcp", "DCP header")
-    service_id, service_type = header[0], header[1]
-    data_length = struct.unpack(">H", header[8:10])[0]
-    if service_id not in DCP_SERVICE_NAMES:
+def _parse_dcp(frame: bytes, start: int, eth: tuple[str, str, int]) -> DcpFrame:
+    """The DCP frame whose RT payload (frame id first) starts at `start`, read in place.
+
+    Refusal offsets count from `start`, as the RT payload's own do.
+    """
+    if len(frame) - start < 12:
+        raise MalformedFrame("pn-dcp", 2, "truncated DCP header")
+    service_id, service_type, data_length = _DCP_HEADER(frame, start + 2)
+    service = DCP_SERVICE_NAMES.get(service_id)
+    if service is None:
         raise MalformedFrame("pn-dcp", 2, f"unknown service id {service_id}")
-    if service_type not in DCP_TYPE_NAMES:
+    kind = DCP_TYPE_NAMES.get(service_type)
+    if kind is None:
         raise MalformedFrame("pn-dcp", 3, f"unknown service type {service_type}")
-    blocks_raw = data[12 : 12 + data_length]
-    if len(blocks_raw) < data_length:
+    pos = start + 12  # of the first block
+    end = pos + data_length
+    if end > len(frame):
         raise MalformedFrame("pn-dcp", 12, "dcp data length exceeds frame")
 
     # Identify request filters and Control/Result blocks carry bare data; Set
@@ -440,49 +474,47 @@ def _parse_dcp(data: bytes, eth: tuple[str, str, int]) -> DcpFrame:
 
     facts: list[tuple[str, object]] = []
     first_name: str | None = None
-    violations: list[str] = []
-    pos = 0
-    while pos < len(blocks_raw):
-        at = 12 + pos  # refusal offsets count from the RT payload, as the header's do
-        head = blocks_raw[pos : pos + 4]
-        if len(head) < 4:
-            raise MalformedFrame("pn-dcp", at, "truncated block header")
-        block = (head[0], head[1])
-        block_len = _U16(head, 2)[0]
-        payload = blocks_raw[pos + 4 : pos + 4 + block_len]
-        if len(payload) < block_len:
-            raise MalformedFrame("pn-dcp", at, "block length exceeds dcp data")
-        pos += 4 + block_len + (block_len % 2)  # blocks pad to even length
-
+    violations: tuple[str, ...] = ()
+    while pos < end:
+        if pos + 4 > end:
+            raise MalformedFrame("pn-dcp", pos - start, "truncated block header")
+        block, block_len = _U16X2(frame, pos)  # option and suboption, block length
+        at = pos + 4  # of the block's data
+        stop = at + block_len
+        if stop > end:
+            raise MalformedFrame("pn-dcp", pos - start, "block length exceeds dcp data")
         if block == _CONTROL_RESULT:
             # The answered option and suboption, then a BlockError; zero (or none) acknowledges.
-            if tuple(payload[:2]) == _IP_PARAMETER:
-                error = payload[2] if len(payload) > 2 else 0
+            if block_len >= 2 and _U16(frame, at)[0] == _IP_PARAMETER:
+                error = frame[at + 2] if block_len > 2 else 0
                 facts.append(("ip_refused", error) if error else ("ip_acknowledged", None))
-            continue
-        if prefixed:
-            if len(payload) < 2:
-                raise MalformedFrame("pn-dcp", at, "block too short for qualifier")
-            payload = payload[2:]
-        if block == _NAME_OF_STATION:
-            name = payload.decode("utf-8", errors="replace")
-            violations.extend(name_of_station_violations(name))
-            facts.append(("name", name))
-            if first_name is None:
-                first_name = name
-        elif block == _IP_PARAMETER and len(payload) >= 12:
-            ip = (ip_to_str(payload[0:4]), ip_to_str(payload[4:8]), ip_to_str(payload[8:12]))
-            facts.append(("ip", ip))
-        elif block == _DEVICE_ID and len(payload) >= 4:
-            facts.append(("device_id", struct.unpack(">HH", payload[0:4])))
+        else:
+            if prefixed:
+                if block_len < 2:
+                    raise MalformedFrame("pn-dcp", pos - start, "block too short for qualifier")
+                at += 2
+            if block == _NAME_OF_STATION:
+                name = frame[at:stop].decode("utf-8", errors="replace")
+                issues = name_of_station_violations(name)
+                if issues:
+                    violations += tuple(issues)
+                facts.append(("name", name))
+                if first_name is None:
+                    first_name = name
+            elif block == _IP_PARAMETER and stop - at >= 12:
+                ip, subnet, gateway = (ip_to_str(frame[i : i + 4]) for i in range(at, at + 12, 4))
+                facts.append(("ip", (ip, subnet, gateway)))
+            elif block == _DEVICE_ID and stop - at >= 4:
+                facts.append(("device_id", _U16X2(frame, at)))
+        pos = stop + (block_len & 1)  # blocks pad to even length
 
     return DcpFrame(
         *eth,
-        service_id=DCP_SERVICE_NAMES[service_id],
-        service_type=DCP_TYPE_NAMES[service_type],
+        service_id=service,
+        service_type=kind,
         facts=tuple(facts),
         name_of_station=first_name,
-        violations=tuple(violations),
+        violations=violations,
     )
 
 

@@ -21,7 +21,7 @@ Timestamp = tuple[int, int]
 _DESCRIBING_PROTOCOLS = frozenset({"lldp", "arp", "pn-dcp", "pn-cm"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Provenance:
     protocol: str
     capture_index: int
@@ -35,7 +35,7 @@ class Provenance:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class AssetRecord:
     interface_mac: str
     name_of_station: str | None = None
@@ -72,7 +72,7 @@ class AssetRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InventoryChange:
     mac: str
     fieldname: str
@@ -149,8 +149,10 @@ class AssetInventory:
                 self._record(src, ts)
             return ()
 
+        if protocol == "pn-dcp":
+            return self._update_from_dcp(parsed, ts)
+
         changes: list[InventoryChange] = []
-        dst = parsed.dst_mac
         cause = FrameRef(parsed.capture_index, protocol, "inventory update")
         if protocol == "lldp":
             mac = parsed.subject_mac
@@ -168,43 +170,44 @@ class AssetInventory:
             record = self._record(parsed.sender_mac, ts)
             if parsed.sender_ip != "0.0.0.0":
                 self._set(record, "ip_address", parsed.sender_ip, cause, changes)
-        elif protocol == "pn-dcp":
-            record = self._record(src, ts)
-            if parsed.service_type == "ResponseSuccess" and parsed.service_id == "Identify":
-                self._apply_dcp_facts(record, parsed, cause, changes)
-            elif parsed.service_type == "Request" and parsed.service_id == "Set":
-                target = self._record(dst, ts)
-                self._apply_dcp_facts(target, parsed, cause, changes)
-                self._set(record, "role", "controller", cause, changes)
-                self._set(target, "role", "device", cause, changes)
         else:  # pn-cm
             record = self._record(src, ts)
             if parsed.operation == "Connect" and parsed.direction == "request":
-                target = self._record(dst, ts)
+                target = self._record(parsed.dst_mac, ts)
                 self._set(record, "role", "controller", cause, changes)
                 self._set(target, "role", "device", cause, changes)
         return changes
 
-    def _apply_dcp_facts(
-        self,
-        record: AssetRecord,
-        frame: DcpFrame,
-        cause: FrameRef,
-        changes: list[InventoryChange],
-    ) -> None:
+    def _update_from_dcp(self, frame: DcpFrame, ts: Timestamp) -> Sequence[InventoryChange]:
+        """A DCP frame's delta. An Identify answer states facts of its source and a Set
+        request of its target; any other DCP frame only refreshes its source."""
+        record = self._record(frame.src_mac, ts)
+        service = frame.service_id
+        if frame.service_type == "ResponseSuccess" and service == "Identify":
+            target = record
+        elif frame.service_type == "Request" and service == "Set":
+            target = self._record(frame.dst_mac, ts)
+        else:
+            return ()
+        changes: list[InventoryChange] = []
+        cause = FrameRef(frame.capture_index, frame.protocol, "inventory update")
         for kind, value in frame.facts:
             if kind == "name":
-                self._set(record, "name_of_station", value, cause, changes)
+                self._set(target, "name_of_station", value, cause, changes)
             elif kind == "ip":
                 ip, subnet, gateway = value
                 if ip != "0.0.0.0":
-                    self._set(record, "ip_address", ip, cause, changes)
-                    self._set(record, "subnet", subnet, cause, changes)
-                    self._set(record, "gateway", gateway, cause, changes)
+                    self._set(target, "ip_address", ip, cause, changes)
+                    self._set(target, "subnet", subnet, cause, changes)
+                    self._set(target, "gateway", gateway, cause, changes)
             elif kind == "device_id":
                 vendor, device = value
-                self._set(record, "vendor_id", vendor, cause, changes)
-                self._set(record, "device_id", device, cause, changes)
+                self._set(target, "vendor_id", vendor, cause, changes)
+                self._set(target, "device_id", device, cause, changes)
+        if service == "Set":
+            self._set(record, "role", "controller", cause, changes)
+            self._set(target, "role", "device", cause, changes)
+        return changes
 
     def export(self) -> dict:
         """The inventory as a JSON document, records sorted by interface MAC."""

@@ -11,7 +11,7 @@ the rename-attack signal.
 from __future__ import annotations
 
 import uuid
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -247,7 +247,7 @@ class ProtocolEvent:
     instance: FsmInstance | None = None  # a bound CR's, resolved at registration: fired with no lookup
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrackDiagnostic:
     """Non-anomaly finding surfaced to the tracker (orphans, bad layouts), addressed as a ProtocolEvent."""
 
@@ -258,7 +258,7 @@ class TrackDiagnostic:
     key: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class DeferredEvent:
     """Identify request held until its station name binds to a MAC.
 
@@ -366,11 +366,14 @@ class TrackContext:
 
     `ar_registry` (each AR's Connect record, by AR UUID) and `frame_id_registry`
     (each bound CR, by frame id) are the tracker's own registries: derive_events
-    reads them and leaves every write to the tracker.
+    reads them and leaves every write to the tracker. `state_of(scope, key)` is an
+    instance's current state, its machine's initial state if it does not exist yet;
+    the tracker's is its `FsmFleet.state_of` itself.
     """
 
     ar_registry: Mapping[uuid.UUID, ConnectionRegistration]
     frame_id_registry: Mapping[int, CyclicBinding]
+    state_of: Callable[[str, str | None], str]
 
     def lookup_name(self, name: str) -> str | None:
         raise NotImplementedError
@@ -378,14 +381,11 @@ class TrackContext:
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
         raise NotImplementedError
 
-    def state_of(self, scope: str, key: str | None) -> str:
-        raise NotImplementedError
 
-
-def _system_traffic_event(ctx: TrackContext, cause: FrameRef) -> list[ProtocolEvent]:
+def _system_traffic_event(ctx: TrackContext, cause: FrameRef, events: list[ProtocolEvent]) -> None:
+    """Append the frame's pn_traffic_detected to its `events` while the system is waking up."""
     if ctx.state_of("system", None) in WAKE_UP_STATES:
-        return [ProtocolEvent(PN_TRAFFIC_DETECTED, "system", None, cause)]
-    return []
+        events.append(ProtocolEvent(PN_TRAFFIC_DETECTED, "system", None, cause))
 
 
 def derive_events(parsed: ParsedFrame, ctx: TrackContext) -> DerivedEvents:
@@ -407,7 +407,7 @@ def _derive_lldp(frame: LldpFrame, ctx: TrackContext) -> DerivedEvents:
     cause = _cause(frame, f"lldp advertisement from {frame.station_name or subject}")
     out = DerivedEvents()
     out.events.append(ProtocolEvent(DETECT_NEIGHBOURS, "device", subject, cause))
-    out.events.extend(_system_traffic_event(ctx, cause))
+    _system_traffic_event(ctx, cause, out.events)
     return out
 
 
@@ -433,7 +433,7 @@ def _derive_dcp(frame: DcpFrame, ctx: TrackContext) -> DerivedEvents:
                 out.events.append(ProtocolEvent(NAME_RESOLUTION_REQUESTED, "device", subject, cause))
             else:
                 out.new_deferral = DeferredEvent(name, cause)
-        out.events.extend(_system_traffic_event(ctx, cause))
+        _system_traffic_event(ctx, cause, out.events)
         return out
 
     if frame.service_id == "Identify" and frame.service_type == "ResponseSuccess":

@@ -266,6 +266,8 @@ class Tracker(TrackContext):
         self.config = config or TrackerConfig()
         self.alerts: list[AnomalyAlert] = []
         self.fleet = FsmFleet(self.config.system_name, self._on_alert)
+        # TrackContext's state_of is the fleet's own, so derive_events reads a state with no forwarding call.
+        self.state_of = self.fleet.state_of
         self.inventory = AssetInventory()
         self.ar_registry: dict[uuid.UUID, ConnectionRegistration] = {}
         self.frame_id_registry: dict[int, CyclicBinding] = {}
@@ -285,9 +287,6 @@ class Tracker(TrackContext):
 
     def deferred_for_name(self, name: str) -> list[DeferredEvent]:
         return list(self._deferred_by_name.get(name, ()))
-
-    def state_of(self, scope: str, key: str | None) -> str:
-        return self.fleet.state_of(scope, key)
 
     # Pipeline ----------------------------------------------------------------
 

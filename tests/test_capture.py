@@ -275,6 +275,33 @@ def test_pcapng_packet_on_non_ethernet_interface_is_one_error(tmp_path):
     assert items[2].reason == "packet on undeclared interface 2"
 
 
+@pytest.mark.parametrize(
+    "block_type, content, reason",
+    [
+        # original packet length, then the frame
+        (0x00000003, struct.pack("<I", len(FRAME)) + FRAME, "simple packet block not read"),
+        # interface, drops, timestamp, captured and original lengths, then the frame
+        (
+            0x00000002,
+            struct.pack("<HHIIII", 0, 0, 0, 0, len(FRAME), len(FRAME)) + FRAME,
+            "obsolete packet block not read",
+        ),
+    ],
+)
+def test_pcapng_packet_block_poet_does_not_read_is_one_error(tmp_path, block_type, content, reason):
+    epb = _pcapng_block(0x00000006, struct.pack("<IIIII", 0, 0, 0, len(FRAME), len(FRAME)) + FRAME)
+    data = _SHB + _IDB + epb + _pcapng_block(block_type, content) + epb
+    path = tmp_path / "unread.pcapng"
+    path.write_bytes(data)
+    items = list(open_capture(path))
+    assert [type(i) for i in items] == [RawFrame, CaptureError, RawFrame]
+    assert [i.capture_index for i in items] == [0, 1, 2]
+    assert (items[1].byte_offset, items[1].reason) == (len(_SHB + _IDB + epb), reason)
+    report = Tracker().process(open_capture(path))
+    assert report.summary["frames"] == 2
+    assert [(a.offending_event, a.cause.capture_index) for a in report.diagnostics] == [("capture_error", 1)]
+
+
 # Runs in a child whose address space is capped at 1.5 GiB, so a reader that
 # allocates a declared 4 GiB length up front fails with MemoryError.
 _CAPPED_RUN = """

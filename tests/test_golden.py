@@ -1,5 +1,6 @@
 """Golden outputs: the exact bytes of the report and the alert stream per builtin scenario,
-of the generator's capture and manifest, and of each exported FSM definition.
+of the generator's capture and manifest, of each exported FSM definition, and of every
+dissect outcome over a fixed corpus of frames.
 
 Determinism (C5) only compares two runs of the same code. These digests pin
 the output format itself, so a change to any serialized field fails here.
@@ -15,9 +16,21 @@ import json
 
 import pytest
 
-from poet.capture import open_capture
+from poet.capture import RawFrame, open_capture
 from poet.cli import main
-from poet.synth import BUILTIN_SCENARIOS, synthesize
+from poet.dissect import MalformedFrame, dissect
+from poet.synth import (
+    ATTACKER_MAC,
+    BUILTIN_SCENARIOS,
+    dcp_identify_request,
+    dcp_identify_response,
+    dcp_set_ip_request,
+    dcp_set_name_request,
+    dcp_set_response,
+    encode_lldp,
+    fuzz_corpus,
+    synthesize,
+)
 from poet.tracker import Tracker, TrackerConfig
 
 NO_ALERTS = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -103,6 +116,11 @@ GOLDEN_FSM_EXPORT = {
     "system": "de79c79af305414dcdf0b60dc9c90bf6ae85c9fd77a54d395dc3564bde1bb6b2",
 }
 
+# sha256 of every dissect outcome over _dissect_corpus(), one line each: the record's
+# repr, or the (protocol, offset, reason) of a refusal. It holds each parser's output
+# and refusal precedence byte for byte.
+GOLDEN_DISSECT = "2ef279b1b11f274d575b0bd24b909f8c8108ffdfd3069b711174f7e7108ebec0"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -140,3 +158,45 @@ def test_golden_fsm_export(kind):
     with contextlib.redirect_stdout(out):
         assert main(["fsm-export", kind]) == 0
     assert _sha256(out.getvalue()) == GOLDEN_FSM_EXPORT[kind]
+
+
+def _dissect_corpus() -> list[bytes]:
+    """The fuzz corpus; LLDP stations and named DCP Identify requests as identify-flood builds
+    them; and LLDP and DCP frames of every kind poet reads, each cut at every length and with
+    each byte after the Ethernet header set to 0x00, 0x01 and 0xff in turn."""
+    frames = fuzz_corpus(seed=7, count=5000)
+    requester = bytes.fromhex(ATTACKER_MAC.replace(":", ""))
+    for i in range(200):
+        chassis = bytes([0x02, 0, 0, 0, i >> 8, i & 0xFF])
+        port = bytes([0x06]) + chassis[1:]
+        frames.append(encode_lldp(chassis, port, ttl=20, station_name=f"st-{i:05d}-{i * 7919:06x}"))
+        frames.append(dcp_identify_request(requester, i + 1, f"ghost-{i:05d}-{i * 104729:06x}"))
+    ctrl = bytes.fromhex("020000000100")
+    dev = bytes.fromhex("020000000200")
+    port = bytes.fromhex("020000000201")
+    seeds = [
+        encode_lldp(dev, port, 20, "lift-motor", ("port-001",), "192.168.0.11"),
+        encode_lldp(dev, port, 20, None, chassis_name="lift-motor", port_name="lift-motor"),
+        encode_lldp(dev, port, 0, None),
+        dcp_identify_response(dev, ctrl, 1, "lift-motor", ip="192.168.0.11"),
+        dcp_set_name_request(ctrl, dev, 2, "ufo"),
+        dcp_set_ip_request(ctrl, dev, 3, "192.168.0.11", "255.255.255.0", "0.0.0.0"),
+        dcp_set_response(dev, ctrl, 4, 1, 2, error=3),
+        *(dcp_identify_request(ctrl, 5, name) for name in ("", "Lift_Motor", "-a..b-", "c" * 64, "d" * 241)),
+    ]
+    for data in seeds:
+        frames += (data[:cut] for cut in range(14, len(data)))
+        frames += (
+            data[:at] + bytes([value]) + data[at + 1 :] for at in range(14, len(data)) for value in (0, 1, 0xFF)
+        )
+    return frames
+
+
+def test_golden_dissect_outcomes():
+    lines = []
+    for index, data in enumerate(_dissect_corpus()):
+        try:
+            lines.append(repr(dissect(RawFrame(0, 0, data, index))))
+        except MalformedFrame as exc:
+            lines.append(repr((exc.protocol, exc.offset, exc.reason)))
+    assert _sha256("\n".join(lines)) == GOLDEN_DISSECT

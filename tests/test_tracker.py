@@ -16,11 +16,21 @@ from hypothesis import given, settings, strategies as st
 
 import poet
 from poet.capture import RawFrame, open_capture
-from poet.dissect import str_to_mac
-from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance
-from poet.inventory import AssetInventory, AssetRecord, Provenance
-from poet.models import connection_fsm_table, connection_key, device_fsm_table, system_fsm_table
+from poet.dissect import DcpFrame, MalformedFrame, ParsedFrame, dissect, str_to_mac
+from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, TransitionRecord
+from poet.inventory import AssetInventory, AssetRecord, InventoryChange, Provenance
+from poet.models import (
+    DeferredEvent,
+    DerivedEvents,
+    ProtocolEvent,
+    TrackDiagnostic,
+    connection_fsm_table,
+    connection_key,
+    device_fsm_table,
+    system_fsm_table,
+)
 from poet.synth import (
+    ATTACKER_MAC,
     BUILTIN_SCENARIOS,
     SynthResult,
     builtin_scenario,
@@ -99,7 +109,7 @@ def test_rename_attack_detected(tmp_path):
 def test_rename_with_identify_probe(tmp_path):
     """Identify + Set mid-exchange: every probe step violates the device model."""
     from poet.synth import dcp_identify_request, dcp_identify_response, dcp_set_name_request
-    from poet.dissect import str_to_mac
+    from poet.dissect import DcpFrame, MalformedFrame, dissect, str_to_mac
 
     base = synthesize(normal_startup_spec(1))
     device = base.spec.devices[0]
@@ -338,7 +348,7 @@ def test_two_attacks_in_frame_order(tmp_path):
 )
 def test_arbitrary_benign_lldp_interleaving_stays_clean(inserts):
     """Periodic LLDP may land anywhere in a clean startup without alerts."""
-    from poet.dissect import str_to_mac
+    from poet.dissect import DcpFrame, MalformedFrame, dissect, str_to_mac
     from poet.synth import encode_lldp, _port_macs
 
     result = synthesize(normal_startup_spec(2))
@@ -412,7 +422,7 @@ def test_alert_soundness_against_exported_tables(tmp_path):
 def test_rename_unbinds_old_name(tmp_path):
     """After the rename lands, identify requests for the old name go unanswered."""
     from poet.synth import dcp_identify_request
-    from poet.dissect import str_to_mac
+    from poet.dissect import DcpFrame, MalformedFrame, dissect, str_to_mac
 
     result = synthesize(rename_attack_spec())
     ctrl = str_to_mac(result.spec.controller.mac)
@@ -446,7 +456,7 @@ def test_capture_error_becomes_diagnostic(tmp_path):
 
 def test_unanswered_identify_expires_as_diagnostic(tmp_path):
     from poet.synth import dcp_identify_request
-    from poet.dissect import str_to_mac
+    from poet.dissect import DcpFrame, MalformedFrame, dissect, str_to_mac
 
     ctrl = str_to_mac("02:00:00:00:01:00")
     frames = [((100, 0), dcp_identify_request(ctrl, 1, "ghost-device"))]
@@ -942,15 +952,35 @@ def test_lldp_named_station_without_system_name_tracks_like_mac_subtype():
     assert [a.to_json() for a in report.alerts] == [a.to_json() for a in baseline.alerts]
 
 
+def _identify_heavy(stations: int = 40, requests: int = 60) -> list[bytes]:
+    """LLDP stations, then Identify requests for known and unknown names, as identify-flood sends them."""
+    datas = []
+    for i in range(stations):
+        chassis = bytes([0x02, 0, 0, 0x10, 0, i])
+        datas.append(encode_lldp(chassis, bytes([0x06]) + chassis[1:], 20, f"st-{i:03d}"))
+    requester = str_to_mac(ATTACKER_MAC)
+    for xid in range(requests):
+        name = f"st-{xid * 7 % stations:03d}" if xid % 2 else f"ghost-{xid:03d}"
+        datas.append(dcp_identify_request(requester, xid, name))
+    return datas
+
+
 def test_each_seam_runs_once_per_frame_or_event(tmp_path, monkeypatch):
-    """dissect once per frame, update and derive once per well-formed frame, fire once per transition.
+    """dissect once per frame, update and derive once per well-formed frame, fire once per
+    transition, and one name lookup per named Identify request.
 
     The counting wrappers go where perfbench's traced mode puts its own: on the
-    names the tracker calls through, so a call that bypasses them would show.
-    The cyclic-heavy run takes the resolved path of bound CRs on most frames.
+    names the tracker calls through, installed after the Tracker is built, so a
+    call that bypasses them, or a seam method bound at construction, would show.
+    The cyclic-heavy run takes the resolved path of bound CRs on most frames; the
+    identify-heavy run looks up a name on most frames.
     """
-    results = {name: synthesize(builtin_scenario(name)) for name in ("rogue-connect", "malformed-dcp")}
-    results["cyclic"] = synthesize(normal_startup_spec(2, cyclic_rounds=200))
+    captures = {
+        name: [plan.data for plan in synthesize(builtin_scenario(name)).frames]
+        for name in ("rogue-connect", "malformed-dcp")
+    }
+    captures["cyclic"] = [plan.data for plan in synthesize(normal_startup_spec(2, cyclic_rounds=200)).frames]
+    captures["identify"] = _identify_heavy()
     counts: Counter[str] = Counter()
 
     def counted(name, fn):
@@ -960,31 +990,73 @@ def test_each_seam_runs_once_per_frame_or_event(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(poet.tracker, "dissect", counted("dissect", poet.tracker.dissect))
-    monkeypatch.setattr(poet.tracker, "derive_events", counted("derive", poet.tracker.derive_events))
-    monkeypatch.setattr(
-        AssetInventory, "update_from_frame", counted("update", AssetInventory.update_from_frame)
-    )
-    monkeypatch.setattr(FsmInstance, "fire", counted("fire", FsmInstance.fire))
-    for name, result in results.items():
+    for name, datas in captures.items():
+        path = tmp_path / f"{name}.pcap"
+        path.write_bytes(write_pcap_bytes([((100 + i, 0), data) for i, data in enumerate(datas)]))
+        named_requests = cyclic = 0
+        for index, data in enumerate(datas):
+            try:
+                parsed = dissect(RawFrame(0, 0, data, index))
+            except MalformedFrame:
+                continue
+            cyclic += parsed.protocol == "pnio"
+            if isinstance(parsed, DcpFrame) and parsed.service_id == "Identify":
+                named_requests += parsed.service_type == "Request" and bool(parsed.name_of_station)
         counts.clear()
-        _, report = run(result, tmp_path, name)
+        tracker = Tracker()
+        with monkeypatch.context() as patched:
+            patched.setattr(poet.tracker, "dissect", counted("dissect", poet.tracker.dissect))
+            patched.setattr(poet.tracker, "derive_events", counted("derive", poet.tracker.derive_events))
+            for seam, method in (("update", "update_from_frame"), ("lookup", "find_mac_by_name")):
+                patched.setattr(AssetInventory, method, counted(seam, getattr(AssetInventory, method)))
+            patched.setattr(FsmInstance, "fire", counted("fire", FsmInstance.fire))
+            report = tracker.process(open_capture(path))
         frames = report.summary["frames"]
         malformed = sum(a.offending_event == "malformed_frame" for a in report.diagnostics)
-        assert frames == len(result.frames)
+        assert frames == len(datas)
         assert counts["dissect"] == frames
         assert counts["update"] == counts["derive"] == frames - malformed
         assert counts["fire"] == report.summary["transitions"]
+        assert counts["lookup"] == named_requests
         if name == "malformed-dcp":
             assert malformed > 0
         elif name == "rogue-connect":
             assert report.anomalies
-        else:
+        elif name == "cyclic":
             # Each good cyclic frame fires its CR's device and connection once each.
-            cyclic = sum(plan.label.startswith("pnio") for plan in result.frames)
             assert cyclic == 2 * 2 * 200
             assert not report.alerts
             assert counts["fire"] >= 2 * cyclic
+        else:
+            assert named_requests == 60
+            expired = [a for a in report.diagnostics if a.offending_event == "deferred_identify_expired"]
+            assert len(expired) == 30  # the ghosts; each known name resolves on lookup
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [cls] + [sub for direct in cls.__subclasses__() for sub in _subclasses(direct)]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        *_subclasses(ParsedFrame),
+        FrameRef,
+        ProtocolEvent,
+        DerivedEvents,
+        TransitionRecord,
+        InventoryChange,
+        DeferredEvent,
+        TrackDiagnostic,
+        AnomalyAlert,
+    ],
+    ids=lambda record: record.__name__,
+)
+def test_per_frame_records_have_slots_and_are_not_frozen(record):
+    """A frozen dataclass's __init__ sets each field through object.__setattr__, several
+    times the cost of a plain one, and these records are built for every frame."""
+    assert "__slots__" in vars(record)
+    assert not record.__dataclass_params__.frozen
 
 
 @cache
