@@ -95,10 +95,6 @@ SYSTEM_STATE_OPERATIONS: tuple[tuple[str, str], ...] = (
     ("DataExchange", OP_DATA_EXCHANGE),
 )
 
-# System states in which PROFINET traffic is still a wake-up signal: the
-# tracker and synth's manifest replay emit pn_traffic_detected only in these.
-WAKE_UP_STATES = frozenset({"Inactive", "PoweredOn"})
-
 # Connection states counting as "established or beyond" for the system-level
 # all_connections_established evaluation.
 CONNECTION_ESTABLISHED_STATES = frozenset(
@@ -207,8 +203,8 @@ def system_fsm_table() -> FsmDefinition:
     """The whole-system machine (4 states)."""
     states = frozenset(name for name, _ in SYSTEM_STATE_OPERATIONS)
     edges = (
+        # PROFINET traffic wakes the system once: the event is derived only in Inactive.
         Edge("Inactive", PN_TRAFFIC_DETECTED, "PoweredOn"),
-        Edge("PoweredOn", PN_TRAFFIC_DETECTED, "PoweredOn"),
         Edge("PoweredOn", CONNECT_REQUESTED, "AssetConfigurationAndSystemStartup"),
         # Later Connect requests while startup is still in progress stay in place.
         Edge(
@@ -229,6 +225,10 @@ def system_fsm_table() -> FsmDefinition:
         edges=edges,
         state_operations=SYSTEM_STATE_OPERATIONS,
     )
+
+
+# The system's state before any PROFINET traffic, the only one in which pn_traffic_detected is derived.
+_SYSTEM_ASLEEP = system_fsm_table().initial_state
 
 
 def connection_key(initiator_mac: str, responder_mac: str) -> str:
@@ -383,8 +383,11 @@ class TrackContext:
 
 
 def _system_traffic_event(ctx: TrackContext, cause: FrameRef, events: list[ProtocolEvent]) -> None:
-    """Append the frame's pn_traffic_detected to its `events` while the system is waking up."""
-    if ctx.state_of("system", None) in WAKE_UP_STATES:
+    """Append the frame's pn_traffic_detected to its `events` while the system is still Inactive.
+
+    So it fires once, on the wake-up edge, which the system table always accepts.
+    """
+    if ctx.state_of("system", None) == _SYSTEM_ASLEEP:
         events.append(ProtocolEvent(PN_TRAFFIC_DETECTED, "system", None, cause))
 
 

@@ -80,7 +80,6 @@ from .models import (
     OUTPUT_PROCESS_DATA_SENT,
     PARAMETRIZATION_WRITE,
     PN_TRAFFIC_DETECTED,
-    WAKE_UP_STATES,
     ProtocolEvent,
     connection_key,
 )
@@ -966,7 +965,7 @@ class _Builder:
         return [FramePlan(frame, f"attack rogue connect {device.name}", events, created)]
 
 
-# The system's wake-up event; the replay drops it once startup has begun.
+# The system's wake-up event; the replay drops it once the system has woken.
 _WAKE_UP = PlannedEvent(PN_TRAFFIC_DETECTED, "system")
 
 
@@ -1043,7 +1042,7 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
         for scope, key in plan.new_instances:
             fleet.ensure(scope, key)
         # As the tracker does, a frame's wake-up is decided before any of its events fire.
-        waking = fleet.system.current_state in WAKE_UP_STATES
+        waking = fleet.system.current_state == fleet.system.definition.initial_state
         cause = FrameRef(plan.index, "synth", plan.label)
         events = [
             ProtocolEvent(planned.event_name, planned.scope, planned.key, cause)

@@ -11,8 +11,9 @@ instead of being dropped: in an intrusion-detection setting they are signal.
 from __future__ import annotations
 
 import json
+import sys
 import uuid
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -42,6 +43,7 @@ SEVERITY_ANOMALY = "anomaly"
 SEVERITY_DIAGNOSTIC = "diagnostic"
 
 DEFERRED_WINDOW = 10000  # frames an identify-by-name may stay unresolved
+_NEVER = sys.maxsize  # past every capture index: the expiry index while no request is pending
 DEFAULT_SYSTEM_NAME = "poet-system"
 # Protocols whose source MAC gets a device machine on sight.
 _SOURCE_PROTOCOLS = frozenset({"pn-dcp", "pn-cm", "pnio"})
@@ -274,7 +276,10 @@ class Tracker(TrackContext):
         # Pending identify requests in capture order (expiry takes them from the
         # front), and the same requests by name (an answer releases them all).
         self.deferred: OrderedDict[DeferredEvent, None] = OrderedDict()
-        self._deferred_by_name: dict[str, deque[DeferredEvent]] = {}
+        self._deferred_by_name: dict[str, list[DeferredEvent]] = {}
+        # The capture index at which the oldest pending request expires; never while none is pending.
+        # An answered oldest request leaves it early, and _expire_deferred then sets it again.
+        self._expires_at = _NEVER
         self._frames = 0
         self._bytes = 0
         self._first_ts: Timestamp | None = None
@@ -360,7 +365,7 @@ class Tracker(TrackContext):
             detail = f"malformed {exc.protocol} frame at byte {exc.offset}: {exc.reason}"
             cause = FrameRef(raw.capture_index, exc.protocol, exc.reason)
             self._diagnostic("malformed_frame", detail, cause)
-            if self.deferred:
+            if raw.capture_index >= self._expires_at:
                 self._expire_deferred(raw.capture_index)
             return
 
@@ -395,26 +400,43 @@ class Tracker(TrackContext):
                 self._deferred_by_name.pop(held.name, None)
         held = derived.new_deferral
         if held is not None:
+            if not self.deferred:
+                self._expires_at = held.cause.capture_index + DEFERRED_WINDOW + 1
             self.deferred[held] = None
-            self._deferred_by_name.setdefault(held.name, deque()).append(held)
+            same_name = self._deferred_by_name.get(held.name)
+            if same_name is None:
+                self._deferred_by_name[held.name] = [held]
+            else:
+                same_name.append(held)
 
         if derived.events:
             self.fleet.fire(derived.events, ts)
 
-        if self.deferred:
+        if raw.capture_index >= self._expires_at:
             self._expire_deferred(raw.capture_index)
 
     def _expire_deferred(self, current_index: int | None = None) -> None:
-        """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index."""
-        horizon = float("inf") if current_index is None else current_index - DEFERRED_WINDOW
-        while self.deferred and next(iter(self.deferred)).cause.capture_index < horizon:
-            deferred, _ = self.deferred.popitem(last=False)
-            same_name = self._deferred_by_name[deferred.name]
-            same_name.popleft()  # the oldest request for its name
+        """Report deferrals older than DEFERRED_WINDOW frames; all of them without an index.
+
+        A request at capture index i expires at the first frame past i + DEFERRED_WINDOW.
+        Capture indices rise, so the oldest pending request is the first to expire.
+        """
+        horizon = _NEVER if current_index is None else current_index - DEFERRED_WINDOW
+        deferred = self.deferred
+        while deferred:
+            oldest = next(iter(deferred))
+            index = oldest.cause.capture_index
+            if index >= horizon:
+                self._expires_at = index + DEFERRED_WINDOW + 1
+                return
+            del deferred[oldest]
+            same_name = self._deferred_by_name[oldest.name]
+            del same_name[0]  # the oldest request for its name
             if not same_name:
-                del self._deferred_by_name[deferred.name]
-            detail = f"identify request for {deferred.name!r} never answered"
-            self._diagnostic("deferred_identify_expired", detail, deferred.cause)
+                del self._deferred_by_name[oldest.name]
+            detail = f"identify request for {oldest.name!r} never answered"
+            self._diagnostic("deferred_identify_expired", detail, oldest.cause)
+        self._expires_at = _NEVER
 
     def finish(self) -> None:
         """Flush unresolved deferrals as diagnostics at end of capture."""

@@ -41,38 +41,38 @@ NO_ALERTS = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 # report without "edges" keeps the bytes it had before the log was bounded.
 GOLDEN = {
     "malformed-dcp": (
-        "0f97918dee682c3bd2d16fb83f80ed794c498f8e5e750700f29826b4ead5d103",
-        "cea7a0aafa43e52e8294c567d88c121178b219b918e03c25e78d3e7ee674c7a6",
+        "83ec62d7a6c937a4c9513f94df37c062d8f44f85765e7363bf51c1045b80bbf2",
+        "7f775c02677b613b5e410ffc8b0b176b7b9394972c17ec1721d8765785bde5d5",
         "670aa529c3fd095e887fa0152729835551dc76ca5a946a13669207f069ec0073",
     ),
     "normal-startup": (
-        "944c453eadb55fab55cfe9827da485c3344b1eb61e8ebbc2848f734619b7a9ac",
-        "44e07050e94b1f6573b8d2fbb738a0d2b808ad4e2c4a2900efc3fc5ed58b4a2c",
+        "7344c6dd8dc5e28ab4a3b2f3d03573f27895a11c1dce86926d392959a35e2eef",
+        "e0d45a2e2f29c39d9b1ad08f438634a0ccb7027ccfc2d96ac211abdedfd1bc83",
         NO_ALERTS,
     ),
     "normal-startup-1": (
-        "60602a679965f42b951823649202c7b12e1024066f186646da774979cbc9cfa9",
-        "9d9f7875397776e97bfaf04d8d94e27716252fdd8cbadc37f3643d212312a84c",
+        "bff3af50c730013afbf2a7765b6ddb462202ff201270308ca6d91dcde1827e3c",
+        "ffc58a206c8923f2d0030311528bcb0dbde5c88175d6ec3fed9ab5ed1ab9f00b",
         NO_ALERTS,
     ),
     "normal-startup-5": (
-        "5d72a63403b1c7f897b03dffeb3a9ffc27631b1e620aa8139d54b37921867f52",
-        "582394a8194d403e89250dcd971586fef9c46d3579c49b03c3ac75a0597e7b06",
+        "6f7b65093acb09bd399b9ca62a30fde40fc3bec05784d42ec81db664473463a1",
+        "b0c1ff0d9209ec08e14a7ed3c058518132f4b2fbbe467dcbe9673f203b2ab76c",
         NO_ALERTS,
     ),
     "normal-startup-lldp": (
-        "30cdc2a49df4d828eb0e5aa6c55b9b34a9604d7846b4dd074deea8b51a65fb53",
-        "3d3863235aa16d2584c1d1a5b322d55c0c38c1df419045dd19ff23dc855b587d",
+        "b7a9f79c48e208756d7dbd2b08853b78525d47638be852dcc7ce655accced7a2",
+        "8352cad9d752f3909699e1bc1c9e922cf8429f710d6859c741a26d011145b771",
         NO_ALERTS,
     ),
     "rename-attack": (
-        "c95e86c9dc799decb4c2280e052f9b29a589c2dfac4fe9e5c7e3c1b21f0addcb",
-        "6fbede313e331933e35d0025346582456e29aa2d25754ca47273ef915073db74",
+        "dfa5cc3db73c2be02a0bf9ab0c3ed06b6fde477194be8900e813118624f96396",
+        "516dc7ce19111c43f1f7feb5187fb853aa04c1ca62cee2e726766219588c3b45",
         "53daff80012e2280fe083859b983ca7623f9db883e4f14cc8a9f3854bee470d0",
     ),
     "rogue-connect": (
-        "ccd824a900b81859d645b99d91022a64f7b0a1642080187e9329af91678f54a9",
-        "f62c6e8c9db5827a327c1dff9d42dc577aa063518c91973370412a17451c070c",
+        "3f0e2384bf7628854ab2056daafa00977d6e7363874d11b02e6a4a629804cdd5",
+        "9b12f515edbf6928162e4b386a999d0f18753caa999377f27598340a44a18e5d",
         "032714f66778a119fa201819b4127024f9a65327ae6c3a054c65fa11d73d266e",
     ),
 }
@@ -113,7 +113,7 @@ GOLDEN_SYNTH = {
 GOLDEN_FSM_EXPORT = {
     "device": "005c216fbe725e0b1dda18df790329d16789521a3d5e5e52fab99d8321bdc530",
     "connection": "9d09860cd211a89bb5b6c82e6d88a7d3921d1ff4c46f70073432b8a90a6cb902",
-    "system": "de79c79af305414dcdf0b60dc9c90bf6ae85c9fd77a54d395dc3564bde1bb6b2",
+    "system": "68aa9ae0c3b3cac734ef7f6a793bd985bfa4df57b0dad01dcdcf5134ef6f4919",
 }
 
 # sha256 of every dissect outcome over _dissect_corpus(), one line each: the record's

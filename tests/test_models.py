@@ -238,6 +238,16 @@ def test_system_table_shape():
     ) in triples
 
 
+def test_system_wakes_on_one_edge_only():
+    """pn_traffic_detected leaves Inactive and has no edge out of PoweredOn."""
+    table = system_fsm_table()
+    assert [(e.from_state, e.to_state) for e in table.edges if e.event == PN_TRAFFIC_DETECTED] == [
+        ("Inactive", "PoweredOn")
+    ]
+    assert PN_TRAFFIC_DETECTED not in table.table["PoweredOn"]
+    assert validate_definition(table) == []
+
+
 def test_state_operation_mapping_total():
     for table in (device_fsm_table(), connection_fsm_table(), system_fsm_table()):
         for state in table.states:
@@ -339,6 +349,22 @@ def test_derive_first_lldp_wakes_system():
         (PN_TRAFFIC_DETECTED, "system"),
     ]
     assert derived.events[0].key == DEV_MAC  # chassis MAC, not the port MAC
+
+
+@pytest.mark.parametrize(
+    "data",
+    [encode_lldp(DEV, PORT, 20, "lift-motor"), dcp_identify_request(CTRL, 3, "lift-motor")],
+    ids=["lldp", "identify-request"],
+)
+def test_derive_system_traffic_only_while_inactive(data):
+    """Discovery traffic wakes the system once: in PoweredOn it derives no system event."""
+    parsed = dissect(raw(data))
+    ctx = FakeContext()
+    asleep = derive_events(parsed, ctx)
+    assert [e.event_name for e in asleep.events if e.scope == "system"] == [PN_TRAFFIC_DETECTED]
+    ctx.states["system", None] = "PoweredOn"
+    awake = derive_events(parsed, ctx)
+    assert [e for e in awake.events if e.scope == "system"] == []
 
 
 def test_derive_lldp_gated_after_startup():

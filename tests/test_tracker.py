@@ -20,6 +20,7 @@ from poet.dissect import DcpFrame, MalformedFrame, ParsedFrame, dissect, str_to_
 from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, TransitionRecord
 from poet.inventory import AssetInventory, AssetRecord, InventoryChange, Provenance
 from poet.models import (
+    PN_TRAFFIC_DETECTED,
     DeferredEvent,
     DerivedEvents,
     ProtocolEvent,
@@ -42,13 +43,21 @@ from poet.synth import (
     ethernet,
     fuzz_corpus,
     iocr_block_request,
+    malformed_frame,
     normal_startup_spec,
     rename_attack_spec,
     rogue_connect_spec,
     synthesize,
     write_pcap_bytes,
 )
-from poet.tracker import AnomalyAlert, Tracker, TrackerConfig, TrackerReport, dumps_inventory
+from poet.tracker import (
+    DEFERRED_WINDOW,
+    AnomalyAlert,
+    Tracker,
+    TrackerConfig,
+    TrackerReport,
+    dumps_inventory,
+)
 
 from fsm_replay import fold_log
 
@@ -521,6 +530,76 @@ def test_expired_identifies_report_in_creation_order():
     assert [r.event for r in tracker.fleet.devices["02:00:00:00:02:00"].records()] == [
         "name_resolution_requested",
         "name_resolved",
+    ]
+
+
+def _expired(tracker: Tracker) -> list[tuple[int, tuple[int, int]]]:
+    """Each expired request's capture index and the time it was stamped with."""
+    return [
+        (a.cause.capture_index, a.timestamp)
+        for a in tracker.alerts
+        if a.offending_event == "deferred_identify_expired"
+    ]
+
+
+_REQUESTER = str_to_mac("02:00:00:00:01:00")
+_STATION = str_to_mac("02:00:00:00:02:00")
+_STATION_LLDP = encode_lldp(_STATION, str_to_mac("06:00:00:00:02:00"), 20, "io-device")
+
+
+@pytest.mark.parametrize("malformed", [False, True], ids=["well-formed", "malformed"])
+def test_identify_request_expires_at_the_first_frame_past_its_window(malformed):
+    tracker = Tracker()
+    tracker.process_frame(RawFrame(100, 0, dcp_identify_request(_REQUESTER, 1, "ghost"), 7))
+    tracker.process_frame(RawFrame(200, 0, _STATION_LLDP, 7 + DEFERRED_WINDOW))
+    assert _expired(tracker) == []
+    assert [d.name for d in tracker.deferred] == ["ghost"]
+    last = malformed_frame("pn-dcp") if malformed else _STATION_LLDP
+    tracker.process_frame(RawFrame(300, 5, last, 8 + DEFERRED_WINDOW))
+    assert _expired(tracker) == [(7, (300, 5))]
+    assert not tracker.deferred
+    tracker.finish()
+    assert _expired(tracker) == [(7, (300, 5))]
+
+
+def test_answering_the_oldest_request_leaves_the_next_its_own_horizon():
+    tracker = Tracker()
+    tracker.process_frame(RawFrame(100, 0, dcp_identify_request(_REQUESTER, 1, "io-device"), 0))
+    tracker.process_frame(RawFrame(100, 1, dcp_identify_request(_REQUESTER, 2, "ghost"), 2))
+    tracker.process_frame(RawFrame(100, 2, dcp_identify_response(_STATION, _REQUESTER, 1, "io-device"), 3))
+    # The answered request's horizon passes, then the pending one's is reached, then passed.
+    for index in (1 + DEFERRED_WINDOW, 2 + DEFERRED_WINDOW):
+        tracker.process_frame(RawFrame(200, index, _STATION_LLDP, index))
+        assert _expired(tracker) == []
+    tracker.process_frame(RawFrame(300, 0, _STATION_LLDP, 3 + DEFERRED_WINDOW))
+    assert _expired(tracker) == [(2, (300, 0))]
+    assert not tracker.deferred
+
+
+def test_a_capture_shorter_than_the_window_enters_expiry_once(monkeypatch):
+    """Only finish() looks at the pending requests when none can expire before it."""
+    calls = []
+    expire = Tracker._expire_deferred
+
+    def counted(self, current_index=None):
+        calls.append(current_index)
+        return expire(self, current_index)
+
+    monkeypatch.setattr(Tracker, "_expire_deferred", counted)
+    frames = [RawFrame(100 + i, 0, data, i) for i, data in enumerate(_identify_heavy())]
+    report = Tracker().process(frames)
+    assert calls == [None]
+    assert sum(a.offending_event == "deferred_identify_expired" for a in report.diagnostics) == 30
+
+
+def test_discovery_traffic_wakes_the_system_once():
+    """40 LLDP stations and 60 Identify requests: one system transition, the wake-up."""
+    tracker = Tracker()
+    tracker.process([RawFrame(100 + i, 0, data, i) for i, data in enumerate(_identify_heavy(40, 60))])
+    system = tracker.fleet.system
+    assert system.transitions == 1
+    assert [(r.from_state, r.event, r.to_state, r.cause.capture_index) for r in system.records()] == [
+        ("Inactive", PN_TRAFFIC_DETECTED, "PoweredOn", 0)
     ]
 
 
