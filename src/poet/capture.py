@@ -171,84 +171,81 @@ def _tsresol_divisor(options: bytes, endian: str) -> int:
 
 
 def _iter_pcapng(f) -> Iterator[StreamItem]:
-    def gen() -> Iterator[StreamItem]:
-        index = 0
-        endian = "<"
-        u32 = _U32["<"]
-        interfaces: list[tuple[int, int]] = []  # (link type, timestamp divisor) per IDB
-        offset = 0  # file offset of the next block
-        f.seek(0)
-        try:
-            while True:
-                head = f.read(8)
-                if len(head) < 8:
-                    if head:
-                        yield CaptureError(offset, index, "truncated block header")
+    index = 0
+    endian = "<"
+    u32 = _U32["<"]
+    interfaces: list[tuple[int, int]] = []  # (link type, timestamp divisor) per IDB
+    offset = 0  # file offset of the next block
+    f.seek(0)  # open_capture read the first block's type; read the block whole
+    try:
+        while True:
+            head = f.read(8)
+            if len(head) < 8:
+                if head:
+                    yield CaptureError(offset, index, "truncated block header")
+                return
+            block_type = u32(head)[0]
+            section = block_type == PCAPNG_SHB
+            if section:
+                # Byte order can change per section; magic sits after the length field.
+                magic = f.read(4)
+                if len(magic) < 4:
+                    yield CaptureError(offset, index, "truncated section header")
                     return
-                block_type = u32(head)[0]
-                section = block_type == PCAPNG_SHB
-                if section:
-                    # Byte order can change per section; magic sits after the length field.
-                    magic = f.read(4)
-                    if len(magic) < 4:
-                        yield CaptureError(offset, index, "truncated section header")
-                        return
-                    if _U32["<"](magic)[0] == PCAPNG_BYTE_ORDER_MAGIC:
-                        endian = "<"
-                    elif _U32[">"](magic)[0] == PCAPNG_BYTE_ORDER_MAGIC:
-                        endian = ">"
-                    else:
-                        yield CaptureError(offset, index, "bad section byte-order magic")
-                        return
-                    u32 = _U32[endian]
-                total_len = u32(head, 4)[0]
-                if total_len < (28 if section else 12) or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
-                    reason = "bad section block length" if section else f"bad block length {total_len}"
+                if _U32["<"](magic)[0] == PCAPNG_BYTE_ORDER_MAGIC:
+                    endian = "<"
+                elif _U32[">"](magic)[0] == PCAPNG_BYTE_ORDER_MAGIC:
+                    endian = ">"
+                else:
+                    yield CaptureError(offset, index, "bad section byte-order magic")
+                    return
+                u32 = _U32[endian]
+            total_len = u32(head, 4)[0]
+            if total_len < (28 if section else 12) or total_len % 4 or total_len > PCAPNG_MAX_BLOCK:
+                reason = "bad section block length" if section else f"bad block length {total_len}"
+                yield CaptureError(offset, index, reason)
+                return
+            # The rest of the block; for all but a section header, from byte 8 on.
+            size = total_len - (12 if section else 8)
+            body = f.read(size)
+            if len(body) < size:
+                reason = "truncated section block" if section else "truncated block"
+                yield CaptureError(offset, index, reason)
+                return
+            content_len = total_len - 12  # without the framing
+            if block_type == PCAPNG_EPB:
+                if content_len < 20:
+                    yield CaptureError(offset, index, "short packet block")
+                    return
+                iface, ts_high, ts_low, cap_len, _orig = _U32X5[endian](body)
+                if cap_len > content_len - 20:
+                    yield CaptureError(offset, index, "truncated packet data")
+                    return
+                if iface >= len(interfaces):
+                    yield CaptureError(offset, index, f"packet on undeclared interface {iface}")
+                elif interfaces[iface][0] != LINKTYPE_ETHERNET:
+                    reason = f"interface {iface} link type {interfaces[iface][0]} is not Ethernet"
                     yield CaptureError(offset, index, reason)
+                elif cap_len < MIN_ETHERNET_FRAME:
+                    yield CaptureError(offset, index, f"runt frame ({cap_len} bytes)")
+                else:
+                    divisor = interfaces[iface][1]
+                    ts_sec, frac = divmod((ts_high << 32) | ts_low, divisor)
+                    ts_nsec = frac * 1_000_000_000 // divisor
+                    yield RawFrame(ts_sec, ts_nsec, body[20 : 20 + cap_len], index)
+                index += 1
+            elif block_type in PCAPNG_UNREAD_PACKET_BLOCKS:
+                yield CaptureError(offset, index, f"{PCAPNG_UNREAD_PACKET_BLOCKS[block_type]} not read")
+                index += 1
+            elif section:
+                interfaces = []
+            elif block_type == PCAPNG_IDB:
+                if content_len < 8:
+                    yield CaptureError(offset, index, "short interface block")
                     return
-                # The rest of the block; for all but a section header, from byte 8 on.
-                size = total_len - (12 if section else 8)
-                body = f.read(size)
-                if len(body) < size:
-                    reason = "truncated section block" if section else "truncated block"
-                    yield CaptureError(offset, index, reason)
-                    return
-                content_len = total_len - 12  # without the framing
-                if block_type == PCAPNG_EPB:
-                    if content_len < 20:
-                        yield CaptureError(offset, index, "short packet block")
-                        return
-                    iface, ts_high, ts_low, cap_len, _orig = _U32X5[endian](body)
-                    if cap_len > content_len - 20:
-                        yield CaptureError(offset, index, "truncated packet data")
-                        return
-                    if iface >= len(interfaces):
-                        yield CaptureError(offset, index, f"packet on undeclared interface {iface}")
-                    elif interfaces[iface][0] != LINKTYPE_ETHERNET:
-                        reason = f"interface {iface} link type {interfaces[iface][0]} is not Ethernet"
-                        yield CaptureError(offset, index, reason)
-                    elif cap_len < MIN_ETHERNET_FRAME:
-                        yield CaptureError(offset, index, f"runt frame ({cap_len} bytes)")
-                    else:
-                        divisor = interfaces[iface][1]
-                        ts_sec, frac = divmod((ts_high << 32) | ts_low, divisor)
-                        ts_nsec = frac * 1_000_000_000 // divisor
-                        yield RawFrame(ts_sec, ts_nsec, body[20 : 20 + cap_len], index)
-                    index += 1
-                elif block_type in PCAPNG_UNREAD_PACKET_BLOCKS:
-                    yield CaptureError(offset, index, f"{PCAPNG_UNREAD_PACKET_BLOCKS[block_type]} not read")
-                    index += 1
-                elif section:
-                    interfaces = []
-                elif block_type == PCAPNG_IDB:
-                    if content_len < 8:
-                        yield CaptureError(offset, index, "short interface block")
-                        return
-                    link_type = struct.unpack_from(endian + "H", body)[0]
-                    interfaces.append((link_type, _tsresol_divisor(body[8:-4], endian)))
-                # Every other block type is skipped silently.
-                offset += total_len
-        finally:
-            f.close()
-
-    return gen()
+                link_type = struct.unpack_from(endian + "H", body)[0]
+                interfaces.append((link_type, _tsresol_divisor(body[8:-4], endian)))
+            # Every other block type is skipped silently.
+            offset += total_len
+    finally:
+        f.close()

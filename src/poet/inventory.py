@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .dissect import DcpFrame, ParsedFrame
 from .fsm import FrameRef
@@ -72,6 +72,10 @@ class AssetRecord:
         }
 
 
+# Each field's default: a field is set once it holds another value, and a set field that changes is a conflict.
+_UNSET = {f.name: f.default for f in fields(AssetRecord)}
+
+
 @dataclass(slots=True)
 class InventoryChange:
     mac: str
@@ -122,7 +126,7 @@ class AssetInventory:
         old = getattr(record, fieldname)
         if value is None or value == old:
             return
-        conflict = old not in (None, "unknown")
+        conflict = old != _UNSET[fieldname]
         setattr(record, fieldname, value)
         if fieldname == "name_of_station":
             if old is not None:
@@ -208,7 +212,3 @@ class AssetInventory:
             self._set(record, "role", "controller", cause, changes)
             self._set(target, "role", "device", cause, changes)
         return changes
-
-    def export(self) -> dict:
-        """The inventory as a JSON document, records sorted by interface MAC."""
-        return {"assets": [self.records[mac].to_json() for mac in sorted(self.records)]}

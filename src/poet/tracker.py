@@ -190,7 +190,11 @@ class TrackerReport:
 
     @property
     def final_states(self) -> dict:
-        states = self.fleet.per_instance(_state_entry)
+        return self._final_states(_state_entry)
+
+    def _final_states(self, export: Callable[[FsmInstance], Any]) -> dict:
+        """`export` of every instance: the system's, and the devices' and connections' as lists."""
+        states = self.fleet.per_instance(export)
         return {
             "system": states["system"],
             "devices": list(states["devices"].values()),
@@ -225,23 +229,25 @@ class TrackerReport:
         """The report as JSON with sorted keys and a two-space indent, plus a newline.
 
         The bytes are those of `json.dumps(self.to_json(), sort_keys=True, indent=2)`,
-        but every record of every section but `summary` is one %-template fill
-        from its object, appended to a flat chunk list that is joined once, since
-        the indenting encoder is pure Python.
+        but the document holds the tracker's own objects, and `_write` writes each
+        of them as one %-template fill, since the indenting encoder is pure Python.
+        The document is a temporary, so its containers are gone before the join.
         """
-        templates: dict = {}
         per_instance = self.fleet.per_instance
-        out = ['{\n  "alerts": ']
-        _write_records(out, templates, self.alerts, "  ", _alert_leaves)
-        out.append(',\n  "edges": ')
-        _write_nested(out, templates, per_instance(FsmInstance.edge_tallies), "  ", _edge_leaves)
-        out.append(',\n  "final_states": ')
-        _write_states(out, per_instance(lambda instance: instance), "  ")
-        out.append(',\n  "inventory": ')
-        _write_inventory(out, self.assets, "  ")
-        out.append(',\n  "logs": ')
-        _write_nested(out, templates, per_instance(FsmInstance.records), "  ", _transition_leaves)
-        out.append(',\n  "summary": ' + _dumps_small(self.summary, "  ") + "\n}\n")
+        out: list[str] = []
+        _write(
+            out,
+            {
+                "summary": self.summary,
+                "final_states": self._final_states(lambda instance: instance),
+                "inventory": {"assets": self.assets},
+                "alerts": self.alerts,
+                "logs": per_instance(FsmInstance.records),
+                "edges": per_instance(FsmInstance.edge_tallies),
+            },
+            "",
+        )
+        out.append("\n")
         return "".join(out)
 
     @property
@@ -256,7 +262,7 @@ class TrackerReport:
 def dumps_inventory(assets: list[AssetRecord]) -> str:
     """`{"assets": [...]}` of `assets` as `TrackerReport.dumps()` writes it, at the top level."""
     out: list[str] = []
-    _write_inventory(out, assets, "")
+    _write(out, {"assets": assets}, "")
     out.append("\n")
     return "".join(out)
 
@@ -475,14 +481,6 @@ class Tracker(TrackContext):
         )
 
 
-def _dumps_small(doc: Any, pad: str) -> str:
-    """`doc` as sorted-key, two-space indented JSON starting at indent `pad`.
-
-    A JSON string never holds a raw newline, so every newline starts a line.
-    """
-    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-
-
 def _layout(doc: Any, pad: str | None) -> str:
     """`doc` laid out as `json.dumps(sort_keys=True, indent=2)` lays it out at indent `pad`.
 
@@ -509,71 +507,52 @@ def _layout(doc: Any, pad: str | None) -> str:
     return "%s"
 
 
-def _write_records(
-    out: list[str],
-    templates: dict,
-    records: list,
-    pad: str,
-    leaves: Callable[[Any], tuple],
-    sample: Any = None,
-) -> None:
-    """Append a JSON list of same-layout records at indent `pad`.
+def _write(out: list[str], value: Any, pad: str) -> None:
+    """Append `value` at indent `pad` as `json.dumps(sort_keys=True, indent=2)` lays it out.
 
-    `leaves` gives a record's encoded leaves in sorted-key order, the order of
-    the %s slots in the template laid out from `sample`, else from the first
-    record. The template is built once per leaves function and depth.
+    A record, an object of a kind in `_RECORD_KINDS`, is one %-template fill, and
+    a list of records of one kind one fill per record. A dict is written key by
+    key in sorted order, and any other value by `json.dumps`.
     """
-    if not records:
-        out.append("[]")
-        return
-    template = templates.get((leaves, pad))
-    if template is None:
+    if type(value) in _RECORD_KINDS:
+        template, leaves = _template(value, pad)
+        out.append(template[len(pad) + 2 :] % leaves(value))  # no comma, and the key opens the line
+    elif not isinstance(value, (dict, list)):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
         inner = pad + "  "
-        layout = _layout(records[0] if sample is None else sample, inner)
-        template = templates[(leaves, pad)] = ",\n" + inner + layout
-    out.append("[" + template[1:] % leaves(records[0]))  # the first record has no comma
-    out += map(template.__mod__, map(leaves, islice(records, 1, None)))
-    out.append("\n" + pad + "]")
+        separator = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out.append(separator + _encode_str(key) + ": ")
+            _write(out, item, inner)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        template, leaves = _template(value[0], pad + "  ")
+        out.append("[" + template[1:] % leaves(value[0]))  # the first record has no comma
+        out += map(template.__mod__, map(leaves, islice(value, 1, None)))
+        out.append("\n" + pad + "]")
 
 
-def _write_nested(
-    out: list[str], templates: dict, doc: dict, pad: str, leaves: Callable[[dict], tuple]
-) -> None:
-    """Append `doc`, a dict of same-layout record lists or of such dicts, at indent `pad`."""
-    if not doc:
-        out.append("{}")
-        return
-    inner = pad + "  "
-    separator = "{\n" + inner
-    for key, value in sorted(doc.items()):
-        out.append(separator + _encode_str(key) + ": ")
-        if isinstance(value, dict):
-            _write_nested(out, templates, value, inner, leaves)
-        else:
-            _write_records(out, templates, value, inner, leaves)
-        separator = ",\n" + inner
-    out.append("\n" + pad + "}")
+# Per (record kind, indent, layout): the template of one record in a list, and the kind's leaves function.
+# Each depends on its key alone, so one process-wide cache serves every report.
+_TEMPLATES: dict[tuple, tuple[str, Callable[[Any], tuple]]] = {}
 
 
-def _write_states(out: list[str], instances: dict, pad: str) -> None:
-    """Append the final states of the FSM instances at indent `pad`."""
-    inner = pad + "  "
-    for opening, scope in (("{\n", "connections"), (",\n", "devices")):
-        scoped = list(instances[scope].values())
-        out.append(opening + inner + f'"{scope}": ')
-        # Its own template cache: a device's entry is keyed "mac", a connection's "key".
-        _write_records(out, {}, scoped, inner, _state_leaves, _state_entry(scoped[0]) if scoped else None)
-    system = instances["system"]
-    out.append(",\n" + inner + '"system": ' + _layout(_state_entry(system), inner) % _state_leaves(system))
-    out.append("\n" + pad + "}")
+def _template(record: Any, pad: str) -> tuple[str, Callable[[Any], tuple]]:
+    """The template and leaves function of records like `record` opening at indent `pad`.
 
-
-def _write_inventory(out: list[str], assets: list[AssetRecord], pad: str) -> None:
-    """Append the inventory document of the asset records at indent `pad`."""
-    inner = pad + "  "
-    out.append("{\n" + inner + '"assets": ')
-    _write_records(out, {}, assets, inner, _asset_leaves(inner + "    "), _BLANK_ASSET)
-    out.append("\n" + pad + "}")
+    A kind's records share one layout, but a final-state entry is keyed "mac" for a device.
+    """
+    kind = type(record)
+    layout = record.definition.name if kind is FsmInstance else None
+    cached = _TEMPLATES.get((kind, pad, layout))
+    if cached is None:
+        sample, leaves = _RECORD_KINDS[kind]
+        cached = _TEMPLATES[(kind, pad, layout)] = (",\n" + pad + _layout(sample(record), pad), leaves(pad))
+    return cached
 
 
 def _asset_leaves(pad: str) -> Callable[[AssetRecord], tuple]:
@@ -623,9 +602,6 @@ def _asset_leaves(pad: str) -> Callable[[AssetRecord], tuple]:
         )
 
     return leaves
-
-
-_BLANK_ASSET = AssetRecord("")
 
 
 def _state_entry(instance: FsmInstance) -> dict:
@@ -691,6 +667,17 @@ def _alert_leaves(alert: AnomalyAlert) -> tuple:
 
 # One streamed alert: its line as `json.dumps(alert.to_json(), sort_keys=True)` writes it.
 _ALERT_LINE = _layout(AnomalyAlert((0, 0), "", "", "", "", FrameRef(0, "", ""), "", ""), None) + "\n"
+
+# Each record kind: the document its template is laid out from, given a record, and its leaves
+# function, given the indent the record opens at. An asset's template is laid out from a blank
+# record, whose port MACs and provenance are then one slot each; see _asset_leaves.
+_RECORD_KINDS: dict[type, tuple[Callable[[Any], Any], Callable[[str], Callable[[Any], tuple]]]] = {
+    AnomalyAlert: (lambda alert: alert, lambda pad: _alert_leaves),
+    TransitionRecord: (lambda record: record, lambda pad: _transition_leaves),
+    EdgeTally: (lambda tally: tally, lambda pad: _edge_leaves),
+    FsmInstance: (_state_entry, lambda pad: _state_leaves),
+    AssetRecord: (lambda record: AssetRecord(""), lambda pad: _asset_leaves(pad + "  ")),
+}
 
 
 def span_seconds(first: Timestamp | None, last: Timestamp | None, frames: int) -> float:

@@ -329,9 +329,8 @@ def test_inventory_command_writes_json_dumps_bytes(tmp_path, name):
     prefix = _write_builtin(tmp_path, name)
     out = tmp_path / "inv.json"
     assert main(["inventory", prefix + ".pcap", "--out", str(out)]) == 0
-    tracker = Tracker()
-    tracker.process(open_capture(prefix + ".pcap"))
-    expected = json.dumps(tracker.inventory.export(), sort_keys=True, indent=2) + "\n"
+    report = Tracker().process(open_capture(prefix + ".pcap"))
+    expected = json.dumps(report.inventory, sort_keys=True, indent=2) + "\n"
     assert out.read_text(encoding="utf-8") == expected
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import timeit
 
+import pytest
+
 from poet.capture import RawFrame, open_capture
 from poet.dissect import dissect, str_to_mac
 from poet.inventory import AssetInventory
@@ -59,15 +61,17 @@ def test_other_frame_refreshes_last_seen_of_known_asset():
     assert inv.get("02:00:00:00:01:00").last_seen == (200, 5)
 
 
-def test_rename_set_flags_conflict():
+# "unknown" is a valid NameOfStation: only role's default counts as unset.
+@pytest.mark.parametrize("old_name", ["turntable-motor", "unknown"])
+def test_rename_set_flags_conflict(old_name):
     inv = AssetInventory()
-    inv.update_from_frame(parse(dcp_identify_response(DEV, CTRL, 1, "turntable-motor")), TS)
-    assert inv.get("02:00:00:00:02:00").name_of_station == "turntable-motor"
+    inv.update_from_frame(parse(dcp_identify_response(DEV, CTRL, 1, old_name)), TS)
+    assert inv.get("02:00:00:00:02:00").name_of_station == old_name
     changes = inv.update_from_frame(parse(dcp_set_name_request(CTRL, DEV, 2, "ufo"), index=1), TS)
     conflict = [c for c in changes if c.fieldname == "name_of_station"]
     assert len(conflict) == 1
     assert conflict[0].conflict
-    assert (conflict[0].old, conflict[0].new) == ("turntable-motor", "ufo")
+    assert (conflict[0].old, conflict[0].new) == (old_name, "ufo")
     record = inv.get("02:00:00:00:02:00")
     assert record.name_of_station == "ufo"
     assert record.provenance["name_of_station"].conflict
@@ -99,18 +103,18 @@ def test_full_startup_populates_all_assets(tmp_path):
 
 
 def test_export_sorted_and_deterministic():
-    inv = AssetInventory()
-    inv.update_from_frame(parse(encode_lldp(DEV, PORT1, 20, "lift-motor")), TS)
-    inv.update_from_frame(parse(encode_lldp(CTRL, PORT2, 20, "plc-1")), TS)
-    doc = inv.export()
+    frames = [encode_lldp(DEV, PORT1, 20, "lift-motor"), encode_lldp(CTRL, PORT2, 20, "plc-1")]
+    report = Tracker().process([RawFrame(100, 0, frame, index) for index, frame in enumerate(frames)])
+    doc = report.inventory
     macs = [a["interface_mac"] for a in doc["assets"]]
-    assert macs == sorted(macs)
-    records = [inv.records[mac] for mac in sorted(inv.records)]
-    assert dumps_inventory(records) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert macs == sorted(macs) == ["02:00:00:00:01:00", "02:00:00:00:02:00"]
+    assert dumps_inventory(report.assets) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_export_empty():
-    assert AssetInventory().export() == {"assets": []}
+    report = Tracker().report()
+    assert report.inventory == {"assets": []}
+    assert dumps_inventory(report.assets) == '{\n  "assets": []\n}\n'
 
 
 def test_export_one_record_with_full_provenance():
@@ -118,7 +122,8 @@ def test_export_one_record_with_full_provenance():
     inv.update_from_frame(
         parse(dcp_identify_response(DEV, CTRL, 1, "lift-motor", ip="192.168.0.11"), 3), TS
     )
-    (asset,) = inv.export()["assets"]
+    (record,) = inv.records.values()
+    asset = record.to_json()
     for fieldname in ("name_of_station", "ip_address", "subnet", "gateway", "vendor_id", "device_id"):
         assert asset[fieldname] is not None
         assert asset["provenance"][fieldname]["protocol"] == "pn-dcp"

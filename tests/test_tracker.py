@@ -866,7 +866,8 @@ def test_inventory_is_written_as_json_dumps_writes_it(assets):
     for record in assets:
         inventory.records[record.interface_mac] = record
     records = [inventory.records[mac] for mac in sorted(inventory.records)]
-    assert dumps_inventory(records) == json.dumps(inventory.export(), sort_keys=True, indent=2) + "\n"
+    document = {"assets": [record.to_json() for record in records]}
+    assert dumps_inventory(records) == json.dumps(document, sort_keys=True, indent=2) + "\n"
     report = dataclasses.replace(Tracker().report(), assets=records)
     assert report.dumps() == _oracle_dumps(report)
 
