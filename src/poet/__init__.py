@@ -8,7 +8,7 @@ transitions.
 
 from .capture import CaptureError, RawFrame, open_capture
 from .dissect import MalformedFrame, ParsedFrame, dissect
-from .fsm import FsmDefinition, FsmInstance, TransitionRecord, validate_definition
+from .fsm import FsmDefinition, FsmInstance, TransitionRecord
 from .inventory import AssetInventory, AssetRecord
 from .models import (
     ProtocolEvent,
@@ -42,5 +42,4 @@ __all__ = [
     "dissect",
     "open_capture",
     "system_fsm_table",
-    "validate_definition",
 ]

@@ -94,7 +94,7 @@ def open_capture(path: str | os.PathLike) -> Iterator[StreamItem]:
             raise CaptureFormatError(f"{path}: file too short for a capture header")
         magic_le = struct.unpack("<I", head)[0]
         if magic_le == PCAPNG_SHB:
-            stream = _iter_pcapng(f)
+            stream = _iter_pcapng(f, head)
         elif magic_le in (PCAP_MAGIC_US_LE, PCAP_MAGIC_NS_LE):
             stream = _iter_pcap(f, path, "<", magic_le == PCAP_MAGIC_NS_LE)
         elif magic_le in (PCAP_MAGIC_US_BE, PCAP_MAGIC_NS_BE):
@@ -170,16 +170,19 @@ def _tsresol_divisor(options: bytes, endian: str) -> int:
     return 1 << (v & 0x7F) if v & 0x80 else 10**v
 
 
-def _iter_pcapng(f) -> Iterator[StreamItem]:
+def _iter_pcapng(f, first_type: bytes) -> Iterator[StreamItem]:
+    """The stream of pcapng file `f`, whose first 4 bytes, `first_type`, open_capture has read.
+
+    `f` is read forward only, so it may be a pipe.
+    """
     index = 0
     endian = "<"
     u32 = _U32["<"]
     interfaces: list[tuple[int, int]] = []  # (link type, timestamp divisor) per IDB
     offset = 0  # file offset of the next block
-    f.seek(0)  # open_capture read the first block's type; read the block whole
     try:
+        head = first_type + f.read(4)  # the first block's type and length
         while True:
-            head = f.read(8)
             if len(head) < 8:
                 if head:
                     yield CaptureError(offset, index, "truncated block header")
@@ -247,5 +250,6 @@ def _iter_pcapng(f) -> Iterator[StreamItem]:
                 interfaces.append((link_type, _tsresol_divisor(body[8:-4], endian)))
             # Every other block type is skipped silently.
             offset += total_len
+            head = f.read(8)
     finally:
         f.close()

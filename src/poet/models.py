@@ -11,7 +11,7 @@ the rename-attack signal.
 from __future__ import annotations
 
 import uuid
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -277,7 +277,7 @@ class CyclicBinding:
     A frame of this id is good data iff its C-SDU reaches `c_sdu_length` bytes
     and every byte at `iops_offsets` has the GOOD bit. `iops_offsets` is None
     when the CR has no submodule of its direction, or the Connect's layout is
-    inconsistent: such a frame drives no event. While the tracker binds its frame
+    inconsistent: such a frame drives no event. While the AR table binds its frame
     id, it is the live CR: `device` and `connection` hold the instances at
     ("device", responder_mac) and ("connection", key) that a good frame drives.
     """
@@ -342,12 +342,47 @@ def cyclic_bindings(
 
 @dataclass(frozen=True)
 class ConnectionRegistration:
-    """One AR, compiled from its Connect request: the record the tracker keeps per AR UUID."""
+    """One AR, compiled from its Connect request: the record the AR table keeps per AR UUID."""
 
     key: str
     responder_mac: str
     ar_uuid: uuid.UUID
     frame_id_bindings: tuple[CyclicBinding, ...]  # one per IOCR
+
+
+@dataclass(slots=True)
+class ArTable:
+    """A run's AR and frame-id registries: derive_events reads them, and only `register` writes them."""
+
+    ars: dict[uuid.UUID, ConnectionRegistration] = field(default_factory=dict)  # each AR by its UUID
+    frame_ids: dict[int, CyclicBinding] = field(default_factory=dict)  # each bound CR by its frame id
+
+    def register(
+        self, reg: ConnectionRegistration, device: FsmInstance, connection: FsmInstance, cause: FrameRef
+    ) -> list[TrackDiagnostic]:
+        """Keep a Connect's AR and bind its CRs to the instances that their good frames drive.
+
+        An AR UUID or a frame id held by another connection is refused, as one finding
+        each; only the holder's own Connect (a reconnect) rebinds it.
+        """
+        held_ar = self.ars.get(reg.ar_uuid)
+        if held_ar is not None and held_ar.key != reg.key:
+            detail = f"AR {reg.ar_uuid} is held by connection {held_ar.key}"
+            return [TrackDiagnostic("ar_uuid_conflict", detail, cause, "device", reg.responder_mac)]
+        self.ars[reg.ar_uuid] = reg
+        findings = []
+        for binding in reg.frame_id_bindings:
+            held = self.frame_ids.get(binding.frame_id)
+            if held is not None:
+                if held.key != reg.key:
+                    detail = f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}"
+                    findings.append(TrackDiagnostic("frame_id_conflict", detail, cause, "device", reg.responder_mac))
+                    continue
+                held.device = held.connection = None  # replaced: a record holds instances only while bound
+            binding.device = device
+            binding.connection = connection
+            self.frame_ids[binding.frame_id] = binding
+        return findings
 
 
 @dataclass(slots=True)
@@ -364,22 +399,14 @@ class DerivedEvents:
 class TrackContext:
     """Read-only view derive_events needs; the tracker implements it.
 
-    `ar_registry` (each AR's Connect record, by AR UUID) and `frame_id_registry`
-    (each bound CR, by frame id) are the tracker's own registries: derive_events
-    reads them and leaves every write to the tracker. `state_of(scope, key)` is an
-    instance's current state, its machine's initial state if it does not exist yet;
-    the tracker's is its `FsmFleet.state_of` itself.
+    `state_of(scope, key)` is an instance's current state, its machine's initial
+    state if it does not exist yet; the tracker's is its `FsmFleet.state_of` itself.
     """
 
-    ar_registry: Mapping[uuid.UUID, ConnectionRegistration]
-    frame_id_registry: Mapping[int, CyclicBinding]
+    ar_table: ArTable  # read here, and written only by ArTable.register
     state_of: Callable[[str, str | None], str]
-
-    def lookup_name(self, name: str) -> str | None:
-        raise NotImplementedError
-
-    def deferred_for_name(self, name: str) -> list[DeferredEvent]:
-        raise NotImplementedError
+    lookup_name: Callable[[str], str | None]  # the MAC that holds a station name
+    deferred_for_name: Callable[[str], list[DeferredEvent]]  # the Identify requests held for a name
 
 
 def _system_traffic_event(ctx: TrackContext, cause: FrameRef, events: list[ProtocolEvent]) -> None:
@@ -394,8 +421,8 @@ def _system_traffic_event(ctx: TrackContext, cause: FrameRef, events: list[Proto
 def derive_events(parsed: ParsedFrame, ctx: TrackContext) -> DerivedEvents:
     """Map one dissected frame to its per-instance FSM events.
 
-    Pure given the context snapshot: all mutation (deferral queues, the
-    connection registry) is returned for the tracker to apply.
+    Pure given the context snapshot: all mutation is returned for the tracker
+    to apply, the deferral queues' and, for `ArTable.register`, the AR table's.
     """
     derive = _DERIVERS.get(parsed.protocol)
     return derive(parsed, ctx) if derive else DerivedEvents()
@@ -506,7 +533,7 @@ def _derive_cm(frame: CmFrame, ctx: TrackContext) -> DerivedEvents:
         return DerivedEvents()  # Connect responses and Releases drive no tracked event
 
     cause = _cause(frame, f"pn-cm {op.lower()} {direction}")
-    conn = None if frame.ar_uuid is None else ctx.ar_registry.get(frame.ar_uuid)
+    conn = None if frame.ar_uuid is None else ctx.ar_table.ars.get(frame.ar_uuid)
     if conn is None:
         missing = "without AR reference" if frame.ar_uuid is None else f"for unknown AR {frame.ar_uuid}"
         orphan = TrackDiagnostic("orphan_frame", f"{cause.summary} {missing}", cause)
@@ -525,7 +552,7 @@ def _derive_cm(frame: CmFrame, ctx: TrackContext) -> DerivedEvents:
 
 
 def _derive_pnio(frame: PnioCyclicFrame, ctx: TrackContext) -> DerivedEvents:
-    binding = ctx.frame_id_registry.get(frame.frame_id)
+    binding = ctx.ar_table.frame_ids.get(frame.frame_id)
     if binding is None:
         orphan = TrackDiagnostic(
             "orphan_frame",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import struct
 import uuid
 from collections.abc import Sequence
@@ -1119,29 +1118,6 @@ def write_pcapng_bytes(frames: list[tuple[tuple[int, int], bytes]]) -> bytes:
         )
         out += block(0x00000006, content + data + b"\x00" * pad)
     return bytes(out)
-
-
-def fuzz_corpus(seed: int, count: int) -> list[bytes]:
-    """Deterministic dissector fuzz corpus: random, truncated and bit-flipped frames."""
-    if count <= 0:
-        raise ValueError("count must be positive")
-    rng = random.Random(seed)
-    pool = [plan.data for plan in synthesize(normal_startup_spec(1, cyclic_rounds=2)).frames]
-    corpus: list[bytes] = []
-    for _ in range(count):
-        kind = rng.randrange(3)
-        if kind == 0:
-            corpus.append(rng.randbytes(rng.randint(14, 120)))
-        elif kind == 1:
-            frame = rng.choice(pool)
-            corpus.append(frame[: rng.randint(14, len(frame))])
-        else:
-            frame = bytearray(rng.choice(pool))
-            for _ in range(rng.randint(1, 8)):
-                bit = rng.randrange(len(frame) * 8)
-                frame[bit // 8] ^= 1 << (bit % 8)
-            corpus.append(bytes(frame))
-    return corpus
 
 
 # --- Builtin scenarios ------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
@@ -26,8 +25,7 @@ from .inventory import AssetInventory, AssetRecord, Provenance
 from .models import (
     ALL_CONNECTIONS_ESTABLISHED,
     CONNECTION_ESTABLISHED_STATES,
-    ConnectionRegistration,
-    CyclicBinding,
+    ArTable,
     DeferredEvent,
     ProtocolEvent,
     TrackContext,
@@ -277,8 +275,7 @@ class Tracker(TrackContext):
         # TrackContext's state_of is the fleet's own, so derive_events reads a state with no forwarding call.
         self.state_of = self.fleet.state_of
         self.inventory = AssetInventory()
-        self.ar_registry: dict[uuid.UUID, ConnectionRegistration] = {}
-        self.frame_id_registry: dict[int, CyclicBinding] = {}
+        self.ar_table = ArTable()
         # Pending identify requests in capture order (expiry takes them from the
         # front), and the same requests by name (an answer releases them all).
         self.deferred: OrderedDict[DeferredEvent, None] = OrderedDict()
@@ -325,38 +322,6 @@ class Tracker(TrackContext):
             )
         )
 
-    def _register_connection(self, reg: ConnectionRegistration, cause: FrameRef) -> None:
-        created = reg.key not in self.fleet.connections
-        connection = self.fleet.ensure("connection", reg.key)
-        device = self.fleet.ensure("device", reg.responder_mac)
-        # An AR UUID, like a frame id, stays with the connection that holds it:
-        # a Connect of another connection that reuses it registers nothing.
-        held_ar = self.ar_registry.get(reg.ar_uuid)
-        if held_ar is not None and held_ar.key != reg.key:
-            detail = f"AR {reg.ar_uuid} is held by connection {held_ar.key}"
-            self._diagnostic("ar_uuid_conflict", detail, cause, "device", reg.responder_mac)
-            bindings: tuple[CyclicBinding, ...] = ()
-        else:
-            self.ar_registry[reg.ar_uuid] = reg
-            bindings = reg.frame_id_bindings
-        for binding in bindings:
-            # A frame id stays with the connection that holds it: only that
-            # connection's own Connect (a reconnect) may rebind it.
-            held = self.frame_id_registry.get(binding.frame_id)
-            if held is not None:
-                if held.key != reg.key:
-                    detail = f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}"
-                    self._diagnostic("frame_id_conflict", detail, cause, "device", reg.responder_mac)
-                    continue
-                held.device = held.connection = None  # replaced: a record holds instances only while bound
-            # Bound, the binding is the live CR: its good frames fire these two instances.
-            binding.device = device
-            binding.connection = connection
-            self.frame_id_registry[binding.frame_id] = binding
-        if created and self.fleet.system.current_state == "DataExchange":
-            detail = "new connection initiated after system startup completed"
-            self._diagnostic("connection_created_after_startup", detail, cause, "connection", reg.key)
-
     def process_frame(self, raw: RawFrame) -> None:
         ts = (raw.ts_sec, raw.ts_nsec)
         self._frames += 1
@@ -393,9 +358,17 @@ class Tracker(TrackContext):
             self.fleet.ensure("device", parsed.src_mac)
         derived = derive_events(parsed, self)
 
-        if derived.registration is not None:
+        reg = derived.registration
+        if reg is not None:
             cause = FrameRef(raw.capture_index, parsed.protocol, "connect request")
-            self._register_connection(derived.registration, cause)
+            created = reg.key not in self.fleet.connections
+            connection = self.fleet.ensure("connection", reg.key)
+            device = self.fleet.ensure("device", reg.responder_mac)
+            for diag in self.ar_table.register(reg, device, connection, cause):
+                self._diagnostic(diag.kind, diag.detail, diag.cause, diag.scope, diag.key)
+            if created and self.fleet.system.current_state == "DataExchange":
+                detail = "new connection initiated after system startup completed"
+                self._diagnostic("connection_created_after_startup", detail, cause, "connection", reg.key)
         # Most frames carry no bookkeeping, so each part is tested before it is looped over.
         if derived.diagnostics:
             for diag in derived.diagnostics:

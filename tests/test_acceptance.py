@@ -23,7 +23,6 @@ from poet.dissect import (
     dissect,
 )
 from poet.capture import RawFrame
-from poet.fsm import reachable_states, validate_definition
 from poet.models import (
     connection_fsm_table,
     cyclic_bindings,
@@ -32,7 +31,6 @@ from poet.models import (
 )
 from poet.synth import (
     builtin_scenario,
-    fuzz_corpus,
     normal_startup_spec,
     process_byte,
     synthesize,
@@ -40,6 +38,8 @@ from poet.synth import (
 )
 from poet.tracker import Tracker, TrackerConfig
 
+from corpus import fuzz_corpus
+from fsm_checks import reachable_states, validate_definition
 from fsm_replay import fold_log
 
 

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import pytest
 
 import poet.cli
 from poet.capture import open_capture
 from poet.cli import main
-from poet.synth import BUILTIN_SCENARIOS, builtin_scenario, synthesize
+from poet.synth import BUILTIN_SCENARIOS, builtin_scenario, synthesize, write_pcapng_bytes
 from poet.tracker import Tracker
 
 
@@ -298,6 +300,55 @@ def test_fsm_export_connection_seven_states(tmp_path):
     assert len(doc["states"]) == 7
     assert doc["initial_state"] == "ConnectionCreation"
     assert set(doc["state_operations"]) == set(doc["states"])
+
+
+def _analyze_outputs(tmp_path, capture: str) -> tuple[int, bytes, bytes]:
+    """`poet analyze` of `capture`: its exit code, alert stream and report bytes."""
+    alerts, report = tmp_path / "alerts.jsonl", tmp_path / "report.json"
+    alerts.unlink(missing_ok=True)
+    report.unlink(missing_ok=True)
+    code = main(["analyze", capture, "--alerts", str(alerts), "--report", str(report)])
+    return code, alerts.read_bytes(), report.read_bytes()
+
+
+def _analyze_piped(tmp_path, data: bytes) -> tuple[int, bytes, bytes]:
+    """`_analyze_outputs` of `data` written into a pipe, in chunks that cut records, opened as /dev/fd/N."""
+    read_end, write_end = os.pipe()
+
+    def writer():
+        try:
+            for at in range(0, len(data), 1000):
+                os.write(write_end, data[at : at + 1000])
+        except BrokenPipeError:
+            pass  # the reader stopped early; its outputs say so
+        finally:
+            os.close(write_end)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    try:
+        outputs = _analyze_outputs(tmp_path, f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)  # a writer still blocked on a full pipe then stops
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    return outputs
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to open a pipe by path")
+@pytest.mark.parametrize("fmt", ["pcap", "pcapng"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_capture_read_from_a_pipe_gives_the_files_outputs(tmp_path, capsys, name, fmt):
+    result = synthesize(builtin_scenario(name))
+    if fmt == "pcap":
+        data = result.pcap_bytes
+    else:
+        data = write_pcapng_bytes([(plan.ts, plan.data) for plan in result.frames])
+    capture = tmp_path / f"{name}.{fmt}"
+    capture.write_bytes(data)
+    from_file = _analyze_outputs(tmp_path, str(capture))
+    assert _analyze_piped(tmp_path, data) == from_file
+    assert capsys.readouterr().err == ""
 
 
 def test_fsm_export_system_four_states(tmp_path):

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import struct
 import uuid
-from types import MappingProxyType
 
 from hypothesis import given, settings, strategies as st
 
 from poet.capture import RawFrame
 from poet.dissect import CmFrame, MalformedFrame, dissect, str_to_mac
+from poet.fsm import FrameRef, FsmInstance
 from poet.models import (
     ACYCLIC_DONE,
     ACYCLIC_READ,
@@ -26,10 +26,13 @@ from poet.models import (
     CONNECTION_CONFIRMED,
     END_OF_PARAMETRIZATION,
     PARAMETRIZATION_WRITE,
+    ArTable,
     ConnectionRegistration,
     TrackContext,
+    connection_fsm_table,
     connection_key,
     derive_events,
+    device_fsm_table,
 )
 from poet.synth import (
     SubmoduleSpec,
@@ -217,12 +220,14 @@ KNOWN_AR_EVENTS = {
 
 
 class _Context(TrackContext):
-    # Read-only registries: a write from derive_events fails the test.
-    ar_registry = MappingProxyType({KNOWN_AR: ConnectionRegistration(KEY, DEV_MAC, KNOWN_AR, ())})
-    frame_id_registry = MappingProxyType({})
-
     def __init__(self, established: bool):
         self.established = established
+        # KNOWN_AR registered as the tracker registers a Connect, under the table's own rules.
+        self.ar_table = ArTable()
+        device = FsmInstance(device_fsm_table(), DEV_MAC)
+        connection = FsmInstance(connection_fsm_table(), KEY)
+        known = ConnectionRegistration(KEY, DEV_MAC, KNOWN_AR, ())
+        assert self.ar_table.register(known, device, connection, FrameRef(0, "pn-cm", "connect request")) == []
 
     def state_of(self, scope, key):
         assert (scope, key) == ("connection", KEY)

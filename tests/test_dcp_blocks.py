@@ -7,7 +7,6 @@ time, so it knows nothing of how `dissect` hands the blocks on.
 from __future__ import annotations
 
 import struct
-from types import MappingProxyType
 
 from hypothesis import given, strategies as st
 
@@ -21,6 +20,7 @@ from poet.models import (
     NAME_RESOLUTION_REQUESTED,
     NAME_RESOLVED,
     NAME_SET_REQUESTED,
+    ArTable,
     DeferredEvent,
     TrackContext,
     derive_events,
@@ -59,8 +59,7 @@ BLOCKS = st.one_of(
 
 
 class _Context(TrackContext):
-    # Empty read-only registries: a write from derive_events fails the test.
-    ar_registry = frame_id_registry = MappingProxyType({})
+    ar_table = ArTable()  # empty: no DCP frame reads it
 
     def deferred_for_name(self, name):
         return [HELD] if name == HELD_NAME else []

@@ -43,10 +43,11 @@ from poet.synth import (
     encode_pnio,
     ethernet,
     expected_submodules_block,
-    fuzz_corpus,
     iocr_block_request,
     malformed_frame,
 )
+
+from corpus import fuzz_corpus
 
 CTRL = str_to_mac("02:00:00:00:01:00")
 DEV = str_to_mac("02:00:00:00:02:00")

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from poet.fsm import (
     LOG_WINDOW,
-    DefinitionDiagnostic,
     Edge,
     FrameRef,
     FsmDefinition,
@@ -18,10 +17,10 @@ from poet.fsm import (
     TransitionRecord,
     UnknownEvent,
     WildcardEdge,
-    validate_definition,
 )
 from poet.models import device_fsm_table
 
+from fsm_checks import DefinitionDiagnostic, validate_definition
 from fsm_replay import fold_log
 
 CAUSE = FrameRef(0, "test", "unit")

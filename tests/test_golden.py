@@ -28,10 +28,11 @@ from poet.synth import (
     dcp_set_name_request,
     dcp_set_response,
     encode_lldp,
-    fuzz_corpus,
     synthesize,
 )
 from poet.tracker import Tracker, TrackerConfig
+
+from corpus import fuzz_corpus
 
 NO_ALERTS = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 

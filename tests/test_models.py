@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import uuid
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +15,7 @@ from poet.dissect import (
     dissect,
     str_to_mac,
 )
-from poet.fsm import FrameRef, FsmInstance, reachable_states, validate_definition
+from poet.fsm import FrameRef, FsmInstance
 from poet.models import (
     ACYCLIC_DONE,
     ACYCLIC_READ,
@@ -39,6 +38,7 @@ from poet.models import (
     OUTPUT_PROCESS_DATA_SENT,
     PARAMETRIZATION_WRITE,
     PN_TRAFFIC_DETECTED,
+    ArTable,
     ConnectionRegistration,
     CyclicBinding,
     DeferredEvent,
@@ -67,6 +67,8 @@ from poet.synth import (
 )
 from poet.dissect import BLOCK_WRITE_REQ, BLOCK_WRITE_RES, RPC_OPNUM_READ
 
+from fsm_checks import reachable_states, validate_definition
+
 CTRL_MAC = "02:00:00:00:01:00"
 DEV_MAC = "02:00:00:00:02:00"
 CTRL = str_to_mac(CTRL_MAC)
@@ -86,18 +88,9 @@ _TABLES = {"device": device_fsm_table, "connection": connection_fsm_table, "syst
 class FakeContext(TrackContext):
     def __init__(self):
         self.names: dict[str, str] = {}
-        self.ars: dict[uuid.UUID, ConnectionRegistration] = {}
-        self.frame_ids: dict[int, CyclicBinding] = {}
-        # What derive_events sees: read-only views, so a write from it fails the test.
-        self.ar_registry = MappingProxyType(self.ars)
-        self.frame_id_registry = MappingProxyType(self.frame_ids)
+        self.ar_table = ArTable()
         self.deferred: list[DeferredEvent] = []
         self.states: dict[tuple[str, str | None], str] = {}  # instances that left their initial state
-
-    def register(self, registration: ConnectionRegistration) -> None:
-        """Keep a Connect's AR record and bindings, as the tracker does."""
-        self.ars[registration.ar_uuid] = registration
-        self.frame_ids.update((b.frame_id, b) for b in registration.frame_id_bindings)
 
     def lookup_name(self, name):
         return self.names.get(name)
@@ -107,6 +100,13 @@ class FakeContext(TrackContext):
 
     def state_of(self, scope, key):
         return self.states.get((scope, key), _TABLES[scope]().initial_state)
+
+
+def _register(ctx: FakeContext, registration: ConnectionRegistration) -> None:
+    """Register a Connect's record in `ctx`'s AR table as the tracker does, with no conflict."""
+    device = FsmInstance(device_fsm_table(), registration.responder_mac)
+    connection = FsmInstance(connection_fsm_table(), registration.key)
+    assert ctx.ar_table.register(registration, device, connection, CAUSE) == []
 
 
 # --- Table shape -----------------------------------------------------------------
@@ -391,7 +391,7 @@ def _connect_request(subs, input_len: int | None = None) -> CmFrame:
 def _register_connect(ctx: FakeContext, subs) -> list[CyclicBinding]:
     """Derive a Connect request for `subs` and register it in `ctx`."""
     registration = derive_events(_connect_request(subs), ctx).registration
-    ctx.register(registration)
+    _register(ctx, registration)
     return list(registration.frame_id_bindings)
 
 
@@ -457,7 +457,7 @@ def _connect_with(layout, direction: str = "input", skew: int = 0) -> CmFrame:
 def test_cyclic_binding_fires_iff_iops_good(layout, data, fires, skew):
     (binding,), _ = cyclic_bindings(_connect_with(layout, skew=skew), "k", DEV_MAC)
     ctx = FakeContext()
-    ctx.frame_ids[0x8001] = binding
+    _register(ctx, ConnectionRegistration("k", DEV_MAC, AR, (binding,)))
     derived = derive_events(_pnio(0x8001, data), ctx)
     expected = [(CYCLIC_DATA_GOOD, "device"), (INPUT_PROCESS_DATA_SENT, "connection")]
     assert [(e.event_name, e.scope) for e in derived.events] == (expected if fires else [])
@@ -499,7 +499,7 @@ def test_binding_matches_iops_rule(layout, direction, skew, length, raw_bytes, b
     ctx = FakeContext()
     derived = derive_events(connect, ctx)
     assert [d.kind for d in derived.diagnostics] == (["inconsistent_connect"] if skew else [])
-    ctx.register(derived.registration)
+    _register(ctx, derived.registration)
 
     # Every byte has the GOOD bit except those at the `bad` positions.
     c_sdu = bytes(b & 0x7F if i in bad else b | 0x80 for i, b in enumerate(raw_bytes[:length]))
@@ -622,7 +622,7 @@ def test_derive_write_disambiguation_by_connection_state():
     frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 3, uuid.uuid4(), 2, block)
 
     ctx = FakeContext()
-    ctx.register(ConnectionRegistration(key, DEV_MAC, AR, ()))
+    _register(ctx, ConnectionRegistration(key, DEV_MAC, AR, ()))
     pre = derive_events(dissect(raw(frame)), ctx)
     assert [e.event_name for e in pre.events] == [PARAMETRIZATION_WRITE, PARAMETRIZATION_WRITE]
 
@@ -637,7 +637,7 @@ def test_derive_write_response_silent_before_establishment():
     frame = encode_cm(DEV, CTRL, "192.168.0.11", "192.168.0.1", 2, 3, uuid.uuid4(), 2, block)
 
     ctx = FakeContext()
-    ctx.register(ConnectionRegistration(key, DEV_MAC, AR, ()))
+    _register(ctx, ConnectionRegistration(key, DEV_MAC, AR, ()))
     assert derive_events(dissect(raw(frame)), ctx).events == []
 
     ctx.states["connection", key] = "InputDataExchange"

@@ -1,6 +1,7 @@
 """The runtime's import graph: `import poet` loads poet's own modules and the stdlib, no generator.
 
-Also the module boundaries that the imports keep: only `dissect` knows a DCP option number.
+Also the module boundaries that the imports keep: only `dissect` knows a DCP option number,
+and only `models.ArTable` writes the AR and frame-id registries.
 """
 
 from __future__ import annotations
@@ -65,3 +66,62 @@ def test_only_dissect_names_a_dcp_option_constant():
         )
     )
     assert naming == ["dissect.py"]
+
+
+_REGISTRIES = {"ars", "frame_ids"}
+_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def _registry_name(node: ast.AST) -> str | None:
+    """The registry `node` spells, as `x.ars` or a bare `frame_ids`, else None."""
+    name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+    return name if name in _REGISTRIES else None
+
+
+def _outside_ar_table(tree: ast.AST):
+    """Every node of `tree` except those of class ArTable."""
+    for child in ast.iter_child_nodes(tree):
+        if not (isinstance(child, ast.ClassDef) and child.name == "ArTable"):
+            yield child
+            yield from _outside_ar_table(child)
+
+
+def _registry_writes(tree: ast.AST) -> list[str]:
+    """Each line outside class ArTable that stores into, deletes from, rebinds or mutates a registry.
+
+    An attribute of `self` that another class rebinds is its own, as synth's plan of frame ids is.
+    """
+    writes = []
+    for node in _outside_ar_table(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            if _registry_name(node.value):
+                writes.append(f"{node.lineno}: item of {_registry_name(node.value)}")
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            if _registry_name(node) and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                writes.append(f"{node.lineno}: rebinds {node.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MUTATORS and _registry_name(node.func.value):
+                writes.append(f"{node.lineno}: {_registry_name(node.func.value)}.{node.func.attr}()")
+    return writes
+
+
+def test_only_the_ar_table_writes_its_registries():
+    package = pathlib.Path(poet.__file__).parent
+    writes = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _registry_writes(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert writes == {}
+    # The check sees the table's own writes once the class is renamed, so it is not vacuous.
+    models = (package / "models.py").read_text(encoding="utf-8")
+    assert len(_registry_writes(ast.parse(models.replace("class ArTable", "class Renamed")))) == 2
+    # Each kind of write that the check names, as another module would spell it.
+    probe = """
+tracker.ar_table.ars[ar] = reg
+del ctx.ar_table.frame_ids[frame_id]
+table.frame_ids.pop(frame_id)
+ars.clear()
+tracker.ar_table.ars = {}
+"""
+    assert len(_registry_writes(ast.parse(probe))) == 5

@@ -20,7 +20,6 @@ from poet.synth import (
     SubmoduleSpec,
     builtin_scenario,
     encode_lldp,
-    fuzz_corpus,
     malformed_spec,
     normal_startup_spec,
     rename_attack_spec,
@@ -29,6 +28,8 @@ from poet.synth import (
     synthesize,
 )
 from poet.tracker import Tracker, TrackerConfig
+
+from corpus import fuzz_corpus
 
 
 def test_duplicate_mac_rejected():

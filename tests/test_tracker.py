@@ -41,7 +41,6 @@ from poet.synth import (
     dcp_set_name_request,
     encode_lldp,
     ethernet,
-    fuzz_corpus,
     iocr_block_request,
     malformed_frame,
     normal_startup_spec,
@@ -59,6 +58,7 @@ from poet.tracker import (
     dumps_inventory,
 )
 
+from corpus import fuzz_corpus
 from fsm_replay import fold_log
 
 
@@ -1310,9 +1310,9 @@ def test_diagnostic_alert_lines_are_pinned(case):
 def _assert_bound_records_are_resolved(tracker: Tracker) -> None:
     """Each bound frame id's CR record holds the fleet's own instances and is reached through its AR."""
     fleet = tracker.fleet
-    registered = [b for reg in tracker.ar_registry.values() for b in reg.frame_id_bindings]
-    assert tracker.frame_id_registry
-    for frame_id, binding in tracker.frame_id_registry.items():
+    registered = [b for reg in tracker.ar_table.ars.values() for b in reg.frame_id_bindings]
+    assert tracker.ar_table.frame_ids
+    for frame_id, binding in tracker.ar_table.frame_ids.items():
         assert binding.frame_id == frame_id
         assert binding.device is fleet.devices[binding.responder_mac]
         assert binding.connection is fleet.connections[binding.key]
@@ -1326,7 +1326,7 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
     tracker = Tracker()
     tracker.process(RawFrame(*plan.ts, plan.data, index) for index, plan in enumerate(result.frames))
     _assert_bound_records_are_resolved(tracker)
-    assert len(tracker.frame_id_registry) == 4
+    assert len(tracker.ar_table.frame_ids) == 4
 
     # A Connect that spoofs the live controller has the live key, so its new AR
     # rebinds the live CR's frame ids. The new records are resolved to the same
@@ -1340,10 +1340,10 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
         _replayed(21, _connect_from(spec.controller.mac, spoofed_ar), _startup_plans()[22].data)
     )
     _assert_bound_records_are_resolved(tracker)
-    rebound = tracker.ar_registry[spoofed_ar].frame_id_bindings
-    assert {b.frame_id for b in rebound} == set(tracker.frame_id_registry)
-    assert all(tracker.frame_id_registry[b.frame_id] is b for b in rebound)
-    replaced = [reg for ar, reg in tracker.ar_registry.items() if ar != spoofed_ar]
+    rebound = tracker.ar_table.ars[spoofed_ar].frame_id_bindings
+    assert {b.frame_id for b in rebound} == set(tracker.ar_table.frame_ids)
+    assert all(tracker.ar_table.frame_ids[b.frame_id] is b for b in rebound)
+    replaced = [reg for ar, reg in tracker.ar_table.ars.items() if ar != spoofed_ar]
     assert len(replaced) == 1 and replaced[0].key == live
     assert all(b.device is None and b.connection is None for b in replaced[0].frame_id_bindings)
     assert [(a.instance_kind, a.offending_event) for a in report.anomalies] == [
@@ -1357,8 +1357,8 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
     tracker = Tracker()
     tracker.process(_replayed(11, _connect_from("02:66:6e:00:00:99", other_ar)))
     _assert_bound_records_are_resolved(tracker)
-    assert {b.key for b in tracker.frame_id_registry.values()} == {live}
-    refused = tracker.ar_registry[other_ar].frame_id_bindings
+    assert {b.key for b in tracker.ar_table.frame_ids.values()} == {live}
+    refused = tracker.ar_table.ars[other_ar].frame_id_bindings
     assert refused and all(b.device is None and b.connection is None for b in refused)
 
 
