@@ -346,12 +346,13 @@ def _parse_lldp(frame: bytes, start: int, eth: tuple[str, str, int]) -> LldpFram
     # Fewer than three TLVs never pack to the three mandatory types.
     if mandatory != _LLDP_MANDATORY_ORDER:
         raise MalformedFrame("lldp", 0, "mandatory TLV order violated")
+    # Each refusal points at the value it refuses.
     if chassis_end - chassis_at < 2:
-        raise MalformedFrame("lldp", 2, "chassis id too short")
+        raise MalformedFrame("lldp", chassis_at - start, "chassis id too short")
     if port_end - port_at < 2:
-        raise MalformedFrame("lldp", 2, "port id too short")
+        raise MalformedFrame("lldp", port_at - start, "port id too short")
     if ttl_end - ttl_at != 2:
-        raise MalformedFrame("lldp", 2, "ttl must be 2 bytes")
+        raise MalformedFrame("lldp", ttl_at - start, "ttl must be 2 bytes")
 
     src_mac = eth[1]
     port_mac = _lldp_mac(frame, port_at, port_end, LLDP_PORT_SUBTYPE_MAC)
@@ -681,15 +682,17 @@ def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int, eth: tup
 
 
 def _parse_expected_submodules(content: bytes, at: int) -> list[tuple[str, int, int, int]]:
+    """The block's submodules; `at` is its header's offset, and an entry's refusal points at the entry."""
     out: list[tuple[str, int, int, int]] = []
     if len(content) < 2:
         raise MalformedFrame("pn-cm", at, "expected submodule block too short")
+    base = at + 6  # the content's offset: it follows the 6-byte block header
     num_slots = struct.unpack(">H", content[0:2])[0]
     pos = 2
     for _ in range(num_slots):
         head = content[pos : pos + 8]
         if len(head) < 8:
-            raise MalformedFrame("pn-cm", at + pos, "truncated slot entry")
+            raise MalformedFrame("pn-cm", base + pos, "truncated slot entry")
         # slot(2) module_id(4) then the count of submodules
         num_sub = struct.unpack(">H", head[6:8])[0]
         pos += 8
@@ -697,12 +700,12 @@ def _parse_expected_submodules(content: bytes, at: int) -> list[tuple[str, int, 
             # subslot(2) submodule_id(4) then the data description
             entry = content[pos : pos + 11]
             if len(entry) < 11:
-                raise MalformedFrame("pn-cm", at + pos, "truncated submodule entry")
+                raise MalformedFrame("pn-cm", base + pos, "truncated submodule entry")
             direction, data_length, iops_len, iocs_len = struct.unpack(">BHBB", entry[6:11])
             if direction not in (CR_INPUT, CR_OUTPUT):
-                raise MalformedFrame("pn-cm", at + pos, f"bad submodule direction {direction}")
+                raise MalformedFrame("pn-cm", base + pos, f"bad submodule direction {direction}")
             out.append(("input" if direction == CR_INPUT else "output", data_length, iops_len, iocs_len))
             pos += 11
     if pos != len(content):
-        raise MalformedFrame("pn-cm", at + pos, "trailing bytes in expected submodule block")
+        raise MalformedFrame("pn-cm", base + pos, "trailing bytes in expected submodule block")
     return out

@@ -96,34 +96,9 @@ SYSTEM_STATE_OPERATIONS: tuple[tuple[str, str], ...] = (
 )
 
 # Connection states counting as "established or beyond" for the system-level
-# all_connections_established evaluation.
+# all_connections_established evaluation: ConnectionEstablished and every Data Exchange state.
 CONNECTION_ESTABLISHED_STATES = frozenset(
-    {
-        "ConnectionEstablished",
-        "InputDataExchange",
-        "OutputDataExchange",
-        "AcyclicParametrization",
-        "AcyclicReadingData",
-    }
-)
-
-# Canonical target state of each device event that has edges; also the target
-# of its fan-out edge from NeighbourhoodDetection.
-_DEVICE_EVENT_TARGETS: tuple[tuple[str, str], ...] = (
-    (NAME_RESOLUTION_REQUESTED, "NameResolution"),
-    (NAME_RESOLVED, "NameResolved"),
-    (IP_ASSIGNMENT_REQUESTED, "IpAddressAssignment"),
-    (IP_ASSIGNED, "IpAddressAssigned"),
-    (DUPLICATION_CHECK, "IpDuplicationCheck"),
-    (CONNECT_REQUESTED, "NewConnectionInitiated"),
-    (PARAMETRIZATION_WRITE, "Parametrization"),
-    (END_OF_PARAMETRIZATION, "EndOfParametrization"),
-    (APPLICATION_READY, "ApplicationReady"),
-    (CONNECTION_CONFIRMED, "ConnectionEstablished"),
-    (CYCLIC_DATA_GOOD, "DataExchange"),
-    (ACYCLIC_WRITE, "AcyclicParametrization"),
-    (ACYCLIC_READ, "AcyclicReadingData"),
-    (ACYCLIC_DONE, "DataExchange"),
+    {"ConnectionEstablished", *(state for state, op in CONNECTION_STATE_OPERATIONS if op == OP_DATA_EXCHANGE)}
 )
 
 
@@ -152,10 +127,12 @@ def device_fsm_table() -> FsmDefinition:
         Edge("DataExchange", ACYCLIC_READ, "AcyclicReadingData"),
         Edge("AcyclicReadingData", ACYCLIC_DONE, "DataExchange"),
     ]
-    # Every state is reachable from NeighbourhoodDetection: fan out one edge
-    # per event towards its canonical target.
-    for event, target in _DEVICE_EVENT_TARGETS:
-        edges.append(Edge("NeighbourhoodDetection", event, target))
+    # Every state is reachable from NeighbourhoodDetection: fan out one edge per
+    # event, to the target of that event's first edge, in first-edge order.
+    targets: dict[str, str] = {}
+    for edge in edges:
+        targets.setdefault(edge.event, edge.to_state)
+    edges += [Edge("NeighbourhoodDetection", event, target) for event, target in targets.items()]
     return FsmDefinition(
         name="device",
         states=states,

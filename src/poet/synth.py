@@ -162,7 +162,7 @@ class ScenarioSpec:
                 numbers_ok = all(isinstance(v, int) for v in (sub.slot, sub.subslot, sub.length))
                 if not numbers_ok or sub.direction not in ("input", "output"):
                     raise ScenarioError(f"bad submodule {sub} of {node.name!r}")
-        for key in ("ports_per_device", "writes_per_device", "gap_seconds"):
+        for key in ("ports_per_device", "writes_per_device", "gap_seconds", "lldp_refresh_every"):
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ScenarioError(f"scenario spec {key} {value!r} is not a finite number >= 0")
@@ -232,7 +232,8 @@ class ScenarioSpec:
         kwargs = {}
         for key, kind in _SPEC_SCALARS.items():
             if key in doc:
-                if not isinstance(doc[key], kind):
+                # A JSON boolean is a Python int, but only a boolean knob takes one.
+                if not isinstance(doc[key], kind) or (isinstance(doc[key], bool) and kind is not bool):
                     raise ScenarioError(f"scenario spec {key} {doc[key]!r} has the wrong type")
                 kwargs[key] = doc[key]
         return cls(

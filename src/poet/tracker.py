@@ -25,6 +25,7 @@ from .inventory import AssetInventory, AssetRecord, Provenance
 from .models import (
     ALL_CONNECTIONS_ESTABLISHED,
     CONNECTION_ESTABLISHED_STATES,
+    OP_DATA_EXCHANGE,
     ArTable,
     DeferredEvent,
     ProtocolEvent,
@@ -366,7 +367,8 @@ class Tracker(TrackContext):
             device = self.fleet.ensure("device", reg.responder_mac)
             for diag in self.ar_table.register(reg, device, connection, cause):
                 self._diagnostic(diag.kind, diag.detail, diag.cause, diag.scope, diag.key)
-            if created and self.fleet.system.current_state == "DataExchange":
+            system = self.fleet.system
+            if created and system.definition.operation_for(system.current_state) == OP_DATA_EXCHANGE:
                 detail = "new connection initiated after system startup completed"
                 self._diagnostic("connection_created_after_startup", detail, cause, "connection", reg.key)
         # Most frames carry no bookkeeping, so each part is tested before it is looped over.

@@ -232,6 +232,32 @@ _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
             None,
             id="cyclic-rounds-2.5",
         ),
+        # A JSON boolean is not a number, though Python's bool is an int.
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "cyclic_rounds": True},
+            "cyclic_rounds",
+            id="cyclic-rounds-true",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "gap_seconds": True},
+            "gap_seconds",
+            id="gap-seconds-true",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "ports_per_device": True},
+            "ports_per_device",
+            id="ports-per-device-true",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "writes_per_device": False},
+            "writes_per_device",
+            id="writes-per-device-false",
+        ),
+        pytest.param(
+            {"controller": _PLC, "devices": [_IO], "lldp_refresh_every": -2},
+            "lldp_refresh_every",
+            id="lldp-refresh-every-negative",
+        ),
     ],
 )
 def test_synth_invalid_spec_exit_one(tmp_path, capsys, spec, names):

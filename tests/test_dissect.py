@@ -598,8 +598,9 @@ REFUSALS = [
     ("lldp-missing-ttl", _lldp(CHASSIS, PORT_ID), "lldp", 0, "mandatory TLV order violated"),
     ("lldp-chassis-short", _lldp(synth._lldp_tlv(1, b"\x04"), PORT_ID, TTL),
      "lldp", 2, "chassis id too short"),
-    ("lldp-port-short", _lldp(CHASSIS, synth._lldp_tlv(2, b"\x03"), TTL), "lldp", 2, "port id too short"),
-    ("lldp-ttl-size", _lldp(CHASSIS, PORT_ID, synth._lldp_tlv(3, b"\x14")), "lldp", 2, "ttl must be 2 bytes"),
+    # A mandatory TLV's refusal points at its value: 9 bytes of chassis TLV, then the port id's.
+    ("lldp-port-short", _lldp(CHASSIS, synth._lldp_tlv(2, b"\x03"), TTL), "lldp", 11, "port id too short"),
+    ("lldp-ttl-size", _lldp(CHASSIS, PORT_ID, synth._lldp_tlv(3, b"\x14")), "lldp", 20, "ttl must be 2 bytes"),
     # ARP
     ("arp-short", ethernet(DEV, CTRL, 0x0806, bytes(27), pad_to=0), "arp", 0, "truncated ARP payload"),
     ("arp-operation", encode_arp(CTRL, DEV, 3, CTRL, "192.168.0.1", DEV, "192.168.0.11"),
@@ -676,15 +677,16 @@ REFUSALS = [
      "pn-cm", BLOCKS_BASE, "IO CRs declared without expected submodules"),
     ("submodule-block", _cm(synth._cm_block(0x0104, b"\x00")),
      "pn-cm", BLOCKS_BASE, "expected submodule block too short"),
+    # An entry's refusal points at the entry: the block's content follows its 6-byte header.
     ("slot-entry", _cm(synth._cm_block(0x0104, struct.pack(">H", 1) + SLOT[:7])),
-     "pn-cm", BLOCKS_BASE + 2, "truncated slot entry"),
+     "pn-cm", BLOCKS_BASE + 6 + 2, "truncated slot entry"),
     ("submodule-entry", _cm(synth._cm_block(0x0104, struct.pack(">H", 1) + SLOT + _submodule(1)[:10])),
-     "pn-cm", BLOCKS_BASE + 10, "truncated submodule entry"),
+     "pn-cm", BLOCKS_BASE + 6 + 10, "truncated submodule entry"),
     ("submodule-direction", _cm(synth._cm_block(0x0104, struct.pack(">H", 1) + SLOT + _submodule(3))),
-     "pn-cm", BLOCKS_BASE + 10, "bad submodule direction 3"),
+     "pn-cm", BLOCKS_BASE + 6 + 10, "bad submodule direction 3"),
     ("submodule-trailing",
      _cm(synth._cm_block(0x0104, struct.pack(">H", 1) + SLOT + _submodule(1) + b"\x00")),
-     "pn-cm", BLOCKS_BASE + 21, "trailing bytes in expected submodule block"),
+     "pn-cm", BLOCKS_BASE + 6 + 21, "trailing bytes in expected submodule block"),
 ]
 
 

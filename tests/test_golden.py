@@ -1,6 +1,6 @@
 """Golden outputs: the exact bytes of the report and the alert stream per builtin scenario,
-of the generator's capture and manifest, of each exported FSM definition, and of every
-dissect outcome over a fixed corpus of frames.
+of the generator's capture and manifest, of each exported FSM definition and its compiled
+table and alphabet, and of every dissect outcome over a fixed corpus of frames.
 
 Determinism (C5) only compares two runs of the same code. These digests pin
 the output format itself, so a change to any serialized field fails here.
@@ -19,6 +19,7 @@ import pytest
 from poet.capture import RawFrame, open_capture
 from poet.cli import main
 from poet.dissect import MalformedFrame, dissect
+from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
 from poet.synth import (
     ATTACKER_MAC,
     BUILTIN_SCENARIOS,
@@ -112,7 +113,7 @@ GOLDEN_SYNTH = {
 
 # FSM kind -> sha256 of `poet fsm-export KIND` on stdout
 GOLDEN_FSM_EXPORT = {
-    "device": "005c216fbe725e0b1dda18df790329d16789521a3d5e5e52fab99d8321bdc530",
+    "device": "cad95321abf6de722dd97fb8eaff0f3795f43fdd54af3e69029eb48aeea1096d",
     "connection": "9d09860cd211a89bb5b6c82e6d88a7d3921d1ff4c46f70073432b8a90a6cb902",
     "system": "68aa9ae0c3b3cac734ef7f6a793bd985bfa4df57b0dad01dcdcf5134ef6f4919",
 }
@@ -120,7 +121,25 @@ GOLDEN_FSM_EXPORT = {
 # sha256 of every dissect outcome over _dissect_corpus(), one line each: the record's
 # repr, or the (protocol, offset, reason) of a refusal. It holds each parser's output
 # and refusal precedence byte for byte.
-GOLDEN_DISSECT = "2ef279b1b11f274d575b0bd24b909f8c8108ffdfd3069b711174f7e7108ebec0"
+GOLDEN_DISSECT = "67df8025c994690f131df2e898b9b3d1c771918e9c768575a5c8e92a43d41cf6"
+
+# FSM kind -> (sha256 of its compiled table as json.dumps with sorted keys, sha256 of its
+# sorted alphabet as json.dumps). It holds what every machine accepts and rejects, whatever
+# order its edges are listed in.
+GOLDEN_FSM_TABLES = {
+    "device": (
+        "e84d418df2aae3ec18d3ddbec0302f3694867f7fec0d9d59f5f390e68d8ba0d4",
+        "4cd304fb2f6ceb5af8b0fcfa67f99000e0abd630728e947bfc7b319fdf8b19d4",
+    ),
+    "connection": (
+        "eb564a0a8f1d3f739f70cdb8b6aebb5405ea60a27d16992097e192b1c5830ac8",
+        "c9b59d46c38533bdcf1cdabd33400325b570730c9412d831702a9551baf8986a",
+    ),
+    "system": (
+        "8582434b69b4a1258b24247d87684db6f8242e6fb303a2da46c8233acc0daf74",
+        "f1f9c9623f19938509cb583652d4826fc9c53f147590753d76e1a90722271086",
+    ),
+}
 
 
 def _sha256(text: str) -> str:
@@ -159,6 +178,14 @@ def test_golden_fsm_export(kind):
     with contextlib.redirect_stdout(out):
         assert main(["fsm-export", kind]) == 0
     assert _sha256(out.getvalue()) == GOLDEN_FSM_EXPORT[kind]
+
+
+@pytest.mark.parametrize("table_of", [device_fsm_table, connection_fsm_table, system_fsm_table])
+def test_golden_fsm_table_and_alphabet(table_of):
+    definition = table_of()
+    table = _sha256(json.dumps(definition.table, sort_keys=True))
+    alphabet = _sha256(json.dumps(sorted(definition.alphabet)))
+    assert (table, alphabet) == GOLDEN_FSM_TABLES[definition.name]
 
 
 def _dissect_corpus() -> list[bytes]:

@@ -9,6 +9,14 @@ from hypothesis import given, strategies as st
 
 from poet.capture import RawFrame
 from poet.dissect import (
+    DCP_FRAME_ID_GETSET,
+    DCP_FRAME_ID_IDENTIFY_RES,
+    DCP_FRAME_ID_MIN,
+    DCP_SERVICE_GET,
+    DCP_SERVICE_HELLO,
+    DCP_SERVICE_IDENTIFY,
+    DCP_TYPE_REQUEST,
+    DCP_TYPE_RESPONSE_UNSUPPORTED,
     CmFrame,
     IocrBlock,
     PnioCyclicFrame,
@@ -42,6 +50,7 @@ from poet.models import (
     ConnectionRegistration,
     CyclicBinding,
     DeferredEvent,
+    DerivedEvents,
     TrackContext,
     connection_fsm_table,
     connection_key,
@@ -52,6 +61,7 @@ from poet.models import (
 )
 from poet.synth import (
     SubmoduleSpec,
+    _dcp_block,
     ar_block_request,
     cr_data_length,
     cyclic_c_sdu,
@@ -59,6 +69,7 @@ from poet.synth import (
     dcp_identify_response,
     dcp_set_name_request,
     encode_cm,
+    encode_dcp,
     encode_lldp,
     encode_pnio,
     expected_submodules_block,
@@ -614,6 +625,41 @@ def test_derive_identify_unknown_name_defers_then_replays():
         (NAME_RESOLVED, DEV_MAC),
     ]
     assert replayed.consumed_deferrals == [derived.new_deferral]
+
+
+# DCP frames that neither identify nor set, each with the service it dissects as: a Hello
+# request and an unsupported Identify's response that name the station, and a Get request.
+_OTHER_DCP = {
+    "hello-request": (
+        encode_dcp(
+            DEV, str_to_mac("01:0e:cf:00:00:01"), DCP_FRAME_ID_MIN, DCP_SERVICE_HELLO, DCP_TYPE_REQUEST, 1,
+            _dcp_block(2, 2, 0, b"lift-motor"),
+        ),
+        ("Hello", "Request"),
+    ),
+    "get-request": (
+        encode_dcp(CTRL, DEV, DCP_FRAME_ID_GETSET, DCP_SERVICE_GET, DCP_TYPE_REQUEST, 2, b""),
+        ("Get", "Request"),
+    ),
+    "identify-unsupported": (
+        encode_dcp(
+            DEV, CTRL, DCP_FRAME_ID_IDENTIFY_RES, DCP_SERVICE_IDENTIFY, DCP_TYPE_RESPONSE_UNSUPPORTED, 3,
+            _dcp_block(2, 2, 0, b"lift-motor"),
+        ),
+        ("Identify", "ResponseUnsupported"),
+    ),
+}
+
+
+@pytest.mark.parametrize("data, service", list(_OTHER_DCP.values()), ids=list(_OTHER_DCP))
+def test_derive_other_dcp_services_derive_nothing(data, service):
+    """No event, deferral or diagnostic, and no wake-up, though the system is asleep and the name is known."""
+    ctx = FakeContext()
+    ctx.names["lift-motor"] = DEV_MAC
+    ctx.deferred.append(DeferredEvent("lift-motor", CAUSE))
+    parsed = dissect(raw(data))
+    assert (parsed.service_id, parsed.service_type) == service
+    assert derive_events(parsed, ctx) == DerivedEvents()
 
 
 def test_derive_write_disambiguation_by_connection_state():

@@ -1,7 +1,8 @@
 """The runtime's import graph: `import poet` loads poet's own modules and the stdlib, no generator.
 
 Also the module boundaries that the imports keep: only `dissect` knows a DCP option number,
-and only `models.ArTable` writes the AR and frame-id registries.
+only `models.ArTable` writes the AR and frame-id registries, and only `models` names a state
+of the operation machines.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import subprocess
 import sys
 
 import poet
+from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
 
 # Only the modules that `import poet` itself adds count, not those a site hook loaded first.
 _PROBE = """
@@ -125,3 +127,36 @@ ars.clear()
 tracker.ar_table.ars = {}
 """
     assert len(_registry_writes(ast.parse(probe))) == 5
+
+
+_STATES = frozenset().union(
+    *(table().states for table in (device_fsm_table, connection_fsm_table, system_fsm_table))
+)
+
+
+def _state_names(tree: ast.AST) -> list[str]:
+    """Each string constant of `tree` that equals a state of the device, connection or system machine."""
+    return [
+        f"{node.lineno}: {node.value}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in _STATES
+    ]
+
+
+def test_only_models_names_a_machine_state():
+    # Another module reads a state's meaning from the tables, e.g. its operation.
+    package = pathlib.Path(poet.__file__).parent
+    spelled = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if path.name != "models.py" and (found := _state_names(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert spelled == {}
+    # The check finds every state in the tables' own module, so it is not vacuous.
+    models = ast.parse((package / "models.py").read_text(encoding="utf-8"))
+    assert {line.partition(": ")[2] for line in _state_names(models)} == _STATES
+    probe = """
+if created and tracker.fleet.system.current_state == "DataExchange":
+    warn("ConnectionCreation", state="Inactive")
+"""
+    assert len(_state_names(ast.parse(probe))) == 3

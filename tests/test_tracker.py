@@ -16,7 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 import poet
 from poet.capture import RawFrame, open_capture
-from poet.dissect import DcpFrame, MalformedFrame, ParsedFrame, dissect, str_to_mac
+from poet.dissect import (
+    DCP_FRAME_ID_MIN,
+    DCP_SERVICE_HELLO,
+    DCP_TYPE_REQUEST,
+    DcpFrame,
+    MalformedFrame,
+    ParsedFrame,
+    dissect,
+    str_to_mac,
+)
 from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, TransitionRecord
 from poet.inventory import AssetInventory, AssetRecord, InventoryChange, Provenance
 from poet.models import (
@@ -32,6 +41,7 @@ from poet.models import (
 )
 from poet.synth import (
     ATTACKER_MAC,
+    _dcp_block,
     BUILTIN_SCENARIOS,
     SynthResult,
     builtin_scenario,
@@ -39,6 +49,7 @@ from poet.synth import (
     dcp_identify_request,
     dcp_identify_response,
     dcp_set_name_request,
+    encode_dcp,
     encode_lldp,
     ethernet,
     iocr_block_request,
@@ -574,6 +585,52 @@ def test_answering_the_oldest_request_leaves_the_next_its_own_horizon():
     tracker.process_frame(RawFrame(300, 0, _STATION_LLDP, 3 + DEFERRED_WINDOW))
     assert _expired(tracker) == [(2, (300, 0))]
     assert not tracker.deferred
+
+
+def _held_ghost_requests() -> Tracker:
+    """A tracker holding Identify requests for `ghost` at capture indices 1 and 3, for `other` at 2."""
+    tracker = Tracker()
+    for index, name in ((1, "ghost"), (2, "other"), (3, "ghost")):
+        tracker.process_frame(RawFrame(100, index, dcp_identify_request(_REQUESTER, index, name), index))
+    return tracker
+
+
+def test_an_answer_replays_every_request_held_for_its_name_in_capture_order():
+    tracker = _held_ghost_requests()
+    tracker.process_frame(RawFrame(100, 4, dcp_identify_response(_STATION, _REQUESTER, 1, "ghost"), 4))
+    # Each replayed request keeps its own request's cause. The second one's verdict is a model question.
+    assert [(r.event, r.cause) for r in tracker.fleet.devices["02:00:00:00:02:00"].records()] == [
+        ("name_resolution_requested", FrameRef(1, "pn-dcp", "dcp identify request for 'ghost'")),
+        ("name_resolution_requested", FrameRef(3, "pn-dcp", "dcp identify request for 'ghost'")),
+        ("name_resolved", FrameRef(4, "pn-dcp", "dcp identify response from 'ghost'")),
+    ]
+    assert [d.name for d in tracker.deferred] == ["other"]
+
+
+def test_unanswered_requests_for_one_name_expire_each_at_its_own_horizon():
+    tracker = _held_ghost_requests()
+    tracker.process_frame(RawFrame(200, 1, _STATION_LLDP, 1 + DEFERRED_WINDOW))
+    assert _expired(tracker) == []
+    tracker.process_frame(RawFrame(200, 2, _STATION_LLDP, 2 + DEFERRED_WINDOW))
+    assert _expired(tracker) == [(1, (200, 2))]
+    tracker.process_frame(RawFrame(200, 3, _STATION_LLDP, 3 + DEFERRED_WINDOW))
+    assert _expired(tracker) == [(1, (200, 2)), (2, (200, 3))]
+    assert [d.name for d in tracker.deferred] == ["ghost"]
+    tracker.process_frame(RawFrame(200, 4, _STATION_LLDP, 4 + DEFERRED_WINDOW))
+    assert _expired(tracker) == [(1, (200, 2)), (2, (200, 3)), (3, (200, 4))]
+    assert not tracker.deferred
+
+
+def test_a_hello_from_a_new_station_creates_its_device_and_wakes_nothing():
+    hello = encode_dcp(
+        _STATION, str_to_mac("01:0e:cf:00:00:01"), DCP_FRAME_ID_MIN, DCP_SERVICE_HELLO, DCP_TYPE_REQUEST, 1,
+        _dcp_block(2, 2, 0, b"io-device"),
+    )
+    tracker = Tracker()
+    tracker.process_frame(RawFrame(100, 0, hello, 0))
+    assert tracker.fleet.system.current_state == "Inactive"
+    assert tracker.fleet.devices["02:00:00:00:02:00"].current_state == "Active"
+    assert tracker.alerts == []
 
 
 def test_a_capture_shorter_than_the_window_enters_expiry_once(monkeypatch):
