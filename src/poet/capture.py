@@ -80,14 +80,18 @@ StreamItem = Union[RawFrame, CaptureError]
 
 
 def open_capture(path: str | os.PathLike) -> Iterator[StreamItem]:
-    """Open a pcap or pcapng file and return its frame stream.
+    """Open a pcap or pcapng file and return its frame stream; `-` is standard input.
 
-    The container header is validated eagerly; an unknown magic number or a
+    Standard input is read through the same buffer size and left open when the
+    stream ends. The container header is validated eagerly; an unknown magic number or a
     pcap link type other than Ethernet raises CaptureFormatError and an
     unreadable path raises OSError. Truncation later in the file yields one
     CaptureError item and ends the stream.
     """
-    f = open(path, "rb", buffering=READ_CHUNK)
+    if path == "-":
+        f = open(0, "rb", buffering=READ_CHUNK, closefd=False)  # file descriptor 0
+    else:
+        f = open(path, "rb", buffering=READ_CHUNK)
     try:
         head = f.read(4)
         if len(head) < 4:

@@ -215,12 +215,16 @@ def connection_key(initiator_mac: str, responder_mac: str) -> str:
 
 @dataclass(slots=True)
 class ProtocolEvent:
-    """One normalized semantic event derived from a dissected frame, addressed by (scope, key)."""
+    """One normalized semantic event derived from a dissected frame, addressed by (scope, key).
+
+    A bound CR's two prebuilt events carry no cause: each frame that fires them
+    gives its own (see DerivedEvents.summary). Every other event carries its cause.
+    """
 
     event_name: str
     scope: str  # "device" | "connection" | "system"
     key: str | None  # the device MAC, the connection key, or None for the system
-    cause: FrameRef
+    cause: FrameRef | None
     instance: FsmInstance | None = None  # a bound CR's, resolved at registration: fired with no lookup
 
 
@@ -255,8 +259,10 @@ class CyclicBinding:
     and every byte at `iops_offsets` has the GOOD bit. `iops_offsets` is None
     when the CR has no submodule of its direction, or the Connect's layout is
     inconsistent: such a frame drives no event. While the AR table binds its frame
-    id, it is the live CR: `device` and `connection` hold the instances at
-    ("device", responder_mac) and ("connection", key) that a good frame drives.
+    id, it is the live CR: `good` holds the DerivedEvents that each good frame
+    returns, built once by `ArTable.register`. Its two events hold the instances
+    at ("device", responder_mac) and ("connection", key) and carry no cause; its
+    summary is `summary`, from which the tracker builds each frame's own cause.
     """
 
     frame_id: int
@@ -266,8 +272,7 @@ class CyclicBinding:
     iops_offsets: tuple[int, ...] | None
     c_sdu_length: int
     summary: str  # the cause summary of every good frame
-    device: FsmInstance | None = field(default=None, compare=False, repr=False)
-    connection: FsmInstance | None = field(default=None, compare=False, repr=False)
+    good: DerivedEvents | None = field(default=None, compare=False, repr=False)  # set only while bound
 
 
 _OPPOSITE = {"input": "output", "output": "input"}
@@ -339,8 +344,11 @@ class ArTable:
     ) -> list[TrackDiagnostic]:
         """Keep a Connect's AR and bind its CRs to the instances that their good frames drive.
 
+        Binding a CR builds, once, the `DerivedEvents` that each of its good frames
+        returns: its two events, with the instances and no cause, and its summary.
         An AR UUID or a frame id held by another connection is refused, as one finding
-        each; only the holder's own Connect (a reconnect) rebinds it.
+        each; only the holder's own Connect (a reconnect) rebinds it, and the record it
+        replaces keeps no prebuilt events.
         """
         held_ar = self.ars.get(reg.ar_uuid)
         if held_ar is not None and held_ar.key != reg.key:
@@ -355,22 +363,33 @@ class ArTable:
                     detail = f"frame id 0x{binding.frame_id:04x} is held by connection {held.key}"
                     findings.append(TrackDiagnostic("frame_id_conflict", detail, cause, "device", reg.responder_mac))
                     continue
-                held.device = held.connection = None  # replaced: a record holds instances only while bound
-            binding.device = device
-            binding.connection = connection
+                held.good = None  # replaced: a record holds instances only while bound
+            binding.good = DerivedEvents(
+                [
+                    ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, None, device),
+                    ProtocolEvent(binding.data_event, "connection", binding.key, None, connection),
+                ],
+                summary=binding.summary,
+            )
             self.frame_ids[binding.frame_id] = binding
         return findings
 
 
 @dataclass(slots=True)
 class DerivedEvents:
-    """Result of derive_events: one frame's events, fired in order by one call, plus tracker bookkeeping."""
+    """Result of derive_events: one frame's events, fired in order by one call, plus tracker bookkeeping.
+
+    `summary` is set only on a bound CR's prebuilt result, which every good frame
+    of that CR returns as it is, so it is never changed. From it the tracker builds
+    the frame's one cause, which each event that carries no cause of its own fires with.
+    """
 
     events: list[ProtocolEvent] = field(default_factory=list)
     diagnostics: tuple[TrackDiagnostic, ...] = ()
     new_deferral: DeferredEvent | None = None
     consumed_deferrals: Sequence[DeferredEvent] = ()
     registration: ConnectionRegistration | None = None
+    summary: str | None = None  # the frame's cause summary, for the events that carry no cause
 
 
 class TrackContext:
@@ -544,13 +563,7 @@ def _derive_pnio(frame: PnioCyclicFrame, ctx: TrackContext) -> DerivedEvents:
     for at in offsets:
         if not data[at] & IOXS_GOOD:
             return DerivedEvents()
-    cause = FrameRef(frame.capture_index, "pnio", binding.summary)
-    return DerivedEvents(
-        [
-            ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, cause, binding.device),
-            ProtocolEvent(binding.data_event, "connection", binding.key, cause, binding.connection),
-        ]
-    )
+    return binding.good  # never None: register sets it on every CR it binds
 
 
 _DERIVERS = {

@@ -116,10 +116,12 @@ class FsmFleet:
         instance = self._live[scope].get(key)
         return instance.current_state if instance else self._machines[scope].initial_state
 
-    def fire(self, events: Iterable[ProtocolEvent], ts: Timestamp) -> None:
+    def fire(self, events: Iterable[ProtocolEvent], ts: Timestamp, cause: FrameRef | None = None) -> None:
         """Fire one frame's events in order, each at the instance it carries, else at its (scope, key).
 
-        Each rejection becomes an anomaly alert. The tracker and synth's manifest replay both fire here.
+        Each event fires with its own cause, or with the frame's `cause` if it carries
+        none, as a bound CR's prebuilt events do. Each rejection becomes an anomaly
+        alert. The tracker and synth's manifest replay both fire here.
         """
         for event in events:
             instance = event.instance
@@ -127,7 +129,7 @@ class FsmFleet:
                 instance = self._live[event.scope].get(event.key)
                 if instance is None:
                     instance = self.ensure(event.scope, event.key)
-            record = instance.fire(event.event_name, event.cause, ts)
+            record = instance.fire(event.event_name, event.cause or cause, ts)
             if record.verdict == "rejected":
                 definition = instance.definition
                 operation = definition.operation_for(record.from_state) or record.from_state
@@ -144,7 +146,7 @@ class FsmFleet:
                     )
                 )
             elif not self._all_established_fired and event.scope == "connection":
-                self._evaluate_all_established(event.cause, ts)
+                self._evaluate_all_established(record.cause, ts)
 
     def _evaluate_all_established(self, cause: FrameRef, ts: Timestamp) -> None:
         # Fires at most once per run, when every live connection has reached
@@ -391,7 +393,9 @@ class Tracker(TrackContext):
                 same_name.append(held)
 
         if derived.events:
-            self.fleet.fire(derived.events, ts)
+            summary = derived.summary
+            cause = None if summary is None else FrameRef(raw.capture_index, parsed.protocol, summary)
+            self.fleet.fire(derived.events, ts, cause)
 
         if raw.capture_index >= self._expires_at:
             self._expire_deferred(raw.capture_index)

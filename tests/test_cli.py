@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -337,8 +338,9 @@ def _analyze_outputs(tmp_path, capture: str) -> tuple[int, bytes, bytes]:
     return code, alerts.read_bytes(), report.read_bytes()
 
 
-def _analyze_piped(tmp_path, data: bytes) -> tuple[int, bytes, bytes]:
-    """`_analyze_outputs` of `data` written into a pipe, in chunks that cut records, opened as /dev/fd/N."""
+@contextlib.contextmanager
+def _feeding_pipe(data: bytes):
+    """The read end of a pipe that a thread fills with `data`, in chunks that cut records."""
     read_end, write_end = os.pipe()
 
     def writer():
@@ -353,12 +355,30 @@ def _analyze_piped(tmp_path, data: bytes) -> tuple[int, bytes, bytes]:
     thread = threading.Thread(target=writer, daemon=True)
     thread.start()
     try:
-        outputs = _analyze_outputs(tmp_path, f"/dev/fd/{read_end}")
+        yield read_end
     finally:
         os.close(read_end)  # a writer still blocked on a full pipe then stops
         thread.join(timeout=60)
     assert not thread.is_alive()
-    return outputs
+
+
+def _analyze_piped(tmp_path, data: bytes) -> tuple[int, bytes, bytes]:
+    """`_analyze_outputs` of `data` written into a pipe, opened as /dev/fd/N."""
+    with _feeding_pipe(data) as read_end:
+        return _analyze_outputs(tmp_path, f"/dev/fd/{read_end}")
+
+
+@contextlib.contextmanager
+def _stdin_of(data: bytes):
+    """File descriptor 0 reads `data` from a pipe; it is restored on exit."""
+    with _feeding_pipe(data) as read_end:
+        saved = os.dup(0)
+        os.dup2(read_end, 0)
+        try:
+            yield
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to open a pipe by path")
@@ -375,6 +395,32 @@ def test_capture_read_from_a_pipe_gives_the_files_outputs(tmp_path, capsys, name
     from_file = _analyze_outputs(tmp_path, str(capture))
     assert _analyze_piped(tmp_path, data) == from_file
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fmt", ["pcap", "pcapng"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_capture_read_from_stdin_as_dash_gives_the_files_outputs(tmp_path, capsys, name, fmt):
+    result = synthesize(builtin_scenario(name))
+    if fmt == "pcap":
+        data = result.pcap_bytes
+    else:
+        data = write_pcapng_bytes([(plan.ts, plan.data) for plan in result.frames])
+    capture = tmp_path / f"{name}.{fmt}"
+    capture.write_bytes(data)
+    from_file = _analyze_outputs(tmp_path, str(capture))
+    with _stdin_of(data):
+        assert _analyze_outputs(tmp_path, "-") == from_file
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["report", "inventory"])
+def test_report_and_inventory_read_stdin_as_dash(tmp_path, command):
+    prefix = _write_builtin(tmp_path, "rename-attack")
+    from_file, from_stdin = tmp_path / "file.json", tmp_path / "stdin.json"
+    assert main([command, prefix + ".pcap", "--out", str(from_file)]) == 0
+    with open(prefix + ".pcap", "rb") as f, _stdin_of(f.read()):
+        assert main([command, "-", "--out", str(from_stdin)]) == 0
+    assert from_stdin.read_bytes() == from_file.read_bytes()
 
 
 def test_fsm_export_system_four_states(tmp_path):

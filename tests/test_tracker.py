@@ -1371,8 +1371,9 @@ def _assert_bound_records_are_resolved(tracker: Tracker) -> None:
     assert tracker.ar_table.frame_ids
     for frame_id, binding in tracker.ar_table.frame_ids.items():
         assert binding.frame_id == frame_id
-        assert binding.device is fleet.devices[binding.responder_mac]
-        assert binding.connection is fleet.connections[binding.key]
+        device, connection = binding.good.events
+        assert device.instance is fleet.devices[binding.responder_mac]
+        assert connection.instance is fleet.connections[binding.key]
         assert any(binding is held for held in registered)
 
 
@@ -1402,7 +1403,7 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
     assert all(tracker.ar_table.frame_ids[b.frame_id] is b for b in rebound)
     replaced = [reg for ar, reg in tracker.ar_table.ars.items() if ar != spoofed_ar]
     assert len(replaced) == 1 and replaced[0].key == live
-    assert all(b.device is None and b.connection is None for b in replaced[0].frame_id_bindings)
+    assert all(b.good is None for b in replaced[0].frame_id_bindings)
     assert [(a.instance_kind, a.offending_event) for a in report.anomalies] == [
         ("device", "connect_requested"),
         ("system", "connect_requested"),
@@ -1416,7 +1417,28 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
     _assert_bound_records_are_resolved(tracker)
     assert {b.key for b in tracker.ar_table.frame_ids.values()} == {live}
     refused = tracker.ar_table.ars[other_ar].frame_id_bindings
-    assert refused and all(b.device is None and b.connection is None for b in refused)
+    assert refused and all(b.good is None for b in refused)
+
+
+def test_each_good_cyclic_frame_fires_with_its_own_cause():
+    """Two consecutive good frames of one CR: each frame's device and connection records
+    share one cause, that frame's own, with the CR's summary. No cause is kept per CR."""
+    plans = _startup_plans()
+    tracker = Tracker()
+    tracker.process(_replayed(len(plans)))
+    binding = tracker.ar_table.frame_ids[0x8002]
+    device = tracker.fleet.devices[binding.responder_mac]
+    connection = tracker.fleet.connections[binding.key]
+    causes = []
+    for index in (22, 24):
+        assert plans[index].label.startswith("pnio output")
+        (on_device,) = [r for r in device.records() if r.cause.capture_index == index]
+        (on_connection,) = [r for r in connection.records() if r.cause.capture_index == index]
+        assert on_device.cause is on_connection.cause
+        assert on_device.cause == FrameRef(index, "pnio", binding.summary)
+        assert on_device.timestamp == on_connection.timestamp == plans[index].ts
+        causes.append(on_device.cause)
+    assert causes[0] is not causes[1]
 
 
 # The streamed lines of two good cyclic frames (output, then input) sent after
