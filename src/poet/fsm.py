@@ -6,10 +6,17 @@ for the same event) or records a rejection and leaves the state untouched.
 Rejections are the anomaly signal consumed downstream; they never move the
 machine into an error state, so tracking continues afterwards.
 
-An instance keeps every rejected record, the last LOG_WINDOW records, and per
-edge it has followed a count with the edge's first and last record. Its memory
+An instance keeps every rejected record, the last LOG_WINDOW entries, and per
+edge it has followed a count with the edge's first and last entry. Its memory
 therefore grows with the rejections and the distinct edges, not with the
 accepted traffic.
+
+A rejected fire builds its record at once, since its alert reads it. An
+accepted fire builds none: it logs a `(timestamp, cause, step)` entry, where
+the step is the edge's one `Step`, compiled once per definition and shared by
+every instance. `records()` and `edge_tallies()` build the records from the
+entries when they are read, and most entries leave the window unread. The
+report is written from `entries()`, each entry read as its record would be.
 """
 
 from __future__ import annotations
@@ -17,10 +24,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 
-LOG_WINDOW = 64  # most recent records, accepted or rejected, that each instance keeps
+LOG_WINDOW = 64  # most recent entries, accepted or rejected, that each instance keeps
 
 
 class UnknownEvent(Exception):
@@ -90,6 +97,14 @@ class FsmDefinition:
         return table
 
     @cached_property
+    def steps(self) -> dict[str, dict[str, Step]]:
+        """`table` with each edge as its one `Step`, compiled once per definition and shared."""
+        return {
+            state: {event: Step(state, event, target) for event, target in row.items()}
+            for state, row in self.table.items()
+        }
+
+    @cached_property
     def alphabet(self) -> frozenset[str]:
         events = {e.event for e in self.edges}
         events.update(w.event for w in self.wildcard_edges)
@@ -145,6 +160,32 @@ class TransitionRecord:
         }
 
 
+@dataclass(slots=True, eq=False)
+class Step:
+    """One edge of a definition, which an accepted fire logs and returns in place of a record.
+
+    It hashes and compares by identity, so keying the edge tallies by it costs
+    no Python-level call.
+    """
+
+    from_state: str
+    event: str
+    to_state: str
+    verdict: ClassVar[str] = "accepted"
+
+
+# A log entry: an accepted fire's (timestamp, cause, step), or a rejected fire's record.
+Entry = tuple[tuple[int, int], FrameRef, Step] | TransitionRecord
+
+
+def _record(entry: Entry) -> TransitionRecord:
+    """The record of a log entry, built from its step unless it is a rejection's own record."""
+    if type(entry) is TransitionRecord:
+        return entry
+    timestamp, cause, step = entry
+    return TransitionRecord(timestamp, step.event, step.from_state, step.to_state, "accepted", cause)
+
+
 class EdgeTally(NamedTuple):
     """One followed edge: how often it fired, with its first and last record."""
 
@@ -161,53 +202,58 @@ class FsmInstance:
 
     def __init__(self, definition: FsmDefinition, instance_key: str):
         self.definition = definition
-        self.table = definition.table  # compiled once per definition, shared
+        self.steps = definition.steps  # compiled once per definition, shared
         self.instance_key = instance_key
         self.current_state = definition.initial_state
         self.transitions = 0  # events fired, accepted or rejected
-        # The last LOG_WINDOW records: a list until it first fills, since most
+        # The last LOG_WINDOW entries: a list until it first fills, since most
         # instances never fire that often, then a bounded deque.
-        self.window: list[TransitionRecord] | deque[TransitionRecord] = []
+        self.window: list[Entry] | deque[Entry] = []
         self.rejected: list[TransitionRecord] = []
-        # (from_state, event) -> [count, first record, last record], in order of
-        # first firing; the definition is deterministic, so the key fixes the target.
-        self.edges: dict[tuple[str, str], list] = {}
+        # step -> [count, first entry, last entry], in order of first firing.
+        self.edges: dict[Step, list] = {}
 
-    def fire(self, event: str, cause: FrameRef, timestamp: tuple[int, int]) -> TransitionRecord:
-        """Apply one event; returns its record (accepted or rejected)."""
-        state = self.current_state
-        target = self.table[state].get(event)
-        if target is None:
+    def fire(self, event: str, cause: FrameRef, timestamp: tuple[int, int]) -> Step | TransitionRecord:
+        """Apply one event; returns the step it followed, or the record of its rejection.
+
+        Either has the `verdict`, `event`, `from_state` and `to_state` of the record
+        that `records()` builds for it.
+        """
+        step = self.steps[self.current_state].get(event)
+        if step is None:
             definition = self.definition
             if event not in definition.alphabet:
                 raise UnknownEvent(f"{definition.name}: event {event!r} not in alphabet")
-            record = TransitionRecord(timestamp, event, state, None, "rejected", cause)
-            self.rejected.append(record)
+            entry = TransitionRecord(timestamp, event, self.current_state, None, "rejected", cause)
+            self.rejected.append(entry)
         else:
-            record = TransitionRecord(timestamp, event, state, target, "accepted", cause)
-            self.current_state = target
-            edge = (state, event)
-            tally = self.edges.get(edge)
+            self.current_state = step.to_state
+            entry = (timestamp, cause, step)
+            tally = self.edges.get(step)
             if tally is None:
-                self.edges[edge] = [1, record, record]
+                self.edges[step] = [1, entry, entry]
             else:
                 tally[0] += 1
-                tally[2] = record
+                tally[2] = entry
         self.transitions += 1
         if self.transitions == LOG_WINDOW:
             self.window = deque(self.window, LOG_WINDOW)
-        self.window.append(record)
-        return record
+        self.window.append(entry)
+        return step or entry
 
-    def records(self) -> list[TransitionRecord]:
-        """Every rejected record plus the window, in fire order.
+    def entries(self) -> list[Entry]:
+        """Every rejected record plus the window's entries, in fire order.
 
         This is the whole log while at most LOG_WINDOW events have fired.
         """
         if self.transitions <= LOG_WINDOW:
-            return list(self.window)  # every record, the rejected ones included
-        in_window = sum(record.verdict == "rejected" for record in self.window)
+            return list(self.window)  # every entry, the rejected ones included
+        in_window = sum(type(entry) is TransitionRecord for entry in self.window)
         return self.rejected[: len(self.rejected) - in_window] + list(self.window)
+
+    def records(self) -> list[TransitionRecord]:
+        """`entries()` as records, each accepted one built from its entry as it is read."""
+        return [_record(entry) for entry in self.entries()]
 
     def edge_tallies(self) -> list[EdgeTally]:
         """Each followed edge's count, first and last record, in order of first firing.
@@ -216,4 +262,4 @@ class FsmInstance:
         """
         if self.transitions <= LOG_WINDOW:
             return []
-        return [EdgeTally(*tally) for tally in self.edges.values()]
+        return [EdgeTally(count, _record(first), _record(last)) for count, first, last in self.edges.values()]

@@ -126,6 +126,9 @@ def device_fsm_table() -> FsmDefinition:
         Edge("AcyclicParametrization", ACYCLIC_DONE, "DataExchange"),
         Edge("DataExchange", ACYCLIC_READ, "AcyclicReadingData"),
         Edge("AcyclicReadingData", ACYCLIC_DONE, "DataExchange"),
+        # Cyclic data keeps flowing while an acyclic Read or Write is in flight.
+        Edge("AcyclicParametrization", CYCLIC_DATA_GOOD, "AcyclicParametrization"),
+        Edge("AcyclicReadingData", CYCLIC_DATA_GOOD, "AcyclicReadingData"),
     ]
     # Every state is reachable from NeighbourhoodDetection: fan out one edge per
     # event, to the target of that event's first edge, in first-edge order.
@@ -165,6 +168,11 @@ def connection_fsm_table() -> FsmDefinition:
         Edge("InputDataExchange", ACYCLIC_READ, "AcyclicReadingData"),
         Edge("OutputDataExchange", ACYCLIC_READ, "AcyclicReadingData"),
         Edge("AcyclicReadingData", ACYCLIC_DONE, "InputDataExchange"),
+        # Cyclic data keeps flowing while an acyclic Read or Write is in flight.
+        Edge("AcyclicParametrization", INPUT_PROCESS_DATA_SENT, "AcyclicParametrization"),
+        Edge("AcyclicParametrization", OUTPUT_PROCESS_DATA_SENT, "AcyclicParametrization"),
+        Edge("AcyclicReadingData", INPUT_PROCESS_DATA_SENT, "AcyclicReadingData"),
+        Edge("AcyclicReadingData", OUTPUT_PROCESS_DATA_SENT, "AcyclicReadingData"),
     )
     return FsmDefinition(
         name="connection",

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem
 from .dissect import MalformedFrame, dissect
-from .fsm import EdgeTally, FrameRef, FsmInstance, TransitionRecord
+from .fsm import EdgeTally, Entry, FrameRef, FsmInstance, TransitionRecord
 from .inventory import AssetInventory, AssetRecord, Provenance
 from .models import (
     ALL_CONNECTIONS_ESTABLISHED,
@@ -129,24 +129,25 @@ class FsmFleet:
                 instance = self._live[event.scope].get(event.key)
                 if instance is None:
                     instance = self.ensure(event.scope, event.key)
-            record = instance.fire(event.event_name, event.cause or cause, ts)
-            if record.verdict == "rejected":
+            event_cause = event.cause or cause
+            outcome = instance.fire(event.event_name, event_cause, ts)
+            if outcome.verdict == "rejected":
                 definition = instance.definition
-                operation = definition.operation_for(record.from_state) or record.from_state
+                operation = definition.operation_for(outcome.from_state) or outcome.from_state
                 self.on_alert(
                     AnomalyAlert(
-                        timestamp=record.timestamp,
+                        timestamp=outcome.timestamp,
                         instance_kind=definition.name,
                         instance_key=instance.instance_key,
-                        state_at_event=record.from_state,
-                        offending_event=record.event,
-                        cause=record.cause,
-                        explanation=f"{record.event} not permitted during {operation} operation",
+                        state_at_event=outcome.from_state,
+                        offending_event=outcome.event,
+                        cause=outcome.cause,
+                        explanation=f"{outcome.event} not permitted during {operation} operation",
                         severity=SEVERITY_ANOMALY,
                     )
                 )
             elif not self._all_established_fired and event.scope == "connection":
-                self._evaluate_all_established(record.cause, ts)
+                self._evaluate_all_established(event_cause, ts)
 
     def _evaluate_all_established(self, cause: FrameRef, ts: Timestamp) -> None:
         # Fires at most once per run, when every live connection has reached
@@ -243,7 +244,7 @@ class TrackerReport:
                 "final_states": self._final_states(lambda instance: instance),
                 "inventory": {"assets": self.assets},
                 "alerts": self.alerts,
-                "logs": per_instance(FsmInstance.records),
+                "logs": per_instance(FsmInstance.entries),
                 "edges": per_instance(FsmInstance.edge_tallies),
             },
             "",
@@ -620,6 +621,25 @@ def _transition_leaves(record: TransitionRecord) -> tuple:
     )
 
 
+def _entry_leaves(entry: Entry) -> tuple:
+    # A log entry's leaves, those of its record: a rejection is its own record, and an
+    # accepted fire's leaves are read from its (timestamp, cause, step), building no record.
+    if type(entry) is TransitionRecord:
+        return _transition_leaves(entry)
+    timestamp, cause, step = entry
+    return (
+        cause.capture_index,
+        _encode_str(cause.protocol),
+        _encode_str(cause.summary),
+        _encode_str(step.event),
+        _encode_str(step.from_state),
+        timestamp[0],
+        timestamp[1],
+        _encode_str(step.to_state),
+        '"accepted"',
+    )
+
+
 def _edge_leaves(tally: EdgeTally) -> tuple:
     # An edge tally's leaves in sorted-key order; see EdgeTally.to_json.
     return (tally.count, *_transition_leaves(tally.first), *_transition_leaves(tally.last))
@@ -649,10 +669,13 @@ _ALERT_LINE = _layout(AnomalyAlert((0, 0), "", "", "", "", FrameRef(0, "", ""), 
 
 # Each record kind: the document its template is laid out from, given a record, and its leaves
 # function, given the indent the record opens at. An asset's template is laid out from a blank
-# record, whose port MACs and provenance are then one slot each; see _asset_leaves.
+# record, whose port MACs and provenance are then one slot each; see _asset_leaves. A log holds
+# rejections' records and accepted fires' (timestamp, cause, step) tuples, both written as
+# records, a tuple from a blank record's template; the report holds no other tuple.
 _RECORD_KINDS: dict[type, tuple[Callable[[Any], Any], Callable[[str], Callable[[Any], tuple]]]] = {
     AnomalyAlert: (lambda alert: alert, lambda pad: _alert_leaves),
-    TransitionRecord: (lambda record: record, lambda pad: _transition_leaves),
+    TransitionRecord: (lambda record: record, lambda pad: _entry_leaves),
+    tuple: (lambda entry: TransitionRecord((0, 0), "", "", "", "", FrameRef(0, "", "")), lambda pad: _entry_leaves),
     EdgeTally: (lambda tally: tally, lambda pad: _edge_leaves),
     FsmInstance: (_state_entry, lambda pad: _state_leaves),
     AssetRecord: (lambda record: AssetRecord(""), lambda pad: _asset_leaves(pad + "  ")),

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from poet.fsm import (
     LOG_WINDOW,
     Edge,
+    EdgeTally,
     FrameRef,
     FsmDefinition,
     FsmInstance,
@@ -21,7 +22,7 @@ from poet.fsm import (
 from poet.models import device_fsm_table
 
 from fsm_checks import DefinitionDiagnostic, validate_definition
-from fsm_replay import fold_log
+from fsm_replay import eager_logs, fold_log
 
 CAUSE = FrameRef(0, "test", "unit")
 TS = (0, 0)
@@ -164,22 +165,26 @@ def test_log_export_jsonl_round_trip():
 
 
 def test_log_keeps_rejections_window_and_edge_counts():
-    inst = FsmInstance(simple_def(), "x")
-    inst.fire("forbidden", FrameRef(0, "test", "early"), (0, 0))
-    inst.fire("go", CAUSE, (1, 0))
-    inst.fire("go", CAUSE, (2, 0))
-    for second in range(3, 3 + 2 * LOG_WINDOW):
-        inst.fire("loop", CAUSE, (second, 0))
-    inst.fire("forbidden", FrameRef(0, "test", "late"), (999, 0))
+    with eager_logs() as logs:
+        inst = FsmInstance(simple_def(), "x")
+        inst.fire("forbidden", FrameRef(0, "test", "early"), (0, 0))
+        inst.fire("go", CAUSE, (1, 0))
+        inst.fire("go", CAUSE, (2, 0))
+        for second in range(3, 3 + 2 * LOG_WINDOW):
+            inst.fire("loop", CAUSE, (second, 0))
+        inst.fire("forbidden", FrameRef(0, "test", "late"), (999, 0))
+    reference = logs[inst]
 
-    assert inst.transitions == 4 + 2 * LOG_WINDOW
+    assert inst.transitions == reference.transitions == 4 + 2 * LOG_WINDOW
     records = inst.records()
+    assert records == reference.records()
     # the early rejection outlives the window; the late one is in it, once
     assert [r.cause.summary for r in records if r.verdict == "rejected"] == ["early", "late"]
-    assert records[1:] == list(inst.window)
-    assert len(inst.window) == LOG_WINDOW
+    assert records[1:] == list(reference.window)
+    assert len(reference.window) == LOG_WINDOW
     assert [r.timestamp[0] for r in records] == [0, *range(3 + LOG_WINDOW + 1, 3 + 2 * LOG_WINDOW), 999]
 
+    assert inst.edge_tallies() == reference.edge_tallies()
     edges = [tally.to_json() for tally in inst.edge_tallies()]
     assert [(e["first"]["from_state"], e["first"]["event"], e["count"]) for e in edges] == [
         ("A", "go", 1),
@@ -254,16 +259,21 @@ def test_window_and_counters_account_for_every_event(case, repeat):
     if not definition.alphabet:
         return
     inst = FsmInstance(definition, "p")
-    every = [inst.fire(e, CAUSE, TS) for e in sequence * repeat * 4]
-    assert list(inst.window) == every[-LOG_WINDOW:]
+    every = []  # each fire's record, built at once from the state before it and its outcome
+    for event in sequence * repeat * 4:
+        state = inst.current_state
+        outcome = inst.fire(event, CAUSE, TS)
+        every.append(TransitionRecord(TS, event, state, outcome.to_state, outcome.verdict, CAUSE))
+    assert inst.records()[-LOG_WINDOW:] == every[-LOG_WINDOW:]
     assert inst.rejected == [r for r in every if r.verdict == "rejected"]
     assert inst.records() == [r for r in every[:-LOG_WINDOW] if r.verdict == "rejected"] + every[-LOG_WINDOW:]
     tallies = {}
     for r in every:
         if r.verdict == "accepted":
             tallies.setdefault((r.from_state, r.event), []).append(r)
-    assert inst.edges == {key: [len(rs), rs[0], rs[-1]] for key, rs in tallies.items()}
-    assert list(inst.edges) == list(tallies)  # in order of first firing
+    # in order of first firing; the edges are written once the log is no longer whole
+    expected = [EdgeTally(len(rs), rs[0], rs[-1]) for rs in tallies.values()] if len(every) > LOG_WINDOW else []
+    assert inst.edge_tallies() == expected
     assert inst.transitions == len(every)
 
 

@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,7 @@ from poet.synth import (
     dcp_set_name_request,
     dcp_set_response,
     encode_lldp,
+    rename_attack_spec,
     synthesize,
 )
 from poet.tracker import Tracker, TrackerConfig
@@ -79,6 +81,15 @@ GOLDEN = {
     ),
 }
 
+# The rename attack over 120 cyclic rounds, as GOLDEN pins a builtin. Its device instances
+# fire about 250 events each, so the rename's rejected record has left the window, its
+# "logs" keep it with the last LOG_WINDOW records, and its "edges" are filled.
+GOLDEN_WRAPPED_LOG = (
+    "d759ef7f3146b3b49f167a1c95210cbe112f2f35af96db685b7addb66cdec449",
+    "80be23eab017df045da46f0b96040feff441b3b5c08349f1306c17c47c7b8c61",
+    "53daff80012e2280fe083859b983ca7623f9db883e4f14cc8a9f3854bee470d0",
+)
+
 # scenario -> (sha256 of the synthesized pcap bytes, sha256 of the sorted-key manifest JSON)
 GOLDEN_SYNTH = {
     "malformed-dcp": (
@@ -113,8 +124,8 @@ GOLDEN_SYNTH = {
 
 # FSM kind -> sha256 of `poet fsm-export KIND` on stdout
 GOLDEN_FSM_EXPORT = {
-    "device": "cad95321abf6de722dd97fb8eaff0f3795f43fdd54af3e69029eb48aeea1096d",
-    "connection": "9d09860cd211a89bb5b6c82e6d88a7d3921d1ff4c46f70073432b8a90a6cb902",
+    "device": "1576efcc996c2b9677ecb00ebb485ffa3554b9b4599156db5a9b69b7b0f5a19f",
+    "connection": "b4090eb5969a89d021c42918ec90198582e2c78301abff9e7b3a29adc516681a",
     "system": "68aa9ae0c3b3cac734ef7f6a793bd985bfa4df57b0dad01dcdcf5134ef6f4919",
 }
 
@@ -128,11 +139,11 @@ GOLDEN_DISSECT = "67df8025c994690f131df2e898b9b3d1c771918e9c768575a5c8e92a43d41c
 # order its edges are listed in.
 GOLDEN_FSM_TABLES = {
     "device": (
-        "e84d418df2aae3ec18d3ddbec0302f3694867f7fec0d9d59f5f390e68d8ba0d4",
+        "8102a064aed3567f681d532a31614e201595b5fea53a514a689b59e3688a8187",
         "4cd304fb2f6ceb5af8b0fcfa67f99000e0abd630728e947bfc7b319fdf8b19d4",
     ),
     "connection": (
-        "eb564a0a8f1d3f739f70cdb8b6aebb5405ea60a27d16992097e192b1c5830ac8",
+        "7008bf0ffb1a3db655010da4dd74c75fdacd53b8f48e9e245afb15ed1c7d9cd2",
         "c9b59d46c38533bdcf1cdabd33400325b570730c9412d831702a9551baf8986a",
     ),
     "system": (
@@ -150,10 +161,11 @@ def test_golden_covers_every_builtin():
     assert set(GOLDEN) == set(GOLDEN_SYNTH) == set(BUILTIN_SCENARIOS)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_report_and_alerts(name, tmp_path):
-    path = tmp_path / f"{name}.pcap"
-    path.write_bytes(synthesize(BUILTIN_SCENARIOS[name]()).pcap_bytes)
+def _report_digests(spec, path) -> tuple[str, str, str]:
+    """The digests of the report, of the report without "edges" and of the alert stream
+    of `spec`'s capture, read back from `path`; the report's bytes are checked against
+    the stdlib's indenting encoder on the way."""
+    path.write_bytes(synthesize(spec).pcap_bytes)
     sink = io.StringIO()
     report = Tracker(TrackerConfig(alert_sink=sink)).process(open_capture(path))
     text = report.dumps()
@@ -161,7 +173,17 @@ def test_golden_report_and_alerts(name, tmp_path):
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     del doc["edges"]
     without_edges = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    assert (_sha256(text), _sha256(without_edges), _sha256(sink.getvalue())) == GOLDEN[name]
+    return _sha256(text), _sha256(without_edges), _sha256(sink.getvalue())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_and_alerts(name, tmp_path):
+    assert _report_digests(BUILTIN_SCENARIOS[name](), tmp_path / f"{name}.pcap") == GOLDEN[name]
+
+
+def test_golden_wrapped_log_report_and_alerts(tmp_path):
+    spec = replace(rename_attack_spec(), cyclic_rounds=120)
+    assert _report_digests(spec, tmp_path / "wrapped.pcap") == GOLDEN_WRAPPED_LOG
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SYNTH))

@@ -70,7 +70,7 @@ from poet.tracker import (
 )
 
 from corpus import fuzz_corpus
-from fsm_replay import fold_log
+from fsm_replay import EagerLog, eager_logs, fold_log
 
 
 def run(result: SynthResult, tmp_path, name="cap", config: TrackerConfig | None = None):
@@ -255,6 +255,36 @@ def test_rogue_connect_cannot_take_over_a_live_ar():
     assert {"acyclic_read", "acyclic_write"} <= _logged_events(report, "connections", legit)
     states = {c["key"]: c["state"] for c in report.final_states["connections"]}
     assert states[legit] == "InputDataExchange"
+
+
+@pytest.mark.parametrize(
+    "request_label, state",
+    [("pn-cm read request", "AcyclicReadingData"), ("pn-cm acyclic write request", "AcyclicParametrization")],
+)
+def test_cyclic_data_during_an_acyclic_request_is_no_anomaly(request_label, state):
+    """RT cyclic data keeps flowing while a Read or Write record service is in flight:
+    a cyclic round between the request and its response is accepted in the acyclic state."""
+    result = synthesize(normal_startup_spec(1, cyclic_rounds=5, acyclic_exchange=True))
+    plans = result.frames
+    moved = [plan for plan in plans if plan.label.endswith("round 2")]
+    assert [plan.label.split()[1] for plan in moved] == ["output", "input"]
+    rest = [plan for plan in plans if plan not in moved]
+    at = next(i for i, plan in enumerate(rest) if plan.label.startswith(request_label)) + 1
+    order = rest[:at] + moved + rest[at:]
+    tracker = Tracker()
+    report = tracker.process(RawFrame(*plans[i].ts, plan.data, i) for i, plan in enumerate(order))
+
+    assert report.alerts == []
+    device = tracker.fleet.devices[result.spec.devices[0].mac]
+    (connection,) = tracker.fleet.connections.values()
+    for instance, events in (
+        (device, ["cyclic_data_good", "cyclic_data_good"]),
+        (connection, ["output_process_data_sent", "input_process_data_sent"]),
+    ):
+        in_flight = [r for r in instance.records() if r.cause.capture_index in (at, at + 1)]
+        assert [(r.event, r.from_state, r.to_state, r.verdict) for r in in_flight] == [
+            (event, state, state, "accepted") for event in events
+        ]
 
 
 def test_orphan_write_before_connect_no_state_corruption(tmp_path):
@@ -754,12 +784,13 @@ def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, in
     frames = [RawFrame(100 + i, 0, data, i) for i, data in enumerate(datas)]
 
     tracker = Tracker(TrackerConfig())
-    report = tracker.process(frames)  # never raises
+    with eager_logs() as logs:
+        report = tracker.process(frames)  # never raises
 
     fleet = tracker.fleet
     instances = [fleet.system, *fleet.devices.values(), *fleet.connections.values()]
     for instance in instances:
-        _assert_log_consistent(instance)
+        _assert_log_consistent(instance, logs.get(instance, EagerLog()))
     rejected = Counter(
         (i.definition.name, i.instance_key, r.cause.capture_index, r.event, r.from_state)
         for i in instances
@@ -773,11 +804,18 @@ def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, in
     assert report.dumps() == _oracle_dumps(report)
 
 
-def _assert_log_consistent(instance: FsmInstance) -> None:
-    """The kept records chain to the current state, and the counters account for every event."""
+def _assert_log_consistent(instance: FsmInstance, reference: EagerLog) -> None:
+    """The records read as `reference`, the log built eagerly from the same fires; the kept
+    records chain to the current state, and the counters account for every event."""
+    records = instance.records()
+    tallies = instance.edge_tallies()
+    assert reference.transitions == instance.transitions
+    assert records == reference.records()
+    assert tallies == reference.edge_tallies()
     if instance.transitions <= LOG_WINDOW:
-        assert fold_log(instance.definition, instance.records()) == instance.current_state
-    window = list(instance.window)
+        assert fold_log(instance.definition, records) == instance.current_state
+    window = list(reference.window)
+    assert records[len(records) - len(window) :] == window
     state = window[0].from_state if window else instance.definition.initial_state
     for record in window:
         assert record.from_state == state
@@ -785,26 +823,27 @@ def _assert_log_consistent(instance: FsmInstance) -> None:
             state = record.to_state
     assert state == instance.current_state
     assert len(window) == min(instance.transitions, LOG_WINDOW)
-    for (from_state, event), (_, first, last) in instance.edges.items():
+    for (from_state, event), (_, first, last) in reference.edges.items():
         assert (first.from_state, first.event, first.to_state) == (from_state, event, last.to_state)
         assert (last.from_state, last.event) == (from_state, event)
-    accepted = sum(count for count, _, _ in instance.edges.values())
+    accepted = sum(count for count, _, _ in reference.edges.values())
     assert accepted + len(instance.rejected) == instance.transitions
 
 
 def test_log_keeps_a_window_past_log_window_events(tmp_path):
     """Cyclic traffic past LOG_WINDOW events: the logs keep the last LOG_WINDOW, the edges count all."""
-    tracker, report = run(synthesize(normal_startup_spec(1, cyclic_rounds=200)), tmp_path)
+    with eager_logs() as logs:
+        tracker, report = run(synthesize(normal_startup_spec(1, cyclic_rounds=200)), tmp_path)
     fleet = tracker.fleet
     instances = [fleet.system, *fleet.devices.values(), *fleet.connections.values()]
     for instance in instances:
-        _assert_log_consistent(instance)
+        _assert_log_consistent(instance, logs.get(instance, EagerLog()))
     assert sum(i.transitions for i in instances) == report.summary["transitions"]
 
     [(key, connection)] = fleet.connections.items()
     assert connection.transitions > 2 * LOG_WINDOW
     log = report.logs["connections"][key]
-    assert log == [record.to_json() for record in connection.window]
+    assert log == [record.to_json() for record in logs[connection].window]
     assert len(log) == LOG_WINDOW
     edges = report.edges["connections"][key]
     assert sum(edge["count"] for edge in edges) == connection.transitions
@@ -1439,6 +1478,40 @@ def test_each_good_cyclic_frame_fires_with_its_own_cause():
         assert on_device.timestamp == on_connection.timestamp == plans[index].ts
         causes.append(on_device.cause)
     assert causes[0] is not causes[1]
+
+
+def test_good_cyclic_frames_build_no_transition_record_until_one_is_read():
+    """500 good cyclic frames of a bound CR log entries, not records: no TransitionRecord
+    is built until the log is read, and then each record is built from its entry."""
+    plans = synthesize(normal_startup_spec(1, cyclic_rounds=250)).frames
+    first_cyclic = next(i for i, plan in enumerate(plans) if plan.label.startswith("pnio"))
+    frames = [RawFrame(*plan.ts, plan.data, plan.index) for plan in plans]
+    assert len(frames) - first_cyclic == 500
+    tracker = Tracker()
+    for raw in frames[:first_cyclic]:
+        tracker.process_frame(raw)
+    binding = tracker.ar_table.frame_ids[0x8002]
+    device = tracker.fleet.devices[binding.responder_mac]
+
+    init = TransitionRecord.__init__.__code__
+    built = 0
+
+    def count_records(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is init:
+            built += 1
+
+    sys.setprofile(count_records)
+    try:
+        for raw in frames[first_cyclic:]:
+            tracker.process_frame(raw)
+        assert built == 0
+        records = device.records()
+    finally:
+        sys.setprofile(None)
+    assert built == len(records) == LOG_WINDOW
+    assert {(r.event, r.verdict) for r in records} == {("cyclic_data_good", "accepted")}
+    assert records[-1].cause.capture_index == len(frames) - 1
 
 
 # The streamed lines of two good cyclic frames (output, then input) sent after
