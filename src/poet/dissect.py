@@ -239,6 +239,10 @@ class PnioCyclicFrame(ParsedFrame):
 
 
 _U16 = struct.Struct(">H").unpack_from
+# The Ethernet header and the 16-bit word after it, which is an untagged PROFINET frame's frame id;
+# and the header alone, for a frame of 14 or 15 bytes.
+_ETHERNET_HEADER = struct.Struct(">6s6sHH").unpack_from
+_ETHERNET_HEADER_ONLY = struct.Struct(">6s6sH").unpack_from
 
 
 def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> bytes:
@@ -257,12 +261,16 @@ def dissect(raw: RawFrame) -> ParsedFrame:
     """
     frame = raw.frame_bytes
     size = len(frame)
-    if size < 14:
+    if size >= 16:
+        dst, src, ethertype, frame_id = _ETHERNET_HEADER(frame)
+    elif size >= 14:
+        dst, src, ethertype = _ETHERNET_HEADER_ONLY(frame)
+        frame_id = None  # the frame ends first
+    else:
         raise MalformedFrame("ethernet", 0, "frame shorter than 14 bytes")
     # mac_to_str, inlined: this runs for every frame.
-    dst = frame[0:6].hex(":")
-    src = frame[6:12].hex(":")
-    ethertype = _U16(frame, 12)[0]
+    dst = dst.hex(":")
+    src = src.hex(":")
     start = 14  # of the payload
     if ethertype == ETHERTYPE_VLAN:
         # The tag's priority and VLAN id are skipped: poet keys on neither.
@@ -270,12 +278,12 @@ def dissect(raw: RawFrame) -> ParsedFrame:
             raise MalformedFrame("ethernet", 14, "truncated VLAN tag")
         ethertype = _U16(frame, 16)[0]
         start = 18
+        frame_id = _U16(frame, 18)[0] if size >= 20 else None
 
     if ethertype == ETHERTYPE_PROFINET:
         # The RT payload is read in place; its refusal offsets count from `start`.
-        if size - start < 2:
+        if frame_id is None:
             raise MalformedFrame("profinet-rt", 0, "truncated frame id")
-        frame_id = _U16(frame, start)[0]
         if RT_CYCLIC_MIN <= frame_id <= RT_CYCLIC_MAX:
             # Nearly all of a running plant's frames, so built here.
             if size - start < 7:  # frame id + >=1 data byte + 4 trailer bytes

@@ -11,12 +11,19 @@ edge it has followed a count with the edge's first and last entry. Its memory
 therefore grows with the rejections and the distinct edges, not with the
 accepted traffic.
 
+Each fire is given its cause and the capture index of the frame that fires
+it. The cause is a `FrameRef`, or a `SharedCause`: the protocol and summary
+that every frame of one source shares, such as a bound CR's good frames, so
+that such a frame builds no cause of its own. A record's cause is the
+`FrameRef` as it is, or the shared cause at the firing frame's index.
+
 A rejected fire builds its record at once, since its alert reads it. An
-accepted fire builds none: it logs a `(timestamp, cause, step)` entry, where
-the step is the edge's one `Step`, compiled once per definition and shared by
-every instance. `records()` and `edge_tallies()` build the records from the
-entries when they are read, and most entries leave the window unread. The
-report is written from `entries()`, each entry read as its record would be.
+accepted fire builds none: it logs a `(timestamp, index, cause, step)` entry,
+where the step is the edge's one `Step`, compiled once per definition and
+shared by every instance. `records()` and `edge_tallies()` build the records
+from the entries when they are read, and most entries leave the window
+unread. The report is written from `entries()`, each entry read as its record
+would be.
 """
 
 from __future__ import annotations
@@ -48,6 +55,24 @@ class FrameRef:
             "protocol": self.protocol,
             "summary": self.summary,
         }
+
+
+@dataclass(frozen=True, slots=True)
+class SharedCause:
+    """The protocol and summary of every frame from one source; a record adds the frame's index."""
+
+    protocol: str
+    summary: str
+
+
+Cause = FrameRef | SharedCause
+
+
+def frame_ref(cause: Cause, capture_index: int) -> FrameRef:
+    """The `FrameRef` a record shows for `cause` fired by the frame at `capture_index`."""
+    if type(cause) is FrameRef:
+        return cause
+    return FrameRef(capture_index, cause.protocol, cause.summary)
 
 
 @dataclass(frozen=True)
@@ -174,16 +199,18 @@ class Step:
     verdict: ClassVar[str] = "accepted"
 
 
-# A log entry: an accepted fire's (timestamp, cause, step), or a rejected fire's record.
-Entry = tuple[tuple[int, int], FrameRef, Step] | TransitionRecord
+# A log entry: an accepted fire's (timestamp, index, cause, step), or a rejected fire's record.
+Entry = tuple[tuple[int, int], int, Cause, Step] | TransitionRecord
 
 
 def _record(entry: Entry) -> TransitionRecord:
     """The record of a log entry, built from its step unless it is a rejection's own record."""
     if type(entry) is TransitionRecord:
         return entry
-    timestamp, cause, step = entry
-    return TransitionRecord(timestamp, step.event, step.from_state, step.to_state, "accepted", cause)
+    timestamp, index, cause, step = entry
+    return TransitionRecord(
+        timestamp, step.event, step.from_state, step.to_state, "accepted", frame_ref(cause, index)
+    )
 
 
 class EdgeTally(NamedTuple):
@@ -213,22 +240,26 @@ class FsmInstance:
         # step -> [count, first entry, last entry], in order of first firing.
         self.edges: dict[Step, list] = {}
 
-    def fire(self, event: str, cause: FrameRef, timestamp: tuple[int, int]) -> Step | TransitionRecord:
-        """Apply one event; returns the step it followed, or the record of its rejection.
+    def fire(self, event: str, cause: Cause, timestamp: tuple[int, int], index: int) -> Step | TransitionRecord:
+        """Apply one event, fired by the frame at capture `index`; returns the step it
+        followed, or the record of its rejection.
 
         Either has the `verdict`, `event`, `from_state` and `to_state` of the record
-        that `records()` builds for it.
+        that `records()` builds for it. An accepted fire keeps `cause` as it is given;
+        a rejection's record holds `frame_ref(cause, index)`.
         """
         step = self.steps[self.current_state].get(event)
         if step is None:
             definition = self.definition
             if event not in definition.alphabet:
                 raise UnknownEvent(f"{definition.name}: event {event!r} not in alphabet")
-            entry = TransitionRecord(timestamp, event, self.current_state, None, "rejected", cause)
+            entry = TransitionRecord(
+                timestamp, event, self.current_state, None, "rejected", frame_ref(cause, index)
+            )
             self.rejected.append(entry)
         else:
             self.current_state = step.to_state
-            entry = (timestamp, cause, step)
+            entry = (timestamp, index, cause, step)
             tally = self.edges.get(step)
             if tally is None:
                 self.edges[step] = [1, entry, entry]

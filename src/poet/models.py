@@ -24,7 +24,7 @@ from .dissect import (
     ParsedFrame,
     PnioCyclicFrame,
 )
-from .fsm import Edge, FrameRef, FsmDefinition, FsmInstance, WildcardEdge
+from .fsm import Cause, Edge, FrameRef, FsmDefinition, FsmInstance, SharedCause, WildcardEdge
 
 # Event names (device scope unless noted)
 DETECT_NEIGHBOURS = "detect_neighbours"
@@ -225,14 +225,15 @@ def connection_key(initiator_mac: str, responder_mac: str) -> str:
 class ProtocolEvent:
     """One normalized semantic event derived from a dissected frame, addressed by (scope, key).
 
-    A bound CR's two prebuilt events carry no cause: each frame that fires them
-    gives its own (see DerivedEvents.summary). Every other event carries its cause.
+    A bound CR's two prebuilt events carry the CR's `SharedCause`, which each frame
+    that fires them shows at its own capture index. Every other event carries its
+    own `FrameRef`.
     """
 
     event_name: str
     scope: str  # "device" | "connection" | "system"
     key: str | None  # the device MAC, the connection key, or None for the system
-    cause: FrameRef | None
+    cause: Cause
     instance: FsmInstance | None = None  # a bound CR's, resolved at registration: fired with no lookup
 
 
@@ -269,8 +270,8 @@ class CyclicBinding:
     inconsistent: such a frame drives no event. While the AR table binds its frame
     id, it is the live CR: `good` holds the DerivedEvents that each good frame
     returns, built once by `ArTable.register`. Its two events hold the instances
-    at ("device", responder_mac) and ("connection", key) and carry no cause; its
-    summary is `summary`, from which the tracker builds each frame's own cause.
+    at ("device", responder_mac) and ("connection", key) and carry one shared
+    cause, the protocol "pnio" and `summary`.
     """
 
     frame_id: int
@@ -353,7 +354,7 @@ class ArTable:
         """Keep a Connect's AR and bind its CRs to the instances that their good frames drive.
 
         Binding a CR builds, once, the `DerivedEvents` that each of its good frames
-        returns: its two events, with the instances and no cause, and its summary.
+        returns: its two events, with the instances and the CR's one `SharedCause`.
         An AR UUID or a frame id held by another connection is refused, as one finding
         each; only the holder's own Connect (a reconnect) rebinds it, and the record it
         replaces keeps no prebuilt events.
@@ -372,12 +373,12 @@ class ArTable:
                     findings.append(TrackDiagnostic("frame_id_conflict", detail, cause, "device", reg.responder_mac))
                     continue
                 held.good = None  # replaced: a record holds instances only while bound
+            shared = SharedCause("pnio", binding.summary)
             binding.good = DerivedEvents(
                 [
-                    ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, None, device),
-                    ProtocolEvent(binding.data_event, "connection", binding.key, None, connection),
-                ],
-                summary=binding.summary,
+                    ProtocolEvent(CYCLIC_DATA_GOOD, "device", binding.responder_mac, shared, device),
+                    ProtocolEvent(binding.data_event, "connection", binding.key, shared, connection),
+                ]
             )
             self.frame_ids[binding.frame_id] = binding
         return findings
@@ -387,9 +388,8 @@ class ArTable:
 class DerivedEvents:
     """Result of derive_events: one frame's events, fired in order by one call, plus tracker bookkeeping.
 
-    `summary` is set only on a bound CR's prebuilt result, which every good frame
-    of that CR returns as it is, so it is never changed. From it the tracker builds
-    the frame's one cause, which each event that carries no cause of its own fires with.
+    A bound CR's prebuilt result is returned as it is by every good frame of that CR,
+    so it is never changed.
     """
 
     events: list[ProtocolEvent] = field(default_factory=list)
@@ -397,7 +397,6 @@ class DerivedEvents:
     new_deferral: DeferredEvent | None = None
     consumed_deferrals: Sequence[DeferredEvent] = ()
     registration: ConnectionRegistration | None = None
-    summary: str | None = None  # the frame's cause summary, for the events that carry no cause
 
 
 class TrackContext:

@@ -1049,7 +1049,7 @@ def _replay_manifest(spec: ScenarioSpec, frames: list[FramePlan]) -> dict:
             for planned in plan.events
             if waking or planned.event_name != PN_TRAFFIC_DETECTED
         ]
-        fleet.fire(events, plan.ts)
+        fleet.fire(events, plan.ts, plan.index)
 
     final_states = fleet.per_instance(lambda instance: instance.current_state)
 

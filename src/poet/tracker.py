@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, TextIO
 
 from .capture import CaptureError, RawFrame, StreamItem
 from .dissect import MalformedFrame, dissect
-from .fsm import EdgeTally, Entry, FrameRef, FsmInstance, TransitionRecord
+from .fsm import EdgeTally, Entry, FrameRef, FsmInstance, TransitionRecord, frame_ref
 from .inventory import AssetInventory, AssetRecord, Provenance
 from .models import (
     ALL_CONNECTIONS_ESTABLISHED,
@@ -116,12 +116,13 @@ class FsmFleet:
         instance = self._live[scope].get(key)
         return instance.current_state if instance else self._machines[scope].initial_state
 
-    def fire(self, events: Iterable[ProtocolEvent], ts: Timestamp, cause: FrameRef | None = None) -> None:
-        """Fire one frame's events in order, each at the instance it carries, else at its (scope, key).
+    def fire(self, events: Iterable[ProtocolEvent], ts: Timestamp, index: int) -> None:
+        """Fire the events of the frame at capture `index` in order, each at the instance it
+        carries, else at its (scope, key).
 
-        Each event fires with its own cause, or with the frame's `cause` if it carries
-        none, as a bound CR's prebuilt events do. Each rejection becomes an anomaly
-        alert. The tracker and synth's manifest replay both fire here.
+        Each event fires with its cause, which a bound CR's prebuilt events share
+        with every good frame of that CR. Each rejection becomes an anomaly alert.
+        The tracker and synth's manifest replay both fire here.
         """
         for event in events:
             instance = event.instance
@@ -129,8 +130,7 @@ class FsmFleet:
                 instance = self._live[event.scope].get(event.key)
                 if instance is None:
                     instance = self.ensure(event.scope, event.key)
-            event_cause = event.cause or cause
-            outcome = instance.fire(event.event_name, event_cause, ts)
+            outcome = instance.fire(event.event_name, event.cause, ts, index)
             if outcome.verdict == "rejected":
                 definition = instance.definition
                 operation = definition.operation_for(outcome.from_state) or outcome.from_state
@@ -147,9 +147,9 @@ class FsmFleet:
                     )
                 )
             elif not self._all_established_fired and event.scope == "connection":
-                self._evaluate_all_established(event_cause, ts)
+                self._evaluate_all_established(frame_ref(event.cause, index), ts, index)
 
-    def _evaluate_all_established(self, cause: FrameRef, ts: Timestamp) -> None:
+    def _evaluate_all_established(self, cause: FrameRef, ts: Timestamp, index: int) -> None:
         # Fires at most once per run, when every live connection has reached
         # ConnectionEstablished or a data-exchange state.
         if not self.connections:
@@ -158,7 +158,7 @@ class FsmFleet:
             if instance.current_state not in CONNECTION_ESTABLISHED_STATES:
                 return
         self._all_established_fired = True
-        self.fire((ProtocolEvent(ALL_CONNECTIONS_ESTABLISHED, "system", None, cause, self.system),), ts)
+        self.fire((ProtocolEvent(ALL_CONNECTIONS_ESTABLISHED, "system", None, cause, self.system),), ts, index)
 
     def transition_count(self) -> int:
         count = self.system.transitions
@@ -394,9 +394,7 @@ class Tracker(TrackContext):
                 same_name.append(held)
 
         if derived.events:
-            summary = derived.summary
-            cause = None if summary is None else FrameRef(raw.capture_index, parsed.protocol, summary)
-            self.fleet.fire(derived.events, ts, cause)
+            self.fleet.fire(derived.events, ts, raw.capture_index)
 
         if raw.capture_index >= self._expires_at:
             self._expire_deferred(raw.capture_index)
@@ -623,12 +621,15 @@ def _transition_leaves(record: TransitionRecord) -> tuple:
 
 def _entry_leaves(entry: Entry) -> tuple:
     # A log entry's leaves, those of its record: a rejection is its own record, and an
-    # accepted fire's leaves are read from its (timestamp, cause, step), building no record.
+    # accepted fire's leaves are read from its (timestamp, index, cause, step), building
+    # no record. A shared cause shows the entry's index; see fsm.frame_ref.
     if type(entry) is TransitionRecord:
         return _transition_leaves(entry)
-    timestamp, cause, step = entry
+    timestamp, index, cause, step = entry
+    if type(cause) is FrameRef:
+        index = cause.capture_index
     return (
-        cause.capture_index,
+        index,
         _encode_str(cause.protocol),
         _encode_str(cause.summary),
         _encode_str(step.event),
@@ -670,7 +671,7 @@ _ALERT_LINE = _layout(AnomalyAlert((0, 0), "", "", "", "", FrameRef(0, "", ""), 
 # Each record kind: the document its template is laid out from, given a record, and its leaves
 # function, given the indent the record opens at. An asset's template is laid out from a blank
 # record, whose port MACs and provenance are then one slot each; see _asset_leaves. A log holds
-# rejections' records and accepted fires' (timestamp, cause, step) tuples, both written as
+# rejections' records and accepted fires' (timestamp, index, cause, step) tuples, both written as
 # records, a tuple from a blank record's template; the report holds no other tuple.
 _RECORD_KINDS: dict[type, tuple[Callable[[Any], Any], Callable[[str], Callable[[Any], tuple]]]] = {
     AnomalyAlert: (lambda alert: alert, lambda pad: _alert_leaves),

@@ -6,7 +6,7 @@ from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from poet.fsm import LOG_WINDOW, EdgeTally, FsmDefinition, FsmInstance, TransitionRecord
+from poet.fsm import LOG_WINDOW, EdgeTally, FrameRef, FsmDefinition, FsmInstance, TransitionRecord
 
 
 def fold_log(definition: FsmDefinition, log: list[TransitionRecord]) -> str:
@@ -55,15 +55,18 @@ class EagerLog:
 def eager_logs() -> Iterator[dict[FsmInstance, EagerLog]]:
     """While open, each `FsmInstance.fire` also adds its record to its instance's EagerLog.
 
-    The record is built from the state before the fire and from what `fire` returns.
+    The record is built from the state before the fire and from what `fire` returns. Its
+    cause is a `FrameRef` as it was given, or a shared cause at the firing frame's index.
     Yields the logs by instance; an instance that never fired has none.
     """
     logs: dict[FsmInstance, EagerLog] = {}
     fire = FsmInstance.fire
 
-    def logged(instance, event, cause, timestamp):
+    def logged(instance, event, cause, timestamp, index):
         state = instance.current_state
-        outcome = fire(instance, event, cause, timestamp)
+        outcome = fire(instance, event, cause, timestamp, index)
+        if not isinstance(cause, FrameRef):
+            cause = FrameRef(index, cause.protocol, cause.summary)
         record = TransitionRecord(timestamp, event, state, outcome.to_state, outcome.verdict, cause)
         logs.setdefault(instance, EagerLog()).add(record)
         return outcome

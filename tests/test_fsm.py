@@ -41,7 +41,7 @@ def simple_def() -> FsmDefinition:
 
 def test_accepted_transition():
     inst = FsmInstance(simple_def(), "x")
-    record = inst.fire("go", CAUSE, TS)
+    record = inst.fire("go", CAUSE, TS, 0)
     assert record.verdict == "accepted"
     assert (record.from_state, record.to_state) == ("A", "B")
     assert inst.current_state == "B"
@@ -51,7 +51,7 @@ def test_wildcard_from_any_state():
     table = device_fsm_table()
     inst = FsmInstance(table, "dev")
     inst.current_state = "DataExchange"
-    record = inst.fire("detect_neighbours", CAUSE, TS)
+    record = inst.fire("detect_neighbours", CAUSE, TS, 0)
     assert record.verdict == "accepted"
     assert record.to_state == "NeighbourhoodDetection"
 
@@ -60,7 +60,7 @@ def test_rejected_event_keeps_state():
     table = device_fsm_table()
     inst = FsmInstance(table, "dev")
     inst.current_state = "DataExchange"
-    record = inst.fire("name_set_requested", CAUSE, TS)
+    record = inst.fire("name_set_requested", CAUSE, TS, 0)
     assert record.verdict == "rejected"
     assert record.to_state is None
     assert inst.current_state == "DataExchange"
@@ -69,7 +69,7 @@ def test_rejected_event_keeps_state():
 def test_self_loop_accepted():
     inst = FsmInstance(simple_def(), "x")
     inst.current_state = "C"
-    record = inst.fire("loop", CAUSE, TS)
+    record = inst.fire("loop", CAUSE, TS, 0)
     assert record.verdict == "accepted"
     assert record.from_state == record.to_state == "C"
 
@@ -83,20 +83,20 @@ def test_specific_edge_shadows_wildcard():
         wildcard_edges=(WildcardEdge("e", "C"),),
     )
     inst = FsmInstance(definition, "x")
-    assert inst.fire("e", CAUSE, TS).to_state == "B"  # specific wins from A
+    assert inst.fire("e", CAUSE, TS, 0).to_state == "B"  # specific wins from A
     inst.current_state = "C"
-    assert inst.fire("e", CAUSE, TS).to_state == "C"  # wildcard elsewhere
+    assert inst.fire("e", CAUSE, TS, 0).to_state == "C"  # wildcard elsewhere
 
 
 def test_unknown_event_raises():
     inst = FsmInstance(simple_def(), "x")
     with pytest.raises(UnknownEvent):
-        inst.fire("not-an-event", CAUSE, TS)
+        inst.fire("not-an-event", CAUSE, TS, 0)
 
 
 def test_reject_only_event_in_alphabet():
     inst = FsmInstance(simple_def(), "x")
-    record = inst.fire("forbidden", CAUSE, TS)
+    record = inst.fire("forbidden", CAUSE, TS, 0)
     assert record.verdict == "rejected"
 
 
@@ -146,16 +146,16 @@ def test_duplicate_edges_first_listed_wins():
         wildcard_edges=(WildcardEdge("reset", "B"), WildcardEdge("reset", "C")),
     )
     inst = FsmInstance(definition, "x")
-    assert inst.fire("go", CAUSE, TS).to_state == "B"
-    assert inst.fire("reset", CAUSE, TS).to_state == "B"
+    assert inst.fire("go", CAUSE, TS, 0).to_state == "B"
+    assert inst.fire("reset", CAUSE, TS, 0).to_state == "B"
 
 
 def test_log_export_jsonl_round_trip():
     import json
 
     inst = FsmInstance(simple_def(), "x")
-    inst.fire("go", CAUSE, (1, 500))
-    inst.fire("forbidden", CAUSE, (2, 0))
+    inst.fire("go", CAUSE, (1, 500), 0)
+    inst.fire("forbidden", CAUSE, (2, 0), 0)
     decoded = json.loads(json.dumps([record.to_json() for record in inst.records()]))
     assert len(decoded) == 2
     assert decoded[0]["verdict"] == "accepted"
@@ -167,12 +167,12 @@ def test_log_export_jsonl_round_trip():
 def test_log_keeps_rejections_window_and_edge_counts():
     with eager_logs() as logs:
         inst = FsmInstance(simple_def(), "x")
-        inst.fire("forbidden", FrameRef(0, "test", "early"), (0, 0))
-        inst.fire("go", CAUSE, (1, 0))
-        inst.fire("go", CAUSE, (2, 0))
+        inst.fire("forbidden", FrameRef(0, "test", "early"), (0, 0), 0)
+        inst.fire("go", CAUSE, (1, 0), 0)
+        inst.fire("go", CAUSE, (2, 0), 0)
         for second in range(3, 3 + 2 * LOG_WINDOW):
-            inst.fire("loop", CAUSE, (second, 0))
-        inst.fire("forbidden", FrameRef(0, "test", "late"), (999, 0))
+            inst.fire("loop", CAUSE, (second, 0), 0)
+        inst.fire("forbidden", FrameRef(0, "test", "late"), (999, 0), 0)
     reference = logs[inst]
 
     assert inst.transitions == reference.transitions == 4 + 2 * LOG_WINDOW
@@ -236,7 +236,7 @@ def test_replay_determinism(case):
     runs = []
     for _ in range(2):
         inst = FsmInstance(definition, "p")
-        records = [inst.fire(e, CAUSE, TS) for e in sequence]
+        records = [inst.fire(e, CAUSE, TS, 0) for e in sequence]
         runs.append([(r.event, r.from_state, r.to_state, r.verdict) for r in records])
     assert runs[0] == runs[1]
 
@@ -248,7 +248,7 @@ def test_log_folding_reproduces_state(case):
         return
     inst = FsmInstance(definition, "p")
     for event in sequence:
-        inst.fire(event, CAUSE, TS)
+        inst.fire(event, CAUSE, TS, 0)
     assert fold_log(definition, inst.records()) == inst.current_state
 
 
@@ -262,7 +262,7 @@ def test_window_and_counters_account_for_every_event(case, repeat):
     every = []  # each fire's record, built at once from the state before it and its outcome
     for event in sequence * repeat * 4:
         state = inst.current_state
-        outcome = inst.fire(event, CAUSE, TS)
+        outcome = inst.fire(event, CAUSE, TS, 0)
         every.append(TransitionRecord(TS, event, state, outcome.to_state, outcome.verdict, CAUSE))
     assert inst.records()[-LOG_WINDOW:] == every[-LOG_WINDOW:]
     assert inst.rejected == [r for r in every if r.verdict == "rejected"]
@@ -286,11 +286,11 @@ def test_rejection_safety(case):
     full = FsmInstance(definition, "full")
     accepted_events = []
     for event in sequence:
-        if full.fire(event, CAUSE, TS).verdict == "accepted":
+        if full.fire(event, CAUSE, TS, 0).verdict == "accepted":
             accepted_events.append(event)
     filtered = FsmInstance(definition, "filtered")
     for event in accepted_events:
-        assert filtered.fire(event, CAUSE, TS).verdict == "accepted"
+        assert filtered.fire(event, CAUSE, TS, 0).verdict == "accepted"
     assert filtered.current_state == full.current_state
 
 
@@ -341,10 +341,10 @@ def test_compiled_table_fires_as_the_reference_interpreter(case):
     for event in sequence:
         if event not in alphabet:
             with pytest.raises(UnknownEvent):
-                inst.fire(event, CAUSE, TS)
+                inst.fire(event, CAUSE, TS, 0)
         else:
             target = _reference_target(definition, state, event)
-            record = inst.fire(event, CAUSE, TS)
+            record = inst.fire(event, CAUSE, TS, 0)
             verdict = "rejected" if target is None else "accepted"
             assert (record.from_state, record.to_state, record.verdict) == (state, target, verdict)
             state = target or state
@@ -361,7 +361,7 @@ def test_short_lived_instances_hold_no_window_deque():
         instances = [FsmInstance(definition, f"{n:012x}") for n in range(1500)]
         for inst in instances:
             for _ in range(3):
-                inst.fire("detect_neighbours", CAUSE, TS)
+                inst.fire("detect_neighbours", CAUSE, TS, 0)
         lazy = tracemalloc.get_traced_memory()[0]
         for inst in instances:
             inst.window = deque(inst.window, LOG_WINDOW)  # what each instance held eagerly

@@ -30,6 +30,7 @@ from poet.synth import (
     dcp_set_name_request,
     dcp_set_response,
     encode_lldp,
+    normal_startup_spec,
     rename_attack_spec,
     synthesize,
 )
@@ -134,6 +135,10 @@ GOLDEN_FSM_EXPORT = {
 # and refusal precedence byte for byte.
 GOLDEN_DISSECT = "67df8025c994690f131df2e898b9b3d1c771918e9c768575a5c8e92a43d41cf6"
 
+# The same over test_golden_vlan_tagged_dissect_outcomes' 802.1Q-tagged frames, whose
+# payload and refusal offsets start 4 bytes later.
+GOLDEN_DISSECT_VLAN = "dce34d4979204ceb49a7df18f49f6c9cb87f61131447753cb99a4c54271bf2c3"
+
 # FSM kind -> (sha256 of its compiled table as json.dumps with sorted keys, sha256 of its
 # sorted alphabet as json.dumps). It holds what every machine accepts and rejects, whatever
 # order its edges are listed in.
@@ -210,21 +215,12 @@ def test_golden_fsm_table_and_alphabet(table_of):
     assert (table, alphabet) == GOLDEN_FSM_TABLES[definition.name]
 
 
-def _dissect_corpus() -> list[bytes]:
-    """The fuzz corpus; LLDP stations and named DCP Identify requests as identify-flood builds
-    them; and LLDP and DCP frames of every kind poet reads, each cut at every length and with
-    each byte after the Ethernet header set to 0x00, 0x01 and 0xff in turn."""
-    frames = fuzz_corpus(seed=7, count=5000)
-    requester = bytes.fromhex(ATTACKER_MAC.replace(":", ""))
-    for i in range(200):
-        chassis = bytes([0x02, 0, 0, 0, i >> 8, i & 0xFF])
-        port = bytes([0x06]) + chassis[1:]
-        frames.append(encode_lldp(chassis, port, ttl=20, station_name=f"st-{i:05d}-{i * 7919:06x}"))
-        frames.append(dcp_identify_request(requester, i + 1, f"ghost-{i:05d}-{i * 104729:06x}"))
+def _dissect_seeds() -> list[bytes]:
+    """LLDP and DCP frames of every kind poet reads."""
     ctrl = bytes.fromhex("020000000100")
     dev = bytes.fromhex("020000000200")
     port = bytes.fromhex("020000000201")
-    seeds = [
+    return [
         encode_lldp(dev, port, 20, "lift-motor", ("port-001",), "192.168.0.11"),
         encode_lldp(dev, port, 20, None, chassis_name="lift-motor", port_name="lift-motor"),
         encode_lldp(dev, port, 0, None),
@@ -234,7 +230,20 @@ def _dissect_corpus() -> list[bytes]:
         dcp_set_response(dev, ctrl, 4, 1, 2, error=3),
         *(dcp_identify_request(ctrl, 5, name) for name in ("", "Lift_Motor", "-a..b-", "c" * 64, "d" * 241)),
     ]
-    for data in seeds:
+
+
+def _dissect_corpus() -> list[bytes]:
+    """The fuzz corpus; LLDP stations and named DCP Identify requests as identify-flood builds
+    them; and each of _dissect_seeds() cut at every length and with each byte after the
+    Ethernet header set to 0x00, 0x01 and 0xff in turn."""
+    frames = fuzz_corpus(seed=7, count=5000)
+    requester = bytes.fromhex(ATTACKER_MAC.replace(":", ""))
+    for i in range(200):
+        chassis = bytes([0x02, 0, 0, 0, i >> 8, i & 0xFF])
+        port = bytes([0x06]) + chassis[1:]
+        frames.append(encode_lldp(chassis, port, ttl=20, station_name=f"st-{i:05d}-{i * 7919:06x}"))
+        frames.append(dcp_identify_request(requester, i + 1, f"ghost-{i:05d}-{i * 104729:06x}"))
+    for data in _dissect_seeds():
         frames += (data[:cut] for cut in range(14, len(data)))
         frames += (
             data[:at] + bytes([value]) + data[at + 1 :] for at in range(14, len(data)) for value in (0, 1, 0xFF)
@@ -242,11 +251,27 @@ def _dissect_corpus() -> list[bytes]:
     return frames
 
 
-def test_golden_dissect_outcomes():
+def _dissect_lines(frames: list[bytes]) -> list[str]:
+    """Each frame's dissect outcome: the record's repr, or the (protocol, offset, reason) of a refusal."""
     lines = []
-    for index, data in enumerate(_dissect_corpus()):
+    for index, data in enumerate(frames):
         try:
             lines.append(repr(dissect(RawFrame(0, 0, data, index))))
         except MalformedFrame as exc:
             lines.append(repr((exc.protocol, exc.offset, exc.reason)))
-    assert _sha256("\n".join(lines)) == GOLDEN_DISSECT
+    return lines
+
+
+def test_golden_dissect_outcomes():
+    assert _sha256("\n".join(_dissect_lines(_dissect_corpus()))) == GOLDEN_DISSECT
+
+
+def test_golden_vlan_tagged_dissect_outcomes():
+    """An 802.1Q-tagged copy of each seed and of a good cyclic frame, cut at every length
+    from 14 bytes up, keeps each record, refusal reason and offset."""
+    cyclic = next(plan.data for plan in synthesize(normal_startup_spec(1)).frames if plan.label.startswith("pnio"))
+    frames = []
+    for data in (*_dissect_seeds(), cyclic):
+        tagged = data[:12] + b"\x81\x00\x20\x05" + data[12:]  # priority 1, VLAN 5
+        frames += (tagged[:cut] for cut in range(14, len(tagged) + 1))
+    assert _sha256("\n".join(_dissect_lines(frames))) == GOLDEN_DISSECT_VLAN

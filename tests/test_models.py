@@ -23,7 +23,7 @@ from poet.dissect import (
     dissect,
     str_to_mac,
 )
-from poet.fsm import FrameRef, FsmInstance
+from poet.fsm import FrameRef, FsmInstance, SharedCause
 from poet.models import (
     ACYCLIC_DONE,
     ACYCLIC_READ,
@@ -209,13 +209,13 @@ def test_connection_table_shape_and_handshake():
     assert table.initial_state == "ConnectionCreation"
     inst = FsmInstance(table, "c")
     for event in (PARAMETRIZATION_WRITE, PARAMETRIZATION_WRITE, END_OF_PARAMETRIZATION, APPLICATION_READY):
-        assert inst.fire(event, CAUSE, (0, 0)).verdict == "accepted"
+        assert inst.fire(event, CAUSE, (0, 0), 0).verdict == "accepted"
     assert inst.current_state == "ConnectionEstablished"
 
 
 def test_connection_rejects_data_before_configuration():
     inst = FsmInstance(connection_fsm_table(), "c")
-    record = inst.fire(INPUT_PROCESS_DATA_SENT, CAUSE, (0, 0))
+    record = inst.fire(INPUT_PROCESS_DATA_SENT, CAUSE, (0, 0), 0)
     assert record.verdict == "rejected"
     assert inst.current_state == "ConnectionCreation"
 
@@ -298,7 +298,7 @@ def test_normal_startup_replay_visits_states_in_order():
     inst = FsmInstance(device_fsm_table(), "dev")
     visited = []
     for event in sequence:
-        record = inst.fire(event, CAUSE, (0, 0))
+        record = inst.fire(event, CAUSE, (0, 0), 0)
         assert record.verdict == "accepted", (event, record.from_state)
         visited.append(record.to_state)
     expected_order = [
@@ -424,9 +424,11 @@ def test_derive_pnio_good_output():
         (CYCLIC_DATA_GOOD, "device", DEV_MAC),
         (OUTPUT_PROCESS_DATA_SENT, "connection", key),
     ]
-    # The frame's one cause is built by the tracker; see test_each_good_cyclic_frame_fires_with_its_own_cause.
-    assert [e.cause for e in derived.events] == [None, None]
-    assert derived.summary == "pnio cyclic 0x8002 output iops good"
+    # Both carry the CR's one shared cause; each frame's record reads its own index
+    # (see test_each_good_cyclic_frame_fires_with_its_own_cause).
+    shared = SharedCause("pnio", "pnio cyclic 0x8002 output iops good")
+    assert [e.cause for e in derived.events] == [shared, shared]
+    assert derived.events[0].cause is derived.events[1].cause
 
 
 def _connect_with(layout, direction: str = "input", skew: int = 0) -> CmFrame:

@@ -26,7 +26,7 @@ from poet.dissect import (
     dissect,
     str_to_mac,
 )
-from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, TransitionRecord
+from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, SharedCause, TransitionRecord
 from poet.inventory import AssetInventory, AssetRecord, InventoryChange, Provenance
 from poet.models import (
     PN_TRAFFIC_DETECTED,
@@ -878,15 +878,19 @@ def test_dumps_matches_json_on_hostile_strings():
     tracker = Tracker(TrackerConfig(system_name=hostile))
     fleet = tracker.fleet
     device = fleet.ensure("device", hostile)
-    device.fire("name_set_requested", cause, (1, 2))  # rejected in the initial state: to_state null
+    device.fire("name_set_requested", cause, (1, 2), 7)  # rejected in the initial state: to_state null
     # Past LOG_WINDOW events the edges are written too, so hostile strings reach them.
     for second in range(LOG_WINDOW):
-        device.fire("detect_neighbours", cause, (3 + second, 4))
+        device.fire("detect_neighbours", cause, (3 + second, 4), 7)
     assert [r.verdict for r in device.records()[:2]] == ["rejected", "accepted"]
     assert len(device.edge_tallies()) == 2
-    fleet.ensure("device", "\u00e9")
-    fleet.ensure("device", "").fire("detect_neighbours", cause, (5, 6))
-    fleet.ensure("connection", hostile).fire("application_ready", cause, (7, 8))  # rejected
+    # A shared cause is written at its firing frame's index, accepted or rejected.
+    shared = fleet.ensure("device", "\u00e9")
+    shared.fire("detect_neighbours", SharedCause(hostile, hostile), (9, 9), 2**64)
+    shared.fire("name_set_requested", SharedCause(hostile, hostile), (9, 10), 8)
+    assert [r.cause.capture_index for r in shared.records()] == [2**64, 8]
+    fleet.ensure("device", "").fire("detect_neighbours", cause, (5, 6), 7)
+    fleet.ensure("connection", hostile).fire("application_ready", cause, (7, 8), 7)  # rejected
     alert = AnomalyAlert((5, 6), "device", hostile, hostile, hostile, cause, hostile, "anomaly")
     fleet.on_alert(alert)
     fleet.on_alert(alert)
@@ -1461,7 +1465,7 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
 
 def test_each_good_cyclic_frame_fires_with_its_own_cause():
     """Two consecutive good frames of one CR: each frame's device and connection records
-    share one cause, that frame's own, with the CR's summary. No cause is kept per CR."""
+    show one cause, that frame's own index with the CR's summary."""
     plans = _startup_plans()
     tracker = Tracker()
     tracker.process(_replayed(len(plans)))
@@ -1473,16 +1477,16 @@ def test_each_good_cyclic_frame_fires_with_its_own_cause():
         assert plans[index].label.startswith("pnio output")
         (on_device,) = [r for r in device.records() if r.cause.capture_index == index]
         (on_connection,) = [r for r in connection.records() if r.cause.capture_index == index]
-        assert on_device.cause is on_connection.cause
-        assert on_device.cause == FrameRef(index, "pnio", binding.summary)
+        assert on_device.cause == on_connection.cause == FrameRef(index, "pnio", binding.summary)
         assert on_device.timestamp == on_connection.timestamp == plans[index].ts
         causes.append(on_device.cause)
-    assert causes[0] is not causes[1]
+    assert causes[0] != causes[1]
 
 
 def test_good_cyclic_frames_build_no_transition_record_until_one_is_read():
-    """500 good cyclic frames of a bound CR log entries, not records: no TransitionRecord
-    is built until the log is read, and then each record is built from its entry."""
+    """500 good cyclic frames of a bound CR log entries, not records, and build no cause:
+    no TransitionRecord or FrameRef is built until the log is read, and then each record
+    is built from its entry as the eagerly kept reference log holds it."""
     plans = synthesize(normal_startup_spec(1, cyclic_rounds=250)).frames
     first_cyclic = next(i for i, plan in enumerate(plans) if plan.label.startswith("pnio"))
     frames = [RawFrame(*plan.ts, plan.data, plan.index) for plan in plans]
@@ -1493,25 +1497,58 @@ def test_good_cyclic_frames_build_no_transition_record_until_one_is_read():
     binding = tracker.ar_table.frame_ids[0x8002]
     device = tracker.fleet.devices[binding.responder_mac]
 
-    init = TransitionRecord.__init__.__code__
-    built = 0
+    inits = {TransitionRecord.__init__.__code__: "records", FrameRef.__init__.__code__: "causes"}
+    built = Counter()
 
-    def count_records(frame, event, arg):
-        nonlocal built
-        if event == "call" and frame.f_code is init:
-            built += 1
+    def count_inits(frame, event, arg):
+        if event == "call" and frame.f_code in inits:
+            built[inits[frame.f_code]] += 1
 
-    sys.setprofile(count_records)
+    sys.setprofile(count_inits)
     try:
         for raw in frames[first_cyclic:]:
             tracker.process_frame(raw)
-        assert built == 0
+        assert built == {}
         records = device.records()
     finally:
         sys.setprofile(None)
-    assert built == len(records) == LOG_WINDOW
+    assert built == {"records": LOG_WINDOW, "causes": LOG_WINDOW}
     assert {(r.event, r.verdict) for r in records} == {("cyclic_data_good", "accepted")}
-    assert records[-1].cause.capture_index == len(frames) - 1
+    last_summary = tracker.ar_table.frame_ids[0x8001].summary  # the last frame is an input one
+    assert records[-1].cause == FrameRef(len(frames) - 1, "pnio", last_summary)
+
+    # The same run with each fire's record built at once: every instance reads as it.
+    with eager_logs() as logs:
+        reference = Tracker()
+        reference.process(frames)
+    instances = [(f.system, *f.devices.values(), *f.connections.values()) for f in (tracker.fleet, reference.fleet)]
+    assert [i.instance_key for i in instances[0]] == [i.instance_key for i in instances[1]]
+    for instance, twin in zip(*instances):
+        assert instance.records() == logs[twin].records()
+        assert instance.edge_tallies() == logs[twin].edge_tallies()
+
+
+def test_a_good_cyclic_frame_before_ccontrol_is_rejected_with_its_own_cause():
+    """A good frame of a bound CR sent just before its device's CControl request: the device
+    and connection states reject it, as two anomalies whose causes carry that frame's own
+    capture index and the CR summary, and the streamed lines are the report's alerts."""
+    plans = _startup_plans()
+    assert plans[18].label.startswith("pn-cm ccontrol request")
+    assert plans[20].label.startswith("pnio output")
+    datas = [plan.data for plan in plans[:18]] + [plans[20].data] + [plan.data for plan in plans[18:]]
+    sink = io.StringIO()
+    tracker = Tracker(TrackerConfig(alert_sink=sink))
+    report = tracker.process(RawFrame(100 + i, 0, data, i) for i, data in enumerate(datas))
+    binding = tracker.ar_table.frame_ids[0x8002]
+    cause = FrameRef(18, "pnio", binding.summary)
+    assert [(a.instance_kind, a.offending_event, a.cause, a.timestamp) for a in report.anomalies] == [
+        ("device", "cyclic_data_good", cause, (118, 0)),
+        ("connection", "output_process_data_sent", cause, (118, 0)),
+    ]
+    device = tracker.fleet.devices[binding.responder_mac]
+    connection = tracker.fleet.connections[binding.key]
+    assert [r.cause for r in (*device.rejected, *connection.rejected)] == [cause, cause]
+    assert sink.getvalue().splitlines() == [json.dumps(a.to_json(), sort_keys=True) for a in report.alerts]
 
 
 # The streamed lines of two good cyclic frames (output, then input) sent after
