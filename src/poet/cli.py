@@ -1,7 +1,7 @@
 """Command-line surface: analyze captures, synthesize scenarios, export data.
 
 Exit codes: 0 success (analyze: no anomalies), 2 anomalies found (analyze
-only), 1 operational error of any kind.
+only), 1 operational error of any kind, 130 interrupted by Ctrl-C (SIGINT).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ log = logging.getLogger("poet")
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ANOMALIES = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the status a shell shows for a process that Ctrl-C ends
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,6 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, CaptureFormatError, ScenarioError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"poet: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("poet: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

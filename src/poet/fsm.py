@@ -6,7 +6,7 @@ for the same event) or records a rejection and leaves the state untouched.
 Rejections are the anomaly signal consumed downstream; they never move the
 machine into an error state, so tracking continues afterwards.
 
-An instance keeps every rejected record, the last LOG_WINDOW entries, and per
+An instance keeps every rejected entry, the last LOG_WINDOW entries, and per
 edge it has followed a count with the edge's first and last entry. Its memory
 therefore grows with the rejections and the distinct edges, not with the
 accepted traffic.
@@ -17,13 +17,13 @@ that every frame of one source shares, such as a bound CR's good frames, so
 that such a frame builds no cause of its own. A record's cause is the
 `FrameRef` as it is, or the shared cause at the firing frame's index.
 
-A rejected fire builds its record at once, since its alert reads it. An
-accepted fire builds none: it logs a `(timestamp, index, cause, step)` entry,
-where the step is the edge's one `Step`, compiled once per definition and
-shared by every instance. `records()` and `edge_tallies()` build the records
-from the entries when they are read, and most entries leave the window
-unread. The report is written from `entries()`, each entry read as its record
-would be.
+A fire builds no record. Each definition compiles, once, one `Step` per state
+and alphabet event: the edge it follows, or the state's rejection of the event.
+Every instance shares them. A fire, accepted or rejected, logs a `(timestamp,
+index, cause, step)` entry and returns the step. `records()` and
+`edge_tallies()` build the records from the entries when they are read, and
+most entries leave the window unread. The report is written from `entries()`,
+each entry read as its record would be.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 
 LOG_WINDOW = 64  # most recent entries, accepted or rejected, that each instance keeps
@@ -123,9 +123,12 @@ class FsmDefinition:
 
     @cached_property
     def steps(self) -> dict[str, dict[str, Step]]:
-        """`table` with each edge as its one `Step`, compiled once per definition and shared."""
+        """Each state's `Step` per alphabet event, its edge in `table` or its rejection; built once, shared."""
         return {
-            state: {event: Step(state, event, target) for event, target in row.items()}
+            state: {
+                event: Step(state, event, row.get(event), "accepted" if event in row else "rejected")
+                for event in self.alphabet
+            }
             for state, row in self.table.items()
         }
 
@@ -187,41 +190,39 @@ class TransitionRecord:
 
 @dataclass(slots=True, eq=False)
 class Step:
-    """One edge of a definition, which an accepted fire logs and returns in place of a record.
+    """What firing one event in one state does: follow an edge, or reject the event.
 
-    It hashes and compares by identity, so keying the edge tallies by it costs
-    no Python-level call.
+    A fire logs and returns it in place of a record. It hashes and compares by
+    identity, so keying the edge tallies by it costs no Python-level call.
     """
 
     from_state: str
     event: str
-    to_state: str
-    verdict: ClassVar[str] = "accepted"
+    to_state: str | None  # None marks a rejection
+    verdict: str  # "accepted" | "rejected"
 
 
-# A log entry: an accepted fire's (timestamp, index, cause, step), or a rejected fire's record.
-Entry = tuple[tuple[int, int], int, Cause, Step] | TransitionRecord
+# A log entry: a fire's (timestamp, capture index, cause, step).
+Entry = tuple[tuple[int, int], int, Cause, Step]
 
 
 def _record(entry: Entry) -> TransitionRecord:
-    """The record of a log entry, built from its step unless it is a rejection's own record."""
-    if type(entry) is TransitionRecord:
-        return entry
+    """The record of a log entry, built from its step and cause."""
     timestamp, index, cause, step = entry
     return TransitionRecord(
-        timestamp, step.event, step.from_state, step.to_state, "accepted", frame_ref(cause, index)
+        timestamp, step.event, step.from_state, step.to_state, step.verdict, frame_ref(cause, index)
     )
 
 
 class EdgeTally(NamedTuple):
-    """One followed edge: how often it fired, with its first and last record."""
+    """One followed edge: how often it fired, with its first and last entry."""
 
     count: int
-    first: TransitionRecord
-    last: TransitionRecord
+    first: Entry
+    last: Entry
 
     def to_json(self) -> dict:
-        return {"count": self.count, "first": self.first.to_json(), "last": self.last.to_json()}
+        return {"count": self.count, "first": _record(self.first).to_json(), "last": _record(self.last).to_json()}
 
 
 class FsmInstance:
@@ -236,30 +237,26 @@ class FsmInstance:
         # The last LOG_WINDOW entries: a list until it first fills, since most
         # instances never fire that often, then a bounded deque.
         self.window: list[Entry] | deque[Entry] = []
-        self.rejected: list[TransitionRecord] = []
+        self.rejected: list[Entry] = []
         # step -> [count, first entry, last entry], in order of first firing.
         self.edges: dict[Step, list] = {}
 
-    def fire(self, event: str, cause: Cause, timestamp: tuple[int, int], index: int) -> Step | TransitionRecord:
-        """Apply one event, fired by the frame at capture `index`; returns the step it
-        followed, or the record of its rejection.
+    def fire(self, event: str, cause: Cause, timestamp: tuple[int, int], index: int) -> Step:
+        """Apply one event, fired by the frame at capture `index`; returns its step.
 
-        Either has the `verdict`, `event`, `from_state` and `to_state` of the record
-        that `records()` builds for it. An accepted fire keeps `cause` as it is given;
-        a rejection's record holds `frame_ref(cause, index)`.
+        The step has the `verdict`, `event`, `from_state` and `to_state` of the
+        record that `records()` builds for the fire, whose cause is
+        `frame_ref(cause, index)`. The entry keeps `cause` as it is given.
         """
         step = self.steps[self.current_state].get(event)
         if step is None:
-            definition = self.definition
-            if event not in definition.alphabet:
-                raise UnknownEvent(f"{definition.name}: event {event!r} not in alphabet")
-            entry = TransitionRecord(
-                timestamp, event, self.current_state, None, "rejected", frame_ref(cause, index)
-            )
+            raise UnknownEvent(f"{self.definition.name}: event {event!r} not in alphabet")
+        entry = (timestamp, index, cause, step)
+        to_state = step.to_state
+        if to_state is None:
             self.rejected.append(entry)
         else:
-            self.current_state = step.to_state
-            entry = (timestamp, index, cause, step)
+            self.current_state = to_state
             tally = self.edges.get(step)
             if tally is None:
                 self.edges[step] = [1, entry, entry]
@@ -270,27 +267,27 @@ class FsmInstance:
         if self.transitions == LOG_WINDOW:
             self.window = deque(self.window, LOG_WINDOW)
         self.window.append(entry)
-        return step or entry
+        return step
 
     def entries(self) -> list[Entry]:
-        """Every rejected record plus the window's entries, in fire order.
+        """Every rejected entry plus the window's entries, in fire order.
 
         This is the whole log while at most LOG_WINDOW events have fired.
         """
         if self.transitions <= LOG_WINDOW:
             return list(self.window)  # every entry, the rejected ones included
-        in_window = sum(type(entry) is TransitionRecord for entry in self.window)
+        in_window = sum(entry[3].to_state is None for entry in self.window)
         return self.rejected[: len(self.rejected) - in_window] + list(self.window)
 
     def records(self) -> list[TransitionRecord]:
-        """`entries()` as records, each accepted one built from its entry as it is read."""
+        """`entries()` as records, each built from its entry as it is read."""
         return [_record(entry) for entry in self.entries()]
 
     def edge_tallies(self) -> list[EdgeTally]:
-        """Each followed edge's count, first and last record, in order of first firing.
+        """Each followed edge's count, first and last entry, in order of first firing.
 
-        Empty while the log is whole, since the log then holds every edge's records.
+        Empty while the log is whole, since the log then holds every edge's entries.
         """
         if self.transitions <= LOG_WINDOW:
             return []
-        return [EdgeTally(count, _record(first), _record(last)) for count, first, last in self.edges.values()]
+        return [EdgeTally(*tally) for tally in self.edges.values()]

@@ -130,19 +130,19 @@ class FsmFleet:
                 instance = self._live[event.scope].get(event.key)
                 if instance is None:
                     instance = self.ensure(event.scope, event.key)
-            outcome = instance.fire(event.event_name, event.cause, ts, index)
-            if outcome.verdict == "rejected":
+            step = instance.fire(event.event_name, event.cause, ts, index)
+            if step.to_state is None:
                 definition = instance.definition
-                operation = definition.operation_for(outcome.from_state) or outcome.from_state
+                operation = definition.operation_for(step.from_state) or step.from_state
                 self.on_alert(
                     AnomalyAlert(
-                        timestamp=outcome.timestamp,
+                        timestamp=ts,
                         instance_kind=definition.name,
                         instance_key=instance.instance_key,
-                        state_at_event=outcome.from_state,
-                        offending_event=outcome.event,
-                        cause=outcome.cause,
-                        explanation=f"{outcome.event} not permitted during {operation} operation",
+                        state_at_event=step.from_state,
+                        offending_event=step.event,
+                        cause=frame_ref(event.cause, index),
+                        explanation=f"{step.event} not permitted during {operation} operation",
                         severity=SEVERITY_ANOMALY,
                     )
                 )
@@ -601,33 +601,14 @@ def _state_leaves(instance: FsmInstance) -> tuple:
     )
 
 
-def _transition_leaves(record: TransitionRecord) -> tuple:
-    # A transition record's leaves in sorted-key order; see TransitionRecord.to_json.
-    cause = record.cause
-    timestamp = record.timestamp
-    to_state = record.to_state
-    return (
-        cause.capture_index,
-        _encode_str(cause.protocol),
-        _encode_str(cause.summary),
-        _encode_str(record.event),
-        _encode_str(record.from_state),
-        timestamp[0],
-        timestamp[1],
-        "null" if to_state is None else _encode_str(to_state),
-        _encode_str(record.verdict),
-    )
-
-
 def _entry_leaves(entry: Entry) -> tuple:
-    # A log entry's leaves, those of its record: a rejection is its own record, and an
-    # accepted fire's leaves are read from its (timestamp, index, cause, step), building
-    # no record. A shared cause shows the entry's index; see fsm.frame_ref.
-    if type(entry) is TransitionRecord:
-        return _transition_leaves(entry)
+    # A log entry's leaves, those of its record in sorted-key order, read from its
+    # (timestamp, index, cause, step) without building the record; see TransitionRecord.to_json.
+    # A shared cause shows the entry's index; see fsm.frame_ref.
     timestamp, index, cause, step = entry
     if type(cause) is FrameRef:
         index = cause.capture_index
+    to_state = step.to_state
     return (
         index,
         _encode_str(cause.protocol),
@@ -636,14 +617,14 @@ def _entry_leaves(entry: Entry) -> tuple:
         _encode_str(step.from_state),
         timestamp[0],
         timestamp[1],
-        _encode_str(step.to_state),
-        '"accepted"',
+        "null" if to_state is None else _encode_str(to_state),
+        _encode_str(step.verdict),
     )
 
 
 def _edge_leaves(tally: EdgeTally) -> tuple:
     # An edge tally's leaves in sorted-key order; see EdgeTally.to_json.
-    return (tally.count, *_transition_leaves(tally.first), *_transition_leaves(tally.last))
+    return (tally.count, *_entry_leaves(tally.first), *_entry_leaves(tally.last))
 
 
 def _alert_leaves(alert: AnomalyAlert) -> tuple:
@@ -670,12 +651,11 @@ _ALERT_LINE = _layout(AnomalyAlert((0, 0), "", "", "", "", FrameRef(0, "", ""), 
 
 # Each record kind: the document its template is laid out from, given a record, and its leaves
 # function, given the indent the record opens at. An asset's template is laid out from a blank
-# record, whose port MACs and provenance are then one slot each; see _asset_leaves. A log holds
-# rejections' records and accepted fires' (timestamp, index, cause, step) tuples, both written as
-# records, a tuple from a blank record's template; the report holds no other tuple.
+# record, whose port MACs and provenance are then one slot each; see _asset_leaves. A log entry,
+# a fire's (timestamp, index, cause, step), is written as its record, from a blank record's
+# template; the report holds no other tuple.
 _RECORD_KINDS: dict[type, tuple[Callable[[Any], Any], Callable[[str], Callable[[Any], tuple]]]] = {
     AnomalyAlert: (lambda alert: alert, lambda pad: _alert_leaves),
-    TransitionRecord: (lambda record: record, lambda pad: _entry_leaves),
     tuple: (lambda entry: TransitionRecord((0, 0), "", "", "", "", FrameRef(0, "", "")), lambda pad: _entry_leaves),
     EdgeTally: (lambda tally: tally, lambda pad: _edge_leaves),
     FsmInstance: (_state_entry, lambda pad: _state_leaves),

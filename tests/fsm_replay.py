@@ -6,7 +6,7 @@ from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from poet.fsm import LOG_WINDOW, EdgeTally, FrameRef, FsmDefinition, FsmInstance, TransitionRecord
+from poet.fsm import LOG_WINDOW, FrameRef, FsmDefinition, FsmInstance, TransitionRecord
 
 
 def fold_log(definition: FsmDefinition, log: list[TransitionRecord]) -> str:
@@ -45,10 +45,14 @@ class EagerLog:
         in_window = sum(record.verdict == "rejected" for record in self.window)
         return self.rejected[: len(self.rejected) - in_window] + list(self.window)
 
-    def edge_tallies(self) -> list[EdgeTally]:
+    def edge_tallies(self) -> list[dict]:
+        """Each followed edge's tally as `EdgeTally.to_json()` writes it."""
         if self.transitions <= LOG_WINDOW:
             return []
-        return [EdgeTally(*tally) for tally in self.edges.values()]
+        return [
+            {"count": count, "first": first.to_json(), "last": last.to_json()}
+            for count, first, last in self.edges.values()
+        ]
 
 
 @contextmanager

@@ -300,6 +300,21 @@ def test_key_error_in_handler_propagates(tmp_path, monkeypatch):
         main(["fsm-export", "device", "--out", str(tmp_path / "device.json")])
 
 
+def test_interrupt_during_analyze_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    # Ctrl-C while frames are read: one line on stderr and the shell's status for SIGINT, no traceback.
+    def interrupted(self, stream):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Tracker, "process", interrupted)
+    prefix = _write_builtin(tmp_path, "rename-attack")
+    try:
+        code = main(["analyze", prefix + ".pcap"])
+    except KeyboardInterrupt:  # escaping, it would stop the whole test session
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == 130
+    assert capsys.readouterr().err == "poet: interrupted\n"
+
+
 def test_synth_then_analyze_matches_manifest(tmp_path, capsys):
     for name, expected_code in (("normal-startup", 0), ("rogue-connect", 2)):
         out = tmp_path / name
@@ -339,14 +354,14 @@ def _analyze_outputs(tmp_path, capture: str) -> tuple[int, bytes, bytes]:
 
 
 @contextlib.contextmanager
-def _feeding_pipe(data: bytes):
-    """The read end of a pipe that a thread fills with `data`, in chunks that cut records."""
+def _feeding_pipe(data: bytes, chunk: int = 1000):
+    """The read end of a pipe that a thread fills with `data`, in `chunk`-byte writes that cut records."""
     read_end, write_end = os.pipe()
 
     def writer():
         try:
-            for at in range(0, len(data), 1000):
-                os.write(write_end, data[at : at + 1000])
+            for at in range(0, len(data), chunk):
+                os.write(write_end, data[at : at + chunk])
         except BrokenPipeError:
             pass  # the reader stopped early; its outputs say so
         finally:
@@ -362,9 +377,9 @@ def _feeding_pipe(data: bytes):
     assert not thread.is_alive()
 
 
-def _analyze_piped(tmp_path, data: bytes) -> tuple[int, bytes, bytes]:
-    """`_analyze_outputs` of `data` written into a pipe, opened as /dev/fd/N."""
-    with _feeding_pipe(data) as read_end:
+def _analyze_piped(tmp_path, data: bytes, chunk: int) -> tuple[int, bytes, bytes]:
+    """`_analyze_outputs` of `data` written into a pipe in `chunk`-byte writes, opened as /dev/fd/N."""
+    with _feeding_pipe(data, chunk) as read_end:
         return _analyze_outputs(tmp_path, f"/dev/fd/{read_end}")
 
 
@@ -393,7 +408,9 @@ def test_capture_read_from_a_pipe_gives_the_files_outputs(tmp_path, capsys, name
     capture = tmp_path / f"{name}.{fmt}"
     capture.write_bytes(data)
     from_file = _analyze_outputs(tmp_path, str(capture))
-    assert _analyze_piped(tmp_path, data) == from_file
+    # A reader that gets one byte at a time, or records cut at odd offsets, reads the same capture.
+    for chunk in (1, 7, 1000):
+        assert _analyze_piped(tmp_path, data, chunk) == from_file, chunk
     assert capsys.readouterr().err == ""
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from poet.fsm import (
     LOG_WINDOW,
     Edge,
-    EdgeTally,
     FrameRef,
     FsmDefinition,
     FsmInstance,
@@ -19,7 +18,7 @@ from poet.fsm import (
     UnknownEvent,
     WildcardEdge,
 )
-from poet.models import device_fsm_table
+from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
 
 from fsm_checks import DefinitionDiagnostic, validate_definition
 from fsm_replay import eager_logs, fold_log
@@ -89,9 +88,24 @@ def test_specific_edge_shadows_wildcard():
 
 
 def test_unknown_event_raises():
-    inst = FsmInstance(simple_def(), "x")
-    with pytest.raises(UnknownEvent):
-        inst.fire("not-an-event", CAUSE, TS, 0)
+    """Each state has one shared step per alphabet event, an edge or a rejection, and an
+    event outside the alphabet raises in every state."""
+    for definition in (simple_def(), device_fsm_table(), connection_fsm_table(), system_fsm_table()):
+        for state, row in definition.table.items():
+            assert set(definition.steps[state]) == definition.alphabet
+            for event in sorted(definition.alphabet):
+                step = definition.steps[state][event]
+                target = row.get(event)
+                verdict = "rejected" if target is None else "accepted"
+                assert (step.from_state, step.event, step.to_state, step.verdict) == (state, event, target, verdict)
+                one, two = FsmInstance(definition, "one"), FsmInstance(definition, "two")
+                one.current_state = two.current_state = state
+                assert one.fire(event, CAUSE, TS, 0) is two.fire(event, CAUSE, TS, 0) is step
+            inst = FsmInstance(definition, "x")
+            inst.current_state = state
+            with pytest.raises(UnknownEvent):
+                inst.fire("not-an-event", CAUSE, TS, 0)
+            assert (inst.current_state, inst.transitions) == (state, 0)
 
 
 def test_reject_only_event_in_alphabet():
@@ -184,8 +198,8 @@ def test_log_keeps_rejections_window_and_edge_counts():
     assert len(reference.window) == LOG_WINDOW
     assert [r.timestamp[0] for r in records] == [0, *range(3 + LOG_WINDOW + 1, 3 + 2 * LOG_WINDOW), 999]
 
-    assert inst.edge_tallies() == reference.edge_tallies()
     edges = [tally.to_json() for tally in inst.edge_tallies()]
+    assert edges == reference.edge_tallies()
     assert [(e["first"]["from_state"], e["first"]["event"], e["count"]) for e in edges] == [
         ("A", "go", 1),
         ("B", "go", 1),
@@ -265,15 +279,16 @@ def test_window_and_counters_account_for_every_event(case, repeat):
         outcome = inst.fire(event, CAUSE, TS, 0)
         every.append(TransitionRecord(TS, event, state, outcome.to_state, outcome.verdict, CAUSE))
     assert inst.records()[-LOG_WINDOW:] == every[-LOG_WINDOW:]
-    assert inst.rejected == [r for r in every if r.verdict == "rejected"]
+    steps = definition.steps
+    assert inst.rejected == [(TS, 0, CAUSE, steps[r.from_state][r.event]) for r in every if r.verdict == "rejected"]
     assert inst.records() == [r for r in every[:-LOG_WINDOW] if r.verdict == "rejected"] + every[-LOG_WINDOW:]
     tallies = {}
     for r in every:
         if r.verdict == "accepted":
             tallies.setdefault((r.from_state, r.event), []).append(r)
     # in order of first firing; the edges are written once the log is no longer whole
-    expected = [EdgeTally(len(rs), rs[0], rs[-1]) for rs in tallies.values()] if len(every) > LOG_WINDOW else []
-    assert inst.edge_tallies() == expected
+    expected = [{"count": len(rs), "first": rs[0].to_json(), "last": rs[-1].to_json()} for rs in tallies.values()]
+    assert [tally.to_json() for tally in inst.edge_tallies()] == (expected if len(every) > LOG_WINDOW else [])
     assert inst.transitions == len(every)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -794,7 +795,8 @@ def test_tracker_invariants_on_mixed_frame_sequences(scenario, start, length, in
     rejected = Counter(
         (i.definition.name, i.instance_key, r.cause.capture_index, r.event, r.from_state)
         for i in instances
-        for r in i.rejected
+        for r in i.records()
+        if r.verdict == "rejected"
     )
     alerted = Counter(
         (a.instance_kind, a.instance_key, a.cause.capture_index, a.offending_event, a.state_at_event)
@@ -811,7 +813,7 @@ def _assert_log_consistent(instance: FsmInstance, reference: EagerLog) -> None:
     tallies = instance.edge_tallies()
     assert reference.transitions == instance.transitions
     assert records == reference.records()
-    assert tallies == reference.edge_tallies()
+    assert [tally.to_json() for tally in tallies] == reference.edge_tallies()
     if instance.transitions <= LOG_WINDOW:
         assert fold_log(instance.definition, records) == instance.current_state
     window = list(reference.window)
@@ -1483,6 +1485,23 @@ def test_each_good_cyclic_frame_fires_with_its_own_cause():
     assert causes[0] != causes[1]
 
 
+@contextlib.contextmanager
+def _records_and_causes_built():
+    """While open, counts the TransitionRecords and FrameRefs built, as "records" and "causes"."""
+    inits = {TransitionRecord.__init__.__code__: "records", FrameRef.__init__.__code__: "causes"}
+    built = Counter()
+
+    def count_inits(frame, event, arg):
+        if event == "call" and frame.f_code in inits:
+            built[inits[frame.f_code]] += 1
+
+    sys.setprofile(count_inits)
+    try:
+        yield built
+    finally:
+        sys.setprofile(None)
+
+
 def test_good_cyclic_frames_build_no_transition_record_until_one_is_read():
     """500 good cyclic frames of a bound CR log entries, not records, and build no cause:
     no TransitionRecord or FrameRef is built until the log is read, and then each record
@@ -1497,21 +1516,11 @@ def test_good_cyclic_frames_build_no_transition_record_until_one_is_read():
     binding = tracker.ar_table.frame_ids[0x8002]
     device = tracker.fleet.devices[binding.responder_mac]
 
-    inits = {TransitionRecord.__init__.__code__: "records", FrameRef.__init__.__code__: "causes"}
-    built = Counter()
-
-    def count_inits(frame, event, arg):
-        if event == "call" and frame.f_code in inits:
-            built[inits[frame.f_code]] += 1
-
-    sys.setprofile(count_inits)
-    try:
+    with _records_and_causes_built() as built:
         for raw in frames[first_cyclic:]:
             tracker.process_frame(raw)
         assert built == {}
         records = device.records()
-    finally:
-        sys.setprofile(None)
     assert built == {"records": LOG_WINDOW, "causes": LOG_WINDOW}
     assert {(r.event, r.verdict) for r in records} == {("cyclic_data_good", "accepted")}
     last_summary = tracker.ar_table.frame_ids[0x8001].summary  # the last frame is an input one
@@ -1525,7 +1534,29 @@ def test_good_cyclic_frames_build_no_transition_record_until_one_is_read():
     assert [i.instance_key for i in instances[0]] == [i.instance_key for i in instances[1]]
     for instance, twin in zip(*instances):
         assert instance.records() == logs[twin].records()
-        assert instance.edge_tallies() == logs[twin].edge_tallies()
+        assert [tally.to_json() for tally in instance.edge_tallies()] == logs[twin].edge_tallies()
+
+
+def test_rejections_with_a_shared_cause_build_no_transition_record_until_one_is_read():
+    """Reject-only events fired with a shared cause log entries, as accepted fires do: no
+    TransitionRecord or FrameRef is built until the log is read, and then each rejection's
+    record shows its firing frame's index, as the eagerly kept reference log holds it."""
+    cause = SharedCause("pn-dcp", "set name of station")
+    indexes = range(1000, 1000 + 2 * LOG_WINDOW)
+    device = FsmInstance(device_fsm_table(), "02:00:00:00:02:00")
+    with _records_and_causes_built() as built:
+        for index in indexes:
+            device.fire("name_set_requested", cause, (index, 0), index)
+        assert built == {}
+        records = device.records()
+    assert built == {"records": len(indexes), "causes": len(indexes)}
+    assert [(r.verdict, r.cause.capture_index) for r in records] == [("rejected", index) for index in indexes]
+
+    with eager_logs() as logs:
+        twin = FsmInstance(device_fsm_table(), "02:00:00:00:02:00")
+        for index in indexes:
+            twin.fire("name_set_requested", cause, (index, 0), index)
+    assert records == logs[twin].records()
 
 
 def test_a_good_cyclic_frame_before_ccontrol_is_rejected_with_its_own_cause():
@@ -1547,7 +1578,8 @@ def test_a_good_cyclic_frame_before_ccontrol_is_rejected_with_its_own_cause():
     ]
     device = tracker.fleet.devices[binding.responder_mac]
     connection = tracker.fleet.connections[binding.key]
-    assert [r.cause for r in (*device.rejected, *connection.rejected)] == [cause, cause]
+    rejected = [r for r in (*device.records(), *connection.records()) if r.verdict == "rejected"]
+    assert [r.cause for r in rejected] == [cause, cause]
     assert sink.getvalue().splitlines() == [json.dumps(a.to_json(), sort_keys=True) for a in report.alerts]
 
 
