@@ -256,8 +256,10 @@ def dissect(raw: RawFrame) -> ParsedFrame:
 
     Unknown traffic becomes a bare ParsedFrame; structurally broken claims of a
     known protocol raise MalformedFrame. Each parser gets the frame's
-    (dst_mac, src_mac, capture_index), the fields its record starts with. The
-    LLDP and DCP parsers read the frame in place from their payload's offset.
+    (dst_mac, src_mac, capture_index), the fields its record starts with; the
+    LLDP parser gets the source MAC alone and returns the fields after them,
+    which a PDU seen before reads from a table. The LLDP and DCP parsers
+    read the frame in place from their payload's offset.
     """
     frame = raw.frame_bytes
     size = len(frame)
@@ -292,7 +294,17 @@ def dissect(raw: RawFrame) -> ParsedFrame:
         if DCP_FRAME_ID_MIN <= frame_id <= DCP_FRAME_ID_MAX:
             return _parse_dcp(frame, start, (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_LLDP:
-        return _parse_lldp(frame, start, (dst, src, raw.capture_index))
+        # A station repeats its PDU byte for byte on each refresh, so the TLVs are walked twice
+        # at most: once when the PDU is first seen, and once to keep its facts.
+        key = frame[6:]
+        facts = _LLDP_FACTS.get(key)
+        if not facts:  # unseen (None), or seen once (())
+            seen = facts is not None
+            facts = _parse_lldp(frame, start, src)
+            if len(_LLDP_FACTS) >= LLDP_FACTS_BOUND:
+                _LLDP_FACTS.clear()
+            _LLDP_FACTS[key] = facts if seen else ()
+        return LldpFrame(dst, src, raw.capture_index, *facts)
     elif ethertype == ETHERTYPE_ARP:
         return _parse_arp(frame[start:], (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_IPV4:
@@ -304,9 +316,24 @@ def dissect(raw: RawFrame) -> ParsedFrame:
 
 NAME_OF_STATION_ALLOWED = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-.")
 
+# An LldpFrame's fields after its Ethernet addresses and capture index.
+_LldpFacts = tuple[str, str | None, str | None, str | None, tuple[str, ...]]
 
-def _parse_lldp(frame: bytes, start: int, eth: tuple[str, str, int]) -> LldpFrame:
-    """The LLDP frame whose TLVs start at `start`, read in place; refusal offsets count from `start`."""
+# The facts of each LLDP PDU that parsed, keyed by its bytes from the source MAC on: the
+# subject and port fall back to the source MAC, and a VLAN tag moves the TLVs. The facts
+# are a function of the key alone, so every caller may share them. A refused PDU is never
+# stored. A PDU seen once holds an empty tuple, and its facts from its second sighting: a
+# kept tuple is walked by the next young-generation collection, and a flood of distinct
+# PDUs, each sent once, would add one to every collection. The table is cleared when
+# full, so such a flood costs one insert each. 256 PDUs are every port of 128 two-port
+# stations, at about 130 bytes each beyond the strings the records share.
+_LLDP_FACTS: dict[bytes, _LldpFacts | tuple[()]] = {}
+LLDP_FACTS_BOUND = 256
+
+
+def _parse_lldp(frame: bytes, start: int, src_mac: str) -> _LldpFacts:
+    """The facts of the LLDP frame sent from `src_mac` whose TLVs start at `start`, read in
+    place; refusal offsets count from `start`."""
     end = len(frame)
     pos = start
     # The first three TLVs' types, in the order walked, and each one's value span.
@@ -362,7 +389,6 @@ def _parse_lldp(frame: bytes, start: int, eth: tuple[str, str, int]) -> LldpFram
     if ttl_end - ttl_at != 2:
         raise MalformedFrame("lldp", ttl_at - start, "ttl must be 2 bytes")
 
-    src_mac = eth[1]
     port_mac = _lldp_mac(frame, port_at, port_end, LLDP_PORT_SUBTYPE_MAC)
     if chassis_mac is not None:
         # Such a station's locally assigned chassis id is its NameOfStation, and it
@@ -371,13 +397,12 @@ def _parse_lldp(frame: bytes, start: int, eth: tuple[str, str, int]) -> LldpFram
             station_name = frame[chassis_at + 1 : chassis_end].decode("utf-8", errors="replace")
         if port_mac is None:
             port_mac = src_mac
-    return LldpFrame(
-        *eth,
-        subject_mac=chassis_mac or _lldp_mac(frame, chassis_at, chassis_end, LLDP_SUBTYPE_MAC) or src_mac,
-        port_mac=port_mac,
-        station_name=station_name,
-        management_address=mgmt_ip,
-        violations=("ttl-zero",) if _U16(frame, ttl_at)[0] == 0 else (),
+    return (
+        chassis_mac or _lldp_mac(frame, chassis_at, chassis_end, LLDP_SUBTYPE_MAC) or src_mac,
+        port_mac,
+        station_name,
+        mgmt_ip,
+        ("ttl-zero",) if _U16(frame, ttl_at)[0] == 0 else (),
     )
 
 

@@ -120,12 +120,13 @@ class AssetInventory:
         record: AssetRecord,
         fieldname: str,
         value: object,
-        cause: FrameRef,
+        parsed: ParsedFrame,
         changes: list[InventoryChange],
     ) -> None:
         old = getattr(record, fieldname)
         if value is None or value == old:
             return
+        cause = _cause(parsed, changes)
         conflict = old != _UNSET[fieldname]
         setattr(record, fieldname, value)
         if fieldname == "name_of_station":
@@ -157,14 +158,14 @@ class AssetInventory:
             return self._update_from_dcp(parsed, ts)
 
         changes: list[InventoryChange] = []
-        cause = FrameRef(parsed.capture_index, protocol, "inventory update")
         if protocol == "lldp":
             mac = parsed.subject_mac
             record = self._record(mac, ts)
-            self._set(record, "name_of_station", parsed.station_name, cause, changes)
-            self._set(record, "ip_address", parsed.management_address, cause, changes)
+            self._set(record, "name_of_station", parsed.station_name, parsed, changes)
+            self._set(record, "ip_address", parsed.management_address, parsed, changes)
             port = parsed.port_mac
             if port is not None and port not in record.port_macs:
+                cause = _cause(parsed, changes)
                 record.port_macs.add(port)
                 record.provenance.setdefault(
                     "port_macs", Provenance(cause.protocol, cause.capture_index)
@@ -173,13 +174,13 @@ class AssetInventory:
         elif protocol == "arp":
             record = self._record(parsed.sender_mac, ts)
             if parsed.sender_ip != "0.0.0.0":
-                self._set(record, "ip_address", parsed.sender_ip, cause, changes)
+                self._set(record, "ip_address", parsed.sender_ip, parsed, changes)
         else:  # pn-cm
             record = self._record(src, ts)
             if parsed.operation == "Connect" and parsed.direction == "request":
                 target = self._record(parsed.dst_mac, ts)
-                self._set(record, "role", "controller", cause, changes)
-                self._set(target, "role", "device", cause, changes)
+                self._set(record, "role", "controller", parsed, changes)
+                self._set(target, "role", "device", parsed, changes)
         return changes
 
     def _update_from_dcp(self, frame: DcpFrame, ts: Timestamp) -> Sequence[InventoryChange]:
@@ -194,21 +195,28 @@ class AssetInventory:
         else:
             return ()
         changes: list[InventoryChange] = []
-        cause = FrameRef(frame.capture_index, frame.protocol, "inventory update")
         for kind, value in frame.facts:
             if kind == "name":
-                self._set(target, "name_of_station", value, cause, changes)
+                self._set(target, "name_of_station", value, frame, changes)
             elif kind == "ip":
                 ip, subnet, gateway = value
                 if ip != "0.0.0.0":
-                    self._set(target, "ip_address", ip, cause, changes)
-                    self._set(target, "subnet", subnet, cause, changes)
-                    self._set(target, "gateway", gateway, cause, changes)
+                    self._set(target, "ip_address", ip, frame, changes)
+                    self._set(target, "subnet", subnet, frame, changes)
+                    self._set(target, "gateway", gateway, frame, changes)
             elif kind == "device_id":
                 vendor, device = value
-                self._set(target, "vendor_id", vendor, cause, changes)
-                self._set(target, "device_id", device, cause, changes)
+                self._set(target, "vendor_id", vendor, frame, changes)
+                self._set(target, "device_id", device, frame, changes)
         if service == "Set":
-            self._set(record, "role", "controller", cause, changes)
-            self._set(target, "role", "device", cause, changes)
+            self._set(record, "role", "controller", frame, changes)
+            self._set(target, "role", "device", frame, changes)
         return changes
+
+
+def _cause(parsed: ParsedFrame, changes: list[InventoryChange]) -> FrameRef:
+    """The cause of `parsed`'s changes: built at its first change and shared by the rest, so a
+    frame that changes nothing builds none."""
+    if changes:
+        return changes[0].cause
+    return FrameRef(parsed.capture_index, parsed.protocol, "inventory update")

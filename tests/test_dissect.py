@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 import uuid
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poet.capture import RawFrame
 from poet.dissect import (
+    LLDP_FACTS_BOUND,
+    _LLDP_FACTS,
     ArpPacket,
     CmFrame,
     DcpFrame,
@@ -22,6 +25,7 @@ from poet.dissect import (
     mac_to_str,
     name_of_station_violations,
     str_to_mac,
+    _parse_lldp,
 )
 from poet import synth
 from poet.synth import (
@@ -698,6 +702,117 @@ def test_refusal(frame, protocol, offset, reason):
     with pytest.raises(MalformedFrame) as exc:
         dissect(raw(frame))
     assert (exc.value.protocol, exc.value.offset, exc.value.reason) == (protocol, offset, reason)
+
+
+# --- The LLDP facts table ---------------------------------------------------------
+
+_MACS = st.binary(min_size=6, max_size=6)
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789-.", min_size=1, max_size=20)
+# Chassis and port id values of the MAC and locally assigned subtypes, and any bytes, some too short.
+_CHASSIS_IDS = st.one_of(
+    _MACS.map(lambda mac: b"\x04" + mac),
+    _NAMES.map(lambda name: b"\x07" + name.encode()),
+    st.binary(max_size=9),
+)
+_PORT_IDS = st.one_of(
+    _MACS.map(lambda mac: b"\x03" + mac),
+    _NAMES.map(lambda name: b"\x07port-001." + name.encode()),
+    st.binary(max_size=9),
+)
+_TTLS = st.sampled_from((b"\x00\x00", b"\x00\x14")) | st.binary(max_size=3)
+_OPTIONAL_TLVS = st.one_of(
+    _NAMES.map(lambda name: synth._lldp_tlv(5, name.encode())),
+    # A Management Address TLV of an IPv4 address and its interface number.
+    st.binary(min_size=4, max_size=4).map(lambda ip: synth._lldp_tlv(8, b"\x05\x01" + ip + b"\x02" + bytes(5))),
+    _MACS.map(lambda mac: synth._lldp_tlv(127, PNO_CHASSIS_MAC + mac)),
+    st.builds(synth._lldp_tlv, st.integers(1, 127), st.binary(max_size=12)),
+)
+_ENCODED_LLDP = st.builds(
+    encode_lldp,
+    _MACS,
+    _MACS,
+    st.sampled_from((0, 20)),
+    st.none() | _NAMES,
+    st.lists(_NAMES, max_size=2).map(tuple),
+    st.none() | st.just("192.168.0.11"),
+    st.none() | _NAMES,
+    st.none() | _NAMES,
+)
+
+
+@st.composite
+def _raw_lldp(draw) -> bytes:
+    """An LLDP frame of raw TLVs: the three mandatory ones, in order or not, optional ones and
+    an End TLV or none; then perhaps a TLV that overruns the frame, or a cut."""
+    tlvs = [synth._lldp_tlv(t, draw(values)) for t, values in ((1, _CHASSIS_IDS), (2, _PORT_IDS), (3, _TTLS))]
+    if draw(st.booleans()):
+        tlvs = draw(st.permutations(tlvs))
+    tlvs += draw(st.lists(_OPTIONAL_TLVS, max_size=4))
+    if draw(st.booleans()):
+        tlvs.append(synth._lldp_tlv(0, b""))
+    if draw(st.booleans()):
+        value = draw(st.binary(max_size=8))
+        tlvs.append(struct.pack(">H", 5 << 9 | len(value) + draw(st.integers(1, 9))) + value)
+    frame = ethernet(synth.LLDP_MULTICAST, PORT, 0x88CC, b"".join(tlvs), pad_to=0)
+    return frame[: draw(st.integers(14, len(frame)))] if draw(st.booleans()) else frame
+
+
+def _lldp_outcome(data: bytes, index: int, fresh: bool) -> object:
+    """The record of dissecting `data`, or a fresh parse of it that bypasses the table;
+    or the (protocol, offset, reason) of its refusal."""
+    try:
+        if not fresh:
+            return dissect(raw(data, index))
+        src = data[6:12].hex(":")
+        start = 18 if data[12:14] == b"\x81\x00" else 14
+        return LldpFrame(data[:6].hex(":"), src, index, *_parse_lldp(data, start, src))
+    except MalformedFrame as exc:
+        return (exc.protocol, exc.offset, exc.reason)
+
+
+@settings(max_examples=300)
+@given(_ENCODED_LLDP | _raw_lldp(), st.lists(_MACS, min_size=2, max_size=2, unique=True))
+# A station named by its chassis id sends from its port's MAC, which is then its port MAC.
+@example(encode_lldp(DEV, PORT, 20, None, chassis_name="lift-motor", port_name="lift-motor"), [PORT, CTRL])
+# A chassis id of the MAC subtype one byte short: the subject is the source MAC.
+@example(_lldp(synth._lldp_tlv(1, b"\x04" + DEV[:5]), PORT_ID, TTL), [PORT, CTRL])
+def test_a_repeated_lldp_pdu_reads_as_its_fresh_parse(frame, sources):
+    """An LLDP frame sent from two sources, and 802.1Q-tagged, each dissected three times:
+    every record equals a fresh parse with the frame's own addresses and index, every
+    refusal is the fresh parse's, a refused frame is never stored, and a record's facts are
+    kept from its second sighting, so the third reads them from the table."""
+    _LLDP_FACTS.clear()
+    tagged = frame[:12] + b"\x81\x00\x20\x05" + frame[12:]
+    index = 0
+    for data in (*(frame[:6] + source + frame[12:] for source in sources), tagged):
+        for sighting in range(3):
+            fresh = _lldp_outcome(data, index, fresh=True)
+            assert _lldp_outcome(data, index, fresh=False) == fresh
+            if not isinstance(fresh, LldpFrame):
+                assert data[6:] not in _LLDP_FACTS
+            elif sighting:
+                assert LldpFrame(fresh.dst_mac, fresh.src_mac, index, *_LLDP_FACTS[data[6:]]) == fresh
+            index += 1
+
+
+def _distinct_lldp_peak(count: int) -> int:
+    """tracemalloc's peak while dissecting `count` LLDP PDUs of distinct stations."""
+    template = encode_lldp(DEV, PORT, 20, "st-000000")
+    _LLDP_FACTS.clear()
+    tracemalloc.start()
+    try:
+        for index in range(count):
+            dissect(raw(template.replace(b"st-000000", b"st-%06d" % index), index))
+            assert len(_LLDP_FACTS) <= LLDP_FACTS_BOUND
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_lldp_table_holds_at_most_its_bound():
+    peaks = [_distinct_lldp_peak(count) for count in (10_000, 40_000)]
+    # A table that kept every PDU would peak 30,000 entries (several MB) higher.
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks
 
 
 # --- Totality ---------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 from dataclasses import replace
@@ -264,6 +265,32 @@ def _dissect_lines(frames: list[bytes]) -> list[str]:
 
 def test_golden_dissect_outcomes():
     assert _sha256("\n".join(_dissect_lines(_dissect_corpus()))) == GOLDEN_DISSECT
+
+
+def test_golden_dissect_outcomes_hold_when_lldp_records_come_from_the_table(monkeypatch):
+    """The corpus dissected three times in one process gives its golden outcomes each time,
+    at the LLDP table's own bound and at one above the corpus's size. A PDU's facts are kept
+    from its second sighting, so at the latter the third pass reads every LLDP record from
+    the table: it parses only the LLDP frames it refuses."""
+    dissect_module = importlib.import_module("poet.dissect")
+    parse_lldp = dissect_module._parse_lldp
+    frames = _dissect_corpus()
+    for bound in (dissect_module.LLDP_FACTS_BOUND, len(frames)):
+        monkeypatch.setattr(dissect_module, "LLDP_FACTS_BOUND", bound)
+        dissect_module._LLDP_FACTS.clear()
+        for _ in range(2):
+            assert _sha256("\n".join(_dissect_lines(frames))) == GOLDEN_DISSECT
+        parsed = []
+
+        def counted(*args):
+            parsed.append(args)
+            return parse_lldp(*args)
+
+        monkeypatch.setattr(dissect_module, "_parse_lldp", counted)
+        lines = _dissect_lines(frames)
+        monkeypatch.setattr(dissect_module, "_parse_lldp", parse_lldp)
+        assert _sha256("\n".join(lines)) == GOLDEN_DISSECT
+    assert len(parsed) == sum(line.startswith("('lldp',") for line in lines) > 0
 
 
 def test_golden_vlan_tagged_dissect_outcomes():

@@ -7,8 +7,10 @@ import timeit
 
 import pytest
 
+from poet import inventory
 from poet.capture import RawFrame, open_capture
 from poet.dissect import dissect, str_to_mac
+from poet.fsm import FrameRef
 from poet.inventory import AssetInventory
 from poet.synth import (
     dcp_identify_response,
@@ -130,12 +132,25 @@ def test_export_one_record_with_full_provenance():
         assert asset["provenance"][fieldname]["capture_index"] == 3
 
 
-def test_monotone_knowledge_same_value_is_silent():
+def test_monotone_knowledge_same_value_is_silent(monkeypatch):
+    """A frame's changes share one cause, and a repeat that changes nothing builds none."""
+    built = []
+
+    def counted(*args):
+        built.append(FrameRef(*args))
+        return built[-1]
+
+    monkeypatch.setattr(inventory, "FrameRef", counted)
     inv = AssetInventory()
-    frame = encode_lldp(DEV, PORT1, 20, "lift-motor")
-    inv.update_from_frame(parse(frame, 0), TS)
-    changes = inv.update_from_frame(parse(frame, 1), (200, 0))
-    assert changes == []  # same values: no delta, no conflict
+    frame = encode_lldp(DEV, PORT1, 20, "lift-motor", management_ip="192.168.0.11")
+    arp = encode_arp(DEV, b"\xff" * 6, 1, DEV, "192.168.0.11", b"\x00" * 6, "192.168.0.1")
+    first = inv.update_from_frame(parse(frame, 0), TS)
+    assert [change.fieldname for change in first] == ["name_of_station", "ip_address", "port_macs"]
+    assert built == [FrameRef(0, "lldp", "inventory update")]
+    assert all(change.cause is built[0] for change in first)
+    assert inv.update_from_frame(parse(frame, 1), (200, 0)) == []  # same values: no delta, no conflict
+    assert inv.update_from_frame(parse(arp, 2), (200, 0)) == []
+    assert len(built) == 1
     record = inv.get("02:00:00:00:02:00")
     assert record.provenance["name_of_station"].capture_index == 0  # first evidence stands
     assert record.last_seen == (200, 0)
