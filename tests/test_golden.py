@@ -33,6 +33,7 @@ from poet.synth import (
     encode_lldp,
     normal_startup_spec,
     rename_attack_spec,
+    rogue_connect_spec,
     synthesize,
 )
 from poet.tracker import Tracker, TrackerConfig
@@ -139,6 +140,10 @@ GOLDEN_DISSECT = "67df8025c994690f131df2e898b9b3d1c771918e9c768575a5c8e92a43d41c
 # The same over test_golden_vlan_tagged_dissect_outcomes' 802.1Q-tagged frames, whose
 # payload and refusal offsets start 4 bytes later.
 GOLDEN_DISSECT_VLAN = "dce34d4979204ceb49a7df18f49f6c9cb87f61131447753cb99a4c54271bf2c3"
+
+# The same over test_golden_cm_dissect_outcomes' ARP and IPv4 frames: every PN-CM, UDP,
+# IPv4 and ARP refusal offset, at every cut, untagged and tagged.
+GOLDEN_DISSECT_CM = "42edb5bc6e015a16a66a43220bdc3c961216523341b2bb3bd560dc02efe2e7e3"
 
 # FSM kind -> (sha256 of its compiled table as json.dumps with sorted keys, sha256 of its
 # sorted alphabet as json.dumps). It holds what every machine accepts and rejects, whatever
@@ -302,3 +307,25 @@ def test_golden_vlan_tagged_dissect_outcomes():
         tagged = data[:12] + b"\x81\x00\x20\x05" + data[12:]  # priority 1, VLAN 5
         frames += (tagged[:cut] for cut in range(14, len(tagged) + 1))
     assert _sha256("\n".join(_dissect_lines(frames))) == GOLDEN_DISSECT_VLAN
+
+
+def test_golden_cm_dissect_outcomes():
+    """Every ARP and IPv4 frame of a two-device startup with acyclic exchange and of the rogue
+    connect, cut at every length from 14 bytes up, with each byte after the Ethernet header
+    set to 0x00, 0x01 and 0xff in turn, and as an 802.1Q-tagged copy cut at every length."""
+    seeds = [
+        plan.data
+        for spec in (normal_startup_spec(2, cyclic_rounds=1, acyclic_exchange=True), rogue_connect_spec())
+        for plan in synthesize(spec).frames
+        if plan.data[12:14] in (b"\x08\x00", b"\x08\x06")  # IPv4, ARP
+    ]
+    frames = []
+    for data in seeds:
+        frames += (data[:cut] for cut in range(14, len(data) + 1))
+        frames += (
+            data[:at] + bytes([value]) + data[at + 1 :] for at in range(14, len(data)) for value in (0, 1, 0xFF)
+        )
+        tagged = data[:12] + b"\x81\x00\x20\x05" + data[12:]  # priority 1, VLAN 5
+        frames += (tagged[:cut] for cut in range(14, len(tagged) + 1))
+    assert (len(seeds), len(frames)) == (49, 38979)
+    assert _sha256("\n".join(_dissect_lines(frames))) == GOLDEN_DISSECT_CM
