@@ -10,8 +10,10 @@ anything else for inputs of at least 14 bytes.
 
 All PROFINET application fields are big-endian. The DCE/RPC connectionless
 header honours its drep byte. Only the facts poet reads are decoded, each one
-once. Every MAC address is decoded here to the lowercase "aa:bb:cc:dd:ee:ff"
-text that the rest of poet keys on.
+once. Every parser reads the frame in place, at absolute positions, from its
+payload's offset after the Ethernet header and any 802.1Q tag; a refusal's
+offset counts from there. Every MAC address is decoded here to the lowercase
+"aa:bb:cc:dd:ee:ff" text that the rest of poet keys on.
 """
 
 from __future__ import annotations
@@ -245,21 +247,15 @@ _ETHERNET_HEADER = struct.Struct(">6s6sHH").unpack_from
 _ETHERNET_HEADER_ONLY = struct.Struct(">6s6sH").unpack_from
 
 
-def _need(data: bytes, offset: int, count: int, protocol: str, what: str) -> bytes:
-    if offset + count > len(data):
-        raise MalformedFrame(protocol, offset, f"truncated {what}")
-    return data[offset : offset + count]
-
-
 def dissect(raw: RawFrame) -> ParsedFrame:
     """Dissect one raw frame into one record of its protocol's ParsedFrame subclass.
 
     Unknown traffic becomes a bare ParsedFrame; structurally broken claims of a
-    known protocol raise MalformedFrame. Each parser gets the frame's
-    (dst_mac, src_mac, capture_index), the fields its record starts with; the
-    LLDP parser gets the source MAC alone and returns the fields after them,
-    which a PDU seen before reads from a table. The LLDP and DCP parsers
-    read the frame in place from their payload's offset.
+    known protocol raise MalformedFrame. Every parser reads the frame in place
+    from its payload's offset `start`, and counts its refusal offsets from there.
+    Each gets the frame's (dst_mac, src_mac, capture_index), the fields its record
+    starts with; the LLDP parser gets the source MAC alone and returns the fields
+    after them, which a PDU seen before reads from a table.
     """
     frame = raw.frame_bytes
     size = len(frame)
@@ -306,9 +302,9 @@ def dissect(raw: RawFrame) -> ParsedFrame:
             _LLDP_FACTS[key] = facts if seen else ()
         return LldpFrame(dst, src, raw.capture_index, *facts)
     elif ethertype == ETHERTYPE_ARP:
-        return _parse_arp(frame[start:], (dst, src, raw.capture_index))
+        return _parse_arp(frame, start, (dst, src, raw.capture_index))
     elif ethertype == ETHERTYPE_IPV4:
-        return _parse_ipv4(frame[start:], (dst, src, raw.capture_index))
+        return _parse_ipv4(frame, start, (dst, src, raw.capture_index))
     return ParsedFrame(dst, src, raw.capture_index)
 
 
@@ -419,20 +415,20 @@ def _lldp_mac(frame: bytes, at: int, end: int, mac_subtype: int) -> str | None:
 
 # --- ARP -------------------------------------------------------------------
 
+# htype(2) ptype(2) hlen(1) plen(1) oper(2) sender_mac(6) sender_ip(4) target_mac(6) target_ip(4)
+_ARP = struct.Struct(">HHBBH6s4s6x4s").unpack_from
 
-def _parse_arp(data: bytes, eth: tuple[str, str, int]) -> ParsedFrame:
-    raw = _need(data, 0, 28, "arp", "ARP payload")
-    htype, ptype, hlen, plen, oper = struct.unpack(">HHBBH", raw[0:8])
+
+def _parse_arp(frame: bytes, start: int, eth: tuple[str, str, int]) -> ParsedFrame:
+    """The ARP packet that starts at `start`, read in place."""
+    if len(frame) - start < 28:
+        raise MalformedFrame("arp", 0, "truncated ARP payload")
+    htype, ptype, hlen, plen, oper, sender_mac, sender_ip, target_ip = _ARP(frame, start)
     if htype != 1 or ptype != ETHERTYPE_IPV4 or hlen != 6 or plen != 4:
         return ParsedFrame(*eth)
     if oper not in (1, 2):
         raise MalformedFrame("arp", 6, f"bad ARP operation {oper}")
-    return ArpPacket(
-        *eth,
-        sender_mac=mac_to_str(raw[8:14]),
-        sender_ip=ip_to_str(raw[14:18]),
-        target_ip=ip_to_str(raw[24:28]),
-    )
+    return ArpPacket(*eth, sender_mac.hex(":"), ip_to_str(sender_ip), ip_to_str(target_ip))
 
 
 # --- PN-DCP (0x8892, DCP frame ids) ----------------------------------------
@@ -554,90 +550,76 @@ def _parse_dcp(frame: bytes, start: int, eth: tuple[str, str, int]) -> DcpFrame:
 
 # --- IPv4 / UDP / DCE-RPC / PN-CM -------------------------------------------
 
+# version_ihl(1) tos(1) total_length(2) id(2) flags_fragment(2) ttl(1) protocol(1)
+_IPV4 = struct.Struct(">BxH2xHxB").unpack_from
+_U16X3 = struct.Struct(">HHH").unpack_from  # a UDP header's ports and length
 
-def _parse_ipv4(data: bytes, eth: tuple[str, str, int]) -> ParsedFrame:
-    head = data[:20]
-    if len(head) < 20:
+
+def _parse_ipv4(frame: bytes, start: int, eth: tuple[str, str, int]) -> ParsedFrame:
+    """The IPv4 packet that starts at `start`, read in place, with the UDP datagram it carries."""
+    if len(frame) - start < 20:
         raise MalformedFrame("ipv4", 0, "truncated IPv4 header")
-    version = head[0] >> 4
-    ihl = (head[0] & 0x0F) * 4
+    version_ihl, total_length, flags_frag, protocol = _IPV4(frame, start)
+    version = version_ihl >> 4
+    ihl = (version_ihl & 0x0F) * 4
     if version != 4:
         raise MalformedFrame("ipv4", 0, f"claimed IPv4 but version {version}")
     if ihl < 20:
         raise MalformedFrame("ipv4", 0, f"bad header length {ihl}")
-    total_length = struct.unpack(">H", head[2:4])[0]
-    if total_length < ihl or total_length > len(data):
+    if total_length < ihl or total_length > len(frame) - start:
         raise MalformedFrame("ipv4", 2, "total length inconsistent")
-    flags_frag = struct.unpack(">H", head[6:8])[0]
     # A fragment (MF set or fragment offset nonzero), or not UDP.
-    if flags_frag & 0x3FFF or head[9] != 17:
+    if flags_frag & 0x3FFF or protocol != 17:
         return ParsedFrame(*eth)
-    udp = data[ihl:total_length]
-    if len(udp) < 8:
+    if total_length - ihl < 8:
         raise MalformedFrame("udp", ihl, "truncated UDP header")
-    sport, dport, udp_len = struct.unpack(">HHH", udp[0:6])
+    pos = start + ihl  # of the UDP header
+    sport, dport, udp_len = _U16X3(frame, pos)
     if PNIO_CM_UDP_PORT not in (sport, dport):
         return ParsedFrame(*eth)
-    if udp_len < 8 or udp_len > len(udp):
+    if udp_len < 8 or udp_len > total_length - ihl:
         raise MalformedFrame("udp", ihl + 4, "UDP length inconsistent")
-    return _parse_dcerpc(udp[8:udp_len], ihl + 8, eth)
+    return _parse_dcerpc(frame, start, pos + 8, pos + udp_len, eth)
 
 
-def _rpc_uuid(raw: bytes, little_endian: bool) -> uuid.UUID:
-    return uuid.UUID(bytes_le=raw) if little_endian else uuid.UUID(bytes=raw)
+# By the byte order its drep byte names: the fields poet reads of the connectionless header,
+# rpc_vers(1) ptype(1) flags1(1) flags2(1) drep(3) serial_hi(1) object(16) interface(16)
+# activity(16) server_boot(4) interface_version(4) sequence(4) opnum(2) interface_hint(2)
+# activity_hint(2) fragment_length(2) fragment_number(2) auth_proto(1) serial_lo(1); the NDR
+# args length; and the PROFINET IO device and controller interfaces as they are on the wire.
+_RPC_BY_ORDER = {
+    e: (
+        struct.Struct(e + "BBB21x16s28xH4xHH2x").unpack_from,
+        struct.Struct(e + "I").unpack_from,
+        frozenset(u.bytes_le if e == "<" else u.bytes for u in (UUID_IO_DEVICE, UUID_IO_CONTROLLER)),
+    )
+    for e in "<>"
+}
 
 
-def _parse_dcerpc(data: bytes, base: int, eth: tuple[str, str, int]) -> ParsedFrame:
-    head = data[:RPC_HEADER_LEN]
-    if len(head) < RPC_HEADER_LEN:
-        raise MalformedFrame("pn-cm", base, "truncated DCE/RPC header")
-    if head[0] != RPC_VERSION_CL:
+def _parse_dcerpc(frame: bytes, start: int, pos: int, end: int, eth: tuple[str, str, int]) -> ParsedFrame:
+    """The DCE/RPC PDU in frame[pos:end], a UDP datagram's payload, read in place."""
+    if end - pos < RPC_HEADER_LEN:
+        raise MalformedFrame("pn-cm", pos - start, "truncated DCE/RPC header")
+    header, u32, interfaces = _RPC_BY_ORDER["<" if frame[pos + 4] >> 4 == 1 else ">"]
+    version, ptype, flags1, interface, opnum, frag_len, frag_num = header(frame, pos)
+    if version != RPC_VERSION_CL or ptype not in (RPC_PTYPE_REQUEST, RPC_PTYPE_RESPONSE) or interface not in interfaces:
         return ParsedFrame(*eth)
-    ptype = head[1]
-    if ptype not in (RPC_PTYPE_REQUEST, RPC_PTYPE_RESPONSE):
-        return ParsedFrame(*eth)
-    flags1 = head[2]
-    little_endian = (head[4] & 0xF0) == 0x10
-    e = "<" if little_endian else ">"
-    interface_uuid = _rpc_uuid(head[24:40], little_endian)
-    if interface_uuid not in (UUID_IO_DEVICE, UUID_IO_CONTROLLER):
-        return ParsedFrame(*eth)
-    opnum = struct.unpack(e + "H", head[68:70])[0]
-    frag_len = struct.unpack(e + "H", head[74:76])[0]
-    frag_num = struct.unpack(e + "H", head[76:78])[0]
     if frag_num != 0 or ((flags1 & 0x04) and not (flags1 & 0x02)):
-        raise MalformedFrame("pn-cm", base, "fragmented RPC PDU unsupported")
-    body = data[RPC_HEADER_LEN : RPC_HEADER_LEN + frag_len]
-    if len(body) < frag_len:
-        raise MalformedFrame("pn-cm", base + RPC_HEADER_LEN, "fragment length exceeds datagram")
-
+        raise MalformedFrame("pn-cm", pos - start, "fragmented RPC PDU unsupported")
+    pos += RPC_HEADER_LEN  # of the body
+    if frag_len > end - pos:
+        raise MalformedFrame("pn-cm", pos - start, "fragment length exceeds datagram")
     if opnum > RPC_OPNUM_CONTROL:
         return ParsedFrame(*eth)
-    direction = "request" if ptype == RPC_PTYPE_REQUEST else "response"
-
     # NDR args: args_max/status(4) args_len(4) max_count(4) offset(4) actual_count(4)
-    if len(body) < 20:
-        raise MalformedFrame("pn-cm", base + RPC_HEADER_LEN, "truncated NDR args header")
-    args_len = struct.unpack(e + "I", body[4:8])[0]
-    blocks_raw = body[20 : 20 + args_len]
-    if len(blocks_raw) < args_len:
-        raise MalformedFrame("pn-cm", base + RPC_HEADER_LEN + 4, "args length exceeds fragment")
-
-    return _parse_cm_blocks(direction, opnum, blocks_raw, base + RPC_HEADER_LEN + 20, eth)
-
-
-def _iter_blocks(raw: bytes, base: int):
-    pos = 0
-    while pos < len(raw):
-        head = raw[pos : pos + 6]
-        if len(head) < 6:
-            raise MalformedFrame("pn-cm", base + pos, "truncated block header")
-        block_type, block_len = struct.unpack(">HH", head[0:4])
-        content = raw[pos + 6 : pos + 4 + block_len]
-        if block_len < 2 or len(content) < block_len - 2:
-            raise MalformedFrame("pn-cm", base + pos, "block length exceeds args")
-        yield block_type, content, base + pos
-        pos += 4 + block_len
+    if frag_len < 20:
+        raise MalformedFrame("pn-cm", pos - start, "truncated NDR args header")
+    args_len = u32(frame, pos + 4)[0]
+    if args_len > frag_len - 20:
+        raise MalformedFrame("pn-cm", pos + 4 - start, "args length exceeds fragment")
+    direction = "request" if ptype == RPC_PTYPE_REQUEST else "response"
+    return _parse_cm_blocks(frame, start, pos + 20, pos + 20 + args_len, eth, direction, opnum)
 
 
 # Each block that names an AR: block type -> (operation, least content length, refusal).
@@ -664,81 +646,98 @@ _SKIPPED_BLOCKS = frozenset({BLOCK_IOCR_RES, BLOCK_ALARMCR_REQ, BLOCK_ALARMCR_RE
 # The operation of a PDU without blocks (e.g. an empty response), by opnum.
 _OPNUM_OPERATIONS = ("Connect", "Release", "Read", "Write", "DControl")
 
+_AR_UUID = struct.Struct("2x16s").unpack_from
+_U32 = struct.Struct(">I").unpack_from
+# cr_type(2) reference(2) lt(2) data_length(2) frame_id(2), then timing(8)
+_IOCR = struct.Struct(">H4xHH").unpack_from
 
-def _parse_cm_blocks(direction: str, opnum: int, raw: bytes, base: int, eth: tuple[str, str, int]) -> CmFrame:
+
+def _parse_cm_blocks(
+    frame: bytes, start: int, pos: int, end: int, eth: tuple[str, str, int], direction: str, opnum: int
+) -> CmFrame:
+    """The PN-CM PDU whose blocks fill frame[pos:end], read in place; a refusal points at a block."""
+    first = pos
     ar_uuid: uuid.UUID | None = None
     iocrs: list[IocrBlock] = []
     submodules: list[tuple[str, int, int, int]] = []
     operation: str | None = None
 
-    for block_type, content, at in _iter_blocks(raw, base):
+    while pos < end:
+        if end - pos < 6:
+            raise MalformedFrame("pn-cm", pos - start, "truncated block header")
+        block_type, block_len = _U16X2(frame, pos)
+        at = pos + 6  # of the content, after the type, the length and the version
+        stop = pos + 4 + block_len
+        if block_len < 2 or stop > end:
+            raise MalformedFrame("pn-cm", pos - start, "block length exceeds args")
+        size = stop - at
         ar_block = _AR_BLOCKS.get(block_type)
         if ar_block is not None:
             operation, least, too_short = ar_block
-            if len(content) < least:
-                raise MalformedFrame("pn-cm", at, too_short)
-            if len(content) >= 18:
-                ar_uuid = uuid.UUID(bytes=content[2:18])
+            if size < least:
+                raise MalformedFrame("pn-cm", pos - start, too_short)
+            if size >= 18:
+                ar_uuid = uuid.UUID(bytes=_AR_UUID(frame, at)[0])
             if block_type == BLOCK_AR_REQ:
-                if len(content) < 52:
-                    raise MalformedFrame("pn-cm", at, "AR request block too short")
-                name_len = struct.unpack(">H", content[50:52])[0]
-                if len(content) < 52 + name_len:
-                    raise MalformedFrame("pn-cm", at, "station name exceeds AR block")
+                if size < 52:
+                    raise MalformedFrame("pn-cm", pos - start, "AR request block too short")
+                if size < 52 + _U16(frame, at + 50)[0]:  # name_len
+                    raise MalformedFrame("pn-cm", pos - start, "station name exceeds AR block")
             elif operation in ("Write", "Read"):
-                data_len = struct.unpack(">I", content[28:32])[0]
-                if len(content) < 32 + data_len:
-                    raise MalformedFrame("pn-cm", at, "record data exceeds block")
+                if size < 32 + _U32(frame, at + 28)[0]:  # data_len
+                    raise MalformedFrame("pn-cm", pos - start, "record data exceeds block")
         elif block_type == BLOCK_IOCR_REQ:
-            # cr_type(2) reference(2) lt(2) data_length(2) frame_id(2) then timing(8)
-            if len(content) < 18:
-                raise MalformedFrame("pn-cm", at, "IOCR block too short")
-            cr_type, data_length, frame_id = struct.unpack(">H4xHH", content[0:10])
+            if size < 18:
+                raise MalformedFrame("pn-cm", pos - start, "IOCR block too short")
+            cr_type, data_length, frame_id = _IOCR(frame, at)
             if cr_type not in (CR_INPUT, CR_OUTPUT):
-                raise MalformedFrame("pn-cm", at, f"bad IOCR type {cr_type}")
+                raise MalformedFrame("pn-cm", pos - start, f"bad IOCR type {cr_type}")
             iocrs.append(IocrBlock("input" if cr_type == CR_INPUT else "output", frame_id, data_length))
         elif block_type in _SKIPPED_BLOCKS:
             operation = operation or "Connect"
         elif block_type == BLOCK_EXPECTED_SUBMODULES:
-            submodules.extend(_parse_expected_submodules(content, at))
+            submodules += _parse_expected_submodules(frame, start, pos, stop)
         else:
-            raise MalformedFrame("pn-cm", at, f"unknown block type 0x{block_type:04x}")
+            raise MalformedFrame("pn-cm", pos - start, f"unknown block type 0x{block_type:04x}")
+        pos = stop
 
     operation = operation or _OPNUM_OPERATIONS[opnum]
     if operation == "Connect" and direction == "request":
         if ar_uuid is None:
-            raise MalformedFrame("pn-cm", base, "Connect request without AR block")
+            raise MalformedFrame("pn-cm", first - start, "Connect request without AR block")
         if iocrs and not submodules:
-            raise MalformedFrame("pn-cm", base, "IO CRs declared without expected submodules")
+            raise MalformedFrame("pn-cm", first - start, "IO CRs declared without expected submodules")
 
     return CmFrame(*eth, direction, operation, ar_uuid, tuple(iocrs), tuple(submodules))
 
 
-def _parse_expected_submodules(content: bytes, at: int) -> list[tuple[str, int, int, int]]:
-    """The block's submodules; `at` is its header's offset, and an entry's refusal points at the entry."""
+# subslot(2) submodule_id(4) then the data description: direction(1) data_length(2)
+# iops_length(1) iocs_length(1)
+_SUBMODULE = struct.Struct(">6xBHBB").unpack_from
+
+
+def _parse_expected_submodules(frame: bytes, start: int, pos: int, end: int) -> list[tuple[str, int, int, int]]:
+    """The submodules of the block whose header is at `pos` and which ends at `end`. A refusal
+    of the block points at its header, of an entry at the entry."""
+    if end - pos < 8:
+        raise MalformedFrame("pn-cm", pos - start, "expected submodule block too short")
+    num_slots = _U16(frame, pos + 6)[0]
+    pos += 8  # of the first slot entry
     out: list[tuple[str, int, int, int]] = []
-    if len(content) < 2:
-        raise MalformedFrame("pn-cm", at, "expected submodule block too short")
-    base = at + 6  # the content's offset: it follows the 6-byte block header
-    num_slots = struct.unpack(">H", content[0:2])[0]
-    pos = 2
     for _ in range(num_slots):
-        head = content[pos : pos + 8]
-        if len(head) < 8:
-            raise MalformedFrame("pn-cm", base + pos, "truncated slot entry")
         # slot(2) module_id(4) then the count of submodules
-        num_sub = struct.unpack(">H", head[6:8])[0]
+        if end - pos < 8:
+            raise MalformedFrame("pn-cm", pos - start, "truncated slot entry")
+        num_sub = _U16(frame, pos + 6)[0]
         pos += 8
         for _ in range(num_sub):
-            # subslot(2) submodule_id(4) then the data description
-            entry = content[pos : pos + 11]
-            if len(entry) < 11:
-                raise MalformedFrame("pn-cm", base + pos, "truncated submodule entry")
-            direction, data_length, iops_len, iocs_len = struct.unpack(">BHBB", entry[6:11])
+            if end - pos < 11:
+                raise MalformedFrame("pn-cm", pos - start, "truncated submodule entry")
+            direction, data_length, iops_len, iocs_len = _SUBMODULE(frame, pos)
             if direction not in (CR_INPUT, CR_OUTPUT):
-                raise MalformedFrame("pn-cm", base + pos, f"bad submodule direction {direction}")
+                raise MalformedFrame("pn-cm", pos - start, f"bad submodule direction {direction}")
             out.append(("input" if direction == CR_INPUT else "output", data_length, iops_len, iocs_len))
             pos += 11
-    if pos != len(content):
-        raise MalformedFrame("pn-cm", base + pos, "trailing bytes in expected submodule block")
+    if pos != end:
+        raise MalformedFrame("pn-cm", pos - start, "trailing bytes in expected submodule block")
     return out

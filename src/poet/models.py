@@ -43,7 +43,6 @@ ACYCLIC_WRITE = "acyclic_write"
 ACYCLIC_READ = "acyclic_read"
 ACYCLIC_DONE = "acyclic_done"
 NAME_SET_REQUESTED = "name_set_requested"
-IP_SET_ON_ESTABLISHED = "ip_set_on_established"
 # connection scope
 INPUT_PROCESS_DATA_SENT = "input_process_data_sent"
 OUTPUT_PROCESS_DATA_SENT = "output_process_data_sent"
@@ -142,7 +141,7 @@ def device_fsm_table() -> FsmDefinition:
         initial_state="Active",
         edges=tuple(edges),
         wildcard_edges=(WildcardEdge(DETECT_NEIGHBOURS, "NeighbourhoodDetection"),),
-        reject_only_events=frozenset({NAME_SET_REQUESTED, IP_SET_ON_ESTABLISHED}),
+        reject_only_events=frozenset({NAME_SET_REQUESTED}),
         state_operations=DEVICE_STATE_OPERATIONS,
     )
 

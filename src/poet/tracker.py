@@ -446,7 +446,7 @@ class Tracker(TrackContext):
             "system_name": self.config.system_name,
             "frames": self._frames,
             "bytes": self._bytes,
-            "span_seconds": span_seconds(self._first_ts, self._last_ts, self._frames),
+            "span_seconds": span_seconds(self._first_ts, self._last_ts),
             "transitions": self.fleet.transition_count(),
             "anomalies": sum(1 for a in self.alerts if a.severity == SEVERITY_ANOMALY),
             "diagnostics": sum(1 for a in self.alerts if a.severity == SEVERITY_DIAGNOSTIC),
@@ -663,9 +663,9 @@ _RECORD_KINDS: dict[type, tuple[Callable[[Any], Any], Callable[[str], Callable[[
 }
 
 
-def span_seconds(first: Timestamp | None, last: Timestamp | None, frames: int) -> float:
-    """Seconds from the first to the last frame; 0.0 with fewer than two frames."""
-    if frames <= 1 or first is None or last is None:
+def span_seconds(first: Timestamp | None, last: Timestamp | None) -> float:
+    """Seconds from the first to the last frame; 0.0 with none, and with one as first == last."""
+    if first is None or last is None:
         return 0.0
     return (last[0] - first[0]) + (last[1] - first[1]) / 1_000_000_000
 

@@ -127,7 +127,7 @@ GOLDEN_SYNTH = {
 
 # FSM kind -> sha256 of `poet fsm-export KIND` on stdout
 GOLDEN_FSM_EXPORT = {
-    "device": "1576efcc996c2b9677ecb00ebb485ffa3554b9b4599156db5a9b69b7b0f5a19f",
+    "device": "7e6a119096a2d9871e0a3e6b2f1abd018c553364f10ec844828c805e1758e809",
     "connection": "b4090eb5969a89d021c42918ec90198582e2c78301abff9e7b3a29adc516681a",
     "system": "68aa9ae0c3b3cac734ef7f6a793bd985bfa4df57b0dad01dcdcf5134ef6f4919",
 }
@@ -151,7 +151,7 @@ GOLDEN_DISSECT_CM = "42edb5bc6e015a16a66a43220bdc3c961216523341b2bb3bd560dc02efe
 GOLDEN_FSM_TABLES = {
     "device": (
         "8102a064aed3567f681d532a31614e201595b5fea53a514a689b59e3688a8187",
-        "4cd304fb2f6ceb5af8b0fcfa67f99000e0abd630728e947bfc7b319fdf8b19d4",
+        "54fe0b29dd246ac9e6c88a17e34774b7ed5e64cd5b452838619a5e96d83b731b",
     ),
     "connection": (
         "7008bf0ffb1a3db655010da4dd74c75fdacd53b8f48e9e245afb15ed1c7d9cd2",

@@ -39,7 +39,6 @@ from poet.models import (
     INPUT_PROCESS_DATA_SENT,
     IP_ASSIGNED,
     IP_ASSIGNMENT_REQUESTED,
-    IP_SET_ON_ESTABLISHED,
     NAME_RESOLUTION_REQUESTED,
     NAME_RESOLVED,
     NAME_SET_REQUESTED,
@@ -141,7 +140,7 @@ def test_device_table_shape():
     assert table.initial_state == "Active"
     assert any(w.event == DETECT_NEIGHBOURS and w.to_state == "NeighbourhoodDetection"
                for w in table.wildcard_edges)
-    assert table.reject_only_events == {NAME_SET_REQUESTED, IP_SET_ON_ESTABLISHED}
+    assert table.reject_only_events == {NAME_SET_REQUESTED}
 
 
 def test_device_normative_edges_present():
@@ -184,9 +183,8 @@ def test_device_fanout_from_neighbourhood_detection():
     fanout = {e.event for e in table.edges if e.from_state == "NeighbourhoodDetection"}
     with_edges = {e.event for e in table.edges}
     assert fanout == with_edges - {DETECT_NEIGHBOURS}
-    # the always-rejected pair never gains an edge
+    # the always-rejected rename never gains an edge
     assert NAME_SET_REQUESTED not in fanout
-    assert IP_SET_ON_ESTABLISHED not in fanout
 
 
 def test_all_states_reachable_from_neighbourhood_detection():
@@ -197,7 +195,7 @@ def test_all_states_reachable_from_neighbourhood_detection():
 
 def test_rejected_events_have_no_edges_anywhere():
     table = device_fsm_table()
-    for event in (NAME_SET_REQUESTED, IP_SET_ON_ESTABLISHED):
+    for event in table.reject_only_events:
         assert not any(e.event == event for e in table.edges)
         assert not any(w.event == event for w in table.wildcard_edges)
         assert event in table.alphabet

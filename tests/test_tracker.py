@@ -127,6 +127,23 @@ def test_rename_attack_detected(tmp_path):
     assert device_states[target_mac] == "DataExchange"
 
 
+def test_ip_set_during_data_exchange_detected():
+    """A DCP Set of the IP parameter to a device in data exchange is rejected as the
+    ip_assignment_requested it derives; no event of its own is needed to catch it."""
+    from poet.synth import dcp_set_ip_request
+
+    result = synthesize(normal_startup_spec(1, cyclic_rounds=3))
+    ctrl, dev = (str_to_mac(node.mac) for node in (result.spec.controller, result.spec.devices[0]))
+    datas = [plan.data for plan in result.frames]
+    datas.append(dcp_set_ip_request(ctrl, dev, 99, "192.168.0.12", "255.255.255.0", "0.0.0.0"))
+    report = Tracker().process([RawFrame(100, i, data, i) for i, data in enumerate(datas)])
+    assert [(a.instance_kind, a.instance_key, a.state_at_event, a.explanation, a.cause.capture_index)
+            for a in report.anomalies] == [
+        ("device", "02:00:00:00:02:00", "DataExchange",
+         "ip_assignment_requested not permitted during Data Exchange operation", len(datas) - 1),
+    ]
+
+
 def test_rename_with_identify_probe(tmp_path):
     """Identify + Set mid-exchange: every probe step violates the device model."""
     from poet.synth import dcp_identify_request, dcp_identify_response, dcp_set_name_request
