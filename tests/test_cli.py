@@ -86,6 +86,21 @@ def test_synth_builtin_writes_pair(tmp_path):
     assert manifest["expected"]["anomalies"]
 
 
+def test_synth_unknown_builtin_exit_one_lists_the_builtins(tmp_path, capsys):
+    """argparse refuses the name: the usage line and the error both list every builtin."""
+    code = main(["synth", "--builtin", "nope", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    usage, _, error = err.partition("poet synth: error: ")
+    assert usage.startswith("usage: poet synth")
+    names = sorted(BUILTIN_SCENARIOS)
+    assert "--builtin {" + ",".join(names) + "}" in " ".join(usage.split())
+    assert error.startswith("argument --builtin: invalid choice:")
+    assert "nope" in error
+    assert all(name in error for name in names)
+    assert list(tmp_path.iterdir()) == []
+
+
 _PLC = {"mac": "02:00:00:00:01:00", "name": "plc-1", "ip": "1.2.3.4"}
 _IO = {"mac": "02:00:00:00:02:00", "name": "io", "ip": "1.2.3.5"}
 
