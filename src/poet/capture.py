@@ -18,8 +18,9 @@ from __future__ import annotations
 import os
 import struct
 import weakref
-from dataclasses import dataclass
 from typing import Iterator, Union
+
+from .record import FrozenRecord, Record
 
 # pcap global header: magic(4) vmaj(2) vmin(2) thiszone(4) sigfigs(4) snaplen(4) network(4)
 PCAP_MAGIC_US_LE = 0xA1B2C3D4
@@ -57,23 +58,25 @@ class CaptureFormatError(Exception):
     """File is not a readable pcap/pcapng container (unknown magic, short header)."""
 
 
-@dataclass(slots=True)
-class RawFrame:
+class RawFrame(Record):
     """One captured Ethernet frame with its record timestamp."""
 
-    ts_sec: int
-    ts_nsec: int
-    frame_bytes: bytes
-    capture_index: int
+    __slots__ = ("ts_sec", "ts_nsec", "frame_bytes", "capture_index")
+
+    def __init__(self, ts_sec: int, ts_nsec: int, frame_bytes: bytes, capture_index: int) -> None:
+        self.ts_sec = ts_sec
+        self.ts_nsec = ts_nsec
+        self.frame_bytes = frame_bytes
+        self.capture_index = capture_index
 
 
-@dataclass(frozen=True)
-class CaptureError:
+class CaptureError(FrozenRecord):
     """Diagnostic for a broken or rejected capture record."""
 
-    byte_offset: int
-    capture_index: int
-    reason: str
+    __slots__ = ("byte_offset", "capture_index", "reason")
+
+    def __init__(self, byte_offset: int, capture_index: int, reason: str) -> None:
+        self._init(byte_offset, capture_index, reason)
 
 
 StreamItem = Union[RawFrame, CaptureError]

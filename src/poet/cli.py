@@ -14,7 +14,6 @@ import sys
 
 from .capture import CaptureFormatError, open_capture
 from .models import connection_fsm_table, device_fsm_table, system_fsm_table
-from .synth import BUILTIN_SCENARIOS, ScenarioError, ScenarioSpec, builtin_scenario, synthesize
 from .tracker import DEFAULT_SYSTEM_NAME, Tracker, TrackerConfig, TrackerReport, dumps_inventory
 
 log = logging.getLogger("poet")
@@ -23,6 +22,16 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ANOMALIES = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, the status a shell shows for a process that Ctrl-C ends
+
+
+class _BuiltinNames:
+    """`--builtin`'s choices, the builtin scenarios' names: read from synth only when a synth
+    argument needs them, so that no other command imports the generator."""
+
+    def __iter__(self):
+        from .synth import BUILTIN_SCENARIOS
+
+        return iter(sorted(BUILTIN_SCENARIOS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="synthesize a scenario capture + manifest")
     source = synth.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec", help="scenario spec JSON file")
-    source.add_argument("--builtin", choices=sorted(BUILTIN_SCENARIOS))
+    # Set after add_argument, which reads the choices to check the usage it would print.
+    source.add_argument("--builtin").choices = _BuiltinNames()
     synth.add_argument("--out", required=True, help="output prefix (PREFIX.pcap, PREFIX.manifest.json)")
 
     inventory = sub.add_parser("inventory", help="extract the asset inventory from a capture")
@@ -98,13 +108,23 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _error(exc: Exception) -> int:
+    print(f"poet: error: {exc}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def cmd_synth(args) -> int:
-    if args.builtin:
-        spec = builtin_scenario(args.builtin)
-    else:
-        with open(args.spec, "r", encoding="utf-8") as f:
-            spec = ScenarioSpec.from_json(json.load(f))
-    result = synthesize(spec)
+    from .synth import ScenarioError, ScenarioSpec, builtin_scenario, synthesize
+
+    try:
+        if args.builtin:
+            spec = builtin_scenario(args.builtin)
+        else:
+            with open(args.spec, "r", encoding="utf-8") as f:
+                spec = ScenarioSpec.from_json(json.load(f))
+        result = synthesize(spec)
+    except ScenarioError as exc:
+        return _error(exc)
     pcap_path, manifest_path = result.write(args.out)
     log.info("wrote %s and %s", pcap_path, manifest_path)
     return EXIT_OK
@@ -146,9 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, CaptureFormatError, ScenarioError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"poet: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except (OSError, CaptureFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return _error(exc)
     except KeyboardInterrupt:
         print("poet: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

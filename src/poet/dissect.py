@@ -21,10 +21,10 @@ from __future__ import annotations
 import re
 import struct
 import uuid
-from dataclasses import dataclass
 from typing import ClassVar
 
 from .capture import RawFrame
+from .record import Record
 
 ETHERTYPE_LLDP = 0x88CC
 ETHERTYPE_ARP = 0x0806
@@ -161,83 +161,145 @@ def str_to_ip(text: str) -> bytes:
     return bytes(int(p) for p in parts)
 
 
-@dataclass(slots=True)
-class ParsedFrame:
+class ParsedFrame(Record):
     """One dissected frame: its Ethernet addresses and capture index.
 
     Each protocol poet follows is a subclass that adds the facts poet reads and
     sets its own `protocol` tag; a frame poet does not follow is a bare
-    ParsedFrame, tagged "other".
+    ParsedFrame, tagged "other". A subclass's `__init__` sets these three fields
+    itself, without calling this one, so that building a record is one call.
     """
 
-    dst_mac: str
-    src_mac: str
-    capture_index: int  # of the source frame
+    __slots__ = ("dst_mac", "src_mac", "capture_index")
     protocol: ClassVar[str] = "other"  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
 
+    def __init__(self, dst_mac: str, src_mac: str, capture_index: int) -> None:
+        self.dst_mac = dst_mac
+        self.src_mac = src_mac
+        self.capture_index = capture_index  # of the source frame
 
-@dataclass(slots=True)
+
 class LldpFrame(ParsedFrame):
+    __slots__ = ("subject_mac", "port_mac", "station_name", "management_address", "violations")
     protocol: ClassVar[str] = "lldp"
-    # The MAC the frame speaks for: the PNO Chassis-MAC TLV's, else a 6-byte chassis id of
-    # the MAC subtype, else the source MAC.
-    subject_mac: str
-    # A 6-byte port id of the MAC subtype; else, with the PNO Chassis-MAC TLV, the source MAC.
-    port_mac: str | None
-    # The System Name; else, with the PNO Chassis-MAC TLV, a locally assigned chassis id.
-    station_name: str | None = None
-    management_address: str | None = None
-    violations: tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        dst_mac: str,
+        src_mac: str,
+        capture_index: int,
+        # The MAC the frame speaks for: the PNO Chassis-MAC TLV's, else a 6-byte chassis id of
+        # the MAC subtype, else the source MAC.
+        subject_mac: str,
+        # A 6-byte port id of the MAC subtype; else, with the PNO Chassis-MAC TLV, the source MAC.
+        port_mac: str | None,
+        # The System Name; else, with the PNO Chassis-MAC TLV, a locally assigned chassis id.
+        station_name: str | None = None,
+        management_address: str | None = None,
+        violations: tuple[str, ...] = (),
+    ) -> None:
+        self.dst_mac = dst_mac
+        self.src_mac = src_mac
+        self.capture_index = capture_index
+        self.subject_mac = subject_mac
+        self.port_mac = port_mac
+        self.station_name = station_name
+        self.management_address = management_address
+        self.violations = violations
 
 
-@dataclass(slots=True)
 class ArpPacket(ParsedFrame):
+    __slots__ = ("sender_mac", "sender_ip", "target_ip")
     protocol: ClassVar[str] = "arp"
-    sender_mac: str
-    sender_ip: str
-    target_ip: str
+
+    def __init__(
+        self, dst_mac: str, src_mac: str, capture_index: int, sender_mac: str, sender_ip: str, target_ip: str
+    ) -> None:
+        self.dst_mac = dst_mac
+        self.src_mac = src_mac
+        self.capture_index = capture_index
+        self.sender_mac = sender_mac
+        self.sender_ip = sender_ip
+        self.target_ip = target_ip
 
     @property
     def is_gratuitous(self) -> bool:
         return self.sender_ip == self.target_ip
 
 
-@dataclass(slots=True)
 class DcpFrame(ParsedFrame):
+    __slots__ = ("service_id", "service_type", "facts", "name_of_station", "violations")
     protocol: ClassVar[str] = "pn-dcp"
-    service_id: str  # "Identify" | "Get" | "Set" | "Hello"
-    service_type: str  # "Request" | "ResponseSuccess" | "ResponseUnsupported"
-    # The blocks poet reads, decoded in block order: ("name", str), ("ip", (ip, subnet,
-    # gateway)), ("device_id", (vendor, device)), ("ip_acknowledged", None) or
-    # ("ip_refused", block error).
-    facts: tuple[tuple[str, object], ...]
-    name_of_station: str | None  # of the first name block
-    violations: tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        dst_mac: str,
+        src_mac: str,
+        capture_index: int,
+        service_id: str,  # "Identify" | "Get" | "Set" | "Hello"
+        service_type: str,  # "Request" | "ResponseSuccess" | "ResponseUnsupported"
+        # The blocks poet reads, decoded in block order: ("name", str), ("ip", (ip, subnet,
+        # gateway)), ("device_id", (vendor, device)), ("ip_acknowledged", None) or
+        # ("ip_refused", block error).
+        facts: tuple[tuple[str, object], ...],
+        name_of_station: str | None,  # of the first name block
+        violations: tuple[str, ...] = (),
+    ) -> None:
+        self.dst_mac = dst_mac
+        self.src_mac = src_mac
+        self.capture_index = capture_index
+        self.service_id = service_id
+        self.service_type = service_type
+        self.facts = facts
+        self.name_of_station = name_of_station
+        self.violations = violations
 
 
-@dataclass(slots=True)
-class IocrBlock:
-    cr_type: str  # "input" | "output"
-    frame_id: int
-    data_length: int
+class IocrBlock(Record):
+    __slots__ = ("cr_type", "frame_id", "data_length")
+
+    def __init__(self, cr_type: str, frame_id: int, data_length: int) -> None:
+        self.cr_type = cr_type  # "input" | "output"
+        self.frame_id = frame_id
+        self.data_length = data_length
 
 
-@dataclass(slots=True)
 class CmFrame(ParsedFrame):
+    __slots__ = ("direction", "operation", "ar_uuid", "iocr_blocks", "expected_submodules")
     protocol: ClassVar[str] = "pn-cm"
-    direction: str  # "request" | "response"
-    operation: str  # Connect | Write | Read | DControl | CControl | Release
-    ar_uuid: uuid.UUID | None
-    iocr_blocks: tuple[IocrBlock, ...] = ()
-    # each submodule's (direction, data_length, iops_length, iocs_length)
-    expected_submodules: tuple[tuple[str, int, int, int], ...] = ()
+
+    def __init__(
+        self,
+        dst_mac: str,
+        src_mac: str,
+        capture_index: int,
+        direction: str,  # "request" | "response"
+        operation: str,  # Connect | Write | Read | DControl | CControl | Release
+        ar_uuid: uuid.UUID | None,
+        iocr_blocks: tuple[IocrBlock, ...] = (),
+        # each submodule's (direction, data_length, iops_length, iocs_length)
+        expected_submodules: tuple[tuple[str, int, int, int], ...] = (),
+    ) -> None:
+        self.dst_mac = dst_mac
+        self.src_mac = src_mac
+        self.capture_index = capture_index
+        self.direction = direction
+        self.operation = operation
+        self.ar_uuid = ar_uuid
+        self.iocr_blocks = iocr_blocks
+        self.expected_submodules = expected_submodules
 
 
-@dataclass(slots=True)
 class PnioCyclicFrame(ParsedFrame):
+    __slots__ = ("frame_id", "data")
     protocol: ClassVar[str] = "pnio"
-    frame_id: int
-    data: bytes  # the C-SDU, without the cycle counter and status trailer
+
+    def __init__(self, dst_mac: str, src_mac: str, capture_index: int, frame_id: int, data: bytes) -> None:
+        self.dst_mac = dst_mac
+        self.src_mac = src_mac
+        self.capture_index = capture_index
+        self.frame_id = frame_id
+        self.data = data  # the C-SDU, without the cycle counter and status trailer
 
 
 _U16 = struct.Struct(">H").unpack_from

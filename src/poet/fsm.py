@@ -29,9 +29,10 @@ each entry read as its record would be.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+from .record import FrozenRecord, Record
 
 
 LOG_WINDOW = 64  # most recent entries, accepted or rejected, that each instance keeps
@@ -41,13 +42,15 @@ class UnknownEvent(Exception):
     """Event name outside the definition's alphabet (a programming error)."""
 
 
-@dataclass(slots=True)
-class FrameRef:
+class FrameRef(Record):
     """Provenance of the frame that caused a transition or alert."""
 
-    capture_index: int
-    protocol: str
-    summary: str
+    __slots__ = ("capture_index", "protocol", "summary")
+
+    def __init__(self, capture_index: int, protocol: str, summary: str) -> None:
+        self.capture_index = capture_index
+        self.protocol = protocol
+        self.summary = summary
 
     def to_json(self) -> dict:
         return {
@@ -57,12 +60,13 @@ class FrameRef:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SharedCause:
+class SharedCause(FrozenRecord):
     """The protocol and summary of every frame from one source; a record adds the frame's index."""
 
-    protocol: str
-    summary: str
+    __slots__ = ("protocol", "summary")
+
+    def __init__(self, protocol: str, summary: str) -> None:
+        self._init(protocol, summary)
 
 
 Cause = FrameRef | SharedCause
@@ -75,33 +79,47 @@ def frame_ref(cause: Cause, capture_index: int) -> FrameRef:
     return FrameRef(capture_index, cause.protocol, cause.summary)
 
 
-@dataclass(frozen=True)
-class Edge:
-    from_state: str
-    event: str
-    to_state: str
-    empirical: bool = False
+class Edge(FrozenRecord):
+    __slots__ = ("from_state", "event", "to_state", "empirical")
+
+    def __init__(self, from_state: str, event: str, to_state: str, empirical: bool = False) -> None:
+        self._init(from_state, event, to_state, empirical)
 
 
-@dataclass(frozen=True)
-class WildcardEdge:
+class WildcardEdge(FrozenRecord):
     """Edge applicable from any state unless shadowed by a specific edge."""
 
-    event: str
-    to_state: str
+    __slots__ = ("event", "to_state")
+
+    def __init__(self, event: str, to_state: str) -> None:
+        self._init(event, to_state)
 
 
-@dataclass(frozen=True)
-class FsmDefinition:
-    name: str
-    states: frozenset[str]
-    initial_state: str
-    edges: tuple[Edge, ...]
-    wildcard_edges: tuple[WildcardEdge, ...] = ()
-    # events that are part of the alphabet but have no edge anywhere
-    reject_only_events: frozenset[str] = frozenset()
-    # optional state -> operation label mapping, opaque to the engine
-    state_operations: tuple[tuple[str, str], ...] = ()
+class FsmDefinition(FrozenRecord):
+    # No __slots__: the compiled tables below are cached in the instance's __dict__.
+    _fields = (
+        "name",
+        "states",
+        "initial_state",
+        "edges",
+        "wildcard_edges",
+        "reject_only_events",
+        "state_operations",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        states: frozenset[str],
+        initial_state: str,
+        edges: tuple[Edge, ...],
+        wildcard_edges: tuple[WildcardEdge, ...] = (),
+        # events that are part of the alphabet but have no edge anywhere
+        reject_only_events: frozenset[str] = frozenset(),
+        # optional state -> operation label mapping, opaque to the engine
+        state_operations: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self._init(name, states, initial_state, edges, wildcard_edges, reject_only_events, state_operations)
 
     @cached_property
     def table(self) -> dict[str, dict[str, str]]:
@@ -168,14 +186,24 @@ class FsmDefinition:
         }
 
 
-@dataclass(slots=True)
-class TransitionRecord:
-    timestamp: tuple[int, int]  # (sec, nsec)
-    event: str
-    from_state: str
-    to_state: str | None  # None marks a rejection
-    verdict: str  # "accepted" | "rejected"
-    cause: FrameRef
+class TransitionRecord(Record):
+    __slots__ = ("timestamp", "event", "from_state", "to_state", "verdict", "cause")
+
+    def __init__(
+        self,
+        timestamp: tuple[int, int],  # (sec, nsec)
+        event: str,
+        from_state: str,
+        to_state: str | None,  # None marks a rejection
+        verdict: str,  # "accepted" | "rejected"
+        cause: FrameRef,
+    ) -> None:
+        self.timestamp = timestamp
+        self.event = event
+        self.from_state = from_state
+        self.to_state = to_state
+        self.verdict = verdict
+        self.cause = cause
 
     def to_json(self) -> dict:
         return {
@@ -188,18 +216,22 @@ class TransitionRecord:
         }
 
 
-@dataclass(slots=True, eq=False)
-class Step:
+class Step(Record):
     """What firing one event in one state does: follow an edge, or reject the event.
 
     A fire logs and returns it in place of a record. It hashes and compares by
     identity, so keying the edge tallies by it costs no Python-level call.
     """
 
-    from_state: str
-    event: str
-    to_state: str | None  # None marks a rejection
-    verdict: str  # "accepted" | "rejected"
+    __slots__ = ("from_state", "event", "to_state", "verdict")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, from_state: str, event: str, to_state: str | None, verdict: str) -> None:
+        self.from_state = from_state
+        self.event = event
+        self.to_state = to_state  # None marks a rejection
+        self.verdict = verdict  # "accepted" | "rejected"
 
 
 # A log entry: a fire's (timestamp, capture index, cause, step).

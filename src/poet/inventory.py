@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
 
 from .dissect import DcpFrame, ParsedFrame
 from .fsm import FrameRef
+from .record import Record
 
 Timestamp = tuple[int, int]
 
@@ -21,11 +21,13 @@ Timestamp = tuple[int, int]
 _DESCRIBING_PROTOCOLS = frozenset({"lldp", "arp", "pn-dcp", "pn-cm"})
 
 
-@dataclass(slots=True)
-class Provenance:
-    protocol: str
-    capture_index: int
-    conflict: bool = False
+class Provenance(Record):
+    __slots__ = ("protocol", "capture_index", "conflict")
+
+    def __init__(self, protocol: str, capture_index: int, conflict: bool = False) -> None:
+        self.protocol = protocol
+        self.capture_index = capture_index
+        self.conflict = conflict
 
     def to_json(self) -> dict:
         return {
@@ -35,20 +37,49 @@ class Provenance:
         }
 
 
-@dataclass(slots=True)
-class AssetRecord:
-    interface_mac: str
-    name_of_station: str | None = None
-    port_macs: set[str] = field(default_factory=set)
-    ip_address: str | None = None
-    subnet: str | None = None
-    gateway: str | None = None
-    vendor_id: int | None = None
-    device_id: int | None = None
-    role: str = "unknown"  # controller | device | supervisor | unknown
-    first_seen: Timestamp = (0, 0)
-    last_seen: Timestamp = (0, 0)
-    provenance: dict[str, Provenance] = field(default_factory=dict)
+class AssetRecord(Record):
+    __slots__ = (
+        "interface_mac",
+        "name_of_station",
+        "port_macs",
+        "ip_address",
+        "subnet",
+        "gateway",
+        "vendor_id",
+        "device_id",
+        "role",
+        "first_seen",
+        "last_seen",
+        "provenance",
+    )
+
+    def __init__(
+        self,
+        interface_mac: str,
+        name_of_station: str | None = None,
+        port_macs: set[str] | None = None,  # a new empty set by default
+        ip_address: str | None = None,
+        subnet: str | None = None,
+        gateway: str | None = None,
+        vendor_id: int | None = None,
+        device_id: int | None = None,
+        role: str = "unknown",  # controller | device | supervisor | unknown
+        first_seen: Timestamp = (0, 0),
+        last_seen: Timestamp = (0, 0),
+        provenance: dict[str, Provenance] | None = None,  # a new empty dict by default
+    ) -> None:
+        self.interface_mac = interface_mac
+        self.name_of_station = name_of_station
+        self.port_macs = set() if port_macs is None else port_macs
+        self.ip_address = ip_address
+        self.subnet = subnet
+        self.gateway = gateway
+        self.vendor_id = vendor_id
+        self.device_id = device_id
+        self.role = role
+        self.first_seen = first_seen
+        self.last_seen = last_seen
+        self.provenance = {} if provenance is None else provenance
 
     @property
     def port_count(self) -> int:
@@ -72,18 +103,23 @@ class AssetRecord:
         }
 
 
-# Each field's default: a field is set once it holds another value, and a set field that changes is a conflict.
-_UNSET = {f.name: f.default for f in fields(AssetRecord)}
+# Each field's default, read from a blank record: a field is set once it holds another value,
+# and a set field that changes is a conflict.
+_UNSET = dict(zip(AssetRecord._fields, AssetRecord("")._values()))
 
 
-@dataclass(slots=True)
-class InventoryChange:
-    mac: str
-    fieldname: str
-    old: object
-    new: object
-    conflict: bool
-    cause: FrameRef
+class InventoryChange(Record):
+    __slots__ = ("mac", "fieldname", "old", "new", "conflict", "cause")
+
+    def __init__(
+        self, mac: str, fieldname: str, old: object, new: object, conflict: bool, cause: FrameRef
+    ) -> None:
+        self.mac = mac
+        self.fieldname = fieldname
+        self.old = old
+        self.new = new
+        self.conflict = conflict
+        self.cause = cause
 
 
 class AssetInventory:

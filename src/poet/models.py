@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import uuid
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from functools import cache
 
 from .dissect import (
@@ -25,6 +24,7 @@ from .dissect import (
     PnioCyclicFrame,
 )
 from .fsm import Cause, Edge, FrameRef, FsmDefinition, FsmInstance, SharedCause, WildcardEdge
+from .record import FrozenRecord, Record
 
 # Event names (device scope unless noted)
 DETECT_NEIGHBOURS = "detect_neighbours"
@@ -220,8 +220,7 @@ def connection_key(initiator_mac: str, responder_mac: str) -> str:
     return f"{initiator_mac.replace(':', '')}-{responder_mac.replace(':', '')}"
 
 
-@dataclass(slots=True)
-class ProtocolEvent:
+class ProtocolEvent(Record):
     """One normalized semantic event derived from a dissected frame, addressed by (scope, key).
 
     A bound CR's two prebuilt events carry the CR's `SharedCause`, which each frame
@@ -229,38 +228,55 @@ class ProtocolEvent:
     own `FrameRef`.
     """
 
-    event_name: str
-    scope: str  # "device" | "connection" | "system"
-    key: str | None  # the device MAC, the connection key, or None for the system
-    cause: Cause
-    instance: FsmInstance | None = None  # a bound CR's, resolved at registration: fired with no lookup
+    __slots__ = ("event_name", "scope", "key", "cause", "instance")
+
+    def __init__(
+        self,
+        event_name: str,
+        scope: str,  # "device" | "connection" | "system"
+        key: str | None,  # the device MAC, the connection key, or None for the system
+        cause: Cause,
+        instance: FsmInstance | None = None,  # a bound CR's, resolved at registration: fired with no lookup
+    ) -> None:
+        self.event_name = event_name
+        self.scope = scope
+        self.key = key
+        self.cause = cause
+        self.instance = instance
 
 
-@dataclass(slots=True)
-class TrackDiagnostic:
+class TrackDiagnostic(Record):
     """Non-anomaly finding surfaced to the tracker (orphans, bad layouts), addressed as a ProtocolEvent."""
 
-    kind: str
-    detail: str
-    cause: FrameRef
-    scope: str = "system"  # "device" | "system"
-    key: str | None = None
+    __slots__ = ("kind", "detail", "cause", "scope", "key")
+
+    def __init__(
+        self, kind: str, detail: str, cause: FrameRef, scope: str = "system", key: str | None = None
+    ) -> None:
+        self.kind = kind
+        self.detail = detail
+        self.cause = cause
+        self.scope = scope  # "device" | "system"
+        self.key = key
 
 
-@dataclass(slots=True, eq=False)
-class DeferredEvent:
+class DeferredEvent(Record):
     """Identify request held until its station name binds to a MAC.
 
     Compared by identity: each held request is its own entry, even if two
     carry the same name and cause.
     """
 
-    name: str
-    cause: FrameRef
+    __slots__ = ("name", "cause")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, cause: FrameRef) -> None:
+        self.name = name
+        self.cause = cause
 
 
-@dataclass(slots=True)
-class CyclicBinding:
+class CyclicBinding(Record):
     """The record of one CR, compiled once from its Connect request.
 
     A frame of this id is good data iff its C-SDU reaches `c_sdu_length` bytes
@@ -273,14 +289,37 @@ class CyclicBinding:
     cause, the protocol "pnio" and `summary`.
     """
 
-    frame_id: int
-    responder_mac: str
-    key: str  # the connection key
-    data_event: str  # input_process_data_sent | output_process_data_sent
-    iops_offsets: tuple[int, ...] | None
-    c_sdu_length: int
-    summary: str  # the cause summary of every good frame
-    good: DerivedEvents | None = field(default=None, compare=False, repr=False)  # set only while bound
+    __slots__ = (
+        "frame_id",
+        "responder_mac",
+        "key",
+        "data_event",
+        "iops_offsets",
+        "c_sdu_length",
+        "summary",
+        "good",
+    )
+    _fields = __slots__[:-1]  # `good` is neither compared nor shown
+
+    def __init__(
+        self,
+        frame_id: int,
+        responder_mac: str,
+        key: str,  # the connection key
+        data_event: str,  # input_process_data_sent | output_process_data_sent
+        iops_offsets: tuple[int, ...] | None,
+        c_sdu_length: int,
+        summary: str,  # the cause summary of every good frame
+        good: DerivedEvents | None = None,  # set only while bound
+    ) -> None:
+        self.frame_id = frame_id
+        self.responder_mac = responder_mac
+        self.key = key
+        self.data_event = data_event
+        self.iops_offsets = iops_offsets
+        self.c_sdu_length = c_sdu_length
+        self.summary = summary
+        self.good = good
 
 
 _OPPOSITE = {"input": "output", "output": "input"}
@@ -330,22 +369,33 @@ def cyclic_bindings(
     return bindings, problem
 
 
-@dataclass(frozen=True)
-class ConnectionRegistration:
+class ConnectionRegistration(FrozenRecord):
     """One AR, compiled from its Connect request: the record the AR table keeps per AR UUID."""
 
-    key: str
-    responder_mac: str
-    ar_uuid: uuid.UUID
-    frame_id_bindings: tuple[CyclicBinding, ...]  # one per IOCR
+    __slots__ = ("key", "responder_mac", "ar_uuid", "frame_id_bindings")
+
+    def __init__(
+        self,
+        key: str,
+        responder_mac: str,
+        ar_uuid: uuid.UUID,
+        frame_id_bindings: tuple[CyclicBinding, ...],  # one per IOCR
+    ) -> None:
+        self._init(key, responder_mac, ar_uuid, frame_id_bindings)
 
 
-@dataclass(slots=True)
-class ArTable:
+class ArTable(Record):
     """A run's AR and frame-id registries: derive_events reads them, and only `register` writes them."""
 
-    ars: dict[uuid.UUID, ConnectionRegistration] = field(default_factory=dict)  # each AR by its UUID
-    frame_ids: dict[int, CyclicBinding] = field(default_factory=dict)  # each bound CR by its frame id
+    __slots__ = ("ars", "frame_ids")
+
+    def __init__(
+        self,
+        ars: dict[uuid.UUID, ConnectionRegistration] | None = None,
+        frame_ids: dict[int, CyclicBinding] | None = None,
+    ) -> None:
+        self.ars = {} if ars is None else ars  # each AR by its UUID
+        self.frame_ids = {} if frame_ids is None else frame_ids  # each bound CR by its frame id
 
     def register(
         self, reg: ConnectionRegistration, device: FsmInstance, connection: FsmInstance, cause: FrameRef
@@ -383,19 +433,28 @@ class ArTable:
         return findings
 
 
-@dataclass(slots=True)
-class DerivedEvents:
+class DerivedEvents(Record):
     """Result of derive_events: one frame's events, fired in order by one call, plus tracker bookkeeping.
 
     A bound CR's prebuilt result is returned as it is by every good frame of that CR,
     so it is never changed.
     """
 
-    events: list[ProtocolEvent] = field(default_factory=list)
-    diagnostics: tuple[TrackDiagnostic, ...] = ()
-    new_deferral: DeferredEvent | None = None
-    consumed_deferrals: Sequence[DeferredEvent] = ()
-    registration: ConnectionRegistration | None = None
+    __slots__ = ("events", "diagnostics", "new_deferral", "consumed_deferrals", "registration")
+
+    def __init__(
+        self,
+        events: list[ProtocolEvent] | None = None,  # a new empty list by default
+        diagnostics: tuple[TrackDiagnostic, ...] = (),
+        new_deferral: DeferredEvent | None = None,
+        consumed_deferrals: Sequence[DeferredEvent] = (),
+        registration: ConnectionRegistration | None = None,
+    ) -> None:
+        self.events = [] if events is None else events
+        self.diagnostics = diagnostics
+        self.new_deferral = new_deferral
+        self.consumed_deferrals = consumed_deferrals
+        self.registration = registration
 
 
 class TrackContext:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, Iterable, TextIO
@@ -35,6 +34,7 @@ from .models import (
     device_fsm_table,
     system_fsm_table,
 )
+from .record import Record
 
 Timestamp = tuple[int, int]
 
@@ -48,16 +48,37 @@ DEFAULT_SYSTEM_NAME = "poet-system"
 _SOURCE_PROTOCOLS = frozenset({"pn-dcp", "pn-cm", "pnio"})
 
 
-@dataclass(slots=True)
-class AnomalyAlert:
-    timestamp: Timestamp
-    instance_kind: str  # "device" | "connection" | "system"
-    instance_key: str
-    state_at_event: str
-    offending_event: str
-    cause: FrameRef
-    explanation: str
-    severity: str  # "anomaly" | "diagnostic"
+class AnomalyAlert(Record):
+    __slots__ = (
+        "timestamp",
+        "instance_kind",
+        "instance_key",
+        "state_at_event",
+        "offending_event",
+        "cause",
+        "explanation",
+        "severity",
+    )
+
+    def __init__(
+        self,
+        timestamp: Timestamp,
+        instance_kind: str,  # "device" | "connection" | "system"
+        instance_key: str,
+        state_at_event: str,
+        offending_event: str,
+        cause: FrameRef,
+        explanation: str,
+        severity: str,  # "anomaly" | "diagnostic"
+    ) -> None:
+        self.timestamp = timestamp
+        self.instance_kind = instance_kind
+        self.instance_key = instance_key
+        self.state_at_event = state_at_event
+        self.offending_event = offending_event
+        self.cause = cause
+        self.explanation = explanation
+        self.severity = severity
 
     def to_json(self) -> dict:
         return {
@@ -72,10 +93,12 @@ class AnomalyAlert:
         }
 
 
-@dataclass
-class TrackerConfig:
-    system_name: str = DEFAULT_SYSTEM_NAME
-    alert_sink: TextIO | None = None
+class TrackerConfig(Record):
+    __slots__ = ("system_name", "alert_sink")
+
+    def __init__(self, system_name: str = DEFAULT_SYSTEM_NAME, alert_sink: TextIO | None = None) -> None:
+        self.system_name = system_name
+        self.alert_sink = alert_sink
 
 
 class FsmFleet:
@@ -175,8 +198,7 @@ class FsmFleet:
         }
 
 
-@dataclass
-class TrackerReport:
+class TrackerReport(Record):
     """A run's report, read from the tracker's own objects when it is written.
 
     It holds the tracker's alerts, its FSM fleet and its asset records sorted by
@@ -185,10 +207,19 @@ class TrackerReport:
     returns are built from them each time they are read.
     """
 
-    summary: dict
-    alerts: list[AnomalyAlert]
-    fleet: FsmFleet
-    assets: list[AssetRecord]  # sorted by interface MAC
+    __slots__ = ("summary", "alerts", "fleet", "assets")
+
+    def __init__(
+        self,
+        summary: dict,
+        alerts: list[AnomalyAlert],
+        fleet: FsmFleet,
+        assets: list[AssetRecord],  # sorted by interface MAC
+    ) -> None:
+        self.summary = summary
+        self.alerts = alerts
+        self.fleet = fleet
+        self.assets = assets
 
     @property
     def final_states(self) -> dict:

@@ -1,5 +1,8 @@
 """The runtime's import graph: `import poet` loads poet's own modules and the stdlib, no generator.
 
+Nor does it load `dataclasses` or the modules that build, compile or read source, and `import
+poet.cli` leaves `poet.synth` to the one command that synthesizes.
+
 Also the module boundaries that the imports keep: only `dissect` knows a DCP option number,
 only `models.ArTable` writes the AR and frame-id registries, and only `models` names a state
 of the operation machines.
@@ -17,23 +20,27 @@ import sys
 import poet
 from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
 
-# Only the modules that `import poet` itself adds count, not those a site hook loaded first.
+# Only the modules that the import itself adds count, not those a site hook loaded first.
 _PROBE = """
 import json, sys
 before = set(sys.modules)
-import poet
+import {module}
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def test_import_poet_loads_only_the_runtime_and_the_stdlib():
+def _added_by_import(module: str) -> list[str]:
+    """The modules that importing `module` adds in a fresh interpreter, with poet from this tree."""
     src = os.path.dirname(os.path.dirname(poet.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, timeout=60
-    )
+    probe = _PROBE.format(module=module)
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    added = json.loads(run.stdout)
+    return json.loads(run.stdout)
+
+
+def test_import_poet_loads_only_the_runtime_and_the_stdlib():
+    added = _added_by_import("poet")
     assert "poet.tracker" in added
     assert "poet.synth" not in added
     outside = [
@@ -42,6 +49,19 @@ def test_import_poet_loads_only_the_runtime_and_the_stdlib():
         if name.partition(".")[0] != "poet" and name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_import_poet_loads_no_code_generator_or_source_reader():
+    """The runtime's records are plain classes: no module that builds, compiles or reads source loads."""
+    added = _added_by_import("poet")
+    assert "poet.models" in added
+    assert sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)) == []
+
+
+def test_import_poet_cli_leaves_the_generator_to_poet_synth():
+    added = _added_by_import("poet.cli")
+    assert "poet.cli" in added
+    assert "poet.synth" not in added
 
 
 def _names(tree: ast.AST):
