@@ -29,6 +29,7 @@ from poet.models import (
 )
 from poet.tracker import DEFAULT_SYSTEM_NAME, AnomalyAlert, TrackerConfig, TrackerReport
 
+# By name: `poet.dissect` is the package's `dissect` function, which shadows its module.
 _MODULES = [
     importlib.import_module(f"poet.{name}") for name in ("capture", "dissect", "fsm", "inventory", "models", "tracker")
 ]
