@@ -63,20 +63,11 @@ class RawFrame(Record):
 
     __slots__ = ("ts_sec", "ts_nsec", "frame_bytes", "capture_index")
 
-    def __init__(self, ts_sec: int, ts_nsec: int, frame_bytes: bytes, capture_index: int) -> None:
-        self.ts_sec = ts_sec
-        self.ts_nsec = ts_nsec
-        self.frame_bytes = frame_bytes
-        self.capture_index = capture_index
-
 
 class CaptureError(FrozenRecord):
     """Diagnostic for a broken or rejected capture record."""
 
     __slots__ = ("byte_offset", "capture_index", "reason")
-
-    def __init__(self, byte_offset: int, capture_index: int, reason: str) -> None:
-        self._init(byte_offset, capture_index, reason)
 
 
 StreamItem = Union[RawFrame, CaptureError]

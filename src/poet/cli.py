@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
 from .capture import CaptureFormatError, open_capture
 from .models import connection_fsm_table, device_fsm_table, system_fsm_table
 from .tracker import DEFAULT_SYSTEM_NAME, Tracker, TrackerConfig, TrackerReport, dumps_inventory
-
-log = logging.getLogger("poet")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -74,6 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _info(message: str) -> None:
+    """Write `message` to standard error as an INFO line when `POET_LOG` asks for INFO or more."""
+    if os.environ.get("POET_LOG", "").lower() in ("debug", "info", "notset"):
+        print(f"INFO poet: {message}", file=sys.stderr)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -98,7 +101,7 @@ def cmd_analyze(args) -> int:
     if args.report:
         _write_text(args.report, report.dumps())
     anomalies = report.anomalies
-    log.info("analyzed %s frames, %d anomalies", report.summary["frames"], len(anomalies))
+    _info(f"analyzed {report.summary['frames']} frames, {len(anomalies)} anomalies")
     return EXIT_ANOMALIES if anomalies else EXIT_OK
 
 
@@ -126,7 +129,7 @@ def cmd_synth(args) -> int:
     except ScenarioError as exc:
         return _error(exc)
     pcap_path, manifest_path = result.write(args.out)
-    log.info("wrote %s and %s", pcap_path, manifest_path)
+    _info(f"wrote {pcap_path} and {manifest_path}")
     return EXIT_OK
 
 
@@ -147,11 +150,6 @@ def cmd_fsm_export(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("POET_LOG", "WARNING").upper(), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -139,26 +139,8 @@ class MalformedFrame(Exception):
         self.reason = reason
 
 
-def mac_to_str(mac: bytes) -> str:
-    return mac.hex(":")
-
-
-def str_to_mac(text: str) -> bytes:
-    parts = text.replace("-", ":").split(":")
-    if len(parts) != 6:
-        raise ValueError(f"bad MAC {text!r}")
-    return bytes(int(p, 16) for p in parts)
-
-
 def ip_to_str(ip: bytes) -> str:
     return ".".join(str(b) for b in ip)
-
-
-def str_to_ip(text: str) -> bytes:
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"bad IPv4 {text!r}")
-    return bytes(int(p) for p in parts)
 
 
 class ParsedFrame(Record):
@@ -166,61 +148,32 @@ class ParsedFrame(Record):
 
     Each protocol poet follows is a subclass that adds the facts poet reads and
     sets its own `protocol` tag; a frame poet does not follow is a bare
-    ParsedFrame, tagged "other". A subclass's `__init__` sets these three fields
-    itself, without calling this one, so that building a record is one call.
+    ParsedFrame, tagged "other".
     """
 
-    __slots__ = ("dst_mac", "src_mac", "capture_index")
+    __slots__ = ("dst_mac", "src_mac", "capture_index")  # capture_index: of the source frame
     protocol: ClassVar[str] = "other"  # "lldp" | "arp" | "pn-dcp" | "pn-cm" | "pnio" | "other"
-
-    def __init__(self, dst_mac: str, src_mac: str, capture_index: int) -> None:
-        self.dst_mac = dst_mac
-        self.src_mac = src_mac
-        self.capture_index = capture_index  # of the source frame
 
 
 class LldpFrame(ParsedFrame):
-    __slots__ = ("subject_mac", "port_mac", "station_name", "management_address", "violations")
-    protocol: ClassVar[str] = "lldp"
-
-    def __init__(
-        self,
-        dst_mac: str,
-        src_mac: str,
-        capture_index: int,
+    __slots__ = (
         # The MAC the frame speaks for: the PNO Chassis-MAC TLV's, else a 6-byte chassis id of
         # the MAC subtype, else the source MAC.
-        subject_mac: str,
+        "subject_mac",
         # A 6-byte port id of the MAC subtype; else, with the PNO Chassis-MAC TLV, the source MAC.
-        port_mac: str | None,
+        "port_mac",
         # The System Name; else, with the PNO Chassis-MAC TLV, a locally assigned chassis id.
-        station_name: str | None = None,
-        management_address: str | None = None,
-        violations: tuple[str, ...] = (),
-    ) -> None:
-        self.dst_mac = dst_mac
-        self.src_mac = src_mac
-        self.capture_index = capture_index
-        self.subject_mac = subject_mac
-        self.port_mac = port_mac
-        self.station_name = station_name
-        self.management_address = management_address
-        self.violations = violations
+        "station_name",
+        "management_address",
+        "violations",
+    )
+    _defaults = {"station_name": None, "management_address": None, "violations": ()}
+    protocol: ClassVar[str] = "lldp"
 
 
 class ArpPacket(ParsedFrame):
     __slots__ = ("sender_mac", "sender_ip", "target_ip")
     protocol: ClassVar[str] = "arp"
-
-    def __init__(
-        self, dst_mac: str, src_mac: str, capture_index: int, sender_mac: str, sender_ip: str, target_ip: str
-    ) -> None:
-        self.dst_mac = dst_mac
-        self.src_mac = src_mac
-        self.capture_index = capture_index
-        self.sender_mac = sender_mac
-        self.sender_ip = sender_ip
-        self.target_ip = target_ip
 
     @property
     def is_gratuitous(self) -> bool:
@@ -228,78 +181,39 @@ class ArpPacket(ParsedFrame):
 
 
 class DcpFrame(ParsedFrame):
-    __slots__ = ("service_id", "service_type", "facts", "name_of_station", "violations")
-    protocol: ClassVar[str] = "pn-dcp"
-
-    def __init__(
-        self,
-        dst_mac: str,
-        src_mac: str,
-        capture_index: int,
-        service_id: str,  # "Identify" | "Get" | "Set" | "Hello"
-        service_type: str,  # "Request" | "ResponseSuccess" | "ResponseUnsupported"
+    __slots__ = (
+        "service_id",  # "Identify" | "Get" | "Set" | "Hello"
+        "service_type",  # "Request" | "ResponseSuccess" | "ResponseUnsupported"
         # The blocks poet reads, decoded in block order: ("name", str), ("ip", (ip, subnet,
         # gateway)), ("device_id", (vendor, device)), ("ip_acknowledged", None) or
         # ("ip_refused", block error).
-        facts: tuple[tuple[str, object], ...],
-        name_of_station: str | None,  # of the first name block
-        violations: tuple[str, ...] = (),
-    ) -> None:
-        self.dst_mac = dst_mac
-        self.src_mac = src_mac
-        self.capture_index = capture_index
-        self.service_id = service_id
-        self.service_type = service_type
-        self.facts = facts
-        self.name_of_station = name_of_station
-        self.violations = violations
+        "facts",
+        "name_of_station",  # of the first name block
+        "violations",
+    )
+    _defaults = {"violations": ()}
+    protocol: ClassVar[str] = "pn-dcp"
 
 
 class IocrBlock(Record):
-    __slots__ = ("cr_type", "frame_id", "data_length")
-
-    def __init__(self, cr_type: str, frame_id: int, data_length: int) -> None:
-        self.cr_type = cr_type  # "input" | "output"
-        self.frame_id = frame_id
-        self.data_length = data_length
+    __slots__ = ("cr_type", "frame_id", "data_length")  # cr_type: "input" | "output"
 
 
 class CmFrame(ParsedFrame):
-    __slots__ = ("direction", "operation", "ar_uuid", "iocr_blocks", "expected_submodules")
+    __slots__ = (
+        "direction",  # "request" | "response"
+        "operation",  # Connect | Write | Read | DControl | CControl | Release
+        "ar_uuid",
+        "iocr_blocks",
+        "expected_submodules",  # each submodule's (direction, data_length, iops_length, iocs_length)
+    )
+    _defaults = {"iocr_blocks": (), "expected_submodules": ()}
     protocol: ClassVar[str] = "pn-cm"
-
-    def __init__(
-        self,
-        dst_mac: str,
-        src_mac: str,
-        capture_index: int,
-        direction: str,  # "request" | "response"
-        operation: str,  # Connect | Write | Read | DControl | CControl | Release
-        ar_uuid: uuid.UUID | None,
-        iocr_blocks: tuple[IocrBlock, ...] = (),
-        # each submodule's (direction, data_length, iops_length, iocs_length)
-        expected_submodules: tuple[tuple[str, int, int, int], ...] = (),
-    ) -> None:
-        self.dst_mac = dst_mac
-        self.src_mac = src_mac
-        self.capture_index = capture_index
-        self.direction = direction
-        self.operation = operation
-        self.ar_uuid = ar_uuid
-        self.iocr_blocks = iocr_blocks
-        self.expected_submodules = expected_submodules
 
 
 class PnioCyclicFrame(ParsedFrame):
-    __slots__ = ("frame_id", "data")
+    __slots__ = ("frame_id", "data")  # data: the C-SDU, without the cycle counter and status trailer
     protocol: ClassVar[str] = "pnio"
-
-    def __init__(self, dst_mac: str, src_mac: str, capture_index: int, frame_id: int, data: bytes) -> None:
-        self.dst_mac = dst_mac
-        self.src_mac = src_mac
-        self.capture_index = capture_index
-        self.frame_id = frame_id
-        self.data = data  # the C-SDU, without the cycle counter and status trailer
 
 
 _U16 = struct.Struct(">H").unpack_from
@@ -328,7 +242,7 @@ def dissect(raw: RawFrame) -> ParsedFrame:
         frame_id = None  # the frame ends first
     else:
         raise MalformedFrame("ethernet", 0, "frame shorter than 14 bytes")
-    # mac_to_str, inlined: this runs for every frame.
+    # MACs as colon-separated lowercase hex, the form every record and report shows.
     dst = dst.hex(":")
     src = src.hex(":")
     start = 14  # of the payload

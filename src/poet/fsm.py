@@ -47,11 +47,6 @@ class FrameRef(Record):
 
     __slots__ = ("capture_index", "protocol", "summary")
 
-    def __init__(self, capture_index: int, protocol: str, summary: str) -> None:
-        self.capture_index = capture_index
-        self.protocol = protocol
-        self.summary = summary
-
     def to_json(self) -> dict:
         return {
             "capture_index": self.capture_index,
@@ -64,9 +59,6 @@ class SharedCause(FrozenRecord):
     """The protocol and summary of every frame from one source; a record adds the frame's index."""
 
     __slots__ = ("protocol", "summary")
-
-    def __init__(self, protocol: str, summary: str) -> None:
-        self._init(protocol, summary)
 
 
 Cause = FrameRef | SharedCause
@@ -81,18 +73,13 @@ def frame_ref(cause: Cause, capture_index: int) -> FrameRef:
 
 class Edge(FrozenRecord):
     __slots__ = ("from_state", "event", "to_state", "empirical")
-
-    def __init__(self, from_state: str, event: str, to_state: str, empirical: bool = False) -> None:
-        self._init(from_state, event, to_state, empirical)
+    _defaults = {"empirical": False}
 
 
 class WildcardEdge(FrozenRecord):
     """Edge applicable from any state unless shadowed by a specific edge."""
 
     __slots__ = ("event", "to_state")
-
-    def __init__(self, event: str, to_state: str) -> None:
-        self._init(event, to_state)
 
 
 class FsmDefinition(FrozenRecord):
@@ -103,23 +90,10 @@ class FsmDefinition(FrozenRecord):
         "initial_state",
         "edges",
         "wildcard_edges",
-        "reject_only_events",
-        "state_operations",
+        "reject_only_events",  # events that are part of the alphabet but have no edge anywhere
+        "state_operations",  # optional state -> operation label mapping, opaque to the engine
     )
-
-    def __init__(
-        self,
-        name: str,
-        states: frozenset[str],
-        initial_state: str,
-        edges: tuple[Edge, ...],
-        wildcard_edges: tuple[WildcardEdge, ...] = (),
-        # events that are part of the alphabet but have no edge anywhere
-        reject_only_events: frozenset[str] = frozenset(),
-        # optional state -> operation label mapping, opaque to the engine
-        state_operations: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        self._init(name, states, initial_state, edges, wildcard_edges, reject_only_events, state_operations)
+    _defaults = {"wildcard_edges": (), "reject_only_events": frozenset(), "state_operations": ()}
 
     @cached_property
     def table(self) -> dict[str, dict[str, str]]:
@@ -187,23 +161,14 @@ class FsmDefinition(FrozenRecord):
 
 
 class TransitionRecord(Record):
-    __slots__ = ("timestamp", "event", "from_state", "to_state", "verdict", "cause")
-
-    def __init__(
-        self,
-        timestamp: tuple[int, int],  # (sec, nsec)
-        event: str,
-        from_state: str,
-        to_state: str | None,  # None marks a rejection
-        verdict: str,  # "accepted" | "rejected"
-        cause: FrameRef,
-    ) -> None:
-        self.timestamp = timestamp
-        self.event = event
-        self.from_state = from_state
-        self.to_state = to_state
-        self.verdict = verdict
-        self.cause = cause
+    __slots__ = (
+        "timestamp",  # (sec, nsec)
+        "event",
+        "from_state",
+        "to_state",  # None marks a rejection
+        "verdict",  # "accepted" | "rejected"
+        "cause",
+    )
 
     def to_json(self) -> dict:
         return {
@@ -223,15 +188,14 @@ class Step(Record):
     identity, so keying the edge tallies by it costs no Python-level call.
     """
 
-    __slots__ = ("from_state", "event", "to_state", "verdict")
+    __slots__ = (
+        "from_state",
+        "event",
+        "to_state",  # None marks a rejection
+        "verdict",  # "accepted" | "rejected"
+    )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, from_state: str, event: str, to_state: str | None, verdict: str) -> None:
-        self.from_state = from_state
-        self.event = event
-        self.to_state = to_state  # None marks a rejection
-        self.verdict = verdict  # "accepted" | "rejected"
 
 
 # A log entry: a fire's (timestamp, capture index, cause, step).

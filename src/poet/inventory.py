@@ -23,11 +23,7 @@ _DESCRIBING_PROTOCOLS = frozenset({"lldp", "arp", "pn-dcp", "pn-cm"})
 
 class Provenance(Record):
     __slots__ = ("protocol", "capture_index", "conflict")
-
-    def __init__(self, protocol: str, capture_index: int, conflict: bool = False) -> None:
-        self.protocol = protocol
-        self.capture_index = capture_index
-        self.conflict = conflict
+    _defaults = {"conflict": False}
 
     def to_json(self) -> dict:
         return {
@@ -110,16 +106,6 @@ _UNSET = dict(zip(AssetRecord._fields, AssetRecord("")._values()))
 
 class InventoryChange(Record):
     __slots__ = ("mac", "fieldname", "old", "new", "conflict", "cause")
-
-    def __init__(
-        self, mac: str, fieldname: str, old: object, new: object, conflict: bool, cause: FrameRef
-    ) -> None:
-        self.mac = mac
-        self.fieldname = fieldname
-        self.old = old
-        self.new = new
-        self.conflict = conflict
-        self.cause = cause
 
 
 class AssetInventory:

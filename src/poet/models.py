@@ -23,7 +23,7 @@ from .dissect import (
     ParsedFrame,
     PnioCyclicFrame,
 )
-from .fsm import Cause, Edge, FrameRef, FsmDefinition, FsmInstance, SharedCause, WildcardEdge
+from .fsm import Edge, FrameRef, FsmDefinition, FsmInstance, SharedCause, WildcardEdge
 from .record import FrozenRecord, Record
 
 # Event names (device scope unless noted)
@@ -228,36 +228,21 @@ class ProtocolEvent(Record):
     own `FrameRef`.
     """
 
-    __slots__ = ("event_name", "scope", "key", "cause", "instance")
-
-    def __init__(
-        self,
-        event_name: str,
-        scope: str,  # "device" | "connection" | "system"
-        key: str | None,  # the device MAC, the connection key, or None for the system
-        cause: Cause,
-        instance: FsmInstance | None = None,  # a bound CR's, resolved at registration: fired with no lookup
-    ) -> None:
-        self.event_name = event_name
-        self.scope = scope
-        self.key = key
-        self.cause = cause
-        self.instance = instance
+    __slots__ = (
+        "event_name",
+        "scope",  # "device" | "connection" | "system"
+        "key",  # the device MAC, the connection key, or None for the system
+        "cause",
+        "instance",  # a bound CR's, resolved at registration: fired with no lookup
+    )
+    _defaults = {"instance": None}
 
 
 class TrackDiagnostic(Record):
     """Non-anomaly finding surfaced to the tracker (orphans, bad layouts), addressed as a ProtocolEvent."""
 
-    __slots__ = ("kind", "detail", "cause", "scope", "key")
-
-    def __init__(
-        self, kind: str, detail: str, cause: FrameRef, scope: str = "system", key: str | None = None
-    ) -> None:
-        self.kind = kind
-        self.detail = detail
-        self.cause = cause
-        self.scope = scope  # "device" | "system"
-        self.key = key
+    __slots__ = ("kind", "detail", "cause", "scope", "key")  # scope: "device" | "system"
+    _defaults = {"scope": "system", "key": None}
 
 
 class DeferredEvent(Record):
@@ -270,10 +255,6 @@ class DeferredEvent(Record):
     __slots__ = ("name", "cause")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, name: str, cause: FrameRef) -> None:
-        self.name = name
-        self.cause = cause
 
 
 class CyclicBinding(Record):
@@ -292,34 +273,15 @@ class CyclicBinding(Record):
     __slots__ = (
         "frame_id",
         "responder_mac",
-        "key",
-        "data_event",
+        "key",  # the connection key
+        "data_event",  # input_process_data_sent | output_process_data_sent
         "iops_offsets",
         "c_sdu_length",
-        "summary",
-        "good",
+        "summary",  # the cause summary of every good frame
+        "good",  # set only while bound
     )
     _fields = __slots__[:-1]  # `good` is neither compared nor shown
-
-    def __init__(
-        self,
-        frame_id: int,
-        responder_mac: str,
-        key: str,  # the connection key
-        data_event: str,  # input_process_data_sent | output_process_data_sent
-        iops_offsets: tuple[int, ...] | None,
-        c_sdu_length: int,
-        summary: str,  # the cause summary of every good frame
-        good: DerivedEvents | None = None,  # set only while bound
-    ) -> None:
-        self.frame_id = frame_id
-        self.responder_mac = responder_mac
-        self.key = key
-        self.data_event = data_event
-        self.iops_offsets = iops_offsets
-        self.c_sdu_length = c_sdu_length
-        self.summary = summary
-        self.good = good
+    _defaults = {"good": None}
 
 
 _OPPOSITE = {"input": "output", "output": "input"}
@@ -372,16 +334,7 @@ def cyclic_bindings(
 class ConnectionRegistration(FrozenRecord):
     """One AR, compiled from its Connect request: the record the AR table keeps per AR UUID."""
 
-    __slots__ = ("key", "responder_mac", "ar_uuid", "frame_id_bindings")
-
-    def __init__(
-        self,
-        key: str,
-        responder_mac: str,
-        ar_uuid: uuid.UUID,
-        frame_id_bindings: tuple[CyclicBinding, ...],  # one per IOCR
-    ) -> None:
-        self._init(key, responder_mac, ar_uuid, frame_id_bindings)
+    __slots__ = ("key", "responder_mac", "ar_uuid", "frame_id_bindings")  # a binding per IOCR
 
 
 class ArTable(Record):

@@ -1,10 +1,15 @@
-"""The base of poet's runtime records: plain classes whose repr and equality read their fields.
+"""The base of poet's runtime records: classes that declare their fields once, in `__slots__`.
 
 A record class lists its fields in `__slots__`, after those of the record it
-extends, and its own `__init__` sets every one of them, inherited ones
-included. Its repr is `Name(field=value, ...)`, and it equals a record of the
-same class whose fields are equal. A `Record` is unhashable; a `FrozenRecord`
-refuses assignment and hashes by its fields. Nothing here generates code.
+extends. Unless its body writes an `__init__`, this base compiles one for it
+when the class is created, with the builtin `compile`: it takes the inherited
+fields first, then the class's own, and sets each with one plain store, as one
+written by hand would. A field named in the class's `_defaults` takes that
+value by default, so Python itself refuses a class that puts a defaulted field
+before a required one. Its repr is `Name(field=value, ...)`, and it equals a
+record of the same class whose fields are equal. A `Record` is unhashable; a
+`FrozenRecord` refuses assignment, which its `__init__` goes past, and hashes
+by its fields.
 """
 
 from __future__ import annotations
@@ -12,12 +17,21 @@ from __future__ import annotations
 
 class Record:
     __slots__ = ()
+    _params: tuple[str, ...] = ()  # what __init__ takes, in order
     _fields: tuple[str, ...] = ()  # what repr and == read, in order; a class may leave one out
+    _defaults: dict[str, object] = {}  # the default of each parameter that has one
+    _store = "self.{0} = {0}"  # how the generated __init__ sets field {0}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        if "_fields" not in vars(cls):
-            cls._fields = cls._fields + vars(cls).get("__slots__", ())
+        own = vars(cls)
+        slots = own.get("__slots__", ())
+        if "_fields" not in own:
+            cls._fields = cls._fields + slots
+        # A class that declares no slots keeps a __dict__, and takes the fields it shows.
+        cls._params = cls._params + slots if "__slots__" in own else cls._fields
+        if "__init__" not in own and cls._params:
+            cls.__init__ = _compile_init(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -34,13 +48,21 @@ class Record:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _compile_init(cls: type[Record]):
+    """`def __init__(self, a, b=_defaults['b']): self.a = a; self.b = b`, for `cls`'s parameters."""
+    params = [f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in cls._params]
+    body = "".join([f"\n    {cls._store.format(name)}" for name in cls._params])
+    source = f"def __init__({', '.join(['self', *params])}):{body}\n"
+    namespace = {"__name__": cls.__module__, "_defaults": cls._defaults, "_set": object.__setattr__}
+    exec(compile(source, f"<record {cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class FrozenRecord(Record):
     __slots__ = ()
-
-    def _init(self, *values: object) -> None:
-        """Set the fields, in order, past the refusing `__setattr__`."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    _store = "_set(self, {0!r}, {0})"  # past the refusing __setattr__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -53,10 +53,7 @@ from .dissect import (
     RPC_PTYPE_RESPONSE,
     UUID_IO_CONTROLLER,
     UUID_IO_DEVICE,
-    mac_to_str,
     name_of_station_violations,
-    str_to_ip,
-    str_to_mac,
 )
 from .fsm import FrameRef
 from .models import (
@@ -83,6 +80,25 @@ from .models import (
     connection_key,
 )
 from .tracker import DEFAULT_SYSTEM_NAME, FsmFleet
+
+
+def mac_to_str(mac: bytes) -> str:
+    return mac.hex(":")
+
+
+def str_to_mac(text: str) -> bytes:
+    parts = text.replace("-", ":").split(":")
+    if len(parts) != 6:
+        raise ValueError(f"bad MAC {text!r}")
+    return bytes(int(p, 16) for p in parts)
+
+
+def str_to_ip(text: str) -> bytes:
+    parts = text.split(".")
+    if len(parts) != 4:
+        raise ValueError(f"bad IPv4 {text!r}")
+    return bytes(int(p) for p in parts)
+
 
 LLDP_MULTICAST = str_to_mac("01:80:c2:00:00:0e")
 DCP_MULTICAST = str_to_mac("01:0e:cf:00:00:00")

@@ -15,7 +15,7 @@ import sys
 from collections import OrderedDict
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Callable, Iterable
 
 from .capture import CaptureError, RawFrame, StreamItem
 from .dissect import MalformedFrame, dissect
@@ -51,34 +51,14 @@ _SOURCE_PROTOCOLS = frozenset({"pn-dcp", "pn-cm", "pnio"})
 class AnomalyAlert(Record):
     __slots__ = (
         "timestamp",
-        "instance_kind",
+        "instance_kind",  # "device" | "connection" | "system"
         "instance_key",
         "state_at_event",
         "offending_event",
         "cause",
         "explanation",
-        "severity",
+        "severity",  # "anomaly" | "diagnostic"
     )
-
-    def __init__(
-        self,
-        timestamp: Timestamp,
-        instance_kind: str,  # "device" | "connection" | "system"
-        instance_key: str,
-        state_at_event: str,
-        offending_event: str,
-        cause: FrameRef,
-        explanation: str,
-        severity: str,  # "anomaly" | "diagnostic"
-    ) -> None:
-        self.timestamp = timestamp
-        self.instance_kind = instance_kind
-        self.instance_key = instance_key
-        self.state_at_event = state_at_event
-        self.offending_event = offending_event
-        self.cause = cause
-        self.explanation = explanation
-        self.severity = severity
 
     def to_json(self) -> dict:
         return {
@@ -95,10 +75,7 @@ class AnomalyAlert(Record):
 
 class TrackerConfig(Record):
     __slots__ = ("system_name", "alert_sink")
-
-    def __init__(self, system_name: str = DEFAULT_SYSTEM_NAME, alert_sink: TextIO | None = None) -> None:
-        self.system_name = system_name
-        self.alert_sink = alert_sink
+    _defaults = {"system_name": DEFAULT_SYSTEM_NAME, "alert_sink": None}
 
 
 class FsmFleet:
@@ -207,19 +184,7 @@ class TrackerReport(Record):
     returns are built from them each time they are read.
     """
 
-    __slots__ = ("summary", "alerts", "fleet", "assets")
-
-    def __init__(
-        self,
-        summary: dict,
-        alerts: list[AnomalyAlert],
-        fleet: FsmFleet,
-        assets: list[AssetRecord],  # sorted by interface MAC
-    ) -> None:
-        self.summary = summary
-        self.alerts = alerts
-        self.fleet = fleet
-        self.assets = assets
+    __slots__ = ("summary", "alerts", "fleet", "assets")  # assets: sorted by interface MAC
 
     @property
     def final_states(self) -> dict:

@@ -504,9 +504,13 @@ def test_usage_error_exit_one(capsys):
 
 def test_poet_log_env_controls_verbosity(tmp_path, capsys, monkeypatch):
     prefix = _write_builtin(tmp_path, "normal-startup-1")
-    monkeypatch.setenv("POET_LOG", "debug")
+    monkeypatch.delenv("POET_LOG", raising=False)
     assert main(["analyze", prefix + ".pcap"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""
+    # Read on every call: a logging handler installed earlier in the process changes nothing.
+    monkeypatch.setenv("POET_LOG", "info")
+    assert main(["analyze", prefix + ".pcap"]) == 0
+    assert capsys.readouterr().err == "INFO poet: analyzed 36 frames, 0 anomalies\n"
 
 
 def test_custom_system_name(tmp_path, capsys):

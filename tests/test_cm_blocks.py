@@ -15,7 +15,7 @@ import uuid
 from hypothesis import given, settings, strategies as st
 
 from poet.capture import RawFrame
-from poet.dissect import CmFrame, MalformedFrame, dissect, str_to_mac
+from poet.dissect import CmFrame, MalformedFrame, dissect
 from poet.fsm import FrameRef, FsmInstance
 from poet.models import (
     ACYCLIC_DONE,
@@ -45,6 +45,7 @@ from poet.synth import (
     iocr_block_request,
     iocr_block_response,
     record_block,
+    str_to_mac,
 )
 
 CTRL_MAC = "02:00:00:00:01:00"

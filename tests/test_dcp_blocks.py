@@ -11,7 +11,7 @@ import struct
 from hypothesis import given, strategies as st
 
 from poet.capture import RawFrame
-from poet.dissect import dissect, str_to_mac
+from poet.dissect import dissect
 from poet.fsm import FrameRef
 from poet.inventory import AssetInventory
 from poet.models import (
@@ -25,7 +25,7 @@ from poet.models import (
     TrackContext,
     derive_events,
 )
-from poet.synth import _dcp_block, encode_dcp
+from poet.synth import _dcp_block, encode_dcp, str_to_mac
 
 SRC_MAC = "02:00:00:00:01:00"
 DST_MAC = "02:00:00:00:02:00"

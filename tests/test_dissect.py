@@ -22,9 +22,7 @@ from poet.dissect import (
     ParsedFrame,
     PnioCyclicFrame,
     dissect,
-    mac_to_str,
     name_of_station_violations,
-    str_to_mac,
     _parse_lldp,
 )
 from poet import synth
@@ -48,7 +46,9 @@ from poet.synth import (
     ethernet,
     expected_submodules_block,
     iocr_block_request,
+    mac_to_str,
     malformed_frame,
+    str_to_mac,
 )
 
 from corpus import fuzz_corpus

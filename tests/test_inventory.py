@@ -9,7 +9,7 @@ import pytest
 
 from poet import inventory
 from poet.capture import RawFrame, open_capture
-from poet.dissect import dissect, str_to_mac
+from poet.dissect import dissect
 from poet.fsm import FrameRef
 from poet.inventory import AssetInventory
 from poet.synth import (
@@ -19,6 +19,7 @@ from poet.synth import (
     encode_lldp,
     ethernet,
     normal_startup_spec,
+    str_to_mac,
     synthesize,
 )
 from poet.tracker import Tracker, TrackerConfig, dumps_inventory

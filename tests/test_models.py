@@ -21,7 +21,6 @@ from poet.dissect import (
     IocrBlock,
     PnioCyclicFrame,
     dissect,
-    str_to_mac,
 )
 from poet.fsm import FrameRef, FsmInstance, SharedCause
 from poet.models import (
@@ -74,6 +73,7 @@ from poet.synth import (
     expected_submodules_block,
     iocr_block_request,
     record_block,
+    str_to_mac,
 )
 from poet.dissect import BLOCK_WRITE_REQ, BLOCK_WRITE_RES, RPC_OPNUM_READ
 

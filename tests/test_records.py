@@ -5,6 +5,9 @@ The records of `capture`, `dissect`, `fsm`, `inventory`, `models` and `tracker` 
 within one class and are unhashable; the immutable ones (`CaptureError`, `SharedCause`,
 `Edge`, `WildcardEdge`, `FsmDefinition`, `ConnectionRegistration`) also hash by value and
 refuse assignment; `Step` and `DeferredEvent` compare and hash by identity.
+
+Last, the `__init__` that `poet.record` compiles from a class's `__slots__` and `_defaults`,
+on records declared here.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from poet.models import (
     ProtocolEvent,
     TrackDiagnostic,
 )
+from poet.record import FrozenRecord, Record
 from poet.tracker import DEFAULT_SYSTEM_NAME, AnomalyAlert, TrackerConfig, TrackerReport
 
 # By name: `poet.dissect` is the package's `dissect` function, which shadows its module.
@@ -358,3 +362,70 @@ def test_defaults():
     assert Provenance("lldp", 1) == Provenance("lldp", 1, False)
     assert DerivedEvents() == DerivedEvents([], (), None, (), None)
     assert TrackerConfig() == TrackerConfig(DEFAULT_SYSTEM_NAME, None)
+
+
+class _Pair(Record):
+    __slots__ = ("a", "b")
+
+
+class _Quad(_Pair):
+    __slots__ = ("c", "d")
+    _defaults = {"d": "dee"}
+
+
+class _FrozenPair(FrozenRecord):
+    __slots__ = ("x", "y")
+    _defaults = {"y": 2}
+
+
+def test_a_generated_init_takes_inherited_fields_first():
+    by_position = _Quad(1, 2, 3, 4)
+    by_keyword = _Quad(d=4, c=3, b=2, a=1)
+    assert [by_position.a, by_position.b, by_position.c, by_position.d] == [1, 2, 3, 4]
+    assert by_keyword == by_position
+    assert repr(by_position) == "_Quad(a=1, b=2, c=3, d=4)"
+    with pytest.raises(TypeError):
+        _Quad(1, 2)
+
+
+def test_a_generated_init_applies_defaults():
+    assert _Quad(1, 2, 3).d == "dee"
+    assert _Quad(1, 2, 3) == _Quad(1, 2, 3, "dee")
+    assert _FrozenPair(1).y == 2
+
+
+def test_a_default_before_a_required_field_fails_when_the_class_is_created():
+    with pytest.raises(SyntaxError):
+
+        class Broken(_Pair):
+            __slots__ = ("c",)
+            _defaults = {"b": None}
+
+
+def test_a_class_that_writes_init_keeps_it():
+    class Doubled(_Pair):
+        __slots__ = ()
+
+        def __init__(self, a, b):
+            self.a = a
+            self.b = 2 * b
+
+    assert Doubled(1, 2).b == 4
+    # Among the runtime records, only those whose defaults are built per record write their own.
+    written = {cls for cls, _ in RECORDS if not cls.__init__.__code__.co_filename.startswith("<record ")}
+    assert written == {AssetRecord, ArTable, DerivedEvents}
+
+
+def test_a_generated_frozen_record_refuses_assignment():
+    record = _FrozenPair(1)
+    with pytest.raises(AttributeError):
+        record.x = 3
+    assert record.x == 1
+    assert hash(record) == hash(_FrozenPair(1, 2))
+
+
+def test_a_generated_init_is_named_for_its_record():
+    assert _Quad.__init__.__qualname__ == "_Quad.__init__"
+    assert _Quad.__init__.__code__.co_filename == f"<record {__name__}._Quad>"
+    assert RawFrame.__init__.__qualname__ == "RawFrame.__init__"
+    assert FsmDefinition.__init__.__code__.co_filename == "<record poet.fsm.FsmDefinition>"

@@ -1,7 +1,7 @@
 """The runtime's import graph: `import poet` loads poet's own modules and the stdlib, no generator.
 
 Nor does it load `dataclasses` or the modules that build, compile or read source, and `import
-poet.cli` leaves `poet.synth` to the one command that synthesizes.
+poet.cli` leaves `poet.synth` to the one command that synthesizes and loads no `logging`.
 
 Also the module boundaries that the imports keep: only `dissect` knows a DCP option number,
 only `models.ArTable` writes the AR and frame-id registries, and only `models` names a state
@@ -52,7 +52,7 @@ def test_import_poet_loads_only_the_runtime_and_the_stdlib():
 
 
 def test_import_poet_loads_no_code_generator_or_source_reader():
-    """The runtime's records are plain classes: no module that builds, compiles or reads source loads."""
+    """No module that builds, compiles or reads source loads; the records' `__init__`s use the builtin `compile`."""
     added = _added_by_import("poet")
     assert "poet.models" in added
     assert sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)) == []
@@ -62,6 +62,13 @@ def test_import_poet_cli_leaves_the_generator_to_poet_synth():
     added = _added_by_import("poet.cli")
     assert "poet.cli" in added
     assert "poet.synth" not in added
+
+
+def test_import_poet_cli_loads_no_logging():
+    # cli writes its INFO lines itself; `logging` would bring in `traceback` and `tokenize`.
+    added = _added_by_import("poet.cli")
+    assert "poet.cli" in added
+    assert sorted({"logging", "traceback", "tokenize"} & set(added)) == []
 
 
 def _names(tree: ast.AST):

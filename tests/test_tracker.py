@@ -24,7 +24,6 @@ from poet.dissect import (
     MalformedFrame,
     ParsedFrame,
     dissect,
-    str_to_mac,
 )
 from poet.fsm import LOG_WINDOW, FrameRef, FsmInstance, SharedCause, TransitionRecord
 from poet.inventory import AssetInventory, AssetRecord, InventoryChange, Provenance
@@ -57,6 +56,7 @@ from poet.synth import (
     normal_startup_spec,
     rename_attack_spec,
     rogue_connect_spec,
+    str_to_mac,
     synthesize,
     write_pcap_bytes,
 )
@@ -146,7 +146,7 @@ def test_ip_set_during_data_exchange_detected():
 def test_rename_with_identify_probe(tmp_path):
     """Identify + Set mid-exchange: every probe step violates the device model."""
     from poet.synth import dcp_identify_request, dcp_identify_response, dcp_set_name_request
-    from poet.dissect import DcpFrame, MalformedFrame, dissect, str_to_mac
+    from poet.dissect import DcpFrame, MalformedFrame, dissect
 
     base = synthesize(normal_startup_spec(1))
     device = base.spec.devices[0]
@@ -415,7 +415,7 @@ def test_two_attacks_in_frame_order(tmp_path):
 )
 def test_arbitrary_benign_lldp_interleaving_stays_clean(inserts):
     """Periodic LLDP may land anywhere in a clean startup without alerts."""
-    from poet.dissect import DcpFrame, MalformedFrame, dissect, str_to_mac
+    from poet.dissect import DcpFrame, MalformedFrame, dissect
     from poet.synth import encode_lldp, _port_macs
 
     result = synthesize(normal_startup_spec(2))
@@ -489,7 +489,7 @@ def test_alert_soundness_against_exported_tables(tmp_path):
 def test_rename_unbinds_old_name(tmp_path):
     """After the rename lands, identify requests for the old name go unanswered."""
     from poet.synth import dcp_identify_request
-    from poet.dissect import DcpFrame, MalformedFrame, dissect, str_to_mac
+    from poet.dissect import DcpFrame, MalformedFrame, dissect
 
     result = synthesize(rename_attack_spec())
     ctrl = str_to_mac(result.spec.controller.mac)
@@ -523,7 +523,7 @@ def test_capture_error_becomes_diagnostic(tmp_path):
 
 def test_unanswered_identify_expires_as_diagnostic(tmp_path):
     from poet.synth import dcp_identify_request
-    from poet.dissect import DcpFrame, MalformedFrame, dissect, str_to_mac
+    from poet.dissect import DcpFrame, MalformedFrame, dissect
 
     ctrl = str_to_mac("02:00:00:00:01:00")
     frames = [((100, 0), dcp_identify_request(ctrl, 1, "ghost-device"))]
