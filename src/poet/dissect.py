@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 import struct
-import uuid
 from typing import ClassVar
 
 from .capture import RawFrame
@@ -91,8 +90,9 @@ RPC_VERSION_CL = 4
 RPC_PTYPE_REQUEST = 0
 RPC_PTYPE_RESPONSE = 2
 RPC_HEADER_LEN = 80
-UUID_IO_DEVICE = uuid.UUID("dea00001-6c97-11d1-8271-00a02442df7d")
-UUID_IO_CONTROLLER = uuid.UUID("dea00002-6c97-11d1-8271-00a02442df7d")
+# The PN-IO device and controller interface UUIDs, big-endian as a drep ">" header carries them.
+UUID_IO_DEVICE = bytes.fromhex("dea000016c9711d1827100a02442df7d")
+UUID_IO_CONTROLLER = bytes.fromhex("dea000026c9711d1827100a02442df7d")
 
 RPC_OPNUM_CONNECT = 0
 RPC_OPNUM_RELEASE = 1
@@ -118,6 +118,7 @@ BLOCK_DCONTROL_RES = 0x8110
 BLOCK_CCONTROL_REQ = 0x0112
 BLOCK_CCONTROL_RES = 0x8112
 BLOCK_RELEASE = 0x0114
+BLOCK_RELEASE_RES = 0x8114
 
 CR_INPUT = 1
 CR_OUTPUT = 2
@@ -203,7 +204,7 @@ class CmFrame(ParsedFrame):
     __slots__ = (
         "direction",  # "request" | "response"
         "operation",  # Connect | Write | Read | DControl | CControl | Release
-        "ar_uuid",
+        "ar_uuid",  # the 16 bytes of the AR UUID as its block carries them, or None
         "iocr_blocks",
         "expected_submodules",  # each submodule's (direction, data_length, iops_length, iocs_length)
     )
@@ -567,7 +568,10 @@ _RPC_BY_ORDER = {
     e: (
         struct.Struct(e + "BBB21x16s28xH4xHH2x").unpack_from,
         struct.Struct(e + "I").unpack_from,
-        frozenset(u.bytes_le if e == "<" else u.bytes for u in (UUID_IO_DEVICE, UUID_IO_CONTROLLER)),
+        # A little-endian header stores a UUID's first three fields (4, 2 and 2 bytes) byte-reversed.
+        frozenset(
+            u[3::-1] + u[5:3:-1] + u[7:5:-1] + u[8:] if e == "<" else u for u in (UUID_IO_DEVICE, UUID_IO_CONTROLLER)
+        ),
     )
     for e in "<>"
 }
@@ -615,6 +619,7 @@ _AR_BLOCKS: dict[int, tuple[str, int, str]] = {
     BLOCK_CCONTROL_REQ: ("CControl", 18, "control block too short"),
     BLOCK_CCONTROL_RES: ("CControl", 18, "control block too short"),
     BLOCK_RELEASE: ("Release", 0, ""),
+    BLOCK_RELEASE_RES: ("Release", 0, ""),
 }
 # Connect blocks that poet does not read: framing-checked and skipped. Alone they
 # name the operation Connect; a block of _AR_BLOCKS names it in their place.
@@ -633,7 +638,7 @@ def _parse_cm_blocks(
 ) -> CmFrame:
     """The PN-CM PDU whose blocks fill frame[pos:end], read in place; a refusal points at a block."""
     first = pos
-    ar_uuid: uuid.UUID | None = None
+    ar_uuid: bytes | None = None
     iocrs: list[IocrBlock] = []
     submodules: list[tuple[str, int, int, int]] = []
     operation: str | None = None
@@ -653,7 +658,7 @@ def _parse_cm_blocks(
             if size < least:
                 raise MalformedFrame("pn-cm", pos - start, too_short)
             if size >= 18:
-                ar_uuid = uuid.UUID(bytes=_AR_UUID(frame, at)[0])
+                ar_uuid = _AR_UUID(frame, at)[0]
             if block_type == BLOCK_AR_REQ:
                 if size < 52:
                     raise MalformedFrame("pn-cm", pos - start, "AR request block too short")

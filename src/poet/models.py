@@ -10,7 +10,6 @@ the rename-attack signal.
 
 from __future__ import annotations
 
-import uuid
 from collections.abc import Callable, Sequence
 from functools import cache
 
@@ -331,6 +330,13 @@ def cyclic_bindings(
     return bindings, problem
 
 
+def _ar_text(ar_uuid: bytes) -> str:
+    """An AR UUID's 16 wire bytes as canonical UUID text, for a diagnostic's detail."""
+    import uuid  # only a diagnostic that names an AR needs it, so `import poet` does not load it
+
+    return str(uuid.UUID(bytes=ar_uuid))
+
+
 class ConnectionRegistration(FrozenRecord):
     """One AR, compiled from its Connect request: the record the AR table keeps per AR UUID."""
 
@@ -344,10 +350,10 @@ class ArTable(Record):
 
     def __init__(
         self,
-        ars: dict[uuid.UUID, ConnectionRegistration] | None = None,
+        ars: dict[bytes, ConnectionRegistration] | None = None,
         frame_ids: dict[int, CyclicBinding] | None = None,
     ) -> None:
-        self.ars = {} if ars is None else ars  # each AR by its UUID
+        self.ars = {} if ars is None else ars  # each AR by its UUID's 16 bytes
         self.frame_ids = {} if frame_ids is None else frame_ids  # each bound CR by its frame id
 
     def register(
@@ -363,7 +369,7 @@ class ArTable(Record):
         """
         held_ar = self.ars.get(reg.ar_uuid)
         if held_ar is not None and held_ar.key != reg.key:
-            detail = f"AR {reg.ar_uuid} is held by connection {held_ar.key}"
+            detail = f"AR {_ar_text(reg.ar_uuid)} is held by connection {held_ar.key}"
             return [TrackDiagnostic("ar_uuid_conflict", detail, cause, "device", reg.responder_mac)]
         self.ars[reg.ar_uuid] = reg
         findings = []
@@ -547,9 +553,9 @@ def _derive_cm(frame: CmFrame, ctx: TrackContext) -> DerivedEvents:
         return DerivedEvents()  # Connect responses and Releases drive no tracked event
 
     cause = _cause(frame, f"pn-cm {op.lower()} {direction}")
-    conn = None if frame.ar_uuid is None else ctx.ar_table.ars.get(frame.ar_uuid)
+    conn = ctx.ar_table.ars.get(frame.ar_uuid)
     if conn is None:
-        missing = "without AR reference" if frame.ar_uuid is None else f"for unknown AR {frame.ar_uuid}"
+        missing = "without AR reference" if frame.ar_uuid is None else f"for unknown AR {_ar_text(frame.ar_uuid)}"
         orphan = TrackDiagnostic("orphan_frame", f"{cause.summary} {missing}", cause)
         return DerivedEvents(diagnostics=(orphan,))
     device = conn.responder_mac

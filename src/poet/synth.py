@@ -499,7 +499,7 @@ def encode_cm(
     interface: uuid.UUID | None = None,
 ) -> bytes:
     if interface is None:
-        interface = UUID_IO_DEVICE
+        interface = uuid.UUID(bytes=UUID_IO_DEVICE)
     args = struct.pack("<IIIII", 16384, len(blocks), len(blocks), 0, len(blocks)) + blocks
     rpc = struct.pack(
         "<BBBB3sB",
@@ -796,7 +796,7 @@ class _Builder:
         callee = (self.device_macs[device.name], device.ip)
         if request_from_device:
             caller, callee = callee, caller
-        interface = UUID_IO_CONTROLLER if request_from_device else UUID_IO_DEVICE
+        interface = uuid.UUID(bytes=UUID_IO_CONTROLLER if request_from_device else UUID_IO_DEVICE)
         plans = []
         for ptype, direction, (src, src_ip), (dst, dst_ip), blocks, events in (
             (RPC_PTYPE_REQUEST, "request", caller, callee, request, request_events),

@@ -62,7 +62,7 @@ SUBMODULES = 0x0104
 WRITE_REQ, WRITE_RES, READ_REQ, READ_RES = 0x0008, 0x8008, 0x0009, 0x8009
 DCONTROL_REQ, DCONTROL_RES = 0x0110, 0x8110
 CCONTROL_REQ, CCONTROL_RES = 0x0112, 0x8112
-RELEASE = 0x0114
+RELEASE, RELEASE_RES = 0x0114, 0x8114
 OPNUM_OPERATIONS = ["Connect", "Release", "Read", "Write", "DControl"]
 
 
@@ -85,10 +85,10 @@ _KINDS = [
     ),
     *(
         st.builds(lambda ar, t=block_type: (t, _content(control_block(t, ar, 1))), _AR)
-        for block_type in (DCONTROL_REQ, DCONTROL_RES, CCONTROL_REQ, CCONTROL_RES, RELEASE)
+        for block_type in (DCONTROL_REQ, DCONTROL_RES, CCONTROL_REQ, CCONTROL_RES, RELEASE, RELEASE_RES)
     ),
-    st.builds(lambda ar, size: (RELEASE, _content(control_block(RELEASE, ar, 1))[:size]), _AR,
-              st.integers(0, 17)),  # a short Release, which names no AR
+    st.builds(lambda t, ar, size: (t, _content(control_block(t, ar, 1))[:size]),
+              st.sampled_from([RELEASE, RELEASE_RES]), _AR, st.integers(0, 17)),  # a short Release, which names no AR
     st.builds(lambda cr_type, frame_id: (IOCR_REQ, _content(iocr_block_request(cr_type, 1, 4, frame_id))),
               st.sampled_from([1, 2, 3]), st.sampled_from([0x8001, 0x8002])),
     st.builds(lambda cr_type: (IOCR_RES, _content(iocr_block_response(cr_type, 1, 0x8001))),
@@ -114,7 +114,7 @@ def _block(draw) -> tuple[int, bytes]:
 
 
 def _reference_dissect(direction: str, opnum: int, blocks) -> tuple:
-    """("ok", operation, AR UUID) of a PDU, or ("refused", reason, offset)."""
+    """("ok", operation, AR UUID's 16 bytes) of a PDU, or ("refused", reason, offset)."""
     operation = ar = None
     has_iocrs = has_submodules = False
     at = BLOCKS_BASE
@@ -124,7 +124,7 @@ def _reference_dissect(direction: str, opnum: int, blocks) -> tuple:
             operation = "Connect"
             if size < 26:
                 return ("refused", "AR block too short", at)
-            ar = uuid.UUID(bytes=content[2:18])
+            ar = content[2:18]
             if block_type == AR_REQ:
                 # The station name's length sits after the initiator's object UUID and timing fields.
                 if size < 52:
@@ -135,18 +135,18 @@ def _reference_dissect(direction: str, opnum: int, blocks) -> tuple:
             operation = "Write" if block_type in (WRITE_REQ, WRITE_RES) else "Read"
             if size < 32:
                 return ("refused", "record block too short", at)
-            ar = uuid.UUID(bytes=content[2:18])
+            ar = content[2:18]
             if size < 32 + struct.unpack(">I", content[28:32])[0]:
                 return ("refused", "record data exceeds block", at)
         elif block_type in (DCONTROL_REQ, DCONTROL_RES, CCONTROL_REQ, CCONTROL_RES):
             operation = "DControl" if block_type in (DCONTROL_REQ, DCONTROL_RES) else "CControl"
             if size < 18:
                 return ("refused", "control block too short", at)
-            ar = uuid.UUID(bytes=content[2:18])
-        elif block_type == RELEASE:
+            ar = content[2:18]
+        elif block_type in (RELEASE, RELEASE_RES):
             operation = "Release"
             if size >= 18:  # a short Release names no AR
-                ar = uuid.UUID(bytes=content[2:18])
+                ar = content[2:18]
         elif block_type == IOCR_REQ:
             if size < 18:
                 return ("refused", "IOCR block too short", at)
@@ -227,7 +227,7 @@ class _Context(TrackContext):
         self.ar_table = ArTable()
         device = FsmInstance(device_fsm_table(), DEV_MAC)
         connection = FsmInstance(connection_fsm_table(), KEY)
-        known = ConnectionRegistration(KEY, DEV_MAC, KNOWN_AR, ())
+        known = ConnectionRegistration(KEY, DEV_MAC, KNOWN_AR.bytes, ())
         assert self.ar_table.register(known, device, connection, FrameRef(0, "pn-cm", "connect request")) == []
 
     def state_of(self, scope, key):
@@ -257,7 +257,8 @@ def test_each_ar_operation_matches_reference_table():
         if (operation, direction, ar) == ("Connect", "request", None):
             continue  # dissect refuses a Connect request without an AR block
         src, dst = (CTRL_MAC, DEV_MAC) if direction == "request" else (DEV_MAC, CTRL_MAC)
-        derived = derive_events(CmFrame(dst, src, 9, direction, operation, ar), _Context(established))
+        frame = CmFrame(dst, src, 9, direction, operation, None if ar is None else ar.bytes)
+        derived = derive_events(frame, _Context(established))
         summary = f"pn-cm {operation.lower()} {direction}"
         connect = (operation, direction) == ("Connect", "request")
         cause = f"pn-cm connect request to {DEV_MAC}" if connect else summary

@@ -365,7 +365,7 @@ def test_cm_connect_round_trip():
     body = dissect(raw(frame))
     assert isinstance(body, CmFrame)
     assert (body.direction, body.operation) == ("request", "Connect")
-    assert body.ar_uuid == uuid.uuid5(uuid.NAMESPACE_OID, "test-ar")
+    assert body.ar_uuid == uuid.uuid5(uuid.NAMESPACE_OID, "test-ar").bytes
     assert [(c.cr_type, c.frame_id, c.data_length) for c in body.iocr_blocks] == [
         ("input", 0x8001, 4),  # 2 data + 1 iops + 1 iocs(output submodule)
         ("output", 0x8002, 5),  # 3 data + 1 iops + 1 iocs(input submodule)
@@ -400,7 +400,7 @@ def test_cm_write_read_control_round_trip():
         body = dissect(raw(frame))
         assert isinstance(body, CmFrame)
         assert body.operation == operation
-        assert body.ar_uuid == ar
+        assert body.ar_uuid == ar.bytes
         assert body.direction == "request"
 
 
@@ -513,7 +513,7 @@ def test_big_endian_drep_rpc_parsed():
     blocks = ar_block_request(ar, CTRL, "plc-1")
     args = struct.pack(">IIIII", 16384, len(blocks), len(blocks), 0, len(blocks)) + blocks
     rpc = struct.pack(">BBBB3sB", 4, 0, 0, 0, b"\x00\x00\x00", 0)  # drep: big-endian
-    rpc += uuid.UUID(int=1).bytes + UUID_IO_DEVICE.bytes + uuid.UUID(int=2).bytes
+    rpc += uuid.UUID(int=1).bytes + UUID_IO_DEVICE + uuid.UUID(int=2).bytes
     rpc += struct.pack(">IIIHHHHHBB", 0, 1, 7, 0, 0xFFFF, 0xFFFF, len(args), 0, 0, 0)
     udp = struct.pack(">HHHH", 34964, 34964, 8 + len(rpc) + len(args), 0)
     ip = struct.pack(
@@ -525,7 +525,7 @@ def test_big_endian_drep_rpc_parsed():
     body = dissect(raw(frame))
     assert isinstance(body, CmFrame)
     assert body.operation == "Connect"
-    assert body.ar_uuid == ar
+    assert body.ar_uuid == ar.bytes
 
 
 def test_fragmented_rpc_rejected():

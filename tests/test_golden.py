@@ -134,8 +134,9 @@ GOLDEN_FSM_EXPORT = {
 
 # sha256 of every dissect outcome over _dissect_corpus(), one line each: the record's
 # repr, or the (protocol, offset, reason) of a refusal. It holds each parser's output
-# and refusal precedence byte for byte.
-GOLDEN_DISSECT = "67df8025c994690f131df2e898b9b3d1c771918e9c768575a5c8e92a43d41cf6"
+# and refusal precedence byte for byte. A PN-CM record's ar_uuid shows as the repr of
+# its 16 wire bytes.
+GOLDEN_DISSECT = "3818e3444838a6c7b5e5cad9068ec0c0a27a7e24418823777539a557187e7221"
 
 # The same over test_golden_vlan_tagged_dissect_outcomes' 802.1Q-tagged frames, whose
 # payload and refusal offsets start 4 bytes later.
@@ -143,7 +144,7 @@ GOLDEN_DISSECT_VLAN = "dce34d4979204ceb49a7df18f49f6c9cb87f61131447753cb99a4c542
 
 # The same over test_golden_cm_dissect_outcomes' ARP and IPv4 frames: every PN-CM, UDP,
 # IPv4 and ARP refusal offset, at every cut, untagged and tagged.
-GOLDEN_DISSECT_CM = "42edb5bc6e015a16a66a43220bdc3c961216523341b2bb3bd560dc02efe2e7e3"
+GOLDEN_DISSECT_CM = "fb127aa69b172a5cb963869f578bbdb5371699fc1f40d004d76e1100c6a8e6ca"
 
 # FSM kind -> (sha256 of its compiled table as json.dumps with sorted keys, sha256 of its
 # sorted alphabet as json.dumps). It holds what every machine accepts and rejects, whatever

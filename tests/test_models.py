@@ -435,7 +435,7 @@ def _connect_with(layout, direction: str = "input", skew: int = 0) -> CmFrame:
     own = sum(d + p for sub_dir, d, p, _ in layout if sub_dir == direction)
     opposite = sum(c for sub_dir, _, _, c in layout if sub_dir != direction)
     iocr = IocrBlock(direction, 0x8001, own + opposite + skew)
-    return CmFrame(DEV_MAC, CTRL_MAC, 0, "request", "Connect", AR, (iocr,), tuple(layout))
+    return CmFrame(DEV_MAC, CTRL_MAC, 0, "request", "Connect", AR.bytes, (iocr,), tuple(layout))
 
 
 @pytest.mark.parametrize(
@@ -469,7 +469,7 @@ def _connect_with(layout, direction: str = "input", skew: int = 0) -> CmFrame:
 def test_cyclic_binding_fires_iff_iops_good(layout, data, fires, skew):
     (binding,), _ = cyclic_bindings(_connect_with(layout, skew=skew), "k", DEV_MAC)
     ctx = FakeContext()
-    _register(ctx, ConnectionRegistration("k", DEV_MAC, AR, (binding,)))
+    _register(ctx, ConnectionRegistration("k", DEV_MAC, AR.bytes, (binding,)))
     derived = derive_events(_pnio(0x8001, data), ctx)
     expected = [(CYCLIC_DATA_GOOD, "device"), (INPUT_PROCESS_DATA_SENT, "connection")]
     assert [(e.event_name, e.scope) for e in derived.events] == (expected if fires else [])
@@ -669,7 +669,7 @@ def test_derive_write_disambiguation_by_connection_state():
     frame = encode_cm(CTRL, DEV, "192.168.0.1", "192.168.0.11", 0, 3, uuid.uuid4(), 2, block)
 
     ctx = FakeContext()
-    _register(ctx, ConnectionRegistration(key, DEV_MAC, AR, ()))
+    _register(ctx, ConnectionRegistration(key, DEV_MAC, AR.bytes, ()))
     pre = derive_events(dissect(raw(frame)), ctx)
     assert [e.event_name for e in pre.events] == [PARAMETRIZATION_WRITE, PARAMETRIZATION_WRITE]
 
@@ -684,7 +684,7 @@ def test_derive_write_response_silent_before_establishment():
     frame = encode_cm(DEV, CTRL, "192.168.0.11", "192.168.0.1", 2, 3, uuid.uuid4(), 2, block)
 
     ctx = FakeContext()
-    _register(ctx, ConnectionRegistration(key, DEV_MAC, AR, ()))
+    _register(ctx, ConnectionRegistration(key, DEV_MAC, AR.bytes, ()))
     assert derive_events(dissect(raw(frame)), ctx).events == []
 
     ctx.states["connection", key] = "InputDataExchange"

@@ -1,7 +1,8 @@
 """The runtime's import graph: `import poet` loads poet's own modules and the stdlib, no generator.
 
-Nor does it load `dataclasses` or the modules that build, compile or read source, and `import
-poet.cli` leaves `poet.synth` to the one command that synthesizes and loads no `logging`.
+Nor does it load `dataclasses`, the modules that build, compile or read source, or `uuid`: an AR
+or interface UUID stays as its 16 wire bytes. `import poet.cli` leaves `poet.synth` to the one
+command that synthesizes and loads no `logging`.
 
 Also the module boundaries that the imports keep: only `dissect` knows a DCP option number,
 only `models.ArTable` writes the AR and frame-id registries, and only `models` names a state
@@ -16,6 +17,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import uuid
 
 import poet
 from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
@@ -56,6 +58,22 @@ def test_import_poet_loads_no_code_generator_or_source_reader():
     added = _added_by_import("poet")
     assert "poet.models" in added
     assert sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)) == []
+
+
+def test_import_poet_loads_no_uuid():
+    """The runtime keeps AR and interface UUIDs as their 16 wire bytes; `uuid` would bring in `platform`."""
+    added = _added_by_import("poet")
+    assert "poet.models" in added
+    assert sorted({"uuid", "_uuid", "platform"} & set(added)) == []
+
+
+def test_rpc_interfaces_are_the_pn_io_uuids_in_each_byte_order():
+    """The interfaces a DCE/RPC header is matched against, as `uuid` lays them out in each drep order."""
+    from poet.dissect import _RPC_BY_ORDER
+
+    pn_io = [uuid.UUID("dea00001-6c97-11d1-8271-00a02442df7d"), uuid.UUID("dea00002-6c97-11d1-8271-00a02442df7d")]
+    assert _RPC_BY_ORDER["<"][2] == {u.bytes_le for u in pn_io}
+    assert _RPC_BY_ORDER[">"][2] == {u.bytes for u in pn_io}
 
 
 def test_import_poet_cli_leaves_the_generator_to_poet_synth():

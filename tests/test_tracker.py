@@ -274,6 +274,41 @@ def test_rogue_connect_cannot_take_over_a_live_ar():
     assert states[legit] == "InputDataExchange"
 
 
+def test_release_of_the_live_ar_raises_nothing():
+    """A Release request and its response, an IODReleaseRes block, of the live AR are each read as
+    a Release of that AR and drive no tracked event: the run raises no alert and ends where the
+    run without them ends."""
+    import uuid
+
+    from poet.dissect import BLOCK_RELEASE, BLOCK_RELEASE_RES, RPC_OPNUM_RELEASE, CmFrame
+    from poet.synth import _ar_uuid, control_block, encode_cm
+
+    spec = normal_startup_spec(1, cyclic_rounds=2)
+    result = synthesize(spec)
+    controller, device = spec.controller, spec.devices[0]
+    ctrl, dev = str_to_mac(controller.mac), str_to_mac(device.mac)
+    live_ar = _ar_uuid(spec.seed, 0)
+    activity = uuid.uuid5(uuid.NAMESPACE_OID, "release-activity")
+    release = [
+        encode_cm(ctrl, dev, controller.ip, device.ip, 0, RPC_OPNUM_RELEASE, activity, 0x7FFE,
+                  control_block(BLOCK_RELEASE, live_ar, 4)),
+        encode_cm(dev, ctrl, device.ip, controller.ip, 2, RPC_OPNUM_RELEASE, activity, 0x7FFE,
+                  control_block(BLOCK_RELEASE_RES, live_ar, 4)),
+    ]
+    for data, direction in zip(release, ("request", "response")):
+        body = dissect(RawFrame(0, 0, data, 0))
+        assert isinstance(body, CmFrame)
+        assert (body.direction, body.operation, body.ar_uuid) == (direction, "Release", live_ar.bytes)
+
+    frames = [(plan.ts, plan.data) for plan in result.frames]
+    frames += [(frames[-1][0], data) for data in release]
+    report = Tracker().process(RawFrame(*ts, data, index) for index, (ts, data) in enumerate(frames))
+    assert report.anomalies == []
+    assert report.diagnostics == []
+    baseline = Tracker().process(RawFrame(*plan.ts, plan.data, index) for index, plan in enumerate(result.frames))
+    assert report.final_states == baseline.final_states
+
+
 @pytest.mark.parametrize(
     "request_label, state",
     [("pn-cm read request", "AcyclicReadingData"), ("pn-cm acyclic write request", "AcyclicParametrization")],
@@ -1462,10 +1497,10 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
         _replayed(21, _connect_from(spec.controller.mac, spoofed_ar), _startup_plans()[22].data)
     )
     _assert_bound_records_are_resolved(tracker)
-    rebound = tracker.ar_table.ars[spoofed_ar].frame_id_bindings
+    rebound = tracker.ar_table.ars[spoofed_ar.bytes].frame_id_bindings
     assert {b.frame_id for b in rebound} == set(tracker.ar_table.frame_ids)
     assert all(tracker.ar_table.frame_ids[b.frame_id] is b for b in rebound)
-    replaced = [reg for ar, reg in tracker.ar_table.ars.items() if ar != spoofed_ar]
+    replaced = [reg for ar, reg in tracker.ar_table.ars.items() if ar != spoofed_ar.bytes]
     assert len(replaced) == 1 and replaced[0].key == live
     assert all(b.good is None for b in replaced[0].frame_id_bindings)
     assert [(a.instance_kind, a.offending_event) for a in report.anomalies] == [
@@ -1480,7 +1515,7 @@ def test_bound_cr_records_hold_the_fleets_own_instances():
     tracker.process(_replayed(11, _connect_from("02:66:6e:00:00:99", other_ar)))
     _assert_bound_records_are_resolved(tracker)
     assert {b.key for b in tracker.ar_table.frame_ids.values()} == {live}
-    refused = tracker.ar_table.ars[other_ar].frame_id_bindings
+    refused = tracker.ar_table.ars[other_ar.bytes].frame_id_bindings
     assert refused and all(b.good is None for b in refused)
 
 
