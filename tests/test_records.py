@@ -1,10 +1,11 @@
-"""What every runtime record does with its fields: construction, repr, equality and hashing.
+"""What every runtime record does with its fields: construction, repr, equality, hashing and JSON.
 
 The records of `capture`, `dissect`, `fsm`, `inventory`, `models` and `tracker` print as
 `Name(field=value, ...)`, which the dissect golden digests hash. Records compare by value
 within one class and are unhashable; the immutable ones (`CaptureError`, `SharedCause`,
 `Edge`, `WildcardEdge`, `FsmDefinition`, `ConnectionRegistration`) also hash by value and
-refuse assignment; `Step` and `DeferredEvent` compare and hash by identity.
+refuse assignment; `Step` and `DeferredEvent` compare and hash by identity. Each record
+that a report writes has its `to_json()` document pinned.
 
 Last, the `__init__` that `poet.record` compiles from a class's `__slots__` and `_defaults`,
 on records declared here.
@@ -362,6 +363,96 @@ def test_defaults():
     assert Provenance("lldp", 1) == Provenance("lldp", 1, False)
     assert DerivedEvents() == DerivedEvents([], (), None, (), None)
     assert TrackerConfig() == TrackerConfig(DEFAULT_SYSTEM_NAME, None)
+
+
+_CAUSE_JSON = {"capture_index": 7, "protocol": "pn-dcp", "summary": "dcp Identify Request"}
+
+
+def test_frame_ref_to_json():
+    assert _CAUSE.to_json() == _CAUSE_JSON
+
+
+def test_provenance_to_json():
+    assert Provenance("lldp", 5, True).to_json() == {"protocol": "lldp", "capture_index": 5, "conflict": True}
+    assert Provenance("arp", 6).to_json() == {"protocol": "arp", "capture_index": 6, "conflict": False}
+
+
+def test_transition_record_to_json():
+    record = TransitionRecord((100, 5), "go", "A", None, "rejected", _CAUSE)
+    assert record.to_json() == {
+        "timestamp": [100, 5],
+        "event": "go",
+        "from_state": "A",
+        "to_state": None,
+        "verdict": "rejected",
+        "cause": _CAUSE_JSON,
+    }
+
+
+def test_anomaly_alert_to_json():
+    alert = AnomalyAlert(
+        (100, 5), "device", "02:00:00:00:02:00", "DataExchange", "name_set_requested", _CAUSE, "rename", "anomaly"
+    )
+    assert alert.to_json() == {
+        "timestamp": [100, 5],
+        "instance_kind": "device",
+        "instance_key": "02:00:00:00:02:00",
+        "state_at_event": "DataExchange",
+        "offending_event": "name_set_requested",
+        "cause": _CAUSE_JSON,
+        "explanation": "rename",
+        "severity": "anomaly",
+    }
+
+
+def test_asset_record_to_json_sorts_its_ports_and_counts_them():
+    record = AssetRecord(
+        "02:00:00:00:02:00",
+        "lift-motor",
+        {"02:00:00:00:02:02", "02:00:00:00:02:01"},
+        "192.168.0.11",
+        "255.255.255.0",
+        "192.168.0.1",
+        0x002A,
+        0x0301,
+        "device",
+        (100, 0),
+        (101, 7),
+        {"port_macs": Provenance("lldp", 4), "name_of_station": Provenance("pn-dcp", 9, True)},
+    )
+    assert record.to_json() == {
+        "interface_mac": "02:00:00:00:02:00",
+        "name_of_station": "lift-motor",
+        "port_macs": ["02:00:00:00:02:01", "02:00:00:00:02:02"],
+        "port_count": 2,
+        "ip_address": "192.168.0.11",
+        "subnet": "255.255.255.0",
+        "gateway": "192.168.0.1",
+        "vendor_id": 0x002A,
+        "device_id": 0x0301,
+        "role": "device",
+        "first_seen": [100, 0],
+        "last_seen": [101, 7],
+        "provenance": {
+            "name_of_station": {"protocol": "pn-dcp", "capture_index": 9, "conflict": True},
+            "port_macs": {"protocol": "lldp", "capture_index": 4, "conflict": False},
+        },
+    }
+    assert AssetRecord("aa").to_json() == {
+        "interface_mac": "aa",
+        "name_of_station": None,
+        "port_macs": [],
+        "port_count": 0,
+        "ip_address": None,
+        "subnet": None,
+        "gateway": None,
+        "vendor_id": None,
+        "device_id": None,
+        "role": "unknown",
+        "first_seen": [0, 0],
+        "last_seen": [0, 0],
+        "provenance": {},
+    }
 
 
 class _Pair(Record):
