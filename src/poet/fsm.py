@@ -47,13 +47,6 @@ class FrameRef(Record):
 
     __slots__ = ("capture_index", "protocol", "summary")
 
-    def to_json(self) -> dict:
-        return {
-            "capture_index": self.capture_index,
-            "protocol": self.protocol,
-            "summary": self.summary,
-        }
-
 
 class SharedCause(FrozenRecord):
     """The protocol and summary of every frame from one source; a record adds the frame's index."""
@@ -169,16 +162,6 @@ class TransitionRecord(Record):
         "verdict",  # "accepted" | "rejected"
         "cause",
     )
-
-    def to_json(self) -> dict:
-        return {
-            "timestamp": list(self.timestamp),
-            "event": self.event,
-            "from_state": self.from_state,
-            "to_state": self.to_state,
-            "verdict": self.verdict,
-            "cause": self.cause.to_json(),
-        }
 
 
 class Step(Record):

@@ -25,13 +25,6 @@ class Provenance(Record):
     __slots__ = ("protocol", "capture_index", "conflict")
     _defaults = {"conflict": False}
 
-    def to_json(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "capture_index": self.capture_index,
-            "conflict": self.conflict,
-        }
-
 
 class AssetRecord(Record):
     __slots__ = (
@@ -43,65 +36,32 @@ class AssetRecord(Record):
         "gateway",
         "vendor_id",
         "device_id",
-        "role",
+        "role",  # "controller" | "device" | "supervisor" | "unknown"
         "first_seen",
         "last_seen",
-        "provenance",
+        "provenance",  # each set field's Provenance, by field name
     )
-
-    def __init__(
-        self,
-        interface_mac: str,
-        name_of_station: str | None = None,
-        port_macs: set[str] | None = None,  # a new empty set by default
-        ip_address: str | None = None,
-        subnet: str | None = None,
-        gateway: str | None = None,
-        vendor_id: int | None = None,
-        device_id: int | None = None,
-        role: str = "unknown",  # controller | device | supervisor | unknown
-        first_seen: Timestamp = (0, 0),
-        last_seen: Timestamp = (0, 0),
-        provenance: dict[str, Provenance] | None = None,  # a new empty dict by default
-    ) -> None:
-        self.interface_mac = interface_mac
-        self.name_of_station = name_of_station
-        self.port_macs = set() if port_macs is None else port_macs
-        self.ip_address = ip_address
-        self.subnet = subnet
-        self.gateway = gateway
-        self.vendor_id = vendor_id
-        self.device_id = device_id
-        self.role = role
-        self.first_seen = first_seen
-        self.last_seen = last_seen
-        self.provenance = {} if provenance is None else provenance
+    # Each field's default: a field is set once it holds another value, and a set field that
+    # changes is a conflict.
+    _defaults = {
+        "name_of_station": None,
+        "ip_address": None,
+        "subnet": None,
+        "gateway": None,
+        "vendor_id": None,
+        "device_id": None,
+        "role": "unknown",
+        "first_seen": (0, 0),
+        "last_seen": (0, 0),
+    }
+    _fresh = {"port_macs": set, "provenance": dict}
 
     @property
     def port_count(self) -> int:
         return len(self.port_macs)
 
     def to_json(self) -> dict:
-        return {
-            "interface_mac": self.interface_mac,
-            "name_of_station": self.name_of_station,
-            "port_macs": sorted(self.port_macs),
-            "port_count": self.port_count,
-            "ip_address": self.ip_address,
-            "subnet": self.subnet,
-            "gateway": self.gateway,
-            "vendor_id": self.vendor_id,
-            "device_id": self.device_id,
-            "role": self.role,
-            "first_seen": list(self.first_seen),
-            "last_seen": list(self.last_seen),
-            "provenance": {name: p.to_json() for name, p in sorted(self.provenance.items())},
-        }
-
-
-# Each field's default, read from a blank record: a field is set once it holds another value,
-# and a set field that changes is a conflict.
-_UNSET = dict(zip(AssetRecord._fields, AssetRecord("")._values()))
+        return {**super().to_json(), "port_count": self.port_count}
 
 
 class InventoryChange(Record):
@@ -149,7 +109,7 @@ class AssetInventory:
         if value is None or value == old:
             return
         cause = _cause(parsed, changes)
-        conflict = old != _UNSET[fieldname]
+        conflict = old != AssetRecord._defaults[fieldname]
         setattr(record, fieldname, value)
         if fieldname == "name_of_station":
             if old is not None:

@@ -10,7 +10,7 @@ the rename-attack signal.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from functools import cache
 
 from .dissect import (
@@ -346,15 +346,11 @@ class ConnectionRegistration(FrozenRecord):
 class ArTable(Record):
     """A run's AR and frame-id registries: derive_events reads them, and only `register` writes them."""
 
-    __slots__ = ("ars", "frame_ids")
-
-    def __init__(
-        self,
-        ars: dict[bytes, ConnectionRegistration] | None = None,
-        frame_ids: dict[int, CyclicBinding] | None = None,
-    ) -> None:
-        self.ars = {} if ars is None else ars  # each AR by its UUID's 16 bytes
-        self.frame_ids = {} if frame_ids is None else frame_ids  # each bound CR by its frame id
+    __slots__ = (
+        "ars",  # each AR by its UUID's 16 bytes
+        "frame_ids",  # each bound CR by its frame id
+    )
+    _fresh = {"ars": dict, "frame_ids": dict}
 
     def register(
         self, reg: ConnectionRegistration, device: FsmInstance, connection: FsmInstance, cause: FrameRef
@@ -400,20 +396,8 @@ class DerivedEvents(Record):
     """
 
     __slots__ = ("events", "diagnostics", "new_deferral", "consumed_deferrals", "registration")
-
-    def __init__(
-        self,
-        events: list[ProtocolEvent] | None = None,  # a new empty list by default
-        diagnostics: tuple[TrackDiagnostic, ...] = (),
-        new_deferral: DeferredEvent | None = None,
-        consumed_deferrals: Sequence[DeferredEvent] = (),
-        registration: ConnectionRegistration | None = None,
-    ) -> None:
-        self.events = [] if events is None else events
-        self.diagnostics = diagnostics
-        self.new_deferral = new_deferral
-        self.consumed_deferrals = consumed_deferrals
-        self.registration = registration
+    _defaults = {"diagnostics": (), "new_deferral": None, "consumed_deferrals": (), "registration": None}
+    _fresh = {"events": list}
 
 
 class TrackContext:

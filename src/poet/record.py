@@ -1,26 +1,34 @@
 """The base of poet's runtime records: classes that declare their fields once, in `__slots__`.
 
 A record class lists its fields in `__slots__`, after those of the record it
-extends. Unless its body writes an `__init__`, this base compiles one for it
-when the class is created, with the builtin `compile`: it takes the inherited
-fields first, then the class's own, and sets each with one plain store, as one
-written by hand would. A field named in the class's `_defaults` takes that
-value by default, so Python itself refuses a class that puts a defaulted field
-before a required one. Its repr is `Name(field=value, ...)`, and it equals a
-record of the same class whose fields are equal. A `Record` is unhashable; a
-`FrozenRecord` refuses assignment, which its `__init__` goes past, and hashes
-by its fields.
+extends, and writes no `__init__`: this base compiles one for it when the class
+is created, with the builtin `compile`. It takes the inherited fields first,
+then the class's own, and sets each with one plain store, as one written by
+hand would. A field named in the class's `_defaults` takes that value by
+default, so Python itself refuses a class that puts a defaulted field before a
+required one. A field named in `_fresh` takes `None` by default and stores a
+new empty list, dict or set in its place, one per record. A class's own
+`_defaults` and `_fresh` add to those it inherits.
+
+Its repr is `Name(field=value, ...)`, it equals a record of the same class
+whose fields are equal, and its `to_json()` is each field under its own name,
+as JSON data. A `Record` is unhashable; a `FrozenRecord` refuses assignment,
+which its `__init__` goes past, and hashes by its fields.
 """
 
 from __future__ import annotations
+
+# The literal that builds each kind of `_fresh` default; a literal, not a call, where there is one.
+_EMPTY = {list: "[]", dict: "{}", set: "set()"}
 
 
 class Record:
     __slots__ = ()
     _params: tuple[str, ...] = ()  # what __init__ takes, in order
-    _fields: tuple[str, ...] = ()  # what repr and == read, in order; a class may leave one out
+    _fields: tuple[str, ...] = ()  # what repr, == and to_json read, in order; a class may leave one out
     _defaults: dict[str, object] = {}  # the default of each parameter that has one
-    _store = "self.{0} = {0}"  # how the generated __init__ sets field {0}
+    _fresh: dict[str, type] = {}  # each parameter whose default is a new empty list, dict or set
+    _store = "self.{0} = {1}"  # how the generated __init__ sets field {0} to {1}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -28,6 +36,9 @@ class Record:
         slots = own.get("__slots__", ())
         if "_fields" not in own:
             cls._fields = cls._fields + slots
+        for name in ("_defaults", "_fresh"):
+            if name in own:
+                setattr(cls, name, {**getattr(super(cls, cls), name), **own[name]})
         # A class that declares no slots keeps a __dict__, and takes the fields it shows.
         cls._params = cls._params + slots if "__slots__" in own else cls._fields
         if "__init__" not in own and cls._params:
@@ -47,12 +58,41 @@ class Record:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def to_json(self) -> dict:
+        return {name: _json(getattr(self, name)) for name in self._fields}
+
+
+def _json(value: object) -> object:
+    """`value` as JSON data: a record as its `to_json()`, a tuple or list as a list of converted
+    items, a set as its sorted list and a dict with each value converted. Any other value is
+    returned as it is."""
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_json(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    return value
+
 
 def _compile_init(cls: type[Record]):
-    """`def __init__(self, a, b=_defaults['b']): self.a = a; self.b = b`, for `cls`'s parameters."""
-    params = [f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in cls._params]
-    body = "".join([f"\n    {cls._store.format(name)}" for name in cls._params])
-    source = f"def __init__({', '.join(['self', *params])}):{body}\n"
+    """`def __init__(self, a, b=_defaults['b'], c=None): self.a = a; self.b = b; self.c = [] if c is None else c`
+    for `cls`'s parameters, with `c` a `_fresh` list."""
+    params = ["self"]
+    body = []
+    for name in cls._params:
+        value = name
+        if name in cls._fresh:
+            params.append(f"{name}=None")
+            value = f"{_EMPTY[cls._fresh[name]]} if {name} is None else {name}"
+        elif name in cls._defaults:
+            params.append(f"{name}=_defaults[{name!r}]")
+        else:
+            params.append(name)
+        body.append(f"\n    {cls._store.format(name, value)}")
+    source = f"def __init__({', '.join(params)}):{''.join(body)}\n"
     namespace = {"__name__": cls.__module__, "_defaults": cls._defaults, "_set": object.__setattr__}
     exec(compile(source, f"<record {cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
     init = namespace["__init__"]
@@ -62,7 +102,7 @@ def _compile_init(cls: type[Record]):
 
 class FrozenRecord(Record):
     __slots__ = ()
-    _store = "_set(self, {0!r}, {0})"  # past the refusing __setattr__
+    _store = "_set(self, {0!r}, {1})"  # past the refusing __setattr__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -60,18 +60,6 @@ class AnomalyAlert(Record):
         "severity",  # "anomaly" | "diagnostic"
     )
 
-    def to_json(self) -> dict:
-        return {
-            "timestamp": list(self.timestamp),
-            "instance_kind": self.instance_kind,
-            "instance_key": self.instance_key,
-            "state_at_event": self.state_at_event,
-            "offending_event": self.offending_event,
-            "cause": self.cause.to_json(),
-            "explanation": self.explanation,
-            "severity": self.severity,
-        }
-
 
 class TrackerConfig(Record):
     __slots__ = ("system_name", "alert_sink")

@@ -7,8 +7,8 @@ within one class and are unhashable; the immutable ones (`CaptureError`, `Shared
 refuse assignment; `Step` and `DeferredEvent` compare and hash by identity. Each record
 that a report writes has its `to_json()` document pinned.
 
-Last, the `__init__` that `poet.record` compiles from a class's `__slots__` and `_defaults`,
-on records declared here.
+Last, the `__init__` that `poet.record` compiles from a class's `__slots__`, `_defaults` and
+`_fresh`, and the `to_json()` it reads from the fields, on records declared here.
 """
 
 from __future__ import annotations
@@ -469,6 +469,17 @@ class _FrozenPair(FrozenRecord):
     _defaults = {"y": 2}
 
 
+class _Bag(Record):
+    __slots__ = ("name", "items", "index")
+    _fresh = {"items": list, "index": dict}
+
+
+class _TaggedBag(_Bag):
+    __slots__ = ("tags", "label")
+    _defaults = {"label": "none"}
+    _fresh = {"tags": set}
+
+
 def test_a_generated_init_takes_inherited_fields_first():
     by_position = _Quad(1, 2, 3, 4)
     by_keyword = _Quad(d=4, c=3, b=2, a=1)
@@ -502,9 +513,9 @@ def test_a_class_that_writes_init_keeps_it():
             self.b = 2 * b
 
     assert Doubled(1, 2).b == 4
-    # Among the runtime records, only those whose defaults are built per record write their own.
+    # No runtime record writes its own.
     written = {cls for cls, _ in RECORDS if not cls.__init__.__code__.co_filename.startswith("<record ")}
-    assert written == {AssetRecord, ArTable, DerivedEvents}
+    assert written == set()
 
 
 def test_a_generated_frozen_record_refuses_assignment():
@@ -520,3 +531,67 @@ def test_a_generated_init_is_named_for_its_record():
     assert _Quad.__init__.__code__.co_filename == f"<record {__name__}._Quad>"
     assert RawFrame.__init__.__qualname__ == "RawFrame.__init__"
     assert FsmDefinition.__init__.__code__.co_filename == "<record poet.fsm.FsmDefinition>"
+
+
+def test_a_fresh_default_is_a_new_container_per_record():
+    first, second = _Bag("a"), _Bag("b")
+    assert first.items == second.items == []
+    assert first.index == second.index == {}
+    assert first.items is not second.items
+    assert first.index is not second.index
+    first.items.append(1)
+    assert second.items == []
+
+
+def test_a_fresh_field_keeps_the_value_passed_in():
+    items, index = [1], {}
+    bag = _Bag("a", items, index=index)
+    assert bag.items is items
+    assert bag.index is index
+
+
+def test_fresh_defaults_combine_with_defaults_and_inheritance():
+    first, second = _TaggedBag("a"), _TaggedBag("b")
+    assert repr(first) == "_TaggedBag(name='a', items=[], index={}, tags=set(), label='none')"
+    assert first.items is not second.items
+    assert first.tags is not second.tags
+    assert _TaggedBag("a", [1], {}, {"t"}, "l").tags == {"t"}
+    # A class's own `_fresh` adds to the one it inherits, and leaves its base's as it was.
+    assert _TaggedBag._fresh == {"items": list, "index": dict, "tags": set}
+    assert _Bag._fresh == {"items": list, "index": dict}
+
+
+def test_a_fresh_default_is_built_as_a_hand_written_init_builds_it():
+    # With a literal, not a call of the type: the same bytecode as this function's.
+    def written(self, name, items=None, index=None):
+        self.name = name
+        self.items = [] if items is None else items
+        self.index = {} if index is None else index
+
+    assert _Bag.__init__.__code__.co_code == written.__code__.co_code
+    assert _Bag.__init__.__defaults__ == (None, None)
+
+
+def test_to_json_writes_each_field_as_json_data():
+    bag = _TaggedBag("a", [_Pair(1, 2)], {"k": _Pair((1, 2), frozenset({3, 1}))}, {"y", "x"}, ("l",))
+    assert bag.to_json() == {
+        "name": "a",
+        "items": [{"a": 1, "b": 2}],
+        "index": {"k": {"a": [1, 2], "b": [1, 3]}},
+        "tags": ["x", "y"],
+        "label": ["l"],
+    }
+
+
+def test_to_json_leaves_out_a_field_that_is_neither_compared_nor_shown():
+    fields = (0x8001, "mac", "key", "input_process_data_sent", (2,), 3, "summary")
+    bound = CyclicBinding(*fields, good=DerivedEvents())
+    assert bound.to_json() == {
+        "frame_id": 0x8001,
+        "responder_mac": "mac",
+        "key": "key",
+        "data_event": "input_process_data_sent",
+        "iops_offsets": [2],
+        "c_sdu_length": 3,
+        "summary": "summary",
+    }
