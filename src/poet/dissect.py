@@ -109,6 +109,7 @@ BLOCK_ALARMCR_REQ = 0x0103
 BLOCK_ALARMCR_RES = 0x8103
 BLOCK_EXPECTED_SUBMODULES = 0x0104
 BLOCK_MODULE_DIFF = 0x8104
+BLOCK_AR_SERVER = 0x8106
 BLOCK_WRITE_REQ = 0x0008
 BLOCK_WRITE_RES = 0x8008
 BLOCK_READ_REQ = 0x0009
@@ -623,7 +624,9 @@ _AR_BLOCKS: dict[int, tuple[str, int, str]] = {
 }
 # Connect blocks that poet does not read: framing-checked and skipped. Alone they
 # name the operation Connect; a block of _AR_BLOCKS names it in their place.
-_SKIPPED_BLOCKS = frozenset({BLOCK_IOCR_RES, BLOCK_ALARMCR_REQ, BLOCK_ALARMCR_RES, BLOCK_MODULE_DIFF})
+_SKIPPED_BLOCKS = frozenset(
+    {BLOCK_IOCR_RES, BLOCK_ALARMCR_REQ, BLOCK_ALARMCR_RES, BLOCK_MODULE_DIFF, BLOCK_AR_SERVER}
+)
 # The operation of a PDU without blocks (e.g. an empty response), by opnum.
 _OPNUM_OPERATIONS = ("Connect", "Release", "Read", "Write", "DControl")
 

@@ -58,6 +58,7 @@ BLOCKS_BASE = 20 + 8 + 80 + 20  # IPv4, UDP, RPC and NDR headers; refusal offset
 AR_REQ, AR_RES = 0x0101, 0x8101
 IOCR_REQ, IOCR_RES = 0x0102, 0x8102
 ALARMCR_REQ, ALARMCR_RES, MODULE_DIFF = 0x0103, 0x8103, 0x8104
+AR_SERVER = 0x8106
 SUBMODULES = 0x0104
 WRITE_REQ, WRITE_RES, READ_REQ, READ_RES = 0x0008, 0x8008, 0x0009, 0x8009
 DCONTROL_REQ, DCONTROL_RES = 0x0110, 0x8110
@@ -99,7 +100,7 @@ _KINDS = [
         ))),
         st.lists(st.sampled_from(["input", "output"]), max_size=2),
     ),
-    st.tuples(st.sampled_from([ALARMCR_REQ, ALARMCR_RES, MODULE_DIFF]), st.binary(max_size=24)),
+    st.tuples(st.sampled_from([ALARMCR_REQ, ALARMCR_RES, MODULE_DIFF, AR_SERVER]), st.binary(max_size=24)),
     st.tuples(st.sampled_from([0x0001, 0x0555, 0xFFFF]), st.binary(max_size=6)),
 ]
 
@@ -154,7 +155,7 @@ def _reference_dissect(direction: str, opnum: int, blocks) -> tuple:
             if cr_type not in (1, 2):
                 return ("refused", f"bad IOCR type {cr_type}", at)
             has_iocrs = True
-        elif block_type in (IOCR_RES, ALARMCR_REQ, ALARMCR_RES, MODULE_DIFF):
+        elif block_type in (IOCR_RES, ALARMCR_REQ, ALARMCR_RES, MODULE_DIFF, AR_SERVER):
             operation = operation or "Connect"
         elif block_type == SUBMODULES:
             has_submodules = has_submodules or struct.unpack(">H", content[0:2])[0] > 0

@@ -309,6 +309,37 @@ def test_release_of_the_live_ar_raises_nothing():
     assert report.final_states == baseline.final_states
 
 
+def test_connect_responses_with_an_ar_server_block_are_the_same_startup(monkeypatch):
+    """A device may follow its ARBlockRes with an ARServerBlock (0x8106), which names the
+    responding station. poet skips that block: each such Connect response is read as a Connect
+    response of its AR, and the run raises the alerts and ends in the states of the run without it."""
+    import struct
+
+    from poet import synth
+    from poet.dissect import CmFrame
+
+    spec = normal_startup_spec(2, cyclic_rounds=2)
+    plain = synthesize(spec).frames
+    name = b"io-device"
+    server_block = synth._cm_block(0x8106, struct.pack(">H", len(name)) + name)
+    ar_block_response = synth.ar_block_response
+    monkeypatch.setattr(synth, "ar_block_response", lambda *args: ar_block_response(*args) + server_block)
+    plans = synthesize(spec).frames
+    responses = [plan for plan in plans if plan.label.startswith("pn-cm connect response")]
+    assert len(responses) == 2
+    for plan in responses:
+        assert server_block in plan.data
+        body = dissect(RawFrame(*plan.ts, plan.data, 0))
+        assert isinstance(body, CmFrame)
+        assert (body.direction, body.operation) == ("response", "Connect")
+        assert body.ar_uuid is not None
+
+    baseline = Tracker().process(RawFrame(*plan.ts, plan.data, index) for index, plan in enumerate(plain))
+    report = Tracker().process(RawFrame(*plan.ts, plan.data, index) for index, plan in enumerate(plans))
+    assert report.alerts == baseline.alerts
+    assert report.final_states == baseline.final_states
+
+
 @pytest.mark.parametrize(
     "request_label, state",
     [("pn-cm read request", "AcyclicReadingData"), ("pn-cm acyclic write request", "AcyclicParametrization")],
