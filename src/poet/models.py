@@ -196,10 +196,6 @@ def system_fsm_table() -> FsmDefinition:
             "AssetConfigurationAndSystemStartup",
         ),
         Edge("AssetConfigurationAndSystemStartup", ALL_CONNECTIONS_ESTABLISHED, "DataExchange"),
-        Edge("DataExchange", CYCLIC_DATA_GOOD, "DataExchange"),
-        Edge("DataExchange", ACYCLIC_WRITE, "DataExchange"),
-        Edge("DataExchange", ACYCLIC_READ, "DataExchange"),
-        Edge("DataExchange", ACYCLIC_DONE, "DataExchange"),
     )
     return FsmDefinition(
         name="system",

@@ -129,7 +129,7 @@ GOLDEN_SYNTH = {
 GOLDEN_FSM_EXPORT = {
     "device": "7e6a119096a2d9871e0a3e6b2f1abd018c553364f10ec844828c805e1758e809",
     "connection": "b4090eb5969a89d021c42918ec90198582e2c78301abff9e7b3a29adc516681a",
-    "system": "68aa9ae0c3b3cac734ef7f6a793bd985bfa4df57b0dad01dcdcf5134ef6f4919",
+    "system": "f66cfe03ae37337b6af35fbbf33336b246da4a85e69507ce747cf7e277caa01b",
 }
 
 # sha256 of every dissect outcome over _dissect_corpus(), one line each: the record's
@@ -159,8 +159,8 @@ GOLDEN_FSM_TABLES = {
         "c9b59d46c38533bdcf1cdabd33400325b570730c9412d831702a9551baf8986a",
     ),
     "system": (
-        "8582434b69b4a1258b24247d87684db6f8242e6fb303a2da46c8233acc0daf74",
-        "f1f9c9623f19938509cb583652d4826fc9c53f147590753d76e1a90722271086",
+        "a26e1aceb9533ddef7cb7c6c9572dc988f3874e9b741ef02d8d62ddf7a720473",
+        "5f532b431eb5234905106ac35024dda445b3c4feaa8965dc0583f4ff4eeaaeec",
     ),
 }
 

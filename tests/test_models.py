@@ -330,9 +330,9 @@ def test_alphabet_closure():
         ACYCLIC_WRITE, ACYCLIC_READ, ACYCLIC_DONE,
     }
     system_events = {PN_TRAFFIC_DETECTED, CONNECT_REQUESTED, ALL_CONNECTIONS_ESTABLISHED}
-    assert device_events <= device_fsm_table().alphabet
-    assert connection_events <= connection_fsm_table().alphabet
-    assert system_events <= system_fsm_table().alphabet
+    assert device_events == device_fsm_table().alphabet
+    assert connection_events == connection_fsm_table().alphabet
+    assert system_events == system_fsm_table().alphabet
 
 
 # --- Event derivation -------------------------------------------------------------
