@@ -6,14 +6,12 @@ is created, with the builtin `compile`. It takes the inherited fields first,
 then the class's own, and sets each with one plain store, as one written by
 hand would. A field named in the class's `_defaults` takes that value by
 default, so Python itself refuses a class that puts a defaulted field before a
-required one. A field named in `_fresh` takes `None` by default and stores a
-new empty list, dict or set in its place, one per record. A class's own
-`_defaults` and `_fresh` add to those it inherits.
-
-Its repr is `Name(field=value, ...)`, it equals a record of the same class
-whose fields are equal, and its `to_json()` is each field under its own name,
-as JSON data. A `Record` is unhashable; a `FrozenRecord` refuses assignment,
-which its `__init__` goes past, and hashes by its fields.
+required one; one named in `_fresh` takes `None`, and stores a new empty list,
+dict or set in its place. A class's own `_defaults` and `_fresh` add to those
+it inherits. Its repr is `Name(field=value, ...)`, its `to_json()` holds each
+field under its own name, and it equals a record of the same class whose
+fields are equal. A `Record` is unhashable; a `FrozenRecord` refuses
+assignment, which its `__init__` goes past, and hashes by its fields.
 """
 
 from __future__ import annotations
@@ -80,19 +78,11 @@ def _json(value: object) -> object:
 def _compile_init(cls: type[Record]):
     """`def __init__(self, a, b=_defaults['b'], c=None): self.a = a; self.b = b; self.c = [] if c is None else c`
     for `cls`'s parameters, with `c` a `_fresh` list."""
-    params = ["self"]
-    body = []
-    for name in cls._params:
-        value = name
-        if name in cls._fresh:
-            params.append(f"{name}=None")
-            value = f"{_EMPTY[cls._fresh[name]]} if {name} is None else {name}"
-        elif name in cls._defaults:
-            params.append(f"{name}=_defaults[{name!r}]")
-        else:
-            params.append(name)
-        body.append(f"\n    {cls._store.format(name, value)}")
-    source = f"def __init__({', '.join(params)}):{''.join(body)}\n"
+    fresh, names = cls._fresh, cls._params
+    params = [f"{n}=None" if n in fresh else f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names]
+    values = [f"{_EMPTY[fresh[n]]} if {n} is None else {n}" if n in fresh else n for n in names]
+    body = "".join([f"\n    {cls._store.format(n, value)}" for n, value in zip(names, values)])
+    source = f"def __init__({', '.join(['self', *params])}):{body}\n"
     namespace = {"__name__": cls.__module__, "_defaults": cls._defaults, "_set": object.__setattr__}
     exec(compile(source, f"<record {cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
     init = namespace["__init__"]
