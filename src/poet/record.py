@@ -7,16 +7,15 @@ then the class's own, and sets each with one plain store, as one written by
 hand would. A field named in the class's `_defaults` takes that value by
 default, so Python itself refuses a class that puts a defaulted field before a
 required one; one named in `_fresh` takes `None`, and stores a new empty list,
-dict or set in its place. A class's own `_defaults` and `_fresh` add to those
-it inherits. Its repr is `Name(field=value, ...)`, its `to_json()` holds each
-field under its own name, and it equals a record of the same class whose
-fields are equal. A `Record` is unhashable; a `FrozenRecord` refuses
-assignment, which its `__init__` goes past, and hashes by its fields.
+dict or set in its place. Its repr is `Name(field=value, ...)`, its
+`to_json()` holds each field under its own name, and it equals a record of the
+same class whose fields are equal. A `Record` is unhashable; a `FrozenRecord`
+refuses assignment, which its `__init__` goes past, and hashes by its fields.
 """
 
 from __future__ import annotations
 
-# The literal that builds each kind of `_fresh` default; a literal, not a call, where there is one.
+# What builds each kind of `_fresh` default: a literal, not a call, where there is one.
 _EMPTY = {list: "[]", dict: "{}", set: "set()"}
 
 
@@ -34,9 +33,6 @@ class Record:
         slots = own.get("__slots__", ())
         if "_fields" not in own:
             cls._fields = cls._fields + slots
-        for name in ("_defaults", "_fresh"):
-            if name in own:
-                setattr(cls, name, {**getattr(super(cls, cls), name), **own[name]})
         # A class that declares no slots keeps a __dict__, and takes the fields it shows.
         cls._params = cls._params + slots if "__slots__" in own else cls._fields
         if "__init__" not in own and cls._params:
@@ -61,12 +57,12 @@ class Record:
 
 
 def _json(value: object) -> object:
-    """`value` as JSON data: a record as its `to_json()`, a tuple or list as a list of converted
-    items, a set as its sorted list and a dict with each value converted. Any other value is
-    returned as it is."""
+    """`value` as JSON data: a record as its `to_json()`, a tuple as a list of converted items,
+    a set as its sorted list and a dict with each value converted. Any other value is returned
+    as it is."""
     if isinstance(value, Record):
         return value.to_json()
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return [_json(item) for item in value]
     if isinstance(value, (set, frozenset)):
         return sorted(value)

@@ -470,14 +470,13 @@ class _FrozenPair(FrozenRecord):
 
 
 class _Bag(Record):
-    __slots__ = ("name", "items", "index")
-    _fresh = {"items": list, "index": dict}
+    __slots__ = ("name", "items", "index", "tags")
+    _fresh = {"items": list, "index": dict, "tags": set}
 
 
-class _TaggedBag(_Bag):
-    __slots__ = ("tags", "label")
+class _LabelledBag(_Bag):
+    __slots__ = ("label",)
     _defaults = {"label": "none"}
-    _fresh = {"tags": set}
 
 
 def test_a_generated_init_takes_inherited_fields_first():
@@ -535,45 +534,45 @@ def test_a_generated_init_is_named_for_its_record():
 
 def test_a_fresh_default_is_a_new_container_per_record():
     first, second = _Bag("a"), _Bag("b")
-    assert first.items == second.items == []
-    assert first.index == second.index == {}
+    assert (first.items, first.index, first.tags) == ([], {}, set())
     assert first.items is not second.items
     assert first.index is not second.index
+    assert first.tags is not second.tags
     first.items.append(1)
     assert second.items == []
 
 
 def test_a_fresh_field_keeps_the_value_passed_in():
-    items, index = [1], {}
-    bag = _Bag("a", items, index=index)
+    items, index, tags = [1], {}, set()
+    bag = _Bag("a", items, index=index, tags=tags)
     assert bag.items is items
     assert bag.index is index
+    assert bag.tags is tags
 
 
 def test_fresh_defaults_combine_with_defaults_and_inheritance():
-    first, second = _TaggedBag("a"), _TaggedBag("b")
-    assert repr(first) == "_TaggedBag(name='a', items=[], index={}, tags=set(), label='none')"
+    first, second = _LabelledBag("a"), _LabelledBag("b")
+    assert repr(first) == "_LabelledBag(name='a', items=[], index={}, tags=set(), label='none')"
     assert first.items is not second.items
     assert first.tags is not second.tags
-    assert _TaggedBag("a", [1], {}, {"t"}, "l").tags == {"t"}
-    # A class's own `_fresh` adds to the one it inherits, and leaves its base's as it was.
-    assert _TaggedBag._fresh == {"items": list, "index": dict, "tags": set}
-    assert _Bag._fresh == {"items": list, "index": dict}
+    assert _LabelledBag("a", [1], {}, {"t"}, "l") == _LabelledBag("a", [1], {}, {"t"}, label="l")
+    assert _LabelledBag("a", label="l").label == "l"
 
 
 def test_a_fresh_default_is_built_as_a_hand_written_init_builds_it():
     # With a literal, not a call of the type: the same bytecode as this function's.
-    def written(self, name, items=None, index=None):
+    def written(self, name, items=None, index=None, tags=None):
         self.name = name
         self.items = [] if items is None else items
         self.index = {} if index is None else index
+        self.tags = set() if tags is None else tags
 
     assert _Bag.__init__.__code__.co_code == written.__code__.co_code
-    assert _Bag.__init__.__defaults__ == (None, None)
+    assert _Bag.__init__.__defaults__ == (None, None, None)
 
 
 def test_to_json_writes_each_field_as_json_data():
-    bag = _TaggedBag("a", [_Pair(1, 2)], {"k": _Pair((1, 2), frozenset({3, 1}))}, {"y", "x"}, ("l",))
+    bag = _LabelledBag("a", (_Pair(1, 2),), {"k": _Pair((1, 2), frozenset({3, 1}))}, {"y", "x"}, ("l",))
     assert bag.to_json() == {
         "name": "a",
         "items": [{"a": 1, "b": 2}],
