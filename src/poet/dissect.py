@@ -624,9 +624,7 @@ _AR_BLOCKS: dict[int, tuple[str, int, str]] = {
 }
 # Connect blocks that poet does not read: framing-checked and skipped. Alone they
 # name the operation Connect; a block of _AR_BLOCKS names it in their place.
-_SKIPPED_BLOCKS = frozenset(
-    {BLOCK_IOCR_RES, BLOCK_ALARMCR_REQ, BLOCK_ALARMCR_RES, BLOCK_MODULE_DIFF, BLOCK_AR_SERVER}
-)
+_SKIPPED_BLOCKS = frozenset({BLOCK_IOCR_RES, BLOCK_ALARMCR_REQ, BLOCK_ALARMCR_RES, BLOCK_MODULE_DIFF, BLOCK_AR_SERVER})
 # The operation of a PDU without blocks (e.g. an empty response), by opnum.
 _OPNUM_OPERATIONS = ("Connect", "Release", "Read", "Write", "DControl")
 
