@@ -1,10 +1,10 @@
 """Deterministic finite-state-machine runtime with a bounded transition log.
 
 Definitions are immutable tables of named states and edges. Firing an event
-either follows the single applicable edge (a specific edge shadows a wildcard
-for the same event) or records a rejection and leaves the state untouched.
-Rejections are the anomaly signal consumed downstream; they never move the
-machine into an error state, so tracking continues afterwards.
+either follows the single applicable edge or records a rejection and leaves
+the state untouched. Rejections are the anomaly signal consumed downstream;
+they never move the machine into an error state, so tracking continues
+afterwards.
 
 An instance keeps every rejected entry, the last LOG_WINDOW entries, and per
 edge it has followed a count with the edge's first and last entry. Its memory
@@ -69,12 +69,6 @@ class Edge(FrozenRecord):
     _defaults = {"empirical": False}
 
 
-class WildcardEdge(FrozenRecord):
-    """Edge applicable from any state unless shadowed by a specific edge."""
-
-    __slots__ = ("event", "to_state")
-
-
 class FsmDefinition(FrozenRecord):
     # No __slots__: the compiled tables below are cached in the instance's __dict__.
     _fields = (
@@ -82,26 +76,24 @@ class FsmDefinition(FrozenRecord):
         "states",
         "initial_state",
         "edges",
-        "wildcard_edges",
         "reject_only_events",  # events that are part of the alphabet but have no edge anywhere
         "state_operations",  # optional state -> operation label mapping, opaque to the engine
     )
-    _defaults = {"wildcard_edges": (), "reject_only_events": frozenset(), "state_operations": ()}
+    _defaults = {"reject_only_events": frozenset(), "state_operations": ()}
 
     @cached_property
     def table(self) -> dict[str, dict[str, str]]:
         """Every state's `{event: target}`, compiled once per definition.
 
-        A state's specific edges shadow the wildcards. Among duplicates the
-        first listed edge wins, so only it ever fires. Every state an instance
-        can be in has a row: the declared ones, the initial one and each target.
+        Among duplicates the first listed edge wins, so only it ever fires.
+        Every state an instance can be in has a row: the declared ones, the
+        initial one and each edge's endpoints.
         """
-        # Written in reverse, so the first listed of duplicate entries is the one kept.
-        wildcards = {w.event: w.to_state for w in reversed(self.wildcard_edges)}
-        states = {self.initial_state, *self.states, *wildcards.values()}
+        states = {self.initial_state, *self.states}
         for edge in self.edges:
             states.update((edge.from_state, edge.to_state))
-        table = {state: dict(wildcards) for state in states}
+        table = {state: {} for state in states}
+        # Written in reverse, so the first listed of duplicate edges is the one kept.
         for edge in reversed(self.edges):
             table[edge.from_state][edge.event] = edge.to_state
         return table
@@ -119,10 +111,7 @@ class FsmDefinition(FrozenRecord):
 
     @cached_property
     def alphabet(self) -> frozenset[str]:
-        events = {e.event for e in self.edges}
-        events.update(w.event for w in self.wildcard_edges)
-        events.update(self.reject_only_events)
-        return frozenset(events)
+        return frozenset({e.event for e in self.edges} | self.reject_only_events)
 
     @cached_property
     def operations(self) -> dict[str, str]:
@@ -144,9 +133,6 @@ class FsmDefinition(FrozenRecord):
                     "empirical": e.empirical,
                 }
                 for e in self.edges
-            ],
-            "wildcard_edges": [
-                {"event": w.event, "to": w.to_state} for w in self.wildcard_edges
             ],
             "reject_only_events": sorted(self.reject_only_events),
             "state_operations": {name: label for name, label in self.state_operations},

@@ -22,7 +22,7 @@ from .dissect import (
     ParsedFrame,
     PnioCyclicFrame,
 )
-from .fsm import Edge, FrameRef, FsmDefinition, FsmInstance, SharedCause, WildcardEdge
+from .fsm import Edge, FrameRef, FsmDefinition, FsmInstance, SharedCause
 from .record import FrozenRecord, Record
 
 # Event names (device scope unless noted)
@@ -134,12 +134,13 @@ def device_fsm_table() -> FsmDefinition:
     for edge in edges:
         targets.setdefault(edge.event, edge.to_state)
     edges += [Edge("NeighbourhoodDetection", event, target) for event, target in targets.items()]
+    # LLDP neighbourhood detection is accepted in every state.
+    edges += [Edge(state, DETECT_NEIGHBOURS, "NeighbourhoodDetection") for state, _ in DEVICE_STATE_OPERATIONS]
     return FsmDefinition(
         name="device",
         states=states,
         initial_state="Active",
         edges=tuple(edges),
-        wildcard_edges=(WildcardEdge(DETECT_NEIGHBOURS, "NeighbourhoodDetection"),),
         reject_only_events=frozenset({NAME_SET_REQUESTED}),
         state_operations=DEVICE_STATE_OPERATIONS,
     )

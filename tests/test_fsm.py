@@ -16,7 +16,6 @@ from poet.fsm import (
     FsmInstance,
     TransitionRecord,
     UnknownEvent,
-    WildcardEdge,
 )
 from poet.models import connection_fsm_table, device_fsm_table, system_fsm_table
 
@@ -32,8 +31,12 @@ def simple_def() -> FsmDefinition:
         name="simple",
         states=frozenset({"A", "B", "C"}),
         initial_state="A",
-        edges=(Edge("A", "go", "B"), Edge("B", "go", "C"), Edge("C", "loop", "C")),
-        wildcard_edges=(WildcardEdge("reset", "A"),),
+        edges=(
+            Edge("A", "go", "B"),
+            Edge("B", "go", "C"),
+            Edge("C", "loop", "C"),
+            *(Edge(s, "reset", "A") for s in "ABC"),
+        ),
         reject_only_events=frozenset({"forbidden"}),
     )
 
@@ -46,13 +49,14 @@ def test_accepted_transition():
     assert inst.current_state == "B"
 
 
-def test_wildcard_from_any_state():
+def test_detect_neighbours_from_every_device_state():
     table = device_fsm_table()
-    inst = FsmInstance(table, "dev")
-    inst.current_state = "DataExchange"
-    record = inst.fire("detect_neighbours", CAUSE, TS, 0)
-    assert record.verdict == "accepted"
-    assert record.to_state == "NeighbourhoodDetection"
+    for state in sorted(table.states):
+        inst = FsmInstance(table, "dev")
+        inst.current_state = state
+        record = inst.fire("detect_neighbours", CAUSE, TS, 0)
+        assert record.verdict == "accepted"
+        assert record.to_state == inst.current_state == "NeighbourhoodDetection"
 
 
 def test_rejected_event_keeps_state():
@@ -71,20 +75,6 @@ def test_self_loop_accepted():
     record = inst.fire("loop", CAUSE, TS, 0)
     assert record.verdict == "accepted"
     assert record.from_state == record.to_state == "C"
-
-
-def test_specific_edge_shadows_wildcard():
-    definition = FsmDefinition(
-        name="shadow",
-        states=frozenset({"A", "B", "C"}),
-        initial_state="A",
-        edges=(Edge("A", "e", "B"), Edge("B", "x", "A"), Edge("A", "y", "C")),
-        wildcard_edges=(WildcardEdge("e", "C"),),
-    )
-    inst = FsmInstance(definition, "x")
-    assert inst.fire("e", CAUSE, TS, 0).to_state == "B"  # specific wins from A
-    inst.current_state = "C"
-    assert inst.fire("e", CAUSE, TS, 0).to_state == "C"  # wildcard elsewhere
 
 
 def test_unknown_event_raises():
@@ -106,6 +96,16 @@ def test_unknown_event_raises():
             with pytest.raises(UnknownEvent):
                 inst.fire("not-an-event", CAUSE, TS, 0)
             assert (inst.current_state, inst.transitions) == (state, 0)
+
+
+@pytest.mark.parametrize("table_of", [device_fsm_table, connection_fsm_table, system_fsm_table])
+def test_each_exported_machine_is_its_compiled_table(table_of):
+    """The exported edges, the first per state and event, are every edge the machine follows."""
+    definition = table_of()
+    rows: dict[str, dict[str, str]] = {}
+    for edge in definition.export()["edges"]:
+        rows.setdefault(edge["from"], {}).setdefault(edge["event"], edge["to"])
+    assert rows == {state: row for state, row in definition.table.items() if row}
 
 
 def test_reject_only_event_in_alphabet():
@@ -157,11 +157,9 @@ def test_duplicate_edges_first_listed_wins():
         states=frozenset({"A", "B", "C"}),
         initial_state="A",
         edges=(Edge("A", "go", "B"), Edge("A", "go", "C")),
-        wildcard_edges=(WildcardEdge("reset", "B"), WildcardEdge("reset", "C")),
     )
     inst = FsmInstance(definition, "x")
     assert inst.fire("go", CAUSE, TS, 0).to_state == "B"
-    assert inst.fire("reset", CAUSE, TS, 0).to_state == "B"
 
 
 def test_log_export_jsonl_round_trip():
@@ -225,16 +223,11 @@ def definitions_and_events(draw):
             continue
         seen.add((frm, event))
         edges.append(Edge(frm, event, draw(st.sampled_from(states))))
-    wildcards = []
-    for event in events:
-        if draw(st.booleans()):
-            wildcards.append(WildcardEdge(event, draw(st.sampled_from(states))))
     definition = FsmDefinition(
         name="prop",
         states=frozenset(states),
         initial_state=states[0],
         edges=tuple(edges),
-        wildcard_edges=tuple(wildcards[:2]),
     )
     if not definition.alphabet:
         return definition, []
@@ -311,19 +304,17 @@ def test_rejection_safety(case):
 
 @st.composite
 def tangled_definitions_and_events(draw):
-    """Definitions with duplicate and dangling edges, duplicate wildcards and reject-only
-    events, and event sequences that stray outside the alphabet."""
+    """Definitions with duplicate and dangling edges and reject-only events, and event
+    sequences that stray outside the alphabet."""
     names = st.sampled_from("ABCDEFG")
     states = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True))
     events = st.sampled_from("pqrstu")
     edges = draw(st.lists(st.builds(Edge, st.sampled_from(states), events, names), max_size=14))
-    wildcards = draw(st.lists(st.builds(WildcardEdge, events, names), max_size=5))
     definition = FsmDefinition(
         name="tangled",
         states=frozenset(states),
         initial_state=states[0],
         edges=tuple(edges),
-        wildcard_edges=tuple(wildcards),
         reject_only_events=frozenset(draw(st.lists(events, max_size=3))),
     )
     sequence = draw(st.lists(st.sampled_from("pqrstuvw"), max_size=40))
@@ -331,25 +322,18 @@ def tangled_definitions_and_events(draw):
 
 
 def _reference_target(definition: FsmDefinition, state: str, event: str) -> str | None:
-    """The documented rule, read straight off the edge lists: the first listed specific
-    edge, else the first listed wildcard, else None for a rejection."""
+    """The documented rule, read straight off the edge list: the first listed edge, else
+    None for a rejection."""
     for edge in definition.edges:
         if (edge.from_state, edge.event) == (state, event):
             return edge.to_state
-    for wild in definition.wildcard_edges:
-        if wild.event == event:
-            return wild.to_state
     return None
 
 
 @given(tangled_definitions_and_events())
 def test_compiled_table_fires_as_the_reference_interpreter(case):
     definition, sequence = case
-    alphabet = (
-        {e.event for e in definition.edges}
-        | {w.event for w in definition.wildcard_edges}
-        | definition.reject_only_events
-    )
+    alphabet = {e.event for e in definition.edges} | definition.reject_only_events
     inst = FsmInstance(definition, "p")
     state = definition.initial_state
     count = 0

@@ -127,9 +127,9 @@ GOLDEN_SYNTH = {
 
 # FSM kind -> sha256 of `poet fsm-export KIND` on stdout
 GOLDEN_FSM_EXPORT = {
-    "device": "7e6a119096a2d9871e0a3e6b2f1abd018c553364f10ec844828c805e1758e809",
-    "connection": "b4090eb5969a89d021c42918ec90198582e2c78301abff9e7b3a29adc516681a",
-    "system": "f66cfe03ae37337b6af35fbbf33336b246da4a85e69507ce747cf7e277caa01b",
+    "device": "b341e40752b0dba8bbfadd316883ab08157ff1f067bafc0d84b5f3c01f59dd93",
+    "connection": "754b062e364b9dab3e7ea3e7b9a354b4af20bf243760c830711228c4b3820dba",
+    "system": "ff868be5d395cab54065638a10da7ca29a5e59dc02e7ef509bff8ec11517e4eb",
 }
 
 # sha256 of every dissect outcome over _dissect_corpus(), one line each: the record's

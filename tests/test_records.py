@@ -3,7 +3,7 @@
 The records of `capture`, `dissect`, `fsm`, `inventory`, `models` and `tracker` print as
 `Name(field=value, ...)`, which the dissect golden digests hash. Records compare by value
 within one class and are unhashable; the immutable ones (`CaptureError`, `SharedCause`,
-`Edge`, `WildcardEdge`, `FsmDefinition`, `ConnectionRegistration`) also hash by value and
+`Edge`, `FsmDefinition`, `ConnectionRegistration`) also hash by value and
 refuse assignment; `Step` and `DeferredEvent` compare and hash by identity. Each record
 that a report writes has its `to_json()` document pinned.
 
@@ -20,7 +20,7 @@ import pytest
 
 from poet.capture import CaptureError, RawFrame
 from poet.dissect import ArpPacket, CmFrame, DcpFrame, IocrBlock, LldpFrame, ParsedFrame, PnioCyclicFrame
-from poet.fsm import Edge, FrameRef, FsmDefinition, SharedCause, Step, TransitionRecord, WildcardEdge
+from poet.fsm import Edge, FrameRef, FsmDefinition, SharedCause, Step, TransitionRecord
 from poet.inventory import AssetRecord, InventoryChange, Provenance
 from poet.models import (
     ArTable,
@@ -112,7 +112,6 @@ RECORDS = [
     (FrameRef, {"capture_index": 7, "protocol": "pn-dcp", "summary": "dcp Identify Request"}),
     (SharedCause, {"protocol": "pnio", "summary": "pnio cyclic 0x8001 input iops good"}),
     (Edge, {"from_state": "A", "event": "go", "to_state": "B", "empirical": True}),
-    (WildcardEdge, {"event": "reset", "to_state": "A"}),
     (
         FsmDefinition,
         {
@@ -120,7 +119,6 @@ RECORDS = [
             "states": frozenset({"A"}),
             "initial_state": "A",
             "edges": (_EDGE,),
-            "wildcard_edges": (WildcardEdge("reset", "A"),),
             "reject_only_events": frozenset({"forbidden"}),
             "state_operations": (("A", "Idle"),),
         },
@@ -225,7 +223,7 @@ RECORDS = [
     (TrackerReport, {"summary": {"frames": 1}, "alerts": [], "fleet": None, "assets": []}),
 ]
 
-VALUE_HASHED = {CaptureError, SharedCause, Edge, WildcardEdge, FsmDefinition, ConnectionRegistration}
+VALUE_HASHED = {CaptureError, SharedCause, Edge, FsmDefinition, ConnectionRegistration}
 IDENTITY = {Step, DeferredEvent}
 # Fields that neither `==` nor the repr reads.
 HIDDEN = {CyclicBinding: {"good"}}
@@ -249,7 +247,7 @@ def test_every_runtime_record_class_is_listed():
         and not issubclass(obj, (BaseException, tuple))
     }
     assert found == {cls for cls, _ in RECORDS}
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 28
 
 
 @_params
@@ -357,7 +355,7 @@ def test_defaults():
     assert DcpFrame("aa", "bb", 1, "Hello", "Request", (), None).violations == ()
     assert CmFrame("aa", "bb", 1, "request", "Read", None) == CmFrame("aa", "bb", 1, "request", "Read", None, (), ())
     assert Edge("A", "go", "B") == Edge("A", "go", "B", False)
-    assert FsmDefinition("m", frozenset(), "A", ()) == FsmDefinition("m", frozenset(), "A", (), (), frozenset(), ())
+    assert FsmDefinition("m", frozenset(), "A", ()) == FsmDefinition("m", frozenset(), "A", (), frozenset(), ())
     assert ProtocolEvent("e", "system", None, _CAUSE).instance is None
     assert TrackDiagnostic("k", "d", _CAUSE) == TrackDiagnostic("k", "d", _CAUSE, "system", None)
     assert Provenance("lldp", 1) == Provenance("lldp", 1, False)
