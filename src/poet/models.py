@@ -106,12 +106,16 @@ def device_fsm_table() -> FsmDefinition:
     states = frozenset(name for name, _ in DEVICE_STATE_OPERATIONS)
     edges = [
         Edge("Active", NAME_RESOLUTION_REQUESTED, "NameResolution"),
+        # A controller retries an unanswered Identify request.
+        Edge("NameResolution", NAME_RESOLUTION_REQUESTED, "NameResolution"),
         Edge("NameResolution", NAME_RESOLVED, "NameResolved"),
         Edge("NameResolved", IP_ASSIGNMENT_REQUESTED, "IpAddressAssignment"),
         # Observed on real systems: assignment acknowledgement, then the
         # device itself probes for duplicates via gratuitous ARP.
         Edge("IpAddressAssignment", IP_ASSIGNED, "IpAddressAssigned", empirical=True),
         Edge("IpAddressAssigned", DUPLICATION_CHECK, "IpDuplicationCheck", empirical=True),
+        # RFC 5227 sends two gratuitous ARP announcements.
+        Edge("IpDuplicationCheck", DUPLICATION_CHECK, "IpDuplicationCheck"),
         Edge("IpDuplicationCheck", CONNECT_REQUESTED, "NewConnectionInitiated"),
         Edge("NewConnectionInitiated", PARAMETRIZATION_WRITE, "Parametrization"),
         Edge("Parametrization", PARAMETRIZATION_WRITE, "Parametrization"),

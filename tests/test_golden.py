@@ -127,7 +127,7 @@ GOLDEN_SYNTH = {
 
 # FSM kind -> sha256 of `poet fsm-export KIND` on stdout
 GOLDEN_FSM_EXPORT = {
-    "device": "b341e40752b0dba8bbfadd316883ab08157ff1f067bafc0d84b5f3c01f59dd93",
+    "device": "de164aa005d73596c16b42940ead2befa4840f5f992daaabae8d17b2b8a6e8f8",
     "connection": "754b062e364b9dab3e7ea3e7b9a354b4af20bf243760c830711228c4b3820dba",
     "system": "ff868be5d395cab54065638a10da7ca29a5e59dc02e7ef509bff8ec11517e4eb",
 }
@@ -151,7 +151,7 @@ GOLDEN_DISSECT_CM = "fb127aa69b172a5cb963869f578bbdb5371699fc1f40d004d76e1100c6a
 # order its edges are listed in.
 GOLDEN_FSM_TABLES = {
     "device": (
-        "8102a064aed3567f681d532a31614e201595b5fea53a514a689b59e3688a8187",
+        "696e5ba62fb4bff9257c2a97b1056e5b71ea128551f4d6432580b74cf18907db",
         "54fe0b29dd246ac9e6c88a17e34774b7ed5e64cd5b452838619a5e96d83b731b",
     ),
     "connection": (

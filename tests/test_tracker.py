@@ -709,13 +709,58 @@ def _held_ghost_requests() -> Tracker:
 def test_an_answer_replays_every_request_held_for_its_name_in_capture_order():
     tracker = _held_ghost_requests()
     tracker.process_frame(RawFrame(100, 4, dcp_identify_response(_STATION, _REQUESTER, 1, "ghost"), 4))
-    # Each replayed request keeps its own request's cause. The second one's verdict is a model question.
-    assert [(r.event, r.cause) for r in tracker.fleet.devices["02:00:00:00:02:00"].records()] == [
-        ("name_resolution_requested", FrameRef(1, "pn-dcp", "dcp identify request for 'ghost'")),
-        ("name_resolution_requested", FrameRef(3, "pn-dcp", "dcp identify request for 'ghost'")),
-        ("name_resolved", FrameRef(4, "pn-dcp", "dcp identify response from 'ghost'")),
+    # Each replayed request keeps its own request's cause, and a retried request is accepted.
+    assert [(r.event, r.cause, r.verdict) for r in tracker.fleet.devices["02:00:00:00:02:00"].records()] == [
+        ("name_resolution_requested", FrameRef(1, "pn-dcp", "dcp identify request for 'ghost'"), "accepted"),
+        ("name_resolution_requested", FrameRef(3, "pn-dcp", "dcp identify request for 'ghost'"), "accepted"),
+        ("name_resolved", FrameRef(4, "pn-dcp", "dcp identify response from 'ghost'"), "accepted"),
     ]
     assert [d.name for d in tracker.deferred] == ["other"]
+
+
+def test_a_retried_identify_request_for_a_known_station_is_no_anomaly():
+    tracker = Tracker()
+    datas = [
+        _STATION_LLDP,
+        dcp_identify_request(_REQUESTER, 1, "io-device"),
+        dcp_identify_request(_REQUESTER, 2, "io-device"),
+        dcp_identify_response(_STATION, _REQUESTER, 2, "io-device"),
+    ]
+    for index, data in enumerate(datas):
+        tracker.process_frame(RawFrame(100, index, data, index))
+    assert tracker.alerts == []
+    assert [r.event for r in tracker.fleet.devices["02:00:00:00:02:00"].records()] == [
+        "detect_neighbours",
+        "name_resolution_requested",
+        "name_resolution_requested",
+        "name_resolved",
+    ]
+    assert tracker.fleet.devices["02:00:00:00:02:00"].current_state == "NameResolved"
+
+
+def test_a_second_gratuitous_arp_announcement_is_no_anomaly():
+    from poet.synth import dcp_set_ip_request, dcp_set_response, encode_arp
+
+    announce = encode_arp(_STATION, b"\xff" * 6, 1, _STATION, "192.168.0.11", b"\x00" * 6, "192.168.0.11")
+    datas = [
+        _STATION_LLDP,
+        dcp_set_ip_request(_REQUESTER, _STATION, 1, "192.168.0.11", "255.255.255.0", "0.0.0.0"),
+        dcp_set_response(_STATION, _REQUESTER, 1, 1, 2),
+        announce,
+        announce,
+    ]
+    tracker = Tracker()
+    for index, data in enumerate(datas):
+        tracker.process_frame(RawFrame(100, index, data, index))
+    assert tracker.alerts == []
+    assert [r.event for r in tracker.fleet.devices["02:00:00:00:02:00"].records()] == [
+        "detect_neighbours",
+        "ip_assignment_requested",
+        "ip_assigned",
+        "duplication_check",
+        "duplication_check",
+    ]
+    assert tracker.fleet.devices["02:00:00:00:02:00"].current_state == "IpDuplicationCheck"
 
 
 def test_unanswered_requests_for_one_name_expire_each_at_its_own_horizon():
