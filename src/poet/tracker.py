@@ -140,8 +140,6 @@ class FsmFleet:
     def _evaluate_all_established(self, cause: FrameRef, ts: Timestamp, index: int) -> None:
         # Fires at most once per run, when every live connection has reached
         # ConnectionEstablished or a data-exchange state.
-        if not self.connections:
-            return
         for instance in self.connections.values():
             if instance.current_state not in CONNECTION_ESTABLISHED_STATES:
                 return
