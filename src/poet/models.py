@@ -138,7 +138,7 @@ def device_fsm_table() -> FsmDefinition:
     for edge in edges:
         targets.setdefault(edge.event, edge.to_state)
     edges += [Edge("NeighbourhoodDetection", event, target) for event, target in targets.items()]
-    # LLDP neighbourhood detection is accepted in every state.
+    # Every state accepts LLDP; listed after the fan-out, so NeighbourhoodDetection gets it once.
     edges += [Edge(state, DETECT_NEIGHBOURS, "NeighbourhoodDetection") for state, _ in DEVICE_STATE_OPERATIONS]
     return FsmDefinition(
         name="device",
